@@ -65,8 +65,8 @@ use quake_octree::{BalanceMode, LinearOctree, MAX_LEVEL};
 use quake_solver::elastic::RayleighBand;
 use quake_solver::reference::reference_step;
 use quake_solver::{
-    ElasticConfig, ElasticSolver, GroupRunScratch, NoExchange, NoopHook, RateGroupPlan, RunConfig,
-    RunOutcome, SolverHarness,
+    ElasticConfig, ElasticSolver, NoExchange, NoopHook, RateGroupPlan, RunConfig, RunOutcome,
+    SolverHarness,
 };
 
 /// Multiresolution mesh: uniform `coarse` level with the x < 1/2 half refined
@@ -358,21 +358,19 @@ fn main() {
 
         let lharness = SolverHarness::new(&lsolver);
         let lv0 = vec![0.0; 3 * lmesh.n_nodes()];
-        let mut gws = GroupRunScratch::for_ndof(3 * lmesh.n_nodes());
         let mut lts_best = f64::INFINITY;
         for _ in 0..lts_trials {
             let mut state = plan.initial_state(&lsolver, 0, Some((&lu0, &lv0)));
             let run_cfg = RunConfig::to_step(n_base);
             let mut noop = NoopHook;
             let t = Instant::now();
-            let outcome = lharness.run_grouped_with_scratch(
+            let outcome = lharness.run_grouped(
                 &plan,
                 &run_cfg,
                 &mut state,
                 &mut lws,
                 &mut NoExchange,
                 &mut [&mut noop],
-                &mut gws,
             );
             lts_best = lts_best.min(t.elapsed().as_secs_f64());
             assert!(matches!(outcome, RunOutcome::Finished { .. }), "lts run stopped early");

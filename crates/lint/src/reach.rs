@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! reachable from the lint:hot-path region at crates/serve/src/exec.rs:126
-//! via run_with_scratch (crates/solver/src/harness.rs:310) -> step_scoped (...)
+//! via run_with_scratch (crates/solver/src/harness.rs:293) -> drive (...) -> pass (...)
 //! ```
 //!
 //! Edges cut by `lint:reach-ok` annotations never enter the graph

@@ -7,8 +7,8 @@
 //! Mechanics: every resolved call edge whose call site sits on a hot line
 //! seeds a BFS over the workspace call graph; each reached function's body
 //! is scanned with the same allocation matcher the token rule uses.
-//! Findings carry the witness chain ("via `sweep` (elastic.rs:648) ->
-//! `sweep_serial` (...)") so the reviewer sees the exact path from kernel
+//! Findings carry the witness chain ("via `pass` (elastic.rs:616) ->
+//! `sweep` (...)") so the reviewer sees the exact path from kernel
 //! to allocation. Deduplication against the token rule is by line class:
 //! allocation sites on hot lines are the token rule's findings, not ours.
 //!

@@ -6,7 +6,7 @@
 //! write disjoint entries. That argument lives in UNSAFE_LEDGER.md and in
 //! the SAFETY comments of `crates/solver/src/sweep.rs`; this rule keeps the
 //! *code shape* pinned to it. Inside a `// lint:par-sweep` region (the
-//! sweep engine and the rate-group sweep dispatch):
+//! sweep engine and the step kernel's sweep dispatch):
 //!
 //! - a write whose target is **region-local** (declared by `let`, a `for`
 //!   pattern, or a closure parameter inside the region) is fine — that is

@@ -89,8 +89,9 @@ fn hot_path_regions_exist_where_the_guarantees_live() {
         assert!(f.is_some_and(|f| f.has_hot_region()), "{expected} lost its lint:hot-path region");
     }
     // The parallel-disjointness rule is likewise vacuous without par-sweep
-    // regions: the threaded color-sweep bodies must stay marked.
-    for expected in ["crates/solver/src/sweep.rs", "crates/solver/src/rategroup.rs"] {
+    // regions: the threaded color-sweep bodies and the one sweep dispatch
+    // every pass (global or rate-group) goes through must stay marked.
+    for expected in ["crates/solver/src/sweep.rs", "crates/solver/src/elastic.rs"] {
         let f = files.iter().find(|f| f.path == expected);
         assert!(f.is_some_and(|f| f.has_par_region()), "{expected} lost its lint:par-sweep region");
     }

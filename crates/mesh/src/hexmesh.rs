@@ -267,9 +267,22 @@ impl HexMesh {
     /// identical to the node-major variant — only the indexing differs — so
     /// each dof's result is bit-identical to folding the interleaved vector.
     pub fn fold_hanging_planar(&self, f: &mut [f64], ncomp: usize) {
-        let n = self.n_nodes();
+        HexMesh::fold_constraints_planar(&self.constraints, self.n_nodes(), f, ncomp);
+    }
+
+    /// [`fold_hanging_planar`](Self::fold_hanging_planar) over an explicit
+    /// constraint list over `n` nodes — a rate group's constraint clusters,
+    /// visited in the order given (the same per-constraint arithmetic, so
+    /// folding a partition of the mesh's constraints group by group
+    /// reproduces the whole-mesh fold bit for bit).
+    pub fn fold_constraints_planar(
+        constraints: &[Constraint],
+        n: usize,
+        f: &mut [f64],
+        ncomp: usize,
+    ) {
         assert_eq!(f.len(), n * ncomp);
-        for c in &self.constraints {
+        for c in constraints {
             for comp in 0..ncomp {
                 let v = f[comp * n + c.node as usize];
                 if v != 0.0 {
@@ -285,9 +298,20 @@ impl HexMesh {
     /// [`interpolate_hanging`](Self::interpolate_hanging) for planar
     /// (structure-of-arrays) storage (`dof = comp * n_nodes + node`).
     pub fn interpolate_hanging_planar(&self, u: &mut [f64], ncomp: usize) {
-        let n = self.n_nodes();
+        HexMesh::interpolate_constraints_planar(&self.constraints, self.n_nodes(), u, ncomp);
+    }
+
+    /// [`interpolate_hanging_planar`](Self::interpolate_hanging_planar) over
+    /// an explicit constraint list (see
+    /// [`fold_constraints_planar`](Self::fold_constraints_planar)).
+    pub fn interpolate_constraints_planar(
+        constraints: &[Constraint],
+        n: usize,
+        u: &mut [f64],
+        ncomp: usize,
+    ) {
         assert_eq!(u.len(), n * ncomp);
-        for c in &self.constraints {
+        for c in constraints {
             for comp in 0..ncomp {
                 let mut v = 0.0;
                 for &(m, w) in &c.masters {

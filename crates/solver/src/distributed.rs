@@ -19,8 +19,8 @@ use crate::harness::{
 };
 use crate::health::{dump_post_mortem, HealthConfig, HealthHook};
 use quake_ckpt::{CheckpointPolicy, CheckpointReader, CheckpointWriter, CkptError, PeriodicSink};
-use quake_mesh::{partition_morton, ExchangePlan, HexMesh};
-use quake_parcomm::{run_spmd, CommError, Communicator, ExchangeTiming, FaultPlan};
+use quake_mesh::{partition_morton, ExchangePlan, HexMesh, RateGroups};
+use quake_parcomm::{run_spmd, Communicator, ExchangeTiming, FaultPlan};
 use quake_telemetry::{try_reduce_across_ranks, Reduced, Registry, Snapshot, SpanId, TraceBuffer};
 
 /// What to run distributed: rank count, step count, optional initial
@@ -75,112 +75,59 @@ struct ExchangeSpanIds {
     copy: SpanId,
 }
 
-/// Timed sum-exchange shared by both exchange flavors: measures the
-/// wait/copy split via [`Communicator::try_exchange_sum_timed`] and records
-/// both as sub-spans of the already-open `step/exchange` span (so the
-/// phase-accounting invariant — children sum into the parent's `child_ns` —
-/// still holds). The split is rendered copy-then-wait: durations are exact,
-/// but the true per-neighbor interleaving (pack → block → unpack) is not
-/// preserved in slice start times.
-fn exchange_timed(
-    comm: &Communicator,
-    neighbors: &[(usize, Vec<u32>)],
-    rhs: &mut [f64],
-    tag: u64,
-    reg: &Registry,
-    spans: &mut Option<ExchangeSpanIds>,
-) -> Result<(), CommError> {
-    let ids = spans.get_or_insert_with(|| ExchangeSpanIds {
-        wait: reg.span_id("step/exchange/wait"),
-        copy: reg.span_id("step/exchange/copy"),
-    });
-    let t0 = Instant::now();
-    let mut timing = ExchangeTiming::default();
-    comm.try_exchange_sum_timed(neighbors, rhs, 1, tag, &mut timing)?;
-    let t0_ns = reg.since_epoch_ns(t0);
-    reg.record_span(ids.copy, t0_ns, timing.copy_ns);
-    reg.record_span(ids.wait, t0_ns + timing.copy_ns, timing.wait_ns);
-    Ok(())
-}
-
-/// Tag of the untagged (plain fail-stop) exchange when it goes through the
-/// timed path — the same constant `Communicator::exchange_sum` uses, so both
-/// code paths interoperate.
-const PLAIN_EXCHANGE_TAG: u64 = 0xE0;
-
-/// The fail-stop interface exchange of the plain distributed path, where
-/// rank failure is not survivable anyway: the untimed branch panics inside
-/// `parcomm` if a peer disappears; the instrumented branch surfaces the
-/// error as [`StopReason::Comm`] and [`run_distributed`] asserts the run
-/// finished.
+/// The step-tagged interface exchange of every distributed entry point: the
+/// exchange of base step `k` carries tag [`STEP_TAG_BASE`]` + k`, so a peer
+/// that skipped a step is detected as protocol skew and surfaces as a
+/// run-stopping error ([`StopReason::Comm`]) instead of silently summing
+/// stale data. The recovery supervisor retries on it; the plain
+/// [`run_distributed`] path, where rank failure is not survivable anyway,
+/// asserts the run finished.
 ///
-/// `neighbors` lists *planar dof* indices (`comp * n_nodes + node`, matching
-/// the rhs layout the step hands out), expanded identically on both sides of
-/// each link from the exchange plan's node order — so the exchange runs with
-/// `ncomp = 1` and the fabric stays layout-agnostic.
+/// `neighbors[g]` lists rate group `g`'s links as *planar dof* indices
+/// (`comp * n_nodes + node`, matching the rhs layout the step hands out),
+/// expanded identically on both sides of each link from the exchange plan's
+/// node order — so the exchange runs with `ncomp = 1` and the fabric stays
+/// layout-agnostic. Global dt is the single group holding every shared dof
+/// (see [`DistSetup::neighbors`]).
 struct CommExchange<'c> {
     comm: &'c Communicator,
-    neighbors: Vec<(usize, Vec<u32>)>,
-    /// Per-rate-group planar dof lists (index = group), for LTS stepping:
-    /// link `(q, dofs)` of group `g` carries only the shared dofs whose node
-    /// is *owned by rate group g* (see [`DistSetup::group_neighbors`]).
-    /// Empty = not group-aware; `exchange_group` then forwards to the full
-    /// exchange.
-    group_neighbors: Vec<Vec<(usize, Vec<u32>)>>,
+    neighbors: Vec<Vec<(usize, Vec<u32>)>>,
+    /// Lazily interned sub-span ids of the timed exchange.
     spans: Option<ExchangeSpanIds>,
 }
 
 impl Exchange for CommExchange<'_> {
-    fn exchange(&mut self, _step: u64, rhs: &mut [f64], reg: &Registry) -> Result<(), String> {
-        if !reg.is_enabled() {
-            // Steady state pays zero clock reads beyond the phase spans.
-            self.comm.exchange_sum(&self.neighbors, rhs, 1);
-            return Ok(());
-        }
-        exchange_timed(self.comm, &self.neighbors, rhs, PLAIN_EXCHANGE_TAG, reg, &mut self.spans)
-            .map_err(|e| e.to_string())
-    }
-
-    fn exchange_group(
+    fn exchange(
         &mut self,
         step: u64,
         group: usize,
         rhs: &mut [f64],
         reg: &Registry,
     ) -> Result<(), String> {
-        if self.group_neighbors.is_empty() {
-            return self.exchange(step, rhs, reg);
-        }
-        let nbrs = &self.group_neighbors[group];
+        let (neighbors, tag) = (&self.neighbors[group], STEP_TAG_BASE + step);
         if !reg.is_enabled() {
-            self.comm.exchange_sum(nbrs, rhs, 1);
-            return Ok(());
+            // Steady state pays zero clock reads beyond the phase spans.
+            return self.comm.try_exchange_sum(neighbors, rhs, 1, tag).map_err(|e| e.to_string());
         }
-        exchange_timed(self.comm, nbrs, rhs, PLAIN_EXCHANGE_TAG, reg, &mut self.spans)
-            .map_err(|e| e.to_string())
-    }
-}
-
-/// The step-tagged exchange of the recovery path: the exchange of step `k`
-/// carries tag `STEP_TAG_BASE + k`, so a peer that skipped a step is
-/// detected as protocol skew and surfaces as a run-stopping error instead
-/// of silently summing stale data. Planar dof lists, like [`CommExchange`].
-struct TaggedExchange<'c> {
-    comm: &'c Communicator,
-    neighbors: Vec<(usize, Vec<u32>)>,
-    spans: Option<ExchangeSpanIds>,
-}
-
-impl Exchange for TaggedExchange<'_> {
-    fn exchange(&mut self, step: u64, rhs: &mut [f64], reg: &Registry) -> Result<(), String> {
-        if !reg.is_enabled() {
-            return self
-                .comm
-                .try_exchange_sum(&self.neighbors, rhs, 1, STEP_TAG_BASE + step)
-                .map_err(|e| e.to_string());
-        }
-        exchange_timed(self.comm, &self.neighbors, rhs, STEP_TAG_BASE + step, reg, &mut self.spans)
-            .map_err(|e| e.to_string())
+        // Instrumented: measure the wait/copy split and record both as
+        // sub-spans of the already-open `step/exchange` span (so the
+        // phase-accounting invariant — children sum into the parent's
+        // `child_ns` — still holds). The split is rendered copy-then-wait:
+        // durations are exact, but the true per-neighbor interleaving (pack
+        // → block → unpack) is not preserved in slice start times.
+        let ids = self.spans.get_or_insert_with(|| ExchangeSpanIds {
+            wait: reg.span_id("step/exchange/wait"),
+            copy: reg.span_id("step/exchange/copy"),
+        });
+        let t0 = Instant::now();
+        let mut timing = ExchangeTiming::default();
+        self.comm
+            .try_exchange_sum_timed(neighbors, rhs, 1, tag, &mut timing)
+            .map_err(|e| e.to_string())?;
+        let t0_ns = reg.since_epoch_ns(t0);
+        reg.record_span(ids.copy, t0_ns, timing.copy_ns);
+        reg.record_span(ids.wait, t0_ns + timing.copy_ns, timing.wait_ns);
+        Ok(())
     }
 }
 
@@ -251,7 +198,8 @@ pub struct DistributedRun {
 /// Run the elastic solver on [`DistConfig::n_ranks`] SPMD ranks with a
 /// Morton element partition: every rank drives the **same**
 /// [`SolverHarness`] loop as the serial solver, scoped to its own elements,
-/// with the fail-stop sum-exchange plugged into the mid-step hook point.
+/// with the step-tagged sum-exchange plugged into the mid-step hook point
+/// (fail-stop: a dead peer stops the rank and the run is asserted finished).
 ///
 /// With [`DistConfig::telemetry`] each rank steps with an instrumented
 /// registry, a [`TelemetryHook`] records its analytic phase costs (including
@@ -279,8 +227,7 @@ pub fn run_distributed(solver: &ElasticSolver<'_>, cfg: &DistConfig<'_>) -> Dist
         let mut state = solver.initial_state(0, cfg.initial);
         let mut exchange = CommExchange {
             comm,
-            neighbors: setup.neighbors(rank, solver.mesh.n_nodes()),
-            group_neighbors: Vec::new(),
+            neighbors: setup.neighbors(rank, solver.mesh.n_nodes(), None),
             spans: None,
         };
         let run_cfg = RunConfig::to_step(cfg.n_steps as u64).with_scope(scope);
@@ -403,48 +350,27 @@ impl DistSetup {
         DistSetup { per_rank, scopes, plan, volumes }
     }
 
-    /// This rank's neighbor links as *planar dof* lists: the plan's shared
-    /// nodes expanded component-major (`comp * n_nodes + node`). Both ends
-    /// of a link expand the same node order, so the packed send/receive
-    /// streams line up and per-dof accumulation order is unchanged from the
-    /// interleaved scheme (one contribution per neighbor per dof, neighbors
-    /// visited in plan order) — the bit-identity guarantee is preserved.
-    fn neighbors(&self, rank: usize, n_nodes: usize) -> Vec<(usize, Vec<u32>)> {
-        self.plan.plans[rank]
-            .iter()
-            .map(|(q, nodes)| {
-                let mut dofs = Vec::with_capacity(3 * nodes.len());
-                for comp in 0..3u32 {
-                    for &nd in nodes {
-                        dofs.push(comp * n_nodes as u32 + nd);
-                    }
-                }
-                (*q as usize, dofs)
-            })
-            .collect()
-    }
-
-    /// Per-rate-group neighbor lists for group-aware (LTS) exchange: entry
-    /// `g` is [`DistSetup::neighbors`] filtered to the shared nodes *owned by
-    /// rate group `g`* — exactly the dofs whose partially assembled sums the
-    /// group-`g` pass consumes in its tail. Both ends of a link filter the
-    /// same (mesh-global) `node_group` in the same plan node order, so the
-    /// packed streams still line up, links empty for a group are dropped on
-    /// both sides symmetrically, and the per-dof accumulation order is
-    /// unchanged from the full exchange — summing a group's dofs via its
-    /// group list is bit-identical to summing them via the full list.
+    /// This rank's neighbor links per rate group, as *planar dof* lists:
+    /// entry `g` expands, component-major (`comp * n_nodes + node`), the
+    /// plan's shared nodes *owned by rate group `g`* — exactly the dofs whose
+    /// partially assembled sums the group-`g` pass consumes in its tail.
+    /// `groups = None` is global dt: one group owning every shared node.
     ///
-    /// Exercised by the grouped-exchange test today; the multi-group
-    /// distributed step loop that will consume it is future work.
-    #[allow(dead_code)]
-    fn group_neighbors(
+    /// Both ends of a link filter the same (mesh-global) `node_group` in the
+    /// same plan node order, so the packed send/receive streams line up,
+    /// links empty for a group are dropped on both sides symmetrically, and
+    /// the per-dof accumulation order (one contribution per neighbor per
+    /// dof, neighbors visited in plan order) is the same through any list —
+    /// summing a group's dofs via its group list is bit-identical to summing
+    /// them via the one-group list, the bit-identity guarantee of the
+    /// distributed solver.
+    fn neighbors(
         &self,
         rank: usize,
         n_nodes: usize,
-        node_group: &[u8],
-        n_groups: usize,
+        groups: Option<&RateGroups>,
     ) -> Vec<Vec<(usize, Vec<u32>)>> {
-        (0..n_groups)
+        (0..groups.map_or(1, |gr| gr.n_groups))
             .map(|g| {
                 self.plan.plans[rank]
                     .iter()
@@ -452,16 +378,13 @@ impl DistSetup {
                         let mut dofs = Vec::new();
                         for comp in 0..3u32 {
                             for &nd in nodes {
-                                if node_group[nd as usize] as usize == g {
+                                if groups.is_none_or(|gr| gr.node_group[nd as usize] as usize == g)
+                                {
                                     dofs.push(comp * n_nodes as u32 + nd);
                                 }
                             }
                         }
-                        if dofs.is_empty() {
-                            None
-                        } else {
-                            Some((*q as usize, dofs))
-                        }
+                        (!dofs.is_empty()).then_some((*q as usize, dofs))
                     })
                     .collect()
             })
@@ -469,11 +392,11 @@ impl DistSetup {
     }
 }
 
-/// Tag base for step-tagged interface exchanges: the exchange of step `k`
-/// uses tag `STEP_TAG_BASE + k`. A peer that skipped an exchange (injected
-/// [`quake_parcomm::Fault::DropExchange`], or a bug) is detected by its
-/// neighbors as tag skew — a [`quake_parcomm::CommError::Protocol`] error —
-/// on the very next message, instead of silently summing stale data.
+/// Tag base of the interface exchange (`CommExchange`): the exchange of
+/// step `k` uses tag `STEP_TAG_BASE + k`. A peer that skipped an exchange
+/// (injected [`quake_parcomm::Fault::DropExchange`], or a bug) is detected by
+/// its neighbors as tag skew — a [`quake_parcomm::CommError::Protocol`] error
+/// — on the very next message.
 pub const STEP_TAG_BASE: u64 = 0xE000_0000;
 
 /// Configuration of the checkpoint/recovery supervisor.
@@ -587,7 +510,7 @@ enum RankRun {
 /// point, composed from hooks: a [`FaultHook`] injects the scripted
 /// kills/drops/delays, a [`CheckpointHook`] offers the state to a per-rank
 /// [`PeriodicSink`] every [`RecoveryConfig::every_steps`] steps, and the
-/// mid-step exchange is **step-tagged** ([`TaggedExchange`]). There is **no
+/// mid-step exchange is **step-tagged** (`CommExchange`). There is **no
 /// barrier in the step loop** — a dead rank must not be able to hang
 /// survivors — so failure propagates through the communication fabric
 /// itself: a rank that stops for any reason drops its channel endpoints,
@@ -772,9 +695,9 @@ fn run_rank_recoverable(
     } else {
         solver.workspace()
     };
-    let mut exchange = TaggedExchange {
+    let mut exchange = CommExchange {
         comm,
-        neighbors: setup.neighbors(rank, solver.mesh.n_nodes()),
+        neighbors: setup.neighbors(rank, solver.mesh.n_nodes(), None),
         spans: None,
     };
     let mut fault_hook = FaultHook::new(faults.rank_view(rank));
@@ -872,9 +795,9 @@ mod tests {
     fn grouped_exchange_moves_exactly_the_groups_dofs() {
         // The group-aware exchange of the LTS path: summing rate group g's
         // shared dofs through its filtered neighbor lists must be
-        // bit-identical to the full exchange on those dofs, leave every
-        // other dof untouched, and the groups' dof sets must tile the full
-        // shared set.
+        // bit-identical to the one-group (global dt) exchange on those dofs,
+        // leave every other dof untouched, and the groups' dof sets must
+        // tile the full shared set.
         let half = 1u32 << (MAX_LEVEL - 1);
         let quarter = 1u32 << (MAX_LEVEL - 2);
         let mut tree = LinearOctree::build(|o| {
@@ -901,45 +824,40 @@ mod tests {
         run_spmd(n_ranks, |comm: &Communicator| {
             let rank = comm.rank();
             let reg = Registry::disabled();
-            let mut full = CommExchange {
-                comm,
-                neighbors: setup.neighbors(rank, n),
-                group_neighbors: Vec::new(),
-                spans: None,
-            };
+            let mut full =
+                CommExchange { comm, neighbors: setup.neighbors(rank, n, None), spans: None };
             let mut grouped = CommExchange {
                 comm,
-                neighbors: setup.neighbors(rank, n),
-                group_neighbors: setup.group_neighbors(
-                    rank,
-                    n,
-                    &groups.node_group,
-                    groups.n_groups,
-                ),
+                neighbors: setup.neighbors(rank, n, Some(&groups)),
                 spans: None,
             };
-            // The groups' shared-dof lists tile the full lists exactly.
-            let mut full_dofs: Vec<u32> =
-                full.neighbors.iter().flat_map(|(_, d)| d.iter().copied()).collect();
-            let mut tiled: Vec<u32> = grouped
-                .group_neighbors
-                .iter()
-                .flat_map(|per_group| per_group.iter().flat_map(|(_, d)| d.iter().copied()))
-                .collect();
-            full_dofs.sort_unstable();
-            tiled.sort_unstable();
-            assert_eq!(full_dofs, tiled, "rank {rank}: group lists do not tile the shared set");
+            // The groups' shared-dof lists tile the one-group list exactly.
+            let all_dofs = |ex: &CommExchange<'_>| {
+                let mut dofs: Vec<u32> = ex
+                    .neighbors
+                    .iter()
+                    .flat_map(|per_group| per_group.iter().flat_map(|(_, d)| d.iter().copied()))
+                    .collect();
+                dofs.sort_unstable();
+                dofs
+            };
+            assert_eq!(full.neighbors.len(), 1);
+            assert_eq!(
+                all_dofs(&full),
+                all_dofs(&grouped),
+                "rank {rank}: group lists do not tile the shared set"
+            );
 
             // Deterministic rank-dependent partial sums.
             let base: Vec<f64> = (0..ndof)
                 .map(|d| ((d * (rank + 2) + 7 * rank) % 1000) as f64 * 1e-3 - 0.25)
                 .collect();
             let mut reference = base.clone();
-            full.exchange(0, &mut reference, &reg).unwrap();
+            full.exchange(0, 0, &mut reference, &reg).unwrap();
 
             for g in 0..groups.n_groups {
                 let mut rhs = base.clone();
-                grouped.exchange_group(0, g, &mut rhs, &reg).unwrap();
+                grouped.exchange(0, g, &mut rhs, &reg).unwrap();
                 for nd in 0..n {
                     let in_group = groups.node_group[nd] as usize == g;
                     for comp in 0..3 {

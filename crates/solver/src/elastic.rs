@@ -43,6 +43,10 @@
 //!   step.
 //! - [`StepWorkspace`]: the per-run scratch (the damping increment
 //!   `w = u_k - u_{k-1}`), allocated once and reused every step.
+//! - `ElasticSolver::pass`: the one seven-phase step kernel. Global dt and
+//!   every rate group of a local-time-stepping plan run the same pass; only
+//!   its fill and tail have two forms (`Fields`: contiguous whole-domain
+//!   streams vs a group's node lists).
 //! - The fused kernels: damped elements apply `K_e` to the pre-combined
 //!   vector `dt^2 u_k + (dt beta_e / 2) w` in a single template matvec
 //!   (ONE 24x24 matrix instead of the two canonical ones — half the flops),
@@ -63,7 +67,7 @@ use crate::sweep::SweepSchedule;
 use quake_fem::hex8::{elastic_hex_matrices, elastic_matvec, lumped_hex_mass};
 use quake_machine::phases::{elastic_step_phases, ElasticStepShape};
 use quake_mesh::coloring::{color_elements, ElementColoring};
-use quake_mesh::HexMesh;
+use quake_mesh::{Constraint, HexMesh};
 use quake_model::attenuation::{damping_target_for_vs, fit_rayleigh};
 use quake_telemetry::{Registry, SpanId};
 
@@ -128,6 +132,62 @@ pub struct StepScope {
     pub faces: Vec<AbcFace>,
     /// Owned-node mask (`None` = the scope owns every node).
     pub owned: Option<Vec<bool>>,
+}
+
+/// One rate group's share of the time loop: how often it steps, at what
+/// step size, and what it sweeps. Global dt is the plan with exactly one of
+/// these ([`ElasticSolver::global_pass`]); a
+/// [`RateGroupPlan`](crate::rategroup::RateGroupPlan) holds one per level.
+pub(crate) struct Pass<'a> {
+    /// Base-step stride: the pass runs at base points `s % factor == 0`.
+    pub(crate) factor: u64,
+    /// The pass's step `factor * dt0`.
+    pub(crate) dt: f64,
+    /// Element schedule (templates built at `dt`), absorbing faces and — for
+    /// a distributed rank's whole-domain pass — the owned-node mask.
+    pub(crate) scope: &'a StepScope,
+    /// Hanging-node constraints the pass folds and interpolates.
+    pub(crate) constraints: &'a [Constraint],
+    /// Planar folded LHS inverse `1 / (Mf + dt/2 Cf)` at the pass's `dt`.
+    pub(crate) lhs_inv: &'a [f64],
+    /// The group's node lists; `None` = the pass owns the whole domain and
+    /// runs the contiguous [`Fields::Whole`] form.
+    pub(crate) group: Option<&'a GroupNodes>,
+}
+
+/// Node partition of one rate group's pass (all lists ascending) and the
+/// factor ratios that rescale its halos' damping increments to its own `dt`.
+pub(crate) struct GroupNodes {
+    /// Nodes this group owns (their fill and tail run in its pass).
+    pub(crate) own: Vec<u32>,
+    /// Next-finer-owned corners the pass reads (exact shared time level).
+    pub(crate) finer_halo: Vec<u32>,
+    /// Next-coarser-owned corners the pass reads (leapfrog-interpolated).
+    pub(crate) coarser_halo: Vec<u32>,
+    /// `f_g / f_{g-1}` (0.0 for group 0, which has no finer neighbor).
+    pub(crate) fine_scale: f64,
+    /// `f_g / f_{g+1}` (0.0 for the coarsest group).
+    pub(crate) coarse_scale: f64,
+}
+
+/// The fields one [`ElasticSolver::pass`] advances — the two forms its fill
+/// and tail take.
+pub(crate) enum Fields<'a> {
+    /// The whole domain in contiguous streams: read `(u_prev, u_now)`, leave
+    /// `u_{k+1}` in the rhs buffer (the caller rotates the three buffers).
+    Whole { u_prev: &'a [f64], u_now: &'a [f64] },
+    /// One rate group's node lists: advance the owned nodes of `(u_prev,
+    /// u_now)` in place. `ue` receives the displacement the elements see —
+    /// own and finer-halo nodes verbatim, coarser-halo nodes interpolated
+    /// `u_prev + theta (u_now - u_prev)` inside the coarse group's
+    /// straddling step.
+    Group {
+        u_prev: &'a mut [f64],
+        u_now: &'a mut [f64],
+        ue: &'a mut [f64],
+        nodes: &'a GroupNodes,
+        theta: f64,
+    },
 }
 
 /// Preallocated per-run scratch for the explicit step. Reusing one of these
@@ -236,9 +296,9 @@ pub struct ElasticSolver<'m> {
     pub(crate) damp_diag: Vec<f64>,
     /// Folded inverse LHS diagonal.
     pub(crate) lhs_inv: Vec<f64>,
-    /// Planar (`dof = comp * n + node`) copies of the step diagonals. The
-    /// rate-group stepper ([`crate::rategroup`]) reads them too: its per-pass
-    /// fill/tail use the same folded diagonals with a per-group `dt`.
+    /// Planar (`dof = comp * n + node`) copies of the step diagonals. A
+    /// rate-group plan ([`crate::rategroup`]) folds the same two into its
+    /// per-group `lhs_inv`.
     pub(crate) mass_fp: Vec<f64>,
     pub(crate) cdiag_fp: Vec<f64>,
     pub(crate) damp_diag_p: Vec<f64>,
@@ -391,22 +451,22 @@ impl<'m> ElasticSolver<'m> {
     /// cost model. `exchange_doubles` is zero — only the caller that built
     /// the exchange plan knows the interface volume.
     pub fn phase_shape(&self, scope: &StepScope) -> ElasticStepShape {
-        let mut n_damped = 0u64;
-        let mut n_total = 0u64;
-        for color in scope.coloring.colors() {
-            for &ei in color {
-                n_total += 1;
-                if self.beta[ei as usize] != 0.0 {
-                    n_damped += 1;
-                }
-            }
-        }
+        self.pass_shape(&self.global_pass(scope))
+    }
+
+    /// [`ElasticSolver::phase_shape`] of one pass: a rate group's pass
+    /// counts its own elements, faces and constraint clusters and the nodes
+    /// it advances (halo gathers are not modeled).
+    pub(crate) fn pass_shape(&self, pass: &Pass<'_>) -> ElasticStepShape {
+        let schedule = &pass.scope.schedule;
+        let n_damped = schedule.n_damped() as u64;
         ElasticStepShape {
             n_damped,
-            n_undamped: n_total - n_damped,
-            n_nodes: self.mesh.n_nodes() as u64,
-            n_hanging: self.mesh.n_hanging() as u64,
-            n_abc_faces: scope.faces.len() as u64,
+            n_undamped: schedule.n_elements() as u64 - n_damped,
+            // Whole domain: fill/tail are replicated over all dofs on every rank.
+            n_nodes: pass.group.map_or(self.mesh.n_nodes(), |g| g.own.len()) as u64,
+            n_hanging: pass.constraints.len() as u64,
+            n_abc_faces: pass.scope.faces.len() as u64,
             exchange_doubles: 0,
         }
     }
@@ -436,34 +496,43 @@ impl<'m> ElasticSolver<'m> {
     /// node-disjoint coloring, the subset's absorbing faces, and the
     /// owned-node mask (`None` = owns everything). One-time cost per rank.
     pub fn scope(&self, elems: &[u32], owned: Option<Vec<bool>>) -> StepScope {
+        self.scope_at(elems, owned, self.dt)
+    }
+
+    /// [`ElasticSolver::scope`] with the sweep templates built at `dt` — a
+    /// rate group's pass steps its elements at a multiple of the base step.
+    pub(crate) fn scope_at(&self, elems: &[u32], owned: Option<Vec<bool>>, dt: f64) -> StepScope {
         let mut mine = vec![false; self.mesh.n_elements()];
         for &e in elems {
             mine[e as usize] = true;
         }
         let coloring = color_elements(self.mesh, elems);
         StepScope {
-            schedule: SweepSchedule::build(self.mesh, &coloring, &self.beta, self.dt),
+            schedule: SweepSchedule::build(self.mesh, &coloring, &self.beta, dt),
             coloring,
             faces: self.faces.iter().filter(|f| mine[f.element as usize]).copied().collect(),
             owned,
         }
     }
 
-    /// One explicit step: given `u_prev = u_{k-1}`, `u_now = u_k` (both with
-    /// hanging nodes interpolated) and the external force `f_ext` (physical
-    /// units, at time level k), fill `u_next`. All four vectors are
-    /// **planar** (`dof = comp * n_nodes + node`; see [`crate::layout`]).
-    ///
-    /// Convenience wrapper that allocates a fresh workspace; hot loops should
-    /// hold one [`ElasticSolver::workspace`] and call
-    /// [`ElasticSolver::step_with`].
-    pub fn step(&self, u_prev: &[f64], u_now: &[f64], f_ext: &[f64], u_next: &mut [f64]) {
-        let mut ws = self.workspace();
-        self.step_with(u_prev, u_now, f_ext, u_next, &mut ws);
+    /// Global dt as a [`Pass`]: the one group that steps every base step at
+    /// the solver's `dt` and owns every node of `scope`.
+    pub(crate) fn global_pass<'a>(&'a self, scope: &'a StepScope) -> Pass<'a> {
+        Pass {
+            factor: 1,
+            dt: self.dt,
+            scope,
+            constraints: &self.mesh.constraints,
+            lhs_inv: &self.lhs_inv_p,
+            group: None,
+        }
     }
 
     /// One explicit step over the full domain, reusing `ws` — the
-    /// allocation-free hot path. Planar vectors throughout.
+    /// allocation-free hot path: given `u_prev = u_{k-1}`, `u_now = u_k`
+    /// (both with hanging nodes interpolated) and the external force `f_ext`
+    /// (physical units, at time level k), fill `u_next`. All four vectors
+    /// are **planar** (`dof = comp * n_nodes + node`; see [`crate::layout`]).
     pub fn step_with(
         &self,
         u_prev: &[f64],
@@ -472,7 +541,7 @@ impl<'m> ElasticSolver<'m> {
         u_next: &mut [f64],
         ws: &mut StepWorkspace,
     ) {
-        self.step_scoped_impl(&self.full_scope, u_prev, u_now, f_ext, u_next, ws, |_, _| {}, false);
+        self.full_step(Fields::Whole { u_prev, u_now }, f_ext, u_next, ws, false);
     }
 
     /// [`ElasticSolver::step_with`] with the threaded sweep disabled even
@@ -487,69 +556,72 @@ impl<'m> ElasticSolver<'m> {
         u_next: &mut [f64],
         ws: &mut StepWorkspace,
     ) {
-        self.step_scoped_impl(&self.full_scope, u_prev, u_now, f_ext, u_next, ws, |_, _| {}, true);
+        self.full_step(Fields::Whole { u_prev, u_now }, f_ext, u_next, ws, true);
     }
 
-    /// The step over a [`StepScope`] with a mid-step exchange hook — the
-    /// building block of the distributed solver. The scope selects the
-    /// elements (and their boundary faces) this rank assembles; `f_ext` must
-    /// likewise hold only this rank's share of the sources; the scope's
+    /// The global pass over the full domain, with no exchange to fail.
+    fn full_step(
+        &self,
+        fields: Fields<'_>,
+        f_ext: &[f64],
+        u_next: &mut [f64],
+        ws: &mut StepWorkspace,
+        force_serial: bool,
+    ) {
+        let pass = self.global_pass(&self.full_scope);
+        let done = self.pass(&pass, fields, f_ext, u_next, ws, force_serial, |_, _| Ok(()));
+        debug_assert!(done.is_ok(), "a step without an exchange cannot fail");
+    }
+
+    /// The seven-phase pass (fill, elements, abc, fold, exchange, tail,
+    /// interp) — the one step kernel. `pass` selects what is swept (a rank's
+    /// scope at the global dt, or one rate group's elements at its own dt)
+    /// and `fields` what is advanced; only fill and tail differ between the
+    /// two forms of [`Fields`], everything between them exists once.
+    ///
+    /// `f_ext` must hold only this rank's share of the sources; the scope's
     /// owned-node mask (`None` = all) selects the nodes whose diagonal
     /// damping term this rank contributes — exactly one rank must own each
     /// node. All partial terms are constraint-folded *before* `exchange`
     /// (the fold is linear, so per-rank folded partials sum to the global
-    /// fold); everything after the exchange is local and replicated.
+    /// fold); everything after the exchange is local and replicated. A
+    /// failed exchange aborts the pass before the tail, so `fields` still
+    /// describes the last completed pass.
     ///
     /// All nodal vectors — including the rhs handed to `exchange` — are
-    /// planar (`dof = comp * n_nodes + node`). The closure also receives the
-    /// workspace registry (which `ws` itself mutably borrows at that point),
-    /// so an instrumented exchange can attribute `wait`/`copy` sub-intervals
-    /// under the open `step/exchange` span.
+    /// planar. The closure also receives the workspace registry (which `ws`
+    /// itself mutably borrows at that point), so an instrumented exchange
+    /// can attribute `wait`/`copy` sub-intervals under the open
+    /// `step/exchange` span.
     ///
-    /// Steady-state heap allocations: **zero** (scratch lives in `ws`, the
-    /// face list and schedule in `scope`).
-    pub fn step_scoped(
-        &self,
-        scope: &StepScope,
-        u_prev: &[f64],
-        u_now: &[f64],
-        f_ext: &[f64],
-        u_next: &mut [f64],
-        ws: &mut StepWorkspace,
-        exchange: impl FnOnce(&mut [f64], &Registry),
-    ) {
-        self.step_scoped_impl(scope, u_prev, u_now, f_ext, u_next, ws, exchange, false);
-    }
-
+    /// Steady-state heap allocations: **zero** (scratch lives in `ws` and
+    /// the caller's buffers, the face list and schedule in the pass).
     #[allow(clippy::too_many_arguments)]
-    fn step_scoped_impl(
+    pub(crate) fn pass(
         &self,
-        scope: &StepScope,
-        u_prev: &[f64],
-        u_now: &[f64],
+        pass: &Pass<'_>,
+        mut fields: Fields<'_>,
         f_ext: &[f64],
-        u_next: &mut [f64],
+        rhs: &mut [f64],
         ws: &mut StepWorkspace,
-        exchange: impl FnOnce(&mut [f64], &Registry),
         force_serial: bool,
-    ) {
-        let mesh = self.mesh;
-        let n = mesh.n_nodes();
+        exchange: impl FnOnce(&mut [f64], &Registry) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let n = self.mesh.n_nodes();
         let ndof = 3 * n;
-        assert_eq!(u_prev.len(), ndof);
-        assert_eq!(u_now.len(), ndof);
         assert_eq!(f_ext.len(), ndof);
-        assert_eq!(u_next.len(), ndof);
+        assert_eq!(rhs.len(), ndof);
         assert_eq!(ws.w.len(), ndof);
-        let dt = self.dt;
+        let dt = pass.dt;
         let dt2 = dt * dt;
+        let schedule = &pass.scope.schedule;
 
-        // Grow the per-color span-id table to this scope's color count
+        // Grow the per-color span-id table to this pass's color count
         // while allocation is still allowed — the hot region below must
         // only read it.
         // lint:reach-ok — one-time warm-up: interning fills on the first
-        // step; every steady-state call finds the table already full.
-        ws.ids.ensure_colors(&ws.reg, scope.schedule.n_colors());
+        // pass; every steady-state call finds the table already full.
+        ws.ids.ensure_colors(&ws.reg, schedule.n_colors());
 
         // Disjoint field borrows: the scratch vector mutably, the registry
         // and pre-interned span ids shared.
@@ -557,140 +629,159 @@ impl<'m> ElasticSolver<'m> {
 
         // lint:hot-path — the explicit step and its element kernels. The
         // steady state must stay allocation-free (PR 1's guarantee; scratch
-        // lives in StepWorkspace/StepScope, span ids are pre-interned
+        // lives in StepWorkspace/RunScratch, span ids are pre-interned
         // above) and bit-deterministic across thread counts and ranks.
         // quake-lint enforces both until the matching end marker below.
         reg.enter(ids.step);
 
         // Fused initial fill: one pass computes the damping increment
         // `w = u_k - u_{k-1}`, the source term, and the owner's diagonal
-        // damping contribution -(dt/2) (alpha M + C^AB) w. Planar layout:
-        // the unmasked pass is one contiguous stream over all three planes.
-        let rhs = &mut *u_next; // reuse the output buffer
+        // damping contribution -(dt/2) (alpha M + C^AB) w into the rhs.
         reg.enter(ids.fill);
-        match &scope.owned {
-            None => {
-                for d in 0..ndof {
-                    let wd = u_now[d] - u_prev[d];
-                    w[d] = wd;
-                    rhs[d] = dt2 * f_ext[d] - 0.5 * dt * self.damp_diag_p[d] * wd;
+        match &mut fields {
+            // Planar layout: the unmasked whole-domain fill is one
+            // contiguous stream over all three planes.
+            Fields::Whole { u_prev, u_now } => {
+                let (u_prev, u_now) = (*u_prev, *u_now);
+                assert_eq!(u_prev.len(), ndof);
+                assert_eq!(u_now.len(), ndof);
+                match &pass.scope.owned {
+                    None => {
+                        for d in 0..ndof {
+                            let wd = u_now[d] - u_prev[d];
+                            w[d] = wd;
+                            rhs[d] = dt2 * f_ext[d] - 0.5 * dt * self.damp_diag_p[d] * wd;
+                        }
+                    }
+                    Some(mask) => {
+                        for comp in 0..3 {
+                            for (nd, &own) in mask.iter().enumerate() {
+                                let d = comp * n + nd;
+                                let wd = u_now[d] - u_prev[d];
+                                w[d] = wd;
+                                rhs[d] = dt2 * f_ext[d]
+                                    - if own { 0.5 * dt * self.damp_diag_p[d] * wd } else { 0.0 };
+                            }
+                        }
+                    }
                 }
             }
-            Some(mask) => {
+            // Fused gather + fill over the group's active nodes. Own nodes:
+            // the whole-domain fill verbatim at this group's dt. Halo nodes:
+            // gather-only (their rhs is scratch this pass never consumes),
+            // with the damping increment rescaled to this pass's dt and the
+            // coarser halo leapfrog-interpolated to this pass's time level.
+            Fields::Group { u_prev, u_now, ue, nodes, theta } => {
+                let (u_prev, u_now, ue) = (&**u_prev, &**u_now, &mut **ue);
+                assert_eq!(u_prev.len(), ndof);
+                assert_eq!(u_now.len(), ndof);
+                assert_eq!(ue.len(), ndof);
                 for comp in 0..3 {
-                    for (nd, &own) in mask.iter().enumerate() {
-                        let d = comp * n + nd;
+                    let base = comp * n;
+                    for &nd in &nodes.own {
+                        let d = base + nd as usize;
                         let wd = u_now[d] - u_prev[d];
+                        ue[d] = u_now[d];
                         w[d] = wd;
-                        rhs[d] = dt2 * f_ext[d]
-                            - if own { 0.5 * dt * self.damp_diag_p[d] * wd } else { 0.0 };
+                        rhs[d] = dt2 * f_ext[d] - 0.5 * dt * self.damp_diag_p[d] * wd;
+                    }
+                    for &nd in &nodes.finer_halo {
+                        let d = base + nd as usize;
+                        ue[d] = u_now[d];
+                        w[d] = nodes.fine_scale * (u_now[d] - u_prev[d]);
+                        rhs[d] = 0.0;
+                    }
+                    for &nd in &nodes.coarser_halo {
+                        let d = base + nd as usize;
+                        let delta = u_now[d] - u_prev[d];
+                        ue[d] = u_prev[d] + *theta * delta;
+                        w[d] = nodes.coarse_scale * delta;
+                        rhs[d] = 0.0;
                     }
                 }
             }
         }
         reg.exit(ids.fill);
 
+        // The displacement the elements see: the state itself, or the
+        // group's gathered (halo-interpolated) copy.
+        let disp: &[f64] = match &fields {
+            Fields::Whole { u_now, .. } => u_now,
+            Fields::Group { ue, .. } => ue,
+        };
+
         // Element stiffness/damping sweep, color-major, blocked per class.
         reg.enter(ids.elements);
-        self.sweep(scope, u_now, w, rhs, reg, &ids.colors, force_serial);
+        sweep(schedule, disp, w, rhs, reg, &ids.colors, force_serial);
         reg.exit(ids.elements);
 
-        // Stacey tangential coupling (K^AB) of this scope's faces, applied
+        // Stacey tangential coupling (K^AB) of this pass's faces, applied
         // as a traction force directly into the rhs (pre-scaled by dt^2).
         reg.enter(ids.abc);
-        apply_abc_stiffness_planar(&scope.faces, u_now, rhs, dt2);
+        apply_abc_stiffness_planar(&pass.scope.faces, disp, rhs, dt2);
         reg.exit(ids.abc);
 
         // Project this rank's partial terms BEFORE the exchange. The fold is
         // linear, so the sum of per-rank folded partials equals the fold of
         // the assembled sum — and no rank ever needs hanging-node values it
-        // did not itself assemble.
+        // did not itself assemble. (A rate group folds only its own
+        // constraint clusters: they never cross groups.)
         reg.enter(ids.fold);
-        mesh.fold_hanging_planar(rhs, 3);
+        HexMesh::fold_constraints_planar(pass.constraints, n, rhs, 3);
         reg.exit(ids.fold);
 
         // Sum-exchange the partially assembled terms at interface nodes
         // (planar dof indices).
         reg.enter(ids.exchange);
-        exchange(rhs, reg);
+        let exchanged = exchange(rhs, reg);
         reg.exit(ids.exchange);
+        if exchanged.is_err() {
+            reg.exit(ids.step);
+            return exchanged;
+        }
 
         // Fused tail: master-space history terms with the *projected*
         // diagonals (same matrices as the LHS — this symmetry is what keeps
         // the constrained update stable) and the diagonal solve, one pass:
-        //   rhs_m = lhs_inv * (rhs_m + 2 Mf u0 - Mf u- + (dt/2) Cf u0)
+        //   u+ = lhs_inv * (rhs + 2 Mf u0 - Mf u- + (dt/2) Cf u0)
+        // then the hanging nodes of the new field are interpolated.
         reg.enter(ids.tail);
-        for d in 0..ndof {
-            rhs[d] = (rhs[d] + (2.0 * self.mass_fp[d] + 0.5 * dt * self.cdiag_fp[d]) * u_now[d]
-                - self.mass_fp[d] * u_prev[d])
-                * self.lhs_inv_p[d];
-        }
+        let advanced: &mut [f64] = match fields {
+            // Whole domain: `u+` lands in the rhs buffer (the caller's
+            // `u_next`); the caller rotates the three buffers.
+            Fields::Whole { u_prev, u_now } => {
+                for d in 0..ndof {
+                    rhs[d] = (rhs[d]
+                        + (2.0 * self.mass_fp[d] + 0.5 * dt * self.cdiag_fp[d]) * u_now[d]
+                        - self.mass_fp[d] * u_prev[d])
+                        * pass.lhs_inv[d];
+                }
+                rhs
+            }
+            // Rate group: groups advance staggered node subsets, so the
+            // history shifts in place per owned node instead.
+            Fields::Group { u_prev, u_now, nodes, .. } => {
+                for comp in 0..3 {
+                    let base = comp * n;
+                    for &nd in &nodes.own {
+                        let d = base + nd as usize;
+                        let val = (rhs[d]
+                            + (2.0 * self.mass_fp[d] + 0.5 * dt * self.cdiag_fp[d]) * u_now[d]
+                            - self.mass_fp[d] * u_prev[d])
+                            * pass.lhs_inv[d];
+                        u_prev[d] = u_now[d];
+                        u_now[d] = val;
+                    }
+                }
+                u_now
+            }
+        };
         reg.exit(ids.tail);
         reg.enter(ids.interp);
-        mesh.interpolate_hanging_planar(rhs, 3);
+        HexMesh::interpolate_constraints_planar(pass.constraints, n, advanced, 3);
         reg.exit(ids.interp);
         reg.exit(ids.step);
-    }
-
-    /// Element sweep dispatch: threaded over the coloring with the
-    /// `parallel` feature (unless `force_serial`), serial color-major
-    /// otherwise (identical results — each node is written by at most one
-    /// element per color). The actual kernel is the blocked per-class
-    /// template sweep of [`crate::sweep::SweepSchedule`].
-    ///
-    /// `reg`/`colors` carry the per-color telemetry spans
-    /// (`step/elements/color<i>`), pre-interned in the step prologue; a
-    /// disabled registry skips all of it at the cost of one branch per color.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep(
-        &self,
-        scope: &StepScope,
-        u_now: &[f64],
-        w: &[f64],
-        rhs: &mut [f64],
-        reg: &Registry,
-        colors: &[SpanId],
-        force_serial: bool,
-    ) {
-        #[cfg(feature = "parallel")]
-        if !force_serial {
-            let n_elems = scope.coloring.order.len();
-            let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
-            // Don't spawn for tiny sweeps: a thread needs a few hundred
-            // element updates to amortize its creation. The threaded sweep
-            // attributes its whole time to `step/elements` (the per-rank
-            // registry is single-threaded by design).
-            let threads = hw.min(n_elems / 256).max(1);
-            if threads > 1 {
-                scope.schedule.sweep_parallel(threads, u_now, w, rhs);
-                return;
-            }
-        }
-        let _ = force_serial;
-        self.sweep_serial(scope, u_now, w, rhs, reg, colors);
-    }
-
-    /// Serial color-major element sweep — the canonical order. `colors`
-    /// was sized to the scope's color count in the step prologue (it stays
-    /// empty when the registry is disabled).
-    fn sweep_serial(
-        &self,
-        scope: &StepScope,
-        u_now: &[f64],
-        w: &[f64],
-        rhs: &mut [f64],
-        reg: &Registry,
-        colors: &[SpanId],
-    ) {
-        for ci in 0..scope.schedule.n_colors() {
-            if reg.is_enabled() {
-                reg.enter(colors[ci]);
-            }
-            scope.schedule.sweep_color(ci, u_now, w, rhs);
-            if reg.is_enabled() {
-                reg.exit(colors[ci]);
-            }
-        }
+        Ok(())
     }
     // lint:hot-path-end
 
@@ -723,21 +814,34 @@ impl<'m> ElasticSolver<'m> {
         n_receivers: usize,
         initial: Option<(&[f64], &[f64])>,
     ) -> SolverState {
+        self.staggered_state(n_receivers, initial, |_| self.dt, self.dt)
+    }
+
+    /// The backward start behind every `initial_state`: `u_now = u(0)` and
+    /// `u_prev = u(-dt) ~ u0 - dt v0` with each node's own staggered step
+    /// `node_dt(node)` (first order is enough: the error is O(dt^2),
+    /// matching the scheme); seismograms sample every `sample_dt`.
+    pub(crate) fn staggered_state(
+        &self,
+        n_receivers: usize,
+        initial: Option<(&[f64], &[f64])>,
+        node_dt: impl Fn(usize) -> f64,
+        sample_dt: f64,
+    ) -> SolverState {
         let n = self.mesh.n_nodes();
         let ndof = 3 * n;
         let mut u_prev = vec![0.0; ndof];
         let mut u_now = vec![0.0; ndof];
         if let Some((u0, v0)) = initial {
-            // u_now = u(0); u_prev = u(-dt) ~ u0 - dt v0 (first order is
-            // enough: the error is O(dt^2), matching the scheme).
             assert_eq!(u0.len(), ndof);
             assert_eq!(v0.len(), ndof);
             for nd in 0..n {
+                let dt = node_dt(nd);
                 for comp in 0..3 {
                     let d = comp * n + nd;
                     let i = 3 * nd + comp;
                     u_now[d] = u0[i];
-                    u_prev[d] = u0[i] - self.dt * v0[i];
+                    u_prev[d] = u0[i] - dt * v0[i];
                 }
             }
         }
@@ -745,7 +849,7 @@ impl<'m> ElasticSolver<'m> {
             step: 0,
             u_prev,
             u_now,
-            seismograms: (0..n_receivers).map(|_| Seismogram::new(self.dt, 3)).collect(),
+            seismograms: (0..n_receivers).map(|_| Seismogram::new(sample_dt, 3)).collect(),
         }
     }
 
@@ -754,47 +858,39 @@ impl<'m> ElasticSolver<'m> {
         (&self.alpha, &self.beta)
     }
 
-    /// Total mechanical energy of a state: `1/2 v^T M v + 1/2 u^T K u` with
-    /// `v = (u_now - u_prev)/dt`.
+    /// Total mechanical energy of a state in the public interleaved layout:
+    /// `1/2 v^T M v + 1/2 u^T K u` with `v = (u_now - u_prev)/dt`.
     pub fn energy(&self, u_prev: &[f64], u_now: &[f64]) -> f64 {
-        let mats = elastic_hex_matrices();
-        let mut e_kin = 0.0;
-        for (nd, &m) in self.mass.iter().enumerate() {
-            for comp in 0..3 {
-                let v = (u_now[3 * nd + comp] - u_prev[3 * nd + comp]) / self.dt;
-                e_kin += 0.5 * m * v * v;
-            }
-        }
-        let mut e_str = 0.0;
-        for e in &self.mesh.elements {
-            let mut x = [0.0; 24];
-            for (c, &nd) in e.nodes.iter().enumerate() {
-                for comp in 0..3 {
-                    x[3 * c + comp] = u_now[nd as usize * 3 + comp];
-                }
-            }
-            let mut y = [0.0; 24];
-            elastic_matvec(mats, e.material.lambda, e.material.mu, e.h, &x, &mut y);
-            for i in 0..24 {
-                e_str += 0.5 * x[i] * y[i];
-            }
-        }
-        e_kin + e_str
+        self.energy_sum(u_prev, u_now, |nd, comp| 3 * nd + comp, |_| self.dt)
     }
 
     /// [`ElasticSolver::energy`] over vectors in the solver's internal
     /// *planar* layout (`dof = comp * n_nodes + node`) — the layout of
-    /// [`SolverState::u_prev`]/[`SolverState::u_now`], so the health
-    /// watchdog can sample energy without a layout conversion. Identical
-    /// summation order per node/element as the interleaved form.
+    /// [`SolverState::u_prev`]/[`SolverState::u_now`]. Identical summation
+    /// order per node/element as the interleaved form.
     pub fn energy_planar(&self, u_prev: &[f64], u_now: &[f64]) -> f64 {
         let n = self.mesh.n_nodes();
+        self.energy_sum(u_prev, u_now, |nd, comp| comp * n + nd, |_| self.dt)
+    }
+
+    /// The one kinetic + strain sum behind every energy entry point.
+    /// `dof(node, comp)` indexes the vectors' layout; `node_dt(node)` is the
+    /// node's staggered step `v = (u_now - u_prev)/dt` is taken over —
+    /// uniform under global dt, the owner group's at a rate-group sync step.
+    pub(crate) fn energy_sum(
+        &self,
+        u_prev: &[f64],
+        u_now: &[f64],
+        dof: impl Fn(usize, usize) -> usize,
+        node_dt: impl Fn(usize) -> f64,
+    ) -> f64 {
         let mats = elastic_hex_matrices();
         let mut e_kin = 0.0;
         for (nd, &m) in self.mass.iter().enumerate() {
+            let dt = node_dt(nd);
             for comp in 0..3 {
-                let d = comp * n + nd;
-                let v = (u_now[d] - u_prev[d]) / self.dt;
+                let d = dof(nd, comp);
+                let v = (u_now[d] - u_prev[d]) / dt;
                 e_kin += 0.5 * m * v * v;
             }
         }
@@ -803,7 +899,7 @@ impl<'m> ElasticSolver<'m> {
             let mut x = [0.0; 24];
             for (c, &nd) in e.nodes.iter().enumerate() {
                 for comp in 0..3 {
-                    x[3 * c + comp] = u_now[comp * n + nd as usize];
+                    x[3 * c + comp] = u_now[dof(nd as usize, comp)];
                 }
             }
             let mut y = [0.0; 24];
@@ -815,6 +911,57 @@ impl<'m> ElasticSolver<'m> {
         e_kin + e_str
     }
 }
+
+// lint:hot-path — the element sweep dispatch (see the marker in `pass`).
+// lint:par-sweep — every pass, global or rate-group, reaches the ledgered
+// scatter sites of `SweepSchedule` through this one dispatch; no write to
+// the shared rhs may appear here directly (quake-lint's
+// parallel-disjointness rule audits this region).
+/// Element sweep dispatch: threaded over the coloring with the `parallel`
+/// feature (unless `force_serial`), serial color-major — the canonical
+/// order — otherwise (identical results: each node is written by at most
+/// one element per color). The actual kernel is the blocked per-class
+/// template sweep of [`crate::sweep::SweepSchedule`].
+///
+/// `reg`/`colors` carry the per-color telemetry spans
+/// (`step/elements/color<i>`), pre-interned in the pass prologue (`colors`
+/// stays empty when the registry is disabled, which skips all of it at the
+/// cost of one branch per color).
+fn sweep(
+    schedule: &SweepSchedule,
+    disp: &[f64],
+    w: &[f64],
+    rhs: &mut [f64],
+    reg: &Registry,
+    colors: &[SpanId],
+    force_serial: bool,
+) {
+    #[cfg(feature = "parallel")]
+    if !force_serial {
+        let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
+        // Don't spawn for tiny sweeps: a thread needs a few hundred
+        // element updates to amortize its creation. The threaded sweep
+        // attributes its whole time to `step/elements` (the per-rank
+        // registry is single-threaded by design).
+        let threads = hw.min(schedule.n_elements() / 256).max(1);
+        if threads > 1 {
+            schedule.sweep_parallel(threads, disp, w, rhs);
+            return;
+        }
+    }
+    let _ = force_serial;
+    for ci in 0..schedule.n_colors() {
+        if reg.is_enabled() {
+            reg.enter(colors[ci]);
+        }
+        schedule.sweep_color(ci, disp, w, rhs);
+        if reg.is_enabled() {
+            reg.exit(colors[ci]);
+        }
+    }
+}
+// lint:par-sweep-end
+// lint:hot-path-end
 
 #[cfg(test)]
 mod tests {
@@ -1121,66 +1268,103 @@ mod tests {
 
     #[test]
     fn instrumented_step_accounts_every_phase() {
-        let (mesh, cfg) = damped_hanging_setup();
+        // Under global dt (the one-group plan) and under a 3-group rate
+        // plan alike: the seven phases are the only children of the `step`
+        // span, and the analytic work attached to them counts every pass.
+        use crate::harness::{NoExchange, RunConfig, SolverHarness, TelemetryHook};
+        use crate::rategroup::RateGroupPlan;
+        let mesh = crate::rategroup::tests::three_level_mesh();
+        let (_, mut cfg) = damped_hanging_setup();
+        cfg.dt = Some(0.02);
         let solver = ElasticSolver::new(&mesh, &cfg);
-        let ndof = 3 * mesh.n_nodes();
+        let harness = SolverHarness::new(&solver);
         let (u0, v0) = shear_pulse(&mesh, 4.0, 1.5, 1.0);
-        let mut up = vec![0.0; ndof];
-        let mut un = u0.clone();
-        for d in 0..ndof {
-            up[d] = u0[d] - solver.dt * v0[d];
-        }
-        let mut next = vec![0.0; ndof];
-        let f = vec![0.0; ndof];
-        let n_steps = 5u64;
-        let mut ws = solver.workspace_instrumented(0);
-        for _ in 0..n_steps {
-            solver.step_with(&up, &un, &f, &mut next, &mut ws);
-            std::mem::swap(&mut up, &mut un);
-            std::mem::swap(&mut un, &mut next);
-        }
-        solver.record_step_costs(solver.full_scope(), n_steps, &ws.reg);
-        let reg = ws.into_registry();
-
+        let n_steps = 8u64;
+        let run_cfg = RunConfig::to_step(n_steps);
         const PHASES: [&str; 7] = ["fill", "elements", "abc", "fold", "exchange", "tail", "interp"];
-        let step = reg.span_stats("step").unwrap();
-        assert_eq!(step.count, n_steps);
-        // The seven phases are the step's only children, so their total time
-        // must equal the step's child time exactly (no lost nanoseconds).
-        let mut child_ns = 0;
-        for ph in PHASES {
-            let s = reg.span_stats(&format!("step/{ph}")).unwrap();
-            assert_eq!(s.count, n_steps, "phase {ph} missed a step");
-            child_ns += s.total_ns;
-        }
-        assert_eq!(child_ns, step.child_ns);
 
-        // The serial sweep nests one span per color under step/elements.
-        #[cfg(not(feature = "parallel"))]
-        {
-            let elements = reg.span_stats("step/elements").unwrap();
-            let mut color_ns = 0;
-            let mut ci = 0;
-            while let Some(s) = reg.span_stats(&format!("step/elements/color{ci}")) {
-                assert_eq!(s.count, n_steps);
-                color_ns += s.total_ns;
-                ci += 1;
+        for plan in [None, Some(RateGroupPlan::build(&solver, 8))] {
+            let mut ws = solver.workspace_instrumented(0);
+            let mut telemetry = TelemetryHook::new(&solver);
+            let hooks: &mut [&mut dyn crate::harness::StepHook] = &mut [&mut telemetry];
+            // Passes executed and element updates performed over the run.
+            let (n_passes, element_updates) = match &plan {
+                None => {
+                    let mut state = solver.initial_state(0, Some((&u0, &v0)));
+                    harness.run(&run_cfg, &mut state, &mut ws, &mut NoExchange, hooks);
+                    (n_steps, n_steps * mesh.n_elements() as u64)
+                }
+                Some(plan) => {
+                    assert_eq!(plan.factors(), &[1, 2, 4]);
+                    let mut state = plan.initial_state(&solver, 0, Some((&u0, &v0)));
+                    harness.run_grouped(
+                        plan,
+                        &run_cfg,
+                        &mut state,
+                        &mut ws,
+                        &mut NoExchange,
+                        hooks,
+                    );
+                    let cycles = n_steps / plan.cycle();
+                    (cycles * (4 + 2 + 1), cycles * plan.element_updates_per_cycle())
+                }
+            };
+            let reg = ws.into_registry();
+
+            // One `step` span per pass; the seven phases are its only
+            // children, so their total time must equal the step's child
+            // time exactly (no lost nanoseconds).
+            let step = reg.span_stats("step").unwrap();
+            assert_eq!(step.count, n_passes);
+            let mut child_ns = 0;
+            for ph in PHASES {
+                let s = reg.span_stats(&format!("step/{ph}")).unwrap();
+                assert_eq!(s.count, n_passes, "phase {ph} missed a pass");
+                child_ns += s.total_ns;
             }
-            assert!(ci >= 2, "expected a multi-color schedule, got {ci}");
-            assert_eq!(color_ns, elements.child_ns);
-        }
+            assert_eq!(child_ns, step.child_ns);
 
-        // Analytic work was attached to every phase (exchange has zero flops
-        // but the counter still exists).
-        let mut flops = 0;
-        for ph in PHASES {
-            flops += reg.counter(&format!("step/{ph}/flops")).unwrap();
-            assert!(reg.counter(&format!("step/{ph}/bytes")).is_some());
+            // The serial sweep nests one span per color under step/elements.
+            #[cfg(not(feature = "parallel"))]
+            {
+                let elements = reg.span_stats("step/elements").unwrap();
+                let mut color_ns = 0;
+                let mut ci = 0;
+                while let Some(s) = reg.span_stats(&format!("step/elements/color{ci}")) {
+                    color_ns += s.total_ns;
+                    ci += 1;
+                }
+                assert!(ci >= 2, "expected a multi-color schedule, got {ci}");
+                assert_eq!(color_ns, elements.child_ns);
+            }
+
+            // Analytic work was attached to every phase (exchange has zero
+            // flops but the counter still exists), per pass: the element
+            // phase counts each group's elements at the group's own rate,
+            // not the full mesh every base step.
+            for ph in PHASES {
+                assert!(reg.counter(&format!("step/{ph}/flops")).is_some());
+                assert!(reg.counter(&format!("step/{ph}/bytes")).is_some());
+            }
+            assert_eq!(
+                reg.counter("step/elements/flops").unwrap(),
+                quake_machine::flops::TEMPLATE_HEX_ELEMENT * element_updates
+            );
+            if plan.is_none() {
+                // The one-group plan's totals are the full-domain shape's.
+                let full = Registry::new(0);
+                solver.record_step_costs(solver.full_scope(), n_steps, &full);
+                for ph in PHASES {
+                    for unit in ["flops", "bytes"] {
+                        let name = format!("step/{ph}/{unit}");
+                        assert_eq!(reg.counter(&name), full.counter(&name), "{name}");
+                    }
+                }
+            }
         }
         let shape = solver.phase_shape(solver.full_scope());
         assert_eq!(shape.n_damped + shape.n_undamped, mesh.n_elements() as u64);
         assert!(shape.n_damped > 0, "rayleigh config should damp elements");
-        assert!(flops > 0);
     }
 
     #[test]
@@ -1313,13 +1497,11 @@ mod tests {
         let w: Vec<f64> = (0..ndof).map(|_| next()).collect();
         let mut rhs_serial = vec![0.0; ndof];
         let mut rhs_parallel = vec![0.0; ndof];
-        let scope = &solver.full_scope;
-        let reg = Registry::disabled();
-        let mut colors = Vec::new();
-        solver.sweep_serial(scope, &u_now, &w, &mut rhs_serial, &reg, &mut colors);
+        let schedule = &solver.full_scope.schedule;
+        sweep(schedule, &u_now, &w, &mut rhs_serial, &Registry::disabled(), &[], true);
         for threads in [2, 3, 5] {
             rhs_parallel.fill(0.0);
-            scope.schedule.sweep_parallel(threads, &u_now, &w, &mut rhs_parallel);
+            schedule.sweep_parallel(threads, &u_now, &w, &mut rhs_parallel);
             assert_eq!(rhs_serial, rhs_parallel, "threads = {threads}");
         }
     }

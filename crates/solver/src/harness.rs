@@ -3,44 +3,58 @@
 //!
 //! Before this module, each feature of the elastic solver forked the leapfrog
 //! loop into a new `run_*` variant: telemetry, checkpointing, resumability,
-//! distribution, fault injection, and their combinations were ten
-//! near-duplicate copies of the same ten-line recurrence. The harness inverts
+//! distribution, fault injection, local time stepping and their combinations
+//! were near-duplicate copies of the same recurrence. The harness inverts
 //! that: there is exactly **one** step loop, driven by a [`RunConfig`], with
-//! an ordered list of hooks observing it. The collapsed entry points —
-//! `ElasticSolver::run`, `run_distributed`, `run_distributed_recoverable`,
-//! `run_forward` — are thin shims that assemble a hook list and delegate
-//! here.
+//! an ordered list of hooks observing it. Every public entry point —
+//! [`SolverHarness::run`], `run_with_scratch`, `run_grouped`,
+//! `run_simulation`, `ElasticSolver::run`, `run_distributed`,
+//! `run_distributed_recoverable`, `run_forward` — assembles arguments (a
+//! plan, a hook list, scratch) and delegates here.
 //!
-//! The loop structure (bit-identical to every variant it replaced):
+//! The loop steps a *plan*: a list of rate-group passes, finest first, group
+//! `g` due every `f_g` base steps (see [`crate::rategroup`]). **Global dt is
+//! the one-group plan** — a single pass with `f = 1` that owns every node —
+//! so its macro cycle `M = f_{G-1}` is 1 and the structure below degenerates
+//! to the plain leapfrog loop, bit-identical to every variant it replaced:
 //!
 //! ```text
-//! for k in first..until:
-//!     before_step(hooks)                  # FaultHook kills here
-//!     f = sum of sources at t = k dt      # skipped when there are none
-//!     step_scoped(u_prev, u_now, f -> u_next):
-//!         mid-step: pre_exchange(hooks)   # FaultHook drops/delays here
-//!                   exchange.exchange(k, rhs)
-//!     swap(u_prev, u_now); swap(u_now, u_next); state.step = k+1
-//!     after_step(hooks)                   # ReceiverHook samples u_k (now in
-//!                                         # u_prev), CheckpointHook offers
-//!                                         # the state to its StepSink
-//! on_run_end(hooks)                       # TelemetryHook records analytic
-//!                                         # step costs
+//! for k in first..until step M:             # k is a global sync step
+//!     before_step(hooks)                    # FaultHook kills here;
+//!                                           # ReceiverHook samples u_now = u(k dt0)
+//!     for s in k..k+M:                      # base points of the macro cycle
+//!         f = sum of sources at t = s dt0   # skipped when there are none
+//!         for each group g due at s (s % f_g == 0), coarsest first:
+//!             solver.pass(g):  fill, elements, abc, fold,
+//!                 pre_exchange(hooks)       # FaultHook drops/delays here
+//!                 exchange.exchange(s, g, rhs)
+//!                              tail, interp
+//!     state.step = k + M
+//!     after_step(hooks)                     # HealthHook checks, CheckpointHook
+//!                                           # offers the state to its StepSink
+//! on_run_end(hooks)                         # TelemetryHook records analytic
+//!                                           # step costs
 //! ```
 //!
-//! Hook order matters only where hooks share data: [`ReceiverHook`] must
-//! precede [`CheckpointHook`] so a snapshot taken after step `k` contains
-//! step `k`'s seismogram sample (the order the collapsed serial loop had).
+//! A whole-domain pass computes `u_{k+1}` into the scratch `u_next` and the
+//! loop rotates the three buffers; a rate group advances its owned nodes in
+//! place. Between sync steps the groups' histories are staggered, so hooks
+//! only ever see the state at sync steps, and both the entry step and
+//! `until_step` must be multiples of `M`.
+//!
 //! Hooks that touch disjoint state commute — the displacement history is
-//! bit-identical under any permutation (tested).
+//! bit-identical under any permutation (tested). The one ordering contract
+//! is [`crate::health::HealthHook`] before [`CheckpointHook`] (`after_step`
+//! stops at the first erroring hook, so no state that failed the health
+//! check is persisted).
 //!
 //! Hooks are zero-cost in the no-op case: an empty hook slice costs one
 //! empty-slice iteration per phase, and `bench_step --check-overhead` gates
-//! the no-op-hook harness against the frozen reference step.
+//! the no-op-hook harness against the bare step kernel.
 
 use crate::checkpoint::SolverState;
-use crate::elastic::{ElasticSolver, RunResult, StepScope, StepWorkspace};
-use crate::rategroup::{GroupRunScratch, RateGroupPlan};
+use crate::elastic::{ElasticSolver, Fields, Pass, RunResult, StepScope, StepWorkspace};
+use crate::rategroup::RateGroupPlan;
 use crate::receivers::record_sample_planar;
 use crate::sources::AssembledSource;
 use quake_ckpt::{CkptError, StepSink};
@@ -50,22 +64,31 @@ use quake_telemetry::{Registry, StepObserver};
 
 /// Immutable facts about the run a hook can read from any phase.
 #[derive(Clone, Copy, Debug)]
-pub struct RunInfo {
+pub struct RunInfo<'a> {
     /// Telemetry rank of the driving workspace (0 for serial runs).
     pub rank: usize,
-    /// Time-step size.
+    /// Base time-step size (the finest group's; *the* step under global dt).
     pub dt: f64,
     /// First step index this run executes (`state.step` at entry).
     pub first_step: u64,
     /// One past the last step index (exclusive bound).
     pub until_step: u64,
+    /// The plan's macro cycle `M` in base steps: `before_step`/`after_step`
+    /// fire every `M` steps (1 under global dt).
+    pub cycle: u64,
+    /// Analytic work of one macro cycle: every pass's shape weighted by its
+    /// `M / f_g` executions (under global dt, one step of the scope).
+    pub cycle_shape: ElasticStepShape,
+    /// Each node's owner-group step — the stagger of `u_prev` at a sync step
+    /// (`None` = every node steps at `dt`).
+    pub node_dt: Option<&'a [f64]>,
 }
 
 /// What a hook sees between steps: the run facts, the mutable solver state,
 /// the workspace registry, and whether the state is tainted (an exchange was
 /// skipped, so the fields are suspect and must not be persisted).
 pub struct HookCtx<'a> {
-    pub info: &'a RunInfo,
+    pub info: &'a RunInfo<'a>,
     pub state: &'a mut SolverState,
     pub reg: &'a Registry,
     pub tainted: bool,
@@ -113,23 +136,27 @@ pub trait StepHook {
         Ok(())
     }
 
-    /// At the top of each step, before forces are assembled; `ctx.state.step`
-    /// is the step about to execute. Errors stop the run at this step.
+    /// At the top of each macro cycle (every step under global dt), before
+    /// forces are assembled; `ctx.state.step` is the sync step about to
+    /// execute and `ctx.state.u_now` the globally consistent displacement at
+    /// its time level. Errors stop the run at this step.
     fn before_step(&mut self, _ctx: &mut HookCtx<'_>) -> Result<(), StopReason> {
         Ok(())
     }
 
-    /// Mid-step, just before the interface exchange of `step`. The solver
-    /// state is borrowed by the step kernel here, so only the run facts are
-    /// visible. Returning [`ExchangeFlow::Skip`] suppresses the exchange and
-    /// taints the run.
-    fn pre_exchange(&mut self, _info: &RunInfo, _step: u64) -> ExchangeFlow {
+    /// Mid-pass, just before the interface exchange of each due group at
+    /// base step `step`. The solver state is borrowed by the step kernel
+    /// here, so only the run facts are visible. Returning
+    /// [`ExchangeFlow::Skip`] suppresses the exchange and taints the run.
+    fn pre_exchange(&mut self, _info: &RunInfo<'_>, _step: u64) -> ExchangeFlow {
         ExchangeFlow::Proceed
     }
 
-    /// After the step's swaps: `ctx.state.step` is the *next* step, the
-    /// just-computed displacement is `ctx.state.u_now`, and the one sampled
-    /// at the completed step's time level sits in `ctx.state.u_prev`.
+    /// After the macro cycle: `ctx.state.step` is the *next* sync step and
+    /// `ctx.state.u_now` the just-computed displacement at its time level.
+    /// `ctx.state.u_prev` trails it by one step of each node's owner group
+    /// ([`RunInfo::node_dt`]) — under global dt, the displacement at the
+    /// completed step's time level.
     fn after_step(&mut self, _ctx: &mut HookCtx<'_>) -> Result<(), StopReason> {
         Ok(())
     }
@@ -144,40 +171,30 @@ pub struct NoopHook;
 
 impl StepHook for NoopHook {}
 
-/// The mid-step interface exchange. Serial runs use [`NoExchange`]; the
-/// distributed entry points plug the `quake-parcomm` fabric in (fail-stop or
-/// step-tagged).
+/// The mid-pass interface exchange. Serial runs use [`NoExchange`]; the
+/// distributed entry points plug the `quake-parcomm` fabric in.
 pub trait Exchange {
-    /// Sum-exchange the partially assembled interface values of `step`.
-    /// `reg` is the driving workspace's registry: an instrumented exchange
-    /// records its `wait`/`copy` split there (the `step/exchange` span is
-    /// open around this call, so recorded sub-intervals nest under it).
-    fn exchange(&mut self, step: u64, rhs: &mut [f64], reg: &Registry) -> Result<(), String>;
-
-    /// Group-aware exchange for rate-group (LTS) stepping: sum-exchange the
-    /// interface values of rate group `group`'s pass at base step `step`.
-    /// The default forwards to the full [`Exchange::exchange`], which is
-    /// *correct* (summed foreign-group dofs land in halo scratch the pass
-    /// never consumes and the owning pass's next fill overwrites) but moves
-    /// dofs that are idle this substep; implementations with per-group
-    /// neighbor lists override it to shrink the message volume.
-    fn exchange_group(
+    /// Sum-exchange the partially assembled interface values of rate group
+    /// `group`'s pass at base step `step` (group 0 of 1 under global dt).
+    /// Only the dofs whose node `group` owns are consumed by the pass, so an
+    /// implementation with per-group neighbor lists moves just those. `reg`
+    /// is the driving workspace's registry: an instrumented exchange records
+    /// its `wait`/`copy` split there (the `step/exchange` span is open
+    /// around this call, so recorded sub-intervals nest under it).
+    fn exchange(
         &mut self,
         step: u64,
         group: usize,
         rhs: &mut [f64],
         reg: &Registry,
-    ) -> Result<(), String> {
-        let _ = group;
-        self.exchange(step, rhs, reg)
-    }
+    ) -> Result<(), String>;
 }
 
 /// No communication: the serial exchange.
 pub struct NoExchange;
 
 impl Exchange for NoExchange {
-    fn exchange(&mut self, _step: u64, _rhs: &mut [f64], _reg: &Registry) -> Result<(), String> {
+    fn exchange(&mut self, _: u64, _: usize, _: &mut [f64], _: &Registry) -> Result<(), String> {
         Ok(())
     }
 }
@@ -212,22 +229,26 @@ impl<'a> RunConfig<'a> {
 }
 
 /// The per-run scratch vectors of the step loop: the `u_next` target of the
-/// three-term recurrence and the assembled force vector. [`SolverHarness::run`]
-/// allocates a fresh pair per call; a caller that drives many runs back to
-/// back (the `quake-serve` worker pool) preallocates one of these and uses
+/// three-term recurrence (the pass rhs), the assembled force vector, and —
+/// only when the plan has halos, i.e. more than one rate group — the gathered
+/// displacement `ue` the group sweeps read (the matching damping increment
+/// is the workspace's `w`). [`SolverHarness::run`] allocates a fresh one per
+/// call; a caller that drives many runs back to back (the `quake-serve`
+/// worker pool) preallocates one and uses
 /// [`SolverHarness::run_with_scratch`] so steady-state serving performs no
-/// per-run heap allocation. Both buffers are zeroed on entry, so a reused
+/// per-run heap allocation. All buffers are zeroed on entry, so a reused
 /// scratch is bit-identical to a fresh one.
 pub struct RunScratch {
-    pub(crate) u_next: Vec<f64>,
-    pub(crate) f: Vec<f64>,
+    u_next: Vec<f64>,
+    f: Vec<f64>,
+    ue: Vec<f64>,
 }
 
 impl RunScratch {
     /// Scratch for a solver with `ndof` planar degrees of freedom
     /// (`3 * mesh.n_nodes()`).
     pub fn for_ndof(ndof: usize) -> RunScratch {
-        RunScratch { u_next: vec![0.0; ndof], f: vec![0.0; ndof] }
+        RunScratch { u_next: vec![0.0; ndof], f: vec![0.0; ndof], ue: Vec::new() }
     }
 }
 
@@ -242,9 +263,8 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
         SolverHarness { solver }
     }
 
-    /// Advance `state` from `state.step` up to (exclusive)
-    /// `cfg.until_step`, invoking `hooks` in order at each phase. This is
-    /// the loop every public `run_*` entry point delegates to.
+    /// Advance `state` at the global dt from `state.step` up to (exclusive)
+    /// `cfg.until_step`, invoking `hooks` in order at each phase.
     pub fn run(
         &self,
         cfg: &RunConfig<'_>,
@@ -258,12 +278,64 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
     }
 
     /// [`SolverHarness::run`] with caller-owned scratch vectors, for drivers
-    /// that execute many runs against one solver (scenario serving). The
-    /// scratch is zeroed here, so the displacement history is bit-identical
-    /// to [`SolverHarness::run`] regardless of what a previous run left in
-    /// the buffers.
+    /// that execute many runs against one solver (scenario serving).
     pub fn run_with_scratch(
         &self,
+        cfg: &RunConfig<'_>,
+        state: &mut SolverState,
+        ws: &mut StepWorkspace,
+        exchange: &mut dyn Exchange,
+        hooks: &mut [&mut dyn StepHook],
+        scratch: &mut RunScratch,
+    ) -> RunOutcome {
+        let scope = cfg.scope.unwrap_or_else(|| self.solver.full_scope());
+        let plan = [self.solver.global_pass(scope)];
+        self.drive(&plan, None, cfg, state, ws, exchange, hooks, scratch)
+    }
+
+    /// [`SolverHarness::run`] on a rate-group stepping plan: advance `state`
+    /// by whole **macro cycles** (`plan.cycle()` base steps each), stepping
+    /// each rate group at its own dt on the nested LTS schedule (see
+    /// [`crate::rategroup`]).
+    ///
+    /// `state.step` still counts *base* steps; both the entry step and
+    /// `cfg.until_step` must be global sync steps (multiples of
+    /// `plan.cycle()`) — between sync steps the groups' histories are
+    /// staggered and there is no meaningful whole-domain state to stop at.
+    /// For the same reason a mid-cycle comm failure leaves `state` torn
+    /// (some groups advanced past `state.step`); recovery must restart from
+    /// a checkpointed sync step, which is exactly what the checkpoint
+    /// cadence provides.
+    pub fn run_grouped(
+        &self,
+        plan: &RateGroupPlan,
+        cfg: &RunConfig<'_>,
+        state: &mut SolverState,
+        ws: &mut StepWorkspace,
+        exchange: &mut dyn Exchange,
+        hooks: &mut [&mut dyn StepHook],
+    ) -> RunOutcome {
+        assert!(
+            cfg.scope.is_none(),
+            "a rate-group plan steps the full domain (no distributed LTS)"
+        );
+        let ndof = 3 * self.solver.mesh.n_nodes();
+        let mut scratch = RunScratch::for_ndof(ndof);
+        if plan.n_groups() > 1 {
+            scratch.ue = vec![0.0; ndof];
+        }
+        let node_dt = Some(plan.node_dt());
+        self.drive(&plan.passes(), node_dt, cfg, state, ws, exchange, hooks, &mut scratch)
+    }
+
+    /// THE step loop (see the module docs): advance `state` through the
+    /// macro cycles of `plan` — passes finest first, the last one's stride
+    /// the cycle length — firing `hooks` at the sync steps.
+    #[allow(clippy::too_many_arguments)]
+    fn drive(
+        &self,
+        plan: &[Pass<'_>],
+        node_dt: Option<&[f64]>,
         cfg: &RunConfig<'_>,
         state: &mut SolverState,
         ws: &mut StepWorkspace,
@@ -275,187 +347,33 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
         let ndof = 3 * solver.mesh.n_nodes();
         assert_eq!(state.u_prev.len(), ndof, "state does not match this mesh");
         assert_eq!(state.u_now.len(), ndof, "state does not match this mesh");
-        assert_eq!(scratch.u_next.len(), ndof, "scratch does not match this mesh");
-        assert_eq!(scratch.f.len(), ndof, "scratch does not match this mesh");
-        let scope = cfg.scope.unwrap_or_else(|| solver.full_scope());
+        let RunScratch { u_next, f, ue } = scratch;
+        assert_eq!(u_next.len(), ndof, "scratch does not match this mesh");
+        assert_eq!(f.len(), ndof, "scratch does not match this mesh");
+        let m = plan.last().map_or(1, |p| p.factor);
+        assert_eq!(state.step % m, 0, "runs start at a global sync step (multiple of the cycle)");
+        assert_eq!(cfg.until_step % m, 0, "runs end at a global sync step (multiple of the cycle)");
+        let mut cycle_shape = ElasticStepShape::default();
+        for pass in plan {
+            let (shape, times) = (solver.pass_shape(pass), m / pass.factor);
+            cycle_shape.n_damped += times * shape.n_damped;
+            cycle_shape.n_undamped += times * shape.n_undamped;
+            cycle_shape.n_nodes += times * shape.n_nodes;
+            cycle_shape.n_hanging += times * shape.n_hanging;
+            cycle_shape.n_abc_faces += times * shape.n_abc_faces;
+        }
         let info = RunInfo {
             rank: ws.reg.rank(),
             dt: solver.dt,
             first_step: state.step,
             until_step: cfg.until_step,
+            cycle: m,
+            cycle_shape,
+            node_dt,
         };
-        let u_next = &mut scratch.u_next;
-        let f = &mut scratch.f;
         u_next.iter_mut().for_each(|v| *v = 0.0);
         f.iter_mut().for_each(|v| *v = 0.0);
-        let mut tainted = false;
-
-        {
-            let mut ctx = HookCtx { info: &info, state, reg: &ws.reg, tainted };
-            for h in hooks.iter_mut() {
-                // lint:reach-ok — dyn hook fan-out: hot/comm callers install audited hooks (DESIGN.md).
-                if let Err(reason) = h.on_run_start(&mut ctx) {
-                    return RunOutcome::Stopped { step: info.first_step, reason };
-                }
-            }
-        }
-
-        for k in info.first_step..info.until_step {
-            {
-                let mut ctx = HookCtx { info: &info, state, reg: &ws.reg, tainted };
-                for h in hooks.iter_mut() {
-                    // lint:reach-ok — dyn hook fan-out: hot/comm callers install audited hooks (DESIGN.md).
-                    if let Err(reason) = h.before_step(&mut ctx) {
-                        return RunOutcome::Stopped { step: k, reason };
-                    }
-                }
-            }
-            if !cfg.sources.is_empty() {
-                let t = k as f64 * solver.dt;
-                f.iter_mut().for_each(|v| *v = 0.0);
-                ws.reg.enter(ws.ids.source);
-                for s in cfg.sources {
-                    s.add_force_planar(t, f);
-                }
-                ws.reg.exit(ws.ids.source);
-            }
-            let mut comm_err = None;
-            solver.step_scoped(scope, &state.u_prev, &state.u_now, f, u_next, ws, |rhs, reg| {
-                let mut flow = ExchangeFlow::Proceed;
-                for h in hooks.iter_mut() {
-                    // lint:reach-ok — dyn hook fan-out: hot/comm callers install audited hooks (DESIGN.md).
-                    if h.pre_exchange(&info, k) == ExchangeFlow::Skip {
-                        flow = ExchangeFlow::Skip;
-                    }
-                }
-                if flow == ExchangeFlow::Skip {
-                    tainted = true;
-                    return;
-                }
-                // lint:reach-ok — dyn exchange dispatch: comm fabrics preallocate and return CommError.
-                if let Err(e) = exchange.exchange(k, rhs, reg) {
-                    comm_err = Some(e);
-                }
-            });
-            // A failed exchange aborts before the swaps: the state keeps
-            // describing the last *completed* step.
-            if let Some(e) = comm_err {
-                return RunOutcome::Stopped { step: k, reason: StopReason::Comm(e) };
-            }
-            std::mem::swap(&mut state.u_prev, &mut state.u_now);
-            std::mem::swap(&mut state.u_now, u_next);
-            state.step = k + 1;
-            {
-                let mut ctx = HookCtx { info: &info, state, reg: &ws.reg, tainted };
-                for h in hooks.iter_mut() {
-                    // lint:reach-ok — dyn hook fan-out: hot/comm callers install audited hooks (DESIGN.md).
-                    if let Err(reason) = h.after_step(&mut ctx) {
-                        return RunOutcome::Stopped { step: k, reason };
-                    }
-                }
-            }
-        }
-
-        let executed = state.step - info.first_step;
-        {
-            let mut ctx = HookCtx { info: &info, state, reg: &ws.reg, tainted };
-            for h in hooks.iter_mut() {
-                // lint:reach-ok — dyn hook fan-out: hot/comm callers install audited hooks (DESIGN.md).
-                h.on_run_end(&mut ctx);
-            }
-        }
-        RunOutcome::Finished { executed }
-    }
-
-    /// [`SolverHarness::run`] on a rate-group stepping plan: advance `state`
-    /// by whole **macro cycles** (`plan.cycle()` base steps each), stepping
-    /// each rate group at its own dt on the nested LTS schedule (see
-    /// [`crate::rategroup`]). Allocates fresh grouped scratch per call.
-    ///
-    /// Hook semantics at a glance: `before_step`/`after_step` (and therefore
-    /// `CheckpointHook`/`TelemetryHook`/`HealthHook`) fire once per macro
-    /// cycle, at the global sync steps where every group's `u_now` coincides;
-    /// `state.step` still counts *base* steps, advancing by `plan.cycle()`
-    /// per iteration; `pre_exchange` fires per due-group pass. With a
-    /// single-group plan this delegates verbatim to the global loop and is
-    /// bit-identical to [`SolverHarness::run`].
-    pub fn run_grouped(
-        &self,
-        plan: &RateGroupPlan,
-        cfg: &RunConfig<'_>,
-        state: &mut SolverState,
-        ws: &mut StepWorkspace,
-        exchange: &mut dyn Exchange,
-        hooks: &mut [&mut dyn StepHook],
-    ) -> RunOutcome {
-        let mut scratch = GroupRunScratch::for_ndof(3 * self.solver.mesh.n_nodes());
-        self.run_grouped_with_scratch(plan, cfg, state, ws, exchange, hooks, &mut scratch)
-    }
-
-    /// [`SolverHarness::run_grouped`] with caller-owned scratch. The scratch
-    /// is zeroed on entry, so a reused scratch is bit-identical to a fresh
-    /// one.
-    ///
-    /// Both the entry step and `cfg.until_step` must be global sync steps
-    /// (multiples of `plan.cycle()`) — between sync steps the groups'
-    /// histories are staggered and there is no meaningful whole-domain state
-    /// to stop at. For the same reason a mid-cycle comm failure leaves
-    /// `state` torn (some groups advanced past `state.step`); recovery must
-    /// restart from a checkpointed sync step, which is exactly what the
-    /// checkpoint cadence provides.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_grouped_with_scratch(
-        &self,
-        plan: &RateGroupPlan,
-        cfg: &RunConfig<'_>,
-        state: &mut SolverState,
-        ws: &mut StepWorkspace,
-        exchange: &mut dyn Exchange,
-        hooks: &mut [&mut dyn StepHook],
-        scratch: &mut GroupRunScratch,
-    ) -> RunOutcome {
-        if plan.n_groups() == 1 {
-            // Degenerate plan: one group owning everything at the base dt is
-            // exactly the global loop (same sweep schedule, same fill/tail
-            // arithmetic) — delegate so it stays bit-identical by
-            // construction.
-            return self.run_with_scratch(cfg, state, ws, exchange, hooks, &mut scratch.run);
-        }
-        let solver = self.solver;
-        let ndof = 3 * solver.mesh.n_nodes();
-        assert_eq!(state.u_prev.len(), ndof, "state does not match this mesh");
-        assert_eq!(state.u_now.len(), ndof, "state does not match this mesh");
-        assert!(
-            cfg.scope.is_none(),
-            "multi-group LTS steps the full domain; distributed multi-group \
-             stepping is future work (the group-aware exchange is in place)"
-        );
-        let m = plan.cycle();
-        assert_eq!(
-            state.step % m,
-            0,
-            "grouped runs start at a global sync step (multiple of the macro cycle)"
-        );
-        assert_eq!(
-            cfg.until_step % m,
-            0,
-            "grouped runs end at a global sync step (multiple of the macro cycle)"
-        );
-        let info = RunInfo {
-            rank: ws.reg.rank(),
-            dt: solver.dt,
-            first_step: state.step,
-            until_step: cfg.until_step,
-        };
-        let GroupRunScratch { run, ue, we } = scratch;
-        let rhs = &mut run.u_next;
-        let f = &mut run.f;
-        assert_eq!(rhs.len(), ndof, "scratch does not match this mesh");
-        assert_eq!(f.len(), ndof, "scratch does not match this mesh");
-        rhs.iter_mut().for_each(|v| *v = 0.0);
-        f.iter_mut().for_each(|v| *v = 0.0);
         ue.iter_mut().for_each(|v| *v = 0.0);
-        we.iter_mut().for_each(|v| *v = 0.0);
         let mut tainted = false;
 
         {
@@ -468,18 +386,18 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
             }
         }
 
-        let mut cycle_start = info.first_step;
-        while cycle_start < info.until_step {
+        let mut k = info.first_step;
+        while k < info.until_step {
             {
                 let mut ctx = HookCtx { info: &info, state, reg: &ws.reg, tainted };
                 for h in hooks.iter_mut() {
                     // lint:reach-ok — dyn hook fan-out: hot/comm callers install audited hooks (DESIGN.md).
                     if let Err(reason) = h.before_step(&mut ctx) {
-                        return RunOutcome::Stopped { step: cycle_start, reason };
+                        return RunOutcome::Stopped { step: k, reason };
                     }
                 }
             }
-            for s in cycle_start..cycle_start + m {
+            for s in k..k + m {
                 if !cfg.sources.is_empty() {
                     let t = s as f64 * solver.dt;
                     f.iter_mut().for_each(|v| *v = 0.0);
@@ -489,17 +407,26 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
                     }
                     ws.reg.exit(ws.ids.source);
                 }
-                let res = plan.step_point(
-                    solver,
-                    s,
-                    &mut state.u_prev,
-                    &mut state.u_now,
-                    f,
-                    rhs,
-                    ue,
-                    we,
-                    ws,
-                    |g, rhs, reg| {
+                // Every due group, coarsest first: a finer group then finds
+                // its coarser halo's (u_prev, u_now) bracketing its own time
+                // level, theta in [0, 1) into the coarse straddling step.
+                for (g, pass) in plan.iter().enumerate().rev() {
+                    if !s.is_multiple_of(pass.factor) {
+                        continue;
+                    }
+                    let fields = match pass.group {
+                        None => Fields::Whole { u_prev: &state.u_prev, u_now: &state.u_now },
+                        Some(nodes) => Fields::Group {
+                            u_prev: &mut state.u_prev,
+                            u_now: &mut state.u_now,
+                            ue,
+                            nodes,
+                            theta: plan.get(g + 1).map_or(0.0, |coarser| {
+                                (s % coarser.factor) as f64 / coarser.factor as f64
+                            }),
+                        },
+                    };
+                    let stepped = solver.pass(pass, fields, f, u_next, ws, false, |rhs, reg| {
                         let mut flow = ExchangeFlow::Proceed;
                         for h in hooks.iter_mut() {
                             // lint:reach-ok — dyn hook fan-out: hot/comm callers install audited hooks (DESIGN.md).
@@ -512,21 +439,27 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
                             return Ok(());
                         }
                         // lint:reach-ok — dyn exchange dispatch: comm fabrics preallocate and return CommError.
-                        exchange.exchange_group(s, g, rhs, reg)
-                    },
-                );
-                if let Err(e) = res {
-                    return RunOutcome::Stopped { step: s, reason: StopReason::Comm(e) };
+                        exchange.exchange(s, g, rhs, reg)
+                    });
+                    // A failed exchange aborts before the tail: under global
+                    // dt the state keeps describing the last completed step.
+                    if let Err(e) = stepped {
+                        return RunOutcome::Stopped { step: s, reason: StopReason::Comm(e) };
+                    }
+                    if pass.group.is_none() {
+                        std::mem::swap(&mut state.u_prev, &mut state.u_now);
+                        std::mem::swap(&mut state.u_now, u_next);
+                    }
                 }
             }
-            cycle_start += m;
-            state.step = cycle_start;
+            k += m;
+            state.step = k;
             {
                 let mut ctx = HookCtx { info: &info, state, reg: &ws.reg, tainted };
                 for h in hooks.iter_mut() {
                     // lint:reach-ok — dyn hook fan-out: hot/comm callers install audited hooks (DESIGN.md).
                     if let Err(reason) = h.after_step(&mut ctx) {
-                        return RunOutcome::Stopped { step: cycle_start - m, reason };
+                        return RunOutcome::Stopped { step: k - m, reason };
                     }
                 }
             }
@@ -563,10 +496,10 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
         )
     }
 
-    /// Drive a full simulation to the solver's configured end: sources on,
-    /// receivers sampled through a [`ReceiverHook`], analytic step costs
-    /// recorded through a [`TelemetryHook`], and — when `sink` is given —
-    /// the state offered to it after every step through a
+    /// Drive a full global-dt simulation to the solver's configured end:
+    /// sources on, receivers sampled through a [`ReceiverHook`], analytic
+    /// step costs recorded through a [`TelemetryHook`], and — when `sink` is
+    /// given — the state offered to it after every step through a
     /// [`CheckpointHook`]. Returns the run accounting and the final state;
     /// `flops` and step costs cover only the steps executed by *this* call
     /// (a resumed run accounts only its own tail).
@@ -584,8 +517,6 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
         let cfg = RunConfig::to_step(solver.n_steps as u64).with_sources(sources);
         let mut receivers = ReceiverHook::new(receiver_nodes);
         let mut telemetry = TelemetryHook::new(solver);
-        // ReceiverHook precedes CheckpointHook: a snapshot after step k must
-        // already contain step k's seismogram sample.
         let outcome = match sink {
             Some(sink) => {
                 let mut ckpt = CheckpointHook::new(sink);
@@ -662,12 +593,19 @@ pub fn leapfrog_to_state(
 
 /// Samples receiver displacements into the state's seismograms — the single
 /// home of the interpolation that used to be copy-pasted into every loop.
-/// Sample `k` of every trace is the displacement at time `k dt`, taken from
-/// `u_prev` *after* the step's swaps (which is the buffer that held `u_now`
-/// when the step was computed).
+/// It samples `u_now` in `before_step`, i.e. at every global sync step, where
+/// the displacement is consistent across rate groups: sample `j` of every
+/// trace is the displacement at time `j M dt0` (`M` the plan's macro cycle;
+/// sample `k` = `u(k dt)` under global dt). A snapshot taken after step `k`
+/// therefore already holds step `k`'s sample, and a resumed run continues
+/// the trace without a seam.
 pub struct ReceiverHook<'a> {
     nodes: &'a [u32],
 }
+
+/// Alias of [`ReceiverHook`] under the name rate-group runs import it by
+/// (`benchmark/` is frozen on it); dropped with the next benchmark change.
+pub type SyncReceiverHook<'a> = ReceiverHook<'a>;
 
 impl<'a> ReceiverHook<'a> {
     pub fn new(nodes: &'a [u32]) -> ReceiverHook<'a> {
@@ -685,8 +623,8 @@ impl StepHook for ReceiverHook<'_> {
         Ok(())
     }
 
-    fn after_step(&mut self, ctx: &mut HookCtx<'_>) -> Result<(), StopReason> {
-        record_sample_planar(&mut ctx.state.seismograms, self.nodes, &ctx.state.u_prev);
+    fn before_step(&mut self, ctx: &mut HookCtx<'_>) -> Result<(), StopReason> {
+        record_sample_planar(&mut ctx.state.seismograms, self.nodes, &ctx.state.u_now);
         Ok(())
     }
 }
@@ -715,26 +653,27 @@ impl StepHook for CheckpointHook<'_> {
 
 /// Records the run's analytic per-phase step costs on completion (joining
 /// the measured spans to the roofline model) and optionally forwards
-/// lifecycle notifications to a [`StepObserver`]. The per-step phase spans
+/// lifecycle notifications to a [`StepObserver`]. The per-pass phase spans
 /// themselves are emitted by the step kernel via the workspace registry —
-/// this hook only adds the end-of-run accounting the collapsed variants did.
+/// this hook only adds the end-of-run accounting: the plan's per-cycle work
+/// ([`RunInfo::cycle_shape`]) times the macro cycles executed.
 pub struct TelemetryHook<'s, 'm> {
     solver: &'s ElasticSolver<'m>,
-    shape: ElasticStepShape,
+    shape: Option<ElasticStepShape>,
     observer: Option<&'s mut dyn StepObserver>,
 }
 
 impl<'s, 'm> TelemetryHook<'s, 'm> {
-    /// Costs of the full-domain step (serial runs).
+    /// Costs of the plan the run steps (the full-domain step for serial
+    /// global-dt runs).
     pub fn new(solver: &'s ElasticSolver<'m>) -> TelemetryHook<'s, 'm> {
-        let shape = solver.phase_shape(solver.full_scope());
-        TelemetryHook { solver, shape, observer: None }
+        TelemetryHook { solver, shape: None, observer: None }
     }
 
-    /// Costs of a caller-adjusted shape (a distributed rank's scope with its
-    /// true interface exchange volume).
+    /// Costs of a caller-adjusted per-cycle shape (a distributed rank's scope
+    /// with its true interface exchange volume).
     pub fn shaped(solver: &'s ElasticSolver<'m>, shape: ElasticStepShape) -> TelemetryHook<'s, 'm> {
-        TelemetryHook { solver, shape, observer: None }
+        TelemetryHook { solver, shape: Some(shape), observer: None }
     }
 
     /// Also forward run lifecycle notifications to `observer`.
@@ -761,7 +700,8 @@ impl StepHook for TelemetryHook<'_, '_> {
 
     fn on_run_end(&mut self, ctx: &mut HookCtx<'_>) {
         let executed = ctx.state.step - ctx.info.first_step;
-        self.solver.record_step_costs_shaped(&self.shape, executed, ctx.reg);
+        let shape = self.shape.unwrap_or(ctx.info.cycle_shape);
+        self.solver.record_step_costs_shaped(&shape, executed / ctx.info.cycle, ctx.reg);
         if let Some(obs) = self.observer.as_deref_mut() {
             obs.on_run_end(executed, ctx.reg);
         }
@@ -796,7 +736,7 @@ impl StepHook for FaultHook<'_> {
         Ok(())
     }
 
-    fn pre_exchange(&mut self, _info: &RunInfo, step: u64) -> ExchangeFlow {
+    fn pre_exchange(&mut self, _info: &RunInfo<'_>, step: u64) -> ExchangeFlow {
         if self.faults.drops(step) {
             return ExchangeFlow::Skip;
         }

@@ -28,7 +28,11 @@
 //! - [`harness`]: the ONE canonical step loop ([`harness::SolverHarness`])
 //!   every public `run_*` entry point delegates to, driven by a
 //!   [`harness::RunConfig`] plus ordered [`harness::StepHook`]s (telemetry,
-//!   checkpointing, receiver sampling, fault injection),
+//!   checkpointing, receiver sampling, fault injection); it steps a plan of
+//!   rate-group passes, global dt being the one-group plan,
+//! - [`rategroup`]: the clustered local-time-stepping plan
+//!   ([`rategroup::RateGroupPlan`]) — one pass per octree level, each at its
+//!   own power-of-two multiple of the base dt,
 //! - [`health`]: the numerics watchdog hook — NaN/Inf scans and discrete
 //!   energy-growth bounds on a step cadence, with an NDJSON post-mortem dump
 //!   (diagnostic header + flight-recorder tail) on violation,
@@ -69,10 +73,11 @@ pub use distributed::{
 pub use elastic::{ElasticConfig, ElasticSolver, RunResult, StepScope, StepWorkspace};
 pub use harness::{
     CheckpointHook, Exchange, ExchangeFlow, FaultHook, HookCtx, NoExchange, NoopHook, ReceiverHook,
-    RunConfig, RunInfo, RunOutcome, RunScratch, SolverHarness, StepHook, StopReason, TelemetryHook,
+    RunConfig, RunInfo, RunOutcome, RunScratch, SolverHarness, StepHook, StopReason,
+    SyncReceiverHook, TelemetryHook,
 };
 pub use health::{HealthConfig, HealthHook, HealthReport};
-pub use rategroup::{GroupRunScratch, RateGroupPlan, SyncReceiverHook};
+pub use rategroup::RateGroupPlan;
 pub use receivers::{lowpass_filtfilt, record_sample, record_sample_planar, Seismogram};
 pub use scalar3d::{Scalar3dConfig, Scalar3dSolver};
 pub use wave::ScalarWaveEq;

@@ -19,10 +19,13 @@
 //!
 //! # The nested schedule
 //!
-//! One *base point* `s` (time `s * dt0`) processes every due group (`s % f_g
-//! == 0`), **coarsest first**. A due pass runs the same seven phases as the
-//! global step (fill, elements, abc, fold, exchange, tail, interp), restricted
-//! to the group's element/node/constraint partition:
+//! The plan is data: the step loop is the one in [`crate::harness`], which
+//! treats global dt as the plan with a single group. One *base point* `s`
+//! (time `s * dt0`) processes every due group (`s % f_g == 0`), **coarsest
+//! first**. A due group runs the same seven-phase
+//! `ElasticSolver::pass` as the global step (fill, elements, abc, fold,
+//! exchange, tail, interp), restricted to the group's element/node/constraint
+//! partition:
 //!
 //! - the pass sweeps its own elements *plus* the next-coarser interface
 //!   elements touching its nodes (so every element incident to a group-`g`
@@ -42,21 +45,16 @@
 //!   fill — no cross-pass state leaks through the rhs scratch.
 //!
 //! All groups' `u_now` coincide at multiples of the macro cycle `M =
-//! f_{G-1}`: those are the *global sync steps* where the harness fires hooks,
-//! offers checkpoints, and [`SyncReceiverHook`] samples seismograms.
-//! [`crate::harness::SolverHarness::run_grouped`] drives the schedule; with a
-//! single group it delegates verbatim to the global-dt loop and is
-//! bit-identical to it.
+//! f_{G-1}`: those are the *global sync steps* where the harness fires
+//! `before_step`/`after_step`, offers checkpoints, and
+//! [`ReceiverHook`](crate::harness::ReceiverHook) samples seismograms.
+//! [`crate::harness::SolverHarness::run_grouped`] drives the schedule; a
+//! single-group plan owns every node and has no halos, so it runs the very
+//! pass global dt runs and is bit-identical to it.
 
-use crate::abc::{apply_abc_stiffness_planar, AbcFace};
 use crate::checkpoint::SolverState;
-use crate::elastic::{ElasticSolver, StepWorkspace};
-use crate::harness::{HookCtx, RunScratch, StepHook, StopReason};
-use crate::receivers::{record_sample_planar, Seismogram};
-use crate::sweep::SweepSchedule;
-use quake_fem::hex8::{elastic_hex_matrices, elastic_matvec};
-use quake_mesh::{color_elements, RateGroups};
-use quake_telemetry::Registry;
+use crate::elastic::{ElasticSolver, GroupNodes, Pass, StepScope};
+use quake_mesh::{Constraint, RateGroups};
 
 /// Largest power of two `<= x` (at least 1).
 fn floor_pow2(x: f64) -> u64 {
@@ -67,49 +65,35 @@ fn floor_pow2(x: f64) -> u64 {
     p
 }
 
-/// Everything one rate group's pass needs, precomputed: its own step size,
-/// the blocked sweep schedule over the pass elements, the pass's absorbing
-/// faces, the node partition slices, the group's constraint subset, and the
-/// folded LHS inverse at the group's `dt`. Built once per plan.
-pub(crate) struct GroupPass {
-    /// The group's step `f_g * dt0`.
-    pub(crate) dt: f64,
-    dt2: f64,
+/// Everything one rate group's pass needs, precomputed once per plan — the
+/// owner of what a [`Pass`] borrows.
+struct GroupPass {
     /// Base-step stride of this group.
-    pub(crate) factor: u64,
-    /// `f_g / f_{g-1}`: rescales the finer halo's damping increment to this
-    /// pass's `dt` (0.0 for group 0, which has no finer neighbor).
-    fine_scale: f64,
-    /// `f_{g+1}` (0 for the coarsest group): the interpolation modulus.
-    coarse_factor: u64,
-    /// `f_g / f_{g+1}` (0.0 for the coarsest group).
-    coarse_scale: f64,
-    /// Blocked per-class template schedule over the pass elements, built at
-    /// this group's `dt`.
-    schedule: SweepSchedule,
-    /// Absorbing faces of the pass elements.
-    faces: Vec<AbcFace>,
-    /// Nodes this group owns (their tail solve runs here).
-    own_nodes: Vec<u32>,
-    /// Next-finer-owned corners the pass reads (exact shared time level).
-    finer_halo: Vec<u32>,
-    /// Next-coarser-owned corners the pass reads (leapfrog-interpolated).
-    coarser_halo: Vec<u32>,
-    /// Indices into `mesh.constraints` owned by this group (ascending).
-    constraints: Vec<u32>,
+    factor: u64,
+    /// The group's step `f_g * dt0`.
+    dt: f64,
+    /// Blocked per-class template schedule over the pass elements (own +
+    /// next-coarser interface) at this group's `dt`, and their absorbing
+    /// faces.
+    scope: StepScope,
+    nodes: GroupNodes,
+    /// The group's hanging-node constraints, in mesh order.
+    constraints: Vec<Constraint>,
     /// Planar folded LHS inverse `1 / (Mf + dt_g/2 Cf)` (read at own nodes).
     lhs_inv: Vec<f64>,
 }
 
 /// The per-level stepping plan: the mesh partition, the per-group factors,
-/// and the precomputed [`GroupPass`] schedules. Build once per solver, drive
+/// and the precomputed per-group pass data. Build once per solver, drive
 /// through [`crate::harness::SolverHarness::run_grouped`].
 pub struct RateGroupPlan {
     groups: RateGroups,
     factors: Vec<u64>,
     cycle: u64,
     base_dt: f64,
-    pub(crate) passes: Vec<GroupPass>,
+    passes: Vec<GroupPass>,
+    /// Each node's owner-group step — the stagger of `u_prev` at a sync step.
+    node_dt: Vec<f64>,
 }
 
 impl RateGroupPlan {
@@ -154,45 +138,37 @@ impl RateGroupPlan {
         let passes: Vec<GroupPass> = (0..ng)
             .map(|g| {
                 let dt_g = factors[g] as f64 * solver.dt;
-                let coloring = color_elements(mesh, &groups.pass_elems[g]);
-                let schedule = SweepSchedule::build(mesh, &coloring, &solver.beta, dt_g);
-                let mut in_pass = vec![false; mesh.n_elements()];
-                for &e in &groups.pass_elems[g] {
-                    in_pass[e as usize] = true;
-                }
-                let faces: Vec<AbcFace> = solver
-                    .faces
-                    .iter()
-                    .filter(|fc| in_pass[fc.element as usize])
-                    .copied()
-                    .collect();
                 let mut lhs_inv = vec![0.0; ndof];
                 for d in 0..ndof {
                     lhs_inv[d] = 1.0 / (solver.mass_fp[d] + 0.5 * dt_g * solver.cdiag_fp[d]);
                 }
                 GroupPass {
-                    dt: dt_g,
-                    dt2: dt_g * dt_g,
                     factor: factors[g],
-                    fine_scale: if g > 0 { (factors[g] / factors[g - 1]) as f64 } else { 0.0 },
-                    coarse_factor: if g + 1 < ng { factors[g + 1] } else { 0 },
-                    coarse_scale: if g + 1 < ng {
-                        factors[g] as f64 / factors[g + 1] as f64
-                    } else {
-                        0.0
+                    dt: dt_g,
+                    scope: solver.scope_at(&groups.pass_elems[g], None, dt_g),
+                    nodes: GroupNodes {
+                        own: groups.own_nodes[g].clone(),
+                        finer_halo: groups.finer_halo[g].clone(),
+                        coarser_halo: groups.coarser_halo[g].clone(),
+                        fine_scale: if g > 0 { (factors[g] / factors[g - 1]) as f64 } else { 0.0 },
+                        coarse_scale: if g + 1 < ng {
+                            factors[g] as f64 / factors[g + 1] as f64
+                        } else {
+                            0.0
+                        },
                     },
-                    schedule,
-                    faces,
-                    own_nodes: groups.own_nodes[g].clone(),
-                    finer_halo: groups.finer_halo[g].clone(),
-                    coarser_halo: groups.coarser_halo[g].clone(),
-                    constraints: groups.constraints[g].clone(),
+                    constraints: groups.constraints[g]
+                        .iter()
+                        .map(|&ci| mesh.constraints[ci as usize].clone())
+                        .collect(),
                     lhs_inv,
                 }
             })
             .collect();
+        let node_dt =
+            groups.node_group.iter().map(|&g| factors[g as usize] as f64 * solver.dt).collect();
 
-        RateGroupPlan { groups, factors, cycle, base_dt: solver.dt, passes }
+        RateGroupPlan { groups, factors, cycle, base_dt: solver.dt, passes, node_dt }
     }
 
     /// Number of rate groups (1 = degenerate: identical to the global loop).
@@ -236,7 +212,33 @@ impl RateGroupPlan {
     /// global-dt loop — the *ideal* LTS work ratio the bench compares the
     /// measured speedup against.
     pub fn element_updates_per_cycle(&self) -> u64 {
-        self.passes.iter().map(|p| (self.cycle / p.factor) * p.schedule.n_elements() as u64).sum()
+        self.passes
+            .iter()
+            .map(|p| (self.cycle / p.factor) * p.scope.schedule.n_elements() as u64)
+            .sum()
+    }
+
+    /// The plan as the harness steps it: one [`Pass`] per group, finest
+    /// first. A single group owns every node and has no halos, so it takes
+    /// the contiguous whole-domain form — the very pass global dt runs.
+    pub(crate) fn passes(&self) -> Vec<Pass<'_>> {
+        let whole = self.passes.len() == 1;
+        self.passes
+            .iter()
+            .map(|gp| Pass {
+                factor: gp.factor,
+                dt: gp.dt,
+                scope: &gp.scope,
+                constraints: &gp.constraints,
+                lhs_inv: &gp.lhs_inv,
+                group: (!whole).then_some(&gp.nodes),
+            })
+            .collect()
+    }
+
+    /// Each node's owner-group step (see [`RateGroupPlan::energy`]).
+    pub(crate) fn node_dt(&self) -> &[f64] {
+        &self.node_dt
     }
 
     /// Fresh grouped [`SolverState`] at step 0. Like
@@ -249,29 +251,7 @@ impl RateGroupPlan {
         n_receivers: usize,
         initial: Option<(&[f64], &[f64])>,
     ) -> SolverState {
-        let n = solver.mesh.n_nodes();
-        let ndof = 3 * n;
-        let mut u_prev = vec![0.0; ndof];
-        let mut u_now = vec![0.0; ndof];
-        if let Some((u0, v0)) = initial {
-            assert_eq!(u0.len(), ndof);
-            assert_eq!(v0.len(), ndof);
-            for nd in 0..n {
-                let dt_own = self.passes[self.groups.node_group[nd] as usize].dt;
-                for comp in 0..3 {
-                    let d = comp * n + nd;
-                    let i = 3 * nd + comp;
-                    u_now[d] = u0[i];
-                    u_prev[d] = u0[i] - dt_own * v0[i];
-                }
-            }
-        }
-        SolverState {
-            step: 0,
-            u_prev,
-            u_now,
-            seismograms: (0..n_receivers).map(|_| Seismogram::new(self.macro_dt(), 3)).collect(),
-        }
+        solver.staggered_state(n_receivers, initial, |nd| self.node_dt[nd], self.macro_dt())
     }
 
     /// Total mechanical energy of a grouped state at a *global sync step*:
@@ -279,281 +259,18 @@ impl RateGroupPlan {
     /// velocity uses its owner group's step (`v = (u_now - u_prev)/dt_own`).
     pub fn energy(&self, solver: &ElasticSolver<'_>, u_prev: &[f64], u_now: &[f64]) -> f64 {
         let n = solver.mesh.n_nodes();
-        let mats = elastic_hex_matrices();
-        let mut e_kin = 0.0;
-        for (nd, &m) in solver.mass.iter().enumerate() {
-            let dt_own = self.passes[self.groups.node_group[nd] as usize].dt;
-            for comp in 0..3 {
-                let d = comp * n + nd;
-                let v = (u_now[d] - u_prev[d]) / dt_own;
-                e_kin += 0.5 * m * v * v;
-            }
-        }
-        let mut e_str = 0.0;
-        for e in &solver.mesh.elements {
-            let mut x = [0.0; 24];
-            for (c, &nd) in e.nodes.iter().enumerate() {
-                for comp in 0..3 {
-                    x[3 * c + comp] = u_now[comp * n + nd as usize];
-                }
-            }
-            let mut y = [0.0; 24];
-            elastic_matvec(mats, e.material.lambda, e.material.mu, e.h, &x, &mut y);
-            for i in 0..24 {
-                e_str += 0.5 * x[i] * y[i];
-            }
-        }
-        e_kin + e_str
-    }
-
-    /// Execute base point `s`: run the seven-phase pass of every due group
-    /// (`s % f_g == 0`), coarsest first. `u_prev`/`u_now` are the live planar
-    /// state (updated in place per owned node — grouped stepping has no
-    /// whole-buffer swaps); `rhs`/`ue`/`we` are full-length scratch.
-    /// `exchange` is called once per due pass with the group index; an error
-    /// aborts mid-point (the caller owns recovery).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn step_point(
-        &self,
-        solver: &ElasticSolver<'_>,
-        s: u64,
-        u_prev: &mut [f64],
-        u_now: &mut [f64],
-        f_ext: &[f64],
-        rhs: &mut [f64],
-        ue: &mut [f64],
-        we: &mut [f64],
-        ws: &StepWorkspace,
-        mut exchange: impl FnMut(usize, &mut [f64], &Registry) -> Result<(), String>,
-    ) -> Result<(), String> {
-        let mesh = solver.mesh;
-        let n = mesh.n_nodes();
-        let ndof = 3 * n;
-        assert_eq!(u_prev.len(), ndof);
-        assert_eq!(u_now.len(), ndof);
-        assert_eq!(f_ext.len(), ndof);
-        assert_eq!(rhs.len(), ndof);
-        assert_eq!(ue.len(), ndof);
-        assert_eq!(we.len(), ndof);
-        let reg = &ws.reg;
-        let ids = &ws.ids;
-        reg.enter(ids.step);
-        for g in (0..self.passes.len()).rev() {
-            let gp = &self.passes[g];
-            if !s.is_multiple_of(gp.factor) {
-                continue;
-            }
-            let dt = gp.dt;
-            let dt2 = gp.dt2;
-            let fine_scale = gp.fine_scale;
-            // Coarse-halo interpolation weight: the coarse group's (u_prev,
-            // u_now) bracket its straddling step; theta in [0, 1) lands on
-            // this pass's time level (theta = 0 right after the coarse pass
-            // ran at this very base point — coarsest-first order).
-            let (theta, coarse_scale) = if gp.coarse_factor != 0 {
-                ((s % gp.coarse_factor) as f64 / gp.coarse_factor as f64, gp.coarse_scale)
-            } else {
-                (0.0, 0.0)
-            };
-
-            // lint:hot-path — the rate-group pass: gather/fill, per-group
-            // fold/tail/interp. Runs once per due group per base point; the
-            // steady state must stay allocation-free and bit-deterministic
-            // (same guarantees as the global step kernel above).
-            reg.enter(ids.fill);
-            // Fused gather + fill over the pass's active nodes. Own nodes:
-            // the global step's fill verbatim at this group's dt. Halo nodes:
-            // gather-only (their rhs is scratch this pass never consumes).
-            for comp in 0..3 {
-                let base = comp * n;
-                for &nd in &gp.own_nodes {
-                    let d = base + nd as usize;
-                    let wd = u_now[d] - u_prev[d];
-                    ue[d] = u_now[d];
-                    we[d] = wd;
-                    rhs[d] = dt2 * f_ext[d] - 0.5 * dt * solver.damp_diag_p[d] * wd;
-                }
-                for &nd in &gp.finer_halo {
-                    let d = base + nd as usize;
-                    ue[d] = u_now[d];
-                    we[d] = fine_scale * (u_now[d] - u_prev[d]);
-                    rhs[d] = 0.0;
-                }
-                for &nd in &gp.coarser_halo {
-                    let d = base + nd as usize;
-                    let delta = u_now[d] - u_prev[d];
-                    ue[d] = u_prev[d] + theta * delta;
-                    we[d] = coarse_scale * delta;
-                    rhs[d] = 0.0;
-                }
-            }
-            reg.exit(ids.fill);
-
-            // Element sweep over the pass elements (own + next-coarser
-            // interface), blocked per class at this group's dt.
-            reg.enter(ids.elements);
-            sweep_pass(gp, ue, we, rhs);
-            reg.exit(ids.elements);
-
-            reg.enter(ids.abc);
-            apply_abc_stiffness_planar(&gp.faces, ue, rhs, dt2);
-            reg.exit(ids.abc);
-
-            // Per-group constraint fold: same arithmetic and relative order
-            // as the global fold — clusters never cross groups, so the
-            // partition is exact to the bit.
-            reg.enter(ids.fold);
-            for &ci in &gp.constraints {
-                let c = &mesh.constraints[ci as usize];
-                for comp in 0..3 {
-                    let d = comp * n + c.node as usize;
-                    let v = rhs[d];
-                    if v != 0.0 {
-                        for &(mnd, wgt) in &c.masters {
-                            rhs[comp * n + mnd as usize] += wgt * v;
-                        }
-                    }
-                    rhs[d] = 0.0;
-                }
-            }
-            reg.exit(ids.fold);
-            // lint:hot-path-end
-
-            reg.enter(ids.exchange);
-            let res = exchange(g, rhs, reg);
-            reg.exit(ids.exchange);
-            if let Err(e) = res {
-                reg.exit(ids.step);
-                return Err(e);
-            }
-
-            // lint:hot-path — grouped tail + interp (see the marker above).
-            // Per-owned-node tail: the global step's fused history/solve at
-            // this group's dt, with the in-place history shift replacing the
-            // whole-buffer swaps (groups advance staggered subsets).
-            reg.enter(ids.tail);
-            for comp in 0..3 {
-                let base = comp * n;
-                for &nd in &gp.own_nodes {
-                    let d = base + nd as usize;
-                    let val = (rhs[d]
-                        + (2.0 * solver.mass_fp[d] + 0.5 * dt * solver.cdiag_fp[d]) * u_now[d]
-                        - solver.mass_fp[d] * u_prev[d])
-                        * gp.lhs_inv[d];
-                    u_prev[d] = u_now[d];
-                    u_now[d] = val;
-                }
-            }
-            reg.exit(ids.tail);
-
-            reg.enter(ids.interp);
-            for &ci in &gp.constraints {
-                let c = &mesh.constraints[ci as usize];
-                for comp in 0..3 {
-                    let mut v = 0.0;
-                    for &(mnd, wgt) in &c.masters {
-                        v += wgt * u_now[comp * n + mnd as usize];
-                    }
-                    u_now[comp * n + c.node as usize] = v;
-                }
-            }
-            reg.exit(ids.interp);
-            // lint:hot-path-end
-        }
-        reg.exit(ids.step);
-        Ok(())
-    }
-}
-
-// lint:hot-path — the group sweep dispatch: threaded over the pass coloring
-// with the `parallel` feature (same thread heuristic and bit-identity
-// argument as the global sweep), serial color-major otherwise.
-// lint:par-sweep — the rate-group passes reuse the global schedule's
-// ledgered scatter sites; no write to the shared pass rhs may appear here
-// directly (quake-lint's parallel-disjointness rule audits this region).
-fn sweep_pass(gp: &GroupPass, ue: &[f64], we: &[f64], rhs: &mut [f64]) {
-    #[cfg(feature = "parallel")]
-    {
-        let n_elems = gp.schedule.n_elements();
-        let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let threads = hw.min(n_elems / 256).max(1);
-        if threads > 1 {
-            gp.schedule.sweep_parallel(threads, ue, we, rhs);
-            return;
-        }
-    }
-    for ci in 0..gp.schedule.n_colors() {
-        gp.schedule.sweep_color(ci, ue, we, rhs);
-    }
-}
-// lint:par-sweep-end
-// lint:hot-path-end
-
-/// Scratch of a grouped run: the global loop's [`RunScratch`] (its `u_next`
-/// buffer doubles as the pass rhs) plus the gathered displacement/damping
-/// vectors (`ue`, `we`) the per-group sweep reads. Preallocate one and use
-/// [`crate::harness::SolverHarness::run_grouped_with_scratch`] for
-/// allocation-free steady-state stepping.
-pub struct GroupRunScratch {
-    pub(crate) run: RunScratch,
-    pub(crate) ue: Vec<f64>,
-    pub(crate) we: Vec<f64>,
-}
-
-impl GroupRunScratch {
-    /// Scratch for a solver with `ndof` planar degrees of freedom
-    /// (`3 * mesh.n_nodes()`).
-    pub fn for_ndof(ndof: usize) -> GroupRunScratch {
-        GroupRunScratch {
-            run: RunScratch::for_ndof(ndof),
-            ue: vec![0.0; ndof],
-            we: vec![0.0; ndof],
-        }
-    }
-}
-
-/// Seismogram sampling for grouped runs. The global [`crate::harness::ReceiverHook`]
-/// samples `u_prev` after the step's swaps; a grouped run has no swaps and
-/// its `u_prev` is group-staggered (each node one *own-group* step behind),
-/// so this hook samples `u_now` — which is globally consistent exactly at
-/// the macro-cycle sync steps where `after_step` fires. Sample `j` of a
-/// grouped trace is the displacement at time `j * M * dt0`, directly
-/// comparable to sample `j * M` of a global-dt trace.
-pub struct SyncReceiverHook<'a> {
-    nodes: &'a [u32],
-}
-
-impl<'a> SyncReceiverHook<'a> {
-    pub fn new(nodes: &'a [u32]) -> SyncReceiverHook<'a> {
-        SyncReceiverHook { nodes }
-    }
-}
-
-impl StepHook for SyncReceiverHook<'_> {
-    fn on_run_start(&mut self, ctx: &mut HookCtx<'_>) -> Result<(), StopReason> {
-        assert_eq!(
-            ctx.state.seismograms.len(),
-            self.nodes.len(),
-            "state has one seismogram per receiver node"
-        );
-        // The t = 0 sample; resumed runs already hold it.
-        if ctx.state.step == 0 {
-            record_sample_planar(&mut ctx.state.seismograms, self.nodes, &ctx.state.u_now);
-        }
-        Ok(())
-    }
-
-    fn after_step(&mut self, ctx: &mut HookCtx<'_>) -> Result<(), StopReason> {
-        record_sample_planar(&mut ctx.state.seismograms, self.nodes, &ctx.state.u_now);
-        Ok(())
+        solver.energy_sum(u_prev, u_now, |nd, comp| comp * n + nd, |nd| self.node_dt[nd])
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::elastic::{ElasticConfig, ElasticSolver, RayleighBand};
-    use crate::harness::{NoExchange, ReceiverHook, RunConfig, RunOutcome, SolverHarness};
+    use crate::harness::{
+        CheckpointHook, HookCtx, NoExchange, ReceiverHook, RunConfig, RunOutcome, SolverHarness,
+        StepHook, StopReason,
+    };
     use crate::sources::point_force;
     use quake_mesh::{ElemMaterial, HexMesh};
     use quake_model::SlipFunction;
@@ -561,7 +278,7 @@ mod tests {
 
     /// The 3-level mesh of the `quake_mesh::rategroups` tests: coarse
     /// background, a level-4 quadrant, a level-5 octant corner.
-    fn three_level_mesh() -> HexMesh {
+    pub(crate) fn three_level_mesh() -> HexMesh {
         let half = 1u32 << (MAX_LEVEL - 1);
         let quarter = 1u32 << (MAX_LEVEL - 2);
         let mut tree = LinearOctree::build(|o| {
@@ -739,30 +456,7 @@ mod tests {
     /// for either scheme, so the comparison measures field agreement only.
     fn energy_at_sync(solver: &ElasticSolver<'_>, u_a: &[f64], u_b: &[f64], dt: f64) -> f64 {
         let n = solver.mesh.n_nodes();
-        let mats = elastic_hex_matrices();
-        let mut e_kin = 0.0;
-        for (nd, &mass) in solver.mass.iter().enumerate() {
-            for comp in 0..3 {
-                let d = comp * n + nd;
-                let v = (u_b[d] - u_a[d]) / dt;
-                e_kin += 0.5 * mass * v * v;
-            }
-        }
-        let mut e_str = 0.0;
-        for e in &solver.mesh.elements {
-            let mut x = [0.0; 24];
-            for (c, &nd) in e.nodes.iter().enumerate() {
-                for comp in 0..3 {
-                    x[3 * c + comp] = u_b[comp * n + nd as usize];
-                }
-            }
-            let mut y = [0.0; 24];
-            elastic_matvec(mats, e.material.lambda, e.material.mu, e.h, &x, &mut y);
-            for i in 0..24 {
-                e_str += 0.5 * x[i] * y[i];
-            }
-        }
-        e_kin + e_str
+        solver.energy_sum(u_a, u_b, |nd, comp| comp * n + nd, |_| dt)
     }
 
     #[test]
@@ -836,7 +530,7 @@ mod tests {
         let g_prev_sync = &hist.snaps[steps as usize];
 
         let mut wsl = solver.workspace();
-        let mut hl = SyncReceiverHook::new(&recv);
+        let mut hl = ReceiverHook::new(&recv);
         let mut l_snap = SyncSnapHook { prev: Vec::new(), last: Vec::new() };
         let ol = harness.run_grouped(
             &plan,
@@ -864,21 +558,15 @@ mod tests {
         let energy_err = ((el - eg) / eg.abs().max(1e-300)).abs();
         assert!(energy_err <= 1e-8, "energy error {energy_err:e} exceeds the 1e-8 gate");
 
-        // Seismograms. The grouped run entered at step M (not 0), so its
-        // first sample lands after the first full cycle, at base step 2M:
-        // grouped sample j = u((j + 2) M dt0) = global sample (j + 2) M.
+        // Seismograms: one sample per sync step. The grouped run entered at
+        // step M (not 0), so grouped sample j = u((j + 1) M dt0) = global
+        // sample (j + 1) M.
         for (tg, tl) in sg.seismograms.iter().zip(&sl.seismograms) {
             assert_eq!(tl.dt, plan.macro_dt());
             assert_eq!(tl.n_samples(), steps as usize / m as usize);
             let tscale = max_abs(&tg.data).max(0.1 * scale);
             for j in 0..tl.n_samples() {
-                let i = (j + 2) * m as usize;
-                if i >= tg.n_samples() {
-                    // The final grouped sample is u(M + steps), one base step
-                    // past the global trace's last sample; the final-field
-                    // assert above already covers that instant.
-                    break;
-                }
+                let i = (j + 1) * m as usize;
                 for c in 0..3 {
                     let d = (tl.data[3 * j + c] - tg.data[3 * i + c]).abs() / tscale;
                     assert!(d <= 1e-8, "trace sample {j} comp {c}: {d:e}");
@@ -888,58 +576,69 @@ mod tests {
     }
 
     #[test]
-    fn grouped_resume_from_sync_step_is_bit_identical() {
-        // Stopping a grouped run at a sync step and resuming it (with a
-        // reused scratch) replays the straight-through run to the bit: the
-        // sync-step state is self-contained.
+    fn grouped_resume_from_checkpoint_is_bit_identical() {
+        // Stopping a grouped run at a sync step and resuming it from the
+        // checkpoint file written there replays the straight-through run to
+        // the bit, seismograms included: the sync-step state is
+        // self-contained and the trace continues without a seam.
+        use quake_ckpt::{CheckpointPolicy, CheckpointReader, CheckpointWriter, PeriodicSink};
         let mesh = three_level_mesh();
         let solver = ElasticSolver::new(&mesh, &lts_config(0.01));
         let plan = RateGroupPlan::build(&solver, 8);
-        assert!(plan.n_groups() > 1);
+        assert_eq!(plan.n_groups(), 3);
         let u0 = gaussian_pulse(&mesh);
         let v0 = vec![0.0; u0.len()];
+        let recv = receivers_per_group(&plan);
         let harness = SolverHarness::new(&solver);
 
-        let mut sa = plan.initial_state(&solver, 0, Some((&u0, &v0)));
-        let mut wsa = solver.workspace();
-        let oa = harness.run_grouped(
-            &plan,
-            &RunConfig::to_step(32),
-            &mut sa,
-            &mut wsa,
-            &mut NoExchange,
-            &mut [],
-        );
+        let mut sa = plan.initial_state(&solver, recv.len(), Some((&u0, &v0)));
+        let mut ws = solver.workspace();
+        let mut ha = ReceiverHook::new(&recv);
+        let cfg = RunConfig::to_step(32);
+        let oa =
+            harness.run_grouped(&plan, &cfg, &mut sa, &mut ws, &mut NoExchange, &mut [&mut ha]);
         assert!(matches!(oa, RunOutcome::Finished { executed: 32 }));
 
-        let mut sb = plan.initial_state(&solver, 0, Some((&u0, &v0)));
-        let mut wsb = solver.workspace();
-        let mut scratch = GroupRunScratch::for_ndof(3 * mesh.n_nodes());
-        let o1 = harness.run_grouped_with_scratch(
-            &plan,
-            &RunConfig::to_step(16),
-            &mut sb,
-            &mut wsb,
-            &mut NoExchange,
-            &mut [],
-            &mut scratch,
-        );
-        assert!(matches!(o1, RunOutcome::Finished { executed: 16 }));
-        assert_eq!(sb.step, 16);
-        let o2 = harness.run_grouped_with_scratch(
-            &plan,
-            &RunConfig::to_step(32),
-            &mut sb,
-            &mut wsb,
-            &mut NoExchange,
-            &mut [],
-            &mut scratch,
-        );
+        let dir = std::env::temp_dir()
+            .join("quake-solver-tests")
+            .join(format!("lts-resume-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let writer = CheckpointWriter::new(&dir, "lts").unwrap();
+        let policy = CheckpointPolicy::every_steps(16);
+        let mut first_leg = plan.initial_state(&solver, recv.len(), Some((&u0, &v0)));
+        {
+            let mut sink = PeriodicSink::new(&writer, &policy);
+            let mut hb = ReceiverHook::new(&recv);
+            let mut ckpt = CheckpointHook::new(&mut sink);
+            let o1 = harness.run_grouped(
+                &plan,
+                &RunConfig::to_step(16),
+                &mut first_leg,
+                &mut ws,
+                &mut NoExchange,
+                &mut [&mut hb, &mut ckpt],
+            );
+            assert!(matches!(o1, RunOutcome::Finished { executed: 16 }));
+        }
+        drop(first_leg); // resume must come purely from the file
+
+        let (step, mut sb): (u64, SolverState) = CheckpointReader::new(&dir, "lts")
+            .latest_valid(&quake_telemetry::Registry::disabled())
+            .unwrap();
+        assert_eq!((step, sb.step), (16, 16));
+        let mut hb = ReceiverHook::new(&recv);
+        let o2 =
+            harness.run_grouped(&plan, &cfg, &mut sb, &mut ws, &mut NoExchange, &mut [&mut hb]);
         assert!(matches!(o2, RunOutcome::Finished { executed: 16 }));
 
         assert_eq!(sa.step, sb.step);
         assert_eq!(sa.u_prev, sb.u_prev);
         assert_eq!(sa.u_now, sb.u_now);
+        for (ta, tb) in sa.seismograms.iter().zip(&sb.seismograms) {
+            assert_eq!(ta.n_samples(), 32 / plan.cycle() as usize);
+            assert_eq!(ta.data, tb.data);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -992,37 +691,16 @@ mod tests {
         let mut folded_global = v.clone();
         mesh.fold_hanging_planar(&mut folded_global, 3);
         let mut folded_grouped = v.clone();
-        for g in (0..plan.n_groups()).rev() {
-            for &ci in &plan.passes[g].constraints {
-                let c = &mesh.constraints[ci as usize];
-                for comp in 0..3 {
-                    let d = comp * n + c.node as usize;
-                    let val = folded_grouped[d];
-                    if val != 0.0 {
-                        for &(mnd, wgt) in &c.masters {
-                            folded_grouped[comp * n + mnd as usize] += wgt * val;
-                        }
-                    }
-                    folded_grouped[d] = 0.0;
-                }
-            }
+        for gp in plan.passes.iter().rev() {
+            HexMesh::fold_constraints_planar(&gp.constraints, n, &mut folded_grouped, 3);
         }
         assert_eq!(folded_global, folded_grouped);
 
         let mut interp_global = v.clone();
         mesh.interpolate_hanging_planar(&mut interp_global, 3);
         let mut interp_grouped = v.clone();
-        for g in (0..plan.n_groups()).rev() {
-            for &ci in &plan.passes[g].constraints {
-                let c = &mesh.constraints[ci as usize];
-                for comp in 0..3 {
-                    let mut val = 0.0;
-                    for &(mnd, wgt) in &c.masters {
-                        val += wgt * interp_grouped[comp * n + mnd as usize];
-                    }
-                    interp_grouped[comp * n + c.node as usize] = val;
-                }
-            }
+        for gp in plan.passes.iter().rev() {
+            HexMesh::interpolate_constraints_planar(&gp.constraints, n, &mut interp_grouped, 3);
         }
         assert_eq!(interp_global, interp_grouped);
     }
@@ -1045,9 +723,8 @@ mod tests {
         }
         let mut u = exact.clone();
         let mut n_constraints = 0;
-        for g in 0..plan.n_groups() {
-            for &ci in &plan.passes[g].constraints {
-                let c = &mesh.constraints[ci as usize];
+        for gp in &plan.passes {
+            for c in &gp.constraints {
                 n_constraints += 1;
                 for comp in 0..3 {
                     // Poison, then let the group's interp restore it.

@@ -39,7 +39,7 @@ fn matvec_rowwise(
 
 /// One explicit step of the pre-optimization two-pass implementation over
 /// the full domain. Semantically equivalent to
-/// [`ElasticSolver::step`]; numerically equal up to floating-point
+/// [`ElasticSolver::step_with`]; numerically equal up to floating-point
 /// summation order (different element order and accumulator shape).
 pub fn reference_step(
     solver: &ElasticSolver<'_>,

@@ -60,6 +60,9 @@ pub struct SweepSchedule {
     nodes: Vec<u32>,
     /// Damping gather coefficient `dt beta_e / 2` of scheduled element `j`.
     bscale: Vec<f64>,
+    /// Scheduled elements with a nonzero Rayleigh `beta` (the cost model's
+    /// damped/undamped split).
+    n_damped: usize,
     /// Class-homogeneous runs in schedule order.
     runs: Vec<Run>,
     /// Color `ci` owns `runs[color_runs[ci]..color_runs[ci+1]]`.
@@ -98,6 +101,7 @@ impl SweepSchedule {
         let mut color_runs = Vec::with_capacity(coloring.n_colors() + 1);
         color_runs.push(0);
         let mut pos = 0u32;
+        let mut n_damped = 0;
         let mut sorted: Vec<(u32, u32)> = Vec::new();
         for color in coloring.colors() {
             sorted.clear();
@@ -118,6 +122,7 @@ impl SweepSchedule {
                     nodes.push(nd);
                 }
                 bscale.push(0.5 * dt * beta[ei as usize]);
+                n_damped += usize::from(beta[ei as usize] != 0.0);
                 // Extend the current run only within this color (a run that
                 // ended exactly at the previous color boundary must not leak
                 // across it).
@@ -132,8 +137,16 @@ impl SweepSchedule {
             }
             color_runs.push(runs.len());
         }
-        let schedule =
-            SweepSchedule { n_nodes: n, dt2: dt * dt, templates, nodes, bscale, runs, color_runs };
+        let schedule = SweepSchedule {
+            n_nodes: n,
+            dt2: dt * dt,
+            templates,
+            nodes,
+            bscale,
+            n_damped,
+            runs,
+            color_runs,
+        };
         // Runtime witness of the static parallel-disjointness argument:
         // debug builds verify the coloring the schedule was handed really
         // is node-disjoint before any threaded sweep trusts it.
@@ -151,6 +164,11 @@ impl SweepSchedule {
     /// Number of scheduled elements.
     pub fn n_elements(&self) -> usize {
         self.bscale.len()
+    }
+
+    /// Number of scheduled elements with a nonzero Rayleigh `beta`.
+    pub fn n_damped(&self) -> usize {
+        self.n_damped
     }
 
     /// Number of distinct stiffness classes (levels x materials).

@@ -7,18 +7,34 @@ use std::path::PathBuf;
 use quake_ckpt::{CheckpointPolicy, CheckpointReader, CheckpointWriter, PeriodicSink};
 use quake_mesh::hexmesh::{ElemMaterial, HexMesh};
 use quake_octree::{BalanceMode, LinearOctree, MAX_LEVEL};
-use quake_solver::harness::{HookCtx, StopReason};
+use quake_parcomm::{Fault, FaultPlan};
+use quake_solver::harness::{FaultHook, HookCtx, StopReason};
 use quake_solver::layout::{to_interleaved3, to_planar3};
 use quake_solver::reference::reference_step;
 use quake_solver::{
-    CheckpointHook, ElasticConfig, ElasticSolver, NoExchange, ReceiverHook, RunConfig, RunOutcome,
-    SolverHarness, SolverState, StepHook, TelemetryHook,
+    CheckpointHook, ElasticConfig, ElasticSolver, HealthConfig, HealthHook, NoExchange,
+    RateGroupPlan, ReceiverHook, RunConfig, RunOutcome, SolverHarness, SolverState, StepHook,
+    TelemetryHook,
 };
 
 /// Small multiresolution mesh with hanging nodes — the production step shape.
 fn build_mesh() -> HexMesh {
     let half = 1u32 << (MAX_LEVEL - 1);
     let mut tree = LinearOctree::build(|o| o.level < 2 || (o.level < 3 && o.x < half));
+    tree.balance(BalanceMode::Full);
+    HexMesh::from_octree(&tree, 8.0, |_, _, _, _| ElemMaterial { lambda: 2.0, mu: 1.0, rho: 1.0 })
+}
+
+/// Three refinement levels (coarse background, a level-4 quadrant, a level-5
+/// octant corner): three rate groups with factors 1, 2, 4.
+fn three_level_mesh() -> HexMesh {
+    let half = 1u32 << (MAX_LEVEL - 1);
+    let quarter = 1u32 << (MAX_LEVEL - 2);
+    let mut tree = LinearOctree::build(|o| {
+        o.level < 3
+            || (o.level < 4 && o.x < half && o.y < half)
+            || (o.level < 5 && o.x < quarter && o.y < quarter && o.z < quarter)
+    });
     tree.balance(BalanceMode::Full);
     HexMesh::from_octree(&tree, 8.0, |_, _, _, _| ElemMaterial { lambda: 2.0, mu: 1.0, rho: 1.0 })
 }
@@ -52,61 +68,150 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
 
 /// Satellite 3a: any permutation of {telemetry, checkpoint, receiver} hooks
 /// yields bit-identical displacement histories — hooks observe the step,
-/// they never perturb it.
+/// they never perturb it — under global dt (the one-group plan) and under a
+/// 3-group rate plan alike.
 #[test]
 fn hook_order_does_not_change_the_history() {
-    let mesh = build_mesh();
+    let mesh = three_level_mesh();
     let mut cfg = ElasticConfig::new(1.0);
-    cfg.dt = Some(0.05);
+    cfg.dt = Some(0.02);
     let solver = ElasticSolver::new(&mesh, &cfg);
     let (u0, v0) = pulse(&mesh);
     let nodes: Vec<u32> = vec![0, (mesh.n_nodes() / 2) as u32];
-    let n_steps = 9u64;
+    let n_steps = 12u64;
+    let harness = SolverHarness::new(&solver);
 
     let perms: [[usize; 3]; 6] = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
-    let mut baseline: Option<SolverState> = None;
-    for (pi, perm) in perms.iter().enumerate() {
-        let dir = tmpdir(&format!("perm{pi}"));
-        let writer = CheckpointWriter::new(&dir, "perm").unwrap();
-        let policy = CheckpointPolicy::every_steps(3);
-        let mut sink = PeriodicSink::new(&writer, &policy);
+    for plan in [None, Some(RateGroupPlan::build(&solver, 8))] {
+        let cycle = plan.as_ref().map_or(1, |p| p.cycle());
+        assert!(plan.as_ref().is_none_or(|p| p.n_groups() == 3 && cycle == 4));
+        let mut baseline: Option<SolverState> = None;
+        for (pi, perm) in perms.iter().enumerate() {
+            let dir = tmpdir(&format!("perm{pi}-m{cycle}"));
+            let writer = CheckpointWriter::new(&dir, "perm").unwrap();
+            let policy = CheckpointPolicy::every_steps(4);
+            let mut sink = PeriodicSink::new(&writer, &policy);
 
-        let mut receivers = ReceiverHook::new(&nodes);
-        let mut ckpt = CheckpointHook::new(&mut sink);
-        let mut telemetry = TelemetryHook::new(&solver);
-        let mut slots: [Option<&mut dyn StepHook>; 3] =
-            [Some(&mut receivers), Some(&mut ckpt), Some(&mut telemetry)];
-        let mut hooks: Vec<&mut dyn StepHook> = Vec::new();
-        for &slot in perm {
-            hooks.push(slots[slot].take().unwrap());
+            let mut receivers = ReceiverHook::new(&nodes);
+            let mut ckpt = CheckpointHook::new(&mut sink);
+            let mut telemetry = TelemetryHook::new(&solver);
+            let mut slots: [Option<&mut dyn StepHook>; 3] =
+                [Some(&mut receivers), Some(&mut ckpt), Some(&mut telemetry)];
+            let mut hooks: Vec<&mut dyn StepHook> = Vec::new();
+            for &slot in perm {
+                hooks.push(slots[slot].take().unwrap());
+            }
+
+            let mut ws = solver.workspace();
+            let run_cfg = RunConfig::to_step(n_steps);
+            let initial = Some((&u0[..], &v0[..]));
+            let (state, outcome) = match &plan {
+                None => {
+                    let mut state = solver.initial_state(nodes.len(), initial);
+                    let o = harness.run(&run_cfg, &mut state, &mut ws, &mut NoExchange, &mut hooks);
+                    (state, o)
+                }
+                Some(plan) => {
+                    let mut state = plan.initial_state(&solver, nodes.len(), initial);
+                    let o = harness.run_grouped(
+                        plan,
+                        &run_cfg,
+                        &mut state,
+                        &mut ws,
+                        &mut NoExchange,
+                        &mut hooks,
+                    );
+                    (state, o)
+                }
+            };
+            assert!(matches!(outcome, RunOutcome::Finished { executed } if executed == n_steps));
+            // Every permutation checkpointed the same due steps, each with
+            // one seismogram sample per completed sync step.
+            let reader = CheckpointReader::new(&dir, "perm");
+            assert_eq!(reader.steps(), vec![4, 8, 12]);
+            let (_, at8) = reader.load::<SolverState>(8).unwrap();
+            assert_eq!(at8.seismograms[0].n_samples() as u64, 8 / cycle);
+            assert_eq!(state.seismograms[0].n_samples() as u64, n_steps / cycle);
+
+            match &baseline {
+                None => baseline = Some(state),
+                Some(b) => {
+                    assert_bits_eq(&b.u_prev, &state.u_prev, "u_prev");
+                    assert_bits_eq(&b.u_now, &state.u_now, "u_now");
+                    for (sa, sb) in b.seismograms.iter().zip(&state.seismograms) {
+                        assert_bits_eq(&sa.data, &sb.data, "seismogram");
+                    }
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+}
 
-        let mut state = solver.initial_state(nodes.len(), Some((&u0, &v0)));
-        let mut ws = solver.workspace();
-        let run_cfg = RunConfig::to_step(n_steps);
-        let outcome = SolverHarness::new(&solver).run(
+/// ROADMAP aim 3d: a silent NaN injected under a 3-group rate plan
+/// (`Fault::CorruptState`, fired at a sync step) is caught by the
+/// `HealthHook` at the next sync step, the report names the last checkpoint
+/// line that predates the corruption, and resuming from that file replays
+/// the unfaulted run to the bit.
+#[test]
+fn corrupt_state_under_lts_is_caught_at_the_next_sync_step() {
+    let mesh = three_level_mesh();
+    let mut cfg = ElasticConfig::new(1.0);
+    cfg.dt = Some(0.02);
+    let solver = ElasticSolver::new(&mesh, &cfg);
+    let plan = RateGroupPlan::build(&solver, 8);
+    assert_eq!((plan.n_groups(), plan.cycle()), (3, 4));
+    let (u0, v0) = pulse(&mesh);
+    let harness = SolverHarness::new(&solver);
+    let run_cfg = RunConfig::to_step(24);
+    let mut ws = solver.workspace();
+
+    let mut straight = plan.initial_state(&solver, 0, Some((&u0, &v0)));
+    let o = harness.run_grouped(&plan, &run_cfg, &mut straight, &mut ws, &mut NoExchange, &mut []);
+    assert!(matches!(o, RunOutcome::Finished { executed: 24 }));
+
+    let dir = tmpdir("lts-corrupt");
+    let writer = CheckpointWriter::new(&dir, "lts").unwrap();
+    let policy = CheckpointPolicy::every_steps(4);
+    let faults = FaultPlan::none().and(Fault::CorruptState { rank: 0, step: 8, index: 10 });
+    let mut state = plan.initial_state(&solver, 0, Some((&u0, &v0)));
+    let (outcome, report) = {
+        let mut sink = PeriodicSink::new(&writer, &policy);
+        let mut fault = FaultHook::new(faults.rank_view(0));
+        // Health precedes the checkpoint hook, so the corrupt state at step
+        // 12 is never offered to the sink.
+        let mut health = HealthHook::new(&solver, HealthConfig::every(4).with_ckpt_every(4));
+        let mut ckpt = CheckpointHook::new(&mut sink);
+        let outcome = harness.run_grouped(
+            &plan,
             &run_cfg,
             &mut state,
             &mut ws,
             &mut NoExchange,
-            &mut hooks,
+            &mut [&mut fault, &mut health, &mut ckpt],
         );
-        assert!(matches!(outcome, RunOutcome::Finished { executed } if executed == n_steps));
-        // Every permutation checkpointed the same due steps.
-        assert_eq!(CheckpointReader::new(&dir, "perm").steps(), vec![3, 6, 9]);
+        (outcome, health.report().cloned())
+    };
+    let RunOutcome::Stopped { step, reason: StopReason::Health(msg) } = outcome else {
+        panic!("watchdog must stop the run, got {outcome:?}");
+    };
+    assert_eq!(step, 8, "stopped in the macro cycle the corruption entered");
+    assert!(msg.contains("non-finite"), "{msg}");
+    let report = report.expect("report recorded");
+    assert_eq!(report.step, 12, "detected at the next sync step");
+    assert_eq!(report.last_valid_ckpt, Some(8));
+    assert!(!report.bad_dofs.is_empty());
 
-        match &baseline {
-            None => baseline = Some(state),
-            Some(b) => {
-                assert_bits_eq(&b.u_prev, &state.u_prev, "u_prev");
-                assert_bits_eq(&b.u_now, &state.u_now, "u_now");
-                for (sa, sb) in b.seismograms.iter().zip(&state.seismograms) {
-                    assert_bits_eq(&sa.data, &sb.data, "seismogram");
-                }
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let reader = CheckpointReader::new(&dir, "lts");
+    assert_eq!(reader.steps(), vec![4, 8], "no line past the corruption was persisted");
+    let (at, mut resumed): (u64, SolverState) =
+        reader.latest_valid(&quake_telemetry::Registry::disabled()).unwrap();
+    assert_eq!(Some(at), report.last_valid_ckpt);
+    let o = harness.run_grouped(&plan, &run_cfg, &mut resumed, &mut ws, &mut NoExchange, &mut []);
+    assert!(matches!(o, RunOutcome::Finished { executed: 16 }));
+    assert_bits_eq(&straight.u_prev, &resumed.u_prev, "resumed u_prev");
+    assert_bits_eq(&straight.u_now, &resumed.u_now, "resumed u_now");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 struct PanicAt {

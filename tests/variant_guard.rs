@@ -24,7 +24,8 @@ fn no_new_public_run_variants_outside_the_harness() {
         rule.check(f, &mut findings);
     }
 
-    assert!(rule.seen >= 5, "the scan no longer sees the known entry points ({})", rule.seen);
+    // The allowlist names 10 entry points; all of them must be seen.
+    assert!(rule.seen >= 10, "the scan no longer sees the known entry points ({})", rule.seen);
     assert!(
         findings.is_empty(),
         "new public run_* variant(s) outside the harness — route them through \
