@@ -32,8 +32,18 @@
 //!   writes the final traced trial's ring as a Chrome `trace_event` JSON,
 //!   loadable in Perfetto or chrome://tracing.
 //!
+//! - `many_class`: `step_with` on the LA-basin mesh of the benchmark's
+//!   `basin_forward` workload — wavelength-adapted, hundreds of `(h, lambda,
+//!   mu)` classes, class runs of a dozen elements. The rows above step a
+//!   2-class mesh whose runs fill every lane of every tile, which is how a
+//!   kernel that wasted most of its flops on short runs went unnoticed; this
+//!   row is the one a heterogeneous mesh sees. It records the schedule's
+//!   lane fill (scheduled elements / matvec lanes computed) next to the
+//!   rate.
+//!
 //! Pass `--check-throughput <eups>` to fail the run if the fused kernel's
-//! element-updates/s falls below the floor — the CI regression gate.
+//! element-updates/s falls below the floor on either mesh (`fused` or
+//! `many_class`) — the CI regression gate.
 //!
 //! Pass `--lts` to add the rate-group (clustered local-time-stepping) leg:
 //! a coarse-dominant 3-level mesh is stepped once with the fused global-dt
@@ -50,6 +60,10 @@
 //! flop/byte counts, yield the per-phase table printed at the end (wall time,
 //! share of the step, sustained rate, arithmetic intensity and roofline
 //! efficiency against the paper's LeMieux-like `MachineModel::default()`).
+//! The element phase's rate, intensity and roofline share are taken on the
+//! flops the matvec *executed* (all computed lanes), with the useful count
+//! (scheduled elements only) and the lane fill reported beside them; the
+//! table is printed and written for both meshes.
 //!
 //! Outputs: the full run writes `BENCH_step_throughput.json` and
 //! `BENCH_phase_breakdown.json` at the repo root; `--smoke` (CI) runs a tiny
@@ -59,8 +73,10 @@
 
 use std::time::Instant;
 
-use quake_machine::{bytes, MachineModel};
+use quake_machine::{bytes, flops, MachineModel};
 use quake_mesh::hexmesh::{ElemMaterial, HexMesh};
+use quake_mesh::{mesh_from_model, MeshingParams};
+use quake_model::LaBasinModel;
 use quake_octree::{BalanceMode, LinearOctree, MAX_LEVEL};
 use quake_solver::elastic::RayleighBand;
 use quake_solver::reference::reference_step;
@@ -68,6 +84,7 @@ use quake_solver::{
     ElasticConfig, ElasticSolver, NoExchange, NoopHook, RateGroupPlan, RunConfig, RunOutcome,
     SolverHarness,
 };
+use quake_telemetry::Registry;
 
 /// Multiresolution mesh: uniform `coarse` level with the x < 1/2 half refined
 /// one level deeper, 2:1 balanced — hanging nodes cross the interface.
@@ -79,11 +96,26 @@ fn build_mesh(coarse: u8) -> HexMesh {
     HexMesh::from_octree(&tree, 8.0, |_, _, _, _| ElemMaterial { lambda: 2.0, mu: 1.0, rho: 1.0 })
 }
 
-fn shear_pulse(mesh: &HexMesh) -> Vec<f64> {
+/// The LA-basin mesh of the benchmark's `basin_forward` workload. `--smoke`
+/// steps the same mesh: a smaller one of the family has long class runs
+/// (level 5: 110 classes, lane fill 0.97), which is the regime this row
+/// exists to leave.
+fn build_basin_mesh() -> HexMesh {
+    let extent = 20_000.0;
+    let mut meshing = MeshingParams::new(extent, 0.3);
+    meshing.min_level = 2;
+    meshing.max_level = 6;
+    mesh_from_model(&meshing, &LaBasinModel::scaled(400.0, extent)).1
+}
+
+/// Gaussian shear pulse at the centre of a cubic domain of side `extent`,
+/// one eighth of it wide.
+fn shear_pulse(mesh: &HexMesh, extent: f64) -> Vec<f64> {
+    let (mid, width) = (extent / 2.0, extent / 8.0);
     let mut u = vec![0.0; 3 * mesh.n_nodes()];
     for (i, c) in mesh.coords.iter().enumerate() {
-        let r2 = (c[0] - 4.0).powi(2) + (c[1] - 4.0).powi(2) + (c[2] - 4.0).powi(2);
-        u[3 * i + 1] = (-r2 / 2.0).exp();
+        let r2 = (c[0] - mid).powi(2) + (c[1] - mid).powi(2) + (c[2] - mid).powi(2);
+        u[3 * i + 1] = (-r2 / (2.0 * width * width)).exp();
     }
     mesh.interpolate_hanging(&mut u, 3);
     u
@@ -124,11 +156,159 @@ struct PhaseRow {
     name: &'static str,
     secs: f64,
     share: f64,
+    /// Useful flops: the analytic count over scheduled elements.
     flops: u64,
+    /// Flops executed: `flops` plus the matvec lanes no element fills (the
+    /// element phase only). Rate, intensity and roofline use this.
+    flops_executed: u64,
     bytes: u64,
     intensity: f64,
     flops_per_sec: f64,
     roofline_efficiency: f64,
+}
+
+/// One mesh's per-phase breakdown, read from the registry of an instrumented
+/// `step_with` run.
+struct Breakdown {
+    mesh_elements: usize,
+    mesh_nodes: usize,
+    classes: usize,
+    lane_fill: f64,
+    n_steps: u64,
+    step_secs: f64,
+    rows: Vec<PhaseRow>,
+}
+
+impl Breakdown {
+    fn of(solver: &ElasticSolver<'_>, reg: &Registry) -> Breakdown {
+        let step = reg.span_stats("step").expect("step span");
+        let (n_steps, step_secs) = (step.count, step.total_secs());
+        solver.record_step_costs(solver.full_scope(), n_steps, reg);
+        let machine = MachineModel::default();
+        let elements = solver.mesh.n_elements() as u64 * n_steps;
+        let idle_lanes = reg.counter("step/elements/lanes").unwrap() - elements;
+        let mut rows: Vec<PhaseRow> = Vec::new();
+        for name in ["fill", "elements", "abc", "fold", "exchange", "tail", "interp"] {
+            let s = reg
+                .span_stats(&format!("step/{name}"))
+                .unwrap_or_else(|| panic!("missing span step/{name}"));
+            assert_eq!(s.count, n_steps, "phase {name} must run once per step");
+            let flops = reg.counter(&format!("step/{name}/flops")).unwrap();
+            let flops_executed = flops
+                + if name == "elements" { idle_lanes * flops::TEMPLATE_HEX_MATVEC } else { 0 };
+            let bytes_moved = reg.counter(&format!("step/{name}/bytes")).unwrap();
+            let secs = s.total_secs();
+            let intensity = if bytes_moved == 0 {
+                0.0
+            } else {
+                bytes::arithmetic_intensity(flops_executed, bytes_moved)
+            };
+            let flops_per_sec = if secs > 0.0 { flops_executed as f64 / secs } else { 0.0 };
+            let roofline_efficiency = if flops == 0 {
+                0.0
+            } else {
+                machine.roofline_efficiency(flops_per_sec, intensity)
+            };
+            rows.push(PhaseRow {
+                name,
+                secs,
+                share: secs / step_secs,
+                flops,
+                flops_executed,
+                bytes: bytes_moved,
+                intensity,
+                flops_per_sec,
+                roofline_efficiency,
+            });
+        }
+        let schedule = &solver.full_scope().schedule;
+        Breakdown {
+            mesh_elements: solver.mesh.n_elements(),
+            mesh_nodes: solver.mesh.n_nodes(),
+            classes: schedule.n_classes(),
+            lane_fill: schedule.lane_fill(),
+            n_steps,
+            step_secs,
+            rows,
+        }
+    }
+
+    fn phase_sum(&self) -> f64 {
+        self.rows.iter().map(|r| r.secs).sum()
+    }
+
+    fn print(&self, title: &str) {
+        println!(
+            "\nper-phase breakdown, {title} ({} steps, {} classes, lane fill {:.3}; roofline \
+             vs the paper's LeMieux-like default machine, on executed flops):",
+            self.n_steps, self.classes, self.lane_fill
+        );
+        println!(
+            "{:<10} {:>9} {:>7} {:>10} {:>10} {:>9} {:>8}",
+            "phase", "ms", "share", "Gflop/s", "flop/byte", "roofline", "useful"
+        );
+        for r in &self.rows {
+            println!(
+                "{:<10} {:>9.3} {:>6.1}% {:>10.3} {:>10.3} {:>8.1}% {:>7.1}%",
+                r.name,
+                r.secs * 1e3,
+                r.share * 100.0,
+                r.flops_per_sec / 1e9,
+                r.intensity,
+                r.roofline_efficiency * 100.0,
+                if r.flops_executed == 0 {
+                    100.0
+                } else {
+                    r.flops as f64 / r.flops_executed as f64 * 100.0
+                }
+            );
+        }
+        println!(
+            "{:<10} {:>9.3} {:>6.1}%   (step total {:.3} ms)",
+            "sum",
+            self.phase_sum() * 1e3,
+            self.phase_sum() / self.step_secs * 100.0,
+            self.step_secs * 1e3
+        );
+        assert!(
+            self.phase_sum() >= 0.95 * self.step_secs,
+            "phase spans cover only {:.1}% of the step span — untracked time in the hot path",
+            self.phase_sum() / self.step_secs * 100.0
+        );
+    }
+
+    /// The breakdown's JSON fields (no enclosing braces), each line
+    /// indented by `pad`.
+    fn json_fields(&self, pad: &str) -> String {
+        let mut out = String::new();
+        out.push_str(&format!("{pad}\"mesh_elements\": {},\n", self.mesh_elements));
+        out.push_str(&format!("{pad}\"mesh_nodes\": {},\n", self.mesh_nodes));
+        out.push_str(&format!("{pad}\"classes\": {},\n", self.classes));
+        out.push_str(&format!("{pad}\"lane_fill\": {:.4},\n", self.lane_fill));
+        out.push_str(&format!("{pad}\"n_steps\": {},\n", self.n_steps));
+        out.push_str(&format!("{pad}\"step_total_secs\": {:.6},\n", self.step_secs));
+        out.push_str(&format!("{pad}\"phase_sum_secs\": {:.6},\n", self.phase_sum()));
+        out.push_str(&format!("{pad}\"phases\": [\n"));
+        for (i, r) in self.rows.iter().enumerate() {
+            out.push_str(&format!(
+                "{pad}  {{ \"name\": \"{}\", \"secs\": {:.6}, \"share\": {:.4}, \"flops\": {}, \
+                 \"flops_executed\": {}, \"bytes\": {}, \"intensity\": {:.4}, \
+                 \"flops_per_sec\": {:.1}, \"roofline_efficiency\": {:.4} }}{}\n",
+                r.name,
+                r.secs,
+                r.share,
+                r.flops,
+                r.flops_executed,
+                r.bytes,
+                r.intensity,
+                r.flops_per_sec,
+                r.roofline_efficiency,
+                if i + 1 < self.rows.len() { "," } else { "" }
+            ));
+        }
+        out.push_str(&format!("{pad}]"));
+        out
+    }
 }
 
 fn main() {
@@ -158,7 +338,7 @@ fn main() {
     cfg.abc = [true, true, true, true, false, true];
     cfg.rayleigh = Some(RayleighBand { f_lo: 0.05, f_hi: 2.0 });
     let solver = ElasticSolver::new(&mesh, &cfg);
-    let u0 = shear_pulse(&mesh);
+    let u0 = shear_pulse(&mesh, 8.0);
     println!(
         "mesh: {} elements / {} nodes ({} hanging), dt = {}, {} steps x {} trials",
         mesh.n_elements(),
@@ -287,6 +467,32 @@ fn main() {
          (no-op-hook overhead {harness_overhead_pct:+.2}%, raw {harness_overhead_raw_pct:+.2}%)"
     );
 
+    // The same kernel on a many-class mesh: short class runs, so the rate
+    // depends on how many of the computed matvec lanes hold an element.
+    let bmesh = build_basin_mesh();
+    let bsolver = ElasticSolver::new(&bmesh, &ElasticConfig::new(1.0));
+    let bu0p = quake_solver::layout::to_planar3(&shear_pulse(&bmesh, 20_000.0));
+    let mut bws = bsolver.workspace_instrumented(0);
+    // Instrumented like the breakdown's other mesh; the telemetry cost is
+    // the `instrumented` row's, far inside the row's run-to-run spread.
+    let (many_sps, many_eups) = {
+        let bws_cell = std::cell::RefCell::new(&mut bws);
+        time_stepper(
+            &bmesh,
+            &bu0p,
+            ov_steps,
+            ov_trials,
+            || bws_cell.borrow().reg.reset(),
+            |up, un, f, next| bsolver.step_with(up, un, f, next, &mut bws_cell.borrow_mut()),
+        )
+    };
+    let many = Breakdown::of(&bsolver, &bws.into_registry());
+    println!(
+        "many_class   : {many_sps:>8.2} steps/s  {many_eups:>12.3e} element-updates/s  \
+         ({} elements, {} classes, lane fill {:.3})",
+        many.mesh_elements, many.classes, many.lane_fill
+    );
+
     let speedup = fused_eups / base_eups;
     println!("speedup      : {speedup:.2}x element-updates/s (fused vs baseline)");
     let parallel = cfg!(feature = "parallel");
@@ -339,7 +545,7 @@ fn main() {
             plan.factors()
         );
 
-        let lu0 = shear_pulse(&lmesh);
+        let lu0 = shear_pulse(&lmesh, 8.0);
         let lu0p = quake_solver::layout::to_planar3(&lu0);
         let mut lws = lsolver.workspace();
         let (lfused_sps, lfused_eups) = time_stepper(
@@ -419,98 +625,21 @@ fn main() {
         lts_json = Some(l);
     }
 
-    // ---- per-phase breakdown from the instrumented registry ----
+    // ---- per-phase breakdown from the instrumented registries ----
 
-    let steps_recorded = {
-        let reg = &iws.reg;
-        let n = reg.span_stats("step").expect("step span").count;
-        solver.record_step_costs(solver.full_scope(), n, reg);
-        n
-    };
     let reg = iws.into_registry();
-    let machine = MachineModel::default();
-    let step_secs = reg.span_stats("step").unwrap().total_secs();
-    let mut rows: Vec<PhaseRow> = Vec::new();
-    for name in ["fill", "elements", "abc", "fold", "exchange", "tail", "interp"] {
-        let s = reg
-            .span_stats(&format!("step/{name}"))
-            .unwrap_or_else(|| panic!("missing span step/{name}"));
-        assert_eq!(s.count, steps_recorded, "phase {name} must run once per step");
-        let flops = reg.counter(&format!("step/{name}/flops")).unwrap();
-        let bytes_moved = reg.counter(&format!("step/{name}/bytes")).unwrap();
-        let secs = s.total_secs();
-        let intensity =
-            if bytes_moved == 0 { 0.0 } else { bytes::arithmetic_intensity(flops, bytes_moved) };
-        let flops_per_sec = if secs > 0.0 { flops as f64 / secs } else { 0.0 };
-        let roofline_efficiency =
-            if flops == 0 { 0.0 } else { machine.roofline_efficiency(flops_per_sec, intensity) };
-        rows.push(PhaseRow {
-            name,
-            secs,
-            share: secs / step_secs,
-            flops,
-            bytes: bytes_moved,
-            intensity,
-            flops_per_sec,
-            roofline_efficiency,
-        });
-    }
-    let phase_sum: f64 = rows.iter().map(|r| r.secs).sum();
-
-    println!(
-        "\nper-phase breakdown ({steps_recorded} steps; roofline vs the paper's \
-         LeMieux-like default machine):"
-    );
-    println!(
-        "{:<10} {:>9} {:>7} {:>10} {:>10} {:>9}",
-        "phase", "ms", "share", "Gflop/s", "flop/byte", "roofline"
-    );
-    for r in &rows {
-        println!(
-            "{:<10} {:>9.3} {:>6.1}% {:>10.3} {:>10.3} {:>8.1}%",
-            r.name,
-            r.secs * 1e3,
-            r.share * 100.0,
-            r.flops_per_sec / 1e9,
-            r.intensity,
-            r.roofline_efficiency * 100.0
-        );
-    }
-    println!(
-        "{:<10} {:>9.3} {:>6.1}%   (step total {:.3} ms)",
-        "sum",
-        phase_sum * 1e3,
-        phase_sum / step_secs * 100.0,
-        step_secs * 1e3
-    );
+    let main = Breakdown::of(&solver, &reg);
+    main.print("2-class mesh");
+    many.print("many-class mesh");
 
     let mut breakdown = String::new();
     breakdown.push_str("{\n");
-    breakdown.push_str(&format!("  \"mesh_elements\": {},\n", mesh.n_elements()));
-    breakdown.push_str(&format!("  \"mesh_nodes\": {},\n", mesh.n_nodes()));
-    breakdown.push_str(&format!("  \"n_steps\": {steps_recorded},\n"));
-    breakdown.push_str(&format!("  \"step_total_secs\": {step_secs:.6},\n"));
-    breakdown.push_str(&format!("  \"phase_sum_secs\": {phase_sum:.6},\n"));
     breakdown.push_str(&format!("  \"telemetry_overhead_pct\": {overhead_pct:.3},\n"));
     breakdown.push_str(&format!("  \"parallel_sweep\": {parallel},\n"));
-    breakdown.push_str("  \"phases\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        breakdown.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"secs\": {:.6}, \"share\": {:.4}, \"flops\": {}, \
-             \"bytes\": {}, \"intensity\": {:.4}, \"flops_per_sec\": {:.1}, \
-             \"roofline_efficiency\": {:.4} }}{}\n",
-            r.name,
-            r.secs,
-            r.share,
-            r.flops,
-            r.bytes,
-            r.intensity,
-            r.flops_per_sec,
-            r.roofline_efficiency,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    breakdown.push_str("  ]\n}\n");
+    breakdown.push_str(&main.json_fields("  "));
+    breakdown.push_str(",\n  \"many_class\": {\n");
+    breakdown.push_str(&many.json_fields("    "));
+    breakdown.push_str("\n  }\n}\n");
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -535,6 +664,10 @@ fn main() {
     ));
     json.push_str(&format!(
         "  \"harness\": {{ \"steps_per_sec\": {harness_sps:.3}, \"noop_hook_overhead_pct\": {harness_overhead_pct:.3}, \"noop_hook_overhead_raw_pct\": {harness_overhead_raw_pct:.3} }},\n"
+    ));
+    json.push_str(&format!(
+        "  \"lane_fill\": {:.4},\n  \"many_class\": {{ \"mesh_elements\": {}, \"mesh_nodes\": {}, \"classes\": {}, \"lane_fill\": {:.4}, \"steps_per_sec\": {many_sps:.3}, \"element_updates_per_sec\": {many_eups:.1} }},\n",
+        main.lane_fill, many.mesh_elements, many.mesh_nodes, many.classes, many.lane_fill
     ));
     json.push_str(&format!("  \"speedup_fused_vs_baseline\": {speedup:.3}"));
     if let Some(l) = &lts_json {
@@ -568,11 +701,6 @@ fn main() {
         println!("wrote {tp}\nwrote {bp}");
     }
 
-    assert!(
-        phase_sum >= 0.95 * step_secs,
-        "phase spans cover only {:.1}% of the step span — untracked time in the hot path",
-        phase_sum / step_secs * 100.0
-    );
     if let Some(limit) = check_overhead {
         assert!(
             overhead_pct <= limit,
@@ -602,10 +730,12 @@ fn main() {
         );
     }
     if let Some(floor) = check_throughput {
-        assert!(
-            fused_eups >= floor,
-            "fused kernel throughput {fused_eups:.3e} element-updates/s is below the \
-             {floor:.3e} regression floor"
-        );
+        for (row, eups) in [("fused", fused_eups), ("many_class", many_eups)] {
+            assert!(
+                eups >= floor,
+                "{row} kernel throughput {eups:.3e} element-updates/s is below the \
+                 {floor:.3e} regression floor"
+            );
+        }
     }
 }

@@ -35,7 +35,11 @@ pub mod flops {
     /// (`x = dt^2 u + s w`, 3 flops per entry), ONE 24x24 mat-vec
     /// (mul+add), and the scatter-subtract — half the flops of
     /// [`ELASTIC_HEX_ELEMENT`]'s two-matvec form.
-    pub const TEMPLATE_HEX_ELEMENT: u64 = 24 * 24 * 2 + 3 * 24 + 24;
+    pub const TEMPLATE_HEX_ELEMENT: u64 = TEMPLATE_HEX_MATVEC + 3 * 24 + 24;
+
+    /// The mat-vec share of [`TEMPLATE_HEX_ELEMENT`] — what one computed
+    /// lane of the blocked sweep costs whether or not an element fills it.
+    pub const TEMPLATE_HEX_MATVEC: u64 = 24 * 24 * 2;
 
     /// Flops of one scalar hex element force evaluation (8x8 dense).
     pub const SCALAR_HEX_ELEMENT: u64 = 8 * 8 * 2 + 2 * 8 + 8;
@@ -201,6 +205,12 @@ pub mod phases {
         /// Interface values (f64 count) exchanged per step; zero for a
         /// serial run.
         pub exchange_doubles: u64,
+        /// Lanes the element matvec computes (`>= n_damped + n_undamped`:
+        /// the sweep rounds every class run up to whole lane groups). Not a
+        /// cost input — the phase flops count useful work — but the ratio
+        /// elements / lanes is the share of executed matvec flops that is
+        /// useful.
+        pub n_lanes: u64,
     }
 
     /// Per-step costs of each phase of the fused elastic step, in execution

@@ -36,6 +36,12 @@ pub enum Fault {
 }
 
 /// A scripted set of faults for one SPMD run.
+///
+/// Steps are base steps of the run. A step loop that only has a whole-domain
+/// state every `M` base steps (the solver's rate-group plans: `M` is the macro
+/// cycle, 1 under global dt) fires a [`Fault::Kill`] or
+/// [`Fault::CorruptState`] scripted for step `s` at its first sync step
+/// `>= s`; exchange faults fire at exactly `s`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     faults: Vec<Fault>,

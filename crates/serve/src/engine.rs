@@ -5,7 +5,8 @@
 //! Lifecycle:
 //!
 //! ```text
-//! start:   model -> (per registered model_scale) mesh + fingerprint
+//! start:   model -> (per registered model_scale) mesh + solver data
+//!          (built once, shared by every worker) + fingerprint
 //! submit:  validate -> content key -> admission (queue + cost budget)
 //!          -> enqueue (Interactive lane ahead of Batch) -> Ticket
 //! worker:  pop under one lock (exactly once) -> cache get
@@ -44,7 +45,7 @@ use quake_ckpt::{CkptError, Encoder};
 use quake_mesh::{mesh_from_model, HexMesh, MeshingParams};
 use quake_model::{Material, MaterialModel};
 use quake_octree::LinearOctree;
-use quake_solver::{ElasticConfig, ElasticSolver};
+use quake_solver::{ElasticConfig, ElasticSolver, SolverData};
 use quake_telemetry::Registry;
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -82,11 +83,14 @@ impl<M: MaterialModel> MaterialModel for ScaledModel<'_, M> {
 }
 
 /// One prebuilt serving context: the meshed domain for one registered
-/// model scale, plus the facts submit-side admission and keying need.
+/// model scale, its solver data (coloring, templates, schedule, diagonals —
+/// built once, every worker's solver attaches to this copy), plus the facts
+/// submit-side admission and keying need.
 pub struct Variant {
     pub scale: f64,
     pub tree: LinearOctree,
     pub mesh: HexMesh,
+    solver: Arc<SolverData>,
     /// Content-address context: hashes the scale, dt, step count, and mesh
     /// shape, so keys from different variants (or regenerated meshes) can
     /// share one cache directory without colliding by construction.
@@ -117,7 +121,8 @@ pub struct EngineConfig {
     /// the baseline unless the engine intentionally serves only perturbed
     /// models.
     pub model_scales: Vec<f64>,
-    /// Worker threads (each owns one `ServeScratch` per variant).
+    /// Worker threads (each owns one `ServeScratch` per variant; the
+    /// variant's solver data is shared).
     pub workers: usize,
     /// Maximum queued (not yet started) requests across both lanes.
     pub queue_capacity: usize,
@@ -279,7 +284,6 @@ impl QueueState {
 
 struct Shared {
     variants: Vec<Variant>,
-    solve: ElasticConfig,
     cache: Option<ResultCache>,
     max_receivers: usize,
     queue_capacity: usize,
@@ -367,8 +371,9 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// Mesh every registered model scale, probe each variant's solver for
-    /// its dt/step count, and start the worker pool.
+    /// Mesh every registered model scale, build each variant's solver data
+    /// once (it also fixes the variant's dt/step count), and start the
+    /// worker pool.
     pub fn start(model: &impl MaterialModel, cfg: EngineConfig) -> Result<ServeEngine, CkptError> {
         assert!(cfg.workers >= 1, "an engine needs at least one worker");
         assert!(!cfg.model_scales.is_empty(), "register at least one model scale");
@@ -378,13 +383,20 @@ impl ServeEngine {
             let _s = reg.span("serve/build_variant");
             let scaled = ScaledModel::new(model, scale);
             let (tree, mesh) = mesh_from_model(&cfg.meshing, &scaled);
-            // Probe solver: dt and step count are mesh/material properties.
-            let probe = ElasticSolver::new(&mesh, &cfg.solve);
-            let (dt, n_steps) = (probe.dt, probe.n_steps as u64);
-            drop(probe);
+            let solver = Arc::new(SolverData::build(&mesh, &cfg.solve));
+            let (dt, n_steps) = (solver.dt, solver.n_steps as u64);
             let fingerprint = variant_fingerprint(scale, dt, n_steps, &mesh);
             let n_elements = mesh.n_elements() as u64;
-            variants.push(Variant { scale, tree, mesh, fingerprint, dt, n_steps, n_elements });
+            variants.push(Variant {
+                scale,
+                tree,
+                mesh,
+                solver,
+                fingerprint,
+                dt,
+                n_steps,
+                n_elements,
+            });
         }
         let cache = match &cfg.cache_dir {
             Some(dir) => Some(ResultCache::open(dir, cfg.cache_byte_budget)?),
@@ -392,7 +404,6 @@ impl ServeEngine {
         };
         let shared = Arc::new(Shared {
             variants,
-            solve: cfg.solve,
             cache,
             max_receivers: cfg.max_receivers,
             queue_capacity: cfg.queue_capacity,
@@ -599,11 +610,14 @@ impl Drop for ServeEngine {
 
 fn worker_loop(shared: &Arc<Shared>, telemetry_rank: usize) -> Registry {
     let reg = Registry::new(telemetry_rank);
-    // Each worker owns one solver + scratch per variant, built once; the
-    // solver borrows the Arc-shared mesh, the scratch is reused for every
-    // request this worker ever serves.
-    let solvers: Vec<ElasticSolver<'_>> =
-        shared.variants.iter().map(|v| ElasticSolver::new(&v.mesh, &shared.solve)).collect();
+    // Each worker owns one scratch per variant, reused for every request it
+    // ever serves; its solvers only attach to the variants' shared mesh and
+    // solver data.
+    let solvers: Vec<ElasticSolver<'_>> = shared
+        .variants
+        .iter()
+        .map(|v| ElasticSolver::attach(&v.mesh, Arc::clone(&v.solver)))
+        .collect();
     let mut scratches: Vec<ServeScratch> =
         solvers.iter().map(|s| ServeScratch::for_solver(s, shared.max_receivers)).collect();
     loop {

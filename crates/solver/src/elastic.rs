@@ -61,6 +61,7 @@
 
 use crate::abc::{accumulate_abc_damping, apply_abc_stiffness_planar, build_abc_faces, AbcFace};
 use crate::checkpoint::SolverState;
+use crate::layout::to_planar3;
 use crate::receivers::Seismogram;
 use crate::sources::AssembledSource;
 use crate::sweep::SweepSchedule;
@@ -70,6 +71,7 @@ use quake_mesh::coloring::{color_elements, ElementColoring};
 use quake_mesh::{Constraint, HexMesh};
 use quake_model::attenuation::{damping_target_for_vs, fit_rayleigh};
 use quake_telemetry::{Registry, SpanId};
+use std::sync::Arc;
 
 /// Rayleigh-damping configuration: the frequency band the elementwise
 /// least-squares fit targets.
@@ -270,7 +272,9 @@ impl StepWorkspace {
     }
 }
 
-/// The assembled explicit solver.
+/// The assembled explicit solver: a mesh borrow plus the shared, immutable
+/// [`SolverData`] derived from it (read through `Deref`, so `solver.dt`,
+/// `solver.n_steps` are its fields).
 ///
 /// Hanging-node treatment: stiffness-like terms are applied matrix-free on
 /// the full node set and folded exactly (`B^T K B`), while every *diagonal*
@@ -281,28 +285,33 @@ impl StepWorkspace {
 /// paper means by "the projection preserves the diagonality of A".
 pub struct ElasticSolver<'m> {
     pub mesh: &'m HexMesh,
+    data: Arc<SolverData>,
+}
+
+/// Everything [`ElasticSolver::new`] derives from a mesh and a config — the
+/// time step, the step diagonals, the absorbing faces, the Rayleigh
+/// constants and the full-domain coloring, templates and schedule. It owns
+/// its data and borrows nothing, so one build can serve any number of
+/// solvers over the same mesh ([`ElasticSolver::attach`]): `quake-serve`
+/// builds it once per variant and every worker attaches to the one copy.
+pub struct SolverData {
     pub dt: f64,
     pub n_steps: usize,
     /// Lumped nodal mass per node (unprojected; diagnostics only).
     pub(crate) mass: Vec<f64>,
-    /// Projected (squared-weight folded) mass per dof. Interleaved — the
-    /// frozen `reference` oracle reads these four diagonals; the planar
-    /// `*_p` twins below are what the production step streams.
-    pub(crate) mass_f: Vec<f64>,
+    /// The step diagonals, planar (`dof = comp * n + node`) — the one copy:
+    /// the production step streams them, a rate-group plan
+    /// ([`crate::rategroup`]) folds the first two into its per-group
+    /// `lhs_inv`, and the frozen `reference` oracle indexes them per node.
+    /// Projected (squared-weight folded) mass per dof.
+    pub(crate) mass_fp: Vec<f64>,
     /// Projected diagonal damping per dof: `a M + b K_diag + C^AB_diag`.
-    pub(crate) cdiag_f: Vec<f64>,
+    pub(crate) cdiag_fp: Vec<f64>,
     /// Unprojected `alpha M + C^AB` diagonal (the damping matvec `C w` term
     /// contributed by the owner of each node).
-    pub(crate) damp_diag: Vec<f64>,
-    /// Folded inverse LHS diagonal.
-    pub(crate) lhs_inv: Vec<f64>,
-    /// Planar (`dof = comp * n + node`) copies of the step diagonals. A
-    /// rate-group plan ([`crate::rategroup`]) folds the same two into its
-    /// per-group `lhs_inv`.
-    pub(crate) mass_fp: Vec<f64>,
-    pub(crate) cdiag_fp: Vec<f64>,
     pub(crate) damp_diag_p: Vec<f64>,
-    lhs_inv_p: Vec<f64>,
+    /// Folded inverse LHS diagonal `1 / (Mf + dt/2 Cf)`.
+    pub(crate) lhs_inv_p: Vec<f64>,
     pub(crate) faces: Vec<AbcFace>,
     /// Per-element Rayleigh constants.
     alpha: Vec<f64>,
@@ -311,8 +320,18 @@ pub struct ElasticSolver<'m> {
     full_scope: StepScope,
 }
 
-impl<'m> ElasticSolver<'m> {
-    pub fn new(mesh: &'m HexMesh, cfg: &ElasticConfig) -> ElasticSolver<'m> {
+impl std::ops::Deref for ElasticSolver<'_> {
+    type Target = SolverData;
+
+    fn deref(&self) -> &SolverData {
+        &self.data
+    }
+}
+
+impl SolverData {
+    /// Assemble the solver data of `mesh` under `cfg` (the work of
+    /// [`ElasticSolver::new`]).
+    pub fn build(mesh: &HexMesh, cfg: &ElasticConfig) -> SolverData {
         let n = mesh.n_nodes();
         let ndof = 3 * n;
         let mats = elastic_hex_matrices();
@@ -340,7 +359,9 @@ impl<'m> ElasticSolver<'m> {
             }
         }
 
-        // Assemble lumped mass, aM diag, bK diag.
+        // Assemble lumped mass, aM diag, bK diag. The diagonals are
+        // assembled and folded interleaved (`dof = 3 * node + comp`, the
+        // mesh's constraint layout) and kept planar only.
         let mut mass = vec![0.0; n];
         let mut am_diag = vec![0.0; ndof];
         let mut bk_diag = vec![0.0; ndof];
@@ -377,10 +398,11 @@ impl<'m> ElasticSolver<'m> {
             cdiag_f[d] = am_diag[d] + bk_diag[d] + cab_diag[d];
         }
         mesh.fold_hanging_diag(&mut cdiag_f, 3);
+        let (mass_fp, cdiag_fp) = (to_planar3(&mass_f), to_planar3(&cdiag_f));
 
-        let mut lhs_inv = vec![0.0; ndof];
+        let mut lhs_inv_p = vec![0.0; ndof];
         for d in 0..ndof {
-            lhs_inv[d] = 1.0 / (mass_f[d] + 0.5 * dt * cdiag_f[d]);
+            lhs_inv_p[d] = 1.0 / (mass_fp[d] + 0.5 * dt * cdiag_fp[d]);
         }
 
         // Owner-contributed diagonal damping `alpha M + C^AB` (one vector —
@@ -389,6 +411,7 @@ impl<'m> ElasticSolver<'m> {
         for d in 0..ndof {
             damp_diag[d] += cab_diag[d];
         }
+        let damp_diag_p = to_planar3(&damp_diag);
 
         let all: Vec<u32> = (0..ne as u32).collect();
         let coloring = color_elements(mesh, &all);
@@ -399,25 +422,37 @@ impl<'m> ElasticSolver<'m> {
             owned: None,
         };
 
-        let planar = |inter: &[f64]| crate::layout::to_planar3(inter);
-        ElasticSolver {
-            mesh,
+        SolverData {
             dt,
             n_steps,
             mass,
-            mass_fp: planar(&mass_f),
-            cdiag_fp: planar(&cdiag_f),
-            damp_diag_p: planar(&damp_diag),
-            lhs_inv_p: planar(&lhs_inv),
-            mass_f,
-            cdiag_f,
-            damp_diag,
-            lhs_inv,
+            mass_fp,
+            cdiag_fp,
+            damp_diag_p,
+            lhs_inv_p,
             faces,
             alpha,
             beta,
             full_scope,
         }
+    }
+}
+
+impl<'m> ElasticSolver<'m> {
+    pub fn new(mesh: &'m HexMesh, cfg: &ElasticConfig) -> ElasticSolver<'m> {
+        ElasticSolver::attach(mesh, Arc::new(SolverData::build(mesh, cfg)))
+    }
+
+    /// A solver over `mesh` sharing already-built `data`. `data` must have
+    /// been built from this mesh (or an identical one); a mesh of another
+    /// shape is refused.
+    pub fn attach(mesh: &'m HexMesh, data: Arc<SolverData>) -> ElasticSolver<'m> {
+        assert_eq!(
+            (mesh.n_nodes(), mesh.n_elements()),
+            (data.mass.len(), data.beta.len()),
+            "solver data was built from a different mesh"
+        );
+        ElasticSolver { mesh, data }
     }
 
     /// A fresh preallocated step workspace for this solver's mesh, with
@@ -468,6 +503,7 @@ impl<'m> ElasticSolver<'m> {
             n_hanging: pass.constraints.len() as u64,
             n_abc_faces: pass.scope.faces.len() as u64,
             exchange_doubles: 0,
+            n_lanes: schedule.n_lanes() as u64,
         }
     }
 
@@ -490,6 +526,9 @@ impl<'m> ElasticSolver<'m> {
             reg.set(&format!("step/{}/flops", p.name), p.flops * n_steps);
             reg.set(&format!("step/{}/bytes", p.name), p.bytes * n_steps);
         }
+        // Lanes the element matvec computed for those flops: lanes beyond
+        // the element count are executed work no element uses.
+        reg.set("step/elements/lanes", shape.n_lanes * n_steps);
     }
 
     /// Build the step schedule for an element subset (ascending ids): the
@@ -615,6 +654,7 @@ impl<'m> ElasticSolver<'m> {
         let dt = pass.dt;
         let dt2 = dt * dt;
         let schedule = &pass.scope.schedule;
+        let SolverData { mass_fp, cdiag_fp, damp_diag_p, .. } = &*self.data;
 
         // Grow the per-color span-id table to this pass's color count
         // while allocation is still allowed — the hot region below must
@@ -650,7 +690,7 @@ impl<'m> ElasticSolver<'m> {
                         for d in 0..ndof {
                             let wd = u_now[d] - u_prev[d];
                             w[d] = wd;
-                            rhs[d] = dt2 * f_ext[d] - 0.5 * dt * self.damp_diag_p[d] * wd;
+                            rhs[d] = dt2 * f_ext[d] - 0.5 * dt * damp_diag_p[d] * wd;
                         }
                     }
                     Some(mask) => {
@@ -660,7 +700,7 @@ impl<'m> ElasticSolver<'m> {
                                 let wd = u_now[d] - u_prev[d];
                                 w[d] = wd;
                                 rhs[d] = dt2 * f_ext[d]
-                                    - if own { 0.5 * dt * self.damp_diag_p[d] * wd } else { 0.0 };
+                                    - if own { 0.5 * dt * damp_diag_p[d] * wd } else { 0.0 };
                             }
                         }
                     }
@@ -683,7 +723,7 @@ impl<'m> ElasticSolver<'m> {
                         let wd = u_now[d] - u_prev[d];
                         ue[d] = u_now[d];
                         w[d] = wd;
-                        rhs[d] = dt2 * f_ext[d] - 0.5 * dt * self.damp_diag_p[d] * wd;
+                        rhs[d] = dt2 * f_ext[d] - 0.5 * dt * damp_diag_p[d] * wd;
                     }
                     for &nd in &nodes.finer_halo {
                         let d = base + nd as usize;
@@ -751,9 +791,8 @@ impl<'m> ElasticSolver<'m> {
             // `u_next`); the caller rotates the three buffers.
             Fields::Whole { u_prev, u_now } => {
                 for d in 0..ndof {
-                    rhs[d] = (rhs[d]
-                        + (2.0 * self.mass_fp[d] + 0.5 * dt * self.cdiag_fp[d]) * u_now[d]
-                        - self.mass_fp[d] * u_prev[d])
+                    rhs[d] = (rhs[d] + (2.0 * mass_fp[d] + 0.5 * dt * cdiag_fp[d]) * u_now[d]
+                        - mass_fp[d] * u_prev[d])
                         * pass.lhs_inv[d];
                 }
                 rhs
@@ -765,9 +804,8 @@ impl<'m> ElasticSolver<'m> {
                     let base = comp * n;
                     for &nd in &nodes.own {
                         let d = base + nd as usize;
-                        let val = (rhs[d]
-                            + (2.0 * self.mass_fp[d] + 0.5 * dt * self.cdiag_fp[d]) * u_now[d]
-                            - self.mass_fp[d] * u_prev[d])
+                        let val = (rhs[d] + (2.0 * mass_fp[d] + 0.5 * dt * cdiag_fp[d]) * u_now[d]
+                            - mass_fp[d] * u_prev[d])
                             * pass.lhs_inv[d];
                         u_prev[d] = u_now[d];
                         u_now[d] = val;
@@ -1287,12 +1325,14 @@ mod tests {
             let mut ws = solver.workspace_instrumented(0);
             let mut telemetry = TelemetryHook::new(&solver);
             let hooks: &mut [&mut dyn crate::harness::StepHook] = &mut [&mut telemetry];
-            // Passes executed and element updates performed over the run.
-            let (n_passes, element_updates) = match &plan {
+            // Passes executed, element updates performed and matvec lanes
+            // computed over the run.
+            let (n_passes, element_updates, lanes) = match &plan {
                 None => {
                     let mut state = solver.initial_state(0, Some((&u0, &v0)));
                     harness.run(&run_cfg, &mut state, &mut ws, &mut NoExchange, hooks);
-                    (n_steps, n_steps * mesh.n_elements() as u64)
+                    let lanes = solver.full_scope().schedule.n_lanes() as u64;
+                    (n_steps, n_steps * mesh.n_elements() as u64, n_steps * lanes)
                 }
                 Some(plan) => {
                     assert_eq!(plan.factors(), &[1, 2, 4]);
@@ -1306,7 +1346,16 @@ mod tests {
                         hooks,
                     );
                     let cycles = n_steps / plan.cycle();
-                    (cycles * (4 + 2 + 1), cycles * plan.element_updates_per_cycle())
+                    let lanes: u64 = plan
+                        .passes()
+                        .iter()
+                        .map(|p| plan.cycle() / p.factor * p.scope.schedule.n_lanes() as u64)
+                        .sum();
+                    (
+                        cycles * (4 + 2 + 1),
+                        cycles * plan.element_updates_per_cycle(),
+                        cycles * lanes,
+                    )
                 }
             };
             let reg = ws.into_registry();
@@ -1350,6 +1399,10 @@ mod tests {
                 reg.counter("step/elements/flops").unwrap(),
                 quake_machine::flops::TEMPLATE_HEX_ELEMENT * element_updates
             );
+            // The lanes the matvec computed for them: never fewer than the
+            // elements, each pass's own schedule at its own rate.
+            assert_eq!(reg.counter("step/elements/lanes").unwrap(), lanes);
+            assert!(lanes >= element_updates);
             if plan.is_none() {
                 // The one-group plan's totals are the full-domain shape's.
                 let full = Registry::new(0);

@@ -361,6 +361,7 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
             cycle_shape.n_nodes += times * shape.n_nodes;
             cycle_shape.n_hanging += times * shape.n_hanging;
             cycle_shape.n_abc_faces += times * shape.n_abc_faces;
+            cycle_shape.n_lanes += times * shape.n_lanes;
         }
         let info = RunInfo {
             rank: ws.reg.rank(),
@@ -711,9 +712,12 @@ impl StepHook for TelemetryHook<'_, '_> {
 /// Injects a scripted [`FaultPlan`](quake_parcomm::FaultPlan) into the loop:
 /// kills the rank at the top of its scripted step, corrupts a solution entry
 /// with NaN (a silent numerical fault only a `HealthHook` can catch), and
-/// drops or delays the mid-step exchange. The production configuration is
-/// simply *no FaultHook in the list* — injection support costs nothing when
-/// absent.
+/// drops or delays the mid-step exchange. Kills and corruptions act on the
+/// whole-domain state, which exists only at sync steps: one scripted for
+/// base step `s` fires at the first sync step `>= s` (at `s` itself under
+/// global dt). Drops and delays fire at exactly `s`, on every pass due
+/// there. The production configuration is simply *no FaultHook in the list*
+/// — injection support costs nothing when absent.
 pub struct FaultHook<'p> {
     faults: RankFaults<'p>,
 }
@@ -726,12 +730,17 @@ impl<'p> FaultHook<'p> {
 
 impl StepHook for FaultHook<'_> {
     fn before_step(&mut self, ctx: &mut HookCtx<'_>) -> Result<(), StopReason> {
-        if self.faults.kills(ctx.state.step) {
-            return Err(StopReason::Killed);
-        }
-        if let Some(index) = self.faults.corrupts(ctx.state.step) {
-            let i = index % ctx.state.u_now.len().max(1);
-            ctx.state.u_now[i] = f64::NAN;
+        // The base steps whose first sync step is this one: the macro cycle
+        // just completed, `(k - M, k]` (just `k` under global dt).
+        let k = ctx.state.step;
+        for s in k.saturating_sub(ctx.info.cycle - 1)..=k {
+            if self.faults.kills(s) {
+                return Err(StopReason::Killed);
+            }
+            if let Some(index) = self.faults.corrupts(s) {
+                let i = index % ctx.state.u_now.len().max(1);
+                ctx.state.u_now[i] = f64::NAN;
+            }
         }
         Ok(())
     }

@@ -70,7 +70,7 @@ pub use distributed::{
     run_distributed, run_distributed_recoverable, DistConfig, RankOutcome, RecoveredRun,
     RecoveryConfig,
 };
-pub use elastic::{ElasticConfig, ElasticSolver, RunResult, StepScope, StepWorkspace};
+pub use elastic::{ElasticConfig, ElasticSolver, RunResult, SolverData, StepScope, StepWorkspace};
 pub use harness::{
     CheckpointHook, Exchange, ExchangeFlow, FaultHook, HookCtx, NoExchange, NoopHook, ReceiverHook,
     RunConfig, RunInfo, RunOutcome, RunScratch, SolverHarness, StepHook, StopReason,

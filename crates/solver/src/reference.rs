@@ -99,19 +99,29 @@ pub fn reference_step(
         }
     }
 
+    // The solver keeps its diagonals planar only: this interleaved step
+    // reads dof `d = 3 * node + comp` of each at `p = comp * n + node`.
+    let n = mesh.n_nodes();
+
     // Diagonal damping term on w = u0 - u- (its own pass).
-    for d in 0..ndof {
-        rhs[d] -= 0.5 * dt * solver.damp_diag[d] * (u_now[d] - u_prev[d]);
+    for nd in 0..n {
+        for comp in 0..3 {
+            let (d, p) = (3 * nd + comp, comp * n + nd);
+            rhs[d] -= 0.5 * dt * solver.damp_diag_p[p] * (u_now[d] - u_prev[d]);
+        }
     }
 
     mesh.fold_hanging(rhs, 3);
 
     // History terms and the diagonal solve (two statements, one pass — as in
     // the original).
-    for d in 0..ndof {
-        rhs[d] += (2.0 * solver.mass_f[d] + 0.5 * dt * solver.cdiag_f[d]) * u_now[d]
-            - solver.mass_f[d] * u_prev[d];
-        rhs[d] *= solver.lhs_inv[d];
+    for nd in 0..n {
+        for comp in 0..3 {
+            let (d, p) = (3 * nd + comp, comp * n + nd);
+            rhs[d] += (2.0 * solver.mass_fp[p] + 0.5 * dt * solver.cdiag_fp[p]) * u_now[d]
+                - solver.mass_fp[p] * u_prev[d];
+            rhs[d] *= solver.lhs_inv_p[p];
+        }
     }
     mesh.interpolate_hanging(rhs, 3);
 }

@@ -7,7 +7,7 @@
 //! (`quake_fem::hex8::combined_hex_stiffness`). A [`SweepSchedule`]
 //! precomputes one 24x24 template per distinct class and reorders each color
 //! of the node-disjoint coloring so same-class elements are contiguous; the
-//! kernel then processes a class run in batches of [`BATCH`] elements:
+//! kernel then processes a class run in tiles of up to [`BATCH`] elements:
 //!
 //! ```text
 //! gather   X[24 x B]  <- dt^2 u + (dt beta_e/2) w   (planar SoA reads)
@@ -18,8 +18,18 @@
 //! versus the fused per-element kernel this replaces, the template matvec
 //! does half the flops (one 24x24 matrix instead of two canonical ones) and
 //! streams no matrix data at all in the steady state (the active template
-//! stays in L1 across its whole run). The fixed-width inner loops over the
-//! batch lanes vectorize without a reduction dependency.
+//! stays in L1 across its whole run).
+//!
+//! The matvec is the whole cost of the sweep, so what matters is how many of
+//! the lanes it computes hold a real element. A tile of `nb` elements is
+//! computed as `ceil(nb / LG)` *lane groups* of `LG` elements each — fixed
+//! width, so the inner loops vectorize without a reduction dependency, but
+//! narrow, so a short class run wastes at most `LG - 1` lanes instead of
+//! `BATCH - 1`. On a wavelength-adapted mesh the runs are short (the LA-basin
+//! benchmark mesh has 670 classes and a mean run of 13.6 elements): computing
+//! all `BATCH` lanes of every tile made at most 42% of the executed flops
+//! useful there, and that — not memory traffic — was the whole gap to the
+//! 2-class layered mesh. [`SweepSchedule::lane_fill`] reports the ratio.
 //!
 //! Reordering elements within a color is bit-safe: the coloring is
 //! node-disjoint, so within one color every rhs entry is written by at most
@@ -32,10 +42,22 @@ use quake_fem::hex8::combined_hex_stiffness;
 use quake_mesh::coloring::ElementColoring;
 use quake_mesh::HexMesh;
 
-/// Elements processed per kernel invocation. 32 lanes keep the X/Y scratch
-/// (2 x 24 x 32 doubles = 12 KiB) plus one template (4.5 KiB) L1-resident
-/// while giving the auto-vectorizer full-width independent accumulators.
+/// Gather/scatter tile: elements staged per kernel invocation. 32 elements
+/// keep the X/Y scratch (2 x 24 x 32 doubles = 12 KiB) plus one template
+/// (4.5 KiB) L1-resident.
 pub const BATCH: usize = 32;
+
+/// Lane-group width of the template matvec: a tile is computed in groups of
+/// `LG` elements, so a class run of length `L` costs `ceil(L / LG) * LG`
+/// lanes. Chosen by measurement from {2, 4, 8} on the default (SSE2) build —
+/// see EXPERIMENTS.md "Lane-packed element sweep".
+const LG: usize = 4;
+
+/// Template rows one matvec block accumulates together: each loaded `X`
+/// group column feeds `ROWS` independent accumulator sets (measured with
+/// `LG`; 4 beat 1, 2, 6 and 8).
+const ROWS: usize = 4;
+const _: () = assert!(BATCH.is_multiple_of(LG) && 24usize.is_multiple_of(ROWS));
 
 /// A maximal run of same-class elements inside one color, half-open over
 /// schedule positions.
@@ -63,10 +85,18 @@ pub struct SweepSchedule {
     /// Scheduled elements with a nonzero Rayleigh `beta` (the cost model's
     /// damped/undamped split).
     n_damped: usize,
+    /// Matvec lanes one serial sweep computes: every run rounded up to whole
+    /// lane groups.
+    n_lanes: usize,
     /// Class-homogeneous runs in schedule order.
     runs: Vec<Run>,
     /// Color `ci` owns `runs[color_runs[ci]..color_runs[ci+1]]`.
     color_runs: Vec<usize>,
+}
+
+/// Matvec lanes a class run of `len` elements costs.
+fn lanes_of(len: usize) -> usize {
+    len.div_ceil(LG) * LG
 }
 
 impl SweepSchedule {
@@ -137,6 +167,7 @@ impl SweepSchedule {
             }
             color_runs.push(runs.len());
         }
+        let n_lanes = runs.iter().map(|r| lanes_of((r.end - r.begin) as usize)).sum();
         let schedule = SweepSchedule {
             n_nodes: n,
             dt2: dt * dt,
@@ -144,6 +175,7 @@ impl SweepSchedule {
             nodes,
             bscale,
             n_damped,
+            n_lanes,
             runs,
             color_runs,
         };
@@ -169,6 +201,23 @@ impl SweepSchedule {
     /// Number of scheduled elements with a nonzero Rayleigh `beta`.
     pub fn n_damped(&self) -> usize {
         self.n_damped
+    }
+
+    /// Matvec lanes one serial sweep of the schedule computes: each class
+    /// run of length `L` costs `ceil(L / LG) * LG` (a threaded sweep that
+    /// splits a run mid-group computes up to `LG - 1` more per split).
+    pub fn n_lanes(&self) -> usize {
+        self.n_lanes
+    }
+
+    /// Share of the computed matvec lanes that hold a scheduled element
+    /// (1.0 for an empty schedule): the useful fraction of the flops the
+    /// sweep executes.
+    pub fn lane_fill(&self) -> f64 {
+        if self.n_lanes == 0 {
+            return 1.0;
+        }
+        self.n_elements() as f64 / self.n_lanes as f64
     }
 
     /// Number of distinct stiffness classes (levels x materials).
@@ -303,11 +352,12 @@ impl SweepSchedule {
     ) {
         let n = self.n_nodes;
         let dt2 = self.dt2;
-        // Batch scratch: X holds the combined gather, Y the template matvec.
-        // Stale tail lanes of X (partial batches) are finite garbage whose Y
-        // columns are computed but never scattered.
-        let mut x = [[0.0f64; BATCH]; 24];
-        let mut y = [[0.0f64; BATCH]; 24];
+        // Tile scratch, lane-group major: X holds the combined gather, Y the
+        // template matvec; element `b` of a tile is lane `b % LG` of group
+        // `b / LG`. Stale lanes of a tile's last group are finite garbage
+        // whose Y columns are computed but never scattered.
+        let mut x = [[[0.0f64; LG]; 24]; BATCH / LG];
+        let mut y = [[[0.0f64; LG]; 24]; BATCH / LG];
         for r in &self.runs[self.color_runs[ci]..self.color_runs[ci + 1]] {
             let seg_lo = lo.max(r.begin as usize);
             let seg_hi = hi.min(r.end as usize);
@@ -321,35 +371,43 @@ impl SweepSchedule {
                 for b in 0..nb {
                     let el = j + b;
                     let bs = *self.bscale.get_unchecked(el);
+                    let xg = &mut x[b / LG];
                     for c8 in 0..8 {
                         let nd = *self.nodes.get_unchecked(8 * el + c8) as usize;
                         for comp in 0..3 {
                             let dof = comp * n + nd;
-                            x[3 * c8 + comp][b] =
+                            xg[3 * c8 + comp][b % LG] =
                                 dt2 * *u_now.get_unchecked(dof) + bs * *w.get_unchecked(dof);
                         }
                     }
                 }
-                // Y[r][:] = sum_c T[r][c] X[c][:], fixed ascending-c order:
-                // each lane's sum is independent of batch composition, thread
-                // chunking, and nb, so per-element results are bit-stable.
-                for row in 0..24 {
-                    let mut acc = [0.0f64; BATCH];
-                    for c in 0..24 {
-                        let trc = *t.get_unchecked(24 * row + c);
-                        for b in 0..BATCH {
-                            acc[b] += trc * x[c][b];
+                // Y[r][:] = sum_c T[r][c] X[c][:] over the tile's occupied
+                // lane groups only, fixed ascending-c order: each lane's sum
+                // is independent of batch composition, thread chunking, and
+                // nb, so per-element results are bit-stable.
+                let groups = nb.div_ceil(LG);
+                for (xg, yg) in x[..groups].iter().zip(&mut y[..groups]) {
+                    for row in (0..24).step_by(ROWS) {
+                        let mut acc = [[0.0f64; LG]; ROWS];
+                        for c in 0..24 {
+                            for (k, a) in acc.iter_mut().enumerate() {
+                                let trc = *t.get_unchecked(24 * (row + k) + c);
+                                for b in 0..LG {
+                                    a[b] += trc * xg[c][b];
+                                }
+                            }
                         }
+                        yg[row..row + ROWS].copy_from_slice(&acc);
                     }
-                    y[row] = acc;
                 }
                 for b in 0..nb {
                     let el = j + b;
+                    let yg = &y[b / LG];
                     for c8 in 0..8 {
                         let nd = *self.nodes.get_unchecked(8 * el + c8) as usize;
                         for comp in 0..3 {
                             let p = rhs.add(comp * n + nd);
-                            *p -= y[3 * c8 + comp][b];
+                            *p -= yg[3 * c8 + comp][b % LG];
                         }
                     }
                 }
@@ -471,32 +529,158 @@ mod tests {
         }
     }
 
-    /// Batch boundaries must not change results: sweeping a color in one call
-    /// equals sweeping it as two ranges split mid-batch, bit for bit.
-    #[test]
-    fn chunked_ranges_are_bit_identical() {
-        let mesh = hanging_mesh();
-        let n = mesh.n_nodes();
+    /// A three-level mesh with hanging nodes whose materials are assigned so
+    /// the schedule's class runs take every length `1..=2 * BATCH + LG`:
+    /// all remainders mod `LG` and mod `BATCH`, with zero, one and two full
+    /// tiles in front. Each (color, h) group's elements get one material per
+    /// run, packing the wanted lengths largest first.
+    fn every_run_length_mesh() -> (HexMesh, ElementColoring) {
+        let half = 1u32 << (MAX_LEVEL - 1);
+        let quarter = half / 2;
+        let mut tree = LinearOctree::build(|o| {
+            o.level < 3
+                || (o.level < 4 && o.x < half)
+                || (o.level < 5 && o.x < quarter && o.y < quarter && o.z < quarter)
+        });
+        tree.balance(BalanceMode::Full);
+        let mut mesh = HexMesh::from_octree(&tree, 8.0, |_, _, _, _| ElemMaterial {
+            lambda: 2.0,
+            mu: 1.0,
+            rho: 1.0,
+        });
+        assert!(mesh.n_hanging() > 0);
         let elems: Vec<u32> = (0..mesh.n_elements() as u32).collect();
         let coloring = color_elements(&mesh, &elems);
+        let mut wanted: Vec<usize> = (1..=2 * BATCH + LG).collect();
+        let mut class = 0;
+        for color in coloring.colors() {
+            let mut by_h = std::collections::BTreeMap::<u64, Vec<u32>>::new();
+            for &ei in color {
+                by_h.entry(mesh.elements[ei as usize].h.to_bits()).or_default().push(ei);
+            }
+            for ids in by_h.values() {
+                let mut rest = &ids[..];
+                while !rest.is_empty() {
+                    let len = match wanted.iter().rposition(|&l| l <= rest.len()) {
+                        Some(i) => wanted.remove(i),
+                        None => rest.len(),
+                    };
+                    class += 1;
+                    for &ei in &rest[..len] {
+                        mesh.elements[ei as usize].material.lambda = 2.0 + 1e-3 * class as f64;
+                    }
+                    rest = &rest[len..];
+                }
+            }
+        }
+        assert!(wanted.is_empty(), "mesh too small for run lengths {wanted:?}");
+        (mesh, coloring)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every run length, lane-group remainder and tile remainder: the lane
+    /// packed sweep of each color is bit-equal to a scalar per-element
+    /// matvec accumulating in the same ascending-column order.
+    #[test]
+    fn every_run_length_is_bit_equal_to_the_scalar_matvec() {
+        let (mesh, coloring) = every_run_length_mesh();
+        let n = mesh.n_nodes();
+        let beta: Vec<f64> = (0..mesh.n_elements()).map(|i| 0.01 * (i % 3) as f64).collect();
+        let dt = 0.05;
+        let sched = SweepSchedule::build(&mesh, &coloring, &beta, dt);
+        let mut lens: Vec<usize> = sched.runs.iter().map(|r| (r.end - r.begin) as usize).collect();
+        assert_eq!(sched.n_lanes(), lens.iter().map(|&l| lanes_of(l)).sum::<usize>());
+        lens.sort_unstable();
+        lens.dedup();
+        for want in 1..=2 * BATCH + LG {
+            assert!(lens.binary_search(&want).is_ok(), "no class run of length {want}");
+        }
+
+        let u = rnd_vec(3 * n, 0xA5A5);
+        let w = rnd_vec(3 * n, 0x5A5A);
+        let dt2 = dt * dt;
+        for ci in 0..sched.n_colors() {
+            let mut got = vec![0.0; 3 * n];
+            sched.sweep_color(ci, &u, &w, &mut got);
+            let mut want = vec![0.0; 3 * n];
+            for &ei in coloring.color(ci) {
+                let e = &mesh.elements[ei as usize];
+                let t = combined_hex_stiffness(e.material.lambda, e.material.mu, e.h);
+                let bs = 0.5 * dt * beta[ei as usize];
+                let mut x = [0.0; 24];
+                for (c, &nd) in e.nodes.iter().enumerate() {
+                    for comp in 0..3 {
+                        let dof = comp * n + nd as usize;
+                        x[3 * c + comp] = dt2 * u[dof] + bs * w[dof];
+                    }
+                }
+                for (c, &nd) in e.nodes.iter().enumerate() {
+                    for comp in 0..3 {
+                        let row = 3 * c + comp;
+                        let mut acc = 0.0;
+                        for col in 0..24 {
+                            acc += t[24 * row + col] * x[col];
+                        }
+                        want[comp * n + nd as usize] -= acc;
+                    }
+                }
+            }
+            assert_eq!(bits(&got), bits(&want), "color {ci}");
+        }
+    }
+
+    /// Chunk boundaries must not change results: sweeping a color in one
+    /// call equals sweeping it as two ranges split at *any* offset — mid
+    /// tile, mid lane group, on and off run boundaries — bit for bit. This
+    /// is what makes the threaded sweep's chunking bit-identical.
+    #[test]
+    fn splitting_a_color_at_every_offset_is_bit_identical() {
+        let (mesh, coloring) = every_run_length_mesh();
+        let n = mesh.n_nodes();
         let beta = vec![0.3; mesh.n_elements()];
         let sched = SweepSchedule::build(&mesh, &coloring, &beta, 0.05);
         let u = rnd_vec(3 * n, 1);
         let w = rnd_vec(3 * n, 2);
-        let mut whole = vec![0.0; 3 * n];
-        let mut split = vec![0.0; 3 * n];
         for ci in 0..sched.n_colors() {
+            let mut whole = vec![0.0; 3 * n];
             sched.sweep_color(ci, &u, &w, &mut whole);
+            let whole = bits(&whole);
             let (lo, hi) = sched.color_span(ci);
-            let mid = lo + (hi - lo) / 2 + 7; // deliberately off batch stride
-            let mid = mid.min(hi);
-            // SAFETY (test): exclusive &mut split, ranges disjoint, ids valid.
-            unsafe {
-                sched.sweep_range_raw(ci, lo, mid, &u, &w, split.as_mut_ptr());
-                sched.sweep_range_raw(ci, mid, hi, &u, &w, split.as_mut_ptr());
+            for mid in lo..=hi {
+                let mut split = vec![0.0; 3 * n];
+                // SAFETY (test): exclusive &mut split, ranges disjoint, ids valid.
+                unsafe {
+                    sched.sweep_range_raw(ci, lo, mid, &u, &w, split.as_mut_ptr());
+                    sched.sweep_range_raw(ci, mid, hi, &u, &w, split.as_mut_ptr());
+                }
+                assert_eq!(whole, bits(&split), "color {ci} split at {}", mid - lo);
             }
         }
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&whole), bits(&split));
+    }
+
+    /// Lane fill of a single class run of length `L` is exactly
+    /// `L / (ceil(L / LG) * LG)`: at most `LG - 1` lanes are wasted however
+    /// short the run, where computing whole tiles wasted up to `BATCH - 1`.
+    #[test]
+    fn lane_fill_of_a_run_is_its_length_over_its_lane_groups() {
+        let mesh = HexMesh::from_octree(&LinearOctree::uniform(4), 8.0, |_, _, _, _| {
+            ElemMaterial { lambda: 2.0, mu: 1.0, rho: 1.0 }
+        });
+        let elems: Vec<u32> = (0..mesh.n_elements() as u32).collect();
+        let first_color = color_elements(&mesh, &elems).color(0).to_vec();
+        let beta = vec![0.0; mesh.n_elements()];
+        for len in 1..=2 * BATCH + LG {
+            // Elements of one color are node-disjoint, so they stay one
+            // color, and one material makes them one run.
+            let coloring = color_elements(&mesh, &first_color[..len]);
+            let sched = SweepSchedule::build(&mesh, &coloring, &beta, 0.05);
+            assert_eq!((sched.n_colors(), sched.runs.len(), sched.n_elements()), (1, 1, len));
+            let groups = len.div_ceil(LG);
+            assert_eq!(sched.n_lanes(), groups * LG);
+            assert_eq!(sched.lane_fill(), len as f64 / (groups * LG) as f64);
+        }
     }
 }

@@ -155,6 +155,20 @@ fn hook_order_does_not_change_the_history() {
 /// the unfaulted run to the bit.
 #[test]
 fn corrupt_state_under_lts_is_caught_at_the_next_sync_step() {
+    corrupt_state_under_lts(8);
+}
+
+/// A fault scripted inside a macro cycle (`cycle * k + 1` and later) fires
+/// at the first sync step at or after it: steps 5..=8 all enter the state at
+/// sync step 8, with the same detection, report and resume as above. (Before
+/// PR 13 the hook asked for exactly the sync step, so these never fired.)
+#[test]
+fn fault_scripted_inside_a_macro_cycle_fires_at_the_next_sync_step() {
+    corrupt_state_under_lts(5);
+    corrupt_state_under_lts(7);
+}
+
+fn corrupt_state_under_lts(fault_step: u64) {
     let mesh = three_level_mesh();
     let mut cfg = ElasticConfig::new(1.0);
     cfg.dt = Some(0.02);
@@ -170,10 +184,11 @@ fn corrupt_state_under_lts_is_caught_at_the_next_sync_step() {
     let o = harness.run_grouped(&plan, &run_cfg, &mut straight, &mut ws, &mut NoExchange, &mut []);
     assert!(matches!(o, RunOutcome::Finished { executed: 24 }));
 
-    let dir = tmpdir("lts-corrupt");
+    let dir = tmpdir(&format!("lts-corrupt-{fault_step}"));
     let writer = CheckpointWriter::new(&dir, "lts").unwrap();
     let policy = CheckpointPolicy::every_steps(4);
-    let faults = FaultPlan::none().and(Fault::CorruptState { rank: 0, step: 8, index: 10 });
+    let faults =
+        FaultPlan::none().and(Fault::CorruptState { rank: 0, step: fault_step, index: 10 });
     let mut state = plan.initial_state(&solver, 0, Some((&u0, &v0)));
     let (outcome, report) = {
         let mut sink = PeriodicSink::new(&writer, &policy);
