@@ -12,11 +12,6 @@
 //! - `fused`: `ElasticSolver::step_with` with a plain (telemetry-disabled)
 //!   workspace — the planar (structure-of-arrays) state, per-class stiffness
 //!   templates and the blocked color sweep, zero steady-state allocations.
-//!   With `--features parallel` the element sweep inside it may run threaded
-//!   over the node-disjoint coloring; the JSON records which variant ran.
-//! - `serial`: `ElasticSolver::step_with_serial`, the same kernel with the
-//!   threaded sweep forced off — `fused` vs `serial` decomposes the speedup
-//!   into layout/template gains vs threading.
 //! - `instrumented`: the same fused step with a live `quake-telemetry`
 //!   registry, which must cost (nearly) nothing — pass
 //!   `--check-overhead <pct>` (CI uses 3) to fail the run if the slowdown
@@ -377,20 +372,6 @@ fn main() {
     );
     println!("fused        : {fused_sps:>8.2} steps/s  {fused_eups:>12.3e} element-updates/s");
 
-    // Same kernel with the threaded sweep forced off: fused vs serial
-    // decomposes the speedup into layout/template gains vs threading.
-    let (serial_sps, serial_eups) = time_stepper(
-        &mesh,
-        &u0p,
-        ov_steps,
-        ov_trials,
-        || {},
-        |up, un, f, next| {
-            solver.step_with_serial(up, un, f, next, &mut ws);
-        },
-    );
-    println!("serial       : {serial_sps:>8.2} steps/s  {serial_eups:>12.3e} element-updates/s");
-
     // Same hot path with a live registry; reset per trial so the final trial's
     // span statistics are exactly one `ov_steps`-step run.
     let mut iws = solver.workspace_instrumented(0);
@@ -495,7 +476,6 @@ fn main() {
 
     let speedup = fused_eups / base_eups;
     println!("speedup      : {speedup:.2}x element-updates/s (fused vs baseline)");
-    let parallel = cfg!(feature = "parallel");
 
     // ---- optional LTS leg: rate-group stepping vs the fused global-dt
     // kernel on a coarse-dominant 3-level mesh (refinement confined to one
@@ -635,7 +615,6 @@ fn main() {
     let mut breakdown = String::new();
     breakdown.push_str("{\n");
     breakdown.push_str(&format!("  \"telemetry_overhead_pct\": {overhead_pct:.3},\n"));
-    breakdown.push_str(&format!("  \"parallel_sweep\": {parallel},\n"));
     breakdown.push_str(&main.json_fields("  "));
     breakdown.push_str(",\n  \"many_class\": {\n");
     breakdown.push_str(&many.json_fields("    "));
@@ -651,10 +630,7 @@ fn main() {
         "  \"baseline\": {{ \"steps_per_sec\": {base_sps:.3}, \"element_updates_per_sec\": {base_eups:.1} }},\n"
     ));
     json.push_str(&format!(
-        "  \"fused\": {{ \"steps_per_sec\": {fused_sps:.3}, \"element_updates_per_sec\": {fused_eups:.1}, \"parallel_sweep\": {parallel} }},\n"
-    ));
-    json.push_str(&format!(
-        "  \"serial\": {{ \"steps_per_sec\": {serial_sps:.3}, \"element_updates_per_sec\": {serial_eups:.1} }},\n"
+        "  \"fused\": {{ \"steps_per_sec\": {fused_sps:.3}, \"element_updates_per_sec\": {fused_eups:.1} }},\n"
     ));
     json.push_str(&format!(
         "  \"instrumented\": {{ \"steps_per_sec\": {instr_sps:.3}, \"telemetry_overhead_pct\": {overhead_pct:.3}, \"telemetry_overhead_raw_pct\": {overhead_raw_pct:.3} }},\n"

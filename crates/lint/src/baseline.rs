@@ -107,17 +107,17 @@ mod tests {
     fn needle_suppresses_matching_findings_only() {
         let b = Baseline::parse(
             "# comment\n\
-             no-panic-in-comm crates/parcomm/src/lib.rs expect(\"peer rank hung up\")\n",
+             panic-reachability crates/parcomm/src/lib.rs expect(\"peer rank hung up\")\n",
         );
         let fs = vec![
             finding(
-                "no-panic-in-comm",
+                "panic-reachability",
                 "crates/parcomm/src/lib.rs",
                 "`x.expect(\"peer rank hung up\")`",
             ),
-            finding("no-panic-in-comm", "crates/parcomm/src/lib.rs", "`y.unwrap()`"),
+            finding("panic-reachability", "crates/parcomm/src/lib.rs", "`y.unwrap()`"),
             finding(
-                "no-panic-in-comm",
+                "panic-reachability",
                 "crates/ckpt/src/format.rs",
                 "`x.expect(\"peer rank hung up\")`",
             ),
@@ -130,10 +130,10 @@ mod tests {
 
     #[test]
     fn one_entry_may_suppress_many_findings() {
-        let b = Baseline::parse("no-panic-in-comm crates/parcomm/src/lib.rs hung up\n");
+        let b = Baseline::parse("panic-reachability crates/parcomm/src/lib.rs hung up\n");
         let fs = vec![
-            finding("no-panic-in-comm", "crates/parcomm/src/lib.rs", "`a` hung up"),
-            finding("no-panic-in-comm", "crates/parcomm/src/lib.rs", "`b` hung up"),
+            finding("panic-reachability", "crates/parcomm/src/lib.rs", "`a` hung up"),
+            finding("panic-reachability", "crates/parcomm/src/lib.rs", "`b` hung up"),
         ];
         let (kept, suppressed, stale) = b.apply(fs);
         assert!(kept.is_empty());
@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn unused_entries_are_stale() {
-        let b = Baseline::parse("no-alloc-in-hot-path crates/solver/src/elastic.rs gone_code\n");
+        let b = Baseline::parse("alloc-reachability crates/solver/src/elastic.rs gone_code\n");
         let (kept, suppressed, stale) = b.apply(vec![]);
         assert!(kept.is_empty() && suppressed.is_empty());
         assert_eq!(stale.len(), 1);

@@ -74,10 +74,9 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
 /// Run `rules` over `files` (per-file checks, then the workspace `finish`
 /// pass over the item tree + call graph), sorted by location. Returns the
 /// findings alongside the call-graph resolution stats.
-pub fn apply_rules_with(
+pub fn apply_rules(
     files: &[SourceFile],
     rules: &mut [Box<dyn Rule>],
-    unsafe_ledger: Option<&str>,
 ) -> (Vec<Finding>, GraphStats) {
     let mut out = Vec::new();
     for f in files {
@@ -88,7 +87,7 @@ pub fn apply_rules_with(
     let items = ItemTree::build(files);
     let graph = CallGraph::build(&items);
     let stats = graph.stats;
-    let ctx = WorkspaceCtx { unsafe_ledger, files, items: &items, graph: &graph };
+    let ctx = WorkspaceCtx { files, items: &items, graph: &graph };
     for r in rules.iter_mut() {
         r.finish(&ctx, &mut out);
     }
@@ -96,23 +95,13 @@ pub fn apply_rules_with(
     (out, stats)
 }
 
-/// [`apply_rules_with`], findings only — the fixture-test entry point.
-pub fn apply_rules(
-    files: &[SourceFile],
-    rules: &mut [Box<dyn Rule>],
-    unsafe_ledger: Option<&str>,
-) -> Vec<Finding> {
-    apply_rules_with(files, rules, unsafe_ledger).0
-}
-
 /// Lint the workspace at `root` with the full rule set, reading
-/// `UNSAFE_LEDGER.md` and `lint-baseline.txt` from the root if present.
+/// `lint-baseline.txt` from the root if present.
 pub fn lint_workspace(root: &Path) -> LintReport {
     let files = collect_files(root);
-    let ledger = std::fs::read_to_string(root.join("UNSAFE_LEDGER.md")).ok();
     let baseline = std::fs::read_to_string(root.join("lint-baseline.txt")).ok();
     let mut rules = all_rules();
-    let (findings, stats) = apply_rules_with(&files, &mut rules, ledger.as_deref());
+    let (findings, stats) = apply_rules(&files, &mut rules);
     let baseline = Baseline::parse(baseline.as_deref().unwrap_or(""));
     let (findings, suppressed, stale_baseline) = baseline.apply(findings);
     LintReport { findings, suppressed, stale_baseline, n_files: files.len(), stats }
@@ -195,7 +184,7 @@ mod tests {
     fn ndjson_lines_are_telemetry_shaped_and_escaped() {
         let report = LintReport {
             findings: vec![Finding {
-                rule: "no-panic-in-comm",
+                rule: "panic-reachability",
                 file: "crates/x/src/lib.rs".to_string(),
                 line: 7,
                 message: "`x.expect(\"boom\")` — say \"no\"\tplease".to_string(),

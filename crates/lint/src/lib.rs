@@ -14,10 +14,10 @@
 //!   definitions, impl/trait owners, call sites), an interprocedural
 //!   [`callgraph`] resolved by shape + qualifier + arity, and a [`reach`]
 //!   engine that walks it with witness paths;
-//! - a [`rules`] engine with eight invariant rules — `harness-allowlist`,
-//!   `no-panic-in-comm`, `no-alloc-in-hot-path`, `unsafe-ledger`,
-//!   `float-determinism`, plus the interprocedural `alloc-reachability`,
-//!   `panic-reachability`, and `parallel-disjointness`;
+//! - a [`rules`] engine with four invariant rules — the token-level
+//!   `harness-allowlist` and `float-determinism`, and the interprocedural
+//!   `alloc-reachability` and `panic-reachability` (whose depth 0 is the
+//!   marked region / root file itself);
 //! - findings as NDJSON in the quake-telemetry event shape ([`engine`]);
 //! - a reviewed suppression file, `lint-baseline.txt` ([`baseline`]),
 //!   whose stale entries are themselves failures;

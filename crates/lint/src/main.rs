@@ -19,7 +19,7 @@
 //!   longer than N milliseconds — the CI wall-clock budget for the lint
 //!   job, so the analyzer never becomes the slow step.
 //!
-//! `lint-baseline.txt` and `UNSAFE_LEDGER.md` are read from the root.
+//! `lint-baseline.txt` is read from the root.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

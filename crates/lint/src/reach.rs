@@ -59,6 +59,32 @@ impl Reachability {
         self.origin[f as usize].is_some()
     }
 
+    /// Visit every non-test code token inside the body of a reached,
+    /// non-test fn — `visit(fn index, file, code indices, k)` — exactly once:
+    /// a fn nested in another reached fn lies inside both body spans.
+    pub fn for_each_reached_token(
+        &self,
+        items: &ItemTree,
+        files: &[SourceFile],
+        mut visit: impl FnMut(u32, &SourceFile, &[usize], usize),
+    ) {
+        let mut code_of: Vec<Option<Vec<usize>>> = files.iter().map(|_| None).collect();
+        let mut seen = std::collections::HashSet::new();
+        for (fi, f) in items.fns.iter().enumerate() {
+            if f.is_test || !self.is_reached(fi as u32) {
+                continue;
+            }
+            let Some((blo, bhi)) = f.body else { continue };
+            let file = &files[f.file as usize];
+            let code = code_of[f.file as usize].get_or_insert_with(|| file.code_indices());
+            for k in blo..=bhi.min(code.len().saturating_sub(1)) {
+                if !file.is_test_line(file.tokens[code[k]].line) && seen.insert((f.file, k)) {
+                    visit(fi as u32, file, code, k);
+                }
+            }
+        }
+    }
+
     /// Render the call chain that first reached `f`, root to `f`'s caller,
     /// capped at 5 hops (`... ->` beyond). Empty for roots and unreached.
     pub fn witness(&self, items: &ItemTree, files: &[SourceFile], f: u32) -> String {

@@ -1,27 +1,66 @@
-//! **alloc-reachability** — the interprocedural closure of
-//! `no-alloc-in-hot-path`. The token rule catches `Vec::new` *inside* a
-//! `lint:hot-path` region; this rule closes the helper-function loophole:
-//! every function transitively reachable from a call on a hot-region line
-//! must itself be allocation-free, wherever it lives.
+//! **alloc-reachability** — PR 1's zero-steady-state-allocation guarantee,
+//! machine-checked through calls. Code inside `// lint:hot-path` regions
+//! (the elastic step loop, the element kernels, fold/ABC phases, the fem
+//! matvecs) may not construct or grow heap storage, and neither may any
+//! function transitively reachable from a call on a hot-region line,
+//! wherever it lives: at 3000 PEs an allocator call in the element loop is
+//! both a throughput cliff and a cross-rank jitter source.
 //!
-//! Mechanics: every resolved call edge whose call site sits on a hot line
-//! seeds a BFS over the workspace call graph; each reached function's body
-//! is scanned with the same allocation matcher the token rule uses.
-//! Findings carry the witness chain ("via `pass` (elastic.rs:616) ->
-//! `sweep` (...)") so the reviewer sees the exact path from kernel
-//! to allocation. Deduplication against the token rule is by line class:
-//! allocation sites on hot lines are the token rule's findings, not ours.
+//! Matched forms: `Vec::new`/`with_capacity`/`from` (and the same on `Box`,
+//! `String`, `VecDeque`, `HashMap`, `HashSet`, `BTreeMap`), the `.to_vec()`
+//! / `.collect()` / `.clone()` / `.to_string()` / `.to_owned()` method
+//! calls, and the `format!` / `vec!` macros. `Vec::push` on preallocated
+//! scratch is deliberately NOT matched — the workspace pattern is "allocate
+//! in `new`, reuse in `step`", and push-into-capacity is how the scratch is
+//! reused. Test lines are exempt.
+//!
+//! Mechanics: depth 0 is the hot lines themselves (`check`). Then every
+//! resolved call edge whose call site sits on a hot line seeds a BFS over
+//! the workspace call graph, and each reached function's non-hot lines are
+//! scanned with the same matcher (`finish`). Those findings carry the
+//! witness chain ("via `pass` (elastic.rs:616) -> `helper` (...)") so the
+//! reviewer sees the exact path from kernel to allocation.
 //!
 //! Escape hatch: a call-site line annotated `// lint:reach-ok — reason`
 //! cuts traversal there. It exists for dyn-dispatch fan-out (the harness
 //! hook loops, whose hot callers install only non-allocating hooks) and for
 //! documented one-time warm-up allocations; the annotation must state why.
 
-use super::no_alloc::alloc_at;
 use super::{Rule, WorkspaceCtx};
 use crate::reach::{Origin, Reachability};
 use crate::source::SourceFile;
 use crate::Finding;
+
+const ALLOC_METHODS: &[&str] = &["to_vec", "collect", "clone", "to_string", "to_owned"];
+const ALLOC_TYPES: &[&str] =
+    &["Vec", "Box", "String", "VecDeque", "HashMap", "HashSet", "BTreeMap"];
+const ALLOC_CTORS: &[&str] = &["new", "with_capacity", "from"];
+const ALLOC_MACROS: &[&str] = &["format", "vec"];
+
+/// If the code token at `code[k]` starts an allocating construct, a short
+/// description of it (`Vec::new`, `.collect()`, `format!`).
+fn alloc_at(file: &SourceFile, code: &[usize], k: usize) -> Option<String> {
+    let text = file.tok_text(&file.tokens[code[k]]);
+    let next_punct =
+        |c: char| code.get(k + 1).is_some_and(|&n| file.tokens[n].is_punct(&file.text, c));
+    if ALLOC_METHODS.contains(&text)
+        && k > 0
+        && file.tokens[code[k - 1]].is_punct(&file.text, '.')
+        && (next_punct('(') || next_punct(':'))
+    {
+        // `.collect::<...>()` lexes `::` as two ':' puncts.
+        Some(format!(".{text}()"))
+    } else if ALLOC_TYPES.contains(&text)
+        && next_punct(':')
+        && code.get(k + 3).is_some_and(|&n| ALLOC_CTORS.contains(&file.tok_text(&file.tokens[n])))
+    {
+        Some(format!("{}::{}", text, file.tok_text(&file.tokens[code[k + 3]])))
+    } else if ALLOC_MACROS.contains(&text) && next_punct('!') {
+        Some(format!("{text}!"))
+    } else {
+        None
+    }
+}
 
 pub struct AllocReachability;
 
@@ -31,11 +70,37 @@ impl Rule for AllocReachability {
     }
 
     fn description(&self) -> &'static str {
-        "functions reachable from lint:hot-path regions must be allocation-free"
+        "lint:hot-path regions and everything reachable from them must be allocation-free"
     }
 
-    fn check(&mut self, _file: &SourceFile, _out: &mut Vec<Finding>) {}
+    /// Depth 0: allocations on the hot lines themselves.
+    fn check(&mut self, file: &SourceFile, out: &mut Vec<Finding>) {
+        if !file.has_hot_region() {
+            return;
+        }
+        let code = file.code_indices();
+        for (k, &i) in code.iter().enumerate() {
+            let t = &file.tokens[i];
+            if !file.is_hot_line(t.line) || file.is_test_line(t.line) {
+                continue;
+            }
+            if let Some(what) = alloc_at(file, &code, k) {
+                out.push(Finding {
+                    rule: self.id(),
+                    file: file.path.clone(),
+                    line: t.line,
+                    message: format!(
+                        "`{}` in `lint:hot-path` — hot-path regions must stay allocation-free \
+                         (preallocate in the workspace/scope, reuse per step): `{}`",
+                        what,
+                        file.line_text(t.line).trim()
+                    ),
+                });
+            }
+        }
+    }
 
+    /// Depth >= 1: functions reachable from a call on a hot line.
     fn finish(&mut self, ctx: &WorkspaceCtx<'_>, out: &mut Vec<Finding>) {
         let items = ctx.items;
         let files = ctx.files;
@@ -58,37 +123,28 @@ impl Rule for AllocReachability {
         }
         let reach = Reachability::explore(ctx.graph, items.fns.len(), &seeds);
 
-        for (fi, f) in items.fns.iter().enumerate() {
-            if f.is_test || !reach.is_reached(fi as u32) {
-                continue;
+        reach.for_each_reached_token(items, files, |fi, file, code, k| {
+            let line = file.tokens[code[k]].line;
+            // Hot lines were reported at depth 0.
+            if file.is_hot_line(line) {
+                return;
             }
-            let Some((blo, bhi)) = f.body else { continue };
-            let file = &files[f.file as usize];
-            let code = file.code_indices();
-            for k in blo..=bhi.min(code.len().saturating_sub(1)) {
-                let line = file.tokens[code[k]].line;
-                // Hot lines belong to the token rule; test lines are exempt.
-                if file.is_test_line(line) || file.is_hot_line(line) {
-                    continue;
-                }
-                if let Some(what) = alloc_at(file, &code, k) {
-                    let via = reach.witness(items, files, fi as u32);
-                    out.push(Finding {
-                        rule: self.id(),
-                        file: file.path.clone(),
-                        line,
-                        message: format!(
-                            "`{}` in `{}` — reachable from a lint:hot-path region via {}; \
-                             hot paths must stay allocation-free transitively (preallocate, \
-                             or cut the edge with a justified `lint:reach-ok`): `{}`",
-                            what,
-                            f.name,
-                            via,
-                            file.line_text(line).trim()
-                        ),
-                    });
-                }
+            if let Some(what) = alloc_at(file, code, k) {
+                out.push(Finding {
+                    rule: self.id(),
+                    file: file.path.clone(),
+                    line,
+                    message: format!(
+                        "`{}` in `{}` — reachable from a lint:hot-path region via {}; \
+                         hot paths must stay allocation-free transitively (preallocate, \
+                         or cut the edge with a justified `lint:reach-ok`): `{}`",
+                        what,
+                        items.fns[fi as usize].name,
+                        reach.witness(items, files, fi),
+                        file.line_text(line).trim()
+                    ),
+                });
             }
-        }
+        });
     }
 }

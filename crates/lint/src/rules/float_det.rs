@@ -1,5 +1,5 @@
 //! **float-determinism** — the harness property tests pin bit-identity
-//! (serial vs threaded sweep, resume vs uninterrupted, 4-rank recovery),
+//! (serial vs SPMD ranks, resume vs uninterrupted, 4-rank recovery),
 //! and the paper's reproducibility story depends on it. Inside
 //! `lint:hot-path` regions (the numerical kernels) this rule bans the
 //! constructs that silently break bit-reproducibility:

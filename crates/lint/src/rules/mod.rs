@@ -1,7 +1,6 @@
 //! The invariant rules. Each rule walks one file's token stream at a time
 //! (`check`), and may do a workspace-level pass once every file has been
-//! seen (`finish` — used by the unsafe ledger to cross-check
-//! `UNSAFE_LEDGER.md` against the sites actually found).
+//! seen (`finish` — the reachability rules walk the call graph there).
 //!
 //! Adding a rule (see DESIGN.md "Static analysis"):
 //! 1. add a module here implementing [`Rule`],
@@ -12,31 +11,21 @@
 mod alloc_reach;
 mod float_det;
 mod harness_allowlist;
-mod no_alloc;
-mod no_panic;
 mod panic_reach;
-mod par_disjoint;
-mod unsafe_ledger;
 
 pub use alloc_reach::AllocReachability;
 pub use float_det::FloatDeterminism;
 pub use harness_allowlist::HarnessAllowlist;
-pub use no_alloc::NoAllocInHotPath;
-pub use no_panic::NoPanicInComm;
 pub use panic_reach::PanicReachability;
-pub use par_disjoint::ParallelDisjointness;
-pub use unsafe_ledger::UnsafeLedger;
 
 use crate::callgraph::CallGraph;
 use crate::items::ItemTree;
 use crate::source::SourceFile;
 use crate::Finding;
 
-/// Workspace-level inputs available to `finish`: the ledger text plus the
-/// interprocedural layer (item tree + call graph) built once per run.
+/// Workspace-level inputs available to `finish`: the interprocedural layer
+/// (item tree + call graph) built once per run.
 pub struct WorkspaceCtx<'a> {
-    /// Contents of `UNSAFE_LEDGER.md` at the workspace root, if present.
-    pub unsafe_ledger: Option<&'a str>,
     /// Every parsed file, indexable by `FnDef::file`.
     pub files: &'a [SourceFile],
     /// The workspace item tree (fn definitions + call sites).
@@ -58,12 +47,8 @@ pub trait Rule {
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(HarnessAllowlist::default()),
-        Box::new(NoPanicInComm),
-        Box::new(NoAllocInHotPath),
-        Box::new(UnsafeLedger::default()),
         Box::new(FloatDeterminism),
         Box::new(AllocReachability),
         Box::new(PanicReachability),
-        Box::new(ParallelDisjointness::default()),
     ]
 }

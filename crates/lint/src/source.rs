@@ -1,8 +1,6 @@
 //! Per-file source model: lexed tokens plus the line classifications every
-//! rule needs — "is this line test code?", "is this line inside a
-//! `lint:hot-path` region?", and "is this line inside a `lint:par-sweep`
-//! region?" (the color-parallel scatter bodies the parallel-disjointness
-//! rule audits).
+//! rule needs — "is this line test code?" and "is this line inside a
+//! `lint:hot-path` region?".
 //!
 //! Test code is exempt from most rules (tests are allowed to `unwrap()`,
 //! allocate, and compare floats however they like). A line is test code if
@@ -29,7 +27,7 @@ use crate::lexer::{lex, TokKind, Token};
 
 pub struct SourceFile {
     /// Repo-relative path with `/` separators — the identity used in
-    /// findings, baseline entries, and `UNSAFE_LEDGER.md` sections.
+    /// findings and baseline entries.
     pub path: String,
     pub text: String,
     /// Full token stream, comments included.
@@ -39,7 +37,6 @@ pub struct SourceFile {
     /// Indexed by `line - 1`.
     test_lines: Vec<bool>,
     hot_lines: Vec<bool>,
-    par_lines: Vec<bool>,
 }
 
 impl SourceFile {
@@ -61,19 +58,9 @@ impl SourceFile {
         }
 
         let mut hot_lines = vec![false; n_lines];
-        mark_marker_regions(&text, &tokens, &mut hot_lines, "lint:hot-path", "lint:hot-path-end");
-        let mut par_lines = vec![false; n_lines];
-        mark_marker_regions(&text, &tokens, &mut par_lines, "lint:par-sweep", "lint:par-sweep-end");
+        mark_hot_regions(&text, &tokens, &mut hot_lines);
 
-        SourceFile {
-            path: path.to_string(),
-            text,
-            tokens,
-            line_starts,
-            test_lines,
-            hot_lines,
-            par_lines,
-        }
+        SourceFile { path: path.to_string(), text, tokens, line_starts, test_lines, hot_lines }
     }
 
     pub fn is_test_line(&self, line: u32) -> bool {
@@ -87,15 +74,6 @@ impl SourceFile {
     /// True if any line of the file is inside a hot-path region.
     pub fn has_hot_region(&self) -> bool {
         self.hot_lines.iter().any(|&h| h)
-    }
-
-    pub fn is_par_line(&self, line: u32) -> bool {
-        self.par_lines.get(line as usize - 1).copied().unwrap_or(false)
-    }
-
-    /// True if any line of the file is inside a `lint:par-sweep` region.
-    pub fn has_par_region(&self) -> bool {
-        self.par_lines.iter().any(|&p| p)
     }
 
     /// True if `line` carries the given `lint:` annotation — on the line
@@ -230,12 +208,14 @@ fn mark_cfg_test_regions(src: &str, tokens: &[Token], out: &mut [bool]) {
     }
 }
 
-/// Marker comments toggle a region (`lint:hot-path`, `lint:par-sweep`). A
+/// `lint:hot-path` / `lint:hot-path-end` marker comments toggle a region. A
 /// marker must LEAD the comment (after the `//`/`/*`/doc sigils): prose
 /// that merely *mentions* a marker mid-sentence — rule docs, this file — is
-/// inert. The end marker is checked first so `<start>-end` is not misread
-/// as a start (it contains the start text as a prefix).
-fn mark_marker_regions(src: &str, tokens: &[Token], out: &mut [bool], start_m: &str, end_m: &str) {
+/// inert. The end marker is checked first so it is not misread as a start
+/// (it contains the start text as a prefix).
+fn mark_hot_regions(src: &str, tokens: &[Token], out: &mut [bool]) {
+    const START: &str = "lint:hot-path";
+    const END: &str = "lint:hot-path-end";
     let mut open_from: Option<usize> = None;
     for t in tokens {
         if !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment) {
@@ -244,14 +224,14 @@ fn mark_marker_regions(src: &str, tokens: &[Token], out: &mut [bool], start_m: &
         let text = t
             .text(src)
             .trim_start_matches(|c: char| matches!(c, '/' | '*' | '!') || c.is_whitespace());
-        if text.starts_with(end_m) {
+        if text.starts_with(END) {
             if let Some(start) = open_from.take() {
                 let end = (t.line as usize - 1).min(out.len() - 1);
                 for l in out.iter_mut().take(end + 1).skip(start) {
                     *l = true;
                 }
             }
-        } else if text.starts_with(start_m) {
+        } else if text.starts_with(START) {
             open_from.get_or_insert(t.line as usize - 1);
         }
     }

@@ -1,16 +1,17 @@
-//! Node-disjoint element coloring for race-free parallel assembly.
+//! Node-disjoint element coloring: the deterministic sweep order.
 //!
 //! The explicit step scatters each element's 24 force contributions into the
-//! global rhs through its 8 corner nodes. Two elements that share no node can
-//! scatter concurrently without synchronization, so we greedily partition the
-//! elements into *colors* such that within one color all corner-node sets are
-//! pairwise disjoint. The solver then runs color-by-color: a barrier between
-//! colors, free parallelism inside one.
+//! global rhs through its 8 corner nodes. We greedily partition the elements
+//! into *colors* such that within one color all corner-node sets are
+//! pairwise disjoint, and the solver sweeps color by color.
 //!
 //! Because each node is written by at most one element per color, the sum
-//! order at every node is fixed by the coloring alone — a threaded sweep over
-//! a color produces bit-identical results to the serial color-major sweep,
-//! regardless of thread count or schedule.
+//! order at every node is fixed by the coloring alone: the solver may
+//! reorder the elements *inside* a color (it sorts them by stiffness class,
+//! see `quake_solver::sweep`) without changing a single floating-point sum.
+//! That is all the coloring is used for — an order, not a race guard: the
+//! sweep is serial within a rank, and parallelism lives in ranks and serve
+//! workers (DESIGN.md "Why the sweep is serial within a rank").
 
 use crate::hexmesh::HexMesh;
 

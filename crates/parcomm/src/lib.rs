@@ -9,8 +9,8 @@
 //! - point-to-point [`Communicator::send`]/[`Communicator::recv`] over
 //!   per-pair unbounded channels,
 //! - collectives: [`Communicator::barrier`],
-//!   [`Communicator::allreduce_sum`], [`Communicator::allreduce_max`],
-//! - the solver's workhorse [`Communicator::exchange_sum`]: symmetric
+//!   [`Communicator::try_allreduce_sum`], [`Communicator::try_allreduce_max`],
+//! - the solver's workhorse [`Communicator::try_exchange_sum`]: symmetric
 //!   neighbor lists of shared node ids, gather -> swap -> add.
 //!
 //! Correctness (data movement, ordering, determinism) is real; *timing* of a
@@ -18,17 +18,17 @@
 //!
 //! # Failure semantics
 //!
-//! Every blocking primitive has a `try_*` twin returning
-//! `Result<_, CommError>`: a peer that exits (voluntarily or through an
-//! injected fault, see [`fault`]) drops its channel endpoints, and the next
-//! operation against it observes [`CommError::RankFailure`] instead of data.
-//! Because a rank that stops — for any reason — always drops its
-//! `Communicator`, **no blocking receive can hang forever**: it either gets
-//! a message or a disconnect. The panicking methods ([`Communicator::send`],
-//! [`Communicator::recv`], the collectives) are thin wrappers over the
-//! `try_*` forms, so pre-existing call sites keep their fail-stop behavior
-//! unchanged while fault-tolerant callers (the distributed solver's
-//! checkpoint/recovery supervisor) switch to the `Result` forms.
+//! Every blocking primitive returns `Result<_, CommError>` (the `try_*`
+//! methods): a peer that exits (voluntarily or through an injected fault,
+//! see [`fault`]) drops its channel endpoints, and the next operation
+//! against it observes [`CommError::RankFailure`] instead of data. Because a
+//! rank that stops — for any reason — always drops its `Communicator`, **no
+//! blocking receive can hang forever**: it either gets a message or a
+//! disconnect. Collectives and the sum-exchange exist only in the `Result`
+//! form — the caller decides whether a dead peer is fatal. The two
+//! point-to-point primitives keep a fail-stop wrapper each
+//! ([`Communicator::send`], [`Communicator::recv`]) for callers where a dead
+//! peer is a bug (ping-pong microbenchmarks, ring tests).
 
 #![forbid(unsafe_code)]
 
@@ -147,19 +147,14 @@ impl Communicator {
         self.try_allreduce_elems_tagged(x, |a, b| a + b, 0xA11)
     }
 
-    /// Fail-stop [`Communicator::try_allreduce_sum`].
-    pub fn allreduce_sum(&self, x: &mut [f64]) {
-        self.try_allreduce_sum(x).expect("peer rank hung up");
-    }
-
     /// Elementwise global max of `x` across ranks (gather at 0, broadcast).
-    pub fn allreduce_max_elems(&self, x: &mut [f64]) {
-        self.try_allreduce_elems_tagged(x, f64::max, 0xC33).expect("peer rank hung up");
+    pub fn try_allreduce_max_elems(&self, x: &mut [f64]) -> Result<(), CommError> {
+        self.try_allreduce_elems_tagged(x, f64::max, 0xC33)
     }
 
     /// Elementwise global min of `x` across ranks (gather at 0, broadcast).
-    pub fn allreduce_min_elems(&self, x: &mut [f64]) {
-        self.try_allreduce_elems_tagged(x, f64::min, 0xC44).expect("peer rank hung up");
+    pub fn try_allreduce_min_elems(&self, x: &mut [f64]) -> Result<(), CommError> {
+        self.try_allreduce_elems_tagged(x, f64::min, 0xC44)
     }
 
     fn try_allreduce_elems_tagged(
@@ -222,11 +217,6 @@ impl Communicator {
             self.try_send(0, TAG, vec![v])?;
             Ok(self.try_recv(0, TAG + 1)?[0])
         }
-    }
-
-    /// Fail-stop [`Communicator::try_allreduce_max`].
-    pub fn allreduce_max(&self, v: f64) -> f64 {
-        self.try_allreduce_max(v).expect("peer rank hung up")
     }
 
     /// Sum-exchange shared entries with neighbor ranks.
@@ -325,12 +315,6 @@ impl Communicator {
         }
         Ok(())
     }
-
-    /// Fail-stop [`Communicator::try_exchange_sum`] at a fixed tag.
-    pub fn exchange_sum(&self, neighbors: &[(usize, Vec<u32>)], data: &mut [f64], ncomp: usize) {
-        const TAG: u64 = 0xE0;
-        self.try_exchange_sum(neighbors, data, ncomp, TAG).expect("peer rank hung up");
-    }
 }
 
 /// Wall-clock split of a timed sum-exchange (see
@@ -413,7 +397,7 @@ mod tests {
     fn allreduce_sum_is_consistent_on_all_ranks() {
         let results = run_spmd(5, |c| {
             let mut x = vec![c.rank() as f64, 1.0];
-            c.allreduce_sum(&mut x);
+            c.try_allreduce_sum(&mut x).unwrap();
             x
         });
         for r in &results {
@@ -427,8 +411,8 @@ mod tests {
             let r = c.rank() as f64;
             let mut mx = vec![r, -r, 10.0];
             let mut mn = mx.clone();
-            c.allreduce_max_elems(&mut mx);
-            c.allreduce_min_elems(&mut mn);
+            c.try_allreduce_max_elems(&mut mx).unwrap();
+            c.try_allreduce_min_elems(&mut mn).unwrap();
             (mx, mn)
         });
         for (mx, mn) in &results {
@@ -439,9 +423,9 @@ mod tests {
 
     #[test]
     fn allreduce_max_finds_global_max() {
-        let results = run_spmd(6, |c| c.allreduce_max((c.rank() as f64 - 2.5).abs()));
+        let results = run_spmd(6, |c| c.try_allreduce_max((c.rank() as f64 - 2.5).abs()));
         for r in results {
-            assert_eq!(r, 2.5);
+            assert_eq!(r, Ok(2.5));
         }
     }
 
@@ -463,7 +447,7 @@ mod tests {
                     }
                 })
                 .collect();
-            c.exchange_sum(&plan, &mut data, 2);
+            c.try_exchange_sum(&plan, &mut data, 2, 0xE0).unwrap();
             data
         });
         // Shared entries hold the sum of both ranks' values; others untouched.
@@ -497,8 +481,8 @@ mod tests {
     fn single_rank_collectives_are_identity() {
         let r = run_spmd(1, |c| {
             let mut x = vec![3.0, 4.0];
-            c.allreduce_sum(&mut x);
-            assert_eq!(c.allreduce_max(9.0), 9.0);
+            c.try_allreduce_sum(&mut x).unwrap();
+            assert_eq!(c.try_allreduce_max(9.0), Ok(9.0));
             c.barrier();
             x
         });

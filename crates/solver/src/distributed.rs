@@ -12,7 +12,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::checkpoint::SolverState;
-use crate::elastic::{ElasticSolver, StepScope};
+use crate::elastic::{ElasticSolver, StepScope, StepWorkspace};
 use crate::harness::{
     CheckpointHook, Exchange, FaultHook, HookCtx, RunConfig, RunOutcome, SolverHarness, StepHook,
     StopReason, TelemetryHook,
@@ -20,7 +20,7 @@ use crate::harness::{
 use crate::health::{dump_post_mortem, HealthConfig, HealthHook};
 use quake_ckpt::{CheckpointPolicy, CheckpointReader, CheckpointWriter, CkptError, PeriodicSink};
 use quake_mesh::{partition_morton, ExchangePlan, HexMesh, RateGroups};
-use quake_parcomm::{run_spmd, Communicator, ExchangeTiming, FaultPlan};
+use quake_parcomm::{run_spmd, CommError, Communicator, ExchangeTiming, FaultPlan};
 use quake_telemetry::{try_reduce_across_ranks, Reduced, Registry, Snapshot, SpanId, TraceBuffer};
 
 /// What to run distributed: rank count, step count, optional initial
@@ -157,10 +157,12 @@ impl StepHook for ImbalanceHook<'_> {
         let delta = (total - self.prev_elements_ns) as f64;
         self.prev_elements_ns = total;
         // Two tiny collectives per step; this hook only runs on the
-        // instrumented path, so the steady-state loop never sees them.
+        // instrumented path, so the steady-state loop never sees them. A
+        // dead peer stops the run like a failed exchange does.
+        let comm_stop = |e: CommError| StopReason::Comm(e.to_string());
         let mut sum = [delta];
-        self.comm.allreduce_sum(&mut sum);
-        let max = self.comm.allreduce_max(delta);
+        self.comm.try_allreduce_sum(&mut sum).map_err(comm_stop)?;
+        let max = self.comm.try_allreduce_max(delta).map_err(comm_stop)?;
         let mean = sum[0] / self.comm.size() as f64;
         let imb = if mean > 0.0 { max / mean } else { 1.0 };
         ctx.reg.gauge("imbalance", imb);
@@ -213,10 +215,8 @@ pub fn run_distributed(solver: &ElasticSolver<'_>, cfg: &DistConfig<'_>) -> Dist
     let epoch = Instant::now();
 
     let results = run_spmd(cfg.n_ranks, |comm: &Communicator| {
-        let rank = comm.rank();
-        let scope = &setup.scopes[rank];
         let mut ws = if cfg.telemetry {
-            let reg = Registry::with_epoch(rank, epoch);
+            let reg = Registry::with_epoch(comm.rank(), epoch);
             if let Some(cap) = cfg.trace_capacity {
                 reg.enable_trace(cap);
             }
@@ -225,30 +225,7 @@ pub fn run_distributed(solver: &ElasticSolver<'_>, cfg: &DistConfig<'_>) -> Dist
             solver.workspace()
         };
         let mut state = solver.initial_state(0, cfg.initial);
-        let mut exchange = CommExchange {
-            comm,
-            neighbors: setup.neighbors(rank, solver.mesh.n_nodes(), None),
-            spans: None,
-        };
-        let run_cfg = RunConfig::to_step(cfg.n_steps as u64).with_scope(scope);
-        let harness = SolverHarness::new(solver);
-        let outcome = if cfg.telemetry {
-            // This rank's true interface traffic: 3 doubles per shared
-            // node, each sent AND received.
-            let mut shape = solver.phase_shape(scope);
-            shape.exchange_doubles = 2 * 3 * volumes[rank] as u64;
-            let mut telemetry = TelemetryHook::shaped(solver, shape);
-            let mut imbalance = ImbalanceHook::new(comm, &ws.reg);
-            harness.run(
-                &run_cfg,
-                &mut state,
-                &mut ws,
-                &mut exchange,
-                &mut [&mut telemetry, &mut imbalance],
-            )
-        } else {
-            harness.run(&run_cfg, &mut state, &mut ws, &mut exchange, &mut [])
-        };
+        let outcome = step_rank(solver, &setup, cfg, comm, &mut state, &mut ws);
         // Fail-stop path: a stopped rank means a dead peer — surface it.
         assert!(
             matches!(outcome, RunOutcome::Finished { .. }),
@@ -263,11 +240,12 @@ pub fn run_distributed(solver: &ElasticSolver<'_>, cfg: &DistConfig<'_>) -> Dist
             let mut common = snap.clone();
             common.retain(|name| !name.starts_with("span.step/elements/color"));
             // SPMD ranks instrument identically, so a name-set divergence is
-            // programmer error (assert), not a runtime failure to abort on.
+            // programmer error, and on this fail-stop path a peer lost
+            // mid-reduction is as fatal as one lost mid-run.
             let reduced = try_reduce_across_ranks(comm, &common);
             assert!(
                 reduced.is_ok(),
-                "metric name sets differ across ranks: {:?}",
+                "cross-rank metric reduction failed: {:?}",
                 reduced.as_ref().err()
             );
             (snap, reduced.unwrap_or_default())
@@ -304,6 +282,40 @@ pub fn run_distributed(solver: &ElasticSolver<'_>, cfg: &DistConfig<'_>) -> Dist
     }
 
     DistributedRun { states, elements: setup.per_rank, volumes, snapshots, reduced, traces }
+}
+
+/// The step loop of one [`run_distributed`] rank: the canonical harness
+/// scoped to the rank's elements with the step-tagged exchange plus, on the
+/// telemetry path, the phase-cost and imbalance hooks. A dead peer stops the
+/// loop with [`StopReason::Comm`], whether the exchange or a hook's
+/// collective observed it.
+fn step_rank(
+    solver: &ElasticSolver<'_>,
+    setup: &DistSetup,
+    cfg: &DistConfig<'_>,
+    comm: &Communicator,
+    state: &mut SolverState,
+    ws: &mut StepWorkspace,
+) -> RunOutcome {
+    let rank = comm.rank();
+    let scope = &setup.scopes[rank];
+    let mut exchange = CommExchange {
+        comm,
+        neighbors: setup.neighbors(rank, solver.mesh.n_nodes(), None),
+        spans: None,
+    };
+    let run_cfg = RunConfig::to_step(cfg.n_steps as u64).with_scope(scope);
+    let harness = SolverHarness::new(solver);
+    if !cfg.telemetry {
+        return harness.run(&run_cfg, state, ws, &mut exchange, &mut []);
+    }
+    // This rank's true interface traffic: 3 doubles per shared node, each
+    // sent AND received.
+    let mut shape = solver.phase_shape(scope);
+    shape.exchange_doubles = 2 * 3 * setup.volumes[rank] as u64;
+    let mut telemetry = TelemetryHook::shaped(solver, shape);
+    let mut imbalance = ImbalanceHook::new(comm, &ws.reg);
+    harness.run(&run_cfg, state, ws, &mut exchange, &mut [&mut telemetry, &mut imbalance])
 }
 
 /// The rank decomposition shared by every distributed entry point: Morton
@@ -987,6 +999,39 @@ mod tests {
         assert_eq!(xbytes.max, max_vol * 2.0 * 3.0 * 8.0 * steps as f64);
         // Per-color spans stay rank-local (excluded from the collective).
         assert!(run.reduced.iter().all(|r| !r.name.contains("color")));
+    }
+
+    #[test]
+    fn dead_peer_stops_a_telemetry_rank_with_a_comm_reason_instead_of_panicking() {
+        // Rank 1 joins the step-0 exchange and then exits, so the first
+        // operation of rank 0 that misses it is the imbalance hook's
+        // collective — the survivor must stop with a Comm reason, not panic.
+        let mesh = HexMesh::from_octree(&LinearOctree::uniform(2), 8.0, |_, _, _, _| {
+            ElemMaterial { lambda: 2.0, mu: 1.0, rho: 1.0 }
+        });
+        let mut cfg = ElasticConfig::new(1.0);
+        cfg.dt = Some(0.05);
+        let solver = ElasticSolver::new(&mesh, &cfg);
+        let (u0, v0) = pulse(&mesh);
+        let dist = DistConfig::new(2, 4).with_initial(&u0, &v0).with_telemetry();
+        let setup = DistSetup::build(&solver, 2);
+        let outcomes = run_spmd(2, |comm: &Communicator| {
+            if comm.rank() == 1 {
+                let neighbors = setup.neighbors(1, mesh.n_nodes(), None);
+                let mut rhs = vec![0.0; 3 * mesh.n_nodes()];
+                comm.try_exchange_sum(&neighbors[0], &mut rhs, 1, STEP_TAG_BASE).unwrap();
+                return None;
+            }
+            let mut ws = solver.workspace_with(Registry::new(0));
+            let mut state = solver.initial_state(0, dist.initial);
+            Some(step_rank(&solver, &setup, &dist, comm, &mut state, &mut ws))
+        });
+        match &outcomes[0] {
+            Some(RunOutcome::Stopped { reason: StopReason::Comm(e), .. }) => {
+                assert!(e.contains("rank 1 failed"), "{e}");
+            }
+            other => panic!("survivor did not stop with a Comm reason: {other:?}"),
+        }
     }
 
     #[test]

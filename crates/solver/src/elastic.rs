@@ -54,10 +54,11 @@
 //!   term, and the post-exchange tail fuses the history axpy with the
 //!   `lhs_inv` scale.
 //!
-//! With the `parallel` feature the element sweep runs threaded over the
-//! coloring: within one color no two elements share a node, so scatters are
-//! race-free and the result is bit-identical to the serial color-major sweep
-//! for any thread count.
+//! The element sweep is serial within a rank, color by color: the
+//! node-disjoint coloring fixes a deterministic element order (within one
+//! color no two elements share a node, so reordering inside a color cannot
+//! change a floating-point sum). Parallelism lives one level up, in ranks
+//! and serve workers.
 
 use crate::abc::{accumulate_abc_damping, apply_abc_stiffness_planar, build_abc_faces, AbcFace};
 use crate::checkpoint::SolverState;
@@ -120,10 +121,10 @@ pub struct RunResult {
     pub wall_secs: f64,
 }
 
-/// The per-rank step schedule: which elements to assemble (color-major, so
-/// the sweep can run threaded without write races), which absorbing faces
-/// belong to those elements, and which nodes' diagonal damping this rank
-/// owns. Built once ([`ElasticSolver::scope`]), reused every step.
+/// The per-rank step schedule: which elements to assemble (color-major, the
+/// canonical summation order), which absorbing faces belong to those
+/// elements, and which nodes' diagonal damping this rank owns. Built once
+/// ([`ElasticSolver::scope`]), reused every step.
 pub struct StepScope {
     /// Node-disjoint coloring of the scope's elements.
     pub coloring: ElementColoring,
@@ -580,35 +581,10 @@ impl<'m> ElasticSolver<'m> {
         u_next: &mut [f64],
         ws: &mut StepWorkspace,
     ) {
-        self.full_step(Fields::Whole { u_prev, u_now }, f_ext, u_next, ws, false);
-    }
-
-    /// [`ElasticSolver::step_with`] with the threaded sweep disabled even
-    /// when the `parallel` feature is on — the bench's serial row, so the
-    /// layout-vs-threading speedup decomposition stays measurable from one
-    /// build. Bit-identical to `step_with` by construction.
-    pub fn step_with_serial(
-        &self,
-        u_prev: &[f64],
-        u_now: &[f64],
-        f_ext: &[f64],
-        u_next: &mut [f64],
-        ws: &mut StepWorkspace,
-    ) {
-        self.full_step(Fields::Whole { u_prev, u_now }, f_ext, u_next, ws, true);
-    }
-
-    /// The global pass over the full domain, with no exchange to fail.
-    fn full_step(
-        &self,
-        fields: Fields<'_>,
-        f_ext: &[f64],
-        u_next: &mut [f64],
-        ws: &mut StepWorkspace,
-        force_serial: bool,
-    ) {
+        // The global pass over the full domain, with no exchange to fail.
         let pass = self.global_pass(&self.full_scope);
-        let done = self.pass(&pass, fields, f_ext, u_next, ws, force_serial, |_, _| Ok(()));
+        let fields = Fields::Whole { u_prev, u_now };
+        let done = self.pass(&pass, fields, f_ext, u_next, ws, |_, _| Ok(()));
         debug_assert!(done.is_ok(), "a step without an exchange cannot fail");
     }
 
@@ -635,7 +611,6 @@ impl<'m> ElasticSolver<'m> {
     ///
     /// Steady-state heap allocations: **zero** (scratch lives in `ws` and
     /// the caller's buffers, the face list and schedule in the pass).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn pass(
         &self,
         pass: &Pass<'_>,
@@ -643,7 +618,6 @@ impl<'m> ElasticSolver<'m> {
         f_ext: &[f64],
         rhs: &mut [f64],
         ws: &mut StepWorkspace,
-        force_serial: bool,
         exchange: impl FnOnce(&mut [f64], &Registry) -> Result<(), String>,
     ) -> Result<(), String> {
         let n = self.mesh.n_nodes();
@@ -670,7 +644,7 @@ impl<'m> ElasticSolver<'m> {
         // lint:hot-path — the explicit step and its element kernels. The
         // steady state must stay allocation-free (PR 1's guarantee; scratch
         // lives in StepWorkspace/RunScratch, span ids are pre-interned
-        // above) and bit-deterministic across thread counts and ranks.
+        // above) and bit-deterministic across ranks.
         // quake-lint enforces both until the matching end marker below.
         reg.enter(ids.step);
 
@@ -750,9 +724,21 @@ impl<'m> ElasticSolver<'m> {
             Fields::Group { ue, .. } => ue,
         };
 
-        // Element stiffness/damping sweep, color-major, blocked per class.
+        // Element stiffness/damping sweep, color-major (the canonical
+        // summation order), blocked per class. The per-color spans
+        // (`step/elements/color<i>`) were pre-interned in the prologue;
+        // `ids.colors` stays empty when the registry is disabled, which
+        // skips them at the cost of one branch per color.
         reg.enter(ids.elements);
-        sweep(schedule, disp, w, rhs, reg, &ids.colors, force_serial);
+        for ci in 0..schedule.n_colors() {
+            if reg.is_enabled() {
+                reg.enter(ids.colors[ci]);
+            }
+            schedule.sweep_color(ci, disp, w, rhs);
+            if reg.is_enabled() {
+                reg.exit(ids.colors[ci]);
+            }
+        }
         reg.exit(ids.elements);
 
         // Stacey tangential coupling (K^AB) of this pass's faces, applied
@@ -896,32 +882,26 @@ impl<'m> ElasticSolver<'m> {
         (&self.alpha, &self.beta)
     }
 
-    /// Total mechanical energy of a state in the public interleaved layout:
-    /// `1/2 v^T M v + 1/2 u^T K u` with `v = (u_now - u_prev)/dt`.
-    pub fn energy(&self, u_prev: &[f64], u_now: &[f64]) -> f64 {
-        self.energy_sum(u_prev, u_now, |nd, comp| 3 * nd + comp, |_| self.dt)
-    }
-
-    /// [`ElasticSolver::energy`] over vectors in the solver's internal
-    /// *planar* layout (`dof = comp * n_nodes + node`) — the layout of
-    /// [`SolverState::u_prev`]/[`SolverState::u_now`]. Identical summation
-    /// order per node/element as the interleaved form.
+    /// Total mechanical energy `1/2 v^T M v + 1/2 u^T K u` with
+    /// `v = (u_now - u_prev)/dt`, over vectors in the solver's *planar*
+    /// layout (`dof = comp * n_nodes + node`) — the layout of
+    /// [`SolverState::u_prev`]/[`SolverState::u_now`].
     pub fn energy_planar(&self, u_prev: &[f64], u_now: &[f64]) -> f64 {
-        let n = self.mesh.n_nodes();
-        self.energy_sum(u_prev, u_now, |nd, comp| comp * n + nd, |_| self.dt)
+        self.energy_sum(u_prev, u_now, |_| self.dt)
     }
 
-    /// The one kinetic + strain sum behind every energy entry point.
-    /// `dof(node, comp)` indexes the vectors' layout; `node_dt(node)` is the
-    /// node's staggered step `v = (u_now - u_prev)/dt` is taken over —
-    /// uniform under global dt, the owner group's at a rate-group sync step.
+    /// The one kinetic + strain sum behind every energy entry point, over
+    /// planar vectors. `node_dt(node)` is the node's staggered step
+    /// `v = (u_now - u_prev)/dt` is taken over — uniform under global dt,
+    /// the owner group's at a rate-group sync step.
     pub(crate) fn energy_sum(
         &self,
         u_prev: &[f64],
         u_now: &[f64],
-        dof: impl Fn(usize, usize) -> usize,
         node_dt: impl Fn(usize) -> f64,
     ) -> f64 {
+        let n = self.mesh.n_nodes();
+        let dof = |nd: usize, comp: usize| comp * n + nd;
         let mats = elastic_hex_matrices();
         let mut e_kin = 0.0;
         for (nd, &m) in self.mass.iter().enumerate() {
@@ -950,57 +930,6 @@ impl<'m> ElasticSolver<'m> {
     }
 }
 
-// lint:hot-path — the element sweep dispatch (see the marker in `pass`).
-// lint:par-sweep — every pass, global or rate-group, reaches the ledgered
-// scatter sites of `SweepSchedule` through this one dispatch; no write to
-// the shared rhs may appear here directly (quake-lint's
-// parallel-disjointness rule audits this region).
-/// Element sweep dispatch: threaded over the coloring with the `parallel`
-/// feature (unless `force_serial`), serial color-major — the canonical
-/// order — otherwise (identical results: each node is written by at most
-/// one element per color). The actual kernel is the blocked per-class
-/// template sweep of [`crate::sweep::SweepSchedule`].
-///
-/// `reg`/`colors` carry the per-color telemetry spans
-/// (`step/elements/color<i>`), pre-interned in the pass prologue (`colors`
-/// stays empty when the registry is disabled, which skips all of it at the
-/// cost of one branch per color).
-fn sweep(
-    schedule: &SweepSchedule,
-    disp: &[f64],
-    w: &[f64],
-    rhs: &mut [f64],
-    reg: &Registry,
-    colors: &[SpanId],
-    force_serial: bool,
-) {
-    #[cfg(feature = "parallel")]
-    if !force_serial {
-        let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
-        // Don't spawn for tiny sweeps: a thread needs a few hundred
-        // element updates to amortize its creation. The threaded sweep
-        // attributes its whole time to `step/elements` (the per-rank
-        // registry is single-threaded by design).
-        let threads = hw.min(schedule.n_elements() / 256).max(1);
-        if threads > 1 {
-            schedule.sweep_parallel(threads, disp, w, rhs);
-            return;
-        }
-    }
-    let _ = force_serial;
-    for ci in 0..schedule.n_colors() {
-        if reg.is_enabled() {
-            reg.enter(colors[ci]);
-        }
-        schedule.sweep_color(ci, disp, w, rhs);
-        if reg.is_enabled() {
-            reg.exit(colors[ci]);
-        }
-    }
-}
-// lint:par-sweep-end
-// lint:hot-path-end
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1023,6 +952,12 @@ mod tests {
         n_steps: usize,
     ) -> (Vec<f64>, Vec<f64>) {
         crate::harness::SolverHarness::new(solver).run_to_state(initial, n_steps)
+    }
+
+    /// Energy of an interleaved `run_to_state` result: converted to the
+    /// solver's planar layout at the test boundary.
+    fn energy(solver: &ElasticSolver<'_>, u_prev: &[f64], u_now: &[f64]) -> f64 {
+        solver.energy_planar(&to_planar3(u_prev), &to_planar3(u_now))
     }
 
     /// Gaussian shear pulse traveling in +x: u_y = exp(-((x-x0)/w)^2).
@@ -1068,27 +1003,11 @@ mod tests {
         let solver = ElasticSolver::new(&mesh, &cfg);
         let (u0, v0) = shear_pulse(&mesh, 4.0, 1.0, 1.0);
         let (up1, un1) = run_to_state(&solver, Some((&u0, &v0)), 1);
-        let e_start = solver.energy(&up1, &un1);
+        let e_start = energy(&solver, &up1, &un1);
         let (up, un) = run_to_state(&solver, Some((&u0, &v0)), 200);
-        let e_end = solver.energy(&up, &un);
+        let e_end = energy(&solver, &up, &un);
         assert!((e_end - e_start).abs() < 5e-3 * e_start, "energy drift {e_start} -> {e_end}");
         assert!(e_start > 0.0);
-    }
-
-    #[test]
-    fn energy_planar_matches_interleaved_energy_bitwise() {
-        let mesh = uniform_mesh(3, 8.0, 2.0, 1.0, 1.0);
-        let mut cfg = ElasticConfig::new(0.5);
-        cfg.dt = Some(0.05);
-        let solver = ElasticSolver::new(&mesh, &cfg);
-        let (u0, v0) = shear_pulse(&mesh, 4.0, 1.0, 1.0);
-        let (up, un) = run_to_state(&solver, Some((&u0, &v0)), 7);
-        let e = solver.energy(&up, &un);
-        let e_planar =
-            solver.energy_planar(&crate::layout::to_planar3(&up), &crate::layout::to_planar3(&un));
-        // Same per-node / per-element summation order: identical to the bit.
-        assert_eq!(e.to_bits(), e_planar.to_bits(), "{e} vs {e_planar}");
-        assert!(e > 0.0);
     }
 
     #[test]
@@ -1132,12 +1051,12 @@ mod tests {
         let solver = ElasticSolver::new(&mesh, &cfg);
         let (u0, v0) = shear_pulse(&mesh, 4.0, 1.0, 1.0);
         let (up1, un1) = run_to_state(&solver, Some((&u0, &v0)), 1);
-        let e_start = solver.energy(&up1, &un1);
+        let e_start = energy(&solver, &up1, &un1);
         // After the pulse crosses the domain (8 units at vs = 1 -> 8 s) it
         // should be mostly gone.
         let n_steps = (10.0 / solver.dt).round() as usize;
         let (up, un) = run_to_state(&solver, Some((&u0, &v0)), n_steps);
-        let e_end = solver.energy(&up, &un);
+        let e_end = energy(&solver, &up, &un);
         // Stacey is exact only at normal incidence; the 1-D pulse grazes the
         // four side faces, which is the worst case — ~10-15% residual is the
         // expected behaviour (compare the reflecting control test: > 90%).
@@ -1153,10 +1072,10 @@ mod tests {
         let solver = ElasticSolver::new(&mesh, &cfg);
         let (u0, v0) = shear_pulse(&mesh, 4.0, 1.0, 1.0);
         let (up1, un1) = run_to_state(&solver, Some((&u0, &v0)), 1);
-        let e_start = solver.energy(&up1, &un1);
+        let e_start = energy(&solver, &up1, &un1);
         let n_steps = (10.0 / solver.dt).round() as usize;
         let (up, un) = run_to_state(&solver, Some((&u0, &v0)), n_steps);
-        let e_end = solver.energy(&up, &un);
+        let e_end = energy(&solver, &up, &un);
         assert!(e_end > 0.9 * e_start, "free box lost energy: {e_start} -> {e_end}");
     }
 
@@ -1169,10 +1088,10 @@ mod tests {
         let solver = ElasticSolver::new(&mesh, &cfg);
         let (u0, v0) = shear_pulse(&mesh, 4.0, 1.0, 1.0);
         let (up1, un1) = run_to_state(&solver, Some((&u0, &v0)), 1);
-        let e_start = solver.energy(&up1, &un1);
+        let e_start = energy(&solver, &up1, &un1);
         let n_steps = (8.0 / solver.dt).round() as usize;
         let (up, un) = run_to_state(&solver, Some((&u0, &v0)), n_steps);
-        let e_end = solver.energy(&up, &un);
+        let e_end = energy(&solver, &up, &un);
         assert!(e_end < 0.7 * e_start, "damping too weak: {e_start} -> {e_end}");
         assert!(e_end > 0.0);
     }
@@ -1285,26 +1204,6 @@ mod tests {
     }
 
     #[test]
-    fn serial_step_entry_is_bit_identical_to_step_with() {
-        // `step_with_serial` (the bench's serial row) must be the same
-        // arithmetic as `step_with` — with the `parallel` feature this
-        // pins the threaded sweep's bit-identity end to end.
-        let (mesh, cfg) = damped_hanging_setup();
-        let solver = ElasticSolver::new(&mesh, &cfg);
-        let ndof = 3 * mesh.n_nodes();
-        let (u0, v0) = shear_pulse(&mesh, 4.0, 1.5, 1.0);
-        let state = solver.initial_state(0, Some((&u0, &v0)));
-        let f = vec![0.0; ndof];
-        let mut ws = solver.workspace();
-        let mut next_a = vec![0.0; ndof];
-        let mut next_b = vec![0.0; ndof];
-        solver.step_with(&state.u_prev, &state.u_now, &f, &mut next_a, &mut ws);
-        solver.step_with_serial(&state.u_prev, &state.u_now, &f, &mut next_b, &mut ws);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&next_a), bits(&next_b));
-    }
-
-    #[test]
     fn instrumented_step_accounts_every_phase() {
         // Under global dt (the one-group plan) and under a 3-group rate
         // plan alike: the seven phases are the only children of the `step`
@@ -1373,19 +1272,16 @@ mod tests {
             }
             assert_eq!(child_ns, step.child_ns);
 
-            // The serial sweep nests one span per color under step/elements.
-            #[cfg(not(feature = "parallel"))]
-            {
-                let elements = reg.span_stats("step/elements").unwrap();
-                let mut color_ns = 0;
-                let mut ci = 0;
-                while let Some(s) = reg.span_stats(&format!("step/elements/color{ci}")) {
-                    color_ns += s.total_ns;
-                    ci += 1;
-                }
-                assert!(ci >= 2, "expected a multi-color schedule, got {ci}");
-                assert_eq!(color_ns, elements.child_ns);
+            // The sweep nests one span per color under step/elements.
+            let elements = reg.span_stats("step/elements").unwrap();
+            let mut color_ns = 0;
+            let mut ci = 0;
+            while let Some(s) = reg.span_stats(&format!("step/elements/color{ci}")) {
+                color_ns += s.total_ns;
+                ci += 1;
             }
+            assert!(ci >= 2, "expected a multi-color schedule, got {ci}");
+            assert_eq!(color_ns, elements.child_ns);
 
             // Analytic work was attached to every phase (exchange has zero
             // flops but the counter still exists), per pass: the element
@@ -1530,32 +1426,5 @@ mod tests {
         assert_eq!(fin.step, solver.n_steps as u64);
         assert_eq!(result.seismograms[0].data, baseline.seismograms[0].data);
         assert_eq!(result.flops, baseline.flops);
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_sweep_is_bit_identical_to_serial() {
-        // The threaded colored loop must match the serial color-major sweep
-        // EXACTLY (each node is written by one element per color, so the
-        // floating-point sum order is schedule-independent).
-        let (mesh, cfg) = damped_hanging_setup();
-        let solver = ElasticSolver::new(&mesh, &cfg);
-        let ndof = 3 * mesh.n_nodes();
-        let mut state = 0xF00Du64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-        };
-        let u_now: Vec<f64> = (0..ndof).map(|_| next()).collect();
-        let w: Vec<f64> = (0..ndof).map(|_| next()).collect();
-        let mut rhs_serial = vec![0.0; ndof];
-        let mut rhs_parallel = vec![0.0; ndof];
-        let schedule = &solver.full_scope.schedule;
-        sweep(schedule, &u_now, &w, &mut rhs_serial, &Registry::disabled(), &[], true);
-        for threads in [2, 3, 5] {
-            rhs_parallel.fill(0.0);
-            schedule.sweep_parallel(threads, &u_now, &w, &mut rhs_parallel);
-            assert_eq!(rhs_serial, rhs_parallel, "threads = {threads}");
-        }
     }
 }

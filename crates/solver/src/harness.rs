@@ -427,7 +427,7 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
                             }),
                         },
                     };
-                    let stepped = solver.pass(pass, fields, f, u_next, ws, false, |rhs, reg| {
+                    let stepped = solver.pass(pass, fields, f, u_next, ws, |rhs, reg| {
                         let mut flow = ExchangeFlow::Proceed;
                         for h in hooks.iter_mut() {
                             // lint:reach-ok — dyn hook fan-out: hot/comm callers install audited hooks (DESIGN.md).

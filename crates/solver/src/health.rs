@@ -193,13 +193,10 @@ impl StepHook for HealthHook<'_, '_> {
         }
         // Staggered velocity over each node's own step: the owner group's
         // under a rate-group plan, the global dt otherwise.
-        let (n, info) = (self.solver.mesh.n_nodes(), ctx.info);
-        let energy = self.solver.energy_sum(
-            &ctx.state.u_prev,
-            &ctx.state.u_now,
-            |nd, comp| comp * n + nd,
-            |nd| info.node_dt.map_or(info.dt, |dts| dts[nd]),
-        );
+        let info = ctx.info;
+        let energy = self.solver.energy_sum(&ctx.state.u_prev, &ctx.state.u_now, |nd| {
+            info.node_dt.map_or(info.dt, |dts| dts[nd])
+        });
         if !energy.is_finite() {
             let reason = "non-finite discrete energy".to_string();
             return Err(self.violation(ctx, reason, energy));

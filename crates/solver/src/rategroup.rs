@@ -258,8 +258,7 @@ impl RateGroupPlan {
     /// like [`ElasticSolver::energy_planar`], but each node's staggered
     /// velocity uses its owner group's step (`v = (u_now - u_prev)/dt_own`).
     pub fn energy(&self, solver: &ElasticSolver<'_>, u_prev: &[f64], u_now: &[f64]) -> f64 {
-        let n = solver.mesh.n_nodes();
-        solver.energy_sum(u_prev, u_now, |nd, comp| comp * n + nd, |nd| self.node_dt[nd])
+        solver.energy_sum(u_prev, u_now, |nd| self.node_dt[nd])
     }
 }
 
@@ -455,8 +454,7 @@ pub(crate) mod tests {
     /// the velocity reconstructed as `(u_b - u_a) / dt` -- the same formula
     /// for either scheme, so the comparison measures field agreement only.
     fn energy_at_sync(solver: &ElasticSolver<'_>, u_a: &[f64], u_b: &[f64], dt: f64) -> f64 {
-        let n = solver.mesh.n_nodes();
-        solver.energy_sum(u_a, u_b, |nd, comp| comp * n + nd, |_| dt)
+        solver.energy_sum(u_a, u_b, |_| dt)
     }
 
     #[test]

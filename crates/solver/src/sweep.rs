@@ -31,12 +31,15 @@
 //! useful there, and that — not memory traffic — was the whole gap to the
 //! 2-class layered mesh. [`SweepSchedule::lane_fill`] reports the ratio.
 //!
-//! Reordering elements within a color is bit-safe: the coloring is
-//! node-disjoint, so within one color every rhs entry is written by at most
-//! one element — the scatter order cannot change any floating-point sum.
-//! Each element's own accumulation runs in fixed ascending-column order,
-//! independent of its batch position or thread, so the sweep is
-//! bit-deterministic for any thread count and any chunking.
+//! The sweep is serial within a rank; the coloring it walks is a
+//! deterministic element *order*, not a race guard (parallelism lives in
+//! ranks and serve workers — see DESIGN.md "Why the sweep is serial
+//! within a rank"). Reordering elements within a color is bit-safe: the
+//! coloring is node-disjoint, so within one color every rhs entry is written
+//! by at most one element — the scatter order cannot change any
+//! floating-point sum. Each element's own accumulation runs in fixed
+//! ascending-column order, independent of its batch position, so the sweep
+//! is bit-deterministic.
 
 use quake_fem::hex8::combined_hex_stiffness;
 use quake_mesh::coloring::ElementColoring;
@@ -76,17 +79,17 @@ pub struct SweepSchedule {
     n_nodes: usize,
     /// `dt^2`, folded into the gather so the matvec needs no post-scale.
     dt2: f64,
-    /// One combined stiffness per class, flat row-major, stride 576.
-    templates: Vec<f64>,
-    /// Corner nodes of scheduled element `j`: `nodes[8j..8j+8]` (all `< n_nodes`).
-    nodes: Vec<u32>,
+    /// One combined stiffness per class, row-major 24x24.
+    templates: Vec<[f64; 576]>,
+    /// Corner nodes of scheduled element `j` (all `< n_nodes`).
+    nodes: Vec<[u32; 8]>,
     /// Damping gather coefficient `dt beta_e / 2` of scheduled element `j`.
     bscale: Vec<f64>,
     /// Scheduled elements with a nonzero Rayleigh `beta` (the cost model's
     /// damped/undamped split).
     n_damped: usize,
-    /// Matvec lanes one serial sweep computes: every run rounded up to whole
-    /// lane groups.
+    /// Matvec lanes one sweep computes: every run rounded up to whole lane
+    /// groups.
     n_lanes: usize,
     /// Class-homogeneous runs in schedule order.
     runs: Vec<Run>,
@@ -118,14 +121,15 @@ impl SweepSchedule {
         let mut keys: Vec<(u64, u64, u64)> = coloring.order.iter().map(|&e| class_key(e)).collect();
         keys.sort_unstable();
         keys.dedup();
-        let mut templates = Vec::with_capacity(keys.len() * 576);
-        for &(h, l, m) in &keys {
-            let t = combined_hex_stiffness(f64::from_bits(l), f64::from_bits(m), f64::from_bits(h));
-            templates.extend_from_slice(&t);
-        }
+        let templates = keys
+            .iter()
+            .map(|&(h, l, m)| {
+                combined_hex_stiffness(f64::from_bits(l), f64::from_bits(m), f64::from_bits(h))
+            })
+            .collect();
 
         let n_sched = coloring.order.len();
-        let mut nodes = Vec::with_capacity(8 * n_sched);
+        let mut nodes = Vec::with_capacity(n_sched);
         let mut bscale = Vec::with_capacity(n_sched);
         let mut runs: Vec<Run> = Vec::new();
         let mut color_runs = Vec::with_capacity(coloring.n_colors() + 1);
@@ -147,10 +151,8 @@ impl SweepSchedule {
             sorted.sort_unstable();
             for &(class, ei) in &*sorted {
                 let e = &mesh.elements[ei as usize];
-                for &nd in &e.nodes {
-                    assert!((nd as usize) < n, "element node out of range");
-                    nodes.push(nd);
-                }
+                assert!(e.nodes.iter().all(|&nd| (nd as usize) < n), "element node out of range");
+                nodes.push(e.nodes);
                 bscale.push(0.5 * dt * beta[ei as usize]);
                 n_damped += usize::from(beta[ei as usize] != 0.0);
                 // Extend the current run only within this color (a run that
@@ -168,7 +170,7 @@ impl SweepSchedule {
             color_runs.push(runs.len());
         }
         let n_lanes = runs.iter().map(|r| lanes_of((r.end - r.begin) as usize)).sum();
-        let schedule = SweepSchedule {
+        SweepSchedule {
             n_nodes: n,
             dt2: dt * dt,
             templates,
@@ -178,15 +180,7 @@ impl SweepSchedule {
             n_lanes,
             runs,
             color_runs,
-        };
-        // Runtime witness of the static parallel-disjointness argument:
-        // debug builds verify the coloring the schedule was handed really
-        // is node-disjoint before any threaded sweep trusts it.
-        debug_assert!(
-            schedule.colors_are_node_disjoint(),
-            "a color's scheduled elements share a node — the threaded sweep would race"
-        );
-        schedule
+        }
     }
 
     pub fn n_colors(&self) -> usize {
@@ -203,9 +197,8 @@ impl SweepSchedule {
         self.n_damped
     }
 
-    /// Matvec lanes one serial sweep of the schedule computes: each class
-    /// run of length `L` costs `ceil(L / LG) * LG` (a threaded sweep that
-    /// splits a run mid-group computes up to `LG - 1` more per split).
+    /// Matvec lanes one sweep of the schedule computes: each class run of
+    /// length `L` costs `ceil(L / LG) * LG`.
     pub fn n_lanes(&self) -> usize {
         self.n_lanes
     }
@@ -222,135 +215,19 @@ impl SweepSchedule {
 
     /// Number of distinct stiffness classes (levels x materials).
     pub fn n_classes(&self) -> usize {
-        self.templates.len() / 576
-    }
-
-    /// Schedule-position span of color `ci`.
-    fn color_span(&self, ci: usize) -> (usize, usize) {
-        let (rlo, rhi) = (self.color_runs[ci], self.color_runs[ci + 1]);
-        if rlo == rhi {
-            return (0, 0);
-        }
-        (self.runs[rlo].begin as usize, self.runs[rhi - 1].end as usize)
-    }
-
-    /// The dynamic half of the parallel-disjointness audit: true iff no two
-    /// scheduled elements of the same color share a node. This is exactly
-    /// the property that makes the threaded sweep's concurrent raw-pointer
-    /// scatters race-free (the static half is quake-lint's
-    /// `parallel-disjointness` rule over the `lint:par-sweep` region
-    /// below). O(8 x n_elements) with one stamp per node, so debug builds
-    /// can afford it on every `build`.
-    pub(crate) fn colors_are_node_disjoint(&self) -> bool {
-        let mut stamp = vec![u32::MAX; self.n_nodes];
-        for ci in 0..self.n_colors() {
-            let (lo, hi) = self.color_span(ci);
-            for &nd in &self.nodes[8 * lo..8 * hi] {
-                if stamp[nd as usize] == ci as u32 {
-                    return false;
-                }
-                stamp[nd as usize] = ci as u32;
-            }
-        }
-        true
+        self.templates.len()
     }
 
     // lint:hot-path — the blocked element kernel: per-class template
-    // batches with unchecked planar gather/scatter. Runs once per element
-    // per step; fixed-size stack scratch only, bit-deterministic for any
-    // thread count or chunking (node-disjoint colors).
-    // lint:par-sweep — color-parallel scatter bodies: every write to the
-    // shared nodal rhs below must go through the ledgered unsafe scatter
-    // sites (disjointness argument in UNSAFE_LEDGER.md) or a batch-local
-    // buffer; quake-lint's parallel-disjointness rule audits this region.
-    /// Process every element of color `ci` serially. `u_now`/`w`/`rhs` are
-    /// planar (`dof = comp * n_nodes + node`).
+    // batches, fixed-size stack scratch only. Runs once per element per
+    // step.
+    /// Process every element of color `ci`. `u_now`/`w`/`rhs` are planar
+    /// (`dof = comp * n_nodes + node`).
     pub fn sweep_color(&self, ci: usize, u_now: &[f64], w: &[f64], rhs: &mut [f64]) {
-        let n3 = 3 * self.n_nodes;
-        assert_eq!(u_now.len(), n3);
-        assert_eq!(w.len(), n3);
-        assert_eq!(rhs.len(), n3);
-        let (lo, hi) = self.color_span(ci);
-        // SAFETY: `rhs` is an exclusive borrow of a `3 * n_nodes` buffer
-        // (asserted above) and this thread is the only writer; every node id
-        // in the schedule was validated `< n_nodes` at build time
-        // (UNSAFE_LEDGER.md).
-        unsafe { self.sweep_range_raw(ci, lo, hi, u_now, w, rhs.as_mut_ptr()) };
-    }
-
-    /// Threaded sweep over all colors: each color's schedule span is split
-    /// into contiguous chunks, one per thread, with a barrier between colors.
-    /// Within a color no two elements share a node, so concurrent scatters
-    /// touch disjoint `rhs` entries; per-element arithmetic is independent of
-    /// the chunking, so the result is bit-identical to the serial sweep.
-    #[cfg(feature = "parallel")]
-    pub fn sweep_parallel(&self, threads: usize, u_now: &[f64], w: &[f64], rhs: &mut [f64]) {
-        let n3 = 3 * self.n_nodes;
-        assert_eq!(u_now.len(), n3);
-        assert_eq!(w.len(), n3);
-        assert_eq!(rhs.len(), n3);
-        struct RhsPtr(*mut f64);
-        // SAFETY: sharing a raw `*mut f64` to rhs across threads is sound
-        // because the coloring is node-disjoint and chunks are disjoint — no
-        // two threads ever write the same entry between barriers
-        // (UNSAFE_LEDGER.md).
-        unsafe impl Sync for RhsPtr {}
-        let ptr = RhsPtr(rhs.as_mut_ptr());
-        let barrier = std::sync::Barrier::new(threads);
-        std::thread::scope(|s| {
-            for tid in 0..threads {
-                let ptr = &ptr;
-                let barrier = &barrier;
-                s.spawn(move || {
-                    for ci in 0..self.n_colors() {
-                        let (clo, chi) = self.color_span(ci);
-                        let len = chi - clo;
-                        let per = len.div_ceil(threads);
-                        let lo = clo + (tid * per).min(len);
-                        let hi = clo + ((tid + 1) * per).min(len);
-                        // This chunk stays inside its color span; with
-                        // `per = ceil(len / threads)` the per-thread windows
-                        // are pairwise disjoint and tile [clo, chi).
-                        debug_assert!(clo <= lo && lo <= hi && hi <= chi);
-                        if lo < hi {
-                            // SAFETY: `ptr.0` points to the live exclusive
-                            // rhs buffer for the whole scope; threads write
-                            // disjoint entries (node-disjoint color, disjoint
-                            // [lo, hi) chunks) and the barrier orders colors
-                            // (UNSAFE_LEDGER.md).
-                            unsafe { self.sweep_range_raw(ci, lo, hi, u_now, w, ptr.0) };
-                        }
-                        barrier.wait();
-                    }
-                });
-            }
-        });
-    }
-
-    /// The batched kernel over schedule positions `[lo, hi)` of color `ci`,
-    /// writing through a raw pointer (the threaded sweep's chunks alias the
-    /// same buffer; disjointness — not the borrow checker — guarantees race
-    /// freedom).
-    ///
-    /// # Safety
-    /// `rhs` must point to a live `3 * n_nodes` buffer, and no other thread
-    /// may concurrently access the entries of this range's element nodes.
-    /// Callers discharge this via the node-disjoint coloring (within a color
-    /// no two elements share a node) plus disjoint `[lo, hi)` chunks and an
-    /// inter-color barrier. `u_now` and `w` must be `3 * n_nodes` long
-    /// (checked by the safe wrappers); schedule node ids are validated at
-    /// build time, so the unchecked planar accesses stay in bounds (see
-    /// UNSAFE_LEDGER.md).
-    unsafe fn sweep_range_raw(
-        &self,
-        ci: usize,
-        lo: usize,
-        hi: usize,
-        u_now: &[f64],
-        w: &[f64],
-        rhs: *mut f64,
-    ) {
         let n = self.n_nodes;
+        assert_eq!(u_now.len(), 3 * n);
+        assert_eq!(w.len(), 3 * n);
+        assert_eq!(rhs.len(), 3 * n);
         let dt2 = self.dt2;
         // Tile scratch, lane-group major: X holds the combined gather, Y the
         // template matvec; element `b` of a tile is lane `b % LG` of group
@@ -359,39 +236,32 @@ impl SweepSchedule {
         let mut x = [[[0.0f64; LG]; 24]; BATCH / LG];
         let mut y = [[[0.0f64; LG]; 24]; BATCH / LG];
         for r in &self.runs[self.color_runs[ci]..self.color_runs[ci + 1]] {
-            let seg_lo = lo.max(r.begin as usize);
-            let seg_hi = hi.min(r.end as usize);
-            if seg_lo >= seg_hi {
-                continue;
-            }
-            let t = &self.templates[r.class as usize * 576..r.class as usize * 576 + 576];
-            let mut j = seg_lo;
-            while j < seg_hi {
-                let nb = (seg_hi - j).min(BATCH);
-                for b in 0..nb {
-                    let el = j + b;
-                    let bs = *self.bscale.get_unchecked(el);
+            let t = &self.templates[r.class as usize];
+            let mut j = r.begin as usize;
+            let end = r.end as usize;
+            while j < end {
+                let nb = (end - j).min(BATCH);
+                let tile_nodes = &self.nodes[j..j + nb];
+                for (b, (nds, &bs)) in tile_nodes.iter().zip(&self.bscale[j..j + nb]).enumerate() {
                     let xg = &mut x[b / LG];
-                    for c8 in 0..8 {
-                        let nd = *self.nodes.get_unchecked(8 * el + c8) as usize;
+                    for (c8, &nd) in nds.iter().enumerate() {
                         for comp in 0..3 {
-                            let dof = comp * n + nd;
-                            xg[3 * c8 + comp][b % LG] =
-                                dt2 * *u_now.get_unchecked(dof) + bs * *w.get_unchecked(dof);
+                            let dof = comp * n + nd as usize;
+                            xg[3 * c8 + comp][b % LG] = dt2 * u_now[dof] + bs * w[dof];
                         }
                     }
                 }
                 // Y[r][:] = sum_c T[r][c] X[c][:] over the tile's occupied
                 // lane groups only, fixed ascending-c order: each lane's sum
-                // is independent of batch composition, thread chunking, and
-                // nb, so per-element results are bit-stable.
+                // is independent of batch composition and nb, so
+                // per-element results are bit-stable.
                 let groups = nb.div_ceil(LG);
                 for (xg, yg) in x[..groups].iter().zip(&mut y[..groups]) {
                     for row in (0..24).step_by(ROWS) {
                         let mut acc = [[0.0f64; LG]; ROWS];
                         for c in 0..24 {
                             for (k, a) in acc.iter_mut().enumerate() {
-                                let trc = *t.get_unchecked(24 * (row + k) + c);
+                                let trc = t[24 * (row + k) + c];
                                 for b in 0..LG {
                                     a[b] += trc * xg[c][b];
                                 }
@@ -400,14 +270,11 @@ impl SweepSchedule {
                         yg[row..row + ROWS].copy_from_slice(&acc);
                     }
                 }
-                for b in 0..nb {
-                    let el = j + b;
+                for (b, nds) in tile_nodes.iter().enumerate() {
                     let yg = &y[b / LG];
-                    for c8 in 0..8 {
-                        let nd = *self.nodes.get_unchecked(8 * el + c8) as usize;
+                    for (c8, &nd) in nds.iter().enumerate() {
                         for comp in 0..3 {
-                            let p = rhs.add(comp * n + nd);
-                            *p -= yg[3 * c8 + comp][b % LG];
+                            rhs[comp * n + nd as usize] -= yg[3 * c8 + comp][b % LG];
                         }
                     }
                 }
@@ -415,7 +282,6 @@ impl SweepSchedule {
             }
         }
     }
-    // lint:par-sweep-end
     // lint:hot-path-end
 }
 
@@ -446,32 +312,6 @@ mod tests {
                 (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5
             })
             .collect()
-    }
-
-    /// The runtime overlap detector accepts a real schedule and catches a
-    /// corrupted one: duplicating one element's node inside the same color
-    /// is exactly the write-write race the threaded sweep must never see.
-    #[test]
-    fn overlap_detector_accepts_real_and_rejects_corrupted_schedules() {
-        let mesh = hanging_mesh();
-        let elems: Vec<u32> = (0..mesh.n_elements() as u32).collect();
-        let coloring = color_elements(&mesh, &elems);
-        let beta = vec![0.0; mesh.n_elements()];
-        let mut sched = SweepSchedule::build(&mesh, &coloring, &beta, 0.05);
-        assert!(sched.colors_are_node_disjoint());
-
-        // Corrupt: give the first color's second element a node of its
-        // first element (colors with one element cannot race — find a color
-        // spanning at least two).
-        let ci = (0..sched.n_colors())
-            .find(|&ci| {
-                let (lo, hi) = sched.color_span(ci);
-                hi - lo >= 2
-            })
-            .expect("some color schedules two elements");
-        let (lo, _) = sched.color_span(ci);
-        sched.nodes[8 * (lo + 1)] = sched.nodes[8 * lo];
-        assert!(!sched.colors_are_node_disjoint());
     }
 
     /// The blocked template sweep against a plain per-element loop using the
@@ -629,35 +469,6 @@ mod tests {
                 }
             }
             assert_eq!(bits(&got), bits(&want), "color {ci}");
-        }
-    }
-
-    /// Chunk boundaries must not change results: sweeping a color in one
-    /// call equals sweeping it as two ranges split at *any* offset — mid
-    /// tile, mid lane group, on and off run boundaries — bit for bit. This
-    /// is what makes the threaded sweep's chunking bit-identical.
-    #[test]
-    fn splitting_a_color_at_every_offset_is_bit_identical() {
-        let (mesh, coloring) = every_run_length_mesh();
-        let n = mesh.n_nodes();
-        let beta = vec![0.3; mesh.n_elements()];
-        let sched = SweepSchedule::build(&mesh, &coloring, &beta, 0.05);
-        let u = rnd_vec(3 * n, 1);
-        let w = rnd_vec(3 * n, 2);
-        for ci in 0..sched.n_colors() {
-            let mut whole = vec![0.0; 3 * n];
-            sched.sweep_color(ci, &u, &w, &mut whole);
-            let whole = bits(&whole);
-            let (lo, hi) = sched.color_span(ci);
-            for mid in lo..=hi {
-                let mut split = vec![0.0; 3 * n];
-                // SAFETY (test): exclusive &mut split, ranges disjoint, ids valid.
-                unsafe {
-                    sched.sweep_range_raw(ci, lo, mid, &u, &w, split.as_mut_ptr());
-                    sched.sweep_range_raw(ci, mid, hi, &u, &w, split.as_mut_ptr());
-                }
-                assert_eq!(whole, bits(&split), "color {ci} split at {}", mid - lo);
-            }
         }
     }
 

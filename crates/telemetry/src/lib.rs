@@ -20,7 +20,7 @@
 //!
 //! serialized to JSON ([`Registry::to_json`]) or NDJSON
 //! ([`Registry::ndjson`]), and reduced across SPMD ranks with min/max/mean
-//! semantics via `quake-parcomm` ([`reduce::reduce_across_ranks`]).
+//! semantics via `quake-parcomm` ([`reduce::try_reduce_across_ranks`]).
 //!
 //! # Cost discipline
 //!
@@ -47,7 +47,7 @@ pub mod trace;
 
 pub use hist::Histogram;
 pub use observe::{ProgressEvents, StepObserver};
-pub use reduce::{reduce_across_ranks, try_reduce_across_ranks, ReduceError, Reduced};
+pub use reduce::{try_reduce_across_ranks, ReduceError, Reduced};
 pub use trace::{TraceBuffer, TraceEvent, TraceKind};
 
 use trace::{RawEvent, TraceRing};
@@ -662,7 +662,7 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Keep only entries whose name passes `keep`. Use before
-    /// [`reduce_across_ranks`] when ranks may hold rank-local metric names
+    /// [`try_reduce_across_ranks`] when ranks may hold rank-local metric names
     /// (e.g. per-color element spans — color counts differ per partition).
     pub fn retain(&mut self, mut keep: impl FnMut(&str) -> bool) {
         self.entries.retain(|(n, _)| keep(n));

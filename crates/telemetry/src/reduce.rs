@@ -2,18 +2,18 @@
 //!
 //! SPMD runs produce one [`crate::Registry`] per rank; the paper's tables
 //! report min/max/mean across PEs (load imbalance is exactly the min-to-max
-//! spread of the compute phase). [`reduce_across_ranks`] is a collective:
-//! every rank calls it with its own [`crate::Snapshot`], every rank returns
-//! the same reduced view. Metric name sets must agree across ranks (they do
-//! in an SPMD code by construction — the same instrumented code runs
-//! everywhere); a fingerprint check turns a divergence into a typed
-//! [`ReduceError`] ([`try_reduce_across_ranks`]) or a loud panic
-//! ([`reduce_across_ranks`]) instead of a silently misaligned reduction.
-//! Ranks holding rank-local names (per-color spans, say) must
+//! spread of the compute phase). [`try_reduce_across_ranks`] is a
+//! collective: every rank calls it with its own [`crate::Snapshot`], every
+//! rank returns the same reduced view. Metric name sets must agree across
+//! ranks (they do in an SPMD code by construction — the same instrumented
+//! code runs everywhere); a fingerprint check turns a divergence into a
+//! typed [`ReduceError`] instead of a silently misaligned reduction, and a
+//! peer that died mid-reduction surfaces as [`ReduceError::Comm`] on every
+//! survivor. Ranks holding rank-local names (per-color spans, say) must
 //! [`Snapshot::retain`] down to the common subset first.
 
 use crate::Snapshot;
-use quake_parcomm::Communicator;
+use quake_parcomm::{CommError, Communicator};
 
 /// Min/max/mean of one metric across ranks.
 #[derive(Clone, Debug, PartialEq)]
@@ -24,7 +24,7 @@ pub struct Reduced {
     pub mean: f64,
 }
 
-/// Why a cross-rank reduction refused to run.
+/// Why a cross-rank reduction did not produce a result.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReduceError {
     /// The metric name sets (or their order) differ between ranks: an
@@ -34,6 +34,15 @@ pub enum ReduceError {
         /// This rank's snapshot fingerprint (two 32-bit FNV-1a halves).
         local: (u32, u32),
     },
+    /// A collective of the reduction failed: a peer rank exited (or the
+    /// fabric desynchronized) before the reduction completed.
+    Comm(CommError),
+}
+
+impl From<CommError> for ReduceError {
+    fn from(e: CommError) -> ReduceError {
+        ReduceError::Comm(e)
+    }
 }
 
 impl std::fmt::Display for ReduceError {
@@ -45,6 +54,7 @@ impl std::fmt::Display for ReduceError {
                  retain() rank-local names before reducing",
                 local.0, local.1
             ),
+            ReduceError::Comm(e) => write!(f, "cross-rank reduction aborted: {e}"),
         }
     }
 }
@@ -69,28 +79,31 @@ fn name_fingerprint(snap: &Snapshot) -> (f64, f64) {
 /// Reduce a per-rank snapshot to min/max/mean per metric. Collective: every
 /// rank must call with a snapshot holding the *same metric names* in the
 /// same (sorted) order; all ranks receive the full reduced list, or all
-/// ranks receive [`ReduceError::NameSetMismatch`].
+/// ranks receive [`ReduceError::NameSetMismatch`]. A peer that exits before
+/// the reduction completes yields [`ReduceError::Comm`] on the survivors.
 pub fn try_reduce_across_ranks(
     comm: &Communicator,
     snap: &Snapshot,
 ) -> Result<Vec<Reduced>, ReduceError> {
     let (hi, lo) = name_fingerprint(snap);
-    let agree = |half: f64| comm.allreduce_max(half) == -comm.allreduce_max(-half);
+    let agree = |half: f64| -> Result<bool, CommError> {
+        Ok(comm.try_allreduce_max(half)? == -comm.try_allreduce_max(-half)?)
+    };
     // Both halves must be allreduced on every rank (the check is itself a
     // collective), so evaluate eagerly before combining.
-    let hi_ok = agree(hi);
-    let lo_ok = agree(lo);
+    let hi_ok = agree(hi)?;
+    let lo_ok = agree(lo)?;
     if !hi_ok || !lo_ok {
         return Err(ReduceError::NameSetMismatch { local: (hi as u32, lo as u32) });
     }
 
     let vals: Vec<f64> = snap.entries.iter().map(|(_, v)| *v).collect();
     let mut sum = vals.clone();
-    comm.allreduce_sum(&mut sum);
+    comm.try_allreduce_sum(&mut sum)?;
     let mut max = vals.clone();
-    comm.allreduce_max_elems(&mut max);
+    comm.try_allreduce_max_elems(&mut max)?;
     let mut min = vals;
-    comm.allreduce_min_elems(&mut min);
+    comm.try_allreduce_min_elems(&mut min)?;
 
     let p = comm.size() as f64;
     Ok(snap
@@ -104,16 +117,6 @@ pub fn try_reduce_across_ranks(
             mean: sum[i] / p,
         })
         .collect())
-}
-
-/// Panicking wrapper around [`try_reduce_across_ranks`] for drivers where a
-/// name-set divergence is a programming error (the SPMD solver paths, which
-/// instrument identically on every rank).
-pub fn reduce_across_ranks(comm: &Communicator, snap: &Snapshot) -> Vec<Reduced> {
-    match try_reduce_across_ranks(comm, snap) {
-        Ok(reduced) => reduced,
-        Err(e) => panic!("metric name sets differ across ranks: {e}"),
-    }
 }
 
 /// Render a reduced metric list as NDJSON lines (one per metric).
@@ -153,7 +156,7 @@ mod tests {
             {
                 let _g = reg.span("phase");
             }
-            reduce_across_ranks(comm, &reg.snapshot())
+            try_reduce_across_ranks(comm, &reg.snapshot()).unwrap()
         });
         for reduced in &all {
             assert_eq!(reduced, &all[0], "reduction differs across ranks");
@@ -174,20 +177,20 @@ mod tests {
         assert!(s.min <= s.mean && s.mean <= s.max);
     }
 
-    // Every rank detects the mismatch via the fingerprint allreduce and
-    // panics; `run_spmd` propagates the first as "rank panicked".
     #[test]
-    #[should_panic(expected = "rank panicked")]
-    fn mismatched_metric_names_panic() {
-        run_spmd(2, |comm| {
-            let reg = Registry::new(comm.rank());
-            if comm.rank() == 0 {
-                reg.add("only_on_rank0", 1);
-            } else {
-                reg.add("only_on_rank1", 1);
+    fn dead_peer_yields_comm_error_on_the_survivor_instead_of_panicking() {
+        // Rank 1 exits before the reduction; the survivor's collective
+        // observes the disconnect and returns it as a typed error.
+        let outcomes = run_spmd(2, |comm| {
+            if comm.rank() == 1 {
+                return None;
             }
-            reduce_across_ranks(comm, &reg.snapshot())
+            let reg = Registry::new(comm.rank());
+            reg.add("work_items", 1);
+            Some(try_reduce_across_ranks(comm, &reg.snapshot()))
         });
+        assert_eq!(outcomes[0], Some(Err(ReduceError::Comm(CommError::RankFailure { peer: 1 }))));
+        assert!(outcomes[1].is_none());
     }
 
     #[test]

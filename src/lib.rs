@@ -31,6 +31,8 @@
 //! See `examples/quickstart.rs`: build a layered basin model, mesh it
 //! adaptively, run an earthquake, and look at the seismograms.
 
+#![forbid(unsafe_code)]
+
 pub use quake_antiplane as antiplane;
 pub use quake_ckpt as ckpt;
 pub use quake_core as core;
