@@ -28,7 +28,9 @@ use quake_solver::distributed::run_distributed;
 use quake_solver::{DistConfig, ElasticConfig, ElasticSolver};
 use quake_telemetry::json::chrome_trace;
 
-const RANKS: usize = 4;
+/// Rank count is the host's cores, capped here: more ranks than cores would
+/// time-share them, and `exchange/wait` would measure the OS scheduler.
+const MAX_RANKS: usize = 4;
 const TRACE_EVENTS: usize = 65536;
 
 fn build_mesh(coarse: u8) -> HexMesh {
@@ -55,6 +57,8 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let (coarse, steps) = if smoke { (2u8, 8usize) } else { (3, 24) };
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let ranks = cores.min(MAX_RANKS);
 
     let mesh = build_mesh(coarse);
     let mut cfg = ElasticConfig::new(1.0);
@@ -63,7 +67,7 @@ fn main() {
     let solver = ElasticSolver::new(&mesh, &cfg);
     let (u0, v0) = pulse(&mesh);
     println!(
-        "mesh: {} elements / {} nodes ({} hanging), {RANKS} ranks x {steps} steps",
+        "mesh: {} elements / {} nodes ({} hanging), {ranks} ranks ({cores} cores) x {steps} steps",
         mesh.n_elements(),
         mesh.n_nodes(),
         mesh.n_hanging()
@@ -71,11 +75,11 @@ fn main() {
 
     let run = run_distributed(
         &solver,
-        &DistConfig::new(RANKS, steps).with_initial(&u0, &v0).with_trace(TRACE_EVENTS),
+        &DistConfig::new(ranks, steps).with_initial(&u0, &v0).with_trace(TRACE_EVENTS),
     );
 
     // ---- acceptance: the merged timeline is well-formed ----
-    assert_eq!(run.traces.len(), RANKS, "one flight recorder per rank");
+    assert_eq!(run.traces.len(), ranks, "one flight recorder per rank");
     for (rank, buf) in run.traces.iter().enumerate() {
         let count = |n: &str| buf.events.iter().filter(|e| e.name == n).count();
         assert_eq!(count("step"), steps, "rank {rank}: step slices");
@@ -83,7 +87,7 @@ fn main() {
         assert_eq!(count("step/exchange/copy"), steps, "rank {rank}: copy slices");
     }
     let trace_json = chrome_trace(&run.traces);
-    for rank in 0..RANKS {
+    for rank in 0..ranks {
         assert!(trace_json.contains(&format!("\"rank {rank}\"")), "missing track for rank {rank}");
     }
 
@@ -135,7 +139,8 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str(&format!("  \"ranks\": {RANKS},\n  \"n_steps\": {steps},\n"));
+    json.push_str(&format!("  \"ranks\": {ranks},\n  \"host_cores\": {cores},\n"));
+    json.push_str(&format!("  \"n_steps\": {steps},\n"));
     json.push_str(&format!("  \"mesh_elements\": {},\n", mesh.n_elements()));
     json.push_str(&format!("  \"mesh_nodes\": {},\n", mesh.n_nodes()));
     json.push_str(&format!(

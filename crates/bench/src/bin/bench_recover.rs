@@ -117,7 +117,8 @@ fn main() {
     )
     .expect("recoverable run failed");
     let kill_ok = run.finished && run.recoveries <= 1 && run.restored_step > 0;
-    let kill_mismatches = bit_mismatches(&mesh, &baseline.states, &run.states, &run.elements);
+    let kill_mismatches =
+        bit_mismatches(&mesh, &baseline.states, &run.last.states, &run.last.elements);
 
     // Leg 2: flip one byte in the newest rank-0 checkpoint; a fresh
     // supervisor run must skip the corrupted restore line and still finish
@@ -151,7 +152,7 @@ fn main() {
     let skipped = reg2.counter("ckpt/skipped_invalid").unwrap_or(0);
     let corrupt_ok = rerun.finished && skipped > 0;
     let corrupt_mismatches =
-        bit_mismatches(&mesh, &baseline.states, &rerun.states, &rerun.elements);
+        bit_mismatches(&mesh, &baseline.states, &rerun.last.states, &rerun.last.elements);
 
     // Telemetry artifact: both supervisors' traces, concatenated.
     std::fs::create_dir_all("target").ok();

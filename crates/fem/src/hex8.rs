@@ -196,53 +196,6 @@ pub fn elastic_matvec(
         y[r] += scale * (lambda * sum4(al) + mu * sum4(am));
     }
 }
-
-/// Fused two-vector element matvec: applies `K_e = scale (lambda K_L + mu K_M)`
-/// to *two* input vectors in a single sweep over the canonical matrices:
-///
-/// ```text
-/// yu += K_e xu        (displacement term)
-/// yw += K_e xw        (stiffness-damping increment, xw = u^n - u^{n-1})
-/// ```
-///
-/// A damped explicit step needs both products per element; fusing them halves
-/// the canonical-matrix traffic (each `k_lambda`/`k_mu` row is loaded once and
-/// applied to both inputs) and doubles the arithmetic intensity of the sweep.
-/// Per-vector accumulation order is identical to [`elastic_matvec`], so each
-/// output matches two separate calls bit-for-bit.
-#[inline]
-pub fn elastic_matvec2(
-    m: &ElasticHexMatrices,
-    lambda: f64,
-    mu: f64,
-    scale: f64,
-    xu: &[f64; 24],
-    xw: &[f64; 24],
-    yu: &mut [f64; 24],
-    yw: &mut [f64; 24],
-) {
-    for r in 0..24 {
-        let rl = &m.k_lambda[r];
-        let rm = &m.k_mu[r];
-        let mut alu = [0.0; 4];
-        let mut amu = [0.0; 4];
-        let mut alw = [0.0; 4];
-        let mut amw = [0.0; 4];
-        for b in 0..6 {
-            let c0 = 4 * b;
-            for l in 0..4 {
-                let kl = rl[c0 + l];
-                let km = rm[c0 + l];
-                alu[l] += kl * xu[c0 + l];
-                amu[l] += km * xu[c0 + l];
-                alw[l] += kl * xw[c0 + l];
-                amw[l] += km * xw[c0 + l];
-            }
-        }
-        yu[r] += scale * (lambda * sum4(alu) + mu * sum4(amu));
-        yw[r] += scale * (lambda * sum4(alw) + mu * sum4(amw));
-    }
-}
 // lint:hot-path-end
 
 #[cfg(test)]
@@ -405,28 +358,6 @@ mod tests {
             let expect: f64 = (0..24).map(|c| k[r][c] * x[c]).sum();
             assert!((y[r] - expect).abs() < 1e-11);
         }
-    }
-
-    #[test]
-    fn elastic_matvec2_matches_two_single_matvecs_exactly() {
-        let m = elastic_hex_matrices();
-        let (lambda, mu, h) = (2.1, 0.8, 0.5);
-        let mut xu = [0.0; 24];
-        let mut xw = [0.0; 24];
-        for i in 0..24 {
-            xu[i] = (i as f64 * 0.37).sin();
-            xw[i] = (i as f64 * 0.91).cos();
-        }
-        let mut yu = [0.0; 24];
-        let mut yw = [0.0; 24];
-        elastic_matvec2(m, lambda, mu, h, &xu, &xw, &mut yu, &mut yw);
-        let mut yu2 = [0.0; 24];
-        let mut yw2 = [0.0; 24];
-        elastic_matvec(m, lambda, mu, h, &xu, &mut yu2);
-        elastic_matvec(m, lambda, mu, h, &xw, &mut yw2);
-        // Same per-vector accumulation order => bit-identical.
-        assert_eq!(yu, yu2);
-        assert_eq!(yw, yw2);
     }
 
     #[test]

@@ -38,6 +38,7 @@ pub use fault::{Fault, FaultPlan, RankFaults};
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier};
+use std::time::Instant;
 
 /// A communication failure observed by one rank. The fabric is deterministic
 /// (fixed protocols, per-pair FIFO channels), so each variant pinpoints a
@@ -200,23 +201,9 @@ impl Communicator {
 
     /// Global max reduction of a scalar; `Result`-based.
     pub fn try_allreduce_max(&self, v: f64) -> Result<f64, CommError> {
-        const TAG: u64 = 0xB22;
-        if self.size == 1 {
-            return Ok(v);
-        }
-        if self.rank == 0 {
-            let mut m = v;
-            for r in 1..self.size {
-                m = m.max(self.try_recv(r, TAG)?[0]);
-            }
-            for r in 1..self.size {
-                self.try_send(r, TAG + 1, vec![m])?;
-            }
-            Ok(m)
-        } else {
-            self.try_send(0, TAG, vec![v])?;
-            Ok(self.try_recv(0, TAG + 1)?[0])
-        }
+        let mut x = [v];
+        self.try_allreduce_max_elems(&mut x)?;
+        Ok(x[0])
     }
 
     /// Sum-exchange shared entries with neighbor ranks.
@@ -230,60 +217,24 @@ impl Communicator {
     /// therefore surfaces as a [`CommError`] when the forgotten rank's
     /// blocking receive observes our exit, never as a hang.
     ///
-    /// `tag` distinguishes exchange generations. The recoverable distributed
-    /// solver tags each time step's exchange with the step index, so a peer
-    /// that skipped an exchange (see [`Fault::DropExchange`]) is detected as
+    /// `tag` distinguishes exchange generations. The distributed solver tags
+    /// each time step's exchange with the step index, so a peer that skipped
+    /// an exchange (see [`Fault::DropExchange`]) is detected as
     /// [`CommError::Protocol`] skew rather than silently summing stale data.
+    ///
+    /// Returns where the call spent its wall time (two clock reads plus four
+    /// per neighbor — noise against a multi-millisecond step, so there is no
+    /// untimed twin). The payload `Vec` of each message is allocated here,
+    /// once per neighbor per call: the channel takes ownership of it.
     pub fn try_exchange_sum(
         &self,
         neighbors: &[(usize, Vec<u32>)],
         data: &mut [f64],
         ncomp: usize,
         tag: u64,
-    ) -> Result<(), CommError> {
-        for (nbr, ids) in neighbors {
-            let mut buf = Vec::with_capacity(ids.len() * ncomp);
-            for &i in ids {
-                for c in 0..ncomp {
-                    buf.push(data[i as usize * ncomp + c]);
-                }
-            }
-            self.try_send(*nbr, tag, buf)?;
-        }
-        for (nbr, ids) in neighbors {
-            let buf = self.try_recv(*nbr, tag)?;
-            if buf.len() != ids.len() * ncomp {
-                return Err(CommError::SizeMismatch {
-                    peer: *nbr,
-                    expected: ids.len() * ncomp,
-                    got: buf.len(),
-                });
-            }
-            for (k, &i) in ids.iter().enumerate() {
-                for c in 0..ncomp {
-                    data[i as usize * ncomp + c] += buf[k * ncomp + c];
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// [`Communicator::try_exchange_sum`] with a wall-clock attribution of
-    /// where the call spent its time: `wait` (blocked in receives, i.e. the
-    /// neighbor had not sent yet — the load-imbalance signal) vs `copy`
-    /// (packing, channel handoff, and unpack-add — the true data-movement
-    /// cost). Timing accumulates into `timing` so one struct can cover a
-    /// whole step. The untimed form stays separate so steady-state callers
-    /// pay no clock reads.
-    pub fn try_exchange_sum_timed(
-        &self,
-        neighbors: &[(usize, Vec<u32>)],
-        data: &mut [f64],
-        ncomp: usize,
-        tag: u64,
-        timing: &mut ExchangeTiming,
-    ) -> Result<(), CommError> {
-        let mut t = std::time::Instant::now();
+    ) -> Result<ExchangeTiming, CommError> {
+        let mut timing = ExchangeTiming::default();
+        let mut t = Instant::now();
         for (nbr, ids) in neighbors {
             let mut buf = Vec::with_capacity(ids.len() * ncomp);
             for &i in ids {
@@ -295,10 +246,10 @@ impl Communicator {
         }
         timing.copy_ns += t.elapsed().as_nanos() as u64;
         for (nbr, ids) in neighbors {
-            t = std::time::Instant::now();
+            t = Instant::now();
             let buf = self.try_recv(*nbr, tag)?;
             timing.wait_ns += t.elapsed().as_nanos() as u64;
-            t = std::time::Instant::now();
+            t = Instant::now();
             if buf.len() != ids.len() * ncomp {
                 return Err(CommError::SizeMismatch {
                     peer: *nbr,
@@ -313,25 +264,19 @@ impl Communicator {
             }
             timing.copy_ns += t.elapsed().as_nanos() as u64;
         }
-        Ok(())
+        Ok(timing)
     }
 }
 
-/// Wall-clock split of a timed sum-exchange (see
-/// [`Communicator::try_exchange_sum_timed`]). Nanosecond accumulators; a
-/// default value is a zeroed one.
+/// Wall-clock split of one [`Communicator::try_exchange_sum`], nanoseconds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExchangeTiming {
-    /// Time blocked in receives — the peer had not posted its send yet.
+    /// Time blocked in receives — the peer had not posted its send yet (the
+    /// load-imbalance signal).
     pub wait_ns: u64,
-    /// Time packing/unpacking payloads and handing them to channels.
+    /// Time packing/unpacking payloads and handing them to channels (the
+    /// true data-movement cost).
     pub copy_ns: u64,
-}
-
-impl ExchangeTiming {
-    pub fn total_ns(&self) -> u64 {
-        self.wait_ns + self.copy_ns
-    }
 }
 
 /// Run `f` on `n_ranks` ranks, returning the per-rank results in rank order.
@@ -447,11 +392,18 @@ mod tests {
                     }
                 })
                 .collect();
-            c.try_exchange_sum(&plan, &mut data, 2, 0xE0).unwrap();
-            data
+            // Rank 1 is late, so rank 0 must observe genuine wait time.
+            if c.rank() == 1 {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            let timing = c.try_exchange_sum(&plan, &mut data, 2, 0xE0).unwrap();
+            (data, timing)
         });
+        // Rank 0 sat out the 5 ms in its blocking receive: attributed to wait.
+        let t0 = results[0].1;
+        assert!(t0.wait_ns >= 4_000_000, "rank 0: {t0:?}");
         // Shared entries hold the sum of both ranks' values; others untouched.
-        for (rank, data) in results.iter().enumerate() {
+        for (rank, (data, _)) in results.iter().enumerate() {
             for i in 0..5usize {
                 let expect0 = if i == 1 || i == 3 {
                     (i + i) as f64 + 100.0
@@ -500,40 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn timed_exchange_matches_untimed_and_attributes_time() {
-        // Same data movement as exchange_sum_adds_symmetric_contributions,
-        // but through the timed form; rank 1 sleeps before exchanging so
-        // rank 0 must observe genuine wait time.
-        let results = run_spmd(2, |c| {
-            let other = 1 - c.rank();
-            let plan = vec![(other, vec![1u32, 3u32])];
-            let mut data: Vec<f64> = (0..5).map(|i| c.rank() as f64 * 100.0 + i as f64).collect();
-            if c.rank() == 1 {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            let mut timing = ExchangeTiming::default();
-            c.try_exchange_sum_timed(&plan, &mut data, 1, 0xE7, &mut timing)?;
-            Ok::<_, CommError>((data, timing))
-        });
-        for (rank, r) in results.iter().enumerate() {
-            let (data, timing) = r.as_ref().unwrap();
-            for i in 0..5usize {
-                let expect = if i == 1 || i == 3 {
-                    (i + i) as f64 + 100.0
-                } else {
-                    rank as f64 * 100.0 + i as f64
-                };
-                assert_eq!(data[i], expect, "rank {rank} node {i}");
-            }
-            assert_eq!(timing.total_ns(), timing.wait_ns + timing.copy_ns);
-        }
-        // The sleeping rank finds rank 0's send already posted; rank 0 waits
-        // out the 5ms sleep in its blocking receive.
-        let (_, t0) = results[0].as_ref().unwrap();
-        assert!(t0.wait_ns >= 4_000_000, "rank 0 wait {} ns", t0.wait_ns);
-    }
-
-    #[test]
     fn exchange_sum_empty_shared_indices_is_identity() {
         // Neighbors listed but with zero shared nodes: an empty message each
         // way, data unchanged, no deadlock.
@@ -556,7 +474,7 @@ mod tests {
             if c.rank() == 0 {
                 let plan = vec![(1usize, vec![0u32])];
                 let mut data = vec![5.0];
-                c.try_exchange_sum(&plan, &mut data, 1, 0xE0)
+                c.try_exchange_sum(&plan, &mut data, 1, 0xE0).map(|_| ())
             } else {
                 Ok(()) // drops its Communicator on return
             }

@@ -6,39 +6,48 @@
 //! projection are local. The result is bit-identical to the serial solver —
 //! the property the scalability experiments of Table 2.1 rest on. Timing of
 //! machines larger than this host is the job of `quake-machine`.
+//!
+//! One rank driver (`run_rank`) runs under one attempt supervisor
+//! (`supervise`): [`run_distributed`] is its one-attempt case without
+//! checkpoints, [`run_distributed_recoverable`] gives it a [`RecoveryConfig`].
 
 use std::path::PathBuf;
-use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::checkpoint::SolverState;
-use crate::elastic::{ElasticSolver, StepScope, StepWorkspace};
+use crate::elastic::{ElasticSolver, StepScope};
 use crate::harness::{
     CheckpointHook, Exchange, FaultHook, HookCtx, RunConfig, RunOutcome, SolverHarness, StepHook,
     StopReason, TelemetryHook,
 };
 use crate::health::{dump_post_mortem, HealthConfig, HealthHook};
+use crate::layout::to_interleaved3;
 use quake_ckpt::{CheckpointPolicy, CheckpointReader, CheckpointWriter, CkptError, PeriodicSink};
 use quake_mesh::{partition_morton, ExchangePlan, HexMesh, RateGroups};
-use quake_parcomm::{run_spmd, CommError, Communicator, ExchangeTiming, FaultPlan};
+use quake_parcomm::{run_spmd, CommError, Communicator, FaultPlan};
 use quake_telemetry::{try_reduce_across_ranks, Reduced, Registry, Snapshot, SpanId, TraceBuffer};
 
 /// What to run distributed: rank count, step count, optional initial
 /// `(u0, v0)` field, and whether each rank steps with an instrumented
-/// telemetry registry (optionally with a flight recorder attached).
+/// telemetry registry (optionally with a flight recorder attached). Both
+/// entry points honor every field.
 #[derive(Clone, Copy, Debug)]
 pub struct DistConfig<'a> {
     pub n_ranks: usize,
     pub n_steps: usize,
     pub initial: Option<(&'a [f64], &'a [f64])>,
-    /// Per-rank phase telemetry + cross-rank reduction
-    /// ([`run_distributed`] only; the recovery supervisor records its own
-    /// `recover/*` metrics instead).
+    /// Per-rank phase telemetry: every rank steps with an instrumented
+    /// registry, a [`TelemetryHook`] records its analytic phase costs
+    /// (including the true interface exchange volume), a per-step imbalance
+    /// gauge is taken, and the run ends with a collective min/max/mean
+    /// reduction over the phase metrics all ranks share
+    /// ([`DistributedRun::snapshots`], [`DistributedRun::reduced`]).
     pub telemetry: bool,
     /// Flight-recorder capacity per rank (events). `Some` implies tracing:
-    /// every rank's registry shares one epoch and records span slices, the
-    /// timed exchange splits `wait`/`copy`, and [`DistributedRun::traces`]
-    /// returns the per-rank buffers. Requires [`DistConfig::telemetry`].
+    /// every rank's registry shares one epoch and records span slices
+    /// (including the exchange's `wait`/`copy` split), and
+    /// [`DistributedRun::traces`] returns the per-rank buffers. Requires
+    /// [`DistConfig::telemetry`].
     pub trace_capacity: Option<usize>,
 }
 
@@ -69,19 +78,11 @@ impl<'a> DistConfig<'a> {
     }
 }
 
-/// Lazily interned sub-span ids of the timed exchange (one set per rank).
-struct ExchangeSpanIds {
-    wait: SpanId,
-    copy: SpanId,
-}
-
-/// The step-tagged interface exchange of every distributed entry point: the
-/// exchange of base step `k` carries tag [`STEP_TAG_BASE`]` + k`, so a peer
-/// that skipped a step is detected as protocol skew and surfaces as a
+/// The step-tagged interface exchange of every distributed run: the exchange
+/// of base step `k` carries tag [`STEP_TAG_BASE`]` + k`, so a peer that
+/// skipped a step is detected as protocol skew and surfaces as a
 /// run-stopping error ([`StopReason::Comm`]) instead of silently summing
-/// stale data. The recovery supervisor retries on it; the plain
-/// [`run_distributed`] path, where rank failure is not survivable anyway,
-/// asserts the run finished.
+/// stale data.
 ///
 /// `neighbors[g]` lists rate group `g`'s links as *planar dof* indices
 /// (`comp * n_nodes + node`, matching the rhs layout the step hands out),
@@ -92,8 +93,8 @@ struct ExchangeSpanIds {
 struct CommExchange<'c> {
     comm: &'c Communicator,
     neighbors: Vec<Vec<(usize, Vec<u32>)>>,
-    /// Lazily interned sub-span ids of the timed exchange.
-    spans: Option<ExchangeSpanIds>,
+    /// Lazily interned `(wait, copy)` sub-span ids.
+    spans: Option<(SpanId, SpanId)>,
 }
 
 impl Exchange for CommExchange<'_> {
@@ -104,29 +105,25 @@ impl Exchange for CommExchange<'_> {
         rhs: &mut [f64],
         reg: &Registry,
     ) -> Result<(), String> {
-        let (neighbors, tag) = (&self.neighbors[group], STEP_TAG_BASE + step);
-        if !reg.is_enabled() {
-            // Steady state pays zero clock reads beyond the phase spans.
-            return self.comm.try_exchange_sum(neighbors, rhs, 1, tag).map_err(|e| e.to_string());
-        }
-        // Instrumented: measure the wait/copy split and record both as
-        // sub-spans of the already-open `step/exchange` span (so the
-        // phase-accounting invariant — children sum into the parent's
-        // `child_ns` — still holds). The split is rendered copy-then-wait:
-        // durations are exact, but the true per-neighbor interleaving (pack
-        // → block → unpack) is not preserved in slice start times.
-        let ids = self.spans.get_or_insert_with(|| ExchangeSpanIds {
-            wait: reg.span_id("step/exchange/wait"),
-            copy: reg.span_id("step/exchange/copy"),
-        });
         let t0 = Instant::now();
-        let mut timing = ExchangeTiming::default();
-        self.comm
-            .try_exchange_sum_timed(neighbors, rhs, 1, tag, &mut timing)
+        let timing = self
+            .comm
+            .try_exchange_sum(&self.neighbors[group], rhs, 1, STEP_TAG_BASE + step)
             .map_err(|e| e.to_string())?;
-        let t0_ns = reg.since_epoch_ns(t0);
-        reg.record_span(ids.copy, t0_ns, timing.copy_ns);
-        reg.record_span(ids.wait, t0_ns + timing.copy_ns, timing.wait_ns);
+        if reg.is_enabled() {
+            // Record the wait/copy split as sub-spans of the already-open
+            // `step/exchange` span (so the phase-accounting invariant —
+            // children sum into the parent's `child_ns` — still holds). The
+            // split is rendered copy-then-wait: durations are exact, but the
+            // true per-neighbor interleaving (pack → block → unpack) is not
+            // preserved in slice start times.
+            let (wait, copy) = *self.spans.get_or_insert_with(|| {
+                (reg.span_id("step/exchange/wait"), reg.span_id("step/exchange/copy"))
+            });
+            let t0_ns = reg.since_epoch_ns(t0);
+            reg.record_span(copy, t0_ns, timing.copy_ns);
+            reg.record_span(wait, t0_ns + timing.copy_ns, timing.wait_ns);
+        }
         Ok(())
     }
 }
@@ -143,12 +140,6 @@ struct ImbalanceHook<'c> {
     comm: &'c Communicator,
     mark: SpanId,
     prev_elements_ns: u64,
-}
-
-impl<'c> ImbalanceHook<'c> {
-    fn new(comm: &'c Communicator, reg: &Registry) -> ImbalanceHook<'c> {
-        ImbalanceHook { comm, mark: reg.span_id("imbalance"), prev_elements_ns: 0 }
-    }
 }
 
 impl StepHook for ImbalanceHook<'_> {
@@ -178,8 +169,10 @@ impl StepHook for ImbalanceHook<'_> {
 /// (identical to the serial solver) exactly on the nodes its own elements
 /// touch — values elsewhere are never communicated, exactly as in a real
 /// distributed-memory code where they would not even be allocated.
+#[derive(Default)]
 pub struct DistributedRun {
-    /// `(u_prev, u_now)` per rank.
+    /// `(u_prev, u_now)` per rank (empty vectors for a rank that did not
+    /// finish — only possible in an unfinished [`RecoveredRun`]).
     pub states: Vec<(Vec<f64>, Vec<f64>)>,
     /// Elements owned by each rank.
     pub elements: Vec<Vec<u32>>,
@@ -200,128 +193,20 @@ pub struct DistributedRun {
 /// Run the elastic solver on [`DistConfig::n_ranks`] SPMD ranks with a
 /// Morton element partition: every rank drives the **same**
 /// [`SolverHarness`] loop as the serial solver, scoped to its own elements,
-/// with the step-tagged sum-exchange plugged into the mid-step hook point
-/// (fail-stop: a dead peer stops the rank and the run is asserted finished).
-///
-/// With [`DistConfig::telemetry`] each rank steps with an instrumented
-/// registry, a [`TelemetryHook`] records its analytic phase costs (including
-/// the true interface exchange volume), and the run ends with a collective
-/// min/max/mean reduction over the phase metrics all ranks share.
+/// with the step-tagged sum-exchange plugged into the mid-step hook point.
+/// This is the supervisor's one-attempt case with no checkpoint writer and
+/// no faults; it is fail-stop — a rank that stops (a dead peer) is a bug
+/// here, so the run is asserted finished.
 pub fn run_distributed(solver: &ElasticSolver<'_>, cfg: &DistConfig<'_>) -> DistributedRun {
-    let setup = DistSetup::build(solver, cfg.n_ranks);
-    let volumes = setup.volumes.clone();
-    // One epoch for every rank's registry: per-rank timestamps land on a
-    // common timeline, so the merged trace shows true cross-rank skew.
-    let epoch = Instant::now();
-
-    let results = run_spmd(cfg.n_ranks, |comm: &Communicator| {
-        let mut ws = if cfg.telemetry {
-            let reg = Registry::with_epoch(comm.rank(), epoch);
-            if let Some(cap) = cfg.trace_capacity {
-                reg.enable_trace(cap);
-            }
-            solver.workspace_with(reg)
-        } else {
-            solver.workspace()
-        };
-        let mut state = solver.initial_state(0, cfg.initial);
-        let outcome = step_rank(solver, &setup, cfg, comm, &mut state, &mut ws);
-        // Fail-stop path: a stopped rank means a dead peer — surface it.
-        assert!(
-            matches!(outcome, RunOutcome::Finished { .. }),
-            "fail-stop distributed run stopped: {outcome:?}"
-        );
-
-        // Reduce the common metrics across ranks. The per-color element
-        // spans are rank-local names (color counts differ per partition), so
-        // they stay in the snapshot but are excluded from the collective.
-        let (snapshot, reduced) = if cfg.telemetry {
-            let snap = ws.reg.snapshot();
-            let mut common = snap.clone();
-            common.retain(|name| !name.starts_with("span.step/elements/color"));
-            // SPMD ranks instrument identically, so a name-set divergence is
-            // programmer error, and on this fail-stop path a peer lost
-            // mid-reduction is as fatal as one lost mid-run.
-            let reduced = try_reduce_across_ranks(comm, &common);
-            assert!(
-                reduced.is_ok(),
-                "cross-rank metric reduction failed: {:?}",
-                reduced.as_ref().err()
-            );
-            (snap, reduced.unwrap_or_default())
-        } else {
-            (Snapshot::default(), Vec::new())
-        };
-        let trace = ws.reg.trace_buffer();
-        // Public boundary: hand the states back interleaved.
-        (
-            crate::layout::to_interleaved3(&state.u_prev),
-            crate::layout::to_interleaved3(&state.u_now),
-            snapshot,
-            reduced,
-            trace,
-        )
-    });
-
-    let mut states = Vec::with_capacity(cfg.n_ranks);
-    let mut snapshots = Vec::with_capacity(cfg.n_ranks);
-    let mut reduced = Vec::new();
-    let mut traces = Vec::new();
-    for (up, un, snap, red, trace) in results {
-        states.push((up, un));
-        snapshots.push(snap);
-        if reduced.is_empty() {
-            reduced = red; // identical on every rank — keep rank 0's copy
-        }
-        if cfg.trace_capacity.is_some() {
-            traces.push(trace);
-        }
-    }
-    if !cfg.telemetry {
-        snapshots.clear();
-    }
-
-    DistributedRun { states, elements: setup.per_rank, volumes, snapshots, reduced, traces }
+    let run = supervise(solver, cfg, None, &Registry::disabled());
+    assert!(run.finished, "fail-stop distributed run stopped: {:?}", run.outcomes);
+    run.last
 }
 
-/// The step loop of one [`run_distributed`] rank: the canonical harness
-/// scoped to the rank's elements with the step-tagged exchange plus, on the
-/// telemetry path, the phase-cost and imbalance hooks. A dead peer stops the
-/// loop with [`StopReason::Comm`], whether the exchange or a hook's
-/// collective observed it.
-fn step_rank(
-    solver: &ElasticSolver<'_>,
-    setup: &DistSetup,
-    cfg: &DistConfig<'_>,
-    comm: &Communicator,
-    state: &mut SolverState,
-    ws: &mut StepWorkspace,
-) -> RunOutcome {
-    let rank = comm.rank();
-    let scope = &setup.scopes[rank];
-    let mut exchange = CommExchange {
-        comm,
-        neighbors: setup.neighbors(rank, solver.mesh.n_nodes(), None),
-        spans: None,
-    };
-    let run_cfg = RunConfig::to_step(cfg.n_steps as u64).with_scope(scope);
-    let harness = SolverHarness::new(solver);
-    if !cfg.telemetry {
-        return harness.run(&run_cfg, state, ws, &mut exchange, &mut []);
-    }
-    // This rank's true interface traffic: 3 doubles per shared node, each
-    // sent AND received.
-    let mut shape = solver.phase_shape(scope);
-    shape.exchange_doubles = 2 * 3 * setup.volumes[rank] as u64;
-    let mut telemetry = TelemetryHook::shaped(solver, shape);
-    let mut imbalance = ImbalanceHook::new(comm, &ws.reg);
-    harness.run(&run_cfg, state, ws, &mut exchange, &mut [&mut telemetry, &mut imbalance])
-}
-
-/// The rank decomposition shared by every distributed entry point: Morton
-/// element partition, interface exchange plan, lowest-rank node ownership,
-/// and the per-rank step schedules (built once, reused every step and every
-/// recovery attempt).
+/// The rank decomposition of a distributed run: Morton element partition,
+/// interface exchange plan, lowest-rank node ownership, and the per-rank
+/// step schedules (built once, reused every step and every recovery
+/// attempt).
 struct DistSetup {
     per_rank: Vec<Vec<u32>>,
     scopes: Vec<StepScope>,
@@ -352,8 +237,7 @@ impl DistSetup {
             }
         }
         // Per-rank step schedules (element coloring + boundary faces + owned
-        // mask), built ONCE — the per-step face filtering the old code did
-        // is gone.
+        // mask), built ONCE.
         let scopes: Vec<StepScope> = (0..n_ranks)
             .map(|r| {
                 solver.scope(&per_rank[r], Some(owner.iter().map(|&o| o == r as u32).collect()))
@@ -425,11 +309,12 @@ pub struct RecoveryConfig {
     /// [`FaultHook`] on the **first attempt only** (so a retry is clean).
     /// [`FaultPlan::none`] is the production configuration.
     pub faults: FaultPlan,
-    /// When set, each rank runs with a small flight recorder and any rank
-    /// that does not finish an attempt (killed, comm abort, checkpoint
-    /// error, health abort) writes a post-mortem NDJSON dump
-    /// (`rank{r}.attempt{a}.postmortem.ndjson`) into this directory before
-    /// the supervisor decides whether to retry.
+    /// When set, any rank that does not finish an attempt (killed, comm
+    /// abort, checkpoint error, health abort) writes a post-mortem NDJSON
+    /// dump (`rank{r}.attempt{a}.postmortem.ndjson`) into this directory
+    /// before the supervisor decides whether to retry. The dump's timeline
+    /// tail comes from the rank's flight recorder: the one
+    /// [`DistConfig::with_trace`] attached, else a small one of its own.
     pub dump_dir: Option<PathBuf>,
     /// When set, every rank runs a numerics [`HealthHook`] with this
     /// configuration, ordered **before** the checkpoint hook — so no state a
@@ -483,20 +368,19 @@ pub enum RankOutcome {
     /// Killed by the fault plan before executing `step`.
     Killed { step: u64 },
     /// Observed a failure (dead peer, protocol skew, checkpoint write
-    /// error) during `step` and exited.
+    /// error, health violation) during `step` and exited.
     Aborted { step: u64, reason: String },
 }
 
 /// Result of a recoverable distributed run.
 pub struct RecoveredRun {
-    /// Per-rank `(u_prev, u_now)` of the final (successful) attempt; valid
-    /// on the nodes each rank's elements touch, as in [`DistributedRun`].
-    pub states: Vec<(Vec<f64>, Vec<f64>)>,
-    /// Elements owned by each rank.
-    pub elements: Vec<Vec<u32>>,
+    /// The final attempt: states, partition, and — when the [`DistConfig`]
+    /// asked for them — that attempt's per-rank snapshots, cross-rank
+    /// reduction and flight-recorder buffers.
+    pub last: DistributedRun,
     /// Attempts executed (1 = no failure).
     pub attempts: usize,
-    /// Successful restarts from checkpoint (attempts - 1 when finished).
+    /// Restarts from the restore line (`attempts - 1`).
     pub recoveries: usize,
     /// Step every rank of the final attempt started from (0 = from scratch).
     pub restored_step: u64,
@@ -507,19 +391,21 @@ pub struct RecoveredRun {
     pub finished: bool,
 }
 
-/// Internal per-rank result of one attempt.
-enum RankRun {
-    Finished(SolverState),
-    Killed { step: u64 },
-    Aborted { step: u64, reason: String },
+/// What one rank hands back from one attempt.
+struct RankRun {
+    outcome: RankOutcome,
+    /// Final `(u_prev, u_now)`, interleaved; empty unless the rank finished.
+    state: (Vec<f64>, Vec<f64>),
+    snapshot: Option<Snapshot>,
+    reduced: Vec<Reduced>,
+    trace: Option<TraceBuffer>,
 }
 
 /// Run the distributed elastic solver under the checkpoint/recovery
-/// supervisor, optionally injecting the scripted faults of
-/// [`RecoveryConfig::faults`] (first attempt only).
+/// supervisor.
 ///
-/// Each rank drives the same [`SolverHarness`] loop as every other entry
-/// point, composed from hooks: a [`FaultHook`] injects the scripted
+/// Each rank is the rank of [`run_distributed`] with more hooks composed
+/// onto the same [`SolverHarness`] loop: a [`FaultHook`] injects the scripted
 /// kills/drops/delays, a [`CheckpointHook`] offers the state to a per-rank
 /// [`PeriodicSink`] every [`RecoveryConfig::every_steps`] steps, and the
 /// mid-step exchange is **step-tagged** (`CommExchange`). There is **no
@@ -542,7 +428,8 @@ enum RankRun {
 /// `reg` receives supervisor telemetry: `recover/attempts`,
 /// `recover/recoveries`, `recover/restored_step` counters, a `ckpt_restore`
 /// span per reloaded rank, and one NDJSON `recover_attempt` event per
-/// attempt.
+/// attempt. Per-rank telemetry is the [`DistConfig`]'s business, exactly as
+/// in [`run_distributed`].
 pub fn run_distributed_recoverable(
     solver: &ElasticSolver<'_>,
     cfg: &DistConfig<'_>,
@@ -551,158 +438,123 @@ pub fn run_distributed_recoverable(
 ) -> Result<RecoveredRun, CkptError> {
     assert!(rcfg.every_steps > 0, "checkpoint cadence must be positive");
     assert!(rcfg.max_attempts >= 1);
-    let n_ranks = cfg.n_ranks;
-    let setup = DistSetup::build(solver, n_ranks);
-    let policy = CheckpointPolicy::every_steps(rcfg.every_steps);
-
-    let writers: Vec<CheckpointWriter> = (0..n_ranks)
+    let writers: Vec<CheckpointWriter> = (0..cfg.n_ranks)
         .map(|r| CheckpointWriter::new(&rcfg.ckpt_dir, &format!("rank{r}")))
         .collect::<Result<_, _>>()?;
     if let Some(dir) = &rcfg.dump_dir {
         std::fs::create_dir_all(dir)?;
     }
+    Ok(supervise(solver, cfg, Some((rcfg, &writers)), reg))
+}
 
-    let fresh = || solver.initial_state(0, cfg.initial);
-    // Unless the caller pinned one, dumps name restore lines in terms of
-    // this supervisor's own checkpoint cadence.
-    let health_cfg = rcfg.health.as_ref().map(|hc| {
-        let mut hc = hc.clone();
-        if hc.ckpt_every.is_none() {
-            hc.ckpt_every = Some(rcfg.every_steps);
-        }
-        hc
-    });
-
+/// The attempt loop behind both entry points. Without `recovery` it is one
+/// attempt from the initial state; with it, every attempt starts from the
+/// restore line and failed attempts are retried up to
+/// [`RecoveryConfig::max_attempts`].
+fn supervise(
+    solver: &ElasticSolver<'_>,
+    cfg: &DistConfig<'_>,
+    recovery: Option<(&RecoveryConfig, &[CheckpointWriter])>,
+    reg: &Registry,
+) -> RecoveredRun {
+    let n_ranks = cfg.n_ranks;
+    let setup = DistSetup::build(solver, n_ranks);
+    // One epoch for every rank's registry (and every attempt): per-rank
+    // timestamps land on a common timeline, so the merged trace shows true
+    // cross-rank skew.
+    let epoch = Instant::now();
+    let max_attempts = recovery.map_or(1, |(rcfg, _)| rcfg.max_attempts);
     let mut outcomes: Vec<Vec<RankOutcome>> = Vec::new();
-    let mut restored_step = 0u64;
-    for attempt in 0..rcfg.max_attempts {
-        let recoveries = attempt; // every attempt past the first is a restart
-                                  // Restore line: the highest step where ALL ranks hold a valid
-                                  // checkpoint; from scratch if there is none. States are decoded
-                                  // serially here (the supervisor survives rank deaths by
-                                  // construction) and moved into the rank closures via take-once
-                                  // slots.
-        let (start_step, states) = match restore_line(&rcfg.ckpt_dir, n_ranks, reg) {
-            Some((s, states)) => (s, states),
-            None => (0, (0..n_ranks).map(|_| fresh()).collect()),
-        };
-        restored_step = start_step;
-        let slots: Vec<Mutex<Option<SolverState>>> =
-            states.into_iter().map(|s| Mutex::new(Some(s))).collect();
-        let inject = attempt == 0 && !rcfg.faults.is_empty();
-        let no_faults = FaultPlan::default();
+    let mut attempt = 0;
+    let (runs, restored_step, finished) = loop {
+        // Restore line: the highest step where ALL ranks hold a valid
+        // checkpoint; from scratch if there is none. States are decoded
+        // serially here (the supervisor survives rank deaths by
+        // construction) and each rank clones its own.
+        let restored = recovery.and_then(|(rcfg, _)| restore_line(&rcfg.ckpt_dir, n_ranks, reg));
+        let restored_step = restored.as_ref().map_or(0, |(step, _)| *step);
 
         let runs = run_spmd(n_ranks, |comm: &Communicator| {
-            let rank = comm.rank();
-            // A poisoned or already-drained slot means another incarnation of
-            // this rank ran in the same attempt — abort the rank (the
-            // supervisor treats it like any other failed rank) rather than
-            // panicking mid-exchange.
-            let Some(state) = slots[rank].lock().ok().and_then(|mut slot| slot.take()) else {
-                return RankRun::Aborted { step: 0, reason: "rank state slot unavailable".into() };
+            let state = match &restored {
+                Some((_, states)) => states[comm.rank()].clone(),
+                None => solver.initial_state(0, cfg.initial),
             };
-            run_rank_recoverable(
-                solver,
-                &setup,
-                comm,
-                state,
-                cfg.n_steps as u64,
-                &writers[rank],
-                &policy,
-                if inject { &rcfg.faults } else { &no_faults },
-                rcfg.dump_dir.as_deref().map(|d| (d, attempt)),
-                health_cfg.as_ref(),
-            )
+            run_rank(solver, &setup, cfg, comm, state, epoch, recovery, attempt)
         });
 
-        let finished = runs.iter().all(|r| matches!(r, RankRun::Finished(_)));
-        outcomes.push(
-            runs.iter()
-                .map(|r| match r {
-                    RankRun::Finished(_) => RankOutcome::Finished,
-                    RankRun::Killed { step } => RankOutcome::Killed { step: *step },
-                    RankRun::Aborted { step, reason } => {
-                        RankOutcome::Aborted { step: *step, reason: reason.clone() }
-                    }
-                })
-                .collect(),
-        );
+        let finished = runs.iter().all(|r| r.outcome == RankOutcome::Finished);
+        outcomes.push(runs.iter().map(|r| r.outcome.clone()).collect());
         reg.event(
             "recover_attempt",
             &[
                 ("attempt", attempt as f64),
-                ("restored_step", start_step as f64),
+                ("restored_step", restored_step as f64),
                 ("finished", if finished { 1.0 } else { 0.0 }),
             ],
         );
-        if finished {
-            reg.set("recover/attempts", (attempt + 1) as u64);
-            reg.set("recover/recoveries", recoveries as u64);
-            reg.set("recover/restored_step", restored_step);
-            // `finished` established every run is Finished; filter_map keeps
-            // this arm panic-free regardless.
-            let states = runs
-                .into_iter()
-                .filter_map(|r| match r {
-                    RankRun::Finished(s) => Some((
-                        crate::layout::to_interleaved3(&s.u_prev),
-                        crate::layout::to_interleaved3(&s.u_now),
-                    )),
-                    _ => None,
-                })
-                .collect();
-            return Ok(RecoveredRun {
-                states,
-                elements: setup.per_rank,
-                attempts: attempt + 1,
-                recoveries,
-                restored_step,
-                outcomes,
-                finished: true,
-            });
+        attempt += 1;
+        if finished || attempt == max_attempts {
+            break (runs, restored_step, finished);
+        }
+    };
+    reg.set("recover/attempts", attempt as u64);
+    reg.set("recover/recoveries", (attempt - 1) as u64);
+    reg.set("recover/restored_step", restored_step);
+    let mut last = DistributedRun {
+        elements: setup.per_rank,
+        volumes: setup.volumes,
+        ..DistributedRun::default()
+    };
+    for run in runs {
+        last.states.push(run.state);
+        last.snapshots.extend(run.snapshot);
+        last.traces.extend(run.trace);
+        if last.reduced.is_empty() {
+            last.reduced = run.reduced; // identical on every rank
         }
     }
-    reg.set("recover/attempts", rcfg.max_attempts as u64);
-    reg.set("recover/recoveries", (rcfg.max_attempts - 1) as u64);
-    Ok(RecoveredRun {
-        states: Vec::new(),
-        elements: setup.per_rank,
-        attempts: rcfg.max_attempts,
-        recoveries: rcfg.max_attempts - 1,
+    RecoveredRun {
+        last,
+        attempts: attempt,
+        recoveries: attempt - 1,
         restored_step,
         outcomes,
-        finished: false,
-    })
+        finished,
+    }
 }
 
-/// One rank of one recovery attempt: the canonical harness loop with a
-/// [`FaultHook`] (scripted kills/drops/delays), a [`CheckpointHook`] over
-/// this rank's [`PeriodicSink`], and the step-tagged exchange. No barriers —
-/// see [`run_distributed_recoverable`] for the liveness argument. A rank
-/// that dropped an exchange holds silently wrong fields from that step on;
-/// the harness taints the run and the checkpoint hook stops persisting
-/// (peers abort on the tag skew and the supervisor restores everyone from
-/// the pre-fault line).
-#[allow(clippy::too_many_arguments)]
-fn run_rank_recoverable(
+/// One rank of one attempt: the canonical harness loop scoped to the rank's
+/// elements, with the step-tagged exchange and one hook list assembled from
+/// what is configured — [`FaultHook`] (first attempt only), [`TelemetryHook`]
+/// and `ImbalanceHook` ([`DistConfig::telemetry`]), [`HealthHook`], then
+/// [`CheckpointHook`]: `after_step` stops at the first erroring hook, so a
+/// state that fails the health check is never offered to the checkpoint
+/// sink. No barriers (see [`run_distributed_recoverable`]): a dead peer stops
+/// the loop with a comm error, whether the exchange or a hook's collective
+/// observed it.
+fn run_rank(
     solver: &ElasticSolver<'_>,
     setup: &DistSetup,
+    cfg: &DistConfig<'_>,
     comm: &Communicator,
     mut state: SolverState,
-    n_steps: u64,
-    writer: &CheckpointWriter,
-    policy: &CheckpointPolicy,
-    faults: &FaultPlan,
-    dump: Option<(&std::path::Path, usize)>,
-    health: Option<&HealthConfig>,
+    epoch: Instant,
+    recovery: Option<(&RecoveryConfig, &[CheckpointWriter])>,
+    attempt: usize,
 ) -> RankRun {
     // Flight-recorder capacity of the post-mortem path: enough for the tail
     // of a run's phase slices without measurable steady-state cost.
     const DUMP_TRACE_EVENTS: usize = 4096;
     let rank = comm.rank();
-    let mut ws = if dump.is_some() {
-        let reg = Registry::with_epoch(rank, Instant::now());
-        reg.enable_trace(DUMP_TRACE_EVENTS);
+    let scope = &setup.scopes[rank];
+    let n_steps = cfg.n_steps as u64;
+    let rcfg = recovery.map(|(rcfg, _)| rcfg);
+    let dump_dir = rcfg.and_then(|r| r.dump_dir.as_deref());
+    let mut ws = if cfg.telemetry || dump_dir.is_some() {
+        let reg = Registry::with_epoch(rank, epoch);
+        if let Some(cap) = cfg.trace_capacity.or(dump_dir.map(|_| DUMP_TRACE_EVENTS)) {
+            reg.enable_trace(cap);
+        }
         solver.workspace_with(reg)
     } else {
         solver.workspace()
@@ -712,62 +564,100 @@ fn run_rank_recoverable(
         neighbors: setup.neighbors(rank, solver.mesh.n_nodes(), None),
         spans: None,
     };
-    let mut fault_hook = FaultHook::new(faults.rank_view(rank));
-    let mut sink = PeriodicSink::new(writer, policy);
-    let mut ckpt_hook = CheckpointHook::new(&mut sink);
-    let mut health_hook = health.map(|hc| {
-        let mut hc = hc.clone();
-        // Per-rank violation dump beside the generic post-mortems.
-        hc.dump_path = dump
-            .map(|(dir, attempt)| dir.join(format!("rank{rank}.attempt{attempt}.health.ndjson")));
-        HealthHook::new(solver, hc)
+
+    let mut fault = rcfg
+        .filter(|r| attempt == 0 && !r.faults.is_empty())
+        .map(|r| FaultHook::new(r.faults.rank_view(rank)));
+    let mut telemetry = cfg.telemetry.then(|| {
+        // This rank's true interface traffic: 3 doubles per shared node,
+        // each sent AND received.
+        let mut shape = solver.phase_shape(scope);
+        shape.exchange_doubles = 2 * 3 * setup.volumes[rank] as u64;
+        let mark = ws.reg.span_id("imbalance");
+        (TelemetryHook::shaped(solver, shape), ImbalanceHook { comm, mark, prev_elements_ns: 0 })
     });
-    let run_cfg = RunConfig::to_step(n_steps).with_scope(&setup.scopes[rank]);
-    // HealthHook precedes CheckpointHook: after_step processing stops at the
-    // first erroring hook, so a state that fails the health check is never
-    // offered to the checkpoint sink.
-    let outcome = match health_hook.as_mut() {
-        Some(h) => SolverHarness::new(solver).run(
-            &run_cfg,
-            &mut state,
-            &mut ws,
-            &mut exchange,
-            &mut [&mut fault_hook, h, &mut ckpt_hook],
-        ),
-        None => SolverHarness::new(solver).run(
-            &run_cfg,
-            &mut state,
-            &mut ws,
-            &mut exchange,
-            &mut [&mut fault_hook, &mut ckpt_hook],
-        ),
+    let mut health = rcfg.and_then(|r| {
+        let mut hc = r.health.clone()?;
+        // Unless the caller pinned one, dumps name restore lines in terms of
+        // this supervisor's own checkpoint cadence; the per-rank violation
+        // dump lands beside the generic post-mortems.
+        hc.ckpt_every = hc.ckpt_every.or(Some(r.every_steps));
+        hc.dump_path =
+            dump_dir.map(|d| d.join(format!("rank{rank}.attempt{attempt}.health.ndjson")));
+        Some(HealthHook::new(solver, hc))
+    });
+    let mut sink = recovery.map(|(rcfg, writers)| {
+        PeriodicSink::new(&writers[rank], &CheckpointPolicy::every_steps(rcfg.every_steps))
+    });
+    let mut ckpt = sink.as_mut().map(|s| CheckpointHook::new(s));
+
+    let mut hooks: Vec<&mut dyn StepHook> = Vec::new();
+    if let Some(h) = fault.as_mut() {
+        hooks.push(h);
+    }
+    if let Some((t, i)) = telemetry.as_mut() {
+        hooks.push(t);
+        hooks.push(i);
+    }
+    if let Some(h) = health.as_mut() {
+        hooks.push(h);
+    }
+    if let Some(h) = ckpt.as_mut() {
+        hooks.push(h);
+    }
+    let run_cfg = RunConfig::to_step(n_steps).with_scope(scope);
+    let harness = SolverHarness::new(solver);
+    let mut outcome = match harness.run(&run_cfg, &mut state, &mut ws, &mut exchange, &mut hooks) {
+        RunOutcome::Finished { .. } => RankOutcome::Finished,
+        RunOutcome::Stopped { step, reason } => match reason {
+            StopReason::Killed => RankOutcome::Killed { step },
+            StopReason::Comm(e) => RankOutcome::Aborted { step, reason: e },
+            StopReason::Ckpt(e) => {
+                RankOutcome::Aborted { step, reason: format!("checkpoint write: {e}") }
+            }
+            StopReason::Health(e) => {
+                RankOutcome::Aborted { step, reason: format!("health watchdog: {e}") }
+            }
+        },
     };
-    let run = match outcome {
-        RunOutcome::Finished { .. } => RankRun::Finished(state),
-        RunOutcome::Stopped { step, reason: StopReason::Killed } => RankRun::Killed { step },
-        RunOutcome::Stopped { step, reason: StopReason::Comm(e) } => {
-            RankRun::Aborted { step, reason: e }
-        }
-        RunOutcome::Stopped { step, reason: StopReason::Ckpt(e) } => {
-            RankRun::Aborted { step, reason: format!("checkpoint write: {e}") }
-        }
-        RunOutcome::Stopped { step, reason: StopReason::Health(e) } => {
-            RankRun::Aborted { step, reason: format!("health watchdog: {e}") }
-        }
-    };
-    if let Some((dir, attempt)) = dump {
-        let (step, reason) = match &run {
-            RankRun::Finished(_) => (n_steps, String::new()),
-            RankRun::Killed { step } => (*step, "killed by fault plan".to_string()),
-            RankRun::Aborted { step, reason } => (*step, reason.clone()),
-        };
-        if !reason.is_empty() {
-            let path = dir.join(format!("rank{rank}.attempt{attempt}.postmortem.ndjson"));
-            // Best effort: a failed dump must not mask the rank outcome.
-            let _ = dump_post_mortem(&path, &ws.reg, &reason, step, DUMP_TRACE_EVENTS);
+
+    // Reduce the common metrics across the ranks that finished (a peer lost
+    // mid-reduction fails this rank's attempt like one lost mid-run). The
+    // per-color element spans are rank-local names (color counts differ per
+    // partition), so they stay in the snapshot but are excluded from the
+    // collective.
+    let snapshot = cfg.telemetry.then(|| ws.reg.snapshot());
+    let mut reduced = Vec::new();
+    if let (Some(snap), RankOutcome::Finished) = (&snapshot, &outcome) {
+        let mut common = snap.clone();
+        common.retain(|name| !name.starts_with("span.step/elements/color"));
+        match try_reduce_across_ranks(comm, &common) {
+            Ok(r) => reduced = r,
+            Err(e) => {
+                let reason = format!("cross-rank metric reduction: {e}");
+                outcome = RankOutcome::Aborted { step: n_steps, reason };
+            }
         }
     }
-    run
+
+    let failure = match &outcome {
+        RankOutcome::Finished => None,
+        RankOutcome::Killed { step } => Some((*step, "killed by fault plan")),
+        RankOutcome::Aborted { step, reason } => Some((*step, reason.as_str())),
+    };
+    if let (Some(dir), Some((step, reason))) = (dump_dir, failure) {
+        let path = dir.join(format!("rank{rank}.attempt{attempt}.postmortem.ndjson"));
+        // Best effort: a failed dump must not mask the rank outcome.
+        let _ = dump_post_mortem(&path, &ws.reg, reason, step, DUMP_TRACE_EVENTS);
+    }
+    // Public boundary: hand the states back interleaved.
+    let state = if outcome == RankOutcome::Finished {
+        (to_interleaved3(&state.u_prev), to_interleaved3(&state.u_now))
+    } else {
+        Default::default()
+    };
+    let trace = cfg.trace_capacity.map(|_| ws.reg.trace_buffer());
+    RankRun { outcome, state, snapshot, reduced, trace }
 }
 
 /// The consistent restore line: the highest step at which **every** rank's
@@ -909,17 +799,8 @@ mod tests {
         // Multiresolution mesh (constraints cross partition boundaries), ABC
         // on, several rank counts: the distributed run must agree with the
         // serial solver to rounding.
-        let half = 1u32 << (MAX_LEVEL - 1);
-        let mut tree = LinearOctree::build(|o| o.level < 2 || (o.level < 3 && o.x < half));
-        tree.balance(BalanceMode::Full);
-        let mesh = HexMesh::from_octree(&tree, 8.0, |_, _, _, _| ElemMaterial {
-            lambda: 2.0,
-            mu: 1.0,
-            rho: 1.0,
-        });
+        let (mesh, cfg) = recovery_setup();
         assert!(mesh.n_hanging() > 0);
-        let mut cfg = ElasticConfig::new(1.0);
-        cfg.dt = Some(0.05);
         let solver = ElasticSolver::new(&mesh, &cfg);
         let (u0, v0) = pulse(&mesh);
         let steps = 12;
@@ -958,16 +839,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_reduces_phase_metrics_across_ranks() {
-        let half = 1u32 << (MAX_LEVEL - 1);
-        let mut tree = LinearOctree::build(|o| o.level < 2 || (o.level < 3 && o.x < half));
-        tree.balance(BalanceMode::Full);
-        let mesh = HexMesh::from_octree(&tree, 8.0, |_, _, _, _| ElemMaterial {
-            lambda: 2.0,
-            mu: 1.0,
-            rho: 1.0,
-        });
-        let mut cfg = ElasticConfig::new(1.0);
-        cfg.dt = Some(0.05);
+        let (mesh, cfg) = recovery_setup();
         let solver = ElasticSolver::new(&mesh, &cfg);
         let (u0, v0) = pulse(&mesh);
         let (ranks, steps) = (4usize, 6usize);
@@ -1022,30 +894,20 @@ mod tests {
                 comm.try_exchange_sum(&neighbors[0], &mut rhs, 1, STEP_TAG_BASE).unwrap();
                 return None;
             }
-            let mut ws = solver.workspace_with(Registry::new(0));
-            let mut state = solver.initial_state(0, dist.initial);
-            Some(step_rank(&solver, &setup, &dist, comm, &mut state, &mut ws))
+            let state = solver.initial_state(0, dist.initial);
+            Some(run_rank(&solver, &setup, &dist, comm, state, Instant::now(), None, 0).outcome)
         });
         match &outcomes[0] {
-            Some(RunOutcome::Stopped { reason: StopReason::Comm(e), .. }) => {
-                assert!(e.contains("rank 1 failed"), "{e}");
+            Some(RankOutcome::Aborted { reason, .. }) => {
+                assert!(reason.contains("rank 1 failed"), "{reason}");
             }
-            other => panic!("survivor did not stop with a Comm reason: {other:?}"),
+            other => panic!("survivor did not stop with a comm reason: {other:?}"),
         }
     }
 
     #[test]
     fn traced_run_splits_exchange_and_merges_rank_timelines() {
-        let half = 1u32 << (MAX_LEVEL - 1);
-        let mut tree = LinearOctree::build(|o| o.level < 2 || (o.level < 3 && o.x < half));
-        tree.balance(BalanceMode::Full);
-        let mesh = HexMesh::from_octree(&tree, 8.0, |_, _, _, _| ElemMaterial {
-            lambda: 2.0,
-            mu: 1.0,
-            rho: 1.0,
-        });
-        let mut cfg = ElasticConfig::new(1.0);
-        cfg.dt = Some(0.05);
+        let (mesh, cfg) = recovery_setup();
         let solver = ElasticSolver::new(&mesh, &cfg);
         let (u0, v0) = pulse(&mesh);
         let (ranks, steps) = (4usize, 6usize);
@@ -1104,6 +966,8 @@ mod tests {
         assert!(json.contains("\"step/exchange/copy\""));
     }
 
+    /// The multiresolution test mesh (hanging nodes cross partition
+    /// boundaries) and its solver config.
     fn recovery_setup() -> (HexMesh, ElasticConfig) {
         let half = 1u32 << (MAX_LEVEL - 1);
         let mut tree = LinearOctree::build(|o| o.level < 2 || (o.level < 3 && o.x < half));
@@ -1127,13 +991,16 @@ mod tests {
         dir
     }
 
-    /// Max |difference| between a recovered run and the plain distributed
-    /// run on each rank's touched nodes; must be exactly 0.0 (bitwise).
+    /// A recovered run against the plain distributed run: same partition,
+    /// and states equal bitwise on each rank's touched nodes.
     fn assert_matches_unfaulted(mesh: &HexMesh, run: &RecoveredRun, reference: &DistributedRun) {
-        for (rank, (dp, dn)) in run.states.iter().enumerate() {
+        assert_eq!(run.last.elements, reference.elements);
+        assert_eq!(run.last.volumes, reference.volumes);
+        assert_eq!(run.last.states.len(), reference.states.len());
+        for (rank, (dp, dn)) in run.last.states.iter().enumerate() {
             let (rp, rn) = &reference.states[rank];
             let mut touched = vec![false; mesh.n_nodes()];
-            for &ei in &run.elements[rank] {
+            for &ei in &run.last.elements[rank] {
                 for &nd in &mesh.elements[ei as usize].nodes {
                     touched[nd as usize] = true;
                 }
@@ -1197,6 +1064,68 @@ mod tests {
         assert!(run.outcomes[1].iter().all(|o| *o == RankOutcome::Finished));
         assert_eq!(reg.counter("recover/recoveries"), Some(1));
         assert_matches_unfaulted(&mesh, &run, &reference);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_clean_attempt_is_run_distributed_bit_for_bit() {
+        let (mesh, cfg) = recovery_setup();
+        let solver = ElasticSolver::new(&mesh, &cfg);
+        let (u0, v0) = pulse(&mesh);
+        let dcfg = DistConfig::new(4, 12).with_initial(&u0, &v0);
+        let reference = run_distributed(&solver, &dcfg);
+
+        let dir = tmpdir("one-attempt");
+        let cfg_r = RecoveryConfig::new(dir.clone(), 4, 1);
+        let run =
+            run_distributed_recoverable(&solver, &dcfg, &cfg_r, &Registry::disabled()).unwrap();
+        assert!(run.finished, "outcomes: {:?}", run.outcomes);
+        assert_eq!((run.attempts, run.recoveries, run.restored_step), (1, 0, 0));
+        assert_matches_unfaulted(&mesh, &run, &reference);
+        // Untraced config: no telemetry on either entry point.
+        assert!(run.last.snapshots.is_empty() && run.last.traces.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovered_run_carries_the_final_attempts_telemetry() {
+        // DistConfig::with_trace means the same under the supervisor as under
+        // run_distributed: the final attempt (restored at step 4 after the
+        // kill) hands back one snapshot and one flight recorder per rank and
+        // the cross-rank reduction — and tracing does not change the bits.
+        let (mesh, cfg) = recovery_setup();
+        let solver = ElasticSolver::new(&mesh, &cfg);
+        let (u0, v0) = pulse(&mesh);
+        let (ranks, steps) = (4usize, 12usize);
+        let reference =
+            run_distributed(&solver, &DistConfig::new(ranks, steps).with_initial(&u0, &v0));
+
+        let dir = tmpdir("traced-recovery");
+        let cfg_r = RecoveryConfig::new(dir.clone(), 4, 3).with_faults(FaultPlan::kill(2, 7));
+        let run = run_distributed_recoverable(
+            &solver,
+            &DistConfig::new(ranks, steps).with_initial(&u0, &v0).with_trace(4096),
+            &cfg_r,
+            &Registry::disabled(),
+        )
+        .unwrap();
+        assert!(run.finished, "outcomes: {:?}", run.outcomes);
+        assert_eq!((run.attempts, run.restored_step), (2, 4));
+        assert_matches_unfaulted(&mesh, &run, &reference);
+
+        let resumed = (steps as u64 - run.restored_step) as usize;
+        assert_eq!(run.last.snapshots.len(), ranks);
+        assert_eq!(run.last.traces.len(), ranks);
+        for (rank, buf) in run.last.traces.iter().enumerate() {
+            assert_eq!(buf.rank, rank);
+            for name in ["step", "step/exchange/wait", "step/exchange/copy"] {
+                let n = buf.events.iter().filter(|e| e.name == name).count();
+                assert_eq!(n, resumed, "rank {rank}: {name} slices");
+            }
+            let count = run.last.snapshots[rank].get("span.step/exchange/wait.count");
+            assert_eq!(count, Some(resumed as f64), "rank {rank}");
+        }
+        assert!(run.last.reduced.iter().any(|r| r.name == "span.step.secs" && r.min > 0.0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -60,7 +60,7 @@ use crate::sources::AssembledSource;
 use quake_ckpt::{CkptError, StepSink};
 use quake_machine::phases::ElasticStepShape;
 use quake_parcomm::RankFaults;
-use quake_telemetry::{Registry, StepObserver};
+use quake_telemetry::Registry;
 
 /// Immutable facts about the run a hook can read from any phase.
 #[derive(Clone, Copy, Debug)]
@@ -439,7 +439,10 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
                             tainted = true;
                             return Ok(());
                         }
-                        // lint:reach-ok — dyn exchange dispatch: comm fabrics preallocate and return CommError.
+                        // lint:reach-ok — dyn exchange dispatch. A comm fabric allocates
+                        // here: one payload Vec per neighbor message (the channel takes
+                        // ownership), outside the element sweep and timed as
+                        // `step/exchange/copy`. Failures come back as CommError.
                         exchange.exchange(s, g, rhs, reg)
                     });
                     // A failed exchange aborts before the tail: under global
@@ -518,25 +521,13 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
         let cfg = RunConfig::to_step(solver.n_steps as u64).with_sources(sources);
         let mut receivers = ReceiverHook::new(receiver_nodes);
         let mut telemetry = TelemetryHook::new(solver);
-        let outcome = match sink {
-            Some(sink) => {
-                let mut ckpt = CheckpointHook::new(sink);
-                self.run(
-                    &cfg,
-                    &mut state,
-                    ws,
-                    &mut NoExchange,
-                    &mut [&mut receivers, &mut ckpt, &mut telemetry],
-                )
-            }
-            None => self.run(
-                &cfg,
-                &mut state,
-                ws,
-                &mut NoExchange,
-                &mut [&mut receivers, &mut telemetry],
-            ),
-        };
+        let mut ckpt = sink.map(CheckpointHook::new);
+        let mut hooks: Vec<&mut dyn StepHook> = vec![&mut receivers];
+        if let Some(ckpt) = ckpt.as_mut() {
+            hooks.push(ckpt);
+        }
+        hooks.push(&mut telemetry);
+        let outcome = self.run(&cfg, &mut state, ws, &mut NoExchange, &mut hooks);
         match outcome {
             RunOutcome::Finished { .. } => {}
             RunOutcome::Stopped { reason: StopReason::Ckpt(e), .. } => return Err(e),
@@ -653,59 +644,34 @@ impl StepHook for CheckpointHook<'_> {
 }
 
 /// Records the run's analytic per-phase step costs on completion (joining
-/// the measured spans to the roofline model) and optionally forwards
-/// lifecycle notifications to a [`StepObserver`]. The per-pass phase spans
+/// the measured spans to the roofline model). The per-pass phase spans
 /// themselves are emitted by the step kernel via the workspace registry —
 /// this hook only adds the end-of-run accounting: the plan's per-cycle work
 /// ([`RunInfo::cycle_shape`]) times the macro cycles executed.
 pub struct TelemetryHook<'s, 'm> {
     solver: &'s ElasticSolver<'m>,
     shape: Option<ElasticStepShape>,
-    observer: Option<&'s mut dyn StepObserver>,
 }
 
 impl<'s, 'm> TelemetryHook<'s, 'm> {
     /// Costs of the plan the run steps (the full-domain step for serial
     /// global-dt runs).
     pub fn new(solver: &'s ElasticSolver<'m>) -> TelemetryHook<'s, 'm> {
-        TelemetryHook { solver, shape: None, observer: None }
+        TelemetryHook { solver, shape: None }
     }
 
     /// Costs of a caller-adjusted per-cycle shape (a distributed rank's scope
     /// with its true interface exchange volume).
     pub fn shaped(solver: &'s ElasticSolver<'m>, shape: ElasticStepShape) -> TelemetryHook<'s, 'm> {
-        TelemetryHook { solver, shape: Some(shape), observer: None }
-    }
-
-    /// Also forward run lifecycle notifications to `observer`.
-    pub fn with_observer(mut self, observer: &'s mut dyn StepObserver) -> TelemetryHook<'s, 'm> {
-        self.observer = Some(observer);
-        self
+        TelemetryHook { solver, shape: Some(shape) }
     }
 }
 
 impl StepHook for TelemetryHook<'_, '_> {
-    fn on_run_start(&mut self, ctx: &mut HookCtx<'_>) -> Result<(), StopReason> {
-        if let Some(obs) = self.observer.as_deref_mut() {
-            obs.on_run_start(ctx.state.step, ctx.reg);
-        }
-        Ok(())
-    }
-
-    fn after_step(&mut self, ctx: &mut HookCtx<'_>) -> Result<(), StopReason> {
-        if let Some(obs) = self.observer.as_deref_mut() {
-            obs.on_step(ctx.state.step, ctx.reg);
-        }
-        Ok(())
-    }
-
     fn on_run_end(&mut self, ctx: &mut HookCtx<'_>) {
         let executed = ctx.state.step - ctx.info.first_step;
         let shape = self.shape.unwrap_or(ctx.info.cycle_shape);
         self.solver.record_step_costs_shaped(&shape, executed / ctx.info.cycle, ctx.reg);
-        if let Some(obs) = self.observer.as_deref_mut() {
-            obs.on_run_end(executed, ctx.reg);
-        }
     }
 }
 

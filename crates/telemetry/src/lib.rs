@@ -41,12 +41,10 @@
 
 pub mod hist;
 pub mod json;
-pub mod observe;
 pub mod reduce;
 pub mod trace;
 
 pub use hist::Histogram;
-pub use observe::{ProgressEvents, StepObserver};
 pub use reduce::{try_reduce_across_ranks, ReduceError, Reduced};
 pub use trace::{TraceBuffer, TraceEvent, TraceKind};
 
