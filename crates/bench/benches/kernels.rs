@@ -12,8 +12,9 @@
 use quake_etree::BTree;
 use quake_fem::hex8::{elastic_hex_matrices, elastic_matvec};
 use quake_mesh::hexmesh::ElemMaterial;
-use quake_mesh::{partition_morton, partition_rcb, HexMesh};
-use quake_octree::{balance_local, BalanceMode, LinearOctree, MAX_LEVEL};
+use quake_mesh::{mesh_from_model, partition_morton, partition_rcb, HexMesh, MeshingParams};
+use quake_model::{layer_over_halfspace, LaBasinModel, Material};
+use quake_octree::{balance_local, sample_point, BalanceMode, LinearOctree, MAX_LEVEL};
 use quake_solver::tet::TetSolver;
 use quake_solver::{ElasticConfig, ElasticSolver};
 use std::hint::black_box;
@@ -104,6 +105,35 @@ fn bench_octree_balance() {
         let mut t = build();
         balance_local(&mut t, BalanceMode::Full, 1);
         t.len()
+    });
+}
+
+fn bench_mesh_build() {
+    // The balance rows above run on a ~300-leaf tree; these are the
+    // benchmark's `layered_forward` and `basin_forward` meshes, where
+    // meshing is what solver set-up costs.
+    let extent = 20_000.0;
+    let mut params = MeshingParams::new(extent, 0.3);
+    params.min_level = 2;
+    params.max_level = 6;
+    let layered = layer_over_halfspace(
+        2_500.0,
+        Material::new(1800.0, 700.0, 2000.0),
+        Material::new(5500.0, 3200.0, 2700.0),
+    );
+    let basin = LaBasinModel::scaled(400.0, extent);
+    bench_function("mesh_build_layered_61k", || mesh_from_model(&params, &layered).1.n_nodes());
+    bench_function("mesh_build_basin_25k", || mesh_from_model(&params, &basin).1.n_nodes());
+    // One lookup per call, asked the way the balance check and the
+    // hanging-node classification ask: each leaf in Morton order looks up
+    // the point across its +x face (its own corner on the domain boundary).
+    let (tree, _) = mesh_from_model(&params, &layered);
+    let mut i = 0usize;
+    bench_function("octree_point_location", || {
+        i = if i + 1 < tree.len() { i + 1 } else { 0 };
+        let o = &tree.leaves()[i];
+        let (x, y, z) = sample_point(o, (1, 0, 0)).unwrap_or((o.x, o.y, o.z));
+        tree.find_containing_index(x, y, z)
     });
 }
 
@@ -206,6 +236,7 @@ fn main() {
     bench_element_matvec();
     bench_solver_step_hex_vs_tet();
     bench_octree_balance();
+    bench_mesh_build();
     bench_btree();
     bench_partitioners();
     bench_lumped_vs_consistent();

@@ -40,6 +40,10 @@
 //! element-updates/s falls below the floor on either mesh (`fused` or
 //! `many_class`) — the CI regression gate.
 //!
+//! Pass `--check-mesh-ms <ms>` to fail the run if `mesh_from_model` takes
+//! longer than that to build the `many_class` mesh (octree, 2-to-1 balance,
+//! node numbering, hanging-node constraints) — the gate on solver set-up.
+//!
 //! Pass `--lts` to add the rate-group (clustered local-time-stepping) leg:
 //! a coarse-dominant 3-level mesh is stepped once with the fused global-dt
 //! kernel and once through `SolverHarness::run_grouped` (coarse elements
@@ -318,6 +322,10 @@ fn main() {
         .iter()
         .position(|a| a == "--check-throughput")
         .map(|i| args[i + 1].parse().expect("--check-throughput takes element-updates/s"));
+    let check_mesh_ms: Option<f64> = args
+        .iter()
+        .position(|a| a == "--check-mesh-ms")
+        .map(|i| args[i + 1].parse().expect("--check-mesh-ms takes milliseconds"));
     let trace_out: Option<String> =
         args.iter().position(|a| a == "--trace-out").map(|i| args[i + 1].clone());
     // The smoke mesh must be big enough that a step dwarfs the fixed span
@@ -450,7 +458,13 @@ fn main() {
 
     // The same kernel on a many-class mesh: short class runs, so the rate
     // depends on how many of the computed matvec lanes hold an element.
+    let t_mesh = Instant::now();
     let bmesh = build_basin_mesh();
+    let mesh_ms = t_mesh.elapsed().as_secs_f64() * 1e3;
+    println!(
+        "mesh_build   : {mesh_ms:>8.1} ms  (mesh_from_model, {} elements)",
+        bmesh.n_elements()
+    );
     let bsolver = ElasticSolver::new(&bmesh, &ElasticConfig::new(1.0));
     let bu0p = quake_solver::layout::to_planar3(&shear_pulse(&bmesh, 20_000.0));
     let mut bws = bsolver.workspace_instrumented(0);
@@ -703,6 +717,12 @@ fn main() {
             sp >= floor,
             "LTS speedup {sp:.2}x is below the {floor}x acceptance bar \
              (rate groups vs fused global dt)"
+        );
+    }
+    if let Some(limit) = check_mesh_ms {
+        assert!(
+            mesh_ms <= limit,
+            "mesh_from_model took {mesh_ms:.1} ms on the basin mesh, over the {limit} ms budget"
         );
     }
     if let Some(floor) = check_throughput {

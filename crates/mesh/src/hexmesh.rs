@@ -100,6 +100,8 @@ impl HexMesh {
             }
         }
         keys.sort_unstable();
+        // How many leaves have each node as a corner, read off the runs.
+        let corner_of: Vec<u8> = keys.chunk_by(|a, b| a == b).map(|r| r.len() as u8).collect();
         keys.dedup();
         let node_id = |k: u64| -> u32 {
             keys.binary_search(&k).expect("corner key must be registered") as u32
@@ -140,6 +142,13 @@ impl HexMesh {
         let mut hanging = vec![false; keys.len()];
         let mut raw_masters: Vec<Option<Vec<(u32, f64)>>> = vec![None; keys.len()];
         for (id, gc) in grid_coords.iter().enumerate() {
+            // 8 leaves meet at an interior point, half as many per domain
+            // face it lies on; a node that is a corner of all of them is
+            // regular, and only the others need their leaves looked up.
+            let on_boundary = gc.iter().filter(|&&v| v == 0 || v == GRID).count();
+            if corner_of[id] == 8 >> on_boundary {
+                continue;
+            }
             if let Some(m) = hanging_masters(tree, *gc, &node_id) {
                 hanging[id] = true;
                 raw_masters[id] = Some(m);
@@ -340,7 +349,8 @@ impl HexMesh {
     /// The element containing a physical point, with the point's local
     /// reference coordinates in `[0,1]^3`.
     pub fn locate(&self, tree: &LinearOctree, p: [f64; 3]) -> Option<(u32, [f64; 3])> {
-        if p.iter().any(|&v| v < 0.0 || v > self.domain_size) {
+        // Written as a range test so that NaN is outside too.
+        if p.iter().any(|v| !(0.0..=self.domain_size).contains(v)) {
             return None;
         }
         let g = GRID as f64 / self.domain_size;
@@ -621,6 +631,21 @@ mod tests {
         for d in 0..3 {
             assert!((p[d] - 10.0).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn locate_rejects_non_finite_and_outside_points() {
+        let (t, m) = one_refined();
+        for axis in 0..3 {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e-9, 100.0 + 1e-9] {
+                let mut p = [10.0; 3];
+                p[axis] = bad;
+                assert_eq!(m.locate(&t, p), None, "axis {axis} = {bad}");
+            }
+        }
+        // The closed domain is inside, far faces included.
+        assert!(m.locate(&t, [0.0; 3]).is_some());
+        assert!(m.locate(&t, [100.0; 3]).is_some());
     }
 
     // Minimal local copy of the trilinear shape functions to avoid a test

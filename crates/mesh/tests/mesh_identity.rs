@@ -1,0 +1,162 @@
+//! The mesher against things outside itself: an identity pin computed at the
+//! commit before point location was keyed (PR 17), and the brute-force
+//! definition of a hanging node.
+
+use quake_mesh::{mesh_from_model, ElemMaterial, HexMesh, MeshingParams};
+use quake_model::{layer_over_halfspace, LaBasinModel, Material, MaterialModel};
+use quake_octree::{BalanceMode, LinearOctree, Octant, MAX_LEVEL};
+
+fn unit_material(_x: f64, _y: f64, _z: f64, _h: f64) -> ElemMaterial {
+    ElemMaterial { lambda: 1.0, mu: 1.0, rho: 1.0 }
+}
+
+/// FNV-1a over everything the solver reads from the mesh topology:
+/// connectivity and levels, the hanging flags, the resolved constraints
+/// (node, masters, weight bits) and the boundary faces, each in stored order.
+fn fingerprint(m: &HexMesh) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for e in &m.elements {
+        e.nodes.iter().for_each(|&n| eat(n as u64));
+        eat(e.level as u64);
+    }
+    m.hanging.iter().for_each(|&b| eat(b as u64));
+    for c in &m.constraints {
+        eat(c.node as u64);
+        for &(n, w) in &c.masters {
+            eat(n as u64);
+            eat(w.to_bits());
+        }
+    }
+    for f in &m.boundary_faces {
+        eat(f.element as u64);
+        eat(f.face as u64);
+    }
+    h
+}
+
+/// The benchmark's `basin_forward` / `layered_forward` meshing call.
+fn adaptive(model: &impl MaterialModel, max_level: u8) -> HexMesh {
+    let mut p = MeshingParams::new(20_000.0, 0.3);
+    p.min_level = 2;
+    p.max_level = max_level;
+    mesh_from_model(&p, model).1
+}
+
+fn layered() -> impl MaterialModel {
+    layer_over_halfspace(
+        2_500.0,
+        Material::new(1800.0, 700.0, 2000.0),
+        Material::new(5500.0, 3200.0, 2700.0),
+    )
+}
+
+/// The benchmark's `fault_zone_lts` tree: two nested refinement boxes.
+fn fault_zone(coarse: u8) -> LinearOctree {
+    let touches = |o: &Octant, lo: [f64; 3], hi: [f64; 3]| {
+        let (c, s) = (o.corner_unit(), o.size_unit());
+        (0..3).all(|a| c[a] < hi[a] && c[a] + s > lo[a])
+    };
+    let mut tree = LinearOctree::build(|o| {
+        o.level < coarse
+            || (o.level < coarse + 1 && touches(o, [0.375, 0.375, 0.0], [0.625, 0.625, 0.25]))
+            || (o.level < coarse + 2 && touches(o, [0.4375, 0.4375, 0.0], [0.5625, 0.5625, 0.125]))
+    });
+    tree.balance(BalanceMode::Full);
+    tree
+}
+
+/// Constants printed by this file's `fingerprint` at commit f463f2e, the
+/// parent of the change that keyed point location. The `--quick` basin and
+/// layered meshes come out uniform (level 4 caps both), so the benchmark's
+/// full sizes are pinned beside them: those have ~3 100 hanging nodes each.
+#[test]
+fn meshes_are_the_parents_meshes() {
+    let basin = LaBasinModel::scaled(400.0, 20_000.0);
+    for (name, mesh, elements, hanging, want) in [
+        ("basin quick", adaptive(&basin, 4), 4_096, 0, 0xc52d_c7ec_6b78_20db_u64),
+        ("layered quick", adaptive(&layered(), 4), 4_096, 0, 0xc52d_c7ec_6b78_20db),
+        ("basin", adaptive(&basin, 6), 25_012, 3_140, 0xada4_6af0_dd90_ad64),
+        ("layered", adaptive(&layered(), 6), 61_440, 3_136, 0xf85e_f271_a201_5c9f),
+        (
+            "fault zone quick",
+            HexMesh::from_octree(&fault_zone(3), 20_000.0, unit_material),
+            624,
+            128,
+            0x829c_1579_5842_89a5,
+        ),
+        (
+            "fault zone",
+            HexMesh::from_octree(&fault_zone(5), 20_000.0, unit_material),
+            39_936,
+            1_952,
+            0x4c94_8960_73dd_4219,
+        ),
+    ] {
+        assert_eq!((mesh.n_elements(), mesh.n_hanging()), (elements, hanging), "{name}");
+        assert_eq!(fingerprint(&mesh), want, "{name}: {:#018x}", fingerprint(&mesh));
+    }
+}
+
+/// LCG-seeded adaptive trees: refinement to a random depth around one to
+/// three random points, balanced. The last tree (refined into a domain
+/// corner) keeps level-1 leaves beside level-3 ones, the edge of the rule
+/// that leaves within one level of the coarsest cannot violate 2-to-1.
+fn random_balanced_trees() -> Vec<LinearOctree> {
+    let mut state = 0xE001u64;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state >> 11
+    };
+    let cell = 1u32 << (MAX_LEVEL - 3);
+    let mut trees: Vec<LinearOctree> = (0..16)
+        .map(|_| {
+            let r = next();
+            let depth = (3 + (r >> 8) % 3) as u8;
+            let seeds: Vec<(u32, u32, u32)> = (0..1 + r % 3)
+                .map(|_| {
+                    let q = next() as u32;
+                    ((q % 8) * cell, ((q >> 8) % 8) * cell, ((q >> 16) % 8) * cell)
+                })
+                .collect();
+            LinearOctree::build(|o| {
+                o.level < depth && seeds.iter().any(|&(x, y, z)| o.contains_point(x, y, z))
+            })
+        })
+        .collect();
+    trees.push(LinearOctree::build(|o| o.level < 3 && o.x == 0 && o.y == 0 && o.z == 0));
+    trees.iter_mut().for_each(|t| t.balance(BalanceMode::Full));
+    trees
+}
+
+#[test]
+fn hanging_nodes_match_the_brute_force_definition() {
+    for (case, tree) in random_balanced_trees().iter().enumerate() {
+        let mesh = HexMesh::from_octree(tree, 1.0, unit_material);
+        // A node hangs iff some leaf's closed cube contains it without
+        // having it as a corner.
+        for (id, p) in mesh.grid_coords.iter().enumerate() {
+            let hangs = tree.leaves().iter().any(|o| {
+                let (lo, s) = ([o.x, o.y, o.z], o.size());
+                (0..3).all(|a| lo[a] <= p[a] && p[a] <= lo[a] + s)
+                    && !(0..3).all(|a| p[a] == lo[a] || p[a] == lo[a] + s)
+            });
+            assert_eq!(mesh.hanging[id], hangs, "tree {case}, node {id} at {p:?}");
+        }
+        assert_eq!(mesh.n_hanging(), mesh.hanging.iter().filter(|&&h| h).count());
+        for c in &mesh.constraints {
+            assert!(mesh.hanging[c.node as usize], "tree {case}: constraint on a regular node");
+            assert!(c.masters.iter().all(|&(m, _)| !mesh.hanging[m as usize]));
+            let sum: f64 = c.masters.iter().map(|&(_, w)| w).sum();
+            assert!(
+                (sum - 1.0).abs() < 1e-12,
+                "tree {case}, node {}: weights sum to {sum}",
+                c.node
+            );
+        }
+    }
+}

@@ -40,6 +40,9 @@ impl BalanceMode {
 #[derive(Clone, Debug)]
 pub struct LinearOctree {
     leaves: Vec<Octant>,
+    /// `leaves[i].key()`: the key is interleaved once, when the leaves are
+    /// sorted, so point location is a plain `u64` search.
+    keys: Vec<u64>,
 }
 
 impl LinearOctree {
@@ -56,16 +59,21 @@ impl LinearOctree {
                 leaves.push(o);
             }
         }
-        leaves.sort_unstable_by_key(Octant::key);
-        LinearOctree { leaves }
+        LinearOctree::sorted(leaves)
+    }
+
+    fn sorted(leaves: Vec<Octant>) -> LinearOctree {
+        let mut keyed: Vec<(u64, Octant)> = leaves.into_iter().map(|o| (o.key(), o)).collect();
+        keyed.sort_unstable_by_key(|&(k, _)| k);
+        let (keys, leaves) = keyed.into_iter().unzip();
+        LinearOctree { leaves, keys }
     }
 
     /// Wrap an existing leaf set (sorted internally). The caller must supply
     /// a complete, disjoint cover; `debug_assert`ed via
     /// [`LinearOctree::validate_complete`].
-    pub fn from_leaves(mut leaves: Vec<Octant>) -> LinearOctree {
-        leaves.sort_unstable_by_key(Octant::key);
-        let t = LinearOctree { leaves };
+    pub fn from_leaves(leaves: Vec<Octant>) -> LinearOctree {
+        let t = LinearOctree::sorted(leaves);
         debug_assert!(t.validate_complete(), "leaf set is not a complete disjoint cover");
         t
     }
@@ -100,19 +108,15 @@ impl LinearOctree {
         level_histogram_of(self.leaves.iter().map(|o| o.level))
     }
 
-    /// Index of the leaf containing the grid point, by binary search on keys.
+    /// Index of the leaf containing the grid point: the last leaf whose key
+    /// does not exceed the point's deepest-level key.
     pub fn find_containing_index(&self, px: u32, py: u32, pz: u32) -> Option<usize> {
-        if px >= GRID || py >= GRID || pz >= GRID || self.leaves.is_empty() {
+        if px >= GRID || py >= GRID || pz >= GRID {
             return None;
         }
         let key = (morton_encode(px, py, pz) << LEVEL_BITS) | MAX_LEVEL as u64;
-        let idx = match self.leaves.binary_search_by_key(&key, Octant::key) {
-            Ok(i) => i,
-            Err(0) => return None,
-            Err(i) => i - 1,
-        };
-        let leaf = &self.leaves[idx];
-        leaf.contains_point(px, py, pz).then_some(idx)
+        let idx = self.keys.partition_point(|&k| k <= key).checked_sub(1)?;
+        self.leaves[idx].contains_point(px, py, pz).then_some(idx)
     }
 
     /// The leaf containing a grid point.
@@ -123,20 +127,21 @@ impl LinearOctree {
     /// Enforce the 2-to-1 constraint by global ripple refinement. Produces
     /// the unique minimal balanced refinement of the current leaf set.
     pub fn balance(&mut self, mode: BalanceMode) {
-        let mut map: BTreeMap<u64, Octant> = self.leaves.iter().map(|o| (o.key(), *o)).collect();
+        let mut map: BTreeMap<u64, Octant> =
+            self.keys.iter().copied().zip(self.leaves.iter().copied()).collect();
         let queue: VecDeque<Octant> = self.leaves.iter().copied().collect();
         ripple(&mut map, queue, mode, None);
-        self.leaves = map.into_values().collect();
+        (self.keys, self.leaves) = map.into_iter().unzip();
     }
 
     /// True if every pair of touching leaves (per `mode`) differs by at most
     /// one level.
     pub fn is_balanced(&self, mode: BalanceMode) -> bool {
         let dirs = mode.directions();
-        for o in &self.leaves {
-            if o.level == 0 {
-                continue;
-            }
+        // A toucher must be coarser than `o.level - 1` to violate, and no
+        // leaf is coarser than the floor.
+        let floor = self.min_level();
+        for o in self.leaves.iter().filter(|o| o.level > floor + 1) {
             for &d in &dirs {
                 if let Some(p) = sample_point(o, d) {
                     let n = self
@@ -214,12 +219,15 @@ pub fn ripple(
     within: Option<Octant>,
 ) {
     let dirs = mode.directions();
+    // Splitting only raises levels, so the coarsest level at entry stays a
+    // lower bound on every leaf `o` can touch.
+    let floor = map.values().map(|o| o.level).min().unwrap_or(0);
     while let Some(o) = queue.pop_front() {
+        if o.level <= floor + 1 {
+            continue; // a violation needs a toucher coarser than level - 1
+        }
         if !map.contains_key(&o.key()) {
             continue; // split away since enqueued
-        }
-        if o.level <= 1 {
-            continue; // nothing can violate against level <= 1
         }
         for &d in &dirs {
             let Some(p) = sample_point(&o, d) else { continue };
@@ -328,36 +336,104 @@ mod tests {
         assert!(tc.is_balanced(BalanceMode::Full));
     }
 
-    #[test]
-    fn prop_balance_produces_balanced_complete_tree() {
-        // Deterministic LCG-driven cases (randomized-property test without
-        // an external crate — the build is offline): refine around a few
-        // seed corners to depth, then balance.
+    /// Deterministic LCG-driven cases (randomized-property tests without an
+    /// external crate — the build is offline): unbalanced trees refined to
+    /// depth around a few seed corners. The last one keeps level-1 leaves
+    /// against level-3 ones across the centre planes — the edge of the rule
+    /// that a leaf within one level of the coarsest cannot violate.
+    fn lcg_trees() -> Vec<LinearOctree> {
         let mut state = 0xD001u64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             state >> 11
         };
-        for _ in 0..16 {
-            let r = next();
-            let n_seeds = 1 + (r % 3) as usize;
-            let depth = (3 + (r >> 8) % 3) as u8;
-            let seeds: Vec<(u32, u32, u32)> = (0..n_seeds)
-                .map(|_| {
-                    let q = next();
-                    ((q as u32) % 8, ((q >> 8) as u32) % 8, ((q >> 16) as u32) % 8)
-                })
-                .collect();
-            let mut t = LinearOctree::build(|o| {
-                o.level < depth
-                    && seeds.iter().any(|&(sx, sy, sz)| {
-                        let s = 1u32 << (MAX_LEVEL - 3);
-                        o.contains_point(sx * s, sy * s, sz * s)
+        let mut trees: Vec<LinearOctree> = (0..16)
+            .map(|_| {
+                let r = next();
+                let n_seeds = 1 + (r % 3) as usize;
+                let depth = (3 + (r >> 8) % 3) as u8;
+                let seeds: Vec<(u32, u32, u32)> = (0..n_seeds)
+                    .map(|_| {
+                        let q = next();
+                        ((q as u32) % 8, ((q >> 8) as u32) % 8, ((q >> 16) as u32) % 8)
                     })
-            });
+                    .collect();
+                LinearOctree::build(|o| {
+                    o.level < depth
+                        && seeds.iter().any(|&(sx, sy, sz)| {
+                            let s = 1u32 << (MAX_LEVEL - 3);
+                            o.contains_point(sx * s, sy * s, sz * s)
+                        })
+                })
+            })
+            .collect();
+        let below_centre = (1u32 << (MAX_LEVEL - 1)) - 1;
+        trees.push(LinearOctree::build(|o| {
+            o.level < 3 && o.contains_point(below_centre, below_centre, below_centre)
+        }));
+        trees
+    }
+
+    #[test]
+    fn prop_balance_produces_balanced_complete_tree() {
+        for mut t in lcg_trees() {
             t.balance(BalanceMode::Full);
             assert!(t.validate_complete());
             assert!(t.is_balanced(BalanceMode::Full));
         }
+    }
+
+    #[test]
+    fn prop_point_location_matches_a_linear_scan() {
+        for mut t in lcg_trees() {
+            for balanced in [false, true] {
+                if balanced {
+                    t.balance(BalanceMode::Full);
+                }
+                for o in t.leaves() {
+                    let s = o.size();
+                    // Corners, centre, and the last grid point before each
+                    // far face (the far corners themselves belong to the
+                    // neighbors, or to nobody on the domain boundary).
+                    for (x, y, z) in [
+                        (o.x, o.y, o.z),
+                        (o.x + s / 2, o.y + s / 2, o.z + s / 2),
+                        (o.x + s - 1, o.y + s - 1, o.z + s - 1),
+                        (o.x + s, o.y, o.z),
+                        (o.x, o.y + s, o.z),
+                        (o.x, o.y, o.z + s),
+                        (o.x + s, o.y + s, o.z + s),
+                    ] {
+                        let scan = t.leaves().iter().find(|l| {
+                            x < GRID && y < GRID && z < GRID && l.contains_point(x, y, z)
+                        });
+                        assert_eq!(t.find_containing(x, y, z), scan, "point ({x}, {y}, {z})");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prop_is_balanced_agrees_with_violation_count() {
+        use crate::balance::violation_count;
+        let modes = [BalanceMode::Face, BalanceMode::FaceEdge, BalanceMode::Full];
+        let mut unbalanced = 0;
+        for t in lcg_trees() {
+            for mode in modes {
+                let violations = violation_count(&t, mode);
+                unbalanced += (violations > 0) as usize;
+                assert_eq!(t.is_balanced(mode), violations == 0, "{mode:?} before balance");
+                let mut b = t.clone();
+                b.balance(mode);
+                assert!(b.is_balanced(mode), "{mode:?} after balance");
+                assert_eq!(violation_count(&b, mode), 0, "{mode:?} after balance");
+                // A weaker mode's balance leaves the stronger ones to judge.
+                for other in modes {
+                    assert_eq!(b.is_balanced(other), violation_count(&b, other) == 0);
+                }
+            }
+        }
+        assert!(unbalanced >= 8, "the generator must produce violating trees, got {unbalanced}");
     }
 }
