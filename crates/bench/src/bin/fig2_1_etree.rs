@@ -1,5 +1,9 @@
 //! Fig 2.1 — the etree mesh-generation pipeline (construct / balance /
 //! transform), run out-of-core on disk, with the local-balancing speedup.
+//!
+//! Pass `--check-transform-us <us>` to fail the run if `transform` needs more
+//! than that many microseconds per element — the CI gate on the etree
+//! mesher's last stage.
 
 use quake_bench::{full_scale, print_table};
 use quake_etree::{DiskStore, EtreePipeline, MaterialRec, MemStore, OctantStore, PipelineStats};
@@ -8,6 +12,11 @@ use quake_octree::{BalanceMode, LinearOctree, Octant};
 use std::time::Instant;
 
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let check_transform_us: Option<f64> = args
+        .iter()
+        .position(|a| a == "--check-transform-us")
+        .map(|i| args[i + 1].parse().expect("--check-transform-us takes microseconds"));
     let extent = 40_000.0;
     let model = LaBasinModel::scaled(200.0, extent);
     let fmax = if full_scale() { 0.3 } else { 0.2 };
@@ -76,6 +85,14 @@ fn main() {
         "boundary queue (local balancing): {} of {} octants",
         stats.boundary_queue_len, stats.after_balance_octants
     );
+    let transform_us = stats.transform_secs * 1e6 / db.n_elements as f64;
+    println!("transform: {transform_us:.2} us per element");
+    if let Some(limit) = check_transform_us {
+        assert!(
+            transform_us <= limit,
+            "transform took {transform_us:.2} us per element, over the {limit} us budget"
+        );
+    }
 
     // --- Local vs global balancing (in memory, timing comparison). ---
     let mut mem = MemStore::new();

@@ -15,8 +15,9 @@
 //! - [`pipeline`]: the three etree steps — **construct** (auto-navigation
 //!   refinement writing leaves to the store), **balance** (block-local 2-to-1
 //!   enforcement followed by a boundary pass, after the paper's *local
-//!   balancing*), and **transform** (scan leaves in Morton order, emit the
-//!   element and node databases, classifying hanging nodes).
+//!   balancing*), and **transform** (two scans of the store around one sort
+//!   of the leaves' corner keys, emitting the element and node databases
+//!   with hanging nodes classified by corner multiplicity).
 
 #![forbid(unsafe_code)]
 

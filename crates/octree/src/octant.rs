@@ -104,6 +104,20 @@ impl Octant {
             && pz < self.z + s
     }
 
+    /// Mesh-node keys of the eight corners, bit-coded like [`Octant::child`]
+    /// (the `quake-fem` corner order): the Morton code of each corner grid
+    /// point, whose coordinates run up to and including `GRID`.
+    pub fn corner_keys(&self) -> [u64; 8] {
+        let s = self.size();
+        std::array::from_fn(|c| {
+            morton_encode(
+                self.x + if c & 1 != 0 { s } else { 0 },
+                self.y + if c & 2 != 0 { s } else { 0 },
+                self.z + if c & 4 != 0 { s } else { 0 },
+            )
+        })
+    }
+
     /// Center of the octant in unit-cube coordinates.
     pub fn center_unit(&self) -> [f64; 3] {
         let s = self.size() as f64;

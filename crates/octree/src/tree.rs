@@ -1,7 +1,7 @@
 //! Linear octrees: sorted leaf sets with construction, point location and
 //! 2-to-1 balancing.
 
-use crate::morton::{morton_encode, GRID, LEVEL_BITS, MAX_LEVEL};
+use crate::morton::{morton_decode, morton_encode, GRID, LEVEL_BITS, MAX_LEVEL};
 use crate::octant::Octant;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -184,6 +184,23 @@ pub fn level_histogram_of(levels: impl IntoIterator<Item = u8>) -> Vec<usize> {
         h[level as usize] += 1;
     }
     h
+}
+
+/// The mesh nodes of a complete octree, read off `sorted_keys` — every
+/// leaf's [`Octant::corner_keys`], duplicates kept, sorted: each distinct key
+/// in Morton order (its rank is the node id) with its hanging flag.
+///
+/// *Corner multiplicity*: the 8 grid cells around a node (4, 2, 1 on a
+/// domain face, edge, corner) each lie in exactly one leaf, and a leaf that
+/// has the node as a corner covers exactly one of them; so the node is a
+/// corner of every incident leaf — regular — iff its key occurs
+/// `8 >> (axes on the boundary)` times, and hangs iff it occurs fewer.
+pub fn node_runs(sorted_keys: &[u64]) -> impl Iterator<Item = (u64, bool)> + '_ {
+    sorted_keys.chunk_by(|a, b| a == b).map(|run| {
+        let (x, y, z) = morton_decode(run[0]);
+        let on_boundary = [x, y, z].iter().filter(|&&v| v == 0 || v == GRID).count();
+        (run[0], run.len() < 8 >> on_boundary)
+    })
 }
 
 /// Sample grid point just outside `o` in direction `d` (None if outside the

@@ -1,8 +1,9 @@
 //! Tier-1 smoke for the meshing path: the in-core mesher and the etree
-//! pipeline build the same mesh from one refinement rule, and point location
+//! pipeline build the same mesh from one refinement rule — the same node
+//! coordinates, hanging flags, connectivity and levels — and point location
 //! finds every element.
 
-use quake::etree::{EtreePipeline, MaterialRec, MemStore, PipelineStats};
+use quake::etree::{ElementRec, EtreePipeline, MaterialRec, MemStore, NodeRec, PipelineStats};
 use quake::mesh::{mesh_from_model, MeshingParams};
 use quake::model::{LaBasinModel, MaterialModel};
 use quake::octree::adapt::AdaptParams;
@@ -42,11 +43,23 @@ fn in_core_mesher_and_etree_pipeline_agree_and_every_element_is_locatable() {
     pipeline.construct(&mut store, refine, |_| MaterialRec::default(), &mut stats).unwrap();
     pipeline.balance(&mut store, |_| MaterialRec::default(), &mut stats).unwrap();
     let db = pipeline.transform(&mut store, &dir, &mut stats).unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(
         (db.n_elements as usize, db.n_nodes as usize, db.n_hanging as usize),
         (mesh.n_elements(), mesh.n_nodes(), mesh.n_hanging())
     );
+    // Not only the counts: both meshers number the same nodes the same way.
+    let nodes: Vec<NodeRec> = db.read_nodes().unwrap().map(Result::unwrap).collect();
+    let coords: Vec<[u32; 3]> = nodes.iter().map(|n| n.coords).collect();
+    assert_eq!(coords, mesh.grid_coords);
+    let hanging: Vec<bool> = nodes.iter().map(|n| n.hanging).collect();
+    assert_eq!(hanging, mesh.hanging);
+    let elements: Vec<ElementRec> = db.read_elements().unwrap().map(Result::unwrap).collect();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let connectivity: Vec<[u64; 8]> = elements.iter().map(|e| e.nodes).collect();
+    let in_core: Vec<[u64; 8]> = mesh.elements.iter().map(|e| e.nodes.map(u64::from)).collect();
+    assert_eq!(connectivity, in_core);
+    let levels: Vec<u8> = elements.iter().map(|e| e.octant.level).collect();
+    assert_eq!(levels, mesh.elements.iter().map(|e| e.level).collect::<Vec<u8>>());
 
     for (ei, e) in mesh.elements.iter().enumerate() {
         let lo = mesh.coords[e.nodes[0] as usize];
