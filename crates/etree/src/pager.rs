@@ -4,7 +4,9 @@
 //! sit on top of this pager. Pages are 4 KiB; the cache holds a configurable
 //! number of pages and tracks hit/miss/read/write statistics so the etree
 //! benchmarks can report the I/O saved by locality (the whole point of
-//! Morton-ordered keys and local balancing).
+//! Morton-ordered keys and local balancing). Callers borrow pages where they
+//! lie in the cache ([`Pager::page`], [`Pager::page_mut`]); nothing is copied
+//! out or swapped in.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -133,40 +135,47 @@ impl Pager {
         Ok(id)
     }
 
-    /// Read a page (through the cache) into a caller-owned buffer.
-    pub fn read(&mut self, id: u32) -> io::Result<Box<[u8; PAGE_SIZE]>> {
-        assert!(id < self.page_count, "page {id} out of range ({})", self.page_count);
-        self.clock += 1;
-        if let Some(p) = self.cache.get_mut(&id) {
-            p.last_used = self.clock;
-            self.stats.cache_hits += 1;
-            return Ok(p.data.clone());
+    /// Borrow a page through the cache. An id past the end of the file is
+    /// `InvalidData`: ids come from page contents, which may be corrupt.
+    pub fn page(&mut self, id: u32) -> io::Result<&[u8; PAGE_SIZE]> {
+        Ok(&self.cached(id)?.data)
+    }
+
+    /// Borrow a page for writing: it is marked dirty and written back on
+    /// eviction or [`Pager::flush`].
+    pub fn page_mut(&mut self, id: u32) -> io::Result<&mut [u8; PAGE_SIZE]> {
+        let p = self.cached(id)?;
+        p.dirty = true;
+        Ok(&mut p.data)
+    }
+
+    fn cached(&mut self, id: u32) -> io::Result<&mut CachedPage> {
+        if id >= self.page_count {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("page {id} out of range ({})", self.page_count),
+            ));
         }
-        self.stats.cache_misses += 1;
-        self.stats.disk_reads += 1;
-        self.stats.bytes_read += PAGE_SIZE as u64;
-        let mut buf = Box::new([0u8; PAGE_SIZE]);
-        self.file.read_exact_at(&mut buf[..], id as u64 * PAGE_SIZE as u64)?;
-        let out = buf.clone();
-        self.install(id, buf, false)?;
-        Ok(out)
-    }
-
-    /// Write a page (into the cache; flushed on eviction or [`Pager::flush`]).
-    pub fn write(&mut self, id: u32, data: Box<[u8; PAGE_SIZE]>) -> io::Result<()> {
-        assert!(id < self.page_count, "page {id} out of range ({})", self.page_count);
+        if self.cache.contains_key(&id) {
+            self.stats.cache_hits += 1;
+        } else {
+            self.stats.cache_misses += 1;
+            self.stats.disk_reads += 1;
+            self.stats.bytes_read += PAGE_SIZE as u64;
+            let mut buf = Box::new([0u8; PAGE_SIZE]);
+            self.file.read_exact_at(&mut buf[..], id as u64 * PAGE_SIZE as u64)?;
+            self.install(id, buf, false)?;
+        }
         self.clock += 1;
-        self.install(id, data, true)
+        let p = self.cache.get_mut(&id).expect("page is cached above");
+        p.last_used = self.clock;
+        Ok(p)
     }
 
+    /// Put a page that is not cached into the cache, evicting the least
+    /// recently used page if it is full.
     fn install(&mut self, id: u32, data: Box<[u8; PAGE_SIZE]>, dirty: bool) -> io::Result<()> {
         self.clock += 1;
-        if let Some(existing) = self.cache.get_mut(&id) {
-            existing.data = data;
-            existing.dirty |= dirty;
-            existing.last_used = self.clock;
-            return Ok(());
-        }
         if self.cache.len() >= self.capacity {
             self.evict_one()?;
         }
@@ -245,15 +254,14 @@ mod tests {
         let mut ids = Vec::new();
         for i in 0..32u32 {
             let id = pager.allocate().unwrap();
-            let mut page = Box::new([0u8; PAGE_SIZE]);
+            let page = pager.page_mut(id).unwrap();
             page[0] = i as u8;
             page[PAGE_SIZE - 1] = (i * 3) as u8;
-            pager.write(id, page).unwrap();
             ids.push(id);
         }
         // With capacity 8, most pages were evicted to disk; read them back.
         for (i, &id) in ids.iter().enumerate() {
-            let page = pager.read(id).unwrap();
+            let page = pager.page(id).unwrap();
             assert_eq!(page[0], i as u8);
             assert_eq!(page[PAGE_SIZE - 1], (i * 3) as u8);
         }
@@ -269,16 +277,14 @@ mod tests {
             let mut pager = Pager::create(&path, 8).unwrap();
             for i in 0..10u32 {
                 let id = pager.allocate().unwrap();
-                let mut page = Box::new([0u8; PAGE_SIZE]);
-                page[7] = 100 + i as u8;
-                pager.write(id, page).unwrap();
+                pager.page_mut(id).unwrap()[7] = 100 + i as u8;
             }
             pager.flush().unwrap();
         }
         let mut pager = Pager::open(&path, 8).unwrap();
         assert_eq!(pager.page_count(), 10);
         for i in 0..10u32 {
-            assert_eq!(pager.read(i).unwrap()[7], 100 + i as u8);
+            assert_eq!(pager.page(i).unwrap()[7], 100 + i as u8);
         }
         std::fs::remove_file(path).unwrap();
     }
@@ -290,9 +296,7 @@ mod tests {
             let mut pager = Pager::create(&path, 8).unwrap();
             for i in 0..6u32 {
                 let id = pager.allocate().unwrap();
-                let mut page = Box::new([0u8; PAGE_SIZE]);
-                page[11] = 50 + i as u8;
-                pager.write(id, page).unwrap();
+                pager.page_mut(id).unwrap()[11] = 50 + i as u8;
             }
             assert!(pager.dirty_pages() > 0);
             // No flush() — the Drop impl must write the dirty pages back.
@@ -301,7 +305,7 @@ mod tests {
         assert_eq!(pager.page_count(), 6);
         assert_eq!(pager.dirty_pages(), 0);
         for i in 0..6u32 {
-            assert_eq!(pager.read(i).unwrap()[11], 50 + i as u8);
+            assert_eq!(pager.page(i).unwrap()[11], 50 + i as u8);
         }
         std::fs::remove_file(path).unwrap();
     }
@@ -312,14 +316,12 @@ mod tests {
         let mut pager = Pager::create(&path, 8).unwrap();
         for i in 0..24u32 {
             let id = pager.allocate().unwrap();
-            let mut page = Box::new([0u8; PAGE_SIZE]);
-            page[0] = i as u8;
-            pager.write(id, page).unwrap();
+            pager.page_mut(id).unwrap()[0] = i as u8;
         }
         for id in 0..24u32 {
-            let _ = pager.read(id).unwrap();
+            pager.page(id).unwrap();
         }
-        let _ = pager.read(23).unwrap(); // still cached: guarantees >= 1 hit
+        pager.page(23).unwrap(); // still cached: guarantees >= 1 hit
         pager.flush().unwrap();
         let s = pager.stats();
         // Whole-page transfers: the byte counters are exact multiples.
@@ -349,12 +351,24 @@ mod tests {
         let hot = pager.allocate().unwrap();
         for _ in 0..40 {
             let id = pager.allocate().unwrap();
-            pager.write(id, Box::new([1u8; PAGE_SIZE])).unwrap();
-            let _ = pager.read(hot).unwrap(); // keep it recently used
+            pager.page_mut(id).unwrap().fill(1);
+            pager.page(hot).unwrap(); // keep it recently used
         }
         let before = pager.stats().disk_reads;
-        let _ = pager.read(hot).unwrap();
+        pager.page(hot).unwrap();
         assert_eq!(pager.stats().disk_reads, before, "hot page should not hit disk");
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn page_past_the_end_is_invalid_data() {
+        let path = tmp("past-end");
+        let mut pager = Pager::create(&path, 8).unwrap();
+        pager.allocate().unwrap();
+        for id in [1, 7, u32::MAX] {
+            assert_eq!(pager.page(id).unwrap_err().kind(), io::ErrorKind::InvalidData);
+            assert_eq!(pager.page_mut(id).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        }
         std::fs::remove_file(path).unwrap();
     }
 }

@@ -174,11 +174,11 @@ impl OctantStore for DiskStore {
     }
 
     fn get(&mut self, oct: &Octant) -> io::Result<Option<MaterialRec>> {
-        Ok(self.tree.get(oct.key())?.map(|v| MaterialRec::decode(&v)))
+        Ok(self.tree.get(oct.key())?.map(MaterialRec::decode))
     }
 
     fn floor(&mut self, key: u64) -> io::Result<Option<(Octant, MaterialRec)>> {
-        Ok(self.tree.floor(key)?.map(|(k, v)| (Octant::from_key(k), MaterialRec::decode(&v))))
+        Ok(self.tree.floor(key)?.map(|(k, v)| (Octant::from_key(k), MaterialRec::decode(v))))
     }
 
     fn scan_range(
