@@ -127,7 +127,9 @@ impl Encoder {
 /// Infallible fixed-width copy for slices whose length the caller has
 /// already established (via `take(4)` or `chunks_exact(4)`) — reader paths
 /// must stay panic-free on arbitrary on-disk bytes, so no
-/// `try_into().unwrap()` (enforced by quake-lint's no-panic-in-comm rule).
+/// `try_into().unwrap()` (the corruption tests in the root
+/// `tests/alloc_free.rs` feed every decoder truncated, bit-flipped and
+/// length-lying bytes).
 /// Public so other length-prefixed stores (the `quake-serve` result cache)
 /// share the one panic-free idiom instead of copying it.
 pub fn arr4(b: &[u8]) -> [u8; 4] {
@@ -186,9 +188,11 @@ impl<'a> Decoder<'a> {
         Ok(self.take_u8()? != 0)
     }
 
-    /// A length prefix that must fit in the remaining buffer — guards the
-    /// allocation below against a corrupt (huge) length.
-    fn take_len(&mut self, elem_size: usize) -> Result<usize, CkptError> {
+    /// A count of items of at least `elem_size` encoded bytes each, which
+    /// must fit in the remaining buffer. Every decoded count goes through
+    /// here, so a corrupt (huge) count is an error before anything is
+    /// reserved for it.
+    pub fn take_len(&mut self, elem_size: usize) -> Result<usize, CkptError> {
         let n = self.take_u64()? as usize;
         if n.checked_mul(elem_size).is_none_or(|bytes| bytes > self.remaining()) {
             return Err(CkptError::Truncated {

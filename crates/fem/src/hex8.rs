@@ -44,9 +44,9 @@ pub fn elastic_hex_matrices() -> &'static ElasticHexMatrices {
     ELASTIC.get_or_init(|| {
         let mut kl = [[0.0; 24]; 24];
         let mut km = [[0.0; 24]; 24];
-        // lint:reach-ok — one-time OnceLock init with the literal order 2;
-        // gauss_1d's unsupported-order panic is statically unreachable and
-        // the rule tables are built exactly once per process.
+        // One-time OnceLock init with the literal order 2: gauss_1d's
+        // unsupported-order panic is unreachable, and the rule tables are
+        // built exactly once per process.
         for q in gauss_3d(2) {
             let dn = hex8_dn(q.xi);
             // Build the 6x24 strain-displacement matrix B (Voigt order

@@ -70,8 +70,9 @@ impl Checkpointable for GnCheckpoint {
     fn decode(dec: &mut Decoder) -> Result<GnCheckpoint, CkptError> {
         let next_iter = dec.take_u64()?;
         let m = dec.take_f64_vec()?;
-        let n_pairs = dec.take_u64()? as usize;
-        let mut lbfgs_pairs = Vec::with_capacity(n_pairs.min(1 << 16));
+        // Every pair encodes at least its two vector lengths.
+        let n_pairs = dec.take_len(16)?;
+        let mut lbfgs_pairs = Vec::with_capacity(n_pairs);
         for _ in 0..n_pairs {
             let s = dec.take_f64_vec()?;
             let y = dec.take_f64_vec()?;

@@ -2,8 +2,8 @@
 //! rule needs — "is this line test code?" and "is this line inside a
 //! `lint:hot-path` region?".
 //!
-//! Test code is exempt from most rules (tests are allowed to `unwrap()`,
-//! allocate, and compare floats however they like). A line is test code if
+//! Test code is exempt from `float-determinism` (tests read clocks and
+//! build HashMaps freely). A line is test code if
 //! the file lives under a `tests/`, `benches/`, or `examples/` directory,
 //! or if it falls inside the braces of an item annotated `#[cfg(test)]`.
 //! The latter is found by token matching (`#` `[` `cfg` `(` `test` `)` `]`)
@@ -74,30 +74,6 @@ impl SourceFile {
     /// True if any line of the file is inside a hot-path region.
     pub fn has_hot_region(&self) -> bool {
         self.hot_lines.iter().any(|&h| h)
-    }
-
-    /// True if `line` carries the given `lint:` annotation — on the line
-    /// itself or, because rustfmt moves trailing comments off long lines, in
-    /// the contiguous block of pure comment lines directly above (same
-    /// convention as the float-determinism rule's `lint:wall-clock-ok`).
-    /// Justification comments routinely wrap onto several lines, so the
-    /// whole block counts, not just the nearest line.
-    pub fn has_annotation(&self, line: u32, marker: &str) -> bool {
-        if self.line_text(line).contains(marker) {
-            return true;
-        }
-        let mut l = line;
-        while l > 1 {
-            l -= 1;
-            let prev = self.line_text(l);
-            if !prev.trim_start().starts_with("//") {
-                return false;
-            }
-            if prev.contains(marker) {
-                return true;
-            }
-        }
-        false
     }
 
     /// The 1-based line's text, without its newline.

@@ -25,9 +25,11 @@
 //! written is exempt from its own eviction pass, so a single oversized
 //! result still serves its first consumer.
 //!
-//! This file is in `quake-lint`'s no-panic scope: like the checkpoint
-//! reader, every path here must degrade to `None`/`Err` on arbitrary
-//! on-disk bytes — a poisoned cache must not abort a serving worker.
+//! Like the checkpoint reader, every path here must degrade to
+//! `None`/`Err` on arbitrary on-disk bytes — a poisoned cache must not
+//! abort a serving worker. The corruption tests in the root
+//! `tests/alloc_free.rs` feed `get` truncated, bit-flipped and
+//! length-lying entries.
 
 use crate::request::RequestKey;
 use quake_ckpt::format::{decode_file, encode_file};
@@ -76,12 +78,8 @@ impl CachedResult {
     fn decode(executed_steps: u64, payload: &[u8]) -> Result<CachedResult, CkptError> {
         let mut dec = Decoder::new(payload);
         let element_updates = dec.take_u64()?;
-        let n_traces = dec.take_u64()? as usize;
-        // Each trace costs at least 24 payload bytes; a huge count in a
-        // corrupt header must not drive a huge allocation.
-        if n_traces.saturating_mul(24) > payload.len() {
-            return Err(CkptError::Malformed("trace count disagrees with payload size"));
-        }
+        // Every trace encodes at least its dt, ncomp and sample count.
+        let n_traces = dec.take_len(24)?;
         let mut traces = Vec::with_capacity(n_traces);
         for _ in 0..n_traces {
             let dt = dec.take_f64()?;

@@ -10,8 +10,8 @@
 //! lives in a worker-owned [`ServeScratch`] that is *reset*, never
 //! reallocated, between requests. After the first request of each size has
 //! warmed the buffers, steady-state serving performs no heap allocation in
-//! the reset-and-drive path (machine-checked by the `lint:hot-path` region
-//! below).
+//! the reset-and-drive path (the root `tests/alloc_free.rs` counts the
+//! same allocations for N and 2N steps).
 //!
 //! Bit-identity contract: for the same sources/receivers/step budget, the
 //! traces returned here are **bit-identical** to a direct
@@ -108,8 +108,8 @@ pub fn run_scenario(
     while state.seismograms.len() < receivers.len() {
         match scratch.trace_pool.pop() {
             Some(tr) => state.seismograms.push(tr),
-            // lint:reach-ok — pool-miss warm-up: allocates once per receiver
-            // high-water mark, then every later scenario reuses the pool.
+            // Pool miss: allocates once per receiver high-water mark, then
+            // every later scenario reuses the pool.
             None => state.seismograms.push(Seismogram::new(solver.dt, 3)),
         }
     }

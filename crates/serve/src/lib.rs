@@ -17,7 +17,7 @@
 //! - [`ServeEngine`] owns a fixed worker pool over prebuilt mesh/solver
 //!   variants. Workers reuse a preallocated [`ServeScratch`] per variant,
 //!   so the steady-state serving path performs no heap allocation
-//!   (machine-checked by a `lint:hot-path` region); requests queue on two
+//!   (counted by the root `tests/alloc_free.rs`); requests queue on two
 //!   lanes (`Interactive` ahead of `Batch`), admission is bounded by a
 //!   telemetry-calibrated cost budget, and `drain`/`shutdown` complete
 //!   every accepted request exactly once,

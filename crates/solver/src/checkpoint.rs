@@ -53,8 +53,9 @@ impl Checkpointable for SolverState {
         let step = dec.take_u64()?;
         let u_prev = dec.take_f64_vec()?;
         let u_now = dec.take_f64_vec()?;
-        let n_traces = dec.take_u64()? as usize;
-        let mut seismograms = Vec::with_capacity(n_traces.min(1 << 20));
+        // Every trace encodes at least its dt, ncomp and sample count.
+        let n_traces = dec.take_len(24)?;
+        let mut seismograms = Vec::with_capacity(n_traces);
         for _ in 0..n_traces {
             let dt = dec.take_f64()?;
             let ncomp = dec.take_u64()? as usize;

@@ -471,7 +471,9 @@ fn supervise(
         // checkpoint; from scratch if there is none. States are decoded
         // serially here (the supervisor survives rank deaths by
         // construction) and each rank clones its own.
-        let restored = recovery.and_then(|(rcfg, _)| restore_line(&rcfg.ckpt_dir, n_ranks, reg));
+        let ndof = 3 * solver.mesh.n_nodes();
+        let restored =
+            recovery.and_then(|(rcfg, _)| restore_line(&rcfg.ckpt_dir, n_ranks, ndof, reg));
         let restored_step = restored.as_ref().map_or(0, |(step, _)| *step);
 
         let runs = run_spmd(n_ranks, |comm: &Communicator| {
@@ -661,12 +663,15 @@ fn run_rank(
 }
 
 /// The consistent restore line: the highest step at which **every** rank's
-/// checkpoint file fully decodes (magic, version, kind, CRC). Per-rank
-/// corruption just lowers the line for everyone — ranks whose newer files
-/// are intact reload the older consistent step instead.
+/// checkpoint file fully decodes (magic, version, kind, CRC) and holds
+/// `ndof` dofs per field. Per-rank corruption just lowers the line for
+/// everyone — ranks whose newer files are intact reload the older
+/// consistent step instead — and a line left by a run on another mesh is
+/// skipped the same way instead of reaching a rank.
 fn restore_line(
     dir: &std::path::Path,
     n_ranks: usize,
+    ndof: usize,
     reg: &Registry,
 ) -> Option<(u64, Vec<SolverState>)> {
     let readers: Vec<CheckpointReader> =
@@ -679,8 +684,12 @@ fn restore_line(
             readers.iter().map(|r| r.load::<SolverState>(step).map(|(_, s)| s)).collect();
         drop(span);
         match loaded {
-            Ok(states) => return Some((step, states)),
-            Err(_) => reg.add("ckpt/skipped_invalid", 1),
+            Ok(states)
+                if states.iter().all(|s| s.u_prev.len() == ndof && s.u_now.len() == ndof) =>
+            {
+                return Some((step, states))
+            }
+            _ => reg.add("ckpt/skipped_invalid", 1),
         }
     }
     None
@@ -1248,6 +1257,39 @@ mod tests {
         .unwrap();
         assert!(run.finished);
         assert_eq!(run.restored_step, 3, "corrupt step-6 file must lower the line");
+        assert_matches_unfaulted(&mesh, &run, &reference);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoints_from_another_mesh_are_skipped_not_restored() {
+        // A run directory left behind by a run on another mesh: its lines
+        // decode, but their states do not fit this mesh. The supervisor
+        // skips them like corrupt lines and starts from scratch instead of
+        // handing the ranks states of the wrong length.
+        let (mesh, cfg) = recovery_setup();
+        let other = HexMesh::from_octree(&LinearOctree::uniform(2), 8.0, |_, _, _, _| {
+            ElemMaterial { lambda: 2.0, mu: 1.0, rho: 1.0 }
+        });
+        assert_ne!(other.n_nodes(), mesh.n_nodes());
+        let dir = tmpdir("foreign-mesh");
+        let cfg_r = RecoveryConfig::new(dir.clone(), 3, 1);
+        let foreign = ElasticSolver::new(&other, &cfg);
+        let (fu0, fv0) = pulse(&other);
+        let fcfg = DistConfig::new(2, 6).with_initial(&fu0, &fv0);
+        let first =
+            run_distributed_recoverable(&foreign, &fcfg, &cfg_r, &Registry::disabled()).unwrap();
+        assert!(first.finished);
+
+        let solver = ElasticSolver::new(&mesh, &cfg);
+        let (u0, v0) = pulse(&mesh);
+        let dcfg = DistConfig::new(2, 12).with_initial(&u0, &v0);
+        let reference = run_distributed(&solver, &dcfg);
+        let reg = Registry::new(0);
+        let run = run_distributed_recoverable(&solver, &dcfg, &cfg_r, &reg).unwrap();
+        assert!(run.finished, "outcomes: {:?}", run.outcomes);
+        assert_eq!((run.attempts, run.restored_step), (1, 0), "started from scratch");
+        assert_eq!(reg.counter("ckpt/skipped_invalid"), Some(2), "both foreign lines skipped");
         assert_matches_unfaulted(&mesh, &run, &reference);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -245,8 +245,8 @@ impl StepSpanIds {
     /// Intern the per-color child spans of `step/elements` up to
     /// `n_colors`. Called from the step prologue *before* the hot region
     /// opens: interning allocates on first visit, and hoisting it here is
-    /// what keeps the steady-state sweep allocation-free (quake-lint's
-    /// alloc rules hold the line).
+    /// what keeps the steady-state sweep allocation-free (the root
+    /// `tests/alloc_free.rs` counts it).
     fn ensure_colors(&mut self, reg: &Registry, n_colors: usize) {
         if !reg.is_enabled() {
             return;
@@ -632,9 +632,8 @@ impl<'m> ElasticSolver<'m> {
 
         // Grow the per-color span-id table to this pass's color count
         // while allocation is still allowed — the hot region below must
-        // only read it.
-        // lint:reach-ok — one-time warm-up: interning fills on the first
-        // pass; every steady-state call finds the table already full.
+        // only read it. Interning fills on the first pass; every
+        // steady-state call finds the table already full.
         ws.ids.ensure_colors(&ws.reg, schedule.n_colors());
 
         // Disjoint field borrows: the scratch vector mutably, the registry
@@ -644,8 +643,9 @@ impl<'m> ElasticSolver<'m> {
         // lint:hot-path — the explicit step and its element kernels. The
         // steady state must stay allocation-free (PR 1's guarantee; scratch
         // lives in StepWorkspace/RunScratch, span ids are pre-interned
-        // above) and bit-deterministic across ranks.
-        // quake-lint enforces both until the matching end marker below.
+        // above; the root tests/alloc_free.rs counts it) and
+        // bit-deterministic across ranks (quake-lint's float-determinism,
+        // until the matching end marker below).
         reg.enter(ids.step);
 
         // Fused initial fill: one pass computes the damping increment

@@ -380,7 +380,6 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
         {
             let mut ctx = HookCtx { info: &info, state, reg: &ws.reg, tainted };
             for h in hooks.iter_mut() {
-                // lint:reach-ok — dyn hook fan-out: hot/comm callers install audited hooks (DESIGN.md).
                 if let Err(reason) = h.on_run_start(&mut ctx) {
                     return RunOutcome::Stopped { step: info.first_step, reason };
                 }
@@ -392,7 +391,6 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
             {
                 let mut ctx = HookCtx { info: &info, state, reg: &ws.reg, tainted };
                 for h in hooks.iter_mut() {
-                    // lint:reach-ok — dyn hook fan-out: hot/comm callers install audited hooks (DESIGN.md).
                     if let Err(reason) = h.before_step(&mut ctx) {
                         return RunOutcome::Stopped { step: k, reason };
                     }
@@ -430,7 +428,6 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
                     let stepped = solver.pass(pass, fields, f, u_next, ws, |rhs, reg| {
                         let mut flow = ExchangeFlow::Proceed;
                         for h in hooks.iter_mut() {
-                            // lint:reach-ok — dyn hook fan-out: hot/comm callers install audited hooks (DESIGN.md).
                             if h.pre_exchange(&info, s) == ExchangeFlow::Skip {
                                 flow = ExchangeFlow::Skip;
                             }
@@ -439,10 +436,10 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
                             tainted = true;
                             return Ok(());
                         }
-                        // lint:reach-ok — dyn exchange dispatch. A comm fabric allocates
-                        // here: one payload Vec per neighbor message (the channel takes
-                        // ownership), outside the element sweep and timed as
-                        // `step/exchange/copy`. Failures come back as CommError.
+                        // A comm fabric allocates here: one payload Vec per neighbor
+                        // message (the channel takes ownership), outside the element
+                        // sweep and timed as `step/exchange/copy`. Failures come back
+                        // as CommError.
                         exchange.exchange(s, g, rhs, reg)
                     });
                     // A failed exchange aborts before the tail: under global
@@ -461,7 +458,6 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
             {
                 let mut ctx = HookCtx { info: &info, state, reg: &ws.reg, tainted };
                 for h in hooks.iter_mut() {
-                    // lint:reach-ok — dyn hook fan-out: hot/comm callers install audited hooks (DESIGN.md).
                     if let Err(reason) = h.after_step(&mut ctx) {
                         return RunOutcome::Stopped { step: k - m, reason };
                     }
@@ -473,7 +469,6 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
         {
             let mut ctx = HookCtx { info: &info, state, reg: &ws.reg, tainted };
             for h in hooks.iter_mut() {
-                // lint:reach-ok — dyn hook fan-out: hot/comm callers install audited hooks (DESIGN.md).
                 h.on_run_end(&mut ctx);
             }
         }
