@@ -11,7 +11,8 @@
 //!   per-step allocations, interleaved nodal layout),
 //! - `fused`: `ElasticSolver::step_with` with a plain (telemetry-disabled)
 //!   workspace — the planar (structure-of-arrays) state, per-class stiffness
-//!   templates and the blocked color sweep, zero steady-state allocations.
+//!   templates and the blocked class-major sweep, zero steady-state
+//!   allocations.
 //! - `instrumented`: the same fused step with a live `quake-telemetry`
 //!   registry, which must cost (nearly) nothing — pass
 //!   `--check-overhead <pct>` (CI uses 3) to fail the run if the slowdown
@@ -28,8 +29,8 @@
 //!   loadable in Perfetto or chrome://tracing.
 //!
 //! - `many_class`: `step_with` on the LA-basin mesh of the benchmark's
-//!   `basin_forward` workload — wavelength-adapted, hundreds of `(h, lambda,
-//!   mu)` classes, class runs of a dozen elements. The rows above step a
+//!   `basin_forward` workload — wavelength-adapted, 670 `(h, lambda, mu)`
+//!   classes of 37 elements on average. The rows above step a
 //!   2-class mesh whose runs fill every lane of every tile, which is how a
 //!   kernel that wasted most of its flops on short runs went unnoticed; this
 //!   row is the one a heterogeneous mesh sees. It records the schedule's
@@ -96,9 +97,9 @@ fn build_mesh(coarse: u8) -> HexMesh {
 }
 
 /// The LA-basin mesh of the benchmark's `basin_forward` workload. `--smoke`
-/// steps the same mesh: a smaller one of the family has long class runs
-/// (level 5: 110 classes, lane fill 0.97), which is the regime this row
-/// exists to leave.
+/// steps the same mesh: a smaller one of the family has fewer, longer
+/// classes (level 5: 110 classes), which is the regime this row exists to
+/// leave.
 fn build_basin_mesh() -> HexMesh {
     let extent = 20_000.0;
     let mut meshing = MeshingParams::new(extent, 0.3);

@@ -95,7 +95,7 @@ pub mod bytes {
     /// One sweep over a single combined 24x24 stiffness template — half the
     /// matrix traffic of [`CANONICAL_SWEEP`], and shared by every element of
     /// the same `(h, lambda, mu)` class (a handful of templates on an octree
-    /// mesh, L1-resident across a color run).
+    /// mesh, L1-resident across a class run).
     pub const TEMPLATE_SWEEP: u64 = 24 * 24 * F64;
 
     /// Bytes moved by one element update of the production template kernel:

@@ -1,17 +1,15 @@
-//! Node-disjoint element coloring: the deterministic sweep order.
+//! Node-disjoint element coloring.
 //!
-//! The explicit step scatters each element's 24 force contributions into the
-//! global rhs through its 8 corner nodes. We greedily partition the elements
-//! into *colors* such that within one color all corner-node sets are
-//! pairwise disjoint, and the solver sweeps color by color.
+//! Greedily partitions an element subset into *colors* such that within one
+//! color all corner-node sets are pairwise disjoint, so elements of one
+//! color could scatter into the global rhs concurrently without two writing
+//! the same node.
 //!
-//! Because each node is written by at most one element per color, the sum
-//! order at every node is fixed by the coloring alone: the solver may
-//! reorder the elements *inside* a color (it sorts them by stiffness class,
-//! see `quake_solver::sweep`) without changing a single floating-point sum.
-//! That is all the coloring is used for — an order, not a race guard: the
-//! sweep is serial within a rank, and parallelism lives in ranks and serve
-//! workers (DESIGN.md "Why the sweep is serial within a rank").
+//! The solver no longer uses it: its element sweep is serial within a rank
+//! and ordered class-major (see `quake_solver::sweep`). The one remaining
+//! caller is the benchmark package's `basin_forward` / `layered_forward`
+//! mesh ledger (`mesh.color_s`, `mesh.colors`), which is frozen until the
+//! benchmark moves off it; then this module goes.
 
 use crate::hexmesh::HexMesh;
 

@@ -12,8 +12,8 @@
 //!   chunking and recursive coordinate bisection — plus communication plans
 //!   (shared-node exchange lists) and edge-cut/imbalance statistics
 //!   (the ParMETIS substitute, see DESIGN.md),
-//! - [`coloring`]: node-disjoint element coloring — the deterministic
-//!   element order of the explicit step's sweep,
+//! - [`coloring`]: node-disjoint element coloring (kept only for the
+//!   frozen benchmark package's mesh ledger),
 //! - [`stats`]: the mesh summaries behind Fig 2.3.
 
 #![forbid(unsafe_code)]

@@ -83,7 +83,7 @@ impl<M: MaterialModel> MaterialModel for ScaledModel<'_, M> {
 }
 
 /// One prebuilt serving context: the meshed domain for one registered
-/// model scale, its solver data (coloring, templates, schedule, diagonals —
+/// model scale, its solver data (templates, sweep schedule, diagonals —
 /// built once, every worker's solver attaches to this copy), plus the facts
 /// submit-side admission and keying need.
 pub struct Variant {
@@ -194,6 +194,9 @@ pub enum ServeError {
     /// `hazard_map` requires every ensemble member to share one receiver
     /// layout.
     MismatchedEnsemble,
+    /// The request cannot be served: a non-finite receiver coordinate, a
+    /// non-finite moment or slip field, or a source outside the domain.
+    InvalidRequest(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -211,6 +214,7 @@ impl std::fmt::Display for ServeError {
             ServeError::MismatchedEnsemble => {
                 write!(f, "ensemble members must share one receiver layout")
             }
+            ServeError::InvalidRequest(why) => write!(f, "invalid request: {why}"),
         }
     }
 }
@@ -467,6 +471,7 @@ impl ServeEngine {
             .position(|v| v.scale.to_bits() == request.model_scale.to_bits())
             .ok_or(ServeError::UnknownModelScale(request.model_scale))?;
         let v = &self.shared.variants[variant];
+        validate(&request, v)?;
         let until = request.n_steps.map_or(v.n_steps, |b| b.min(v.n_steps));
         let key = request.key(v.fingerprint, until);
         let cost = v.n_elements * until;
@@ -606,6 +611,28 @@ impl Drop for ServeEngine {
             }
         }
     }
+}
+
+/// Refuse a request `variant` cannot serve. Checked at submit so that no bad
+/// input reaches a worker: a non-finite receiver would snap to an arbitrary
+/// node, a non-finite moment or slip field would fill the wavefield with
+/// NaN, and a source `locate` cannot place would panic the worker that
+/// assembles it.
+fn validate(request: &ScenarioRequest, variant: &Variant) -> Result<(), ServeError> {
+    let invalid = |why: String| Err(ServeError::InvalidRequest(why));
+    if let Some(i) = request.receivers.iter().position(|p| p.iter().any(|c| !c.is_finite())) {
+        return invalid(format!("receiver {i} has a non-finite coordinate"));
+    }
+    for (i, s) in request.sources.iter().enumerate() {
+        let slip = [s.slip.delay, s.slip.rise, s.slip.amplitude];
+        if s.moment.iter().flatten().chain(&slip).any(|x| !x.is_finite()) {
+            return invalid(format!("source {i} has a non-finite moment or slip field"));
+        }
+        if variant.mesh.locate(&variant.tree, s.position).is_none() {
+            return invalid(format!("source {i} at {:?} lies outside the domain", s.position));
+        }
+    }
+    Ok(())
 }
 
 fn worker_loop(shared: &Arc<Shared>, telemetry_rank: usize) -> Registry {
@@ -787,6 +814,57 @@ mod tests {
             other => panic!("expected Overloaded, got {:?}", other.map(|t| t.key())),
         }
         drop(engine);
+    }
+
+    #[test]
+    fn invalid_requests_are_refused_at_submit_and_workers_survive() {
+        use crate::request::ScenarioRequest;
+        use quake_model::{PointSource, SlipFunction};
+
+        let extent = 8_000.0;
+        let inner = quake_model::LaBasinModel::scaled(400.0, extent);
+        let mut meshing = MeshingParams::new(extent, 0.4);
+        meshing.min_level = 2;
+        meshing.max_level = 4;
+        let mut cfg = EngineConfig::new(meshing, ElasticConfig::new(1.0));
+        cfg.workers = 2;
+        let engine = ServeEngine::start(&inner, cfg).unwrap();
+        let good = PointSource {
+            position: [4_000.0, 4_000.0, 2_000.0],
+            moment: [[0.0, 1e15, 0.0], [1e15, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            slip: SlipFunction::new(0.0, 0.2, 1.0),
+        };
+        let station = [2_000.0, 3_000.0, 0.0];
+        let with = |edit: &dyn Fn(&mut PointSource)| {
+            let mut s = good;
+            edit(&mut s);
+            ScenarioRequest::new(vec![good, s], vec![station]).with_steps(4)
+        };
+        let bad = [
+            ScenarioRequest::new(vec![good], vec![station, [f64::NAN, 0.0, 0.0]]),
+            ScenarioRequest::new(vec![good], vec![[0.0, f64::INFINITY, 0.0]]),
+            with(&|s| s.position = [extent + 1.0, 4_000.0, 2_000.0]),
+            with(&|s| s.position = [4_000.0, -1.0, 2_000.0]),
+            with(&|s| s.position[2] = f64::NAN),
+            with(&|s| s.moment[1][2] = f64::NAN),
+            with(&|s| s.moment[0][0] = f64::NEG_INFINITY),
+            with(&|s| s.slip.delay = f64::NAN),
+            with(&|s| s.slip.rise = f64::INFINITY),
+            with(&|s| s.slip.amplitude = f64::NAN),
+        ];
+        for request in bad {
+            match engine.submit(request) {
+                Err(ServeError::InvalidRequest(why)) => assert!(!why.is_empty()),
+                other => panic!("expected InvalidRequest, got {:?}", other.map(|t| t.key())),
+            }
+        }
+        assert_eq!(engine.stats().queued, 0);
+
+        let resp = engine.submit(with(&|_| ())).unwrap().wait().unwrap();
+        assert_eq!(resp.result.executed_steps, 4);
+        assert!(resp.result.traces[0].data.iter().all(|v| v.is_finite()));
+        assert!(engine.workers.iter().all(|h| !h.is_finished()), "a worker died");
+        assert_eq!(engine.stats().served, 1);
     }
 
     #[test]

@@ -236,7 +236,7 @@ impl DistSetup {
                 }
             }
         }
-        // Per-rank step schedules (element coloring + boundary faces + owned
+        // Per-rank step schedules (element sweep + boundary faces + owned
         // mask), built ONCE.
         let scopes: Vec<StepScope> = (0..n_ranks)
             .map(|r| {
@@ -623,17 +623,12 @@ fn run_rank(
         },
     };
 
-    // Reduce the common metrics across the ranks that finished (a peer lost
-    // mid-reduction fails this rank's attempt like one lost mid-run). The
-    // per-color element spans are rank-local names (color counts differ per
-    // partition), so they stay in the snapshot but are excluded from the
-    // collective.
+    // Reduce the metrics across the ranks that finished (a peer lost
+    // mid-reduction fails this rank's attempt like one lost mid-run).
     let snapshot = cfg.telemetry.then(|| ws.reg.snapshot());
     let mut reduced = Vec::new();
     if let (Some(snap), RankOutcome::Finished) = (&snapshot, &outcome) {
-        let mut common = snap.clone();
-        common.retain(|name| !name.starts_with("span.step/elements/color"));
-        match try_reduce_across_ranks(comm, &common) {
+        match try_reduce_across_ranks(comm, snap) {
             Ok(r) => reduced = r,
             Err(e) => {
                 let reason = format!("cross-rank metric reduction: {e}");
@@ -878,8 +873,12 @@ mod tests {
         let xbytes = by("ctr.step/exchange/bytes");
         let max_vol = run.volumes.iter().copied().max().unwrap() as f64;
         assert_eq!(xbytes.max, max_vol * 2.0 * 3.0 * 8.0 * steps as f64);
-        // Per-color spans stay rank-local (excluded from the collective).
-        assert!(run.reduced.iter().all(|r| !r.name.contains("color")));
+        // Every metric of a rank's snapshot is reduced, in snapshot order.
+        for snap in &run.snapshots {
+            let names: Vec<&str> = snap.entries.iter().map(|(n, _)| n.as_str()).collect();
+            let reduced: Vec<&str> = run.reduced.iter().map(|r| r.name.as_str()).collect();
+            assert_eq!(names, reduced);
+        }
     }
 
     #[test]

@@ -36,11 +36,10 @@
 //! The step is built from three preallocated pieces so that its steady state
 //! performs **zero heap allocations**:
 //!
-//! - [`StepScope`]: the element schedule (a node-disjoint coloring from
-//!   `quake-mesh` plus the blocked per-class template schedule of
-//!   [`crate::sweep::SweepSchedule`]), the scope's absorbing-boundary
-//!   faces, and the owned-node mask — all computed once per rank, not per
-//!   step.
+//! - [`StepScope`]: the element schedule (the class-major, blocked
+//!   per-class template schedule of [`crate::sweep::SweepSchedule`]), the
+//!   scope's absorbing-boundary faces, and the owned-node mask — all
+//!   computed once per rank, not per step.
 //! - [`StepWorkspace`]: the per-run scratch (the damping increment
 //!   `w = u_k - u_{k-1}`), allocated once and reused every step.
 //! - `ElasticSolver::pass`: the one seven-phase step kernel. Global dt and
@@ -54,11 +53,10 @@
 //!   term, and the post-exchange tail fuses the history axpy with the
 //!   `lhs_inv` scale.
 //!
-//! The element sweep is serial within a rank, color by color: the
-//! node-disjoint coloring fixes a deterministic element order (within one
-//! color no two elements share a node, so reordering inside a color cannot
-//! change a floating-point sum). Parallelism lives one level up, in ranks
-//! and serve workers.
+//! The element sweep is serial within a rank, class by class in Morton
+//! order: the schedule fixes a deterministic element order, and with it
+//! the summation order at every node. Parallelism lives one level up, in
+//! ranks and serve workers.
 
 use crate::abc::{accumulate_abc_damping, apply_abc_stiffness_planar, build_abc_faces, AbcFace};
 use crate::checkpoint::SolverState;
@@ -68,7 +66,6 @@ use crate::sources::AssembledSource;
 use crate::sweep::SweepSchedule;
 use quake_fem::hex8::{elastic_hex_matrices, elastic_matvec, lumped_hex_mass};
 use quake_machine::phases::{elastic_step_phases, ElasticStepShape};
-use quake_mesh::coloring::{color_elements, ElementColoring};
 use quake_mesh::{Constraint, HexMesh};
 use quake_model::attenuation::{damping_target_for_vs, fit_rayleigh};
 use quake_telemetry::{Registry, SpanId};
@@ -121,14 +118,12 @@ pub struct RunResult {
     pub wall_secs: f64,
 }
 
-/// The per-rank step schedule: which elements to assemble (color-major, the
+/// The per-rank step schedule: which elements to assemble (class-major, the
 /// canonical summation order), which absorbing faces belong to those
 /// elements, and which nodes' diagonal damping this rank owns. Built once
 /// ([`ElasticSolver::scope`]), reused every step.
 pub struct StepScope {
-    /// Node-disjoint coloring of the scope's elements.
-    pub coloring: ElementColoring,
-    /// Blocked per-class template schedule derived from the coloring (see
+    /// Blocked per-class template schedule of the scope's elements (see
     /// [`crate::sweep`]).
     pub schedule: SweepSchedule,
     /// Absorbing faces owned by the scope's elements.
@@ -221,9 +216,6 @@ pub(crate) struct StepSpanIds {
     pub(crate) tail: SpanId,
     pub(crate) interp: SpanId,
     pub(crate) source: SpanId,
-    /// Per-color children of `step/elements`, grown on demand (the color
-    /// count is a property of the scope, not the workspace).
-    colors: Vec<SpanId>,
 }
 
 impl StepSpanIds {
@@ -238,21 +230,6 @@ impl StepSpanIds {
             tail: reg.span_id("step/tail"),
             interp: reg.span_id("step/interp"),
             source: reg.span_id("source"),
-            colors: Vec::new(),
-        }
-    }
-
-    /// Intern the per-color child spans of `step/elements` up to
-    /// `n_colors`. Called from the step prologue *before* the hot region
-    /// opens: interning allocates on first visit, and hoisting it here is
-    /// what keeps the steady-state sweep allocation-free (the root
-    /// `tests/alloc_free.rs` counts it).
-    fn ensure_colors(&mut self, reg: &Registry, n_colors: usize) {
-        if !reg.is_enabled() {
-            return;
-        }
-        while self.colors.len() < n_colors {
-            self.colors.push(reg.span_id(&format!("step/elements/color{}", self.colors.len())));
         }
     }
 }
@@ -291,7 +268,7 @@ pub struct ElasticSolver<'m> {
 
 /// Everything [`ElasticSolver::new`] derives from a mesh and a config — the
 /// time step, the step diagonals, the absorbing faces, the Rayleigh
-/// constants and the full-domain coloring, templates and schedule. It owns
+/// constants and the full-domain templates and schedule. It owns
 /// its data and borrows nothing, so one build can serve any number of
 /// solvers over the same mesh ([`ElasticSolver::attach`]): `quake-serve`
 /// builds it once per variant and every worker attaches to the one copy.
@@ -415,10 +392,8 @@ impl SolverData {
         let damp_diag_p = to_planar3(&damp_diag);
 
         let all: Vec<u32> = (0..ne as u32).collect();
-        let coloring = color_elements(mesh, &all);
         let full_scope = StepScope {
-            schedule: SweepSchedule::build(mesh, &coloring, &beta, dt),
-            coloring,
+            schedule: SweepSchedule::build(mesh, &all, &beta, dt),
             faces: faces.clone(),
             owned: None,
         };
@@ -532,8 +507,8 @@ impl<'m> ElasticSolver<'m> {
         reg.set("step/elements/lanes", shape.n_lanes * n_steps);
     }
 
-    /// Build the step schedule for an element subset (ascending ids): the
-    /// node-disjoint coloring, the subset's absorbing faces, and the
+    /// Build the step schedule for an element subset: the class-major
+    /// sweep schedule, the subset's absorbing faces, and the
     /// owned-node mask (`None` = owns everything). One-time cost per rank.
     pub fn scope(&self, elems: &[u32], owned: Option<Vec<bool>>) -> StepScope {
         self.scope_at(elems, owned, self.dt)
@@ -546,10 +521,8 @@ impl<'m> ElasticSolver<'m> {
         for &e in elems {
             mine[e as usize] = true;
         }
-        let coloring = color_elements(self.mesh, elems);
         StepScope {
-            schedule: SweepSchedule::build(self.mesh, &coloring, &self.beta, dt),
-            coloring,
+            schedule: SweepSchedule::build(self.mesh, elems, &self.beta, dt),
             faces: self.faces.iter().filter(|f| mine[f.element as usize]).copied().collect(),
             owned,
         }
@@ -627,14 +600,7 @@ impl<'m> ElasticSolver<'m> {
         assert_eq!(ws.w.len(), ndof);
         let dt = pass.dt;
         let dt2 = dt * dt;
-        let schedule = &pass.scope.schedule;
         let SolverData { mass_fp, cdiag_fp, damp_diag_p, .. } = &*self.data;
-
-        // Grow the per-color span-id table to this pass's color count
-        // while allocation is still allowed — the hot region below must
-        // only read it. Interning fills on the first pass; every
-        // steady-state call finds the table already full.
-        ws.ids.ensure_colors(&ws.reg, schedule.n_colors());
 
         // Disjoint field borrows: the scratch vector mutably, the registry
         // and pre-interned span ids shared.
@@ -642,8 +608,8 @@ impl<'m> ElasticSolver<'m> {
 
         // lint:hot-path — the explicit step and its element kernels. The
         // steady state must stay allocation-free (PR 1's guarantee; scratch
-        // lives in StepWorkspace/RunScratch, span ids are pre-interned
-        // above; the root tests/alloc_free.rs counts it) and
+        // lives in StepWorkspace/RunScratch, span ids are pre-interned in
+        // the workspace; the root tests/alloc_free.rs counts it) and
         // bit-deterministic across ranks (quake-lint's float-determinism,
         // until the matching end marker below).
         reg.enter(ids.step);
@@ -724,21 +690,10 @@ impl<'m> ElasticSolver<'m> {
             Fields::Group { ue, .. } => ue,
         };
 
-        // Element stiffness/damping sweep, color-major (the canonical
-        // summation order), blocked per class. The per-color spans
-        // (`step/elements/color<i>`) were pre-interned in the prologue;
-        // `ids.colors` stays empty when the registry is disabled, which
-        // skips them at the cost of one branch per color.
+        // Element stiffness/damping sweep, class-major (the canonical
+        // summation order), blocked per class.
         reg.enter(ids.elements);
-        for ci in 0..schedule.n_colors() {
-            if reg.is_enabled() {
-                reg.enter(ids.colors[ci]);
-            }
-            schedule.sweep_color(ci, disp, w, rhs);
-            if reg.is_enabled() {
-                reg.exit(ids.colors[ci]);
-            }
-        }
+        pass.scope.schedule.sweep(disp, w, rhs);
         reg.exit(ids.elements);
 
         // Stacey tangential coupling (K^AB) of this pass's faces, applied
@@ -1271,17 +1226,6 @@ mod tests {
                 child_ns += s.total_ns;
             }
             assert_eq!(child_ns, step.child_ns);
-
-            // The sweep nests one span per color under step/elements.
-            let elements = reg.span_stats("step/elements").unwrap();
-            let mut color_ns = 0;
-            let mut ci = 0;
-            while let Some(s) = reg.span_stats(&format!("step/elements/color{ci}")) {
-                color_ns += s.total_ns;
-                ci += 1;
-            }
-            assert!(ci >= 2, "expected a multi-color schedule, got {ci}");
-            assert_eq!(color_ns, elements.child_ns);
 
             // Analytic work was attached to every phase (exchange has zero
             // flops but the counter still exists), per pass: the element

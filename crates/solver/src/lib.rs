@@ -11,7 +11,7 @@
 //!   scatter` against one precomputed stiffness *template* per distinct
 //!   `(h, lambda, mu)` class — a handful of matrices on an octree mesh,
 //! - [`sweep`]: the blocked element kernel behind [`elastic`]: per-class
-//!   templates, cache-sized batches, a serial color-major sweep,
+//!   templates, cache-sized batches, a serial class-major sweep,
 //! - [`layout`]: the planar (structure-of-arrays) nodal layout the solver
 //!   runs on internally, and conversions to the interleaved boundary layout,
 //! - [`abc`]: the Stacey boundary terms shared by the solvers,
@@ -45,7 +45,7 @@
 //! The elastic hot path is organized around preallocated
 //! [`elastic::StepScope`]/[`elastic::StepWorkspace`] state so the steady
 //! state of a time loop performs no heap allocations. Within a rank the
-//! element sweep is serial (a node-disjoint coloring fixes its order);
+//! element sweep is serial (its class-major schedule fixes its order);
 //! parallelism lives in [`distributed`] ranks and `quake-serve` workers.
 
 #![forbid(unsafe_code)]

@@ -745,9 +745,10 @@ pub(crate) mod tests {
     #[test]
     fn hanging_interp_invariant_under_permuted_element_order() {
         // The interface interpolation must not depend on the order elements
-        // are handed to the scope builder: a reversed element list recolors
-        // the sweep, but the assembled result stays within roundoff and the
-        // hanging nodes stay exactly on their masters' interpolation.
+        // are handed to the scope builder: the scope sorts a permuted element
+        // list into its own sweep order, the assembled result stays within
+        // roundoff and the hanging nodes stay exactly on their masters'
+        // interpolation.
         let mesh = three_level_mesh();
         let solver = ElasticSolver::new(&mesh, &lts_config(0.02));
         assert!(mesh.n_hanging() > 0);

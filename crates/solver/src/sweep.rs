@@ -1,13 +1,14 @@
 //! The blocked element sweep: per-class stiffness templates applied to
-//! cache-sized batches of elements, color by color.
+//! cache-sized batches of elements, one class run after another.
 //!
 //! Octree meshes have very few *distinct* elements: all elements of one
 //! refinement level share the side `h`, so elements agreeing on `(h, lambda,
 //! mu)` share the exact combined stiffness `T = h (lambda K_L + mu K_M)`
 //! (`quake_fem::hex8::combined_hex_stiffness`). A [`SweepSchedule`]
-//! precomputes one 24x24 template per distinct class and reorders each color
-//! of the node-disjoint coloring so same-class elements are contiguous; the
-//! kernel then processes a class run in tiles of up to [`BATCH`] elements:
+//! precomputes one 24x24 template per distinct class and orders the scope's
+//! elements class-major: every element of a class in one run, ascending id
+//! (Morton) order inside it. The kernel then processes a class run in tiles
+//! of up to [`BATCH`] elements:
 //!
 //! ```text
 //! gather   X[24 x B]  <- dt^2 u + (dt beta_e/2) w   (planar SoA reads)
@@ -24,25 +25,19 @@
 //! the lanes it computes hold a real element. A tile of `nb` elements is
 //! computed as `ceil(nb / LG)` *lane groups* of `LG` elements each — fixed
 //! width, so the inner loops vectorize without a reduction dependency, but
-//! narrow, so a short class run wastes at most `LG - 1` lanes instead of
-//! `BATCH - 1`. On a wavelength-adapted mesh the runs are short (the LA-basin
-//! benchmark mesh has 670 classes and a mean run of 13.6 elements): computing
-//! all `BATCH` lanes of every tile made at most 42% of the executed flops
-//! useful there, and that — not memory traffic — was the whole gap to the
-//! 2-class layered mesh. [`SweepSchedule::lane_fill`] reports the ratio.
+//! narrow, so a class run wastes at most `LG - 1` lanes instead of
+//! `BATCH - 1`. With one run per class that is at most `LG - 1` padded
+//! lanes per class: on the LA-basin benchmark mesh (670 classes)
+//! [`SweepSchedule::lane_fill`] reads ~0.96.
 //!
-//! The sweep is serial within a rank; the coloring it walks is a
-//! deterministic element *order*, not a race guard (parallelism lives in
-//! ranks and serve workers — see DESIGN.md "Why the sweep is serial
-//! within a rank"). Reordering elements within a color is bit-safe: the
-//! coloring is node-disjoint, so within one color every rhs entry is written
-//! by at most one element — the scatter order cannot change any
-//! floating-point sum. Each element's own accumulation runs in fixed
-//! ascending-column order, independent of its batch position, so the sweep
-//! is bit-deterministic.
+//! The sweep is serial within a rank (parallelism lives in ranks and serve
+//! workers — see DESIGN.md "Why the sweep is serial within a rank"), so its
+//! element order is the summation order at every node: a schedule built
+//! from the same element set always sums in the same order. Each element's
+//! own accumulation runs in fixed ascending-column order, independent of
+//! its batch position, so the sweep is bit-deterministic.
 
 use quake_fem::hex8::combined_hex_stiffness;
-use quake_mesh::coloring::ElementColoring;
 use quake_mesh::HexMesh;
 
 /// Gather/scatter tile: elements staged per kernel invocation. 32 elements
@@ -62,17 +57,15 @@ const LG: usize = 4;
 const ROWS: usize = 4;
 const _: () = assert!(BATCH.is_multiple_of(LG) && 24usize.is_multiple_of(ROWS));
 
-/// A maximal run of same-class elements inside one color, half-open over
-/// schedule positions.
+/// The elements of one class, half-open over schedule positions.
 #[derive(Clone, Copy, Debug)]
 struct Run {
-    class: u32,
     begin: u32,
     end: u32,
 }
 
 /// The precomputed element schedule of one [`StepScope`](crate::elastic::StepScope):
-/// per-class stiffness templates, the color-major (class, id)-sorted element
+/// per-class stiffness templates, the class-major (class, id)-sorted element
 /// order, and the per-element gather data (corner nodes, damping scale).
 /// Built once per scope, reused every step.
 pub struct SweepSchedule {
@@ -91,10 +84,8 @@ pub struct SweepSchedule {
     /// Matvec lanes one sweep computes: every run rounded up to whole lane
     /// groups.
     n_lanes: usize,
-    /// Class-homogeneous runs in schedule order.
+    /// `runs[c]` holds the elements of class `c` (template `templates[c]`).
     runs: Vec<Run>,
-    /// Color `ci` owns `runs[color_runs[ci]..color_runs[ci+1]]`.
-    color_runs: Vec<usize>,
 }
 
 /// Matvec lanes a class run of `len` elements costs.
@@ -103,71 +94,41 @@ fn lanes_of(len: usize) -> usize {
 }
 
 impl SweepSchedule {
-    /// Build the schedule for a colored element subset: group the mesh's
-    /// distinct `(h, lambda, mu)` classes (exact bit equality), precompute
-    /// one combined template per class, and sort each color's elements by
-    /// (class, id) so the kernel sees maximal same-template runs.
-    pub fn build(
-        mesh: &HexMesh,
-        coloring: &ElementColoring,
-        beta: &[f64],
-        dt: f64,
-    ) -> SweepSchedule {
+    /// Build the schedule for an element subset: group its distinct
+    /// `(h, lambda, mu)` classes (exact bit equality), precompute one
+    /// combined template per class, and sort the elements by (class, id)
+    /// so each class is one run in Morton order.
+    pub fn build(mesh: &HexMesh, elems: &[u32], beta: &[f64], dt: f64) -> SweepSchedule {
         let n = mesh.n_nodes();
         let class_key = |ei: u32| {
             let e = &mesh.elements[ei as usize];
             (e.h.to_bits(), e.material.lambda.to_bits(), e.material.mu.to_bits())
         };
-        let mut keys: Vec<(u64, u64, u64)> = coloring.order.iter().map(|&e| class_key(e)).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let templates = keys
+        let mut order = elems.to_vec();
+        order.sort_unstable_by_key(|&ei| (class_key(ei), ei));
+        let classes: Vec<&[u32]> = order.chunk_by(|&a, &b| class_key(a) == class_key(b)).collect();
+        let templates = classes
             .iter()
-            .map(|&(h, l, m)| {
+            .map(|class| {
+                let (h, l, m) = class_key(class[0]);
                 combined_hex_stiffness(f64::from_bits(l), f64::from_bits(m), f64::from_bits(h))
             })
             .collect();
 
-        let n_sched = coloring.order.len();
-        let mut nodes = Vec::with_capacity(n_sched);
-        let mut bscale = Vec::with_capacity(n_sched);
-        let mut runs: Vec<Run> = Vec::new();
-        let mut color_runs = Vec::with_capacity(coloring.n_colors() + 1);
-        color_runs.push(0);
-        let mut pos = 0u32;
+        let mut nodes = Vec::with_capacity(order.len());
+        let mut bscale = Vec::with_capacity(order.len());
+        let mut runs = Vec::with_capacity(classes.len());
         let mut n_damped = 0;
-        let mut sorted: Vec<(u32, u32)> = Vec::new();
-        for color in coloring.colors() {
-            sorted.clear();
-            for &ei in color {
-                // Every scheduled element's class key was collected above.
-                let found = keys.binary_search(&class_key(ei));
-                assert!(found.is_ok(), "class registered for every scheduled element");
-                sorted.push((found.unwrap_or_default() as u32, ei));
-            }
-            // Within a color the node sets are pairwise disjoint, so any
-            // element order gives bit-identical scatters; (class, id) order
-            // maximizes template reuse while keeping Morton order per class.
-            sorted.sort_unstable();
-            for &(class, ei) in &*sorted {
+        for class in classes {
+            let begin = nodes.len() as u32;
+            for &ei in class {
                 let e = &mesh.elements[ei as usize];
                 assert!(e.nodes.iter().all(|&nd| (nd as usize) < n), "element node out of range");
                 nodes.push(e.nodes);
                 bscale.push(0.5 * dt * beta[ei as usize]);
                 n_damped += usize::from(beta[ei as usize] != 0.0);
-                // Extend the current run only within this color (a run that
-                // ended exactly at the previous color boundary must not leak
-                // across it).
-                let at_boundary = color_runs.last() == Some(&runs.len());
-                match runs.last_mut() {
-                    Some(r) if r.class == class && r.end == pos && !at_boundary => {
-                        r.end = pos + 1;
-                    }
-                    _ => runs.push(Run { class, begin: pos, end: pos + 1 }),
-                }
-                pos += 1;
             }
-            color_runs.push(runs.len());
+            runs.push(Run { begin, end: nodes.len() as u32 });
         }
         let n_lanes = runs.iter().map(|r| lanes_of((r.end - r.begin) as usize)).sum();
         SweepSchedule {
@@ -179,12 +140,7 @@ impl SweepSchedule {
             n_damped,
             n_lanes,
             runs,
-            color_runs,
         }
-    }
-
-    pub fn n_colors(&self) -> usize {
-        self.color_runs.len() - 1
     }
 
     /// Number of scheduled elements.
@@ -221,9 +177,9 @@ impl SweepSchedule {
     // lint:hot-path — the blocked element kernel: per-class template
     // batches, fixed-size stack scratch only. Runs once per element per
     // step.
-    /// Process every element of color `ci`. `u_now`/`w`/`rhs` are planar
-    /// (`dof = comp * n_nodes + node`).
-    pub fn sweep_color(&self, ci: usize, u_now: &[f64], w: &[f64], rhs: &mut [f64]) {
+    /// Process every scheduled element, class by class. `u_now`/`w`/`rhs`
+    /// are planar (`dof = comp * n_nodes + node`).
+    pub fn sweep(&self, u_now: &[f64], w: &[f64], rhs: &mut [f64]) {
         let n = self.n_nodes;
         assert_eq!(u_now.len(), 3 * n);
         assert_eq!(w.len(), 3 * n);
@@ -235,8 +191,7 @@ impl SweepSchedule {
         // whose Y columns are computed but never scattered.
         let mut x = [[[0.0f64; LG]; 24]; BATCH / LG];
         let mut y = [[[0.0f64; LG]; 24]; BATCH / LG];
-        for r in &self.runs[self.color_runs[ci]..self.color_runs[ci + 1]] {
-            let t = &self.templates[r.class as usize];
+        for (r, t) in self.runs.iter().zip(&self.templates) {
             let mut j = r.begin as usize;
             let end = r.end as usize;
             while j < end {
@@ -289,9 +244,11 @@ impl SweepSchedule {
 mod tests {
     use super::*;
     use quake_fem::hex8::{elastic_hex_matrices, elastic_matvec};
-    use quake_mesh::coloring::color_elements;
     use quake_mesh::hexmesh::ElemMaterial;
+    use quake_mesh::{mesh_from_model, MeshingParams};
+    use quake_model::LaBasinModel;
     use quake_octree::{BalanceMode, LinearOctree, MAX_LEVEL};
+    use std::collections::{BTreeMap, HashMap};
 
     fn hanging_mesh() -> HexMesh {
         let half = 1u32 << (MAX_LEVEL - 1);
@@ -314,6 +271,11 @@ mod tests {
             .collect()
     }
 
+    fn class_key(mesh: &HexMesh, ei: u32) -> (u64, u64, u64) {
+        let e = &mesh.elements[ei as usize];
+        (e.h.to_bits(), e.material.lambda.to_bits(), e.material.mu.to_bits())
+    }
+
     /// The blocked template sweep against a plain per-element loop using the
     /// canonical two-matrix matvec: <= 1e-13 relative on every dof, across
     /// levels (two octree levels in the mesh) and heterogeneous materials.
@@ -322,19 +284,16 @@ mod tests {
         let mesh = hanging_mesh();
         let n = mesh.n_nodes();
         let elems: Vec<u32> = (0..mesh.n_elements() as u32).collect();
-        let coloring = color_elements(&mesh, &elems);
         let beta: Vec<f64> = (0..mesh.n_elements()).map(|i| 0.01 * (i % 3) as f64).collect();
         let dt = 0.05;
-        let sched = SweepSchedule::build(&mesh, &coloring, &beta, dt);
+        let sched = SweepSchedule::build(&mesh, &elems, &beta, dt);
         assert!(sched.n_classes() >= 2, "expected multiple (h, material) classes");
         assert_eq!(sched.n_elements(), mesh.n_elements());
 
         let u = rnd_vec(3 * n, 0xA5A5);
         let w = rnd_vec(3 * n, 0x5A5A);
         let mut rhs = vec![0.0; 3 * n];
-        for ci in 0..sched.n_colors() {
-            sched.sweep_color(ci, &u, &w, &mut rhs);
-        }
+        sched.sweep(&u, &w, &mut rhs);
 
         // Reference: interleaved gather + canonical matvec, any order.
         let mats = elastic_hex_matrices();
@@ -372,9 +331,9 @@ mod tests {
     /// A three-level mesh with hanging nodes whose materials are assigned so
     /// the schedule's class runs take every length `1..=2 * BATCH + LG`:
     /// all remainders mod `LG` and mod `BATCH`, with zero, one and two full
-    /// tiles in front. Each (color, h) group's elements get one material per
-    /// run, packing the wanted lengths largest first.
-    fn every_run_length_mesh() -> (HexMesh, ElementColoring) {
+    /// tiles in front. Each level's elements are cut into consecutive
+    /// classes of the wanted lengths, largest first.
+    fn every_run_length_mesh() -> HexMesh {
         let half = 1u32 << (MAX_LEVEL - 1);
         let quarter = half / 2;
         let mut tree = LinearOctree::build(|o| {
@@ -389,48 +348,46 @@ mod tests {
             rho: 1.0,
         });
         assert!(mesh.n_hanging() > 0);
-        let elems: Vec<u32> = (0..mesh.n_elements() as u32).collect();
-        let coloring = color_elements(&mesh, &elems);
+        let mut by_h = BTreeMap::<u64, Vec<u32>>::new();
+        for (ei, e) in mesh.elements.iter().enumerate() {
+            by_h.entry(e.h.to_bits()).or_default().push(ei as u32);
+        }
         let mut wanted: Vec<usize> = (1..=2 * BATCH + LG).collect();
         let mut class = 0;
-        for color in coloring.colors() {
-            let mut by_h = std::collections::BTreeMap::<u64, Vec<u32>>::new();
-            for &ei in color {
-                by_h.entry(mesh.elements[ei as usize].h.to_bits()).or_default().push(ei);
-            }
-            for ids in by_h.values() {
-                let mut rest = &ids[..];
-                while !rest.is_empty() {
-                    let len = match wanted.iter().rposition(|&l| l <= rest.len()) {
-                        Some(i) => wanted.remove(i),
-                        None => rest.len(),
-                    };
-                    class += 1;
-                    for &ei in &rest[..len] {
-                        mesh.elements[ei as usize].material.lambda = 2.0 + 1e-3 * class as f64;
-                    }
-                    rest = &rest[len..];
+        for ids in by_h.values() {
+            let mut rest = &ids[..];
+            while !rest.is_empty() {
+                let len = match wanted.iter().rposition(|&l| l <= rest.len()) {
+                    Some(i) => wanted.remove(i),
+                    None => rest.len(),
+                };
+                class += 1;
+                for &ei in &rest[..len] {
+                    mesh.elements[ei as usize].material.lambda = 2.0 + 1e-3 * class as f64;
                 }
+                rest = &rest[len..];
             }
         }
         assert!(wanted.is_empty(), "mesh too small for run lengths {wanted:?}");
-        (mesh, coloring)
+        mesh
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Every run length, lane-group remainder and tile remainder: the lane
-    /// packed sweep of each color is bit-equal to a scalar per-element
-    /// matvec accumulating in the same ascending-column order.
+    /// Every run length, lane-group remainder and tile remainder: one
+    /// whole-schedule sweep is bit-equal to a scalar per-element matvec,
+    /// accumulating in the same ascending-column order, applied to the
+    /// elements in (class, id) order.
     #[test]
     fn every_run_length_is_bit_equal_to_the_scalar_matvec() {
-        let (mesh, coloring) = every_run_length_mesh();
+        let mesh = every_run_length_mesh();
         let n = mesh.n_nodes();
+        let elems: Vec<u32> = (0..mesh.n_elements() as u32).collect();
         let beta: Vec<f64> = (0..mesh.n_elements()).map(|i| 0.01 * (i % 3) as f64).collect();
         let dt = 0.05;
-        let sched = SweepSchedule::build(&mesh, &coloring, &beta, dt);
+        let sched = SweepSchedule::build(&mesh, &elems, &beta, dt);
         let mut lens: Vec<usize> = sched.runs.iter().map(|r| (r.end - r.begin) as usize).collect();
         assert_eq!(sched.n_lanes(), lens.iter().map(|&l| lanes_of(l)).sum::<usize>());
         lens.sort_unstable();
@@ -442,34 +399,84 @@ mod tests {
         let u = rnd_vec(3 * n, 0xA5A5);
         let w = rnd_vec(3 * n, 0x5A5A);
         let dt2 = dt * dt;
-        for ci in 0..sched.n_colors() {
-            let mut got = vec![0.0; 3 * n];
-            sched.sweep_color(ci, &u, &w, &mut got);
-            let mut want = vec![0.0; 3 * n];
-            for &ei in coloring.color(ci) {
-                let e = &mesh.elements[ei as usize];
-                let t = combined_hex_stiffness(e.material.lambda, e.material.mu, e.h);
-                let bs = 0.5 * dt * beta[ei as usize];
-                let mut x = [0.0; 24];
-                for (c, &nd) in e.nodes.iter().enumerate() {
-                    for comp in 0..3 {
-                        let dof = comp * n + nd as usize;
-                        x[3 * c + comp] = dt2 * u[dof] + bs * w[dof];
-                    }
-                }
-                for (c, &nd) in e.nodes.iter().enumerate() {
-                    for comp in 0..3 {
-                        let row = 3 * c + comp;
-                        let mut acc = 0.0;
-                        for col in 0..24 {
-                            acc += t[24 * row + col] * x[col];
-                        }
-                        want[comp * n + nd as usize] -= acc;
-                    }
+        let mut got = vec![0.0; 3 * n];
+        sched.sweep(&u, &w, &mut got);
+        let mut order = elems.clone();
+        order.sort_unstable_by_key(|&ei| (class_key(&mesh, ei), ei));
+        let mut want = vec![0.0; 3 * n];
+        for &ei in &order {
+            let e = &mesh.elements[ei as usize];
+            let t = combined_hex_stiffness(e.material.lambda, e.material.mu, e.h);
+            let bs = 0.5 * dt * beta[ei as usize];
+            let mut x = [0.0; 24];
+            for (c, &nd) in e.nodes.iter().enumerate() {
+                for comp in 0..3 {
+                    let dof = comp * n + nd as usize;
+                    x[3 * c + comp] = dt2 * u[dof] + bs * w[dof];
                 }
             }
-            assert_eq!(bits(&got), bits(&want), "color {ci}");
+            for (c, &nd) in e.nodes.iter().enumerate() {
+                for comp in 0..3 {
+                    let row = 3 * c + comp;
+                    let mut acc = 0.0;
+                    for col in 0..24 {
+                        acc += t[24 * row + col] * x[col];
+                    }
+                    want[comp * n + nd as usize] -= acc;
+                }
+            }
         }
+        assert_eq!(bits(&got), bits(&want));
+    }
+
+    /// The schedule is class-major: one run per class, ascending element
+    /// ids inside each run, every scope element exactly once, and lanes
+    /// `sum_c ceil(n_c / LG) * LG` over the class sizes `n_c`.
+    fn assert_class_major(mesh: &HexMesh, elems: &[u32]) -> SweepSchedule {
+        let sched = SweepSchedule::build(mesh, elems, &vec![0.0; mesh.n_elements()], 0.05);
+        let mut sizes = BTreeMap::<(u64, u64, u64), usize>::new();
+        for &ei in elems {
+            *sizes.entry(class_key(mesh, ei)).or_default() += 1;
+        }
+        assert_eq!(sched.runs.len(), sched.n_classes());
+        assert_eq!(sched.n_classes(), sizes.len());
+        assert_eq!(sched.n_lanes(), sizes.values().map(|&c| c.div_ceil(4) * 4).sum::<usize>());
+
+        // Corner-node sets identify elements.
+        let id_of: HashMap<[u32; 8], u32> =
+            elems.iter().map(|&ei| (mesh.elements[ei as usize].nodes, ei)).collect();
+        let mut seen = Vec::with_capacity(elems.len());
+        for r in &sched.runs {
+            let ids: Vec<u32> =
+                sched.nodes[r.begin as usize..r.end as usize].iter().map(|nd| id_of[nd]).collect();
+            assert!(ids.windows(2).all(|p| p[0] < p[1]), "run ids not ascending");
+            assert!(ids.iter().all(|&ei| class_key(mesh, ei) == class_key(mesh, ids[0])));
+            assert_eq!(ids.len(), sizes[&class_key(mesh, ids[0])]);
+            seen.extend(ids);
+        }
+        seen.sort_unstable();
+        let mut scope = elems.to_vec();
+        scope.sort_unstable();
+        assert_eq!(seen, scope);
+        sched
+    }
+
+    #[test]
+    fn schedule_is_one_ascending_run_per_class() {
+        let mesh = crate::rategroup::tests::three_level_mesh();
+        let all: Vec<u32> = (0..mesh.n_elements() as u32).collect();
+        assert_eq!(assert_class_major(&mesh, &all).n_classes(), 3);
+        // A scope handed over in descending order schedules the same way.
+        let odd: Vec<u32> = all.iter().rev().copied().filter(|e| e % 2 == 1).collect();
+        assert_class_major(&mesh, &odd);
+
+        // The LA-basin mesh of the benchmark's `basin_forward` workload.
+        let extent = 20_000.0;
+        let mut meshing = MeshingParams::new(extent, 0.3);
+        meshing.max_level = 6;
+        let basin = mesh_from_model(&meshing, &LaBasinModel::scaled(400.0, extent)).1;
+        let all: Vec<u32> = (0..basin.n_elements() as u32).collect();
+        assert_eq!(assert_class_major(&basin, &all).n_classes(), 670);
     }
 
     /// Lane fill of a single class run of length `L` is exactly
@@ -481,14 +488,11 @@ mod tests {
             ElemMaterial { lambda: 2.0, mu: 1.0, rho: 1.0 }
         });
         let elems: Vec<u32> = (0..mesh.n_elements() as u32).collect();
-        let first_color = color_elements(&mesh, &elems).color(0).to_vec();
         let beta = vec![0.0; mesh.n_elements()];
         for len in 1..=2 * BATCH + LG {
-            // Elements of one color are node-disjoint, so they stay one
-            // color, and one material makes them one run.
-            let coloring = color_elements(&mesh, &first_color[..len]);
-            let sched = SweepSchedule::build(&mesh, &coloring, &beta, 0.05);
-            assert_eq!((sched.n_colors(), sched.runs.len(), sched.n_elements()), (1, 1, len));
+            // One level and one material make any subset one run.
+            let sched = SweepSchedule::build(&mesh, &elems[..len], &beta, 0.05);
+            assert_eq!((sched.runs.len(), sched.n_elements()), (1, len));
             let groups = len.div_ceil(LG);
             assert_eq!(sched.n_lanes(), groups * LG);
             assert_eq!(sched.lane_fill(), len as f64 / (groups * LG) as f64);

@@ -659,13 +659,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Keep only entries whose name passes `keep`. Use before
-    /// [`try_reduce_across_ranks`] when ranks may hold rank-local metric names
-    /// (e.g. per-color element spans — color counts differ per partition).
-    pub fn retain(&mut self, mut keep: impl FnMut(&str) -> bool) {
-        self.entries.retain(|(n, _)| keep(n));
-    }
-
     pub fn get(&self, name: &str) -> Option<f64> {
         self.entries.binary_search_by(|(k, _)| k.as_str().cmp(name)).ok().map(|i| self.entries[i].1)
     }

@@ -9,8 +9,7 @@
 //! code runs everywhere); a fingerprint check turns a divergence into a
 //! typed [`ReduceError`] instead of a silently misaligned reduction, and a
 //! peer that died mid-reduction surfaces as [`ReduceError::Comm`] on every
-//! survivor. Ranks holding rank-local names (per-color spans, say) must
-//! [`Snapshot::retain`] down to the common subset first.
+//! survivor.
 
 use crate::Snapshot;
 use quake_parcomm::{CommError, Communicator};
@@ -50,8 +49,7 @@ impl std::fmt::Display for ReduceError {
         match self {
             ReduceError::NameSetMismatch { local } => write!(
                 f,
-                "metric name sets differ across ranks (local fingerprint {:08x}{:08x}); \
-                 retain() rank-local names before reducing",
+                "metric name sets differ across ranks (local fingerprint {:08x}{:08x})",
                 local.0, local.1
             ),
             ReduceError::Comm(e) => write!(f, "cross-rank reduction aborted: {e}"),
@@ -198,8 +196,8 @@ mod tests {
         // Shared names plus one rank-local histogram each: the fingerprints
         // diverge, and *every* rank gets the typed error (the check is a
         // collective, so no rank is left hanging in a half-finished
-        // reduction). After retain()-ing to the shared subset the same
-        // snapshots reduce fine.
+        // reduction). Cut down to the shared subset, the same snapshots
+        // reduce fine.
         let outcomes = run_spmd(3, |comm| {
             let reg = Registry::new(comm.rank());
             reg.add("shared_ctr", 1 + comm.rank() as u64);
@@ -207,13 +205,13 @@ mod tests {
             let full = reg.snapshot();
             let err = try_reduce_across_ranks(comm, &full).unwrap_err();
             let mut common = full.clone();
-            common.retain(|n| !n.starts_with("hist."));
+            common.entries.retain(|(n, _)| !n.starts_with("hist."));
             let ok = try_reduce_across_ranks(comm, &common).unwrap();
             (err, ok)
         });
         for (err, ok) in &outcomes {
             assert!(matches!(err, ReduceError::NameSetMismatch { .. }));
-            assert!(err.to_string().contains("retain()"));
+            assert!(err.to_string().contains("metric name sets differ"));
             let c = ok.iter().find(|r| r.name == "ctr.shared_ctr").unwrap();
             assert_eq!((c.min, c.max, c.mean), (1.0, 3.0, 2.0));
         }
