@@ -47,7 +47,7 @@ fn main() {
     std::fs::create_dir_all(&dir).unwrap();
 
     // --- Out-of-core pipeline on the disk B-tree. ---
-    let pipeline = EtreePipeline::default();
+    let pipeline = EtreePipeline;
     let mut stats = PipelineStats::default();
     let mut store = DiskStore::create(&dir.join("octants.btree"), 1024).unwrap();
     pipeline.construct(&mut store, refine, material, &mut stats).unwrap();

@@ -17,7 +17,7 @@
 //!   fsync, optional retention pruning) and [`CheckpointReader`]
 //!   (latest-*valid* discovery: corrupted or truncated files are detected by
 //!   checksum and skipped in favor of the previous good one).
-//! - [`CheckpointPolicy`]: cadence — every N steps and/or every T seconds.
+//! - [`CheckpointPolicy`]: cadence — every N steps.
 //!
 //! Telemetry: writers and readers record `ckpt_write`/`ckpt_restore` spans
 //! and `ckpt/bytes_written`, `ckpt/bytes_read`, `ckpt/writes`,
@@ -33,8 +33,6 @@ pub mod store;
 pub use format::{crc32, decode_file, encode_file, Decoder, Encoder, FORMAT_VERSION};
 pub use sink::{PeriodicSink, StepSink};
 pub use store::{CheckpointReader, CheckpointWriter};
-
-use std::time::Instant;
 
 /// Everything that can go wrong writing or restoring a checkpoint.
 #[derive(Debug)]
@@ -104,68 +102,24 @@ pub trait Checkpointable: Sized {
     fn decode(dec: &mut Decoder) -> Result<Self, CkptError>;
 }
 
-/// When to take a checkpoint: every N steps, every T seconds of wall time,
-/// or both (whichever fires first). Step cadence is deterministic and is
-/// what distributed runs must use (all ranks checkpoint the same steps);
-/// wall-time cadence suits serial jobs running against a queue limit.
-#[derive(Clone, Copy, Debug, Default)]
+/// When to take a checkpoint: every N steps. Step cadence is
+/// deterministic, so every rank of a distributed run checkpoints the same
+/// steps.
+#[derive(Clone, Copy, Debug)]
 pub struct CheckpointPolicy {
-    pub every_steps: Option<u64>,
-    pub every_secs: Option<f64>,
+    every_steps: u64,
 }
 
 impl CheckpointPolicy {
     /// Checkpoint after every `n` completed steps.
     pub fn every_steps(n: u64) -> CheckpointPolicy {
         assert!(n > 0, "step cadence must be positive");
-        CheckpointPolicy { every_steps: Some(n), every_secs: None }
+        CheckpointPolicy { every_steps: n }
     }
 
-    /// Checkpoint whenever `secs` of wall time elapsed since the last one.
-    pub fn every_secs(secs: f64) -> CheckpointPolicy {
-        assert!(secs > 0.0, "time cadence must be positive");
-        CheckpointPolicy { every_steps: None, every_secs: Some(secs) }
-    }
-
-    /// Never checkpoint (useful as a neutral default).
-    pub fn never() -> CheckpointPolicy {
-        CheckpointPolicy::default()
-    }
-
-    /// Stateful cadence tracker for one run.
-    pub fn ticker(&self) -> PolicyTicker {
-        PolicyTicker { policy: *self, last_write: Instant::now() }
-    }
-}
-
-/// Tracks the wall-clock side of a [`CheckpointPolicy`] across a run.
-pub struct PolicyTicker {
-    policy: CheckpointPolicy,
-    last_write: Instant,
-}
-
-impl PolicyTicker {
-    /// Should a checkpoint be taken after completing step `step` (0-based;
-    /// the snapshot would be tagged `step + 1`, the next step to execute)?
-    /// Calling this does not reset the timer — call [`PolicyTicker::wrote`]
-    /// after a successful write.
-    pub fn due(&self, step: u64) -> bool {
-        if let Some(n) = self.policy.every_steps {
-            if (step + 1).is_multiple_of(n) {
-                return true;
-            }
-        }
-        if let Some(secs) = self.policy.every_secs {
-            if self.last_write.elapsed().as_secs_f64() >= secs {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Record that a checkpoint was just written (resets the time cadence).
-    pub fn wrote(&mut self) {
-        self.last_write = Instant::now();
+    /// Is a snapshot tagged `next_step` (the next step to execute) due?
+    fn due(&self, next_step: u64) -> bool {
+        next_step > 0 && next_step.is_multiple_of(self.every_steps)
     }
 }
 
@@ -175,24 +129,8 @@ mod tests {
 
     #[test]
     fn step_cadence_fires_on_multiples() {
-        let t = CheckpointPolicy::every_steps(5).ticker();
-        let due: Vec<u64> = (0..12).filter(|&k| t.due(k)).collect();
+        let p = CheckpointPolicy::every_steps(5);
+        let due: Vec<u64> = (0..12).filter(|&k| p.due(k + 1)).collect();
         assert_eq!(due, vec![4, 9]); // after steps 5 and 10 complete
-    }
-
-    #[test]
-    fn never_policy_never_fires() {
-        let t = CheckpointPolicy::never().ticker();
-        assert!((0..100).all(|k| !t.due(k)));
-    }
-
-    #[test]
-    fn time_cadence_fires_after_the_interval() {
-        let mut t = CheckpointPolicy::every_secs(0.01).ticker();
-        assert!(!t.due(0)); // immediately after creation: not due
-        std::thread::sleep(std::time::Duration::from_millis(15));
-        assert!(t.due(1));
-        t.wrote();
-        assert!(!t.due(2)); // timer reset
     }
 }

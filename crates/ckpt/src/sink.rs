@@ -1,6 +1,6 @@
 //! The small persistence surface step loops drive.
 //!
-//! A time-integration harness should not know about writers, tickers, or
+//! A time-integration harness should not know about writers, cadence, or
 //! retention — it only needs somewhere to offer each completed step's state.
 //! [`StepSink`] is that surface: one `offer` call per completed step, and the
 //! sink decides whether anything hits disk. [`PeriodicSink`] is the standard
@@ -8,7 +8,7 @@
 //! [`CheckpointPolicy`](crate::CheckpointPolicy) cadence); tests substitute
 //! counting or always-failing sinks.
 
-use crate::{CheckpointPolicy, CheckpointWriter, Checkpointable, CkptError, PolicyTicker};
+use crate::{CheckpointPolicy, CheckpointWriter, Checkpointable, CkptError};
 use quake_telemetry::Registry;
 
 /// A cadence-owning destination for step-loop snapshots.
@@ -28,21 +28,19 @@ pub trait StepSink<T: Checkpointable> {
 /// plus retention pruning, both inherited from the writer).
 pub struct PeriodicSink<'w> {
     writer: &'w CheckpointWriter,
-    ticker: PolicyTicker,
+    policy: CheckpointPolicy,
 }
 
 impl<'w> PeriodicSink<'w> {
     pub fn new(writer: &'w CheckpointWriter, policy: &CheckpointPolicy) -> PeriodicSink<'w> {
-        PeriodicSink { writer, ticker: policy.ticker() }
+        PeriodicSink { writer, policy: *policy }
     }
 }
 
 impl<T: Checkpointable> StepSink<T> for PeriodicSink<'_> {
     fn offer(&mut self, next_step: u64, state: &T, reg: &Registry) -> Result<(), CkptError> {
-        // `due` speaks in completed-step indices; `next_step` is one past.
-        if next_step > 0 && self.ticker.due(next_step - 1) {
+        if self.policy.due(next_step) {
             self.writer.write(next_step, state, reg)?;
-            self.ticker.wrote();
         }
         Ok(())
     }

@@ -117,19 +117,14 @@ impl MeshDatabases {
     }
 }
 
-/// Configuration of an etree pipeline run.
-#[derive(Clone, Copy, Debug)]
-pub struct EtreePipeline {
-    pub mode: BalanceMode,
-    /// `8^block_level` blocks in the local-balancing step.
-    pub block_level: u8,
-}
+/// The etree pipeline's three stages. It balances to the full 2-to-1
+/// constraint (faces, edges and corners), the only one
+/// `HexMesh::from_octree` accepts.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct EtreePipeline;
 
-impl Default for EtreePipeline {
-    fn default() -> Self {
-        EtreePipeline { mode: BalanceMode::Full, block_level: 1 }
-    }
-}
+/// `8^BLOCK_LEVEL` blocks in the local-balancing step.
+const BLOCK_LEVEL: u8 = 1;
 
 impl EtreePipeline {
     /// Construct step: auto-navigation refinement, leaves written to `store`.
@@ -164,7 +159,7 @@ impl EtreePipeline {
         stats: &mut PipelineStats,
     ) -> io::Result<()> {
         let t0 = Instant::now();
-        let blocks = LinearOctree::uniform(self.block_level);
+        let blocks = LinearOctree::uniform(BLOCK_LEVEL);
 
         // Internal pass: per block, load its key range, ripple in memory
         // (skipping constraints that cross the block boundary), write diffs.
@@ -182,7 +177,7 @@ impl EtreePipeline {
             let before: Vec<u64> = members.keys().copied().collect();
             let queue: VecDeque<Octant> = members.values().copied().collect();
             let mut map = members;
-            ripple(&mut map, queue, self.mode, Some(*block));
+            ripple(&mut map, queue, BalanceMode::Full, Some(*block));
             // Apply the diff to the store.
             for k in &before {
                 if !map.contains_key(k) {
@@ -198,8 +193,8 @@ impl EtreePipeline {
 
         // Boundary pass: only leaves whose constraint samples cross a block
         // boundary can still violate; ripple them against the whole store.
-        let dirs = self.mode.directions();
-        let block_size = 1u32 << (MAX_LEVEL - self.block_level);
+        let dirs = BalanceMode::Full.directions();
+        let block_size = 1u32 << (MAX_LEVEL - BLOCK_LEVEL);
         let mut queue: VecDeque<Octant> = VecDeque::new();
         let mut all: Vec<Octant> = Vec::new();
         store.scan_all(&mut |o, _| all.push(o))?;
@@ -216,7 +211,7 @@ impl EtreePipeline {
             }
         }
         stats.boundary_queue_len = queue.len() as u64;
-        ripple_store(store, queue, floor, self.mode, &mut material)?;
+        ripple_store(store, queue, floor, &mut material)?;
         stats.after_balance_octants = store.len();
         stats.balance_secs = t0.elapsed().as_secs_f64();
         Ok(())
@@ -309,10 +304,9 @@ fn ripple_store<S: OctantStore>(
     store: &mut S,
     mut queue: VecDeque<Octant>,
     floor: u8,
-    mode: BalanceMode,
     material: &mut impl FnMut(&Octant) -> MaterialRec,
 ) -> io::Result<()> {
-    let dirs = mode.directions();
+    let dirs = BalanceMode::Full.directions();
     while let Some(o) = queue.pop_front() {
         if o.level <= floor + 1 || store.get(&o)?.is_none() {
             continue;
@@ -396,7 +390,7 @@ mod tests {
 
     /// One refined child of the root: 15 elements, 46 nodes, 12 hanging.
     fn one_refined<S: OctantStore>(store: &mut S) -> PipelineStats {
-        let p = EtreePipeline::default();
+        let p = EtreePipeline;
         let mut stats = PipelineStats::default();
         p.construct(
             store,
@@ -414,7 +408,7 @@ mod tests {
         let mut store = MemStore::new();
         let mut stats = one_refined(&mut store);
         assert_eq!(stats.constructed_octants, 15);
-        let p = EtreePipeline::default();
+        let p = EtreePipeline;
         let db = p.transform(&mut store, &dir, &mut stats).unwrap();
         assert_eq!(db.n_elements, 15);
         assert_eq!(db.n_nodes, 46);
@@ -444,7 +438,7 @@ mod tests {
     fn uniform_mesh_has_no_hanging_nodes() {
         let dir = tmpdir("uniform");
         let mut store = MemStore::new();
-        let p = EtreePipeline::default();
+        let p = EtreePipeline;
         let mut stats = PipelineStats::default();
         p.construct(&mut store, |o| o.level < 2, mat, &mut stats).unwrap();
         p.balance(&mut store, mat, &mut stats).unwrap();
@@ -462,7 +456,7 @@ mod tests {
         let refine = |o: &Octant| o.level < 5 && o.contains_point(half, half, half);
 
         let mut store = MemStore::new();
-        let p = EtreePipeline { mode: BalanceMode::Full, block_level: 1 };
+        let p = EtreePipeline;
         let mut stats = PipelineStats::default();
         p.construct(&mut store, refine, mat, &mut stats).unwrap();
         p.balance(&mut store, mat, &mut stats).unwrap();
@@ -481,7 +475,7 @@ mod tests {
         let dir = tmpdir("diskmem");
         let half = 1u32 << (MAX_LEVEL - 1);
         let refine = |o: &Octant| o.level < 4 && o.contains_point(half, half, half);
-        let p = EtreePipeline::default();
+        let p = EtreePipeline;
 
         let mut mem = MemStore::new();
         let mut s1 = PipelineStats::default();
@@ -510,7 +504,7 @@ mod tests {
         // order of magnitude on a small adaptive tree.
         let dir = tmpdir("ratio");
         let mut store = MemStore::new();
-        let p = EtreePipeline::default();
+        let p = EtreePipeline;
         let mut stats = PipelineStats::default();
         let half = 1u32 << (MAX_LEVEL - 1);
         p.construct(
@@ -558,7 +552,7 @@ mod tests {
     #[test]
     fn hanging_flags_match_the_store_probing_definition() {
         let dir = tmpdir("oracle");
-        let p = EtreePipeline::default();
+        let p = EtreePipeline;
         let mut hanging_seen = 0;
         for (case, refine) in random_rules().iter().enumerate() {
             let mut store = MemStore::new();
@@ -584,7 +578,7 @@ mod tests {
         // the level-4 leaf's -x direction, which only the boundary pass asks.
         let half = 1u32 << (MAX_LEVEL - 1);
         let mut store = MemStore::new();
-        let p = EtreePipeline::default();
+        let p = EtreePipeline;
         let mut stats = PipelineStats::default();
         p.construct(
             &mut store,
@@ -597,5 +591,98 @@ mod tests {
         assert!(store.remove(&hole).unwrap());
         let err = p.balance(&mut store, mat, &mut stats).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A [`MemStore`] that returns an I/O error from its `fail_at + 1`-th
+    /// fallible call onward, counting every call it is asked.
+    struct FailingStore {
+        inner: MemStore,
+        calls: u64,
+        fail_at: u64,
+    }
+
+    impl FailingStore {
+        fn new(fail_at: u64) -> FailingStore {
+            FailingStore { inner: MemStore::new(), calls: 0, fail_at }
+        }
+
+        fn call(&mut self) -> io::Result<()> {
+            self.calls += 1;
+            if self.calls > self.fail_at {
+                return Err(io::Error::other("injected store failure"));
+            }
+            Ok(())
+        }
+    }
+
+    impl OctantStore for FailingStore {
+        fn insert(&mut self, oct: Octant, mat: MaterialRec) -> io::Result<()> {
+            self.call()?;
+            self.inner.insert(oct, mat)
+        }
+
+        fn remove(&mut self, oct: &Octant) -> io::Result<bool> {
+            self.call()?;
+            self.inner.remove(oct)
+        }
+
+        fn get(&mut self, oct: &Octant) -> io::Result<Option<MaterialRec>> {
+            self.call()?;
+            self.inner.get(oct)
+        }
+
+        fn floor(&mut self, key: u64) -> io::Result<Option<(Octant, MaterialRec)>> {
+            self.call()?;
+            self.inner.floor(key)
+        }
+
+        fn scan_range(
+            &mut self,
+            lo: u64,
+            hi: u64,
+            f: &mut dyn FnMut(Octant, MaterialRec),
+        ) -> io::Result<()> {
+            self.call()?;
+            self.inner.scan_range(lo, hi, f)
+        }
+
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+    }
+
+    #[test]
+    fn a_failing_store_makes_the_pipeline_return_err_at_every_call() {
+        // Centre refinement to level 4: balance splits across block
+        // boundaries, so every stage and both balance passes call the store.
+        let half = 1u32 << (MAX_LEVEL - 1);
+        let dir = tmpdir("failing");
+        let run = |store: &mut FailingStore| {
+            let p = EtreePipeline;
+            let mut stats = PipelineStats::default();
+            p.construct(
+                store,
+                |o| o.level < 4 && o.contains_point(half, half, half),
+                mat,
+                &mut stats,
+            )?;
+            p.balance(store, mat, &mut stats)?;
+            assert!(stats.after_balance_octants > stats.constructed_octants);
+            p.transform(store, &dir, &mut stats)
+        };
+        let mut clean = FailingStore::new(u64::MAX);
+        run(&mut clean).unwrap();
+        assert!(clean.calls > 100, "only {} store calls", clean.calls);
+        for fail_at in 0..clean.calls {
+            let mut store = FailingStore::new(fail_at);
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&mut store))) {
+                Ok(Err(e)) => assert_eq!(e.to_string(), "injected store failure", "call {fail_at}"),
+                Ok(Ok(_)) => {
+                    panic!("store call {} failed, yet the pipeline succeeded", fail_at + 1)
+                }
+                Err(_) => panic!("store call {} failed and the pipeline panicked", fail_at + 1),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -29,7 +29,7 @@ fn mesh_hashes(
     refine: impl FnMut(&Octant) -> bool,
     material: impl Fn(&Octant) -> MaterialRec,
 ) -> (u64, u64, u64) {
-    let p = EtreePipeline::default();
+    let p = EtreePipeline;
     let mut stats = PipelineStats::default();
     p.construct(store, refine, &material, &mut stats).unwrap();
     p.balance(store, &material, &mut stats).unwrap();

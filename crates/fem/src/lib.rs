@@ -3,7 +3,7 @@
 //! This crate provides the small, dense building blocks the wave-propagation
 //! solvers are made of:
 //!
-//! - [`linalg`]: small dense vectors/matrices (no external BLAS),
+//! - [`linalg`]: a small dense matrix for the tet4 baseline (no external BLAS),
 //! - [`quadrature`]: Gauss-Legendre rules on the unit interval/square/cube,
 //! - [`shape`]: trilinear hex8, bilinear quad4 and linear tet4 shape functions,
 //! - [`hex8`]: canonical hexahedral element matrices. Because every octree leaf
@@ -26,6 +26,6 @@ pub mod shape;
 pub mod tet4;
 
 pub use hex8::{elastic_hex_matrices, scalar_hex_stiffness, ElasticHexMatrices};
-pub use linalg::{DMat, Mat3, Vec3};
+pub use linalg::DMat;
 pub use quad4::scalar_quad_stiffness;
 pub use tet4::tet4_stiffness;

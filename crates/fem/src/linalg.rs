@@ -1,176 +1,12 @@
 //! Small dense linear algebra.
 //!
 //! The solvers never form global sparse matrices (the element-based design of
-//! the paper), so all we need is fixed-size 3-vectors/3-matrices plus a plain
-//! heap-backed dense matrix for element-matrix construction, propagator
-//! matrices and the inversion machinery's small dense systems.
-
-/// A 3-vector of `f64`.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Vec3 {
-    pub x: f64,
-    pub y: f64,
-    pub z: f64,
-}
-
-impl Vec3 {
-    pub const ZERO: Vec3 = Vec3 { x: 0.0, y: 0.0, z: 0.0 };
-
-    pub fn new(x: f64, y: f64, z: f64) -> Self {
-        Vec3 { x, y, z }
-    }
-
-    pub fn dot(self, o: Vec3) -> f64 {
-        self.x * o.x + self.y * o.y + self.z * o.z
-    }
-
-    pub fn cross(self, o: Vec3) -> Vec3 {
-        Vec3::new(
-            self.y * o.z - self.z * o.y,
-            self.z * o.x - self.x * o.z,
-            self.x * o.y - self.y * o.x,
-        )
-    }
-
-    pub fn norm(self) -> f64 {
-        self.dot(self).sqrt()
-    }
-
-    pub fn scale(self, s: f64) -> Vec3 {
-        Vec3::new(self.x * s, self.y * s, self.z * s)
-    }
-
-    pub fn normalized(self) -> Vec3 {
-        let n = self.norm();
-        assert!(n > 0.0, "cannot normalize the zero vector");
-        self.scale(1.0 / n)
-    }
-
-    pub fn as_array(self) -> [f64; 3] {
-        [self.x, self.y, self.z]
-    }
-}
-
-impl std::ops::Add for Vec3 {
-    type Output = Vec3;
-    fn add(self, o: Vec3) -> Vec3 {
-        Vec3::new(self.x + o.x, self.y + o.y, self.z + o.z)
-    }
-}
-
-impl std::ops::Sub for Vec3 {
-    type Output = Vec3;
-    fn sub(self, o: Vec3) -> Vec3 {
-        Vec3::new(self.x - o.x, self.y - o.y, self.z - o.z)
-    }
-}
-
-impl std::ops::Mul<f64> for Vec3 {
-    type Output = Vec3;
-    fn mul(self, s: f64) -> Vec3 {
-        self.scale(s)
-    }
-}
-
-impl From<[f64; 3]> for Vec3 {
-    fn from(a: [f64; 3]) -> Vec3 {
-        Vec3::new(a[0], a[1], a[2])
-    }
-}
-
-/// A 3x3 matrix, row-major.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Mat3 {
-    pub m: [[f64; 3]; 3],
-}
-
-impl Mat3 {
-    pub fn zero() -> Mat3 {
-        Mat3 { m: [[0.0; 3]; 3] }
-    }
-
-    pub fn identity() -> Mat3 {
-        let mut r = Mat3::zero();
-        for i in 0..3 {
-            r.m[i][i] = 1.0;
-        }
-        r
-    }
-
-    pub fn from_rows(r0: Vec3, r1: Vec3, r2: Vec3) -> Mat3 {
-        Mat3 { m: [r0.as_array(), r1.as_array(), r2.as_array()] }
-    }
-
-    pub fn mul_vec(&self, v: Vec3) -> Vec3 {
-        Vec3::new(
-            self.m[0][0] * v.x + self.m[0][1] * v.y + self.m[0][2] * v.z,
-            self.m[1][0] * v.x + self.m[1][1] * v.y + self.m[1][2] * v.z,
-            self.m[2][0] * v.x + self.m[2][1] * v.y + self.m[2][2] * v.z,
-        )
-    }
-
-    pub fn mul(&self, o: &Mat3) -> Mat3 {
-        let mut r = Mat3::zero();
-        for i in 0..3 {
-            for k in 0..3 {
-                let a = self.m[i][k];
-                for j in 0..3 {
-                    r.m[i][j] += a * o.m[k][j];
-                }
-            }
-        }
-        r
-    }
-
-    pub fn transpose(&self) -> Mat3 {
-        let mut r = Mat3::zero();
-        for i in 0..3 {
-            for j in 0..3 {
-                r.m[j][i] = self.m[i][j];
-            }
-        }
-        r
-    }
-
-    pub fn det(&self) -> f64 {
-        let m = &self.m;
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    }
-
-    /// Inverse; panics on (near-)singular input.
-    pub fn inverse(&self) -> Mat3 {
-        let d = self.det();
-        assert!(d.abs() > 1e-300, "singular 3x3 matrix");
-        let m = &self.m;
-        let inv = |a: f64, b: f64, c: f64, e: f64| (a * e - b * c) / d;
-        Mat3 {
-            m: [
-                [
-                    inv(m[1][1], m[1][2], m[2][1], m[2][2]),
-                    inv(m[0][2], m[0][1], m[2][2], m[2][1]),
-                    inv(m[0][1], m[0][2], m[1][1], m[1][2]),
-                ],
-                [
-                    inv(m[1][2], m[1][0], m[2][2], m[2][0]),
-                    inv(m[0][0], m[0][2], m[2][0], m[2][2]),
-                    inv(m[0][2], m[0][0], m[1][2], m[1][0]),
-                ],
-                [
-                    inv(m[1][0], m[1][1], m[2][0], m[2][1]),
-                    inv(m[0][1], m[0][0], m[2][1], m[2][0]),
-                    inv(m[0][0], m[0][1], m[1][0], m[1][1]),
-                ],
-            ],
-        }
-    }
-}
+//! the paper), so all we need is a plain heap-backed dense matrix for the
+//! baseline tetrahedron's element stiffness.
 
 /// Heap-backed dense matrix, row-major.
 ///
-/// Used for element-matrix construction (24x24 and smaller) and for the small
-/// dense solves inside the inversion machinery. Not intended for large-N
+/// Used for the 12x12 tet4 element stiffness. Not intended for large-N
 /// linear algebra — the solvers are matrix-free by design.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DMat {
@@ -184,57 +20,10 @@ impl DMat {
         DMat { rows, cols, data: vec![0.0; rows * cols] }
     }
 
-    pub fn identity(n: usize) -> DMat {
-        let mut m = DMat::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    pub fn row(&self, i: usize) -> &[f64] {
-        &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// `self * v` for a dense vector.
     pub fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(v.len(), self.cols);
-        let mut out = vec![0.0; self.rows];
-        for i in 0..self.rows {
-            let row = self.row(i);
-            let mut acc = 0.0;
-            for (a, b) in row.iter().zip(v) {
-                acc += a * b;
-            }
-            out[i] = acc;
-        }
-        out
-    }
-
-    /// `self^T * v`.
-    pub fn mul_vec_transposed(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.rows);
-        let mut out = vec![0.0; self.cols];
-        for i in 0..self.rows {
-            let row = self.row(i);
-            let s = v[i];
-            for (o, a) in out.iter_mut().zip(row) {
-                *o += s * a;
-            }
-        }
-        out
+        self.data.chunks_exact(self.cols).map(|row| dot(row, v)).collect()
     }
 
     pub fn mul(&self, o: &DMat) -> DMat {
@@ -269,69 +58,6 @@ impl DMat {
             *x *= s;
         }
     }
-
-    pub fn add_scaled(&mut self, o: &DMat, s: f64) {
-        assert_eq!((self.rows, self.cols), (o.rows, o.cols));
-        for (a, b) in self.data.iter_mut().zip(&o.data) {
-            *a += s * b;
-        }
-    }
-
-    /// Maximum absolute entry.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |m, x| m.max(x.abs()))
-    }
-
-    /// Solve `self * x = b` by Gaussian elimination with partial pivoting.
-    ///
-    /// Destroys neither input; intended for small systems (n <= a few hundred).
-    pub fn solve(&self, b: &[f64]) -> Option<Vec<f64>> {
-        assert_eq!(self.rows, self.cols);
-        assert_eq!(b.len(), self.rows);
-        let n = self.rows;
-        let mut a = self.data.clone();
-        let mut x = b.to_vec();
-        for col in 0..n {
-            // Partial pivot.
-            let mut piv = col;
-            let mut best = a[col * n + col].abs();
-            for r in col + 1..n {
-                let v = a[r * n + col].abs();
-                if v > best {
-                    best = v;
-                    piv = r;
-                }
-            }
-            if best < 1e-300 {
-                return None;
-            }
-            if piv != col {
-                for j in 0..n {
-                    a.swap(col * n + j, piv * n + j);
-                }
-                x.swap(col, piv);
-            }
-            let d = a[col * n + col];
-            for r in col + 1..n {
-                let f = a[r * n + col] / d;
-                if f == 0.0 {
-                    continue;
-                }
-                for j in col..n {
-                    a[r * n + j] -= f * a[col * n + j];
-                }
-                x[r] -= f * x[col];
-            }
-        }
-        for col in (0..n).rev() {
-            let mut acc = x[col];
-            for j in col + 1..n {
-                acc -= a[col * n + j] * x[j];
-            }
-            x[col] = acc / a[col * n + col];
-        }
-        Some(x)
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for DMat {
@@ -353,76 +79,9 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Euclidean norm of a slice.
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
-/// `y += s * x`.
-pub fn axpy(s: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += s * xi;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn vec3_cross_is_orthogonal() {
-        let a = Vec3::new(1.0, 2.0, 3.0);
-        let b = Vec3::new(-2.0, 0.5, 4.0);
-        let c = a.cross(b);
-        assert!(c.dot(a).abs() < 1e-12);
-        assert!(c.dot(b).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mat3_inverse_roundtrip() {
-        let m = Mat3::from_rows(
-            Vec3::new(2.0, 1.0, 0.0),
-            Vec3::new(0.5, 3.0, -1.0),
-            Vec3::new(1.0, 0.0, 4.0),
-        );
-        let inv = m.inverse();
-        let p = m.mul(&inv);
-        for i in 0..3 {
-            for j in 0..3 {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((p.m[i][j] - expect).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn dmat_solve_matches_known_system() {
-        let mut a = DMat::zeros(3, 3);
-        a[(0, 0)] = 4.0;
-        a[(0, 1)] = 1.0;
-        a[(1, 0)] = 1.0;
-        a[(1, 1)] = 3.0;
-        a[(1, 2)] = -1.0;
-        a[(2, 1)] = -1.0;
-        a[(2, 2)] = 5.0;
-        let x_true = [1.0, -2.0, 0.5];
-        let b = a.mul_vec(&x_true);
-        let x = a.solve(&b).unwrap();
-        for (xi, ti) in x.iter().zip(&x_true) {
-            assert!((xi - ti).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn dmat_solve_detects_singular() {
-        let mut a = DMat::zeros(2, 2);
-        a[(0, 0)] = 1.0;
-        a[(0, 1)] = 2.0;
-        a[(1, 0)] = 2.0;
-        a[(1, 1)] = 4.0;
-        assert!(a.solve(&[1.0, 1.0]).is_none());
-    }
 
     #[test]
     fn dmat_transpose_mul_vec_consistent() {
@@ -434,17 +93,7 @@ mod tests {
         }
         let v = [1.0, -1.0];
         let direct = a.transpose().mul_vec(&v);
-        let fused = a.mul_vec_transposed(&v);
-        assert_eq!(direct, fused);
-    }
-
-    #[test]
-    fn axpy_and_dot() {
-        let x = [1.0, 2.0, 3.0];
-        let mut y = [1.0, 1.0, 1.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, [3.0, 5.0, 7.0]);
-        assert_eq!(dot(&x, &x), 14.0);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
+        let by_columns: Vec<f64> = (0..3).map(|j| a[(0, j)] * v[0] + a[(1, j)] * v[1]).collect();
+        assert_eq!(direct, by_columns);
     }
 }

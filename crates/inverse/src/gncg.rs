@@ -248,30 +248,20 @@ pub fn invert_material(
     m0: &[f64],
     cfg: &GnConfig,
 ) -> (Vec<f64>, GnStats) {
-    invert_material_traced(eq, forcing, data, map, tv, m0, cfg, &Registry::disabled())
-}
-
-/// [`invert_material`] with telemetry: spans around the forward, adjoint,
-/// CG, and line-search stages of every Gauss-Newton iteration, plus one
-/// `gn_iter` NDJSON event per outer iteration carrying the convergence
-/// quantities of the paper's Fig 3.2/3.3 (misfit, objective, gradient norm,
-/// TV and barrier terms, CG iterations, accepted step). A disabled registry
-/// makes this exactly [`invert_material`].
-pub fn invert_material_traced(
-    eq: &dyn ScalarWaveEq,
-    forcing: &(dyn Fn(usize, &mut [f64]) + Sync),
-    data: &[Vec<f64>],
-    map: &MaterialMap,
-    tv: &TvReg,
-    m0: &[f64],
-    cfg: &GnConfig,
-    reg: &Registry,
-) -> (Vec<f64>, GnStats) {
+    let reg = Registry::disabled();
     // Without a checkpoint writer the resumable driver cannot fail.
-    invert_material_resumable(eq, forcing, data, map, tv, m0, cfg, reg, None, None).unwrap()
+    invert_material_resumable(eq, forcing, data, map, tv, m0, cfg, &reg, None, None).unwrap()
 }
 
-/// [`invert_material_traced`] with checkpoint/restart: pass `resume` to
+/// [`invert_material`] with telemetry and checkpoint/restart.
+///
+/// Telemetry: spans around the forward, adjoint, CG, and line-search stages
+/// of every Gauss-Newton iteration, plus one `gn_iter` NDJSON event per
+/// outer iteration carrying the convergence quantities of the paper's Fig
+/// 3.2/3.3 (misfit, objective, gradient norm, TV and barrier terms, CG
+/// iterations, accepted step). A disabled registry records nothing.
+///
+/// Checkpoint/restart: pass `resume` to
 /// continue from a [`GnCheckpoint`] (the inversion is then **bit-identical**
 /// to one that never stopped — the checkpoint carries the iterate, the
 /// L-BFGS pairs, the statistics, and the run-scaling scalars `jd0` and
@@ -633,7 +623,8 @@ mod tests {
 
         let reg = Registry::new(0);
         let (m_traced, stats) =
-            invert_material_traced(&s, &forcing, &data, &map, &tv, &m0, &cfg, &reg);
+            invert_material_resumable(&s, &forcing, &data, &map, &tv, &m0, &cfg, &reg, None, None)
+                .unwrap();
 
         // One gn_iter event per objective evaluation (including a converged
         // final pass, if any), each a parseable NDJSON line.

@@ -38,9 +38,7 @@ pub mod regularization;
 pub mod source;
 
 pub use checkpoint::GnCheckpoint;
-pub use gncg::{
-    invert_material, invert_material_resumable, invert_material_traced, GnConfig, GnStats,
-};
+pub use gncg::{invert_material, invert_material_resumable, GnConfig, GnStats};
 pub use matmap::MaterialMap;
 pub use misfit::{add_noise, misfit_value, residuals};
 pub use multiscale::{invert_multiscale, LevelResult, MultiscaleConfig};

@@ -25,17 +25,11 @@
 //! in *element updates* (`n_elements x effective steps` — the same analytic
 //! currency `quake-machine` prices), and a submit is rejected with
 //! [`ServeError::Overloaded`] when the outstanding total would exceed the
-//! budget. The budget is **self-calibrating** when
-//! [`EngineConfig::target_backlog_secs`] is set: every uncached solve feeds
-//! its measured element-update throughput into a running estimate (an EWMA
-//! of `serve/updates_per_sec`, the same signal
-//! [`ServeEngine::measured_update_rate`] reads post-shutdown), and the
-//! effective budget is `target_backlog_secs x estimated updates/sec` — a
-//! wall-clock bound on the backlog that tightens automatically when the
-//! machine slows down. The static [`EngineConfig::cost_budget`] serves
-//! until the first measurement lands (and is the whole policy when no
-//! backlog target is set). Projected cost is an upper bound — a cache hit
-//! releases its reservation in microseconds.
+//! static [`EngineConfig::cost_budget`]. Projected cost is an upper bound
+//! — a cache hit releases its reservation in microseconds. Every uncached
+//! solve records its throughput as `serve/updates_per_sec`, which
+//! [`ServeEngine::measured_update_rate`] reads after shutdown to help pick
+//! the budget.
 
 use crate::cache::{CachedResult, ResultCache};
 use crate::exec::{run_scenario, ServeScratch};
@@ -127,14 +121,8 @@ pub struct EngineConfig {
     /// Maximum queued (not yet started) requests across both lanes.
     pub queue_capacity: usize,
     /// Admission budget on outstanding projected cost in element updates
-    /// (queued + in-flight); 0 = unlimited. When `target_backlog_secs` is
-    /// set this is only the pre-calibration fallback.
+    /// (queued + in-flight); 0 = unlimited.
     pub cost_budget: u64,
-    /// Wall-clock backlog target in seconds; > 0 switches admission to the
-    /// calibrated budget `target_backlog_secs x measured element
-    /// updates/sec` as soon as the first uncached solve has been measured
-    /// (0 = keep the static `cost_budget` policy).
-    pub target_backlog_secs: f64,
     /// Receiver count the per-worker scratch buffers are pre-warmed for.
     pub max_receivers: usize,
     /// Result cache directory; `None` disables caching.
@@ -153,7 +141,6 @@ impl EngineConfig {
             workers: 2,
             queue_capacity: 1024,
             cost_budget: 0,
-            target_backlog_secs: 0.0,
             max_receivers: 16,
             cache_dir: None,
             cache_byte_budget: 0,
@@ -163,14 +150,6 @@ impl EngineConfig {
     pub fn with_cache(mut self, dir: PathBuf, byte_budget: u64) -> EngineConfig {
         self.cache_dir = Some(dir);
         self.cache_byte_budget = byte_budget;
-        self
-    }
-
-    /// Bound the admitted backlog to `secs` of measured serving throughput
-    /// (see [`EngineConfig::target_backlog_secs`]).
-    pub fn with_backlog_target(mut self, secs: f64) -> EngineConfig {
-        assert!(secs > 0.0 && secs.is_finite(), "backlog target must be positive seconds");
-        self.target_backlog_secs = secs;
         self
     }
 }
@@ -292,10 +271,6 @@ struct Shared {
     max_receivers: usize,
     queue_capacity: usize,
     cost_budget: u64,
-    target_backlog_secs: f64,
-    /// EWMA of measured element updates/sec as `f64` bits (0 bits = no
-    /// uncached solve measured yet), fed by workers after every solve.
-    measured_rate_bits: AtomicU64,
     q: Mutex<QueueState>,
     work_cv: Condvar,
     idle_cv: Condvar,
@@ -303,48 +278,6 @@ struct Shared {
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     rejected: AtomicU64,
-}
-
-impl Shared {
-    /// Fold one measured updates/sec sample into the admission estimate
-    /// (EWMA, alpha 0.25; the first sample seeds the estimate directly).
-    fn note_update_rate(&self, rate: f64) {
-        if !(rate > 0.0 && rate.is_finite()) {
-            return;
-        }
-        let mut cur = self.measured_rate_bits.load(Ordering::Relaxed);
-        loop {
-            let prev = f64::from_bits(cur);
-            let next = if prev > 0.0 { 0.75 * prev + 0.25 * rate } else { rate };
-            match self.measured_rate_bits.compare_exchange_weak(
-                cur,
-                next.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Measured element updates/sec the admission budget is calibrated
-    /// against (0.0 until the first uncached solve lands).
-    fn measured_rate(&self) -> f64 {
-        f64::from_bits(self.measured_rate_bits.load(Ordering::Relaxed))
-    }
-
-    /// The admission budget in force right now: `target_backlog_secs x
-    /// measured rate` once calibrated, else the static `cost_budget`
-    /// (0 = unlimited either way).
-    fn effective_cost_budget(&self) -> u64 {
-        let rate = self.measured_rate();
-        if self.target_backlog_secs > 0.0 && rate > 0.0 {
-            (self.target_backlog_secs * rate).max(1.0) as u64
-        } else {
-            self.cost_budget
-        }
-    }
 }
 
 /// A point-in-time view of the engine's counters.
@@ -357,11 +290,6 @@ pub struct EngineStats {
     pub queued: usize,
     pub in_flight: usize,
     pub outstanding_cost: u64,
-    /// EWMA of measured element updates/sec (0.0 = not yet calibrated).
-    pub measured_update_rate: f64,
-    /// Admission budget in force right now (calibrated once a rate is
-    /// measured and a backlog target is set, else the static cap).
-    pub effective_cost_budget: u64,
 }
 
 /// The scenario-ensemble serving engine. See the module docs for the
@@ -412,8 +340,6 @@ impl ServeEngine {
             max_receivers: cfg.max_receivers,
             queue_capacity: cfg.queue_capacity,
             cost_budget: cfg.cost_budget,
-            target_backlog_secs: cfg.target_backlog_secs,
-            measured_rate_bits: AtomicU64::new(0),
             q: Mutex::new(QueueState {
                 interactive: VecDeque::new(),
                 batch: VecDeque::new(),
@@ -440,11 +366,6 @@ impl ServeEngine {
         let engine = ServeEngine { shared, workers, reg };
         engine.reg.set("serve/queue_capacity", engine.shared.queue_capacity as u64);
         engine.reg.set("serve/cost_budget", engine.shared.cost_budget);
-        if engine.shared.target_backlog_secs > 0.0 {
-            engine
-                .reg
-                .set("serve/target_backlog_ms", (engine.shared.target_backlog_secs * 1e3) as u64);
-        }
         Ok(engine)
     }
 
@@ -463,7 +384,7 @@ impl ServeEngine {
     /// request is queued on its lane and a [`Ticket`] is returned.
     pub fn submit(&self, request: ScenarioRequest) -> Result<Ticket, ServeError> {
         let queue_capacity = self.shared.queue_capacity;
-        let cost_budget = self.shared.effective_cost_budget();
+        let cost_budget = self.shared.cost_budget;
         let variant = self
             .shared
             .variants
@@ -572,17 +493,13 @@ impl ServeEngine {
             queued: q.queued(),
             in_flight: q.in_flight,
             outstanding_cost: q.outstanding_cost,
-            measured_update_rate: self.shared.measured_rate(),
-            effective_cost_budget: self.shared.effective_cost_budget(),
         }
     }
 
     /// Observed serving throughput in element updates per second from an
-    /// absorbed registry (i.e. after [`ServeEngine::shutdown`]) — the
-    /// offline view of the same signal the live admission budget
-    /// calibrates against when [`EngineConfig::target_backlog_secs`] is
-    /// set; use it to pick a static `cost_budget` for engines that don't
-    /// autoscale. `None` until at least one uncached request was served.
+    /// absorbed registry (i.e. after [`ServeEngine::shutdown`]); use it to
+    /// pick `cost_budget`. `None` until at least one uncached request was
+    /// served.
     pub fn measured_update_rate(reg: &Registry) -> Option<f64> {
         reg.histogram("serve/updates_per_sec").map(|h| h.quantile(0.5))
     }
@@ -710,11 +627,7 @@ fn serve_one(
             reg.add("serve/cache_miss", 1);
             reg.add("serve/element_updates_done", r.element_updates);
             if exec_secs > 0.0 {
-                let rate = r.element_updates as f64 / exec_secs;
-                reg.observe("serve/updates_per_sec", rate);
-                // Feed the live admission estimate: the effective budget
-                // tracks (and tightens with) what this machine delivers.
-                shared.note_update_rate(rate);
+                reg.observe("serve/updates_per_sec", r.element_updates as f64 / exec_secs);
             }
             (false, r)
         }
@@ -759,61 +672,6 @@ mod tests {
         let lo = [0.0, 0.0, 0.0];
         let hi = [8_000.0, 8_000.0, 8_000.0];
         assert!((scaled.min_vs_in_box(lo, hi) - inner.min_vs_in_box(lo, hi) * 1.07).abs() < 1e-9);
-    }
-
-    #[test]
-    fn admission_budget_tightens_when_the_measured_rate_drops() {
-        use crate::request::ScenarioRequest;
-
-        let inner = quake_model::LaBasinModel::scaled(400.0, 8_000.0);
-        let mut meshing = MeshingParams::new(8_000.0, 0.4);
-        meshing.min_level = 2;
-        meshing.max_level = 4;
-        let mut cfg = EngineConfig::new(meshing, ElasticConfig::new(1.0));
-        cfg.workers = 1;
-        cfg.cost_budget = 0; // static policy: unlimited
-        cfg.target_backlog_secs = 1.0;
-        let engine = ServeEngine::start(&inner, cfg).unwrap();
-        let v = &engine.variants()[0];
-        let steps = 10u64.min(v.n_steps);
-        let cost = v.n_elements * steps;
-        let probe =
-            || ScenarioRequest::new(Vec::new(), vec![[2_000.0, 3_000.0, 0.0]]).with_steps(steps);
-
-        // Uncalibrated: the static (unlimited) cap is in force.
-        assert_eq!(engine.stats().effective_cost_budget, 0);
-
-        // Calibrate to a healthy rate: budget = 1s x rate covers the probe.
-        let high = (cost * 4) as f64;
-        engine.shared.note_update_rate(high);
-        let budget_high = engine.stats().effective_cost_budget;
-        assert_eq!(budget_high, cost * 4);
-        let t = engine.submit(probe()).expect("budget covers the probe");
-        t.wait().unwrap();
-
-        // The machine "slows down": repeated low observations pull the EWMA
-        // (and with it the budget) down until the same probe is refused.
-        let low = (cost / 10).max(1) as f64;
-        for _ in 0..64 {
-            engine.shared.note_update_rate(low);
-        }
-        let stats = engine.stats();
-        assert!(stats.measured_update_rate > 0.0);
-        assert!(
-            stats.effective_cost_budget < budget_high,
-            "budget did not tighten: {} vs {}",
-            stats.effective_cost_budget,
-            budget_high
-        );
-        assert!(stats.effective_cost_budget < cost, "probe should now exceed the budget");
-        match engine.submit(probe()) {
-            Err(ServeError::Overloaded { projected, budget, .. }) => {
-                assert_eq!(projected, cost);
-                assert!(budget < cost);
-            }
-            other => panic!("expected Overloaded, got {:?}", other.map(|t| t.key())),
-        }
-        drop(engine);
     }
 
     #[test]

@@ -54,11 +54,6 @@ impl ServeScratch {
             trace_pool: (0..max_receivers).map(|_| Seismogram::new(solver.dt, 3)).collect(),
         }
     }
-
-    /// The executed-step count of the last run (0 before any run).
-    pub fn last_step(&self) -> u64 {
-        self.state.step
-    }
 }
 
 /// The effective step bound of a request under `solver`: the budget clamped

@@ -291,8 +291,7 @@ pub struct SolverData {
     /// Folded inverse LHS diagonal `1 / (Mf + dt/2 Cf)`.
     pub(crate) lhs_inv_p: Vec<f64>,
     pub(crate) faces: Vec<AbcFace>,
-    /// Per-element Rayleigh constants.
-    alpha: Vec<f64>,
+    /// Per-element Rayleigh stiffness constants.
     pub(crate) beta: Vec<f64>,
     /// Full-domain schedule (cached for the serial step's hot path).
     full_scope: StepScope,
@@ -322,6 +321,8 @@ impl SolverData {
         }
         let dt = cfg.dt.unwrap_or(cfg.cfl * h_over_vp / 3.0f64.sqrt());
         assert!(dt > 0.0 && dt.is_finite(), "bad time step {dt}");
+        let duration = cfg.duration;
+        assert!(duration >= 0.0 && duration.is_finite(), "bad duration {duration}");
         let n_steps = (cfg.duration / dt).ceil() as usize;
 
         // Rayleigh constants per element.
@@ -407,7 +408,6 @@ impl SolverData {
             damp_diag_p,
             lhs_inv_p,
             faces,
-            alpha,
             beta,
             full_scope,
         }
@@ -832,11 +832,6 @@ impl<'m> ElasticSolver<'m> {
         }
     }
 
-    /// The fitted per-element Rayleigh constants `(alpha, beta)`.
-    pub fn rayleigh_constants(&self) -> (&[f64], &[f64]) {
-        (&self.alpha, &self.beta)
-    }
-
     /// Total mechanical energy `1/2 v^T M v + 1/2 u^T K u` with
     /// `v = (u_now - u_prev)/dt`, over vectors in the solver's *planar*
     /// layout (`dof = comp * n_nodes + node`) — the layout of
@@ -936,6 +931,19 @@ mod tests {
         let solver = ElasticSolver::new(&mesh, &ElasticConfig::new(1.0));
         let (up, un) = run_to_state(&solver, None, 10);
         assert!(up.iter().chain(&un).all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn non_finite_or_negative_durations_are_refused_at_build() {
+        let mesh = uniform_mesh(1, 8.0, 2.0, 1.0, 1.0);
+        for duration in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let built = std::panic::catch_unwind(|| {
+                SolverData::build(&mesh, &ElasticConfig::new(duration))
+            });
+            let err = built.err().unwrap_or_else(|| panic!("duration {duration} was accepted"));
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("duration"), "duration {duration}: {msg}");
+        }
     }
 
     #[test]

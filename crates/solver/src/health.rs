@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 
 use crate::elastic::ElasticSolver;
 use crate::harness::{HookCtx, StepHook, StopReason};
-use quake_telemetry::Registry;
+use quake_telemetry::{json, Registry};
 
 /// Watchdog configuration. `Default` checks every step, allows a 10x energy
 /// excursion over the running peak, and dumps nowhere.
@@ -217,31 +217,6 @@ impl StepHook for HealthHook<'_, '_> {
     }
 }
 
-/// Minimal JSON string escaping for dump header fields.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_f64_or_null(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v:e}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
 /// Write a health-violation post-mortem: one `health_violation` header line
 /// followed by the last `last_events` flight-recorder events (NDJSON).
 pub fn write_health_dump(
@@ -256,13 +231,13 @@ pub fn write_health_dump(
     line.push_str(",\"step\":");
     line.push_str(&report.step.to_string());
     line.push_str(",\"dt\":");
-    push_f64_or_null(&mut line, report.dt);
+    json::push_f64(&mut line, report.dt);
     line.push_str(",\"reason\":");
-    push_json_str(&mut line, &report.reason);
+    json::push_str(&mut line, &report.reason);
     line.push_str(",\"energy\":");
-    push_f64_or_null(&mut line, report.energy);
+    json::push_f64(&mut line, report.energy);
     line.push_str(",\"peak_energy\":");
-    push_f64_or_null(&mut line, report.peak_energy);
+    json::push_f64(&mut line, report.peak_energy);
     line.push_str(",\"bad_dofs\":[");
     for (i, (a, b)) in report.bad_dofs.iter().enumerate() {
         if i > 0 {
@@ -300,7 +275,7 @@ pub fn dump_post_mortem(
     line.push_str(",\"step\":");
     line.push_str(&step.to_string());
     line.push_str(",\"reason\":");
-    push_json_str(&mut line, reason);
+    json::push_str(&mut line, reason);
     line.push_str("}\n");
 
     let mut file = std::fs::File::create(path)?;

@@ -18,9 +18,9 @@
 //! - **NDJSON events** ([`Registry::event`]) for iteration traces
 //!   (Gauss-Newton convergence histories, etc.),
 //!
-//! serialized to JSON ([`Registry::to_json`]) or NDJSON
-//! ([`Registry::ndjson`]), and reduced across SPMD ranks with min/max/mean
-//! semantics via `quake-parcomm` ([`reduce::try_reduce_across_ranks`]).
+//! serialized to NDJSON ([`Registry::ndjson`], the one artifact format),
+//! and reduced across SPMD ranks with min/max/mean semantics via
+//! `quake-parcomm` ([`reduce::try_reduce_across_ranks`]).
 //!
 //! # Cost discipline
 //!
@@ -534,58 +534,6 @@ impl Registry {
         Snapshot { entries }
     }
 
-    /// One JSON object with every metric, keyed by kind.
-    pub fn to_json(&self) -> String {
-        let g = self.inner.borrow();
-        let mut s = String::from("{");
-        s.push_str("\"rank\":");
-        s.push_str(&self.rank.to_string());
-        s.push_str(",\"spans\":{");
-        for (i, (name, &id)) in g.span_ids.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let sp = &g.spans[id as usize];
-            json::push_str(&mut s, name);
-            s.push_str(":{\"count\":");
-            s.push_str(&sp.count.to_string());
-            s.push_str(",\"secs\":");
-            json::push_f64(&mut s, sp.total_secs());
-            s.push_str(",\"self_secs\":");
-            json::push_f64(&mut s, sp.self_secs());
-            s.push('}');
-        }
-        s.push_str("},\"counters\":{");
-        for (i, (name, &id)) in g.ctr_ids.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            json::push_str(&mut s, name);
-            s.push(':');
-            s.push_str(&g.ctrs[id as usize].to_string());
-        }
-        s.push_str("},\"gauges\":{");
-        for (i, (name, &v)) in g.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            json::push_str(&mut s, name);
-            s.push(':');
-            json::push_f64(&mut s, v);
-        }
-        s.push_str("},\"histograms\":{");
-        for (i, (name, h)) in g.hists.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            json::push_str(&mut s, name);
-            s.push(':');
-            s.push_str(&h.to_json());
-        }
-        s.push_str("}}");
-        s
-    }
-
     /// NDJSON dump: one line per span/counter/gauge/histogram, then every
     /// recorded event line in order.
     pub fn ndjson(&self) -> String {
@@ -795,22 +743,6 @@ mod tests {
         reg.enter(id);
         reg.exit(id);
         assert_eq!(reg.span_stats("s").unwrap().count, 1);
-    }
-
-    #[test]
-    fn to_json_is_structurally_sound() {
-        let reg = Registry::new(2);
-        {
-            let _g = reg.span("a\"b");
-        }
-        reg.add("c", 1);
-        reg.gauge("g", -0.5);
-        reg.observe("h", 10.0);
-        let j = reg.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"a\\\"b\""), "span name must be escaped: {j}");
-        assert!(j.contains("\"counters\":{\"c\":1}"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 
     #[test]

@@ -117,25 +117,6 @@ pub fn try_reduce_across_ranks(
         .collect())
 }
 
-/// Render a reduced metric list as NDJSON lines (one per metric).
-pub fn reduced_ndjson(reduced: &[Reduced], n_ranks: usize) -> String {
-    let mut out = String::new();
-    for r in reduced {
-        out.push_str("{\"type\":\"reduced\",\"ranks\":");
-        out.push_str(&n_ranks.to_string());
-        out.push_str(",\"name\":");
-        crate::json::push_str(&mut out, &r.name);
-        for (k, v) in [("min", r.min), ("max", r.max), ("mean", r.mean)] {
-            out.push_str(",\"");
-            out.push_str(k);
-            out.push_str("\":");
-            crate::json::push_f64(&mut out, v);
-        }
-        out.push_str("}\n");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,14 +200,5 @@ mod tests {
         let (e0, _) = &outcomes[0];
         let (e1, _) = &outcomes[1];
         assert_ne!(e0, e1);
-    }
-
-    #[test]
-    fn reduced_ndjson_emits_one_line_per_metric() {
-        let reduced = vec![Reduced { name: "ctr.x".into(), min: 1.0, max: 3.0, mean: 2.0 }];
-        let nd = reduced_ndjson(&reduced, 4);
-        assert_eq!(nd.lines().count(), 1);
-        assert!(nd.contains("\"ranks\":4"));
-        assert!(nd.contains("\"mean\":2.0"));
     }
 }

@@ -38,7 +38,7 @@ fn main() {
         MaterialRec { vp: m.vp, vs: m.vs, rho: m.rho }
     };
 
-    let pipeline = EtreePipeline::default();
+    let pipeline = EtreePipeline;
     let mut stats = PipelineStats::default();
     pipeline.construct(&mut store, refine, material, &mut stats).unwrap();
     println!("construct: {} octants in {:.2} s", stats.constructed_octants, stats.construct_secs);

@@ -38,7 +38,7 @@ fn in_core_mesher_and_etree_pipeline_agree_and_every_element_is_locatable() {
     };
     let dir = std::env::temp_dir().join(format!("quake-mesh-smoke-{}", std::process::id()));
     let mut store = MemStore::new();
-    let pipeline = EtreePipeline::default();
+    let pipeline = EtreePipeline;
     let mut stats = PipelineStats::default();
     pipeline.construct(&mut store, refine, |_| MaterialRec::default(), &mut stats).unwrap();
     pipeline.balance(&mut store, |_| MaterialRec::default(), &mut stats).unwrap();
