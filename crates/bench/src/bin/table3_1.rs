@@ -74,10 +74,8 @@ fn main() {
         let sp = domain[0] / (g - 1).max(1) as f64;
         // The paper's mesh independence *requires* real regularization: the
         // TV term must add curvature on the fine scales the data cannot
-        // constrain. beta is tunable via QUAKE_TV_BETA for the ablation.
-        let beta =
-            std::env::var("QUAKE_TV_BETA").ok().and_then(|v| v.parse().ok()).unwrap_or(1e-28);
-        let tv = TvReg { dims, spacing: [sp; 3], eps: 0.02 * base / sp, beta };
+        // constrain.
+        let tv = TvReg { dims, spacing: [sp; 3], eps: 0.02 * base / sp, beta: 1e-28 };
         let m0 = vec![base; map.n_param()];
         let cfg = GnConfig {
             max_gn_iters: 40,

@@ -4,15 +4,16 @@
 //! iteration costs a forward solve, an adjoint solve, and one
 //! forward+adjoint pair *per CG iteration*), so losing a multiscale run to a
 //! failure is far costlier than losing one forward simulation. A
-//! [`GnCheckpoint`] captures the full outer-iteration state of
-//! [`invert_material_resumable`](crate::gncg::invert_material_resumable):
-//! the material iterate, the L-BFGS secant pairs harvested from CG, the
-//! convergence statistics, and the two run-scaling scalars (`jd0`, the
-//! initial data misfit that scales the barrier, and `g0_norm`, the reference
-//! gradient norm of the relative stopping test). Restoring all of it makes a
-//! resumed inversion **bit-identical** to an uninterrupted one — recomputing
-//! `jd0` would give the same bits but costs a forward solve; *not* restoring
-//! `g0_norm` would silently change the stopping test.
+//! [`GnCheckpoint`] captures the full state of the Gauss-Newton loop behind
+//! [`invert_material_resumable`](crate::gncg::invert_material_resumable),
+//! which also starts from one: the material iterate, the L-BFGS secant
+//! pairs harvested from CG, the convergence statistics, and the two
+//! run-scaling scalars (`jd0`, the initial data misfit that scales the
+//! barrier, and `g0_norm`, the reference gradient norm of the relative
+//! stopping test). Restoring all of it makes a resumed inversion
+//! **bit-identical** to an uninterrupted one — recomputing `jd0` would give
+//! the same bits but costs a forward solve; *not* restoring `g0_norm` would
+//! silently change the stopping test.
 
 use quake_ckpt::{Checkpointable, CkptError, Decoder, Encoder};
 
@@ -36,6 +37,14 @@ pub struct GnCheckpoint {
     pub g0_norm: Option<f64>,
     /// Initial data misfit `J_d(m_0)` — scales the log barrier.
     pub jd0: f64,
+}
+
+impl GnCheckpoint {
+    /// The state before the first iteration, at `m`.
+    pub(crate) fn start(m: Vec<f64>, jd0: f64) -> GnCheckpoint {
+        let stats = GnStats::default();
+        GnCheckpoint { next_iter: 0, m, lbfgs_pairs: Vec::new(), stats, g0_norm: None, jd0 }
+    }
 }
 
 impl Checkpointable for GnCheckpoint {

@@ -14,22 +14,21 @@
 //! - [`regularization`]: smoothed total variation (with the lagged-
 //!   diffusivity Gauss-Newton Hessian) and Tikhonov smoothing,
 //! - [`misfit`]: trace misfits, residuals and the 5% noise model,
-//! - [`frankel`]: the Frankel two-step stationary iteration (used by the
-//!   reduced-Hessian preconditioner experiments),
-//! - [`gncg`]: the multiscale Gauss-Newton-Krylov driver — matrix-free CG on
-//!   the reduced Hessian (each product = one incremental forward + one
-//!   incremental adjoint solve), Morales-Nocedal L-BFGS preconditioning from
-//!   CG secant pairs, Armijo line search and a log-barrier keeping the
-//!   moduli positive,
+//! - [`gncg`]: the one Gauss-Newton-Krylov outer iteration both inverse
+//!   problems run — matrix-free CG on the reduced Hessian (each product =
+//!   one incremental forward + one incremental adjoint solve),
+//!   Morales-Nocedal L-BFGS preconditioning from CG secant pairs, Armijo
+//!   line search, telemetry and checkpoints — and the material problem
+//!   (TV plus a log-barrier keeping the moduli positive),
 //! - [`multiscale`]: grid-continuation driver (Fig 3.2's 1x1 -> 257x257
 //!   cascade) and frequency continuation via progressive low-pass data,
-//! - [`source`]: Gauss-Newton inversion for the fault's delay-time,
-//!   rise-time and amplitude fields (Fig 3.3).
+//! - [`source`]: the source problem for the same loop — the fault's
+//!   delay-time, rise-time and amplitude fields under Tikhonov smoothing
+//!   (Fig 3.3).
 
 #![forbid(unsafe_code)]
 
 pub mod checkpoint;
-pub mod frankel;
 pub mod gncg;
 pub mod matmap;
 pub mod misfit;

@@ -23,66 +23,15 @@ impl MaterialMap {
     pub fn new(centers: &[[f64; 3]], domain: [f64; 3], dims: [usize; 3]) -> MaterialMap {
         assert!(dims.iter().all(|&d| d >= 1));
         let n_param = dims[0] * dims[1] * dims[2];
-        let idx =
-            |i: usize, j: usize, k: usize| -> u32 { (i + dims[0] * (j + dims[1] * k)) as u32 };
         let entries = centers
             .iter()
             .map(|c| {
-                // Per axis: lower vertex + fractional weight.
-                let mut lo = [0usize; 3];
-                let mut frac = [0.0f64; 3];
-                for a in 0..3 {
-                    if dims[a] == 1 {
-                        lo[a] = 0;
-                        frac[a] = 0.0;
-                    } else {
-                        let t = (c[a] / domain[a]).clamp(0.0, 1.0) * (dims[a] - 1) as f64;
-                        let fl = t.floor().min((dims[a] - 2) as f64);
-                        lo[a] = fl as usize;
-                        frac[a] = t - fl;
-                    }
-                }
                 let mut ent: Vec<(u32, f64)> = Vec::with_capacity(8);
-                for bz in 0..2usize {
-                    if bz == 1 && dims[2] == 1 {
-                        continue;
+                stencil(dims, std::array::from_fn(|a| c[a] / domain[a]), |p, w| {
+                    if w != 0.0 {
+                        ent.push((p as u32, w));
                     }
-                    for by in 0..2usize {
-                        if by == 1 && dims[1] == 1 {
-                            continue;
-                        }
-                        for bx in 0..2usize {
-                            if bx == 1 && dims[0] == 1 {
-                                continue;
-                            }
-                            let wx = if dims[0] == 1 {
-                                1.0
-                            } else if bx == 0 {
-                                1.0 - frac[0]
-                            } else {
-                                frac[0]
-                            };
-                            let wy = if dims[1] == 1 {
-                                1.0
-                            } else if by == 0 {
-                                1.0 - frac[1]
-                            } else {
-                                frac[1]
-                            };
-                            let wz = if dims[2] == 1 {
-                                1.0
-                            } else if bz == 0 {
-                                1.0 - frac[2]
-                            } else {
-                                frac[2]
-                            };
-                            let w = wx * wy * wz;
-                            if w != 0.0 {
-                                ent.push((idx(lo[0] + bx, lo[1] + by, lo[2] + bz), w));
-                            }
-                        }
-                    }
-                }
+                });
                 ent
             })
             .collect();
@@ -116,46 +65,38 @@ impl MaterialMap {
     }
 }
 
+/// Calls `f(vertex, weight)` over the multilinear stencil of a grid with
+/// `dims` vertices per axis at normalized coordinates `t` (clamped to
+/// `[0, 1]`): up to 8 vertices, x fastest. An inactive axis (`dims = 1`)
+/// ignores its coordinate and weighs 1.
+fn stencil(dims: [usize; 3], t: [f64; 3], mut f: impl FnMut(usize, f64)) {
+    // Per axis: lower vertex + fractional weight.
+    let mut lo = [0usize; 3];
+    let mut frac = [0.0f64; 3];
+    for a in 0..3 {
+        if dims[a] > 1 {
+            let x = t[a].clamp(0.0, 1.0) * (dims[a] - 1) as f64;
+            let fl = x.floor().min((dims[a] - 2) as f64);
+            lo[a] = fl as usize;
+            frac[a] = x - fl;
+        }
+    }
+    for bz in 0..dims[2].min(2) {
+        for by in 0..dims[1].min(2) {
+            for bx in 0..dims[0].min(2) {
+                let w = axis_w(dims[0], bx, frac[0])
+                    * axis_w(dims[1], by, frac[1])
+                    * axis_w(dims[2], bz, frac[2]);
+                f(lo[0] + bx + dims[0] * (lo[1] + by + dims[1] * (lo[2] + bz)), w);
+            }
+        }
+    }
+}
+
 /// Multilinear prolongation of a vertex field from `from_dims` to `to_dims`
 /// over the same domain (the multiscale-continuation transfer operator).
 pub fn prolong(m: &[f64], from_dims: [usize; 3], to_dims: [usize; 3]) -> Vec<f64> {
     assert_eq!(m.len(), from_dims.iter().product::<usize>());
-    let sample = |t: [f64; 3]| -> f64 {
-        // Multilinear sample of `m` at normalized coordinates t in [0,1]^3.
-        let mut lo = [0usize; 3];
-        let mut frac = [0.0f64; 3];
-        for a in 0..3 {
-            if from_dims[a] == 1 {
-                continue;
-            }
-            let x = t[a].clamp(0.0, 1.0) * (from_dims[a] - 1) as f64;
-            let fl = x.floor().min((from_dims[a] - 2) as f64);
-            lo[a] = fl as usize;
-            frac[a] = x - fl;
-        }
-        let idx = |i: usize, j: usize, k: usize| m[i + from_dims[0] * (j + from_dims[1] * k)];
-        let mut acc = 0.0;
-        for bz in 0..2usize {
-            if bz == 1 && from_dims[2] == 1 {
-                continue;
-            }
-            for by in 0..2usize {
-                if by == 1 && from_dims[1] == 1 {
-                    continue;
-                }
-                for bx in 0..2usize {
-                    if bx == 1 && from_dims[0] == 1 {
-                        continue;
-                    }
-                    let w = axis_w(from_dims[0], bx, frac[0])
-                        * axis_w(from_dims[1], by, frac[1])
-                        * axis_w(from_dims[2], bz, frac[2]);
-                    acc += w * idx(lo[0] + bx, lo[1] + by, lo[2] + bz);
-                }
-            }
-        }
-        acc
-    };
     let mut out = Vec::with_capacity(to_dims.iter().product());
     for k in 0..to_dims[2] {
         for j in 0..to_dims[1] {
@@ -165,7 +106,9 @@ pub fn prolong(m: &[f64], from_dims: [usize; 3], to_dims: [usize; 3]) -> Vec<f64
                     norm_coord(j, to_dims[1]),
                     norm_coord(k, to_dims[2]),
                 ];
-                out.push(sample(t));
+                let mut acc = 0.0;
+                stencil(from_dims, t, |p, w| acc += w * m[p]);
+                out.push(acc);
             }
         }
     }

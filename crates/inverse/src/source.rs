@@ -7,14 +7,18 @@
 //! every Gauss-Newton Hessian product is one incremental forward (forcing
 //! `df/dtheta . v`) plus one incremental adjoint. Tikhonov terms
 //! (`beta_2 |grad u0|^2 + beta_3 |grad t0|^2 + beta_4 |grad T|^2`) penalize
-//! oscillation along the fault.
+//! oscillation along the fault. The unknowns are one flat vector
+//! `[T; t0; u0]` of `3 * n_segments` values, solved by the same
+//! Gauss-Newton loop as the material problem ([`crate::gncg`]).
 
-use crate::gncg::{pcg, GnConfig, GnStats, Lbfgs};
+use crate::checkpoint::GnCheckpoint;
+use crate::gncg::{gauss_newton, GnConfig, GnProblem, GnStats, Linearization};
 use crate::misfit::{misfit_value, residuals};
 use crate::regularization::TikhonovReg;
 use quake_antiplane::{FaultSource, ShSolver};
 use quake_model::SlipFunction;
 use quake_solver::wave::{adjoint, forward, ScalarWaveEq};
+use quake_telemetry::Registry;
 
 /// Configuration of the source inversion.
 #[derive(Clone, Debug)]
@@ -55,36 +59,19 @@ pub struct SourceInversionResult {
     pub iterates: Vec<(usize, Vec<f64>, Vec<f64>, Vec<f64>)>,
 }
 
-struct Theta {
-    delays: Vec<f64>,
-    rises: Vec<f64>,
-    amps: Vec<f64>,
+/// The `(delays, rises, amplitudes)` thirds of a flat parameter vector.
+fn split(x: &[f64]) -> (&[f64], &[f64], &[f64]) {
+    let ns = x.len() / 3;
+    (&x[..ns], &x[ns..2 * ns], &x[2 * ns..])
 }
 
-impl Theta {
-    fn from_flat(v: &[f64], ns: usize) -> Theta {
-        Theta {
-            delays: v[..ns].to_vec(),
-            rises: v[ns..2 * ns].to_vec(),
-            amps: v[2 * ns..].to_vec(),
-        }
-    }
-
-    fn to_flat(&self) -> Vec<f64> {
-        let mut v = self.delays.clone();
-        v.extend_from_slice(&self.rises);
-        v.extend_from_slice(&self.amps);
-        v
-    }
-}
-
-fn fault_with(template: &FaultSource, th: &Theta) -> FaultSource {
+fn fault_with(template: &FaultSource, x: &[f64]) -> FaultSource {
+    let (delays, rises, amps) = split(x);
     let mut f = template.clone();
-    f.params = th
-        .delays
+    f.params = delays
         .iter()
-        .zip(&th.rises)
-        .zip(&th.amps)
+        .zip(rises)
+        .zip(amps)
         .map(|((&d, &r), &a)| SlipFunction::new(d, r, a))
         .collect();
     f
@@ -112,6 +99,114 @@ fn assemble_source_gradient(eq: &ShSolver, fault: &FaultSource, lambda: &[Vec<f6
     g
 }
 
+/// The source problem: `J(x) = J_d(x) + (R_delay + R_rise + R_amplitude)`
+/// over `x = [T; t0; u0]`, infeasible below the rise and amplitude bounds.
+pub(crate) struct SourceProblem<'a> {
+    eq: &'a ShSolver,
+    template: &'a FaultSource,
+    mu: &'a [f64],
+    data: &'a [Vec<f64>],
+    /// Tikhonov terms for (delay, rise, amplitude).
+    regs: [TikhonovReg; 3],
+    min_rise: f64,
+    min_amplitude: f64,
+}
+
+impl<'a> SourceProblem<'a> {
+    pub(crate) fn new(
+        eq: &'a ShSolver,
+        template: &'a FaultSource,
+        mu: &'a [f64],
+        data: &'a [Vec<f64>],
+        cfg: &SourceInversionConfig,
+    ) -> SourceProblem<'a> {
+        for (name, v) in [
+            ("beta_delay", cfg.beta_delay),
+            ("beta_rise", cfg.beta_rise),
+            ("beta_amplitude", cfg.beta_amplitude),
+        ] {
+            let ok = v.is_finite() && v >= 0.0;
+            assert!(ok, "SourceInversionConfig::{name} must be finite and >= 0, got {v}");
+        }
+        for (name, v) in [("min_rise", cfg.min_rise), ("min_amplitude", cfg.min_amplitude)] {
+            assert!(v.is_finite(), "SourceInversionConfig::{name} must be finite, got {v}");
+        }
+        let ns = template.n_segments();
+        let reg = |beta| TikhonovReg { dims: [ns, 1, 1], spacing: [eq.cfg.h, 1.0, 1.0], beta };
+        SourceProblem {
+            eq,
+            template,
+            mu,
+            data,
+            regs: [reg(cfg.beta_delay), reg(cfg.beta_rise), reg(cfg.beta_amplitude)],
+            min_rise: cfg.min_rise,
+            min_amplitude: cfg.min_amplitude,
+        }
+    }
+
+    /// The Tikhonov sum, `+inf` outside the bounds.
+    fn reg_value(&self, x: &[f64]) -> f64 {
+        let (delays, rises, amps) = split(x);
+        if rises.iter().any(|&r| r < self.min_rise) || amps.iter().any(|&a| a < self.min_amplitude)
+        {
+            return f64::INFINITY;
+        }
+        let [rd, rr, ra] = &self.regs;
+        rd.value(delays) + rr.value(rises) + ra.value(amps)
+    }
+
+    fn traces(&self, fault: &FaultSource) -> Vec<Vec<f64>> {
+        let dt = self.eq.dt();
+        forward(self.eq, self.mu, &mut |k, f| fault.add_force(k as f64 * dt, f), false).traces
+    }
+}
+
+impl GnProblem for SourceProblem<'_> {
+    /// The iterate's fault and its receiver traces.
+    type State = (FaultSource, Vec<Vec<f64>>);
+
+    fn objective(&self, x: &[f64]) -> f64 {
+        let rv = self.reg_value(x);
+        if !rv.is_finite() {
+            return f64::INFINITY;
+        }
+        let traces = self.traces(&fault_with(self.template, x));
+        misfit_value(&traces, self.data, self.eq.dt()) + rv
+    }
+
+    fn forward(&self, x: &[f64]) -> Self::State {
+        let fault = fault_with(self.template, x);
+        let traces = self.traces(&fault);
+        (fault, traces)
+    }
+
+    fn linearize(&self, x: &[f64], (fault, traces): &Self::State) -> Linearization {
+        let jd = misfit_value(traces, self.data, self.eq.dt());
+        let rv = self.reg_value(x);
+        let adj = adjoint(self.eq, self.mu, &residuals(traces, self.data));
+        let mut g = assemble_source_gradient(self.eq, fault, &adj.states);
+        let ns = fault.n_segments();
+        for ((r, xi), gi) in self.regs.iter().zip(x.chunks(ns)).zip(g.chunks_mut(ns)) {
+            r.gradient(xi, gi);
+        }
+        Linearization { misfit: jd, objective: jd + rv, terms: vec![("tikhonov", rv)], gradient: g }
+    }
+
+    fn hess(&self, _x: &[f64], (fault, _): &Self::State, v: &[f64]) -> Vec<f64> {
+        let (dd, dr, da) = split(v);
+        let dt = self.eq.dt();
+        let force = &mut |k, f: &mut [f64]| fault.add_force_direction(dd, dr, da, k as f64 * dt, f);
+        let inc = forward(self.eq, self.mu, force, false);
+        let dadj = adjoint(self.eq, self.mu, &inc.traces);
+        let mut hv = assemble_source_gradient(self.eq, fault, &dadj.states);
+        let ns = fault.n_segments();
+        for ((r, vi), hi) in self.regs.iter().zip(v.chunks(ns)).zip(hv.chunks_mut(ns)) {
+            r.hess_apply(vi, hi);
+        }
+        hv
+    }
+}
+
 /// Invert for the source parameter fields along the fault.
 pub fn invert_source(
     eq: &ShSolver,
@@ -125,146 +220,29 @@ pub fn invert_source(
     assert_eq!(initial.0.len(), ns);
     assert_eq!(initial.1.len(), ns);
     assert_eq!(initial.2.len(), ns);
-    let spacing_h = eq.cfg.h;
-    let reg = |beta: f64| TikhonovReg { dims: [ns, 1, 1], spacing: [spacing_h, 1.0, 1.0], beta };
-    let reg_d = reg(cfg.beta_delay);
-    let reg_r = reg(cfg.beta_rise);
-    let reg_a = reg(cfg.beta_amplitude);
-
-    let reg_value = |th: &Theta| -> f64 {
-        if th.rises.iter().any(|&r| r < cfg.min_rise)
-            || th.amps.iter().any(|&a| a < cfg.min_amplitude)
-        {
-            return f64::INFINITY;
-        }
-        reg_d.value(&th.delays) + reg_r.value(&th.rises) + reg_a.value(&th.amps)
+    let p = SourceProblem::new(eq, template, mu, data, cfg);
+    let x0 = [initial.0, initial.1, initial.2].concat();
+    let snapshot = |it: usize, x: &[f64]| {
+        let (d, r, a) = split(x);
+        (it, d.to_vec(), r.to_vec(), a.to_vec())
     };
-
-    let objective = |th: &Theta| -> f64 {
-        let rv = reg_value(th);
-        if !rv.is_finite() {
-            return f64::INFINITY;
-        }
-        let fault = fault_with(template, th);
-        let run = forward(eq, mu, &mut |k, f| fault.add_force(k as f64 * eq.dt(), f), false);
-        misfit_value(&run.traces, data, eq.dt()) + rv
-    };
-
-    let mut th =
-        Theta { delays: initial.0.to_vec(), rises: initial.1.to_vec(), amps: initial.2.to_vec() };
-    let mut stats = GnStats::default();
-    let mut iterates = vec![(0usize, th.delays.clone(), th.rises.clone(), th.amps.clone())];
-    let mut precond = Lbfgs::new(cfg.gn.lbfgs_memory);
-    let mut g0_norm: Option<f64> = None;
-
-    for it in 0..cfg.gn.max_gn_iters {
-        let fault = fault_with(template, &th);
-        let run = forward(eq, mu, &mut |k, f| fault.add_force(k as f64 * eq.dt(), f), false);
-        let jd = misfit_value(&run.traces, data, eq.dt());
-        let jtot = jd + reg_value(&th);
-        let res = residuals(&run.traces, data);
-        let adj = adjoint(eq, mu, &res);
-        let mut g = assemble_source_gradient(eq, &fault, &adj.states);
-        reg_d.gradient(&th.delays, &mut g[..ns]);
-        reg_r.gradient(&th.rises, &mut g[ns..2 * ns]);
-        reg_a.gradient(&th.amps, &mut g[2 * ns..]);
-        let g_norm = g.iter().map(|v| v * v).sum::<f64>().sqrt();
-
-        stats.objective_history.push(jtot);
-        stats.misfit_history.push(jd);
-        stats.grad_norms.push(g_norm);
-        let g0 = *g0_norm.get_or_insert(g_norm);
-        if g_norm <= cfg.gn.grad_tol * g0.max(1e-300) || jd <= cfg.gn.misfit_tol {
-            stats.converged = true;
-            break;
-        }
-        stats.gn_iters += 1;
-
-        // GN Hessian-vector product.
-        let mut hess = |v: &[f64]| -> Vec<f64> {
-            let vt = Theta::from_flat(v, ns);
-            let inc = forward(
-                eq,
-                mu,
-                &mut |k, f| {
-                    fault.add_force_direction(
-                        &vt.delays,
-                        &vt.rises,
-                        &vt.amps,
-                        k as f64 * eq.dt(),
-                        f,
-                    )
-                },
-                false,
-            );
-            let dadj = adjoint(eq, mu, &inc.traces);
-            let mut hv = assemble_source_gradient(eq, &fault, &dadj.states);
-            reg_d.hess_apply(&vt.delays, &mut hv[..ns]);
-            reg_r.hess_apply(&vt.rises, &mut hv[ns..2 * ns]);
-            reg_a.hess_apply(&vt.amps, &mut hv[2 * ns..]);
-            hv
-        };
-        let minus_g: Vec<f64> = g.iter().map(|v| -v).collect();
-        let mut precond_next = Lbfgs::new(cfg.gn.lbfgs_memory);
-        let (mut dth, cg_iters) = pcg(
-            &mut hess,
-            &minus_g,
-            cfg.gn.cg_tol,
-            cfg.gn.max_cg_iters,
-            &precond,
-            &mut precond_next,
-        );
-        if !precond_next.is_empty() {
-            precond = precond_next;
-        }
-        stats.cg_iters_per_gn.push(cg_iters);
-        stats.cg_iters_total += cg_iters;
-
-        let slope: f64 = g.iter().zip(&dth).map(|(a, b)| a * b).sum();
-        if slope >= 0.0 {
-            dth = minus_g.clone();
-        }
-        let slope: f64 = g.iter().zip(&dth).map(|(a, b)| a * b).sum();
-
-        let flat = th.to_flat();
-        let mut accepted = false;
-        'directions: for dir in [&dth, &minus_g] {
-            let slope: f64 = g.iter().zip(dir.iter()).map(|(a, b)| a * b).sum();
-            if slope >= 0.0 {
-                continue;
-            }
-            let mut alpha = 1.0;
-            for _ in 0..cfg.gn.max_linesearch {
-                let trial: Vec<f64> =
-                    flat.iter().zip(dir.iter()).map(|(a, b)| a + alpha * b).collect();
-                let trial_th = Theta::from_flat(&trial, ns);
-                if objective(&trial_th) <= jtot + cfg.gn.armijo_c1 * alpha * slope {
-                    th = trial_th;
-                    accepted = true;
-                    break 'directions;
-                }
-                alpha *= 0.5;
-            }
-        }
-        let _ = slope;
-        iterates.push((it + 1, th.delays.clone(), th.rises.clone(), th.amps.clone()));
-        if !accepted {
-            break;
-        }
-    }
-
-    SourceInversionResult {
-        delays: th.delays,
-        rises: th.rises,
-        amplitudes: th.amps,
-        stats,
-        iterates,
-    }
+    let mut iterates = vec![snapshot(0, &x0)];
+    // The source problem has no barrier to scale (`jd0`) and no checkpoints.
+    let start = GnCheckpoint::start(x0, 0.0);
+    let reg = Registry::disabled();
+    let on_step = &mut |it: usize, x: &[f64]| iterates.push(snapshot(it, x));
+    let (x, stats) = gauss_newton(&p, &cfg.gn, start, &reg, None, on_step)
+        .expect("without a checkpoint writer the loop cannot fail");
+    let (_, delays, rises, amplitudes) = snapshot(0, &x);
+    SourceInversionResult { delays, rises, amplitudes, stats, iterates }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gncg::tests::{
+        assert_hessian_symmetric_psd, assert_v_curve, hessian_fd_errors, lcg,
+    };
     use quake_antiplane::ShConfig;
 
     fn setup() -> (ShSolver, Vec<f64>, FaultSource) {
@@ -295,24 +273,21 @@ mod tests {
         let data =
             forward(&s, &mu, &mut |k, f| template.add_force(k as f64 * s.dt(), f), false).traces;
         // Evaluate the gradient at a perturbed point.
-        let th = Theta {
-            delays: template.params.iter().map(|p| p.delay + 0.13).collect(),
-            rises: template.params.iter().map(|p| p.rise + 0.07).collect(),
-            amps: template.params.iter().map(|p| p.amplitude * 1.1).collect(),
-        };
-        let fault = fault_with(&template, &th);
+        let flat: Vec<f64> = (template.params.iter().map(|p| p.delay + 0.13))
+            .chain(template.params.iter().map(|p| p.rise + 0.07))
+            .chain(template.params.iter().map(|p| p.amplitude * 1.1))
+            .collect();
+        let fault = fault_with(&template, &flat);
         let run = forward(&s, &mu, &mut |k, f| fault.add_force(k as f64 * s.dt(), f), false);
         let res = residuals(&run.traces, &data);
         let adj = adjoint(&s, &mu, &res);
         let g = assemble_source_gradient(&s, &fault, &adj.states);
 
         let misfit_of = |flat: &[f64]| -> f64 {
-            let t = Theta::from_flat(flat, ns);
-            let fault = fault_with(&template, &t);
+            let fault = fault_with(&template, flat);
             let run = forward(&s, &mu, &mut |k, f| fault.add_force(k as f64 * s.dt(), f), false);
             misfit_value(&run.traces, &data, s.dt())
         };
-        let flat = th.to_flat();
         for &i in &[0usize, ns / 2, ns, ns + 2, 2 * ns, 3 * ns - 1] {
             let eps = 1e-5;
             let mut p = flat.clone();
@@ -369,5 +344,49 @@ mod tests {
         // Iterate history is recorded for the Fig 3.3 reproduction.
         assert!(out.iterates.len() >= 3);
         assert_eq!(out.iterates[0].0, 0);
+    }
+
+    /// The template's parameters as one flat `[T; t0; u0]` vector.
+    fn flat(fault: &FaultSource) -> Vec<f64> {
+        let p = &fault.params;
+        let (d, r, a) =
+            (p.iter().map(|p| p.delay), p.iter().map(|p| p.rise), p.iter().map(|p| p.amplitude));
+        d.chain(r).chain(a).collect()
+    }
+
+    #[test]
+    fn source_gn_hessian_is_symmetric_psd() {
+        let (s, mu, template) = setup();
+        let data =
+            forward(&s, &mu, &mut |k, f| template.add_force(k as f64 * s.dt(), f), false).traces;
+        let p = SourceProblem::new(&s, &template, &mu, &data, &SourceInversionConfig::default());
+        let x: Vec<f64> = flat(&template)
+            .iter()
+            .zip(lcg(3, 3 * template.n_segments()))
+            .map(|(x, r)| x + 0.2 * r)
+            .collect();
+        let n = x.len();
+        let ab = lcg(77, 2 * n);
+        assert_hessian_symmetric_psd(&p, &x, &ab[..n], &ab[n..]);
+    }
+
+    #[test]
+    fn source_gn_hessian_matches_finite_differences_of_the_gradient() {
+        // At the target with zero Tikhonov weights the residual vanishes:
+        // the Gauss-Newton Hessian is the exact Hessian of the objective.
+        let (s, mu, template) = setup();
+        let data =
+            forward(&s, &mu, &mut |k, f| template.add_force(k as f64 * s.dt(), f), false).traces;
+        let cfg = SourceInversionConfig {
+            beta_delay: 0.0,
+            beta_rise: 0.0,
+            beta_amplitude: 0.0,
+            ..SourceInversionConfig::default()
+        };
+        let p = SourceProblem::new(&s, &template, &mu, &data, &cfg);
+        let x = flat(&template);
+        let errs = hessian_fd_errors(&p, &x, &lcg(9, x.len()));
+        // Best error measured at commit 5a2c39d: 9.796e-9 at eps = 1e-7 |x|/|v|.
+        assert_v_curve(&errs, 9.796e-9);
     }
 }

@@ -1,12 +1,16 @@
 //! The Gauss-Newton inversions pinned bit for bit: FNV-1a over the
 //! `f64::to_bits` of the recovered fields and the convergence record,
 //! computed at commit 5a2c39d (where the material and the source problem
-//! each ran their own copy of the outer iteration), for the material
+//! each ran their own copy of the outer iteration, and `MaterialMap` and
+//! `prolong` their own copies of the multilinear stencil), for the material
 //! problems of `gncg.rs`'s `recovers_representable_target` and
 //! `traced_inversion_emits_one_event_per_gn_iteration` and the source
-//! problem of `source.rs`'s `recovers_target_source`.
+//! problem of `source.rs`'s `recovers_target_source`; and the material
+//! inversion's multilinear operators (`MaterialMap` and `prolong`) on 3-D
+//! grids with clamped, interior and inactive axes.
 
 use quake_antiplane::{FaultSource, ShConfig, ShSolver};
+use quake_inverse::matmap::prolong;
 use quake_inverse::{
     invert_material, invert_source, GnConfig, GnStats, MaterialMap, SourceInversionConfig, TvReg,
 };
@@ -158,5 +162,34 @@ fn source_inversion_matches_the_pinned_bits() {
         got,
         [0x9419_a7a3_98dd_0101, 0x5b28_9701_5383_900c, 0x089a_79fe_c526_b32e],
         "source inversion bits changed: {got:#018x?}"
+    );
+}
+
+#[test]
+fn material_map_and_prolongation_match_the_pinned_bits() {
+    let mut st = 3u64;
+    let mut rnd = || {
+        st = st.wrapping_mul(6364136223846793005).wrapping_add(1);
+        (st >> 11) as f64 / (1u64 << 53) as f64
+    };
+    // Centers overshoot the domain on both sides so clamping is exercised.
+    let centers: Vec<[f64; 3]> =
+        (0..200).map(|_| [rnd() * 1200.0 - 100.0, rnd() * 800.0, rnd() * 500.0]).collect();
+    let mut got = Vec::new();
+    for dims in [[5, 4, 3], [7, 1, 2], [1, 1, 1]] {
+        let map = MaterialMap::new(&centers, [1000.0, 800.0, 500.0], dims);
+        let m: Vec<f64> = (0..map.n_param()).map(|_| rnd()).collect();
+        let g: Vec<f64> = (0..map.n_elements()).map(|_| rnd()).collect();
+        let fine = [dims[0] * 2 - 1, dims[1] + 2, dims[2] * 3];
+        let mut h = Fnv::new();
+        h.f64s(&map.interpolate(&m));
+        h.f64s(&map.transpose_apply(&g));
+        h.f64s(&prolong(&m, dims, fine));
+        got.push(h.0);
+    }
+    assert_eq!(
+        got,
+        [0xcf85_5251_0713_bdba, 0xe8ff_3a83_7f62_4040, 0xc356_0b10_3839_ca62],
+        "multilinear operator bits changed: {got:#018x?}"
     );
 }
