@@ -162,8 +162,6 @@ fn sum4(a: [f64; 4]) -> f64 {
     (a[0] + a[1]) + (a[2] + a[3])
 }
 
-// lint:hot-path — the innermost element matvecs; pure fixed-size array
-// arithmetic, executed once (or twice) per element per step.
 /// `y += scale * (lambda*K_L + mu*K_M) x` for 24-vectors — the element matvec
 /// at the heart of the wave solver.
 ///
@@ -196,7 +194,6 @@ pub fn elastic_matvec(
         y[r] += scale * (lambda * sum4(al) + mu * sum4(am));
     }
 }
-// lint:hot-path-end
 
 #[cfg(test)]
 mod tests {

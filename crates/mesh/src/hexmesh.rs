@@ -204,9 +204,9 @@ impl HexMesh {
         self.constraints.len()
     }
 
-    // lint:hot-path — hanging-node fold/interpolate run on every vector in
-    // every step (and inside CG); they may not allocate or branch on
-    // anything nondeterministic.
+    // Hanging-node fold/interpolate run on every vector in every step; the
+    // root tests `alloc_free` and `bit_pins` check that they allocate nothing
+    // and stay bit-deterministic.
     /// Fold hanging entries of a force-like vector into their masters
     /// (`f <- B^T f`); hanging entries are zeroed. `ncomp` components per
     /// node, node-major (`dof = ncomp*node + comp`).
@@ -315,7 +315,6 @@ impl HexMesh {
             }
         }
     }
-    // lint:hot-path-end
 
     /// Node id nearest to a physical point (for receiver placement).
     pub fn nearest_node(&self, p: [f64; 3]) -> u32 {

@@ -2,7 +2,7 @@
 //! steady-state serving path.
 //!
 //! [`run_scenario`] is the serve crate's single public entry point into the
-//! solver (allowlisted in `quake-lint`'s harness rule). It is a thin
+//! solver (allowlisted in the root `tests/variant_guard.rs`). It is a thin
 //! re-staging of the `ForwardRun` pipeline with the expensive, scenario-
 //! *independent* stages hoisted out: the mesh and [`ElasticSolver`] are
 //! built once per engine variant, and all per-run state — displacement
@@ -81,8 +81,8 @@ pub fn run_scenario(
     // proportional to the (small) source count, not the mesh.
     let assembled = assemble_point_sources(solver.mesh, tree, sources);
 
-    // lint:hot-path — the steady-state serving path: reset worker state and
-    // drive the harness with zero heap allocation once buffers are warm.
+    // Reset worker state and drive the harness: once buffers are warm this
+    // allocates nothing per step (the root `alloc_free` tests count it).
     scratch.receiver_nodes.clear();
     for &p in receivers {
         scratch.receiver_nodes.push(solver.mesh.nearest_node(p));
@@ -128,7 +128,6 @@ pub fn run_scenario(
         &mut [&mut receivers_hook, &mut telemetry],
         &mut scratch.run,
     );
-    // lint:hot-path-end
     let executed = match outcome {
         RunOutcome::Finished { executed } => executed,
         RunOutcome::Stopped { reason, .. } => {

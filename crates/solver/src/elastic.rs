@@ -606,12 +606,10 @@ impl<'m> ElasticSolver<'m> {
         // and pre-interned span ids shared.
         let StepWorkspace { w, reg, ids } = ws;
 
-        // lint:hot-path — the explicit step and its element kernels. The
-        // steady state must stay allocation-free (PR 1's guarantee; scratch
-        // lives in StepWorkspace/RunScratch, span ids are pre-interned in
-        // the workspace; the root tests/alloc_free.rs counts it) and
-        // bit-deterministic across ranks (quake-lint's float-determinism,
-        // until the matching end marker below).
+        // The explicit step allocates nothing (scratch lives in
+        // StepWorkspace/RunScratch, span ids are pre-interned; the root
+        // tests/alloc_free.rs counts it) and is bit-deterministic (the root
+        // tests/bit_pins.rs pins its output).
         reg.enter(ids.step);
 
         // Fused initial fill: one pass computes the damping increment
@@ -762,7 +760,6 @@ impl<'m> ElasticSolver<'m> {
         reg.exit(ids.step);
         Ok(())
     }
-    // lint:hot-path-end
 
     /// Run the full simulation with the given sources and receiver nodes.
     /// `u0`/`v0` optionally set an initial state (e.g. a plane-wave pulse).

@@ -174,9 +174,8 @@ impl SweepSchedule {
         self.templates.len()
     }
 
-    // lint:hot-path — the blocked element kernel: per-class template
-    // batches, fixed-size stack scratch only. Runs once per element per
-    // step.
+    // The blocked element kernel runs once per element per step on
+    // fixed-size stack scratch (the root `alloc_free` tests count it).
     /// Process every scheduled element, class by class. `u_now`/`w`/`rhs`
     /// are planar (`dof = comp * n_nodes + node`).
     pub fn sweep(&self, u_now: &[f64], w: &[f64], rhs: &mut [f64]) {
@@ -237,7 +236,6 @@ impl SweepSchedule {
             }
         }
     }
-    // lint:hot-path-end
 }
 
 #[cfg(test)]

@@ -65,9 +65,8 @@ impl TraceRing {
         TraceRing { events: Vec::with_capacity(cap), head: 0, dropped: 0, cap }
     }
 
-    // lint:hot-path — the flight-recorder record path runs once per span
-    // exit in the instrumented time loop; it must stay allocation-free
-    // (push below fills preallocated capacity, then overwrites in place).
+    // The record path runs once per span exit in the instrumented time loop
+    // and allocates nothing (the root `alloc_free` tests step with a trace).
     /// Record one event, overwriting the oldest once the ring is full.
     pub(crate) fn push(&mut self, ev: RawEvent) {
         if self.events.len() < self.cap {
@@ -85,11 +84,9 @@ impl TraceRing {
     /// Nanoseconds from `epoch` to `t` (saturating at zero). Wall-clock by
     /// construction: trace timestamps are observability metadata and never
     /// feed back into the numerics.
-    // lint:wall-clock-ok(timestamps are telemetry output, never kernel input)
     pub(crate) fn offset_ns(epoch: Instant, t: Instant) -> u64 {
         t.saturating_duration_since(epoch).as_nanos() as u64
     }
-    // lint:hot-path-end
 
     pub(crate) fn clear(&mut self) {
         self.events.clear();

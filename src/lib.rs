@@ -22,7 +22,6 @@
 //! | [`antiplane`] | `quake-antiplane` | 2-D SH forward/adjoint solvers |
 //! | [`inverse`] | `quake-inverse` | Gauss-Newton-CG inversion framework |
 //! | [`ckpt`] | `quake-ckpt` | checksummed checkpoint/restart snapshots |
-//! | [`lint`] | `quake-lint` | std-only static analysis of the workspace |
 //! | [`core`] | `quake-core` | end-to-end simulation/inversion drivers |
 //! | [`serve`] | `quake-serve` | scenario-ensemble job engine + result cache |
 //!
@@ -39,7 +38,6 @@ pub use quake_core as core;
 pub use quake_etree as etree;
 pub use quake_fem as fem;
 pub use quake_inverse as inverse;
-pub use quake_lint as lint;
 pub use quake_machine as machine;
 pub use quake_mesh as mesh;
 pub use quake_model as model;
