@@ -37,10 +37,29 @@ impl MeshingParams {
 }
 
 /// Build the wavelength-adaptive octree and mesh for a material model.
+///
+/// Panics, naming the field, unless the lengths and frequency in `params`
+/// are finite and positive and `min_level <= max_level`.
 pub fn mesh_from_model(
     params: &MeshingParams,
     model: &impl MaterialModel,
 ) -> (LinearOctree, HexMesh) {
+    for (field, v) in [
+        ("domain_size", params.domain_size),
+        ("fmax", params.fmax),
+        ("points_per_wavelength", params.points_per_wavelength),
+    ] {
+        assert!(
+            v.is_finite() && v > 0.0,
+            "MeshingParams::{field} must be finite and positive: {v}"
+        );
+    }
+    assert!(
+        params.min_level <= params.max_level,
+        "MeshingParams::min_level {} exceeds max_level {}",
+        params.min_level,
+        params.max_level
+    );
     let adapt = AdaptParams {
         domain_size: params.domain_size,
         fmax: params.fmax,
@@ -85,6 +104,63 @@ mod tests {
         let e = &mesh.elements[0];
         assert!((e.material.vs() - 2000.0).abs() < 1e-9);
         assert!((e.material.vp() - 4000.0).abs() < 1e-9);
+    }
+
+    /// Every non-finite, zero, negative or inverted input panics, and the
+    /// message names the field.
+    #[test]
+    fn unphysical_model_and_meshing_inputs_panic_and_name_the_field() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let material = |vp, vs, rho| {
+            Box::new(move || {
+                let _ = Material::new(vp, vs, rho);
+            }) as Box<dyn Fn()>
+        };
+        let ok = MeshingParams {
+            domain_size: 5_000.0,
+            fmax: 0.5,
+            points_per_wavelength: 10.0,
+            min_level: 1,
+            max_level: 3,
+        };
+        let mesh = |edit: fn(&mut MeshingParams)| {
+            let mut p = ok;
+            edit(&mut p);
+            let model = HomogeneousModel(Material::new(4000.0, 2000.0, 2500.0));
+            Box::new(move || drop(mesh_from_model(&p, &model))) as Box<dyn Fn()>
+        };
+        let cases: Vec<(&str, Box<dyn Fn()>)> = vec![
+            ("Material::vp", material(inf, 600.0, 1900.0)),
+            ("Material::vp", material(-inf, 600.0, 1900.0)),
+            ("Material::vp", material(nan, 600.0, 1900.0)),
+            ("Material::vs", material(1500.0, nan, 1900.0)),
+            ("Material::vs", material(1500.0, inf, 1900.0)),
+            ("Material::vs", material(1500.0, 0.0, 1900.0)),
+            ("Material::rho", material(1500.0, 600.0, inf)),
+            ("Material::rho", material(1500.0, 600.0, nan)),
+            ("Material::rho", material(1500.0, 600.0, 0.0)),
+            ("Material::rho", material(1500.0, 600.0, -1900.0)),
+            ("MeshingParams::domain_size", mesh(|p| p.domain_size = f64::NAN)),
+            ("MeshingParams::domain_size", mesh(|p| p.domain_size = -2000.0)),
+            ("MeshingParams::domain_size", mesh(|p| p.domain_size = 0.0)),
+            ("MeshingParams::domain_size", mesh(|p| p.domain_size = f64::INFINITY)),
+            ("MeshingParams::fmax", mesh(|p| p.fmax = f64::NAN)),
+            ("MeshingParams::fmax", mesh(|p| p.fmax = 0.0)),
+            ("MeshingParams::fmax", mesh(|p| p.fmax = -1.0)),
+            ("MeshingParams::fmax", mesh(|p| p.fmax = f64::INFINITY)),
+            ("MeshingParams::points_per_wavelength", mesh(|p| p.points_per_wavelength = f64::NAN)),
+            ("MeshingParams::points_per_wavelength", mesh(|p| p.points_per_wavelength = 0.0)),
+            ("MeshingParams::points_per_wavelength", mesh(|p| p.points_per_wavelength = -10.0)),
+            ("MeshingParams::min_level", mesh(|p| (p.min_level, p.max_level) = (4, 2))),
+        ];
+        for (field, case) in cases {
+            let err = catch_unwind(AssertUnwindSafe(case)).expect_err(field);
+            let msg = err.downcast_ref::<String>().map_or("", |s| s.as_str());
+            assert!(msg.starts_with(field), "expected a panic naming {field}, got {msg:?}");
+        }
+        // The valid parameters mesh.
+        mesh(|_| ())();
     }
 
     #[test]

@@ -18,13 +18,17 @@ impl Material {
         m
     }
 
-    /// Panics if the material is unphysical.
+    /// Panics, naming the field, if the material is unphysical.
     pub fn validate(&self) {
-        assert!(self.rho > 0.0, "density must be positive: {self:?}");
-        assert!(self.vs > 0.0, "shear velocity must be positive: {self:?}");
+        for (field, v) in [("vp", self.vp), ("vs", self.vs), ("rho", self.rho)] {
+            assert!(
+                v.is_finite() && v > 0.0,
+                "Material::{field} must be finite and positive: {self:?}"
+            );
+        }
         assert!(
             self.vp > self.vs * (4.0f64 / 3.0).sqrt(),
-            "vp must exceed sqrt(4/3) vs (positive bulk modulus): {self:?}"
+            "Material::vp must exceed sqrt(4/3) vs (positive bulk modulus): {self:?}"
         );
     }
 

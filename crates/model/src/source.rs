@@ -20,11 +20,31 @@ pub struct SlipFunction {
 }
 
 impl SlipFunction {
+    /// Panics, naming the field, unless `delay` and `amplitude` are finite
+    /// and `rise` is finite and positive.
     pub fn new(delay: f64, rise: f64, amplitude: f64) -> SlipFunction {
-        assert!(rise > 0.0, "rise time must be positive");
-        // Negative delays are allowed: they just shift the origin time
-        // (the source inversion must be free to move arrivals both ways).
-        SlipFunction { delay, rise, amplitude }
+        let s = SlipFunction { delay, rise, amplitude };
+        if let Err(why) = s.check() {
+            panic!("{why}");
+        }
+        s
+    }
+
+    /// A zero or negative rise time turns the ramp into a step, and a
+    /// non-finite delay makes `g` constant in time. Negative delays are
+    /// allowed: they just shift the origin time (the source inversion must
+    /// be free to move arrivals both ways).
+    fn check(&self) -> Result<(), String> {
+        if !self.delay.is_finite() {
+            return Err(format!("SlipFunction::delay must be finite: {}", self.delay));
+        }
+        if !(self.rise.is_finite() && self.rise > 0.0) {
+            return Err(format!("SlipFunction::rise must be finite and positive: {}", self.rise));
+        }
+        if !self.amplitude.is_finite() {
+            return Err(format!("SlipFunction::amplitude must be finite: {}", self.amplitude));
+        }
+        Ok(())
     }
 
     /// Normalized ramp r(tau) in [0,1] (integral of the unit triangle).
@@ -124,6 +144,17 @@ pub struct PointSource {
 }
 
 impl PointSource {
+    /// `Err` names the first moment entry or slip field that would make the
+    /// injected force non-finite or its ramp a step.
+    pub fn check(&self) -> Result<(), String> {
+        for (i, row) in self.moment.iter().enumerate() {
+            if let Some(j) = row.iter().position(|m| !m.is_finite()) {
+                return Err(format!("PointSource::moment[{i}][{j}] must be finite: {}", row[j]));
+            }
+        }
+        self.slip.check()
+    }
+
     /// Moment tensor at time `t` (ramps from zero to `moment`).
     pub fn moment_at(&self, t: f64) -> [[f64; 3]; 3] {
         let s = self.slip.dg_d_amplitude(t); // normalized ramp in [0,1]

@@ -174,7 +174,8 @@ pub enum ServeError {
     /// layout.
     MismatchedEnsemble,
     /// The request cannot be served: a non-finite receiver coordinate, a
-    /// non-finite moment or slip field, or a source outside the domain.
+    /// non-finite moment or slip field, a rise time that is not positive,
+    /// or a source outside the domain.
     InvalidRequest(String),
 }
 
@@ -533,17 +534,18 @@ impl Drop for ServeEngine {
 /// Refuse a request `variant` cannot serve. Checked at submit so that no bad
 /// input reaches a worker: a non-finite receiver would snap to an arbitrary
 /// node, a non-finite moment or slip field would fill the wavefield with
-/// NaN, and a source `locate` cannot place would panic the worker that
-/// assembles it.
+/// NaN, a rise time that is not positive would turn the slip ramp into a
+/// step (and cache it), and a source `locate` cannot place would panic the
+/// worker that assembles it. Sources get the same
+/// [`quake_model::PointSource::check`] that source assembly panics on.
 fn validate(request: &ScenarioRequest, variant: &Variant) -> Result<(), ServeError> {
     let invalid = |why: String| Err(ServeError::InvalidRequest(why));
     if let Some(i) = request.receivers.iter().position(|p| p.iter().any(|c| !c.is_finite())) {
         return invalid(format!("receiver {i} has a non-finite coordinate"));
     }
     for (i, s) in request.sources.iter().enumerate() {
-        let slip = [s.slip.delay, s.slip.rise, s.slip.amplitude];
-        if s.moment.iter().flatten().chain(&slip).any(|x| !x.is_finite()) {
-            return invalid(format!("source {i} has a non-finite moment or slip field"));
+        if let Err(why) = s.check() {
+            return invalid(format!("source {i}: {why}"));
         }
         if variant.mesh.locate(&variant.tree, s.position).is_none() {
             return invalid(format!("source {i} at {:?} lies outside the domain", s.position));
@@ -709,6 +711,10 @@ mod tests {
             with(&|s| s.slip.delay = f64::NAN),
             with(&|s| s.slip.rise = f64::INFINITY),
             with(&|s| s.slip.amplitude = f64::NAN),
+            // Struct literals skip `SlipFunction::new`: a rise of zero or
+            // less would serve (and cache) a step instead of the ramp.
+            with(&|s| s.slip.rise = 0.0),
+            with(&|s| s.slip.rise = -1.0),
         ];
         for request in bad {
             match engine.submit(request) {

@@ -56,7 +56,8 @@ impl AssembledSource {
 
 /// Assemble point moment sources onto the mesh.
 ///
-/// Panics if a source lies outside the domain.
+/// Panics if a source lies outside the domain, or if its moment or slip
+/// fails [`PointSource::check`] (the message names the field).
 pub fn assemble_point_sources(
     mesh: &HexMesh,
     tree: &LinearOctree,
@@ -64,7 +65,11 @@ pub fn assemble_point_sources(
 ) -> Vec<AssembledSource> {
     sources
         .iter()
-        .map(|s| {
+        .enumerate()
+        .map(|(i, s)| {
+            if let Err(why) = s.check() {
+                panic!("source {i}: {why}");
+            }
             let (ei, xi) = mesh
                 .locate(tree, s.position)
                 .unwrap_or_else(|| panic!("source at {:?} outside the domain", s.position));
@@ -119,6 +124,54 @@ mod tests {
             rho: 1.0,
         });
         (t, m)
+    }
+
+    /// Source inputs that would make the force non-finite, or its ramp a
+    /// step or constant in time, panic and name the field.
+    #[test]
+    fn non_finite_source_inputs_panic_and_name_the_field() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (t, m) = setup();
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let slip = |d, r, a| {
+            Box::new(move || {
+                let _ = SlipFunction::new(d, r, a);
+            }) as Box<dyn Fn()>
+        };
+        let good = PointSource {
+            position: [4.3, 3.9, 4.1],
+            moment: DoubleCouple::moment_tensor(0.5, 0.9, 0.3, 2.0),
+            slip: SlipFunction::new(0.0, 1.0, 1.0),
+        };
+        let assemble = |edit: fn(&mut PointSource)| {
+            let mut s = good;
+            edit(&mut s);
+            let (t, m) = (&t, &m);
+            Box::new(move || drop(assemble_point_sources(m, t, &[good, s]))) as Box<dyn Fn()>
+        };
+        let cases: Vec<(&str, Box<dyn Fn()>)> = vec![
+            ("SlipFunction::delay", slip(nan, 0.8, 1.0)),
+            ("SlipFunction::delay", slip(inf, 0.8, 1.0)),
+            ("SlipFunction::delay", slip(-inf, 0.8, 1.0)),
+            ("SlipFunction::rise", slip(0.0, inf, 1.0)),
+            ("SlipFunction::rise", slip(0.0, nan, 1.0)),
+            ("SlipFunction::rise", slip(0.0, 0.0, 1.0)),
+            ("SlipFunction::rise", slip(0.0, -1.0, 1.0)),
+            ("SlipFunction::amplitude", slip(0.0, 0.8, nan)),
+            ("SlipFunction::amplitude", slip(0.0, 0.8, -inf)),
+            ("source 1: PointSource::moment[1][2]", assemble(|s| s.moment[1][2] = f64::NAN)),
+            ("source 1: PointSource::moment[0][0]", assemble(|s| s.moment[0][0] = f64::INFINITY)),
+            ("source 1: SlipFunction::rise", assemble(|s| s.slip.rise = 0.0)),
+            ("source 1: SlipFunction::delay", assemble(|s| s.slip.delay = f64::NAN)),
+        ];
+        for (field, case) in cases {
+            let err = catch_unwind(AssertUnwindSafe(case)).expect_err(field);
+            let msg = err.downcast_ref::<String>().map_or("", |s| s.as_str());
+            assert!(msg.starts_with(field), "expected a panic naming {field}, got {msg:?}");
+        }
+        // A negative delay only shifts the origin time.
+        slip(-1.0, 0.8, 1.0)();
+        assemble(|_| ())();
     }
 
     #[test]
