@@ -44,8 +44,9 @@ fn fingerprint(state: &SolverState) -> u64 {
     h
 }
 
-/// A domain of edge 8 on the octree `tree`, with a material that varies in
-/// depth and across x, so the sweep runs several material classes.
+/// The balanced octree `refine` builds, meshed over a domain of edge 8 with
+/// a material that varies in depth and across x, so the sweep runs several
+/// material classes.
 fn mesh(refine: impl Fn(&quake::octree::Octant) -> bool) -> (LinearOctree, HexMesh) {
     let mut tree = LinearOctree::build(refine);
     tree.balance(BalanceMode::Full);
