@@ -7,7 +7,10 @@
 //! `traced_inversion_emits_one_event_per_gn_iteration` and the source
 //! problem of `source.rs`'s `recovers_target_source`; and the material
 //! inversion's multilinear operators (`MaterialMap` and `prolong`) on 3-D
-//! grids with clamped, interior and inactive axes.
+//! grids with clamped, interior and inactive axes. The 3-D material
+//! inversion on a `Scalar3dSolver` (the Table 3.1 path) is pinned at commit
+//! 47a4756, before its element loops stopped dividing element ids into grid
+//! coordinates.
 
 use quake_antiplane::{FaultSource, ShConfig, ShSolver};
 use quake_inverse::matmap::prolong;
@@ -15,6 +18,7 @@ use quake_inverse::{
     invert_material, invert_source, GnConfig, GnStats, MaterialMap, SourceInversionConfig, TvReg,
 };
 use quake_solver::wave::{forward, ScalarWaveEq};
+use quake_solver::{Scalar3dConfig, Scalar3dSolver};
 
 /// FNV-1a over a stream of 64-bit words (little-endian bytes).
 struct Fnv(u64);
@@ -113,6 +117,67 @@ fn material_inversions_match_the_pinned_bits() {
         got,
         [0x2b86_a6f1_50c2_e26d, 0xd274_cc6c_e595_6013],
         "material inversion bits changed: {got:#018x?}"
+    );
+}
+
+#[test]
+fn scalar3d_material_inversion_matches_the_pinned_bits() {
+    // A box with three different edge counts, so the x, y and z node strides
+    // all differ, and a soft blob under a vertical gradient as the target.
+    let (nx, ny, nz, h) = (6, 5, 4, 200.0);
+    let rho = 2000.0;
+    let base = rho * 1500.0 * 1500.0;
+    let s = Scalar3dSolver::new(&Scalar3dConfig {
+        nx,
+        ny,
+        nz,
+        h,
+        rho,
+        dt: 0.3 * h / 3000.0,
+        n_steps: 40,
+        abc: [true, true, true, true, false, true],
+        receivers: vec![],
+        mu_background: base,
+    })
+    .with_receivers_at_surface(3);
+    let domain = [nx as f64 * h, ny as f64 * h, nz as f64 * h];
+    let centers: Vec<[f64; 3]> = (0..s.n_elements()).map(|e| s.elem_center(e)).collect();
+    let mu_true: Vec<f64> = centers
+        .iter()
+        .map(|c| {
+            let r2 = ((c[0] - 0.5 * domain[0]) / (0.3 * domain[0])).powi(2)
+                + ((c[1] - 0.5 * domain[1]) / (0.3 * domain[1])).powi(2)
+                + ((c[2] - 0.4 * domain[2]) / (0.3 * domain[2])).powi(2);
+            base * (1.0 + 0.3 * c[2] / domain[2] - 0.3 * (-r2).exp())
+        })
+        .collect();
+    let src = s.node(nx / 2, ny / 2, nz / 2);
+    let forcing = move |k: usize, f: &mut [f64]| {
+        if k < 8 {
+            f[src] += 1e9 * ((k as f64 + 1.0) / 8.0);
+        }
+    };
+    let data = forward(&s, &mu_true, &mut |k, f| forcing(k, f), false).traces;
+    let dims = [3, 3, 3];
+    let map = MaterialMap::new(&centers, domain, dims);
+    let sp = [domain[0] / 2.0, domain[1] / 2.0, domain[2] / 2.0];
+    let tv = TvReg { dims, spacing: sp, eps: 0.02 * base / sp[0], beta: 1e-28 };
+    let cfg = GnConfig {
+        max_gn_iters: 5,
+        max_cg_iters: 20,
+        cg_tol: 0.1,
+        barrier: Some((0.05 * base, 1e-7)),
+        ..GnConfig::default()
+    };
+    let (m, stats) = invert_material(&s, &forcing, &data, &map, &tv, &vec![base; 27], &cfg);
+    let mut hash = Fnv::new();
+    hash.f64s(&m);
+    hash.stats(&stats);
+    assert!(stats.cg_iters_total > 5, "too few Hessian products to pin: {stats:?}");
+    assert_eq!(
+        hash.0, 0xdfa8_8e3b_99bc_7a0f,
+        "3-D material inversion bits changed: {:#018x}",
+        hash.0
     );
 }
 
