@@ -34,8 +34,16 @@ pub struct ShSolver {
 
 impl ShSolver {
     pub fn new(cfg: &ShConfig) -> ShSolver {
-        assert!(cfg.nx > 0 && cfg.nz > 0 && cfg.h > 0.0 && cfg.rho > 0.0 && cfg.dt > 0.0);
+        assert!(cfg.nx > 0 && cfg.nz > 0, "ShConfig::nx and nz must be > 0");
+        for (name, v) in
+            [("h", cfg.h), ("rho", cfg.rho), ("dt", cfg.dt), ("mu_background", cfg.mu_background)]
+        {
+            assert!(v.is_finite() && v > 0.0, "ShConfig::{name} must be finite and > 0, got {v}");
+        }
         let nn = (cfg.nx + 1) * (cfg.nz + 1);
+        for (i, &r) in cfg.receivers.iter().enumerate() {
+            assert!(r < nn, "ShConfig::receivers[{i}] = {r} is not a node (n_nodes = {nn})");
+        }
         let shell = ShSolver { cfg: cfg.clone(), mass: Vec::new(), cab: Vec::new() };
         // Lumped mass rho h^2/4 per incident element.
         let me = cfg.rho * cfg.h * cfg.h / 4.0;
@@ -154,44 +162,61 @@ impl ScalarWaveEq for ShSolver {
     fn apply_k(&self, mu: &[f64], x: &[f64], y: &mut [f64], scale: f64) {
         assert_eq!(mu.len(), self.n_elements());
         let kq = scalar_quad_stiffness();
-        for e in 0..self.n_elements() {
-            let s = scale * mu[e];
-            if s == 0.0 {
-                continue;
-            }
-            let mut xe = [0.0; 4];
-            let mut nid = [0usize; 4];
-            for c in 0..4 {
-                nid[c] = self.elem_node(e, c);
-                xe[c] = x[nid[c]];
-            }
-            for r in 0..4 {
-                let mut acc = 0.0;
-                for c in 0..4 {
-                    acc += kq[r][c] * xe[c];
+        let w = self.cfg.nx + 1;
+        for (k, mu_row) in mu.chunks_exact(self.cfg.nx).enumerate() {
+            let (xb, xt) = (&x[k * w..][..w], &x[(k + 1) * w..][..w]);
+            let (yb, yt) = y[k * w..(k + 2) * w].split_at_mut(w);
+            // Element row k lies between node rows k (b) and k + 1 (t).
+            // `lb` and `lt` hold the running sums of element i's left
+            // corners in registers: each node still receives element
+            // i - 1's contribution before element i's, as in a plain loop
+            // over elements, but without a store and reload between them.
+            let (mut lb, mut lt) = (yb[0], yt[0]);
+            for (i, &m) in mu_row.iter().enumerate() {
+                let s = scale * m;
+                let (rb, rt) = (yb[i + 1], yt[i + 1]);
+                if s == 0.0 {
+                    yb[i] = lb;
+                    yt[i] = lt;
+                    (lb, lt) = (rb, rt);
+                    continue;
                 }
-                y[nid[r]] += s * acc;
+                let xe = [xb[i], xb[i + 1], xt[i], xt[i + 1]];
+                let mut a = [0.0; 4];
+                for r in 0..4 {
+                    let mut acc = 0.0;
+                    for c in 0..4 {
+                        acc += kq[r][c] * xe[c];
+                    }
+                    a[r] = s * acc;
+                }
+                yb[i] = lb + a[0];
+                yt[i] = lt + a[2];
+                (lb, lt) = (rb + a[1], rt + a[3]);
             }
+            yb[w - 1] = lb;
+            yt[w - 1] = lt;
         }
     }
 
     fn accumulate_dk(&self, u: &[f64], v: &[f64], out: &mut [f64]) {
+        assert_eq!(out.len(), self.n_elements());
         let kq = scalar_quad_stiffness();
-        for e in 0..self.n_elements() {
-            let mut ue = [0.0; 4];
-            let mut ve = [0.0; 4];
-            for c in 0..4 {
-                let nid = self.elem_node(e, c);
-                ue[c] = u[nid];
-                ve[c] = v[nid];
-            }
-            let mut acc = 0.0;
-            for r in 0..4 {
-                for c in 0..4 {
-                    acc += ue[r] * kq[r][c] * ve[c];
+        let w = self.cfg.nx + 1;
+        for (k, out_row) in out.chunks_exact_mut(self.cfg.nx).enumerate() {
+            let (ub, ut) = (&u[k * w..][..w], &u[(k + 1) * w..][..w]);
+            let (vb, vt) = (&v[k * w..][..w], &v[(k + 1) * w..][..w]);
+            for (i, o) in out_row.iter_mut().enumerate() {
+                let ue = [ub[i], ub[i + 1], ut[i], ut[i + 1]];
+                let ve = [vb[i], vb[i + 1], vt[i], vt[i + 1]];
+                let mut acc = 0.0;
+                for r in 0..4 {
+                    for c in 0..4 {
+                        acc += ue[r] * kq[r][c] * ve[c];
+                    }
                 }
+                *o += acc;
             }
-            out[e] += acc;
         }
     }
 
@@ -217,6 +242,125 @@ mod tests {
             mu_background: 2200.0 * 2000.0 * 2000.0,
             absorbing: [true; 3],
         }
+    }
+
+    /// `n` values of a 64-bit LCG in `[-0.5, 0.5)`.
+    fn lcg(seed: u64, n: usize) -> Vec<f64> {
+        let mut st = seed;
+        (0..n)
+            .map(|_| {
+                st = st.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (st >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            })
+            .collect()
+    }
+
+    /// `apply_k` as one loop over element ids, each element's corners from
+    /// `elem_node`: the bit-for-bit reference of the row walk.
+    fn reference_apply_k(s: &ShSolver, mu: &[f64], x: &[f64], y: &mut [f64], scale: f64) {
+        let kq = scalar_quad_stiffness();
+        for e in 0..s.n_elements() {
+            let sc = scale * mu[e];
+            if sc == 0.0 {
+                continue;
+            }
+            let nid: [usize; 4] = std::array::from_fn(|c| s.elem_node(e, c));
+            for r in 0..4 {
+                let mut acc = 0.0;
+                for c in 0..4 {
+                    acc += kq[r][c] * x[nid[c]];
+                }
+                y[nid[r]] += sc * acc;
+            }
+        }
+    }
+
+    /// `accumulate_dk` as one loop over element ids (see above).
+    fn reference_accumulate_dk(s: &ShSolver, u: &[f64], v: &[f64], out: &mut [f64]) {
+        let kq = scalar_quad_stiffness();
+        for e in 0..s.n_elements() {
+            let nid: [usize; 4] = std::array::from_fn(|c| s.elem_node(e, c));
+            let mut acc = 0.0;
+            for r in 0..4 {
+                for c in 0..4 {
+                    acc += u[nid[r]] * kq[r][c] * v[nid[c]];
+                }
+            }
+            out[e] += acc;
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn kernels_match_the_per_element_reference_bit_for_bit() {
+        for (nx, nz) in [(1, 1), (1, 5), (5, 1), (7, 3)] {
+            let s = ShSolver::new(&ShConfig { nx, nz, ..cfg() });
+            let (nn, ne) = (s.n_nodes(), s.n_elements());
+            let seed = (nx * 100 + nz) as u64;
+            // Moduli with zero and negative-zero entries, which both skip.
+            let mut mu: Vec<f64> = lcg(seed, ne).iter().map(|r| 3e10 * (1.0 + r)).collect();
+            mu[ne / 2] = 0.0;
+            mu[ne - 1] = -0.0;
+            // Perturbations of either sign, one of them zero.
+            let mut dmu: Vec<f64> = lcg(seed + 1, ne).iter().map(|r| 1e9 * r).collect();
+            dmu[0] = 0.0;
+            let x = lcg(seed + 2, nn);
+            // A target that already holds values, a negative zero among them.
+            let mut y0 = lcg(seed + 3, nn);
+            y0[nn / 3] = -0.0;
+            for scale in [1.0, -0.37, -2.5e-3, 0.0] {
+                let (mut got, mut want) = (y0.clone(), y0.clone());
+                s.apply_k(&mu, &x, &mut got, scale);
+                reference_apply_k(&s, &mu, &x, &mut want, scale);
+                assert_eq!(bits(&got), bits(&want), "apply_k {nx}x{nz}, scale {scale}");
+                let (mut got, mut want) = (y0.clone(), y0.clone());
+                s.apply_dk(&dmu, &x, &mut got, scale);
+                reference_apply_k(&s, &dmu, &x, &mut want, scale);
+                assert_eq!(bits(&got), bits(&want), "apply_dk {nx}x{nz}, scale {scale}");
+            }
+            let v = lcg(seed + 4, nn);
+            let out0 = lcg(seed + 5, ne);
+            let (mut got, mut want) = (out0.clone(), out0);
+            s.accumulate_dk(&x, &v, &mut got);
+            reference_accumulate_dk(&s, &x, &v, &mut want);
+            assert_eq!(bits(&got), bits(&want), "accumulate_dk {nx}x{nz}");
+        }
+    }
+
+    #[test]
+    fn invalid_configs_panic_naming_the_field() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        type Case = (&'static str, fn(&mut ShConfig));
+        let cases: [Case; 12] = [
+            ("ShConfig::h", |c| c.h = f64::INFINITY),
+            ("ShConfig::h", |c| c.h = f64::NAN),
+            ("ShConfig::rho", |c| c.rho = f64::INFINITY),
+            ("ShConfig::rho", |c| c.rho = 0.0),
+            ("ShConfig::dt", |c| c.dt = f64::INFINITY),
+            ("ShConfig::dt", |c| c.dt = -0.05),
+            ("ShConfig::mu_background", |c| c.mu_background = f64::NAN),
+            ("ShConfig::mu_background", |c| c.mu_background = -1.0),
+            ("ShConfig::mu_background", |c| c.mu_background = f64::INFINITY),
+            ("ShConfig::mu_background", |c| c.mu_background = 0.0),
+            ("ShConfig::receivers[1]", |c| c.receivers = vec![3, 25 * 17]),
+            ("ShConfig::receivers[0]", |c| c.receivers = vec![usize::MAX]),
+        ];
+        for (field, set) in cases {
+            let mut c = cfg();
+            set(&mut c);
+            let err = catch_unwind(AssertUnwindSafe(|| ShSolver::new(&c)))
+                .err()
+                .unwrap_or_else(|| panic!("{field}: accepted {c:?}"));
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains(field), "{field}: panic message {msg:?}");
+        }
+        // The last node is a receiver like any other.
+        let mut c = cfg();
+        c.receivers = vec![25 * 17 - 1];
+        ShSolver::new(&c);
     }
 
     #[test]
@@ -333,8 +477,9 @@ mod tests {
             .zip(&data)
             .map(|(t, d)| t.iter().zip(d).map(|(a, b)| a - b).collect())
             .collect();
-        let adj = adjoint(&s, &mu0, &residuals);
-        let g = material_gradient(&s, &run.states, &adj.states);
+        let mut lambda = Vec::new();
+        adjoint(&s, &mu0, &residuals, &mut lambda);
+        let g = material_gradient(&s, &run.states, &lambda);
         for &e in &[0usize, ne / 2, ne - 1] {
             let eps = mu0[e] * 1e-6;
             let mut mp = mu0.clone();

@@ -225,9 +225,11 @@ pub(crate) trait GnProblem {
     /// First half of the linearization at `x`: the forward solve.
     fn forward(&self, x: &[f64]) -> Self::State;
     /// Second half: misfit, objective terms and the adjoint gradient.
-    fn linearize(&self, x: &[f64], state: &Self::State) -> Linearization;
+    /// Takes `&mut self` so a problem can keep its adjoint history between
+    /// solves.
+    fn linearize(&mut self, x: &[f64], state: &Self::State) -> Linearization;
     /// The Gauss-Newton Hessian-vector product at `x`.
-    fn hess(&self, x: &[f64], state: &Self::State, v: &[f64]) -> Vec<f64>;
+    fn hess(&mut self, x: &[f64], state: &Self::State, v: &[f64]) -> Vec<f64>;
 }
 
 fn gn_event(reg: &Registry, it: usize, lin: &Linearization, g_norm: f64, step: [f64; 4]) {
@@ -248,7 +250,7 @@ fn gn_event(reg: &Registry, it: usize, lin: &Linearization, g_norm: f64, step: [
 /// accepted or not; `ckpt = (writer, every)` persists the state after every
 /// `every` accepted iterations, carrying `start.jd0` along.
 pub(crate) fn gauss_newton<P: GnProblem>(
-    p: &P,
+    p: &mut P,
     cfg: &GnConfig,
     start: GnCheckpoint,
     reg: &Registry,
@@ -399,6 +401,8 @@ struct MaterialProblem<'a> {
     tv: &'a TvReg,
     /// `(m_min, weight per parameter)`, the weight scaled by `J_d(m_0)`.
     barrier: Option<(f64, f64)>,
+    /// The adjoint history, reused by every adjoint solve.
+    lambda: Vec<Vec<f64>>,
 }
 
 impl GnProblem for MaterialProblem<'_> {
@@ -425,12 +429,12 @@ impl GnProblem for MaterialProblem<'_> {
         (mu, run, self.tv.diffusivity(m))
     }
 
-    fn linearize(&self, m: &[f64], (mu, run, _): &Self::State) -> Linearization {
+    fn linearize(&mut self, m: &[f64], (mu, run, _): &Self::State) -> Linearization {
         let jd = misfit_value(&run.traces, self.data, self.eq.dt());
         let tv = self.tv.value(m);
         let bar = barrier_value(m, self.barrier);
-        let adj = adjoint(self.eq, mu, &residuals(&run.traces, self.data));
-        let ge = material_gradient(self.eq, &run.states, &adj.states);
+        adjoint(self.eq, mu, &residuals(&run.traces, self.data), &mut self.lambda);
+        let ge = material_gradient(self.eq, &run.states, &self.lambda);
         let mut g = self.map.transpose_apply(&ge);
         self.tv.gradient(m, &mut g);
         barrier_gradient(m, self.barrier, &mut g);
@@ -442,15 +446,15 @@ impl GnProblem for MaterialProblem<'_> {
         }
     }
 
-    fn hess(&self, m: &[f64], (mu, run, diffus): &Self::State, v: &[f64]) -> Vec<f64> {
+    fn hess(&mut self, m: &[f64], (mu, run, diffus): &Self::State, v: &[f64]) -> Vec<f64> {
         let eq = self.eq;
         let dmu = self.map.interpolate(v);
         // Incremental forward: A du_{k+1} = B du_k + C du_{k-1}
         //                      - dt^2 dK(dmu) u_k.
         let inc = forward(eq, mu, &mut |k, f| eq.apply_dk(&dmu, &run.states[k], f, -1.0), false);
         // Incremental adjoint from the incremental traces.
-        let dadj = adjoint(eq, mu, &inc.traces);
-        let he = material_gradient(eq, &run.states, &dadj.states);
+        adjoint(eq, mu, &inc.traces, &mut self.lambda);
+        let he = material_gradient(eq, &run.states, &self.lambda);
         let mut hv = self.map.transpose_apply(&he);
         self.tv.hess_apply(diffus, v, &mut hv);
         barrier_hess(m, self.barrier, v, &mut hv);
@@ -507,7 +511,7 @@ pub fn invert_material_resumable(
     let (eps, beta) = (tv.eps, tv.beta);
     assert!(eps.is_finite() && eps > 0.0, "TvReg::eps must be finite and > 0, got {eps}");
     assert!(beta.is_finite() && beta >= 0.0, "TvReg::beta must be finite and >= 0, got {beta}");
-    let mut p = MaterialProblem { eq, forcing, data, map, tv, barrier: None };
+    let mut p = MaterialProblem { eq, forcing, data, map, tv, barrier: None, lambda: Vec::new() };
     let start = match resume {
         Some(c) => {
             assert_eq!(c.m.len(), map.n_param(), "checkpoint is for a different grid");
@@ -524,7 +528,7 @@ pub fn invert_material_resumable(
     };
     let n = map.n_param().max(1) as f64;
     p.barrier = cfg.barrier.map(|(m_min, w)| (m_min, w * start.jd0.max(1e-300) / n));
-    gauss_newton(&p, cfg, start, reg, ckpt, &mut |_, _| {})
+    gauss_newton(&mut p, cfg, start, reg, ckpt, &mut |_, _| {})
 }
 
 #[cfg(test)]
@@ -616,7 +620,7 @@ pub(crate) mod tests {
     /// `a.Hb == b.Ha` and `a.Ha >= 0` for the Hessian product the loop
     /// hands CG at `x`.
     pub(crate) fn assert_hessian_symmetric_psd<P: GnProblem>(
-        p: &P,
+        p: &mut P,
         x: &[f64],
         a: &[f64],
         b: &[f64],
@@ -633,9 +637,9 @@ pub(crate) mod tests {
     /// Relative error `|(g(x + eps v) - g(x - eps v)) / 2 eps - H v| / |H v|`
     /// of the Hessian product against the central difference of the
     /// production gradient, for `eps = 10^-k |x| / |v|`, `k = 1..=9`.
-    pub(crate) fn hessian_fd_errors<P: GnProblem>(p: &P, x: &[f64], v: &[f64]) -> Vec<f64> {
+    pub(crate) fn hessian_fd_errors<P: GnProblem>(p: &mut P, x: &[f64], v: &[f64]) -> Vec<f64> {
         let hv = p.hess(x, &p.forward(x), v);
-        let grad = |s: f64| {
+        let mut grad = |s: f64| {
             let xs: Vec<f64> = x.iter().zip(v).map(|(a, b)| a + s * b).collect();
             p.linearize(&xs, &p.forward(&xs)).gradient
         };
@@ -672,11 +676,18 @@ pub(crate) mod tests {
         let forcing = forcing_fn(40);
         let data = vec![vec![0.0; s.n_steps()]; 8];
         let barrier = Some((0.5 * base, 1.0));
-        let p =
-            MaterialProblem { eq: &s, forcing: &forcing, data: &data, map: &map, tv: &tv, barrier };
+        let mut p = MaterialProblem {
+            eq: &s,
+            forcing: &forcing,
+            data: &data,
+            map: &map,
+            tv: &tv,
+            barrier,
+            lambda: Vec::new(),
+        };
         let n = map.n_param();
         let a: Vec<f64> = lcg(77, 2 * n).iter().map(|r| r * 1e9).collect();
-        assert_hessian_symmetric_psd(&p, &m, &a[..n], &a[n..]);
+        assert_hessian_symmetric_psd(&mut p, &m, &a[..n], &a[n..]);
     }
 
     #[test]
@@ -692,15 +703,16 @@ pub(crate) mod tests {
         let forcing = forcing_fn(40);
         let data = forward(&s, &map.interpolate(&m_true), &mut |k, f| forcing(k, f), false).traces;
         let tv = TvReg { dims: [4, 3, 1], spacing: [2000.0, 2000.0, 1.0], eps: 1.0, beta: 0.0 };
-        let p = MaterialProblem {
+        let mut p = MaterialProblem {
             eq: &s,
             forcing: &forcing,
             data: &data,
             map: &map,
             tv: &tv,
             barrier: None,
+            lambda: Vec::new(),
         };
-        let errs = hessian_fd_errors(&p, &m_true, &lcg(9, map.n_param()));
+        let errs = hessian_fd_errors(&mut p, &m_true, &lcg(9, map.n_param()));
         // Best error measured at commit 5a2c39d: 1.106e-10 at eps = 1e-6 |x|/|v|.
         assert_v_curve(&errs, 1.106e-10);
     }

@@ -110,6 +110,8 @@ pub(crate) struct SourceProblem<'a> {
     regs: [TikhonovReg; 3],
     min_rise: f64,
     min_amplitude: f64,
+    /// The adjoint history, reused by every adjoint solve.
+    lambda: Vec<Vec<f64>>,
 }
 
 impl<'a> SourceProblem<'a> {
@@ -141,6 +143,7 @@ impl<'a> SourceProblem<'a> {
             regs: [reg(cfg.beta_delay), reg(cfg.beta_rise), reg(cfg.beta_amplitude)],
             min_rise: cfg.min_rise,
             min_amplitude: cfg.min_amplitude,
+            lambda: Vec::new(),
         }
     }
 
@@ -180,11 +183,11 @@ impl GnProblem for SourceProblem<'_> {
         (fault, traces)
     }
 
-    fn linearize(&self, x: &[f64], (fault, traces): &Self::State) -> Linearization {
+    fn linearize(&mut self, x: &[f64], (fault, traces): &Self::State) -> Linearization {
         let jd = misfit_value(traces, self.data, self.eq.dt());
         let rv = self.reg_value(x);
-        let adj = adjoint(self.eq, self.mu, &residuals(traces, self.data));
-        let mut g = assemble_source_gradient(self.eq, fault, &adj.states);
+        adjoint(self.eq, self.mu, &residuals(traces, self.data), &mut self.lambda);
+        let mut g = assemble_source_gradient(self.eq, fault, &self.lambda);
         let ns = fault.n_segments();
         for ((r, xi), gi) in self.regs.iter().zip(x.chunks(ns)).zip(g.chunks_mut(ns)) {
             r.gradient(xi, gi);
@@ -192,13 +195,13 @@ impl GnProblem for SourceProblem<'_> {
         Linearization { misfit: jd, objective: jd + rv, terms: vec![("tikhonov", rv)], gradient: g }
     }
 
-    fn hess(&self, _x: &[f64], (fault, _): &Self::State, v: &[f64]) -> Vec<f64> {
+    fn hess(&mut self, _x: &[f64], (fault, _): &Self::State, v: &[f64]) -> Vec<f64> {
         let (dd, dr, da) = split(v);
         let dt = self.eq.dt();
         let force = &mut |k, f: &mut [f64]| fault.add_force_direction(dd, dr, da, k as f64 * dt, f);
         let inc = forward(self.eq, self.mu, force, false);
-        let dadj = adjoint(self.eq, self.mu, &inc.traces);
-        let mut hv = assemble_source_gradient(self.eq, fault, &dadj.states);
+        adjoint(self.eq, self.mu, &inc.traces, &mut self.lambda);
+        let mut hv = assemble_source_gradient(self.eq, fault, &self.lambda);
         let ns = fault.n_segments();
         for ((r, vi), hi) in self.regs.iter().zip(v.chunks(ns)).zip(hv.chunks_mut(ns)) {
             r.hess_apply(vi, hi);
@@ -220,7 +223,7 @@ pub fn invert_source(
     assert_eq!(initial.0.len(), ns);
     assert_eq!(initial.1.len(), ns);
     assert_eq!(initial.2.len(), ns);
-    let p = SourceProblem::new(eq, template, mu, data, cfg);
+    let mut p = SourceProblem::new(eq, template, mu, data, cfg);
     let x0 = [initial.0, initial.1, initial.2].concat();
     let snapshot = |it: usize, x: &[f64]| {
         let (d, r, a) = split(x);
@@ -231,7 +234,7 @@ pub fn invert_source(
     let start = GnCheckpoint::start(x0, 0.0);
     let reg = Registry::disabled();
     let on_step = &mut |it: usize, x: &[f64]| iterates.push(snapshot(it, x));
-    let (x, stats) = gauss_newton(&p, &cfg.gn, start, &reg, None, on_step)
+    let (x, stats) = gauss_newton(&mut p, &cfg.gn, start, &reg, None, on_step)
         .expect("without a checkpoint writer the loop cannot fail");
     let (_, delays, rises, amplitudes) = snapshot(0, &x);
     SourceInversionResult { delays, rises, amplitudes, stats, iterates }
@@ -280,8 +283,9 @@ mod tests {
         let fault = fault_with(&template, &flat);
         let run = forward(&s, &mu, &mut |k, f| fault.add_force(k as f64 * s.dt(), f), false);
         let res = residuals(&run.traces, &data);
-        let adj = adjoint(&s, &mu, &res);
-        let g = assemble_source_gradient(&s, &fault, &adj.states);
+        let mut lambda = Vec::new();
+        adjoint(&s, &mu, &res, &mut lambda);
+        let g = assemble_source_gradient(&s, &fault, &lambda);
 
         let misfit_of = |flat: &[f64]| -> f64 {
             let fault = fault_with(&template, flat);
@@ -359,7 +363,8 @@ mod tests {
         let (s, mu, template) = setup();
         let data =
             forward(&s, &mu, &mut |k, f| template.add_force(k as f64 * s.dt(), f), false).traces;
-        let p = SourceProblem::new(&s, &template, &mu, &data, &SourceInversionConfig::default());
+        let mut p =
+            SourceProblem::new(&s, &template, &mu, &data, &SourceInversionConfig::default());
         let x: Vec<f64> = flat(&template)
             .iter()
             .zip(lcg(3, 3 * template.n_segments()))
@@ -367,7 +372,7 @@ mod tests {
             .collect();
         let n = x.len();
         let ab = lcg(77, 2 * n);
-        assert_hessian_symmetric_psd(&p, &x, &ab[..n], &ab[n..]);
+        assert_hessian_symmetric_psd(&mut p, &x, &ab[..n], &ab[n..]);
     }
 
     #[test]
@@ -383,9 +388,9 @@ mod tests {
             beta_amplitude: 0.0,
             ..SourceInversionConfig::default()
         };
-        let p = SourceProblem::new(&s, &template, &mu, &data, &cfg);
+        let mut p = SourceProblem::new(&s, &template, &mu, &data, &cfg);
         let x = flat(&template);
-        let errs = hessian_fd_errors(&p, &x, &lcg(9, x.len()));
+        let errs = hessian_fd_errors(&mut p, &x, &lcg(9, x.len()));
         // Best error measured at commit 5a2c39d: 9.796e-9 at eps = 1e-7 |x|/|v|.
         assert_v_curve(&errs, 9.796e-9);
     }

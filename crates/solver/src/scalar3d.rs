@@ -41,9 +41,20 @@ pub struct Scalar3dSolver {
 
 impl Scalar3dSolver {
     pub fn new(cfg: &Scalar3dConfig) -> Scalar3dSolver {
-        assert!(cfg.nx > 0 && cfg.ny > 0 && cfg.nz > 0);
-        assert!(cfg.dt > 0.0 && cfg.h > 0.0 && cfg.rho > 0.0);
+        assert!(
+            cfg.nx > 0 && cfg.ny > 0 && cfg.nz > 0,
+            "Scalar3dConfig::nx, ny and nz must be > 0"
+        );
+        for (name, v) in
+            [("h", cfg.h), ("rho", cfg.rho), ("dt", cfg.dt), ("mu_background", cfg.mu_background)]
+        {
+            let ok = v.is_finite() && v > 0.0;
+            assert!(ok, "Scalar3dConfig::{name} must be finite and > 0, got {v}");
+        }
         let nn = (cfg.nx + 1) * (cfg.ny + 1) * (cfg.nz + 1);
+        for (i, &r) in cfg.receivers.iter().enumerate() {
+            assert!(r < nn, "Scalar3dConfig::receivers[{i}] = {r} is not a node (n_nodes = {nn})");
+        }
         let shell = Scalar3dSolver { cfg: cfg.clone(), mass: Vec::new(), cab: Vec::new() };
         // Lumped mass: rho h^3 / 8 per incident element.
         let mut mass = vec![0.0; nn];
@@ -107,6 +118,27 @@ impl Scalar3dSolver {
         let j = (e / self.cfg.nx) % self.cfg.ny;
         let k = e / (self.cfg.nx * self.cfg.ny);
         self.node(i + (c & 1), j + ((c >> 1) & 1), k + ((c >> 2) & 1))
+    }
+
+    /// Calls `f(e, corner nodes)` for every element in id order, walking the
+    /// grid plane by plane and row by row so that no element id is divided
+    /// into `(i, j, k)`.
+    #[inline]
+    fn for_each_element(&self, mut f: impl FnMut(usize, [usize; 8])) {
+        let (nx, ny) = (self.cfg.nx, self.cfg.ny);
+        let (sy, sz) = (nx + 1, (nx + 1) * (ny + 1));
+        let mut e = 0;
+        for k in 0..self.cfg.nz {
+            for j in 0..ny {
+                // Node (0, j, k); the corners follow `elem_node`'s order.
+                let row = j * sy + k * sz;
+                for n in row..row + nx {
+                    let (y, z, yz) = (n + sy, n + sz, n + sy + sz);
+                    f(e, [n, n + 1, y, y + 1, z, z + 1, yz, yz + 1]);
+                    e += 1;
+                }
+            }
+        }
     }
 
     /// Center coordinates of an element (m).
@@ -182,17 +214,12 @@ impl ScalarWaveEq for Scalar3dSolver {
     fn apply_k(&self, mu: &[f64], x: &[f64], y: &mut [f64], scale: f64) {
         assert_eq!(mu.len(), self.n_elements());
         let ks = scalar_hex_stiffness();
-        for e in 0..self.n_elements() {
+        self.for_each_element(|e, nid| {
             let s = scale * mu[e] * self.cfg.h;
             if s == 0.0 {
-                continue;
+                return;
             }
-            let mut xe = [0.0; 8];
-            let mut nid = [0usize; 8];
-            for c in 0..8 {
-                nid[c] = self.elem_node(e, c);
-                xe[c] = x[nid[c]];
-            }
+            let xe = nid.map(|n| x[n]);
             // Two blocks of four columns with independent lane accumulators
             // (the same auto-vectorization shape as the elastic matvec).
             for r in 0..8 {
@@ -204,19 +231,15 @@ impl ScalarWaveEq for Scalar3dSolver {
                 }
                 y[nid[r]] += s * ((acc[0] + acc[1]) + (acc[2] + acc[3]));
             }
-        }
+        });
     }
 
     fn accumulate_dk(&self, u: &[f64], v: &[f64], out: &mut [f64]) {
+        assert_eq!(out.len(), self.n_elements());
         let ks = scalar_hex_stiffness();
-        for e in 0..self.n_elements() {
-            let mut ue = [0.0; 8];
-            let mut ve = [0.0; 8];
-            for c in 0..8 {
-                let nid = self.elem_node(e, c);
-                ue[c] = u[nid];
-                ve[c] = v[nid];
-            }
+        self.for_each_element(|e, nid| {
+            let ue = nid.map(|n| u[n]);
+            let ve = nid.map(|n| v[n]);
             let mut acc = 0.0;
             for r in 0..8 {
                 for c in 0..8 {
@@ -224,7 +247,7 @@ impl ScalarWaveEq for Scalar3dSolver {
                 }
             }
             out[e] += self.cfg.h * acc;
-        }
+        });
     }
 
     fn apply_dk(&self, dmu: &[f64], x: &[f64], y: &mut [f64], scale: f64) {
@@ -250,6 +273,127 @@ mod tests {
             receivers: vec![],
             mu_background: 2e9,
         }
+    }
+
+    /// `n` values of a 64-bit LCG in `[-0.5, 0.5)`.
+    fn lcg(seed: u64, n: usize) -> Vec<f64> {
+        let mut st = seed;
+        (0..n)
+            .map(|_| {
+                st = st.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (st >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            })
+            .collect()
+    }
+
+    /// `apply_k` as one loop over element ids, each element's corners from
+    /// `elem_node`: the bit-for-bit reference of the plane and row walk.
+    fn reference_apply_k(s: &Scalar3dSolver, mu: &[f64], x: &[f64], y: &mut [f64], scale: f64) {
+        let ks = scalar_hex_stiffness();
+        for e in 0..s.n_elements() {
+            let sc = scale * mu[e] * s.cfg.h;
+            if sc == 0.0 {
+                continue;
+            }
+            let nid: [usize; 8] = std::array::from_fn(|c| s.elem_node(e, c));
+            let xe = nid.map(|n| x[n]);
+            for r in 0..8 {
+                let row = &ks[r];
+                let mut acc = [0.0; 4];
+                for l in 0..4 {
+                    acc[l] += row[l] * xe[l];
+                    acc[l] += row[4 + l] * xe[4 + l];
+                }
+                y[nid[r]] += sc * ((acc[0] + acc[1]) + (acc[2] + acc[3]));
+            }
+        }
+    }
+
+    /// `accumulate_dk` as one loop over element ids (see above).
+    fn reference_accumulate_dk(s: &Scalar3dSolver, u: &[f64], v: &[f64], out: &mut [f64]) {
+        let ks = scalar_hex_stiffness();
+        for e in 0..s.n_elements() {
+            let nid: [usize; 8] = std::array::from_fn(|c| s.elem_node(e, c));
+            let mut acc = 0.0;
+            for r in 0..8 {
+                for c in 0..8 {
+                    acc += u[nid[r]] * ks[r][c] * v[nid[c]];
+                }
+            }
+            out[e] += s.cfg.h * acc;
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn kernels_match_the_per_element_reference_bit_for_bit() {
+        for (nx, ny, nz) in [(1, 1, 1), (3, 2, 5)] {
+            let s = Scalar3dSolver::new(&Scalar3dConfig { nx, ny, nz, ..cfg() });
+            let (nn, ne) = (s.n_nodes(), s.n_elements());
+            let seed = (nx * 100 + ny * 10 + nz) as u64;
+            // Moduli with zero and negative-zero entries, which both skip.
+            let mut mu: Vec<f64> = lcg(seed, ne).iter().map(|r| 2e9 * (1.0 + r)).collect();
+            mu[ne / 2] = 0.0;
+            mu[ne - 1] = -0.0;
+            // Perturbations of either sign, one of them zero.
+            let mut dmu: Vec<f64> = lcg(seed + 1, ne).iter().map(|r| 1e8 * r).collect();
+            dmu[0] = 0.0;
+            let x = lcg(seed + 2, nn);
+            // A target that already holds values, a negative zero among them.
+            let mut y0 = lcg(seed + 3, nn);
+            y0[nn / 3] = -0.0;
+            for scale in [1.0, -0.37, -2.5e-3, 0.0] {
+                let (mut got, mut want) = (y0.clone(), y0.clone());
+                s.apply_k(&mu, &x, &mut got, scale);
+                reference_apply_k(&s, &mu, &x, &mut want, scale);
+                assert_eq!(bits(&got), bits(&want), "apply_k {nx}x{ny}x{nz}, scale {scale}");
+                let (mut got, mut want) = (y0.clone(), y0.clone());
+                s.apply_dk(&dmu, &x, &mut got, scale);
+                reference_apply_k(&s, &dmu, &x, &mut want, scale);
+                assert_eq!(bits(&got), bits(&want), "apply_dk {nx}x{ny}x{nz}, scale {scale}");
+            }
+            let v = lcg(seed + 4, nn);
+            let out0 = lcg(seed + 5, ne);
+            let (mut got, mut want) = (out0.clone(), out0);
+            s.accumulate_dk(&x, &v, &mut got);
+            reference_accumulate_dk(&s, &x, &v, &mut want);
+            assert_eq!(bits(&got), bits(&want), "accumulate_dk {nx}x{ny}x{nz}");
+        }
+    }
+
+    #[test]
+    fn invalid_configs_panic_naming_the_field() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        type Case = (&'static str, fn(&mut Scalar3dConfig));
+        let cases: [Case; 11] = [
+            ("Scalar3dConfig::h", |c| c.h = f64::INFINITY),
+            ("Scalar3dConfig::h", |c| c.h = f64::NAN),
+            ("Scalar3dConfig::rho", |c| c.rho = f64::INFINITY),
+            ("Scalar3dConfig::rho", |c| c.rho = -2000.0),
+            ("Scalar3dConfig::dt", |c| c.dt = f64::INFINITY),
+            ("Scalar3dConfig::dt", |c| c.dt = 0.0),
+            ("Scalar3dConfig::mu_background", |c| c.mu_background = -1.0),
+            ("Scalar3dConfig::mu_background", |c| c.mu_background = f64::NAN),
+            ("Scalar3dConfig::mu_background", |c| c.mu_background = f64::INFINITY),
+            ("Scalar3dConfig::receivers[2]", |c| c.receivers = vec![0, 1, 9 * 9 * 9]),
+            ("Scalar3dConfig::receivers[0]", |c| c.receivers = vec![usize::MAX]),
+        ];
+        for (field, set) in cases {
+            let mut c = cfg();
+            set(&mut c);
+            let err = catch_unwind(AssertUnwindSafe(|| Scalar3dSolver::new(&c)))
+                .err()
+                .unwrap_or_else(|| panic!("{field}: accepted {c:?}"));
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains(field), "{field}: panic message {msg:?}");
+        }
+        // The last node is a receiver like any other.
+        let mut c = cfg();
+        c.receivers = vec![9 * 9 * 9 - 1];
+        Scalar3dSolver::new(&c);
     }
 
     #[test]

@@ -29,6 +29,18 @@
 //! modulus* and kept fixed during inversion (a deviation from eq. (3.4)'s
 //! boundary term, recorded in DESIGN.md: it keeps the discrete gradient
 //! exact while preserving the absorbing behaviour).
+//!
+//! # History storage
+//!
+//! A gradient or a Hessian-vector product needs two time histories of
+//! `n + 1` nodal vectors each: the forward states, which [`forward`] returns
+//! in a new [`WaveRun`] when asked to, and the adjoint states, which
+//! [`adjoint`] writes into a `Vec<Vec<f64>>` the caller owns. `adjoint`
+//! resizes that buffer to `n + 1` vectors of `n_nodes` values and overwrites
+//! every one, so its previous contents never matter. A caller that keeps
+//! the buffer across solves of one problem pays for the adjoint history
+//! once: after the first solve, an adjoint allocates only a few vectors of
+//! `n_nodes` values, however many steps it marches.
 
 /// The spatially discretized scalar wave equation.
 pub trait ScalarWaveEq: Sync {
@@ -50,12 +62,11 @@ pub trait ScalarWaveEq: Sync {
     fn apply_dk(&self, dmu: &[f64], x: &[f64], y: &mut [f64], scale: f64);
 }
 
-/// Result of a forward or adjoint march.
+/// Result of a forward march.
 pub struct WaveRun {
-    /// `states[k] = u_k` for `k = 0..=n` (forward) or `lambda_k` with
-    /// `states[0]` unused (adjoint). Empty unless requested.
+    /// `states[k] = u_k` for `k = 0..=n`. Empty unless requested.
     pub states: Vec<Vec<f64>>,
-    /// `traces[r][k-1] = u_k[receiver r]` for `k = 1..=n` (forward only).
+    /// `traces[r][k-1] = u_k[receiver r]` for `k = 1..=n`.
     pub traces: Vec<Vec<f64>>,
 }
 
@@ -111,13 +122,19 @@ pub fn forward(
 }
 
 /// Adjoint march driven by receiver residuals `residuals[r][m-1]` for
-/// `m = 1..=n`. Returns `lambda_m` in `states[m]` (`states[0]` is zeros).
+/// `m = 1..=n`. Writes `lambda_m` into `history[m]` (`history[0]` is zeros);
+/// see the module doc for how `history` is reused.
 ///
 /// Derivation: with the Lagrangian
 /// `L = J + sum_k l_{k+1}^T (A u_{k+1} - B u_k - C u_{k-1} - dt^2 f_k)` and
 /// `J = (dt/2) sum_m sum_r (u_m[r] - d_m[r])^2`, stationarity in `u_m` gives
 /// `A l_m = B l_{m+1} + C l_{m+2} - dt r_m`.
-pub fn adjoint(eq: &dyn ScalarWaveEq, mu: &[f64], residuals: &[Vec<f64>]) -> WaveRun {
+pub fn adjoint(
+    eq: &dyn ScalarWaveEq,
+    mu: &[f64],
+    residuals: &[Vec<f64>],
+    history: &mut Vec<Vec<f64>>,
+) {
     let n = eq.n_nodes();
     let steps = eq.n_steps();
     let dt = eq.dt();
@@ -130,27 +147,29 @@ pub fn adjoint(eq: &dyn ScalarWaveEq, mu: &[f64], residuals: &[Vec<f64>]) -> Wav
     let cab = eq.abc_damping();
     let lhs_inv: Vec<f64> = (0..n).map(|i| 1.0 / (mass[i] + 0.5 * dt * cab[i])).collect();
 
-    let mut l_pp = vec![0.0; n]; // lambda_{m+2}
-    let mut l_p = vec![0.0; n]; // lambda_{m+1}
-    let mut l_m = vec![0.0; n];
-    let mut states = vec![Vec::new(); steps + 1];
-    states[0] = vec![0.0; n];
+    history.resize_with(steps + 1, Vec::new);
+    for l in history.iter_mut() {
+        l.resize(n, 0.0);
+    }
+    history[0].fill(0.0);
+    // lambda_{n+1} = lambda_{n+2} = 0.
+    let zeros = vec![0.0; n];
     for m in (1..=steps).rev() {
+        let (done, later) = history.split_at_mut(m + 1);
+        let l_m = &mut done[m];
+        let l_p = later.first().unwrap_or(&zeros); // lambda_{m+1}
+        let l_pp = later.get(1).unwrap_or(&zeros); // lambda_{m+2}
         for i in 0..n {
             l_m[i] = 2.0 * mass[i] * l_p[i] + (-mass[i] + 0.5 * dt * cab[i]) * l_pp[i];
         }
-        eq.apply_k(mu, &l_p, &mut l_m, -dt2);
+        eq.apply_k(mu, l_p, l_m, -dt2);
         for (res, &r) in residuals.iter().zip(eq.receivers()) {
             l_m[r] -= dt * res[m - 1];
         }
         for i in 0..n {
             l_m[i] *= lhs_inv[i];
         }
-        states[m] = l_m.clone();
-        std::mem::swap(&mut l_pp, &mut l_p);
-        std::mem::swap(&mut l_p, &mut l_m);
     }
-    WaveRun { states, traces: Vec::new() }
 }
 
 /// The data-misfit gradient w.r.t. the element moduli:
@@ -390,8 +409,9 @@ mod tests {
             .map(|(t, r)| t.iter().zip(r).map(|(a, b)| a * b).sum::<f64>())
             .sum::<f64>()
             * eq.dt();
-        let adj = adjoint(&eq, &mu, &res);
-        let rhs = -adj.states[1][src] * 1.7 * eq.dt() * eq.dt();
+        let mut lambda = Vec::new();
+        adjoint(&eq, &mu, &res, &mut lambda);
+        let rhs = -lambda[1][src] * 1.7 * eq.dt() * eq.dt();
         assert!((lhs - rhs).abs() < 1e-12 * (1.0 + lhs.abs()), "{lhs} vs {rhs}");
     }
 
@@ -408,8 +428,9 @@ mod tests {
         };
         // Residuals: the traces themselves (misfit against zero data).
         let run = forward(&eq, &mu, &mut forcing, true);
-        let adj = adjoint(&eq, &mu, &run.traces);
-        let g_full = material_gradient(&eq, &run.states, &adj.states);
+        let mut lambda = Vec::new();
+        adjoint(&eq, &mu, &run.traces, &mut lambda);
+        let g_full = material_gradient(&eq, &run.states, &lambda);
         for segment in [1usize, 3, 7, 16, 1000] {
             let g_ck = material_gradient_checkpointed(&eq, &mu, &mut forcing, &run.traces, segment);
             for (a, b) in g_ck.iter().zip(&g_full) {
@@ -457,8 +478,9 @@ mod tests {
             .zip(&data)
             .map(|(t, d)| t.iter().zip(d).map(|(a, b)| a - b).collect())
             .collect();
-        let adj = adjoint(&eq, &mu0, &residuals);
-        let g = material_gradient(&eq, &run.states, &adj.states);
+        let mut lambda = Vec::new();
+        adjoint(&eq, &mu0, &residuals, &mut lambda);
+        let g = material_gradient(&eq, &run.states, &lambda);
 
         // Check several elements against central differences.
         let j0 = misfit(&mu0);

@@ -8,7 +8,8 @@
 //!   on a mesh with hanging nodes, absorbing faces and Rayleigh damping,
 //!   stepping with a traced registry and receiver, checkpoint and telemetry
 //!   hooks. A warmed `run_scenario` and a 2-rank `run_distributed` are
-//!   counted per call, the etree B-tree per lookup.
+//!   counted per call, the etree B-tree per lookup, and a scalar adjoint
+//!   solve into a reused history buffer per solve.
 //! - **Decoders reject damaged bytes.** The `quake-ckpt` frame,
 //!   `SolverState`, `GnCheckpoint` and `ResultCache::get` get every
 //!   truncation, every header bit flip, 256 payload bit flips, and every
@@ -25,6 +26,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
+use quake::antiplane::{ShConfig, ShSolver};
 use quake::ckpt::{
     crc32, decode_file, encode_file, CheckpointPolicy, CheckpointReader, CheckpointWriter,
     Checkpointable, Decoder, PeriodicSink,
@@ -39,6 +41,7 @@ use quake::serve::{
     run_scenario, CachedResult, RequestKey, ResultCache, ServeScratch, RESULT_KIND,
 };
 use quake::solver::elastic::RayleighBand;
+use quake::solver::wave::{adjoint, ScalarWaveEq};
 use quake::solver::{
     run_distributed, CheckpointHook, DistConfig, ElasticConfig, ElasticSolver, HookCtx, NoExchange,
     RateGroupPlan, ReceiverHook, RunConfig, RunOutcome, Seismogram, SolverHarness, SolverState,
@@ -364,6 +367,39 @@ fn warm_run_scenario_allocations_do_not_grow_with_steps() {
     let (long, b) = allocations(|| serve(2 * n));
     assert_eq!((a.executed_steps, b.executed_steps), (n, 2 * n));
     assert_eq!(short, long, "a warm run_scenario allocates per step");
+}
+
+/// An adjoint solve into a history buffer kept from an earlier solve
+/// allocates a fixed number of nodal vectors, never one per step: the same
+/// count for N steps and for 2N.
+#[test]
+fn warm_adjoint_allocations_do_not_grow_with_steps() {
+    let _serial = serial();
+    let warm_adjoint = |n_steps: usize| {
+        let eq = ShSolver::new(&ShConfig {
+            nx: 12,
+            nz: 8,
+            h: 500.0,
+            rho: 2200.0,
+            dt: 0.05,
+            n_steps,
+            receivers: vec![],
+            mu_background: 2200.0 * 2000.0 * 2000.0,
+            absorbing: [true; 3],
+        })
+        .with_surface_receivers(4);
+        let mu = vec![2200.0 * 2000.0 * 2000.0; eq.n_elements()];
+        let residuals: Vec<Vec<f64>> =
+            (0..eq.receivers().len()).map(|r| values(n_steps, r as u64)).collect();
+        let mut history = Vec::new();
+        adjoint(&eq, &mu, &residuals, &mut history);
+        let (count, ()) = allocations(|| adjoint(&eq, &mu, &residuals, &mut history));
+        assert_eq!(history.len(), n_steps + 1);
+        count
+    };
+    let n = 16;
+    let (short, long) = (warm_adjoint(n), warm_adjoint(2 * n));
+    assert_eq!(short, long, "a warm adjoint allocates per step");
 }
 
 /// Ranks allocate only the documented exchange payload: one `Vec` per
