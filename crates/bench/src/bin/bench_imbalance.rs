@@ -22,6 +22,7 @@
 //! modes write the merged Chrome trace and exit nonzero if the timeline is
 //! malformed (missing rank tracks or missing wait/copy slices).
 
+use quake_bench::Args;
 use quake_mesh::hexmesh::{ElemMaterial, HexMesh};
 use quake_octree::{BalanceMode, LinearOctree, MAX_LEVEL};
 use quake_solver::distributed::run_distributed;
@@ -54,8 +55,7 @@ fn pulse(mesh: &HexMesh) -> (Vec<f64>, Vec<f64>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let smoke = Args::parse(&["--smoke"], &[]).flag("--smoke");
     let (coarse, steps) = if smoke { (2u8, 8usize) } else { (3, 24) };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let ranks = cores.min(MAX_RANKS);

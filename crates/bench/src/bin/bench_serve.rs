@@ -27,6 +27,7 @@
 //! engine registry (engine spans + all worker counters/histograms) as
 //! NDJSON to `target/BENCH_serve_trace.ndjson`.
 
+use quake_bench::Args;
 use quake_mesh::MeshingParams;
 use quake_model::{ExtendedFault, LaBasinModel};
 use quake_serve::{EngineConfig, ScenarioRequest, ServeEngine, Ticket};
@@ -96,9 +97,8 @@ fn run_pass(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check = args.iter().any(|a| a == "--check");
+    let args = Args::parse(&["--smoke", "--check"], &[]);
+    let (smoke, check) = (args.flag("--smoke"), args.flag("--check"));
 
     // Smoke: a coarse 8 km basin, short runs — seconds total. Full: finer
     // mesh and full-duration members for a steady-state-like workload.

@@ -73,6 +73,7 @@
 
 use std::time::Instant;
 
+use quake_bench::Args;
 use quake_machine::{bytes, flops, MachineModel};
 use quake_mesh::hexmesh::{ElemMaterial, HexMesh};
 use quake_mesh::{mesh_from_model, MeshingParams};
@@ -82,7 +83,7 @@ use quake_solver::elastic::RayleighBand;
 use quake_solver::reference::reference_step;
 use quake_solver::{
     ElasticConfig, ElasticSolver, NoExchange, NoopHook, RateGroupPlan, RunConfig, RunOutcome,
-    SolverHarness,
+    SolverHarness, StepWorkspace,
 };
 use quake_telemetry::Registry;
 
@@ -152,6 +153,27 @@ fn time_stepper(
     (steps_per_sec, steps_per_sec * mesh.n_elements() as f64)
 }
 
+/// [`time_stepper`] of `solver.step_with` on `ws`, whose registry is reset
+/// before each trial so the final trial's span statistics are exactly one
+/// `n_steps`-step run.
+fn time_step_with(
+    solver: &ElasticSolver<'_>,
+    u0p: &[f64],
+    n_steps: usize,
+    trials: usize,
+    ws: &mut StepWorkspace,
+) -> (f64, f64) {
+    let ws = std::cell::RefCell::new(ws);
+    time_stepper(
+        solver.mesh,
+        u0p,
+        n_steps,
+        trials,
+        || ws.borrow().reg.reset(),
+        |up, un, f, next| solver.step_with(up, un, f, next, &mut ws.borrow_mut()),
+    )
+}
+
 struct PhaseRow {
     name: &'static str,
     secs: f64,
@@ -183,7 +205,7 @@ impl Breakdown {
     fn of(solver: &ElasticSolver<'_>, reg: &Registry) -> Breakdown {
         let step = reg.span_stats("step").expect("step span");
         let (n_steps, step_secs) = (step.count, step.total_secs());
-        solver.record_step_costs(solver.full_scope(), n_steps, reg);
+        solver.record_step_costs(&solver.phase_shape(solver.full_scope()), n_steps, reg);
         let machine = MachineModel::default();
         let elements = solver.mesh.n_elements() as u64 * n_steps;
         let idle_lanes = reg.counter("step/elements/lanes").unwrap() - elements;
@@ -312,23 +334,15 @@ impl Breakdown {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let lts = args.iter().any(|a| a == "--lts");
-    let check_overhead: Option<f64> = args
-        .iter()
-        .position(|a| a == "--check-overhead")
-        .map(|i| args[i + 1].parse().expect("--check-overhead takes a percentage"));
-    let check_throughput: Option<f64> = args
-        .iter()
-        .position(|a| a == "--check-throughput")
-        .map(|i| args[i + 1].parse().expect("--check-throughput takes element-updates/s"));
-    let check_mesh_ms: Option<f64> = args
-        .iter()
-        .position(|a| a == "--check-mesh-ms")
-        .map(|i| args[i + 1].parse().expect("--check-mesh-ms takes milliseconds"));
-    let trace_out: Option<String> =
-        args.iter().position(|a| a == "--trace-out").map(|i| args[i + 1].clone());
+    let args = Args::parse(
+        &["--smoke", "--lts"],
+        &["--check-overhead", "--check-throughput", "--check-mesh-ms", "--trace-out"],
+    );
+    let (smoke, lts) = (args.flag("--smoke"), args.flag("--lts"));
+    let check_overhead: Option<f64> = args.value("--check-overhead");
+    let check_throughput: Option<f64> = args.value("--check-throughput");
+    let check_mesh_ms: Option<f64> = args.value("--check-mesh-ms");
+    let trace_out: Option<String> = args.value("--trace-out");
     // The smoke mesh must be big enough that a step dwarfs the fixed span
     // cost, or the overhead check would measure timer noise instead.
     let (coarse, base_steps, trials) = if smoke { (3, 4, 1) } else { (4, 20, 3) };
@@ -368,33 +382,13 @@ fn main() {
     // The fused step runs on the planar layout; the conversion is an exact
     // permutation, outside the timed region.
     let u0p = quake_solver::layout::to_planar3(&u0);
-    let mut ws = solver.workspace();
-    let (fused_sps, fused_eups) = time_stepper(
-        &mesh,
-        &u0p,
-        ov_steps,
-        ov_trials,
-        || {},
-        |up, un, f, next| {
-            solver.step_with(up, un, f, next, &mut ws);
-        },
-    );
+    let (fused_sps, fused_eups) =
+        time_step_with(&solver, &u0p, ov_steps, ov_trials, &mut solver.workspace());
     println!("fused        : {fused_sps:>8.2} steps/s  {fused_eups:>12.3e} element-updates/s");
 
-    // Same hot path with a live registry; reset per trial so the final trial's
-    // span statistics are exactly one `ov_steps`-step run.
+    // Same hot path with a live registry.
     let mut iws = solver.workspace_instrumented(0);
-    let (instr_sps, instr_eups) = {
-        let iws_cell = std::cell::RefCell::new(&mut iws);
-        time_stepper(
-            &mesh,
-            &u0p,
-            ov_steps,
-            ov_trials,
-            || iws_cell.borrow().reg.reset(),
-            |up, un, f, next| solver.step_with(up, un, f, next, &mut iws_cell.borrow_mut()),
-        )
-    };
+    let (instr_sps, instr_eups) = time_step_with(&solver, &u0p, ov_steps, ov_trials, &mut iws);
     // Clamp at zero for the gate: best-of-trials minima are independently
     // noisy, so the instrumented run can beat `fused` by luck; a negative
     // overhead is noise, not a speedup. The raw (unclamped) value is
@@ -413,17 +407,7 @@ fn main() {
     let treg = quake_telemetry::Registry::new(0);
     treg.enable_trace(65536);
     let mut tws = solver.workspace_with(treg);
-    let (traced_sps, _) = {
-        let tws_cell = std::cell::RefCell::new(&mut tws);
-        time_stepper(
-            &mesh,
-            &u0p,
-            ov_steps,
-            ov_trials,
-            || tws_cell.borrow().reg.reset(),
-            |up, un, f, next| solver.step_with(up, un, f, next, &mut tws_cell.borrow_mut()),
-        )
-    };
+    let (traced_sps, _) = time_step_with(&solver, &u0p, ov_steps, ov_trials, &mut tws);
     let trace_overhead_raw_pct = (instr_sps / traced_sps - 1.0) * 100.0;
     let trace_overhead_pct = trace_overhead_raw_pct.max(0.0);
     println!(
@@ -471,17 +455,7 @@ fn main() {
     let mut bws = bsolver.workspace_instrumented(0);
     // Instrumented like the breakdown's other mesh; the telemetry cost is
     // the `instrumented` row's, far inside the row's run-to-run spread.
-    let (many_sps, many_eups) = {
-        let bws_cell = std::cell::RefCell::new(&mut bws);
-        time_stepper(
-            &bmesh,
-            &bu0p,
-            ov_steps,
-            ov_trials,
-            || bws_cell.borrow().reg.reset(),
-            |up, un, f, next| bsolver.step_with(up, un, f, next, &mut bws_cell.borrow_mut()),
-        )
-    };
+    let (many_sps, many_eups) = time_step_with(&bsolver, &bu0p, ov_steps, ov_trials, &mut bws);
     let many = Breakdown::of(&bsolver, &bws.into_registry());
     println!(
         "many_class   : {many_sps:>8.2} steps/s  {many_eups:>12.3e} element-updates/s  \
@@ -543,16 +517,8 @@ fn main() {
         let lu0 = shear_pulse(&lmesh, 8.0);
         let lu0p = quake_solver::layout::to_planar3(&lu0);
         let mut lws = lsolver.workspace();
-        let (lfused_sps, lfused_eups) = time_stepper(
-            &lmesh,
-            &lu0p,
-            n_base as usize,
-            lts_trials,
-            || {},
-            |up, un, f, next| {
-                lsolver.step_with(up, un, f, next, &mut lws);
-            },
-        );
+        let (lfused_sps, lfused_eups) =
+            time_step_with(&lsolver, &lu0p, n_base as usize, lts_trials, &mut lws);
         println!(
             "lts/fused    : {lfused_sps:>8.2} steps/s  {lfused_eups:>12.3e} element-updates/s"
         );

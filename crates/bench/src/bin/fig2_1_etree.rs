@@ -5,18 +5,15 @@
 //! transform need more than that many microseconds per element — the CI
 //! gate on the whole etree mesher, so a regression in any stage trips it.
 
-use quake_bench::{full_scale, print_table};
+use quake_bench::{full_scale, print_table, Args};
 use quake_etree::{DiskStore, EtreePipeline, MaterialRec, MemStore, OctantStore, PipelineStats};
 use quake_model::{LaBasinModel, MaterialModel};
 use quake_octree::{BalanceMode, LinearOctree, Octant};
 use std::time::Instant;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let check_pipeline_us: Option<f64> = args
-        .iter()
-        .position(|a| a == "--check-pipeline-us")
-        .map(|i| args[i + 1].parse().expect("--check-pipeline-us takes microseconds"));
+    let check_pipeline_us: Option<f64> =
+        Args::parse(&[], &["--check-pipeline-us"]).value("--check-pipeline-us");
     let extent = 40_000.0;
     let model = LaBasinModel::scaled(200.0, extent);
     let fmax = if full_scale() { 0.3 } else { 0.2 };

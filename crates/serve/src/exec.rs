@@ -6,25 +6,25 @@
 //! re-staging of the `ForwardRun` pipeline with the expensive, scenario-
 //! *independent* stages hoisted out: the mesh and [`ElasticSolver`] are
 //! built once per engine variant, and all per-run state — displacement
-//! fields, workspace, receiver nodes, seismogram buffers, harness scratch —
-//! lives in a worker-owned [`ServeScratch`] that is *reset*, never
-//! reallocated, between requests. After the first request of each size has
-//! warmed the buffers, steady-state serving performs no heap allocation in
-//! the reset-and-drive path (the root `tests/alloc_free.rs` counts the
-//! same allocations for N and 2N steps).
+//! fields, the step workspace (which owns the harness's run buffers),
+//! receiver nodes, seismogram buffers — lives in a worker-owned
+//! [`ServeScratch`] that is *reset*, never reallocated, between requests.
+//! After the first request of each size has warmed the buffers,
+//! steady-state serving performs no heap allocation in the reset-and-drive
+//! path (the root `tests/alloc_free.rs` counts the same allocations for N
+//! and 2N steps).
 //!
 //! Bit-identity contract: for the same sources/receivers/step budget, the
 //! traces returned here are **bit-identical** to a direct
 //! `ForwardRun::execute` on an identically configured scenario — same
 //! assembly routine, same hook order (`ReceiverHook` before
-//! `TelemetryHook`), same `SolverHarness` loop, and a `RunScratch` that is
-//! zeroed on entry exactly like a fresh allocation
+//! `TelemetryHook`), same `SolverHarness` loop, and a workspace whose run
+//! buffers are zeroed on entry exactly like a fresh allocation
 //! (`crates/serve/tests/equivalence.rs` pins this against `quake-core`).
 
 use crate::cache::CachedResult;
 use quake_model::PointSource;
 use quake_octree::LinearOctree;
-use quake_solver::harness::RunScratch;
 use quake_solver::{
     assemble_point_sources, ElasticSolver, NoExchange, ReceiverHook, RunConfig, RunOutcome,
     Seismogram, SolverHarness, SolverState, StepWorkspace, TelemetryHook,
@@ -35,7 +35,6 @@ use quake_solver::{
 pub struct ServeScratch {
     state: SolverState,
     ws: StepWorkspace,
-    run: RunScratch,
     receiver_nodes: Vec<u32>,
     /// Retired seismogram buffers, kept so shrinking the receiver set does
     /// not drop warmed capacity and growing it back allocates nothing.
@@ -49,7 +48,6 @@ impl ServeScratch {
         ServeScratch {
             state: solver.initial_state(0, None),
             ws: solver.workspace(),
-            run: RunScratch::for_ndof(3 * solver.mesh.n_nodes()),
             receiver_nodes: Vec::with_capacity(max_receivers),
             trace_pool: (0..max_receivers).map(|_| Seismogram::new(solver.dt, 3)).collect(),
         }
@@ -89,12 +87,8 @@ pub fn run_scenario(
     }
     let state = &mut scratch.state;
     state.step = 0;
-    for v in state.u_prev.iter_mut() {
-        *v = 0.0;
-    }
-    for v in state.u_now.iter_mut() {
-        *v = 0.0;
-    }
+    state.u_prev.fill(0.0);
+    state.u_now.fill(0.0);
     while state.seismograms.len() > receivers.len() {
         if let Some(tr) = state.seismograms.pop() {
             scratch.trace_pool.push(tr);
@@ -120,13 +114,12 @@ pub fn run_scenario(
     let mut receivers_hook = ReceiverHook::new(&scratch.receiver_nodes);
     let mut telemetry = TelemetryHook::new(solver);
     let harness = SolverHarness::new(solver);
-    let outcome = harness.run_with_scratch(
+    let outcome = harness.run(
         &cfg,
         state,
         &mut scratch.ws,
         &mut NoExchange,
         &mut [&mut receivers_hook, &mut telemetry],
-        &mut scratch.run,
     );
     let executed = match outcome {
         RunOutcome::Finished { executed } => executed,

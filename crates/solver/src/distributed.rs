@@ -216,6 +216,7 @@ struct DistSetup {
 
 impl DistSetup {
     fn build(solver: &ElasticSolver<'_>, n_ranks: usize) -> DistSetup {
+        assert!(n_ranks > 0, "DistConfig::n_ranks must be > 0");
         let mesh: &HexMesh = solver.mesh;
         let parts = partition_morton(mesh.n_elements(), n_ranks);
         let plan = ExchangePlan::build(mesh, &parts, n_ranks);
@@ -319,8 +320,9 @@ pub struct RecoveryConfig {
     /// When set, every rank runs a numerics [`HealthHook`] with this
     /// configuration, ordered **before** the checkpoint hook — so no state a
     /// rank persists has failed the health check, and the restore line after
-    /// a watchdog abort predates the corruption. The watchdog cadence should
-    /// divide [`RecoveryConfig::every_steps`]. Per-rank violation dumps
+    /// a watchdog abort predates the corruption. The watchdog cadence must
+    /// divide [`RecoveryConfig::every_steps`] (the run refuses one that
+    /// does not). Per-rank violation dumps
     /// (`rank{r}.attempt{a}.health.ndjson`) land in
     /// [`RecoveryConfig::dump_dir`] when that is set.
     pub health: Option<HealthConfig>,
@@ -436,8 +438,18 @@ pub fn run_distributed_recoverable(
     rcfg: &RecoveryConfig,
     reg: &Registry,
 ) -> Result<RecoveredRun, CkptError> {
-    assert!(rcfg.every_steps > 0, "checkpoint cadence must be positive");
-    assert!(rcfg.max_attempts >= 1);
+    assert!(rcfg.every_steps > 0, "RecoveryConfig::every_steps must be > 0");
+    assert!(rcfg.max_attempts >= 1, "RecoveryConfig::max_attempts must be >= 1");
+    if let Some(health) = &rcfg.health {
+        // A checkpoint written between two checks could persist a corrupt
+        // state, and the restore line would then name it.
+        health.validate();
+        let (cadence, every) = (health.cadence, rcfg.every_steps);
+        assert!(
+            every.is_multiple_of(cadence),
+            "HealthConfig::cadence ({cadence}) must divide RecoveryConfig::every_steps ({every})"
+        );
+    }
     let writers: Vec<CheckpointWriter> = (0..cfg.n_ranks)
         .map(|r| CheckpointWriter::new(&rcfg.ckpt_dir, &format!("rank{r}")))
         .collect::<Result<_, _>>()?;
@@ -623,9 +635,11 @@ fn run_rank(
         },
     };
 
+    // Free the workspace's buffers before the interleaved state copies.
+    let reg = ws.into_registry();
     // Reduce the metrics across the ranks that finished (a peer lost
     // mid-reduction fails this rank's attempt like one lost mid-run).
-    let snapshot = cfg.telemetry.then(|| ws.reg.snapshot());
+    let snapshot = cfg.telemetry.then(|| reg.snapshot());
     let mut reduced = Vec::new();
     if let (Some(snap), RankOutcome::Finished) = (&snapshot, &outcome) {
         match try_reduce_across_ranks(comm, snap) {
@@ -645,7 +659,7 @@ fn run_rank(
     if let (Some(dir), Some((step, reason))) = (dump_dir, failure) {
         let path = dir.join(format!("rank{rank}.attempt{attempt}.postmortem.ndjson"));
         // Best effort: a failed dump must not mask the rank outcome.
-        let _ = dump_post_mortem(&path, &ws.reg, reason, step, DUMP_TRACE_EVENTS);
+        let _ = dump_post_mortem(&path, &reg, reason, step, DUMP_TRACE_EVENTS);
     }
     // Public boundary: hand the states back interleaved.
     let state = if outcome == RankOutcome::Finished {
@@ -653,7 +667,7 @@ fn run_rank(
     } else {
         Default::default()
     };
-    let trace = cfg.trace_capacity.map(|_| ws.reg.trace_buffer());
+    let trace = cfg.trace_capacity.map(|_| reg.trace_buffer());
     RankRun { outcome, state, snapshot, reduced, trace }
 }
 
@@ -1352,5 +1366,86 @@ mod tests {
         assert!(run.outcomes[0].iter().any(|o| matches!(o, RankOutcome::Aborted { .. })));
         assert_matches_unfaulted(&mesh, &run, &reference);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Settings that would switch the watchdog off or crash it, and rank,
+    /// cadence or retry counts that cannot run, panic naming their field.
+    #[test]
+    fn invalid_settings_are_refused_naming_the_field() {
+        let (mesh, cfg) = recovery_setup();
+        let solver = ElasticSolver::new(&mesh, &cfg);
+        let dir = tmpdir("invalid-settings");
+        let health = |edit: fn(&mut HealthConfig)| {
+            let mut hc = HealthConfig::default();
+            edit(&mut hc);
+            hc
+        };
+        let recover = |ranks, rcfg: RecoveryConfig| {
+            let dist = DistConfig::new(ranks, 4);
+            let _ = run_distributed_recoverable(&solver, &dist, &rcfg, &Registry::disabled());
+        };
+        let rcfg = |every, attempts| RecoveryConfig::new(dir.clone(), every, attempts);
+        let cases: Vec<(&str, Box<dyn Fn() + '_>)> = vec![
+            (
+                "HealthConfig::cadence",
+                Box::new(|| drop(HealthHook::new(&solver, health(|h| h.cadence = 0)))),
+            ),
+            (
+                "HealthConfig::max_energy_growth",
+                Box::new(|| {
+                    drop(HealthHook::new(&solver, health(|h| h.max_energy_growth = f64::NAN)))
+                }),
+            ),
+            (
+                "HealthConfig::max_energy_growth",
+                Box::new(|| drop(HealthHook::new(&solver, health(|h| h.max_energy_growth = 0.5)))),
+            ),
+            (
+                "HealthConfig::ckpt_every",
+                Box::new(|| drop(HealthHook::new(&solver, health(|h| h.ckpt_every = Some(0))))),
+            ),
+            (
+                "HealthConfig::cadence",
+                Box::new(|| recover(2, rcfg(4, 1).with_health(health(|h| h.cadence = 0)))),
+            ),
+            (
+                "DistConfig::n_ranks",
+                Box::new(|| drop(run_distributed(&solver, &DistConfig::new(0, 4)))),
+            ),
+            ("DistConfig::n_ranks", Box::new(|| recover(0, rcfg(4, 1)))),
+            ("RecoveryConfig::every_steps", Box::new(|| recover(2, rcfg(0, 1)))),
+            ("RecoveryConfig::max_attempts", Box::new(|| recover(2, rcfg(4, 0)))),
+        ];
+        for (field, case) in &cases {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(case))
+                .expect_err(&format!("{field}: accepted"));
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| err.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(msg.contains(field), "{field}: panicked with {msg:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A watchdog every 4 steps under checkpoints every 6 would write the
+    /// step-6 line unchecked, so a corruption at step 5 would reach disk and
+    /// become the restore line: refused before any rank starts.
+    #[test]
+    #[should_panic(
+        expected = "HealthConfig::cadence (4) must divide RecoveryConfig::every_steps (6)"
+    )]
+    fn watchdog_off_the_checkpoint_cadence_is_refused() {
+        let (mesh, cfg) = recovery_setup();
+        let solver = ElasticSolver::new(&mesh, &cfg);
+        let corrupt = quake_parcomm::Fault::CorruptState { rank: 1, step: 5, index: 10 };
+        // Refused before the checkpoint directory is created.
+        let dir = std::env::temp_dir().join("quake-dist-recover-tests").join("off-cadence");
+        let rcfg = RecoveryConfig::new(dir, 6, 3)
+            .with_faults(FaultPlan::none().and(corrupt))
+            .with_health(HealthConfig::every(4));
+        let dist = DistConfig::new(2, 12);
+        let _ = run_distributed_recoverable(&solver, &dist, &rcfg, &Registry::disabled());
     }
 }

@@ -41,7 +41,8 @@
 //!   scope's absorbing-boundary faces, and the owned-node mask — all
 //!   computed once per rank, not per step.
 //! - [`StepWorkspace`]: the per-run scratch (the damping increment
-//!   `w = u_k - u_{k-1}`), allocated once and reused every step.
+//!   `w = u_k - u_{k-1}`, and the harness's `u_next`, force and gathered
+//!   displacement), allocated once and reused every step and every run.
 //! - `ElasticSolver::pass`: the one seven-phase step kernel. Global dt and
 //!   every rate group of a local-time-stepping plan run the same pass; only
 //!   its fill and tail have two forms (`Fields`: contiguous whole-domain
@@ -189,7 +190,8 @@ pub(crate) enum Fields<'a> {
 }
 
 /// Preallocated per-run scratch for the explicit step. Reusing one of these
-/// across steps makes the step's steady state allocation-free.
+/// across steps makes the step's steady state allocation-free; reusing it
+/// across harness runs makes a warm run allocation-free too.
 ///
 /// The workspace also carries the step's telemetry: a per-rank
 /// [`Registry`] (disabled by default — a disabled registry costs one branch
@@ -197,7 +199,13 @@ pub(crate) enum Fields<'a> {
 /// instrumented hot path performs no string lookups or allocations.
 pub struct StepWorkspace {
     /// Damping increment `w = u_k - u_{k-1}`, refreshed each step.
-    w: Vec<f64>,
+    pub(crate) w: Vec<f64>,
+    /// The harness's `u_next` (the pass rhs), force vector and — for plans
+    /// with halos — gathered displacement: empty until a harness run sizes
+    /// them, so a workspace that only calls `step_with` never carries them.
+    pub(crate) u_next: Vec<f64>,
+    pub(crate) f: Vec<f64>,
+    pub(crate) ue: Vec<f64>,
     /// Per-rank metric registry (see [`ElasticSolver::workspace_instrumented`]).
     pub reg: Registry,
     /// Interned span ids of the step phases.
@@ -235,15 +243,6 @@ impl StepSpanIds {
 }
 
 impl StepWorkspace {
-    fn new(ndof: usize) -> StepWorkspace {
-        StepWorkspace::with_registry(ndof, Registry::disabled())
-    }
-
-    fn with_registry(ndof: usize, reg: Registry) -> StepWorkspace {
-        let ids = StepSpanIds::intern(&reg);
-        StepWorkspace { w: vec![0.0; ndof], reg, ids }
-    }
-
     /// Move the accumulated telemetry out of the workspace.
     pub fn into_registry(self) -> Registry {
         self.reg
@@ -434,14 +433,14 @@ impl<'m> ElasticSolver<'m> {
     /// A fresh preallocated step workspace for this solver's mesh, with
     /// telemetry disabled (the hot path pays one branch per phase).
     pub fn workspace(&self) -> StepWorkspace {
-        StepWorkspace::new(3 * self.mesh.n_nodes())
+        self.workspace_with(Registry::disabled())
     }
 
     /// A workspace whose [`Registry`] records per-phase span timings for
     /// `rank` (use rank 0 for serial runs). Read the result from
     /// [`StepWorkspace::reg`] or [`StepWorkspace::into_registry`].
     pub fn workspace_instrumented(&self, rank: usize) -> StepWorkspace {
-        StepWorkspace::with_registry(3 * self.mesh.n_nodes(), Registry::new(rank))
+        self.workspace_with(Registry::new(rank))
     }
 
     /// A workspace driven by a caller-built [`Registry`] — for drivers that
@@ -449,7 +448,9 @@ impl<'m> ElasticSolver<'m> {
     /// the first step (see [`Registry::with_epoch`] /
     /// [`Registry::enable_trace`]).
     pub fn workspace_with(&self, reg: Registry) -> StepWorkspace {
-        StepWorkspace::with_registry(3 * self.mesh.n_nodes(), reg)
+        let ids = StepSpanIds::intern(&reg);
+        let (u_next, f, ue) = (Vec::new(), Vec::new(), Vec::new());
+        StepWorkspace { w: vec![0.0; 3 * self.mesh.n_nodes()], u_next, f, ue, reg, ids }
     }
 
     /// The cached full-domain step schedule (the one [`ElasticSolver::step_with`] runs).
@@ -483,18 +484,13 @@ impl<'m> ElasticSolver<'m> {
         }
     }
 
-    /// Record the analytic flop/byte counts of `n_steps` steps of `scope`
-    /// into `reg` as `step/<phase>/flops` and `step/<phase>/bytes` counters
-    /// (absolute set, so calling again after more steps overwrites). These
-    /// are the denominators the roofline report divides the measured span
-    /// times into.
-    pub fn record_step_costs(&self, scope: &StepScope, n_steps: u64, reg: &Registry) {
-        self.record_step_costs_shaped(&self.phase_shape(scope), n_steps, reg);
-    }
-
-    /// [`ElasticSolver::record_step_costs`] with a caller-adjusted shape
-    /// (e.g. with the real `exchange_doubles` of a distributed rank).
-    pub fn record_step_costs_shaped(&self, shape: &ElasticStepShape, n_steps: u64, reg: &Registry) {
+    /// Record the analytic flop/byte counts of `n_steps` steps of `shape`
+    /// (a scope's [`ElasticSolver::phase_shape`], or a caller-adjusted one
+    /// with a distributed rank's real `exchange_doubles`) into `reg` as
+    /// `step/<phase>/flops` and `step/<phase>/bytes` counters (absolute set,
+    /// so calling again after more steps overwrites). These are the
+    /// denominators the roofline report divides the measured span times into.
+    pub fn record_step_costs(&self, shape: &ElasticStepShape, n_steps: u64, reg: &Registry) {
         if !reg.is_enabled() {
             return;
         }
@@ -557,7 +553,8 @@ impl<'m> ElasticSolver<'m> {
         // The global pass over the full domain, with no exchange to fail.
         let pass = self.global_pass(&self.full_scope);
         let fields = Fields::Whole { u_prev, u_now };
-        let done = self.pass(&pass, fields, f_ext, u_next, ws, |_, _| Ok(()));
+        let StepWorkspace { w, reg, ids, .. } = ws;
+        let done = self.pass(&pass, fields, f_ext, u_next, w, reg, ids, |_, _| Ok(()));
         debug_assert!(done.is_ok(), "a step without an exchange cannot fail");
     }
 
@@ -577,39 +574,38 @@ impl<'m> ElasticSolver<'m> {
     /// describes the last completed pass.
     ///
     /// All nodal vectors — including the rhs handed to `exchange` — are
-    /// planar. The closure also receives the workspace registry (which `ws`
-    /// itself mutably borrows at that point), so an instrumented exchange
-    /// can attribute `wait`/`copy` sub-intervals under the open
-    /// `step/exchange` span.
+    /// planar. `w`, `reg` and `ids` are pieces of the caller's
+    /// [`StepWorkspace`], whose other buffers the rhs and fields may borrow.
+    /// The closure also receives `reg`, so an instrumented exchange can
+    /// attribute `wait`/`copy` sub-intervals under the open `step/exchange`
+    /// span.
     ///
-    /// Steady-state heap allocations: **zero** (scratch lives in `ws` and
-    /// the caller's buffers, the face list and schedule in the pass).
+    /// Steady-state heap allocations: **zero** (scratch lives in the
+    /// workspace, the face list and schedule in the pass).
     pub(crate) fn pass(
         &self,
         pass: &Pass<'_>,
         mut fields: Fields<'_>,
         f_ext: &[f64],
         rhs: &mut [f64],
-        ws: &mut StepWorkspace,
+        w: &mut [f64],
+        reg: &Registry,
+        ids: &StepSpanIds,
         exchange: impl FnOnce(&mut [f64], &Registry) -> Result<(), String>,
     ) -> Result<(), String> {
         let n = self.mesh.n_nodes();
         let ndof = 3 * n;
         assert_eq!(f_ext.len(), ndof);
         assert_eq!(rhs.len(), ndof);
-        assert_eq!(ws.w.len(), ndof);
+        assert_eq!(w.len(), ndof);
         let dt = pass.dt;
         let dt2 = dt * dt;
         let SolverData { mass_fp, cdiag_fp, damp_diag_p, .. } = &*self.data;
 
-        // Disjoint field borrows: the scratch vector mutably, the registry
-        // and pre-interned span ids shared.
-        let StepWorkspace { w, reg, ids } = ws;
-
-        // The explicit step allocates nothing (scratch lives in
-        // StepWorkspace/RunScratch, span ids are pre-interned; the root
-        // tests/alloc_free.rs counts it) and is bit-deterministic (the root
-        // tests/bit_pins.rs pins its output).
+        // The explicit step allocates nothing (scratch lives in the
+        // workspace, span ids are pre-interned; the root tests/alloc_free.rs
+        // counts it) and is bit-deterministic (the root tests/bit_pins.rs
+        // pins its output).
         reg.enter(ids.step);
 
         // Fused initial fill: one pass computes the damping increment
@@ -1251,7 +1247,7 @@ mod tests {
             if plan.is_none() {
                 // The one-group plan's totals are the full-domain shape's.
                 let full = Registry::new(0);
-                solver.record_step_costs(solver.full_scope(), n_steps, &full);
+                solver.record_step_costs(&solver.phase_shape(solver.full_scope()), n_steps, &full);
                 for ph in PHASES {
                     for unit in ["flops", "bytes"] {
                         let name = format!("step/{ph}/{unit}");
@@ -1279,7 +1275,7 @@ mod tests {
         let mut next = vec![0.0; ndof];
         let f = vec![0.0; ndof];
         solver.step_with(&up, &u0, &f, &mut next, &mut ws);
-        solver.record_step_costs(solver.full_scope(), 1, &ws.reg);
+        solver.record_step_costs(&solver.phase_shape(solver.full_scope()), 1, &ws.reg);
         let reg = ws.into_registry();
         assert!(!reg.is_enabled());
         assert!(reg.span_stats("step").is_none());

@@ -7,10 +7,10 @@
 //! were near-duplicate copies of the same recurrence. The harness inverts
 //! that: there is exactly **one** step loop, driven by a [`RunConfig`], with
 //! an ordered list of hooks observing it. Every public entry point —
-//! [`SolverHarness::run`], `run_with_scratch`, `run_grouped`,
-//! `run_simulation`, `ElasticSolver::run`, `run_distributed`,
-//! `run_distributed_recoverable`, `run_forward` — assembles arguments (a
-//! plan, a hook list, scratch) and delegates here.
+//! [`SolverHarness::run`], `run_grouped`, `run_simulation`,
+//! `ElasticSolver::run`, `run_distributed`, `run_distributed_recoverable`,
+//! `run_forward` — assembles arguments (a plan, a hook list, a
+//! [`StepWorkspace`]) and delegates here.
 //!
 //! The loop steps a *plan*: a list of rate-group passes, finest first, group
 //! `g` due every `f_g` base steps (see [`crate::rategroup`]). **Global dt is
@@ -36,11 +36,12 @@
 //!                                           # step costs
 //! ```
 //!
-//! A whole-domain pass computes `u_{k+1}` into the scratch `u_next` and the
-//! loop rotates the three buffers; a rate group advances its owned nodes in
-//! place. Between sync steps the groups' histories are staggered, so hooks
-//! only ever see the state at sync steps, and both the entry step and
-//! `until_step` must be multiples of `M`.
+//! A whole-domain pass computes `u_{k+1}` into the workspace's `u_next` and
+//! the loop rotates the three buffers; a rate group advances its owned nodes
+//! in place. Between sync steps the groups' histories are staggered, so
+//! hooks only ever see the state at sync steps, and both the entry step and
+//! `until_step` must be multiples of `M`. A warm workspace runs again
+//! without allocating: it owns every run buffer.
 //!
 //! Hooks that touch disjoint state commute — the displacement history is
 //! bit-identical under any permutation (tested). The one ordering contract
@@ -228,30 +229,6 @@ impl<'a> RunConfig<'a> {
     }
 }
 
-/// The per-run scratch vectors of the step loop: the `u_next` target of the
-/// three-term recurrence (the pass rhs), the assembled force vector, and —
-/// only when the plan has halos, i.e. more than one rate group — the gathered
-/// displacement `ue` the group sweeps read (the matching damping increment
-/// is the workspace's `w`). [`SolverHarness::run`] allocates a fresh one per
-/// call; a caller that drives many runs back to back (the `quake-serve`
-/// worker pool) preallocates one and uses
-/// [`SolverHarness::run_with_scratch`] so steady-state serving performs no
-/// per-run heap allocation. All buffers are zeroed on entry, so a reused
-/// scratch is bit-identical to a fresh one.
-pub struct RunScratch {
-    u_next: Vec<f64>,
-    f: Vec<f64>,
-    ue: Vec<f64>,
-}
-
-impl RunScratch {
-    /// Scratch for a solver with `ndof` planar degrees of freedom
-    /// (`3 * mesh.n_nodes()`).
-    pub fn for_ndof(ndof: usize) -> RunScratch {
-        RunScratch { u_next: vec![0.0; ndof], f: vec![0.0; ndof], ue: Vec::new() }
-    }
-}
-
 /// The one canonical step loop. See the module docs for the loop structure
 /// and the hook phase map.
 pub struct SolverHarness<'s, 'm> {
@@ -264,7 +241,9 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
     }
 
     /// Advance `state` at the global dt from `state.step` up to (exclusive)
-    /// `cfg.until_step`, invoking `hooks` in order at each phase.
+    /// `cfg.until_step`, invoking `hooks` in order at each phase. The loop's
+    /// scratch lives in `ws`, so a warm workspace runs again with no heap
+    /// allocation (the `quake-serve` workers keep one per worker).
     pub fn run(
         &self,
         cfg: &RunConfig<'_>,
@@ -273,24 +252,9 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
         exchange: &mut dyn Exchange,
         hooks: &mut [&mut dyn StepHook],
     ) -> RunOutcome {
-        let mut scratch = RunScratch::for_ndof(3 * self.solver.mesh.n_nodes());
-        self.run_with_scratch(cfg, state, ws, exchange, hooks, &mut scratch)
-    }
-
-    /// [`SolverHarness::run`] with caller-owned scratch vectors, for drivers
-    /// that execute many runs against one solver (scenario serving).
-    pub fn run_with_scratch(
-        &self,
-        cfg: &RunConfig<'_>,
-        state: &mut SolverState,
-        ws: &mut StepWorkspace,
-        exchange: &mut dyn Exchange,
-        hooks: &mut [&mut dyn StepHook],
-        scratch: &mut RunScratch,
-    ) -> RunOutcome {
         let scope = cfg.scope.unwrap_or_else(|| self.solver.full_scope());
         let plan = [self.solver.global_pass(scope)];
-        self.drive(&plan, None, cfg, state, ws, exchange, hooks, scratch)
+        self.drive(&plan, None, cfg, state, ws, exchange, hooks)
     }
 
     /// [`SolverHarness::run`] on a rate-group stepping plan: advance `state`
@@ -319,19 +283,12 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
             cfg.scope.is_none(),
             "a rate-group plan steps the full domain (no distributed LTS)"
         );
-        let ndof = 3 * self.solver.mesh.n_nodes();
-        let mut scratch = RunScratch::for_ndof(ndof);
-        if plan.n_groups() > 1 {
-            scratch.ue = vec![0.0; ndof];
-        }
-        let node_dt = Some(plan.node_dt());
-        self.drive(&plan.passes(), node_dt, cfg, state, ws, exchange, hooks, &mut scratch)
+        self.drive(&plan.passes(), Some(plan.node_dt()), cfg, state, ws, exchange, hooks)
     }
 
     /// THE step loop (see the module docs): advance `state` through the
     /// macro cycles of `plan` — passes finest first, the last one's stride
     /// the cycle length — firing `hooks` at the sync steps.
-    #[allow(clippy::too_many_arguments)]
     fn drive(
         &self,
         plan: &[Pass<'_>],
@@ -341,15 +298,20 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
         ws: &mut StepWorkspace,
         exchange: &mut dyn Exchange,
         hooks: &mut [&mut dyn StepHook],
-        scratch: &mut RunScratch,
     ) -> RunOutcome {
         let solver = self.solver;
         let ndof = 3 * solver.mesh.n_nodes();
         assert_eq!(state.u_prev.len(), ndof, "state does not match this mesh");
         assert_eq!(state.u_now.len(), ndof, "state does not match this mesh");
-        let RunScratch { u_next, f, ue } = scratch;
-        assert_eq!(u_next.len(), ndof, "scratch does not match this mesh");
-        assert_eq!(f.len(), ndof, "scratch does not match this mesh");
+        // One destructure: the passes borrow the buffers and the registry
+        // disjointly. `clear` + `resize` zeroes each buffer in its warmed
+        // capacity; only a plan with halos needs the gathered `ue`.
+        let StepWorkspace { w, u_next, f, ue, reg, ids } = ws;
+        let halos = plan.iter().any(|p| p.group.is_some());
+        for buf in [&mut *u_next, &mut *f].into_iter().chain(halos.then_some(&mut *ue)) {
+            buf.clear();
+            buf.resize(ndof, 0.0);
+        }
         let m = plan.last().map_or(1, |p| p.factor);
         assert_eq!(state.step % m, 0, "runs start at a global sync step (multiple of the cycle)");
         assert_eq!(cfg.until_step % m, 0, "runs end at a global sync step (multiple of the cycle)");
@@ -364,7 +326,7 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
             cycle_shape.n_lanes += times * shape.n_lanes;
         }
         let info = RunInfo {
-            rank: ws.reg.rank(),
+            rank: reg.rank(),
             dt: solver.dt,
             first_step: state.step,
             until_step: cfg.until_step,
@@ -372,13 +334,10 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
             cycle_shape,
             node_dt,
         };
-        u_next.iter_mut().for_each(|v| *v = 0.0);
-        f.iter_mut().for_each(|v| *v = 0.0);
-        ue.iter_mut().for_each(|v| *v = 0.0);
         let mut tainted = false;
 
         {
-            let mut ctx = HookCtx { info: &info, state, reg: &ws.reg, tainted };
+            let mut ctx = HookCtx { info: &info, state, reg, tainted };
             for h in hooks.iter_mut() {
                 if let Err(reason) = h.on_run_start(&mut ctx) {
                     return RunOutcome::Stopped { step: info.first_step, reason };
@@ -389,7 +348,7 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
         let mut k = info.first_step;
         while k < info.until_step {
             {
-                let mut ctx = HookCtx { info: &info, state, reg: &ws.reg, tainted };
+                let mut ctx = HookCtx { info: &info, state, reg, tainted };
                 for h in hooks.iter_mut() {
                     if let Err(reason) = h.before_step(&mut ctx) {
                         return RunOutcome::Stopped { step: k, reason };
@@ -400,11 +359,11 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
                 if !cfg.sources.is_empty() {
                     let t = s as f64 * solver.dt;
                     f.iter_mut().for_each(|v| *v = 0.0);
-                    ws.reg.enter(ws.ids.source);
+                    reg.enter(ids.source);
                     for src in cfg.sources {
                         src.add_force_planar(t, f);
                     }
-                    ws.reg.exit(ws.ids.source);
+                    reg.exit(ids.source);
                 }
                 // Every due group, coarsest first: a finer group then finds
                 // its coarser halo's (u_prev, u_now) bracketing its own time
@@ -425,7 +384,7 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
                             }),
                         },
                     };
-                    let stepped = solver.pass(pass, fields, f, u_next, ws, |rhs, reg| {
+                    let stepped = solver.pass(pass, fields, f, u_next, w, reg, ids, |rhs, reg| {
                         let mut flow = ExchangeFlow::Proceed;
                         for h in hooks.iter_mut() {
                             if h.pre_exchange(&info, s) == ExchangeFlow::Skip {
@@ -456,7 +415,7 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
             k += m;
             state.step = k;
             {
-                let mut ctx = HookCtx { info: &info, state, reg: &ws.reg, tainted };
+                let mut ctx = HookCtx { info: &info, state, reg, tainted };
                 for h in hooks.iter_mut() {
                     if let Err(reason) = h.after_step(&mut ctx) {
                         return RunOutcome::Stopped { step: k - m, reason };
@@ -467,7 +426,7 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
 
         let executed = state.step - info.first_step;
         {
-            let mut ctx = HookCtx { info: &info, state, reg: &ws.reg, tainted };
+            let mut ctx = HookCtx { info: &info, state, reg, tainted };
             for h in hooks.iter_mut() {
                 h.on_run_end(&mut ctx);
             }
@@ -486,9 +445,9 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
         n_steps: usize,
     ) -> (Vec<f64>, Vec<f64>) {
         let mut state = self.solver.initial_state(0, initial);
-        let mut ws = self.solver.workspace();
         let cfg = RunConfig::to_step(n_steps as u64);
-        self.run(&cfg, &mut state, &mut ws, &mut NoExchange, &mut []);
+        // A temporary workspace: its buffers are gone before the copies.
+        self.run(&cfg, &mut state, &mut self.solver.workspace(), &mut NoExchange, &mut []);
         (
             crate::layout::to_interleaved3(&state.u_prev),
             crate::layout::to_interleaved3(&state.u_now),
@@ -666,7 +625,7 @@ impl StepHook for TelemetryHook<'_, '_> {
     fn on_run_end(&mut self, ctx: &mut HookCtx<'_>) {
         let executed = ctx.state.step - ctx.info.first_step;
         let shape = self.shape.unwrap_or(ctx.info.cycle_shape);
-        self.solver.record_step_costs_shaped(&shape, executed / ctx.info.cycle, ctx.reg);
+        self.solver.record_step_costs(&shape, executed / ctx.info.cycle, ctx.reg);
     }
 }
 

@@ -16,11 +16,12 @@
 //!
 //! **Hook order matters**: place the `HealthHook` *before* any
 //! `CheckpointHook` in the harness hook list and give it a cadence that
-//! divides the checkpoint cadence. `after_step` processing stops at the
-//! first erroring hook, so every state a checkpoint sink persists has passed
-//! the health check — a detected corruption can never poison the newest
-//! restore line, and resume from the reported `last_valid_ckpt` is
-//! bit-identical to an unfaulted run up to that line.
+//! divides the checkpoint cadence (`run_distributed_recoverable` refuses
+//! one that does not). `after_step` processing stops at the first erroring
+//! hook, so every state a checkpoint sink persists has passed the health
+//! check — a detected corruption can never poison the newest restore line,
+//! and resume from the reported `last_valid_ckpt` is bit-identical to an
+//! unfaulted run up to that line.
 //!
 //! The watchdog is an opt-in hook: runs that do not install it pay nothing.
 
@@ -90,6 +91,15 @@ impl HealthConfig {
         self.max_energy_growth = factor;
         self
     }
+
+    /// Refuse, naming the field, settings that defeat the watchdog (cadence
+    /// 0, a NaN or sub-1 growth factor) or crash its report (`ckpt_every` 0).
+    pub(crate) fn validate(&self) {
+        assert!(self.cadence > 0, "HealthConfig::cadence must be > 0");
+        let growth = self.max_energy_growth;
+        assert!(growth >= 1.0, "HealthConfig::max_energy_growth must be >= 1, got {growth}");
+        assert_ne!(self.ckpt_every, Some(0), "HealthConfig::ckpt_every must be > 0 when set");
+    }
 }
 
 /// What the watchdog found when it aborted a run.
@@ -123,7 +133,9 @@ pub struct HealthHook<'s, 'm> {
 }
 
 impl<'s, 'm> HealthHook<'s, 'm> {
+    /// Panics on a [`HealthConfig`] that would disable or crash the watchdog.
     pub fn new(solver: &'s ElasticSolver<'m>, cfg: HealthConfig) -> HealthHook<'s, 'm> {
+        cfg.validate();
         HealthHook { solver, cfg, peak_energy: 0.0, report: None }
     }
 

@@ -43,10 +43,11 @@
 //!   equivalence and `bench_step` baseline.
 //!
 //! The elastic hot path is organized around preallocated
-//! [`elastic::StepScope`]/[`elastic::StepWorkspace`] state so the steady
-//! state of a time loop performs no heap allocations. Within a rank the
-//! element sweep is serial (its class-major schedule fixes its order);
-//! parallelism lives in [`distributed`] ranks and `quake-serve` workers.
+//! [`elastic::StepScope`]/[`elastic::StepWorkspace`] state: a time loop's
+//! steady state, and a second run on a warm workspace, allocate nothing on
+//! the heap. Within a rank the element sweep is serial (its class-major
+//! schedule fixes its order); parallelism lives in [`distributed`] ranks
+//! and `quake-serve` workers.
 
 #![forbid(unsafe_code)]
 
@@ -75,8 +76,8 @@ pub use distributed::{
 pub use elastic::{ElasticConfig, ElasticSolver, RunResult, SolverData, StepScope, StepWorkspace};
 pub use harness::{
     CheckpointHook, Exchange, ExchangeFlow, FaultHook, HookCtx, NoExchange, NoopHook, ReceiverHook,
-    RunConfig, RunInfo, RunOutcome, RunScratch, SolverHarness, StepHook, StopReason,
-    SyncReceiverHook, TelemetryHook,
+    RunConfig, RunInfo, RunOutcome, SolverHarness, StepHook, StopReason, SyncReceiverHook,
+    TelemetryHook,
 };
 pub use health::{HealthConfig, HealthHook, HealthReport};
 pub use rategroup::RateGroupPlan;

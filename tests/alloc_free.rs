@@ -345,6 +345,52 @@ fn rate_group_steps_allocate_nothing() {
     assert_steady_state_allocates_nothing(&steps, 3 * cycle);
 }
 
+/// The workspace owns the run's buffers, so a second run on a warm one
+/// allocates no mesh-sized vector: `run` allocates nothing, a 3-group
+/// `run_grouped` only its list of passes.
+#[test]
+fn warm_second_run_allocates_no_mesh_sized_buffer() {
+    let _serial = serial();
+    let (_, mesh, cfg) = fixture();
+    let solver = ElasticSolver::new(&mesh, &cfg);
+    let grouped = RateGroupPlan::build(&solver, 3);
+    assert_eq!(grouped.n_groups(), 3);
+    let harness = SolverHarness::new(&solver);
+    let (u0, v0) = pulse(&mesh);
+    let initial = Some((&u0[..], &v0[..]));
+    let nodes = [0, mesh.n_nodes() as u32 / 2];
+    for (plan, expected) in [(None, 0), (Some(&grouped), 1)] {
+        let m = plan.map_or(1, RateGroupPlan::cycle);
+        let mut ws = solver.workspace();
+        let mut state = match plan {
+            None => solver.initial_state(nodes.len(), initial),
+            Some(plan) => plan.initial_state(&solver, nodes.len(), initial),
+        };
+        for tr in &mut state.seismograms {
+            tr.data.reserve(3 * 8 * m as usize);
+        }
+        let mut run = |until| {
+            let cfg = RunConfig::to_step(until);
+            let mut hooks: [&mut dyn StepHook; 1] = [&mut ReceiverHook::new(&nodes)];
+            match plan {
+                None => harness.run(&cfg, &mut state, &mut ws, &mut NoExchange, &mut hooks),
+                Some(plan) => harness.run_grouped(
+                    plan,
+                    &cfg,
+                    &mut state,
+                    &mut ws,
+                    &mut NoExchange,
+                    &mut hooks,
+                ),
+            }
+        };
+        run(4 * m);
+        let (n, outcome) = allocations(|| run(8 * m));
+        assert!(matches!(outcome, RunOutcome::Finished { executed } if executed == 4 * m));
+        assert_eq!(n, expected, "warm second run of plan {:?}", plan.map(|p| p.n_groups()));
+    }
+}
+
 /// A warmed serve worker allocates per request, never per step: the same
 /// count for a budget of N steps and of 2N.
 #[test]

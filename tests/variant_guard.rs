@@ -14,10 +14,7 @@ use std::path::{Path, PathBuf};
 /// module itself needs a reviewed allowlist diff like anywhere else.
 const ALLOWED: &[(&str, &[&str])] = &[
     ("crates/parcomm/src/lib.rs", &["run_spmd"]),
-    (
-        "crates/solver/src/harness.rs",
-        &["run_with_scratch", "run_grouped", "run_to_state", "run_simulation"],
-    ),
+    ("crates/solver/src/harness.rs", &["run_grouped", "run_to_state", "run_simulation"]),
     ("crates/solver/src/distributed.rs", &["run_distributed", "run_distributed_recoverable"]),
     ("crates/solver/src/tet.rs", &["run_to_state"]),
     ("crates/core/src/forward.rs", &["run_forward"]),
@@ -48,7 +45,7 @@ fn no_new_public_run_variants_outside_the_harness() {
     }
     files.sort();
 
-    let mut seen = 0;
+    let mut seen = Vec::new();
     let mut findings = Vec::new();
     for path in &files {
         let rel = path.strip_prefix(root).unwrap().to_string_lossy().replace('\\', "/");
@@ -60,15 +57,25 @@ fn no_new_public_run_variants_outside_the_harness() {
             if !name.starts_with("run_") {
                 continue;
             }
-            seen += 1;
-            if !allowed.contains(&name.as_str()) {
+            if allowed.contains(&name.as_str()) {
+                seen.push((rel.clone(), name));
+            } else {
                 findings.push(format!("{rel}:{}: pub fn {name}", i + 1));
             }
         }
     }
 
-    // The allowlist names 10 entry points; all of them must be seen.
-    assert!(seen >= 10, "the scan no longer sees the known entry points ({seen})");
+    // Every allowlisted entry point must still exist, so deleting one also
+    // deletes its entry, and the scan provably reads the files it names.
+    let stale: Vec<String> = ALLOWED
+        .iter()
+        .flat_map(|(file, names)| names.iter().map(move |name| (*file, *name)))
+        .filter(|&(file, name)| !seen.iter().any(|(f, n)| f == file && n == name))
+        .map(|(file, name)| format!("{file}: {name}"))
+        .collect();
+    assert!(stale.is_empty(), "allowlisted entry points not found:\n{}", stale.join("\n"));
+    let expected: usize = ALLOWED.iter().map(|(_, names)| names.len()).sum();
+    assert_eq!(seen.len(), expected, "an allowlisted entry point is defined twice: {seen:?}");
     assert!(
         findings.is_empty(),
         "new public run_* variant(s) outside the harness — route them through \
