@@ -22,37 +22,15 @@
 //! modes write the merged Chrome trace and exit nonzero if the timeline is
 //! malformed (missing rank tracks or missing wait/copy slices).
 
-use quake_bench::Args;
-use quake_mesh::hexmesh::{ElemMaterial, HexMesh};
-use quake_octree::{BalanceMode, LinearOctree, MAX_LEVEL};
+use quake_bench::{half_refined_mesh, shear_pulse, write_report, Args, REPO_ROOT};
 use quake_solver::distributed::run_distributed;
 use quake_solver::{DistConfig, ElasticConfig, ElasticSolver};
-use quake_telemetry::json::chrome_trace;
+use quake_telemetry::json::{chrome_trace, Json};
 
 /// Rank count is the host's cores, capped here: more ranks than cores would
 /// time-share them, and `exchange/wait` would measure the OS scheduler.
 const MAX_RANKS: usize = 4;
 const TRACE_EVENTS: usize = 65536;
-
-fn build_mesh(coarse: u8) -> HexMesh {
-    let half = 1u32 << (MAX_LEVEL - 1);
-    let fine = coarse + 1;
-    let mut tree = LinearOctree::build(|o| o.level < coarse || (o.level < fine && o.x < half));
-    tree.balance(BalanceMode::Full);
-    HexMesh::from_octree(&tree, 8.0, |_, _, _, _| ElemMaterial { lambda: 2.0, mu: 1.0, rho: 1.0 })
-}
-
-fn pulse(mesh: &HexMesh) -> (Vec<f64>, Vec<f64>) {
-    let n = mesh.n_nodes();
-    let mut u = vec![0.0; 3 * n];
-    let v = vec![0.0; 3 * n];
-    for (i, c) in mesh.coords.iter().enumerate() {
-        let r2 = (c[0] - 4.0).powi(2) + (c[1] - 4.0).powi(2) + (c[2] - 4.0).powi(2);
-        u[3 * i + 1] = (-r2 / 2.0).exp();
-    }
-    mesh.interpolate_hanging(&mut u, 3);
-    (u, v)
-}
 
 fn main() {
     let smoke = Args::parse(&["--smoke"], &[]).flag("--smoke");
@@ -60,12 +38,13 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let ranks = cores.min(MAX_RANKS);
 
-    let mesh = build_mesh(coarse);
+    let mesh = half_refined_mesh(coarse);
     let mut cfg = ElasticConfig::new(1.0);
     cfg.dt = Some(0.05);
     cfg.abc = [true, true, true, true, false, true];
     let solver = ElasticSolver::new(&mesh, &cfg);
-    let (u0, v0) = pulse(&mesh);
+    let u0 = shear_pulse(&mesh, 8.0);
+    let v0 = vec![0.0; u0.len()];
     println!(
         "mesh: {} elements / {} nodes ({} hanging), {ranks} ranks ({cores} cores) x {steps} steps",
         mesh.n_elements(),
@@ -111,19 +90,18 @@ fn main() {
     ];
     println!("\nper-phase wall time across ranks (secs; imbalance = max/mean):");
     println!("{:<22} {:>10} {:>10} {:>10} {:>10}", "phase", "min", "mean", "max", "imbalance");
-    let mut rows = String::new();
-    for (i, ph) in phases.iter().enumerate() {
+    let mut rows = Vec::new();
+    for ph in phases {
         let r = by(&format!("span.{ph}.secs"));
         let imb = if r.mean > 0.0 { r.max / r.mean } else { 1.0 };
         println!("{ph:<22} {:>10.6} {:>10.6} {:>10.6} {imb:>10.3}", r.min, r.mean, r.max);
-        rows.push_str(&format!(
-            "    {{ \"name\": \"{ph}\", \"min_secs\": {:.9}, \"mean_secs\": {:.9}, \
-             \"max_secs\": {:.9}, \"imbalance\": {imb:.4} }}{}\n",
-            r.min,
-            r.mean,
-            r.max,
-            if i + 1 < phases.len() { "," } else { "" }
-        ));
+        rows.push(Json::obj([
+            ("name", ph.into()),
+            ("min_secs", r.min.into()),
+            ("mean_secs", r.mean.into()),
+            ("max_secs", r.max.into()),
+            ("imbalance", imb.into()),
+        ]));
     }
     let gauge = by("gauge.imbalance");
     // Histogram quantiles do not reduce across ranks, but the imbalance
@@ -137,39 +115,24 @@ fn main() {
         gauge.mean, per_step_mean, per_step_p99
     );
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!("  \"ranks\": {ranks},\n  \"host_cores\": {cores},\n"));
-    json.push_str(&format!("  \"n_steps\": {steps},\n"));
-    json.push_str(&format!("  \"mesh_elements\": {},\n", mesh.n_elements()));
-    json.push_str(&format!("  \"mesh_nodes\": {},\n", mesh.n_nodes()));
-    json.push_str(&format!(
-        "  \"elements_per_rank\": [{}],\n",
-        run.elements.iter().map(|e| e.len().to_string()).collect::<Vec<_>>().join(", ")
-    ));
-    json.push_str(&format!(
-        "  \"exchange_volumes\": [{}],\n",
-        run.volumes.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(", ")
-    ));
-    json.push_str(&format!("  \"imbalance_gauge_last_step\": {:.4},\n", gauge.mean));
-    json.push_str(&format!("  \"imbalance_per_step_mean\": {per_step_mean:.4},\n"));
-    json.push_str(&format!("  \"imbalance_per_step_p99\": {per_step_p99:.4},\n"));
-    json.push_str("  \"phases\": [\n");
-    json.push_str(&rows);
-    json.push_str("  ],\n");
-    json.push_str("  \"trace\": \"target/BENCH_imbalance_trace.json\"\n}\n");
+    let json = Json::obj([
+        ("ranks", ranks.into()),
+        ("host_cores", cores.into()),
+        ("n_steps", steps.into()),
+        ("mesh_elements", mesh.n_elements().into()),
+        ("mesh_nodes", mesh.n_nodes().into()),
+        ("elements_per_rank", Json::arr(run.elements.iter().map(Vec::len))),
+        ("exchange_volumes", Json::arr(run.volumes.iter().copied())),
+        ("imbalance_gauge_last_step", gauge.mean.into()),
+        ("imbalance_per_step_mean", per_step_mean.into()),
+        ("imbalance_per_step_p99", per_step_p99.into()),
+        ("phases", Json::Arr(rows)),
+        ("trace", "target/BENCH_imbalance_trace.json".into()),
+    ]);
 
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let _ = std::fs::create_dir_all(format!("{root}/target"));
-    let trace_path = format!("{root}/target/BENCH_imbalance_trace.json");
+    let _ = std::fs::create_dir_all(format!("{REPO_ROOT}/target"));
+    let trace_path = format!("{REPO_ROOT}/target/BENCH_imbalance_trace.json");
     std::fs::write(&trace_path, &trace_json).expect("write Chrome trace");
     println!("\nwrote {trace_path}");
-    if smoke {
-        println!("\n{json}");
-        println!("smoke mode: committed JSON not written");
-    } else {
-        let jp = format!("{root}/BENCH_imbalance.json");
-        std::fs::write(&jp, &json).expect("write BENCH_imbalance.json");
-        println!("wrote {jp}");
-    }
+    write_report("BENCH_imbalance.json", &json, smoke);
 }

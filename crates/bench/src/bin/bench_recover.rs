@@ -24,8 +24,8 @@
 
 use std::path::PathBuf;
 
-use quake_mesh::hexmesh::{ElemMaterial, HexMesh};
-use quake_octree::{BalanceMode, LinearOctree, MAX_LEVEL};
+use quake_bench::{half_refined_mesh, shear_pulse};
+use quake_mesh::hexmesh::HexMesh;
 use quake_parcomm::FaultPlan;
 use quake_solver::distributed::run_distributed;
 use quake_solver::{
@@ -38,25 +38,6 @@ const STEPS: usize = 12;
 const CKPT_EVERY: u64 = 4;
 const KILL_RANK: usize = 2;
 const KILL_STEP: u64 = 7;
-
-fn build_mesh() -> HexMesh {
-    let half = 1u32 << (MAX_LEVEL - 1);
-    let mut tree = LinearOctree::build(|o| o.level < 2 || (o.level < 3 && o.x < half));
-    tree.balance(BalanceMode::Full);
-    HexMesh::from_octree(&tree, 8.0, |_, _, _, _| ElemMaterial { lambda: 2.0, mu: 1.0, rho: 1.0 })
-}
-
-fn pulse(mesh: &HexMesh) -> (Vec<f64>, Vec<f64>) {
-    let n = mesh.n_nodes();
-    let mut u = vec![0.0; 3 * n];
-    let v = vec![0.0; 3 * n];
-    for (i, c) in mesh.coords.iter().enumerate() {
-        let r2 = (c[0] - 4.0).powi(2) + (c[1] - 4.0).powi(2) + (c[2] - 4.0).powi(2);
-        u[3 * i + 1] = (-r2 / 2.0).exp();
-    }
-    mesh.interpolate_hanging(&mut u, 3);
-    (u, v)
-}
 
 /// Max |difference| against the baseline on the nodes each rank touches,
 /// over raw bit equality: returns the number of mismatched bit patterns.
@@ -90,11 +71,12 @@ fn bit_mismatches(
 }
 
 fn main() {
-    let mesh = build_mesh();
+    let mesh = half_refined_mesh(2);
     let mut cfg = ElasticConfig::new(1.0);
     cfg.dt = Some(0.05);
     let solver = ElasticSolver::new(&mesh, &cfg);
-    let (u0, v0) = pulse(&mesh);
+    let u0 = shear_pulse(&mesh, 8.0);
+    let v0 = vec![0.0; u0.len()];
 
     // Ground truth: the unfaulted distributed run (itself bit-identical to
     // the serial solver).

@@ -27,11 +27,12 @@
 //! engine registry (engine spans + all worker counters/histograms) as
 //! NDJSON to `target/BENCH_serve_trace.ndjson`.
 
-use quake_bench::Args;
+use quake_bench::{write_report, Args, REPO_ROOT};
 use quake_mesh::MeshingParams;
 use quake_model::{ExtendedFault, LaBasinModel};
 use quake_serve::{EngineConfig, ScenarioRequest, ServeEngine, Ticket};
 use quake_solver::ElasticConfig;
+use quake_telemetry::json::Json;
 use std::time::Instant;
 
 struct PassStats {
@@ -191,47 +192,32 @@ fn main() {
     let update_rate = ServeEngine::measured_update_rate(&reg).unwrap_or(0.0);
     println!("measured element-update rate (median worker): {update_rate:.3e} updates/s");
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!("  \"mesh_elements\": {n_elements},\n"));
-    json.push_str(&format!("  \"workers\": {workers},\n"));
-    json.push_str(&format!("  \"ensemble_members\": {n_members},\n"));
-    json.push_str(&format!("  \"steps_per_member\": {member_steps},\n"));
-    json.push_str(&format!("  \"engine_build_secs\": {build_secs:.3},\n"));
-    json.push_str(&format!(
-        "  \"cold\": {{ \"requests_per_sec\": {:.3}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-         \"cache_hit_ratio\": {:.4} }},\n",
-        cold.rps(),
-        cold.p50_ms,
-        cold.p99_ms,
-        cold.hit_ratio()
-    ));
-    json.push_str(&format!(
-        "  \"warm\": {{ \"requests_per_sec\": {:.3}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
-         \"cache_hit_ratio\": {:.4} }},\n",
-        warm.rps(),
-        warm.p50_ms,
-        warm.p99_ms,
-        warm.hit_ratio()
-    ));
-    json.push_str(&format!("  \"cache_speedup\": {speedup:.3},\n"));
-    json.push_str(&format!("  \"replay_bit_identical\": {replay_identical},\n"));
-    json.push_str(&format!("  \"element_updates_per_sec\": {update_rate:.1}\n"));
-    json.push_str("}\n");
+    let pass = |p: &PassStats| {
+        Json::obj([
+            ("requests_per_sec", p.rps().into()),
+            ("p50_ms", p.p50_ms.into()),
+            ("p99_ms", p.p99_ms.into()),
+            ("cache_hit_ratio", p.hit_ratio().into()),
+        ])
+    };
+    let json = Json::obj([
+        ("mesh_elements", n_elements.into()),
+        ("workers", workers.into()),
+        ("ensemble_members", n_members.into()),
+        ("steps_per_member", member_steps.into()),
+        ("engine_build_secs", build_secs.into()),
+        ("cold", pass(&cold)),
+        ("warm", pass(&warm)),
+        ("cache_speedup", speedup.into()),
+        ("replay_bit_identical", replay_identical.into()),
+        ("element_updates_per_sec", update_rate.into()),
+    ]);
 
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let trace_path = format!("{root}/target/BENCH_serve_trace.ndjson");
-    let _ = std::fs::create_dir_all(format!("{root}/target"));
+    let trace_path = format!("{REPO_ROOT}/target/BENCH_serve_trace.ndjson");
+    let _ = std::fs::create_dir_all(format!("{REPO_ROOT}/target"));
     std::fs::write(&trace_path, reg.ndjson()).expect("write NDJSON trace");
     println!("\nwrote {trace_path}");
-    if smoke {
-        println!("\n{json}");
-        println!("smoke mode: committed JSON not written");
-    } else {
-        let p = format!("{root}/BENCH_serve.json");
-        std::fs::write(&p, &json).expect("write BENCH_serve.json");
-        println!("wrote {p}");
-    }
+    write_report("BENCH_serve.json", &json, smoke);
     let _ = std::fs::remove_dir_all(&cache_dir);
 
     if check {

@@ -16,17 +16,23 @@
 //! - `instrumented`: the same fused step with a live `quake-telemetry`
 //!   registry, which must cost (nearly) nothing — pass
 //!   `--check-overhead <pct>` (CI uses 3) to fail the run if the slowdown
-//!   relative to `fused` exceeds that percentage. Reported overheads are
-//!   best-of-trials per variant and clamped at zero: independently-noisy
-//!   minima can make the instrumented run beat `fused` by luck, and a
-//!   negative overhead is measurement noise, not a real speedup. The raw
-//!   (unclamped) values are reported next to the clamped ones so dashboards
-//!   can see the noise floor; the gate uses the clamped values.
+//!   relative to `fused` exceeds that percentage.
 //! - `traced`: the instrumented step with the flight recorder attached
 //!   (65536-event ring); `--check-overhead` also gates its slowdown relative
 //!   to `instrumented` (the trace-disabled twin). `--trace-out <path>`
-//!   writes the final traced trial's ring as a Chrome `trace_event` JSON,
+//!   writes the traced variant's ring as a Chrome `trace_event` JSON,
 //!   loadable in Perfetto or chrome://tracing.
+//! - `harness`: the one `SolverHarness` loop with a no-op hook and no
+//!   exchange; `--check-overhead` gates its slowdown relative to `fused`.
+//!
+//! These five are timed in paired rounds (`quake_bench::time_rounds`): each
+//! round runs every variant once from the same initial state, the order
+//! rotated by one per round. Every ratio — the three overheads and `fused`
+//! vs `baseline` — is the median of the per-round ratios, reported with its
+//! quartiles, so host drift between variants cancels instead of reading as
+//! overhead. Gated overheads are that median clamped at zero (a negative
+//! overhead is noise, not a speedup); the raw median and quartiles are
+//! written beside it. Throughput rows are per-round medians.
 //!
 //! - `many_class`: `step_with` on the LA-basin mesh of the benchmark's
 //!   `basin_forward` workload — wavelength-adapted, 670 `(h, lambda, mu)`
@@ -53,8 +59,8 @@
 //! factors, the ideal work ratio, and the measured speedup in
 //! *global-equivalent* element-updates/s (`n_elements x base steps
 //! advanced / wall` for both legs — same physical progress, different
-//! work). The full run gates the speedup at 1.5x; `--smoke` only sanity
-//! checks it.
+//! work), paired in rounds like the rows above. The full run gates the
+//! median speedup at 1.5x; `--smoke` only sanity checks it.
 //!
 //! The instrumented run's span times, joined with `quake-machine`'s analytic
 //! flop/byte counts, yield the per-phase table printed at the end (wall time,
@@ -66,36 +72,32 @@
 //! table is printed and written for both meshes.
 //!
 //! Outputs: the full run writes `BENCH_step_throughput.json` and
-//! `BENCH_phase_breakdown.json` at the repo root; `--smoke` (CI) runs a tiny
-//! mesh in milliseconds and prints both JSONs to stdout instead. Both modes
-//! dump the instrumented registry's NDJSON trace to
-//! `target/BENCH_step_trace.ndjson`.
+//! `BENCH_phase_breakdown.json` at the repo root, each with the host and git
+//! revision it ran at; `--smoke` (CI) runs a small mesh in seconds and
+//! prints both JSONs to stdout instead. Both modes dump the instrumented
+//! registry's NDJSON trace to `target/BENCH_step_trace.ndjson`. The
+//! registries are never reset, so the breakdown and both traces cover every
+//! round.
 
 use std::time::Instant;
 
-use quake_bench::Args;
+use quake_bench::{
+    half_refined_mesh, octree_mesh, provenance, shear_pulse, time_rounds, write_report, Args,
+    Spread, REPO_ROOT,
+};
 use quake_machine::{bytes, flops, MachineModel};
-use quake_mesh::hexmesh::{ElemMaterial, HexMesh};
+use quake_mesh::hexmesh::HexMesh;
 use quake_mesh::{mesh_from_model, MeshingParams};
 use quake_model::LaBasinModel;
-use quake_octree::{BalanceMode, LinearOctree, MAX_LEVEL};
+use quake_octree::MAX_LEVEL;
 use quake_solver::elastic::RayleighBand;
 use quake_solver::reference::reference_step;
 use quake_solver::{
     ElasticConfig, ElasticSolver, NoExchange, NoopHook, RateGroupPlan, RunConfig, RunOutcome,
     SolverHarness, StepWorkspace,
 };
+use quake_telemetry::json::Json;
 use quake_telemetry::Registry;
-
-/// Multiresolution mesh: uniform `coarse` level with the x < 1/2 half refined
-/// one level deeper, 2:1 balanced — hanging nodes cross the interface.
-fn build_mesh(coarse: u8) -> HexMesh {
-    let half = 1u32 << (MAX_LEVEL - 1);
-    let fine = coarse + 1;
-    let mut tree = LinearOctree::build(|o| o.level < coarse || (o.level < fine && o.x < half));
-    tree.balance(BalanceMode::Full);
-    HexMesh::from_octree(&tree, 8.0, |_, _, _, _| ElemMaterial { lambda: 2.0, mu: 1.0, rho: 1.0 })
-}
 
 /// The LA-basin mesh of the benchmark's `basin_forward` workload. `--smoke`
 /// steps the same mesh: a smaller one of the family has fewer, longer
@@ -109,69 +111,57 @@ fn build_basin_mesh() -> HexMesh {
     mesh_from_model(&meshing, &LaBasinModel::scaled(400.0, extent)).1
 }
 
-/// Gaussian shear pulse at the centre of a cubic domain of side `extent`,
-/// one eighth of it wide.
-fn shear_pulse(mesh: &HexMesh, extent: f64) -> Vec<f64> {
-    let (mid, width) = (extent / 2.0, extent / 8.0);
-    let mut u = vec![0.0; 3 * mesh.n_nodes()];
-    for (i, c) in mesh.coords.iter().enumerate() {
-        let r2 = (c[0] - mid).powi(2) + (c[1] - mid).powi(2) + (c[2] - mid).powi(2);
-        u[3 * i + 1] = (-r2 / (2.0 * width * width)).exp();
-    }
-    mesh.interpolate_hanging(&mut u, 3);
-    u
-}
-
-/// Best-of-`trials` throughput of `n_steps` leapfrog steps of `step`;
-/// `before_trial` runs outside the timed region (e.g. a registry reset).
-fn time_stepper(
-    mesh: &HexMesh,
-    u0: &[f64],
+/// A timed variant: `n_steps` leapfrog steps of `step` with no force,
+/// restarted from `u0` on every call.
+fn stepper<'a>(
+    u0: &'a [f64],
     n_steps: usize,
-    trials: usize,
-    mut before_trial: impl FnMut(),
-    mut step: impl FnMut(&[f64], &[f64], &[f64], &mut [f64]),
-) -> (f64, f64) {
-    let ndof = 3 * mesh.n_nodes();
-    let f = vec![0.0; ndof];
-    let mut best = f64::INFINITY;
-    for _ in 0..trials {
-        let mut up = u0.to_vec();
-        let mut un = u0.to_vec();
-        let mut next = vec![0.0; ndof];
-        before_trial();
-        let t = Instant::now();
+    mut step: impl FnMut(&[f64], &[f64], &[f64], &mut [f64]) + 'a,
+) -> impl FnMut() + 'a {
+    let f = vec![0.0; u0.len()];
+    let (mut up, mut un, mut next) = (u0.to_vec(), u0.to_vec(), vec![0.0; u0.len()]);
+    move || {
+        up.copy_from_slice(u0);
+        un.copy_from_slice(u0);
         for _ in 0..n_steps {
             step(&up, &un, &f, &mut next);
             std::mem::swap(&mut up, &mut un);
             std::mem::swap(&mut un, &mut next);
         }
-        best = best.min(t.elapsed().as_secs_f64());
         assert!(un.iter().all(|v| v.is_finite()), "stepper diverged");
     }
-    let steps_per_sec = n_steps as f64 / best;
-    (steps_per_sec, steps_per_sec * mesh.n_elements() as f64)
 }
 
-/// [`time_stepper`] of `solver.step_with` on `ws`, whose registry is reset
-/// before each trial so the final trial's span statistics are exactly one
-/// `n_steps`-step run.
-fn time_step_with(
-    solver: &ElasticSolver<'_>,
-    u0p: &[f64],
+/// [`stepper`] of `solver.step_with` on `ws` from the planar `u0p`.
+fn step_with<'a>(
+    solver: &'a ElasticSolver<'a>,
+    u0p: &'a [f64],
     n_steps: usize,
-    trials: usize,
-    ws: &mut StepWorkspace,
-) -> (f64, f64) {
-    let ws = std::cell::RefCell::new(ws);
-    time_stepper(
-        solver.mesh,
-        u0p,
-        n_steps,
-        trials,
-        || ws.borrow().reg.reset(),
-        |up, un, f, next| solver.step_with(up, un, f, next, &mut ws.borrow_mut()),
-    )
+    ws: &'a mut StepWorkspace,
+) -> impl FnMut() + 'a {
+    stepper(u0p, n_steps, move |up, un, f, next| solver.step_with(up, un, f, next, ws))
+}
+
+/// A row's steps/s and element-updates/s (per-round medians) with the
+/// steps/s quartiles.
+fn rate_fields(sps: Spread, n_elements: usize) -> [(&'static str, Json); 3] {
+    [
+        ("steps_per_sec", sps.median.into()),
+        ("steps_per_sec_quartiles", sps.quartiles()),
+        ("element_updates_per_sec", (sps.median * n_elements as f64).into()),
+    ]
+}
+
+/// The row of a variant gated on overhead `<stem>_pct`: steps/s, the
+/// per-round median overhead clamped at zero, the raw median and its
+/// quartiles.
+fn overhead_row(sps: Spread, stem: &str, pct: Spread) -> Json {
+    Json::obj([
+        ("steps_per_sec".to_string(), sps.median.into()),
+        (format!("{stem}_pct"), pct.median.max(0.0).into()),
+        (format!("{stem}_raw_pct"), pct.median.into()),
+        (format!("{stem}_quartiles_pct"), pct.quartiles()),
+    ])
 }
 
 struct PhaseRow {
@@ -299,37 +289,39 @@ impl Breakdown {
         );
     }
 
-    /// The breakdown's JSON fields (no enclosing braces), each line
-    /// indented by `pad`.
-    fn json_fields(&self, pad: &str) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("{pad}\"mesh_elements\": {},\n", self.mesh_elements));
-        out.push_str(&format!("{pad}\"mesh_nodes\": {},\n", self.mesh_nodes));
-        out.push_str(&format!("{pad}\"classes\": {},\n", self.classes));
-        out.push_str(&format!("{pad}\"lane_fill\": {:.4},\n", self.lane_fill));
-        out.push_str(&format!("{pad}\"n_steps\": {},\n", self.n_steps));
-        out.push_str(&format!("{pad}\"step_total_secs\": {:.6},\n", self.step_secs));
-        out.push_str(&format!("{pad}\"phase_sum_secs\": {:.6},\n", self.phase_sum()));
-        out.push_str(&format!("{pad}\"phases\": [\n"));
-        for (i, r) in self.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "{pad}  {{ \"name\": \"{}\", \"secs\": {:.6}, \"share\": {:.4}, \"flops\": {}, \
-                 \"flops_executed\": {}, \"bytes\": {}, \"intensity\": {:.4}, \
-                 \"flops_per_sec\": {:.1}, \"roofline_efficiency\": {:.4} }}{}\n",
-                r.name,
-                r.secs,
-                r.share,
-                r.flops,
-                r.flops_executed,
-                r.bytes,
-                r.intensity,
-                r.flops_per_sec,
-                r.roofline_efficiency,
-                if i + 1 < self.rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!("{pad}]"));
-        out
+    /// The mesh's JSON fields, which both reports carry.
+    fn mesh_fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("mesh_elements", self.mesh_elements.into()),
+            ("mesh_nodes", self.mesh_nodes.into()),
+            ("classes", self.classes.into()),
+            ("lane_fill", self.lane_fill.into()),
+        ]
+    }
+
+    /// The breakdown's JSON fields.
+    fn json_fields(&self) -> Vec<(&'static str, Json)> {
+        let phases = self.rows.iter().map(|r| {
+            Json::obj([
+                ("name", r.name.into()),
+                ("secs", r.secs.into()),
+                ("share", r.share.into()),
+                ("flops", r.flops.into()),
+                ("flops_executed", r.flops_executed.into()),
+                ("bytes", r.bytes.into()),
+                ("intensity", r.intensity.into()),
+                ("flops_per_sec", r.flops_per_sec.into()),
+                ("roofline_efficiency", r.roofline_efficiency.into()),
+            ])
+        });
+        let mut fields = self.mesh_fields();
+        fields.extend([
+            ("n_steps", self.n_steps.into()),
+            ("step_total_secs", self.step_secs.into()),
+            ("phase_sum_secs", self.phase_sum().into()),
+            ("phases", Json::arr(phases)),
+        ]);
+        fields
     }
 }
 
@@ -344,102 +336,97 @@ fn main() {
     let check_mesh_ms: Option<f64> = args.value("--check-mesh-ms");
     let trace_out: Option<String> = args.value("--trace-out");
     // The smoke mesh must be big enough that a step dwarfs the fixed span
-    // cost, or the overhead check would measure timer noise instead.
-    let (coarse, base_steps, trials) = if smoke { (3, 4, 1) } else { (4, 20, 3) };
-    // The fused/instrumented comparison needs more samples than the slow
-    // baseline to resolve a few-percent overhead above timer noise.
-    let (ov_steps, ov_trials) = if smoke { (30, 5) } else { (base_steps, trials) };
+    // cost, or the overhead check would measure timer noise instead. Rounds
+    // are a multiple of both paired comparisons' variant counts (5 and 2),
+    // so every variant runs at every position equally often.
+    let (coarse, n_steps, rounds) = if smoke { (3, 30, 40) } else { (4, 20, 20) };
+    // The many-class row is a throughput floor, not a ratio: a few rounds.
+    let many_rounds = 5;
 
-    let mesh = build_mesh(coarse);
+    let mesh = half_refined_mesh(coarse);
     let mut cfg = ElasticConfig::new(1.0);
     cfg.dt = Some(if smoke { 0.05 } else { 0.01 });
     cfg.abc = [true, true, true, true, false, true];
     cfg.rayleigh = Some(RayleighBand { f_lo: 0.05, f_hi: 2.0 });
     let solver = ElasticSolver::new(&mesh, &cfg);
     let u0 = shear_pulse(&mesh, 8.0);
+    let ne = mesh.n_elements();
     println!(
-        "mesh: {} elements / {} nodes ({} hanging), dt = {}, {} steps x {} trials",
-        mesh.n_elements(),
+        "mesh: {ne} elements / {} nodes ({} hanging), dt = {}, {n_steps} steps x {rounds} rounds",
         mesh.n_nodes(),
         mesh.n_hanging(),
         solver.dt,
-        base_steps,
-        trials
     );
 
-    let (base_sps, base_eups) = time_stepper(
-        &mesh,
-        &u0,
-        base_steps,
-        trials,
-        || {},
-        |up, un, f, next| {
-            reference_step(&solver, up, un, f, next);
-        },
-    );
-    println!("baseline     : {base_sps:>8.2} steps/s  {base_eups:>12.3e} element-updates/s");
-
+    // Columns of the per-round times, in the order the variants are passed.
+    const BASELINE: usize = 0;
+    const FUSED: usize = 1;
+    const INSTRUMENTED: usize = 2;
+    const TRACED: usize = 3;
+    const HARNESS: usize = 4;
     // The fused step runs on the planar layout; the conversion is an exact
     // permutation, outside the timed region.
     let u0p = quake_solver::layout::to_planar3(&u0);
-    let (fused_sps, fused_eups) =
-        time_step_with(&solver, &u0p, ov_steps, ov_trials, &mut solver.workspace());
-    println!("fused        : {fused_sps:>8.2} steps/s  {fused_eups:>12.3e} element-updates/s");
-
-    // Same hot path with a live registry.
     let mut iws = solver.workspace_instrumented(0);
-    let (instr_sps, instr_eups) = time_step_with(&solver, &u0p, ov_steps, ov_trials, &mut iws);
-    // Clamp at zero for the gate: best-of-trials minima are independently
-    // noisy, so the instrumented run can beat `fused` by luck; a negative
-    // overhead is noise, not a speedup. The raw (unclamped) value is
-    // reported alongside so trend dashboards see the noise floor.
-    let overhead_raw_pct = (fused_sps / instr_sps - 1.0) * 100.0;
-    let overhead_pct = overhead_raw_pct.max(0.0);
-    println!(
-        "instrumented : {instr_sps:>8.2} steps/s  {instr_eups:>12.3e} element-updates/s  \
-         (telemetry overhead {overhead_pct:+.2}%, raw {overhead_raw_pct:+.2}%)"
-    );
-
-    // Same instrumented hot path with the flight recorder attached: the ring
-    // push per span exit must stay inside the same overhead budget as the
-    // aggregate telemetry itself (gated vs `instrumented`, the
-    // trace-disabled twin).
-    let treg = quake_telemetry::Registry::new(0);
+    let treg = Registry::new(0);
     treg.enable_trace(65536);
     let mut tws = solver.workspace_with(treg);
-    let (traced_sps, _) = time_step_with(&solver, &u0p, ov_steps, ov_trials, &mut tws);
-    let trace_overhead_raw_pct = (instr_sps / traced_sps - 1.0) * 100.0;
-    let trace_overhead_pct = trace_overhead_raw_pct.max(0.0);
-    println!(
-        "traced       : {traced_sps:>8.2} steps/s  (flight-recorder overhead \
-         {trace_overhead_pct:+.2}%, raw {trace_overhead_raw_pct:+.2}%)"
-    );
-
-    // The canonical harness loop with a single no-op hook and no exchange —
-    // the hook dispatch must cost (nearly) nothing over the raw fused loop.
-    let harness = SolverHarness::new(&solver);
-    let v0 = vec![0.0; 3 * mesh.n_nodes()];
-    let mut hws = solver.workspace();
-    let mut harness_best = f64::INFINITY;
-    for _ in 0..ov_trials {
-        let mut state = solver.initial_state(0, Some((&u0, &v0)));
-        let run_cfg = RunConfig::to_step(ov_steps as u64);
-        let mut noop = NoopHook;
-        let t = Instant::now();
-        let outcome =
-            harness.run(&run_cfg, &mut state, &mut hws, &mut NoExchange, &mut [&mut noop]);
-        harness_best = harness_best.min(t.elapsed().as_secs_f64());
-        assert!(matches!(outcome, RunOutcome::Finished { .. }), "harness run stopped early");
-        assert!(state.u_now.iter().all(|v| v.is_finite()), "harness stepper diverged");
+    let t = {
+        let mut baseline = stepper(&u0, n_steps, |up, un, f, next| {
+            reference_step(&solver, up, un, f, next);
+        });
+        let mut fws = solver.workspace();
+        let mut fused = step_with(&solver, &u0p, n_steps, &mut fws);
+        // Same hot path with a live registry.
+        let mut instrumented = step_with(&solver, &u0p, n_steps, &mut iws);
+        // The instrumented step with the flight recorder attached: the ring
+        // push per span exit must stay inside the same budget (gated vs
+        // `instrumented`, the trace-disabled twin).
+        let mut traced = step_with(&solver, &u0p, n_steps, &mut tws);
+        // The canonical harness loop with a single no-op hook and no
+        // exchange: the hook dispatch must cost (nearly) nothing over the
+        // raw fused loop.
+        let harness = SolverHarness::new(&solver);
+        let v0 = vec![0.0; u0.len()];
+        let mut hws = solver.workspace();
+        let mut harness_run = || {
+            let mut state = solver.initial_state(0, Some((&u0, &v0)));
+            let run_cfg = RunConfig::to_step(n_steps as u64);
+            let outcome =
+                harness.run(&run_cfg, &mut state, &mut hws, &mut NoExchange, &mut [&mut NoopHook]);
+            assert!(matches!(outcome, RunOutcome::Finished { .. }), "harness run stopped early");
+            assert!(state.u_now.iter().all(|v| v.is_finite()), "harness stepper diverged");
+        };
+        time_rounds(
+            rounds,
+            &mut [&mut baseline, &mut fused, &mut instrumented, &mut traced, &mut harness_run],
+        )
+    };
+    let sps = |v: usize| Spread::of(t.iter().map(|r| n_steps as f64 / r[v]));
+    let overhead = |v: usize, of: usize| Spread::of(t.iter().map(|r| (r[v] / r[of] - 1.0) * 100.0));
+    let speedup = Spread::of(t.iter().map(|r| r[BASELINE] / r[FUSED]));
+    let telemetry_ov = overhead(INSTRUMENTED, FUSED);
+    let trace_ov = overhead(TRACED, INSTRUMENTED);
+    let harness_ov = overhead(HARNESS, FUSED);
+    let fused_eups = sps(FUSED).median * ne as f64;
+    for (name, v) in [("baseline", BASELINE), ("fused", FUSED)] {
+        let r = sps(v).median;
+        println!("{name:<13}: {r:>8.2} steps/s  {:>12.3e} element-updates/s", r * ne as f64);
     }
-    let harness_sps = ov_steps as f64 / harness_best;
-    let harness_eups = harness_sps * mesh.n_elements() as f64;
-    let harness_overhead_raw_pct = (fused_sps / harness_sps - 1.0) * 100.0;
-    let harness_overhead_pct = harness_overhead_raw_pct.max(0.0);
-    println!(
-        "harness      : {harness_sps:>8.2} steps/s  {harness_eups:>12.3e} element-updates/s  \
-         (no-op-hook overhead {harness_overhead_pct:+.2}%, raw {harness_overhead_raw_pct:+.2}%)"
-    );
+    for (name, v, what, ov) in [
+        ("instrumented", INSTRUMENTED, "telemetry", telemetry_ov),
+        ("traced", TRACED, "flight-recorder", trace_ov),
+        ("harness", HARNESS, "no-op-hook", harness_ov),
+    ] {
+        println!(
+            "{name:<13}: {:>8.2} steps/s  ({what} overhead {:+.2}%, raw {:+.2}% [{:+.2}, {:+.2}])",
+            sps(v).median,
+            ov.median.max(0.0),
+            ov.median,
+            ov.q1,
+            ov.q3
+        );
+    }
 
     // The same kernel on a many-class mesh: short class runs, so the rate
     // depends on how many of the computed matvec lanes hold an element.
@@ -452,41 +439,35 @@ fn main() {
     );
     let bsolver = ElasticSolver::new(&bmesh, &ElasticConfig::new(1.0));
     let bu0p = quake_solver::layout::to_planar3(&shear_pulse(&bmesh, 20_000.0));
-    let mut bws = bsolver.workspace_instrumented(0);
     // Instrumented like the breakdown's other mesh; the telemetry cost is
     // the `instrumented` row's, far inside the row's run-to-run spread.
-    let (many_sps, many_eups) = time_step_with(&bsolver, &bu0p, ov_steps, ov_trials, &mut bws);
+    let mut bws = bsolver.workspace_instrumented(0);
+    let tb = time_rounds(many_rounds, &mut [&mut step_with(&bsolver, &bu0p, n_steps, &mut bws)]);
+    let many_sps = Spread::of(tb.iter().map(|r| n_steps as f64 / r[0]));
+    let many_eups = many_sps.median * bmesh.n_elements() as f64;
     let many = Breakdown::of(&bsolver, &bws.into_registry());
     println!(
-        "many_class   : {many_sps:>8.2} steps/s  {many_eups:>12.3e} element-updates/s  \
+        "many_class   : {:>8.2} steps/s  {many_eups:>12.3e} element-updates/s  \
          ({} elements, {} classes, lane fill {:.3})",
-        many.mesh_elements, many.classes, many.lane_fill
+        many_sps.median, many.mesh_elements, many.classes, many.lane_fill
     );
-
-    let speedup = fused_eups / base_eups;
-    println!("speedup      : {speedup:.2}x element-updates/s (fused vs baseline)");
+    println!(
+        "speedup      : {:.2}x [{:.2}, {:.2}] element-updates/s (fused vs baseline)",
+        speedup.median, speedup.q1, speedup.q3
+    );
 
     // ---- optional LTS leg: rate-group stepping vs the fused global-dt
     // kernel on a coarse-dominant 3-level mesh (refinement confined to one
     // corner column, so most elements can step at 2x/4x the base dt) ----
-    let mut lts_json: Option<String> = None;
+    let mut lts_json: Option<Json> = None;
     let mut lts_speedup: Option<f64> = None;
     if lts {
-        let (lts_coarse, lts_want_steps, lts_trials) =
-            if smoke { (3u8, 8u64, 2usize) } else { (4, 24, 3) };
-        let quarter = 1u32 << (MAX_LEVEL - 2);
-        let eighth = 1u32 << (MAX_LEVEL - 3);
-        let (mid, fine) = (lts_coarse + 1, lts_coarse + 2);
-        let mut tree = LinearOctree::build(|o| {
+        let (lts_coarse, lts_want_steps) = if smoke { (3u8, 8u64) } else { (4, 24) };
+        let (quarter, eighth) = (1u32 << (MAX_LEVEL - 2), 1u32 << (MAX_LEVEL - 3));
+        let lmesh = octree_mesh(|o| {
             o.level < lts_coarse
-                || (o.level < mid && o.x < quarter && o.y < quarter)
-                || (o.level < fine && o.x < eighth && o.y < eighth && o.z < eighth)
-        });
-        tree.balance(BalanceMode::Full);
-        let lmesh = HexMesh::from_octree(&tree, 8.0, |_, _, _, _| ElemMaterial {
-            lambda: 2.0,
-            mu: 1.0,
-            rho: 1.0,
+                || (o.level <= lts_coarse && o.x < quarter && o.y < quarter)
+                || (o.level <= lts_coarse + 1 && o.x < eighth && o.y < eighth && o.z < eighth)
         });
         let mut lcfg = ElasticConfig::new(1.0);
         lcfg.abc = [true, true, true, true, false, true];
@@ -495,14 +476,10 @@ fn main() {
         let plan = RateGroupPlan::build(&lsolver, 8);
         let m = plan.cycle();
         let n_base = lts_want_steps.div_ceil(m) * m;
-        let mut level_hist: Vec<(u8, usize)> = Vec::new();
+        let mut level_hist = std::collections::BTreeMap::new();
         for e in &lmesh.elements {
-            match level_hist.iter_mut().find(|(l, _)| *l == e.level) {
-                Some((_, c)) => *c += 1,
-                None => level_hist.push((e.level, 1)),
-            }
+            *level_hist.entry(e.level).or_insert(0usize) += 1;
         }
-        level_hist.sort_unstable();
         let updates_per_cycle = plan.element_updates_per_cycle();
         let ideal_ratio = (lmesh.n_elements() as u64 * m) as f64 / updates_per_cycle as f64;
         println!(
@@ -516,74 +493,74 @@ fn main() {
 
         let lu0 = shear_pulse(&lmesh, 8.0);
         let lu0p = quake_solver::layout::to_planar3(&lu0);
-        let mut lws = lsolver.workspace();
-        let (lfused_sps, lfused_eups) =
-            time_step_with(&lsolver, &lu0p, n_base as usize, lts_trials, &mut lws);
-        println!(
-            "lts/fused    : {lfused_sps:>8.2} steps/s  {lfused_eups:>12.3e} element-updates/s"
-        );
-
+        let mut lfws = lsolver.workspace();
+        let mut lfused = step_with(&lsolver, &lu0p, n_base as usize, &mut lfws);
         let lharness = SolverHarness::new(&lsolver);
-        let lv0 = vec![0.0; 3 * lmesh.n_nodes()];
-        let mut lts_best = f64::INFINITY;
-        for _ in 0..lts_trials {
+        let lv0 = vec![0.0; lu0.len()];
+        let mut lws = lsolver.workspace();
+        let mut grouped = || {
             let mut state = plan.initial_state(&lsolver, 0, Some((&lu0, &lv0)));
-            let run_cfg = RunConfig::to_step(n_base);
-            let mut noop = NoopHook;
-            let t = Instant::now();
             let outcome = lharness.run_grouped(
                 &plan,
-                &run_cfg,
+                &RunConfig::to_step(n_base),
                 &mut state,
                 &mut lws,
                 &mut NoExchange,
-                &mut [&mut noop],
+                &mut [&mut NoopHook],
             );
-            lts_best = lts_best.min(t.elapsed().as_secs_f64());
             assert!(matches!(outcome, RunOutcome::Finished { .. }), "lts run stopped early");
             assert!(state.u_now.iter().all(|v| v.is_finite()), "lts stepper diverged");
-        }
-        // Global-equivalent throughput: both legs advanced n_base base
-        // steps of the same mesh, so elements x base steps / wall compares
+        };
+        let tl = time_rounds(rounds, &mut [&mut lfused, &mut grouped]);
+        // Global-equivalent throughput: both legs advance n_base base steps
+        // of the same mesh, so elements x base steps / wall compares
         // identical physical progress.
-        let lts_base_sps = n_base as f64 / lts_best;
-        let lts_eups = lts_base_sps * lmesh.n_elements() as f64;
-        let sp = lts_eups / lfused_eups;
-        lts_speedup = Some(sp);
+        let lne = lmesh.n_elements();
+        let lfused_sps = Spread::of(tl.iter().map(|r| n_base as f64 / r[0]));
+        let lts_base_sps = Spread::of(tl.iter().map(|r| n_base as f64 / r[1]));
+        let sp = Spread::of(tl.iter().map(|r| r[0] / r[1]));
+        lts_speedup = Some(sp.median);
         println!(
-            "lts/grouped  : {lts_base_sps:>8.2} base-steps/s  {lts_eups:>12.3e} \
-             equivalent element-updates/s"
+            "lts/fused    : {:>8.2} steps/s  {:>12.3e} element-updates/s",
+            lfused_sps.median,
+            lfused_sps.median * lne as f64
         );
-        println!("lts speedup  : {sp:.2}x element-updates/s (rate groups vs fused global dt)");
-
-        let mut l = String::new();
-        l.push_str("  \"lts\": {\n");
-        l.push_str(&format!(
-            "    \"mesh_elements\": {},\n    \"mesh_nodes\": {},\n",
-            lmesh.n_elements(),
-            lmesh.n_nodes()
-        ));
-        let levels: Vec<String> =
-            level_hist.iter().map(|(lv, c)| format!("\"{lv}\": {c}")).collect();
-        l.push_str(&format!("    \"level_elements\": {{ {} }},\n", levels.join(", ")));
-        let ge: Vec<String> = plan.group_histogram().iter().map(|c| c.to_string()).collect();
-        l.push_str(&format!("    \"group_elements\": [{}],\n", ge.join(", ")));
-        let fs: Vec<String> = plan.factors().iter().map(|f| f.to_string()).collect();
-        l.push_str(&format!("    \"factors\": [{}],\n    \"cycle\": {m},\n", fs.join(", ")));
-        l.push_str(&format!(
-            "    \"element_updates_per_cycle\": {updates_per_cycle},\n    \
-             \"ideal_work_ratio\": {ideal_ratio:.3},\n    \"n_steps\": {n_base},\n"
-        ));
-        l.push_str(&format!(
-            "    \"fused\": {{ \"steps_per_sec\": {lfused_sps:.3}, \
-             \"element_updates_per_sec\": {lfused_eups:.1} }},\n"
-        ));
-        l.push_str(&format!(
-            "    \"grouped\": {{ \"base_steps_per_sec\": {lts_base_sps:.3}, \
-             \"equivalent_element_updates_per_sec\": {lts_eups:.1} }},\n"
-        ));
-        l.push_str(&format!("    \"speedup_lts_vs_fused\": {sp:.3}\n  }}"));
-        lts_json = Some(l);
+        println!(
+            "lts/grouped  : {:>8.2} base-steps/s  {:>12.3e} equivalent element-updates/s",
+            lts_base_sps.median,
+            lts_base_sps.median * lne as f64
+        );
+        println!(
+            "lts speedup  : {:.2}x [{:.2}, {:.2}] element-updates/s (rate groups vs fused \
+             global dt)",
+            sp.median, sp.q1, sp.q3
+        );
+        let level_elements = level_hist.iter().map(|(lv, &c)| (lv.to_string(), Json::from(c)));
+        lts_json = Some(Json::obj([
+            ("mesh_elements", lne.into()),
+            ("mesh_nodes", lmesh.n_nodes().into()),
+            ("level_elements", Json::obj(level_elements)),
+            ("group_elements", Json::arr(plan.group_histogram())),
+            ("factors", Json::arr(plan.factors().iter().copied())),
+            ("cycle", m.into()),
+            ("element_updates_per_cycle", updates_per_cycle.into()),
+            ("ideal_work_ratio", ideal_ratio.into()),
+            ("n_steps", n_base.into()),
+            ("fused", Json::obj(rate_fields(lfused_sps, lne))),
+            (
+                "grouped",
+                Json::obj([
+                    ("base_steps_per_sec", lts_base_sps.median.into()),
+                    ("base_steps_per_sec_quartiles", lts_base_sps.quartiles()),
+                    (
+                        "equivalent_element_updates_per_sec",
+                        (lts_base_sps.median * lne as f64).into(),
+                    ),
+                ]),
+            ),
+            ("speedup_lts_vs_fused", sp.median.into()),
+            ("speedup_lts_vs_fused_quartiles", sp.quartiles()),
+        ]));
     }
 
     // ---- per-phase breakdown from the instrumented registries ----
@@ -593,85 +570,66 @@ fn main() {
     main.print("2-class mesh");
     many.print("many-class mesh");
 
-    let mut breakdown = String::new();
-    breakdown.push_str("{\n");
-    breakdown.push_str(&format!("  \"telemetry_overhead_pct\": {overhead_pct:.3},\n"));
-    breakdown.push_str(&main.json_fields("  "));
-    breakdown.push_str(",\n  \"many_class\": {\n");
-    breakdown.push_str(&many.json_fields("    "));
-    breakdown.push_str("\n  }\n}\n");
+    let host = provenance();
+    let mut breakdown = vec![
+        ("host", host.clone()),
+        ("telemetry_overhead_pct", telemetry_ov.median.max(0.0).into()),
+        ("telemetry_overhead_raw_pct", telemetry_ov.median.into()),
+        ("telemetry_overhead_quartiles_pct", telemetry_ov.quartiles()),
+    ];
+    breakdown.extend(main.json_fields());
+    breakdown.push(("many_class", Json::obj(many.json_fields())));
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!("  \"mesh_elements\": {},\n", mesh.n_elements()));
-    json.push_str(&format!("  \"mesh_nodes\": {},\n", mesh.n_nodes()));
-    json.push_str(&format!("  \"hanging_nodes\": {},\n", mesh.n_hanging()));
-    json.push_str(&format!("  \"n_steps\": {base_steps},\n  \"trials\": {trials},\n"));
-    json.push_str(&format!(
-        "  \"baseline\": {{ \"steps_per_sec\": {base_sps:.3}, \"element_updates_per_sec\": {base_eups:.1} }},\n"
-    ));
-    json.push_str(&format!(
-        "  \"fused\": {{ \"steps_per_sec\": {fused_sps:.3}, \"element_updates_per_sec\": {fused_eups:.1} }},\n"
-    ));
-    json.push_str(&format!(
-        "  \"instrumented\": {{ \"steps_per_sec\": {instr_sps:.3}, \"telemetry_overhead_pct\": {overhead_pct:.3}, \"telemetry_overhead_raw_pct\": {overhead_raw_pct:.3} }},\n"
-    ));
-    json.push_str(&format!(
-        "  \"traced\": {{ \"steps_per_sec\": {traced_sps:.3}, \"trace_overhead_pct\": {trace_overhead_pct:.3}, \"trace_overhead_raw_pct\": {trace_overhead_raw_pct:.3} }},\n"
-    ));
-    json.push_str(&format!(
-        "  \"harness\": {{ \"steps_per_sec\": {harness_sps:.3}, \"noop_hook_overhead_pct\": {harness_overhead_pct:.3}, \"noop_hook_overhead_raw_pct\": {harness_overhead_raw_pct:.3} }},\n"
-    ));
-    json.push_str(&format!(
-        "  \"lane_fill\": {:.4},\n  \"many_class\": {{ \"mesh_elements\": {}, \"mesh_nodes\": {}, \"classes\": {}, \"lane_fill\": {:.4}, \"steps_per_sec\": {many_sps:.3}, \"element_updates_per_sec\": {many_eups:.1} }},\n",
-        main.lane_fill, many.mesh_elements, many.mesh_nodes, many.classes, many.lane_fill
-    ));
-    json.push_str(&format!("  \"speedup_fused_vs_baseline\": {speedup:.3}"));
-    if let Some(l) = &lts_json {
-        json.push_str(",\n");
-        json.push_str(l);
-    }
-    json.push_str("\n}\n");
+    let mut json = vec![
+        ("host", host),
+        ("mesh_elements", ne.into()),
+        ("mesh_nodes", mesh.n_nodes().into()),
+        ("hanging_nodes", mesh.n_hanging().into()),
+        ("n_steps", n_steps.into()),
+        ("trials", rounds.into()),
+        ("baseline", Json::obj(rate_fields(sps(BASELINE), ne))),
+        ("fused", Json::obj(rate_fields(sps(FUSED), ne))),
+        ("instrumented", overhead_row(sps(INSTRUMENTED), "telemetry_overhead", telemetry_ov)),
+        ("traced", overhead_row(sps(TRACED), "trace_overhead", trace_ov)),
+        ("harness", overhead_row(sps(HARNESS), "noop_hook_overhead", harness_ov)),
+        ("lane_fill", main.lane_fill.into()),
+        (
+            "many_class",
+            Json::obj(
+                many.mesh_fields().into_iter().chain(rate_fields(many_sps, many.mesh_elements)),
+            ),
+        ),
+        ("speedup_fused_vs_baseline", speedup.median.into()),
+        ("speedup_fused_vs_baseline_quartiles", speedup.quartiles()),
+    ];
+    json.extend(lts_json.map(|l| ("lts", l)));
 
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let trace_path = format!("{root}/target/BENCH_step_trace.ndjson");
-    let _ = std::fs::create_dir_all(format!("{root}/target"));
+    let trace_path = format!("{REPO_ROOT}/target/BENCH_step_trace.ndjson");
+    let _ = std::fs::create_dir_all(format!("{REPO_ROOT}/target"));
     std::fs::write(&trace_path, reg.ndjson()).expect("write NDJSON trace");
     println!("\nwrote {trace_path}");
     if let Some(path) = &trace_out {
-        // The traced leg's final trial, as a Chrome trace_event JSON —
-        // loadable in Perfetto / chrome://tracing.
+        // The traced variant's ring over every round, as a Chrome
+        // trace_event JSON — loadable in Perfetto / chrome://tracing.
         let buf = tws.reg.trace_buffer();
         std::fs::write(path, quake_telemetry::json::chrome_trace(&[buf]))
             .expect("write Chrome trace");
         println!("wrote {path}");
     }
-    if smoke {
-        println!("\n{json}");
-        println!("{breakdown}");
-        println!("smoke mode: committed JSONs not written");
-    } else {
-        let tp = format!("{root}/BENCH_step_throughput.json");
-        let bp = format!("{root}/BENCH_phase_breakdown.json");
-        std::fs::write(&tp, &json).expect("write BENCH_step_throughput.json");
-        std::fs::write(&bp, &breakdown).expect("write BENCH_phase_breakdown.json");
-        println!("wrote {tp}\nwrote {bp}");
-    }
+    write_report("BENCH_step_throughput.json", &Json::obj(json), smoke);
+    write_report("BENCH_phase_breakdown.json", &Json::obj(breakdown), smoke);
 
     if let Some(limit) = check_overhead {
-        assert!(
-            overhead_pct <= limit,
-            "telemetry overhead {overhead_pct:.2}% exceeds the {limit}% budget"
-        );
-        assert!(
-            harness_overhead_pct <= limit,
-            "harness no-op-hook overhead {harness_overhead_pct:.2}% exceeds the {limit}% budget"
-        );
-        assert!(
-            trace_overhead_pct <= limit,
-            "flight-recorder overhead {trace_overhead_pct:.2}% exceeds the {limit}% budget"
-        );
+        for (what, ov) in [
+            ("telemetry", telemetry_ov),
+            ("harness no-op-hook", harness_ov),
+            ("flight-recorder", trace_ov),
+        ] {
+            let pct = ov.median.max(0.0);
+            assert!(pct <= limit, "{what} overhead {pct:.2}% exceeds the {limit}% budget");
+        }
     }
+    let speedup = speedup.median;
     assert!(
         speedup >= if smoke { 0.5 } else { 1.3 },
         "fused step regressed below the 1.3x acceptance bar: {speedup:.2}x"

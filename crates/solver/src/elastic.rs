@@ -554,7 +554,7 @@ impl<'m> ElasticSolver<'m> {
         let pass = self.global_pass(&self.full_scope);
         let fields = Fields::Whole { u_prev, u_now };
         let StepWorkspace { w, reg, ids, .. } = ws;
-        let done = self.pass(&pass, fields, f_ext, u_next, w, reg, ids, |_, _| Ok(()));
+        let done = self.pass(&pass, fields, f_ext, u_next, w, reg, ids, &mut |_, _| Ok(()));
         debug_assert!(done.is_ok(), "a step without an exchange cannot fail");
     }
 
@@ -578,7 +578,10 @@ impl<'m> ElasticSolver<'m> {
     /// [`StepWorkspace`], whose other buffers the rhs and fields may borrow.
     /// The closure also receives `reg`, so an instrumented exchange can
     /// attribute `wait`/`copy` sub-intervals under the open `step/exchange`
-    /// span.
+    /// span. It is a trait object, not a generic, so that `step_with` and
+    /// `SolverHarness` run one compiled copy of this kernel: with a copy
+    /// each, the harness's `tail` phase ran 1.2–1.5× slower than
+    /// `step_with`'s on the same mesh.
     ///
     /// Steady-state heap allocations: **zero** (scratch lives in the
     /// workspace, the face list and schedule in the pass).
@@ -591,7 +594,7 @@ impl<'m> ElasticSolver<'m> {
         w: &mut [f64],
         reg: &Registry,
         ids: &StepSpanIds,
-        exchange: impl FnOnce(&mut [f64], &Registry) -> Result<(), String>,
+        exchange: &mut dyn FnMut(&mut [f64], &Registry) -> Result<(), String>,
     ) -> Result<(), String> {
         let n = self.mesh.n_nodes();
         let ndof = 3 * n;

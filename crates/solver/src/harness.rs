@@ -384,23 +384,24 @@ impl<'s, 'm> SolverHarness<'s, 'm> {
                             }),
                         },
                     };
-                    let stepped = solver.pass(pass, fields, f, u_next, w, reg, ids, |rhs, reg| {
-                        let mut flow = ExchangeFlow::Proceed;
-                        for h in hooks.iter_mut() {
-                            if h.pre_exchange(&info, s) == ExchangeFlow::Skip {
-                                flow = ExchangeFlow::Skip;
+                    let stepped =
+                        solver.pass(pass, fields, f, u_next, w, reg, ids, &mut |rhs, reg| {
+                            let mut flow = ExchangeFlow::Proceed;
+                            for h in hooks.iter_mut() {
+                                if h.pre_exchange(&info, s) == ExchangeFlow::Skip {
+                                    flow = ExchangeFlow::Skip;
+                                }
                             }
-                        }
-                        if flow == ExchangeFlow::Skip {
-                            tainted = true;
-                            return Ok(());
-                        }
-                        // A comm fabric allocates here: one payload Vec per neighbor
-                        // message (the channel takes ownership), outside the element
-                        // sweep and timed as `step/exchange/copy`. Failures come back
-                        // as CommError.
-                        exchange.exchange(s, g, rhs, reg)
-                    });
+                            if flow == ExchangeFlow::Skip {
+                                tainted = true;
+                                return Ok(());
+                            }
+                            // A comm fabric allocates here: one payload Vec per neighbor
+                            // message (the channel takes ownership), outside the element
+                            // sweep and timed as `step/exchange/copy`. Failures come back
+                            // as CommError.
+                            exchange.exchange(s, g, rhs, reg)
+                        });
                     // A failed exchange aborts before the tail: under global
                     // dt the state keeps describing the last completed step.
                     if let Err(e) = stepped {

@@ -7,6 +7,8 @@
 //! quantile resolution is `2^(1/4) - 1 ~ 19%` — plenty for latency/size
 //! distributions that span orders of magnitude.
 
+use crate::json::Json;
+
 /// Sub-buckets per octave (power of two).
 const SUB: i32 = 4;
 /// Smallest representable exponent: values below `2^MIN_EXP` underflow.
@@ -154,24 +156,17 @@ impl Histogram {
     }
 
     /// JSON object with the summary statistics and standard quantiles.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"count\":");
-        s.push_str(&self.count.to_string());
-        for (k, v) in [
-            ("mean", self.mean()),
-            ("min", if self.count == 0 { 0.0 } else { self.min }),
-            ("max", if self.count == 0 { 0.0 } else { self.max }),
-            ("p50", self.quantile(0.5)),
-            ("p95", self.quantile(0.95)),
-            ("p99", self.quantile(0.99)),
-        ] {
-            s.push_str(",\"");
-            s.push_str(k);
-            s.push_str("\":");
-            crate::json::push_f64(&mut s, v);
-        }
-        s.push('}');
-        s
+    pub fn to_json(&self) -> Json {
+        let (min, max) = if self.count == 0 { (0.0, 0.0) } else { (self.min, self.max) };
+        Json::obj([
+            ("count", self.count.into()),
+            ("mean", self.mean().into()),
+            ("min", min.into()),
+            ("max", max.into()),
+            ("p50", self.quantile(0.5).into()),
+            ("p95", self.quantile(0.95).into()),
+            ("p99", self.quantile(0.99).into()),
+        ])
     }
 }
 
@@ -263,6 +258,6 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.quantile(0.5), 0.0);
-        assert!(h.to_json().contains("\"count\":0"));
+        assert!(h.to_json().line().contains("\"count\":0"));
     }
 }

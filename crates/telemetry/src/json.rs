@@ -1,8 +1,9 @@
 //! Minimal JSON emission helpers (std-only; this workspace is offline).
 //!
-//! Only what the telemetry serializers need: escaped strings and `f64`
-//! values that round-trip. Rust's `{}` formatting of `f64` already produces
-//! the shortest digit string that parses back to the same bits, so numeric
+//! Only what the telemetry serializers and the bench reports need: escaped
+//! strings, `f64` values that round-trip, and [`Json`], a document that
+//! renders itself as a pretty report or a one-line NDJSON record. Rust's `{}` formatting of `f64` already produces the
+//! shortest digit string that parses back to the same bits, so numeric
 //! trace lines are lossless.
 
 /// Append `v` as a JSON number. Non-finite values (which JSON cannot
@@ -35,66 +36,52 @@ use crate::trace::{TraceBuffer, TraceKind};
 /// truncated timeline is machine-detectable, never mistaken for a complete
 /// one.
 pub fn chrome_trace(buffers: &[TraceBuffer]) -> String {
-    let mut s = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    s.push_str("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,\"tid\":0,");
-    s.push_str("\"args\":{\"name\":\"quake\"}}");
+    let meta = |name: &str, tid: usize, args: Json| {
+        let head = [("ph", "M".into()), ("name", name.into()), ("pid", 0usize.into())];
+        Json::obj(head.into_iter().chain([("tid", tid.into()), ("args", args)]))
+    };
+    let mut events = vec![meta("process_name", 0, Json::obj([("name", "quake".into())]))];
     for buf in buffers {
-        let tid = buf.rank.to_string();
-        s.push_str(",{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":");
-        s.push_str(&tid);
-        s.push_str(",\"args\":{\"name\":");
-        if buf.dropped > 0 {
-            push_str(&mut s, &format!("rank {} (ring wrapped, {} dropped)", buf.rank, buf.dropped));
-        } else {
-            push_str(&mut s, &format!("rank {}", buf.rank));
-        }
-        s.push_str("}},{\"ph\":\"M\",\"name\":\"thread_sort_index\",\"pid\":0,\"tid\":");
-        s.push_str(&tid);
-        s.push_str(",\"args\":{\"sort_index\":");
-        s.push_str(&tid);
-        s.push_str("}}");
+        let track = match buf.dropped {
+            0 => format!("rank {}", buf.rank),
+            n => format!("rank {} (ring wrapped, {n} dropped)", buf.rank),
+        };
+        events.push(meta("thread_name", buf.rank, Json::obj([("name", track.into())])));
+        let sort = Json::obj([("sort_index", buf.rank.into())]);
+        events.push(meta("thread_sort_index", buf.rank, sort));
         for ev in &buf.events {
-            s.push_str(",{\"name\":");
-            push_str(&mut s, &ev.name);
-            s.push_str(",\"cat\":\"quake\",\"pid\":0,\"tid\":");
-            s.push_str(&tid);
-            s.push_str(",\"ts\":");
-            push_f64(&mut s, ev.t0_ns as f64 / 1e3);
-            match ev.kind {
-                TraceKind::Slice => {
-                    s.push_str(",\"ph\":\"X\",\"dur\":");
-                    push_f64(&mut s, ev.dur_ns as f64 / 1e3);
-                }
-                TraceKind::Mark => {
-                    s.push_str(",\"ph\":\"i\",\"s\":\"t\"");
-                }
-            }
-            if let Some(arg) = ev.arg {
-                s.push_str(",\"args\":{\"value\":");
-                push_f64(&mut s, arg);
-                s.push('}');
-            }
-            s.push('}');
+            let mut e = vec![
+                ("name", ev.name.as_str().into()),
+                ("cat", "quake".into()),
+                ("pid", 0usize.into()),
+                ("tid", buf.rank.into()),
+                ("ts", (ev.t0_ns as f64 / 1e3).into()),
+            ];
+            e.extend(match ev.kind {
+                TraceKind::Slice => [("ph", "X".into()), ("dur", (ev.dur_ns as f64 / 1e3).into())],
+                TraceKind::Mark => [("ph", "i".into()), ("s", "t".into())],
+            });
+            e.extend(ev.arg.map(|a| ("args", Json::obj([("value", a.into())]))));
+            events.push(Json::obj(e));
         }
     }
     // Top-level metadata: per-rank flight-recorder ring accounting, so a
     // consumer (or Perfetto's info pane) can see how many events each rank
     // overwrote without parsing track names.
-    s.push_str("],\"metadata\":{\"quake_rings\":[");
-    for (i, buf) in buffers.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"rank\":{},\"capacity\":{},\"events\":{},\"dropped\":{}}}",
-            buf.rank,
-            buf.capacity,
-            buf.events.len(),
-            buf.dropped
-        ));
-    }
-    s.push_str("]}}");
-    s
+    let rings = buffers.iter().map(|b| {
+        Json::obj([
+            ("rank", b.rank.into()),
+            ("capacity", b.capacity.into()),
+            ("events", b.events.len().into()),
+            ("dropped", b.dropped.into()),
+        ])
+    });
+    Json::obj([
+        ("displayTimeUnit", "ms".into()),
+        ("traceEvents", Json::Arr(events)),
+        ("metadata", Json::obj([("quake_rings", Json::arr(rings))])),
+    ])
+    .line()
 }
 
 /// Append `s` as a quoted, escaped JSON string.
@@ -113,6 +100,106 @@ pub fn push_str(out: &mut String, s: &str) {
     }
     out.push('"');
 }
+
+/// A JSON document, built by a report and rendered once (there is no
+/// parser). Objects keep their fields in insertion order. Integers render
+/// as integers; floats go through [`push_f64`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum Json {
+    Bool(bool),
+    Int(u64),
+    Num(f64),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// An object from `(key, value)` pairs, in order.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// An array of anything that converts to JSON.
+    pub fn arr<T: Into<Json>>(items: impl IntoIterator<Item = T>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+
+    /// The document as pretty-printed text with a trailing newline. An
+    /// array or object whose members are all scalars stays on one line (an
+    /// object padded as `{ "a": 1 }`); any other nests its members one per
+    /// line, indented by two spaces.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out.push('\n');
+        out
+    }
+
+    /// The document on one line with no whitespace, as an NDJSON record.
+    pub fn line(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// Append the document, pretty-printed at `indent` or compact if `None`.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        let (open, close, members): (char, char, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(i) => return out.push_str(&i.to_string()),
+            Json::Num(v) => return push_f64(out, *v),
+            Json::Str(s) => return push_str(out, s),
+            Json::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Json::Obj(fields) => ('{', '}', fields.iter().map(|(k, v)| (Some(&**k), v)).collect()),
+        };
+        let items: Vec<String> = members
+            .iter()
+            .map(|(key, value)| {
+                let mut item = String::new();
+                if let Some(key) = key {
+                    push_str(&mut item, key);
+                    item.push_str(if indent.is_some() { ": " } else { ":" });
+                }
+                value.write(&mut item, indent.map(|i| i + 2));
+                item
+            })
+            .collect();
+        let nested = members.iter().any(|(_, v)| matches!(v, Json::Arr(_) | Json::Obj(_)));
+        out.push(open);
+        match indent {
+            None => out.push_str(&items.join(",")),
+            Some(i) if nested => {
+                let pad = " ".repeat(i);
+                out.push_str(&format!("\n{pad}  {}\n{pad}", items.join(&format!(",\n{pad}  "))));
+            }
+            Some(_) if open == '{' && !items.is_empty() => {
+                out.push_str(&format!(" {} ", items.join(", ")));
+            }
+            Some(_) => out.push_str(&items.join(", ")),
+        }
+        out.push(close);
+    }
+}
+
+macro_rules! json_from {
+    ($($t:ty => |$x:ident| $variant:expr),* $(,)?) => {$(
+        impl From<$t> for Json {
+            fn from($x: $t) -> Json {
+                $variant
+            }
+        }
+    )*};
+}
+
+json_from!(
+    bool => |b| Json::Bool(b),
+    u64 => |i| Json::Int(i),
+    usize => |i| Json::Int(i as u64),
+    f64 => |v| Json::Num(v),
+    &str => |s| Json::Str(s.to_string()),
+    String => |s| Json::Str(s),
+);
 
 #[cfg(test)]
 mod tests {
@@ -140,6 +227,32 @@ mod tests {
         let mut s = String::new();
         push_str(&mut s, "a\"b\\c\nd\u{1}");
         assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
+    }
+
+    #[test]
+    fn documents_render_pretty_or_on_one_line() {
+        let doc = Json::obj([
+            ("n", Json::from(3usize)),
+            ("ok", true.into()),
+            ("row", Json::obj([("rate", Json::from(2.5)), ("name", "a\"b".into())])),
+            ("factors", Json::arr([1u64, 2, 4])),
+            (
+                "rows",
+                Json::arr([Json::obj([("x", Json::from(1.0))]), Json::arr(Vec::<u64>::new())]),
+            ),
+            ("none", Json::obj(Vec::<(String, Json)>::new())),
+        ]);
+        assert_eq!(
+            doc.render(),
+            "{\n  \"n\": 3,\n  \"ok\": true,\n  \"row\": { \"rate\": 2.5, \"name\": \"a\\\"b\" },\n  \
+             \"factors\": [1, 2, 4],\n  \"rows\": [\n    { \"x\": 1.0 },\n    []\n  ],\n  \
+             \"none\": {}\n}\n"
+        );
+        assert_eq!(
+            doc.line(),
+            "{\"n\":3,\"ok\":true,\"row\":{\"rate\":2.5,\"name\":\"a\\\"b\"},\
+             \"factors\":[1,2,4],\"rows\":[{\"x\":1.0},[]],\"none\":{}}"
+        );
     }
 
     #[test]

@@ -48,6 +48,7 @@ pub use hist::Histogram;
 pub use reduce::{try_reduce_across_ranks, ReduceError, Reduced};
 pub use trace::{TraceBuffer, TraceEvent, TraceKind};
 
+use json::Json;
 use trace::{RawEvent, TraceRing};
 
 use std::cell::RefCell;
@@ -360,21 +361,10 @@ impl Registry {
         if !self.enabled {
             return;
         }
-        let mut line = String::with_capacity(64 + 16 * fields.len());
-        line.push_str("{\"t\":");
-        json::push_f64(&mut line, self.epoch.elapsed().as_secs_f64());
-        line.push_str(",\"rank\":");
-        line.push_str(&self.rank.to_string());
-        line.push_str(",\"event\":");
-        json::push_str(&mut line, name);
-        for (k, v) in fields {
-            line.push(',');
-            json::push_str(&mut line, k);
-            line.push(':');
-            json::push_f64(&mut line, *v);
-        }
-        line.push('}');
-        self.inner.borrow_mut().events.push(line);
+        let t = self.epoch.elapsed().as_secs_f64();
+        let head = [("t", t.into()), ("rank", self.rank.into()), ("event", name.into())];
+        let line = Json::obj(head.into_iter().chain(fields.iter().map(|&(k, v)| (k, v.into()))));
+        self.inner.borrow_mut().events.push(line.line());
     }
 
     /// Number of recorded events.
@@ -539,46 +529,24 @@ impl Registry {
     pub fn ndjson(&self) -> String {
         let g = self.inner.borrow();
         let mut out = String::new();
+        let mut line = |kind: &str, name: &str, fields: Vec<(&str, Json)>| {
+            let head = [("type", kind.into()), ("rank", self.rank.into()), ("name", name.into())];
+            out.push_str(&Json::obj(head.into_iter().chain(fields)).line());
+            out.push('\n');
+        };
         for (name, &id) in &g.span_ids {
             let sp = &g.spans[id as usize];
-            out.push_str("{\"type\":\"span\",\"rank\":");
-            out.push_str(&self.rank.to_string());
-            out.push_str(",\"name\":");
-            json::push_str(&mut out, name);
-            out.push_str(",\"count\":");
-            out.push_str(&sp.count.to_string());
-            out.push_str(",\"secs\":");
-            json::push_f64(&mut out, sp.total_secs());
-            out.push_str(",\"self_secs\":");
-            json::push_f64(&mut out, sp.self_secs());
-            out.push_str("}\n");
+            let secs = [("secs", sp.total_secs().into()), ("self_secs", sp.self_secs().into())];
+            line("span", name, [("count", sp.count.into())].into_iter().chain(secs).collect());
         }
         for (name, &id) in &g.ctr_ids {
-            out.push_str("{\"type\":\"counter\",\"rank\":");
-            out.push_str(&self.rank.to_string());
-            out.push_str(",\"name\":");
-            json::push_str(&mut out, name);
-            out.push_str(",\"value\":");
-            out.push_str(&g.ctrs[id as usize].to_string());
-            out.push_str("}\n");
+            line("counter", name, vec![("value", g.ctrs[id as usize].into())]);
         }
         for (name, &v) in &g.gauges {
-            out.push_str("{\"type\":\"gauge\",\"rank\":");
-            out.push_str(&self.rank.to_string());
-            out.push_str(",\"name\":");
-            json::push_str(&mut out, name);
-            out.push_str(",\"value\":");
-            json::push_f64(&mut out, v);
-            out.push_str("}\n");
+            line("gauge", name, vec![("value", v.into())]);
         }
         for (name, h) in &g.hists {
-            out.push_str("{\"type\":\"histogram\",\"rank\":");
-            out.push_str(&self.rank.to_string());
-            out.push_str(",\"name\":");
-            json::push_str(&mut out, name);
-            out.push_str(",\"stats\":");
-            out.push_str(&h.to_json());
-            out.push_str("}\n");
+            line("histogram", name, vec![("stats", h.to_json())]);
         }
         for e in &g.events {
             out.push_str(e);

@@ -23,7 +23,7 @@
 
 use std::time::Instant;
 
-use crate::json;
+use crate::json::Json;
 
 /// What a trace event represents.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -142,27 +142,21 @@ impl TraceBuffer {
         let skip = self.events.len().saturating_sub(last_n);
         let mut out = String::new();
         for ev in &self.events[skip..] {
-            out.push_str("{\"type\":\"trace\",\"rank\":");
-            out.push_str(&self.rank.to_string());
-            out.push_str(",\"name\":");
-            json::push_str(&mut out, &ev.name);
-            out.push_str(",\"kind\":");
-            json::push_str(
-                &mut out,
-                match ev.kind {
-                    TraceKind::Slice => "slice",
-                    TraceKind::Mark => "mark",
-                },
-            );
-            out.push_str(",\"t0_ns\":");
-            out.push_str(&ev.t0_ns.to_string());
-            out.push_str(",\"dur_ns\":");
-            out.push_str(&ev.dur_ns.to_string());
-            if let Some(a) = ev.arg {
-                out.push_str(",\"arg\":");
-                json::push_f64(&mut out, a);
-            }
-            out.push_str("}\n");
+            let kind = match ev.kind {
+                TraceKind::Slice => "slice",
+                TraceKind::Mark => "mark",
+            };
+            let mut fields = vec![
+                ("type", "trace".into()),
+                ("rank", self.rank.into()),
+                ("name", ev.name.as_str().into()),
+                ("kind", kind.into()),
+                ("t0_ns", ev.t0_ns.into()),
+                ("dur_ns", ev.dur_ns.into()),
+            ];
+            fields.extend(ev.arg.map(|a| ("arg", a.into())));
+            out.push_str(&Json::obj(fields).line());
+            out.push('\n');
         }
         out
     }
