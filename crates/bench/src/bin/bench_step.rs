@@ -339,7 +339,8 @@ fn main() {
     // cost, or the overhead check would measure timer noise instead. Rounds
     // are a multiple of both paired comparisons' variant counts (5 and 2),
     // so every variant runs at every position equally often.
-    let (coarse, n_steps, rounds) = if smoke { (3, 30, 40) } else { (4, 20, 20) };
+    let (coarse, n_steps) = if smoke { (3, 30) } else { (4, 20) };
+    let rounds = 40;
     // The many-class row is a throughput floor, not a ratio: a few rounds.
     let many_rounds = 5;
 
