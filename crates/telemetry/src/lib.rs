@@ -536,8 +536,16 @@ impl Registry {
         };
         for (name, &id) in &g.span_ids {
             let sp = &g.spans[id as usize];
-            let secs = [("secs", sp.total_secs().into()), ("self_secs", sp.self_secs().into())];
-            line("span", name, [("count", sp.count.into())].into_iter().chain(secs).collect());
+            let (count, secs, self_secs) = (sp.count, sp.total_secs(), sp.self_secs());
+            line(
+                "span",
+                name,
+                vec![
+                    ("count", count.into()),
+                    ("secs", secs.into()),
+                    ("self_secs", self_secs.into()),
+                ],
+            );
         }
         for (name, &id) in &g.ctr_ids {
             line("counter", name, vec![("value", g.ctrs[id as usize].into())]);
