@@ -368,6 +368,8 @@ fn main() {
     // The fused step runs on the planar layout; the conversion is an exact
     // permutation, outside the timed region.
     let u0p = quake_solver::layout::to_planar3(&u0);
+    // The instrumented and traced workspaces outlive the timed variants: the
+    // breakdown and both traces are read from their registries afterwards.
     let mut iws = solver.workspace_instrumented(0);
     let treg = Registry::new(0);
     treg.enable_trace(65536);
