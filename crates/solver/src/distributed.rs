@@ -15,7 +15,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use crate::checkpoint::SolverState;
-use crate::elastic::{ElasticSolver, StepScope};
+use crate::elastic::{check_seed, ElasticSolver, StepScope};
 use crate::harness::{
     CheckpointHook, Exchange, FaultHook, HookCtx, RunConfig, RunOutcome, SolverHarness, StepHook,
     StopReason, TelemetryHook,
@@ -24,7 +24,7 @@ use crate::health::{dump_post_mortem, HealthConfig, HealthHook};
 use crate::layout::to_interleaved3;
 use quake_ckpt::{CheckpointPolicy, CheckpointReader, CheckpointWriter, CkptError, PeriodicSink};
 use quake_mesh::{partition_morton, ExchangePlan, HexMesh, RateGroups};
-use quake_parcomm::{run_spmd, CommError, Communicator, FaultPlan};
+use quake_parcomm::{run_spmd, CommError, Communicator, Fault, FaultPlan};
 use quake_telemetry::{try_reduce_across_ranks, Reduced, Registry, Snapshot, SpanId, TraceBuffer};
 
 /// What to run distributed: rank count, step count, optional initial
@@ -440,6 +440,19 @@ pub fn run_distributed_recoverable(
 ) -> Result<RecoveredRun, CkptError> {
     assert!(rcfg.every_steps > 0, "RecoveryConfig::every_steps must be > 0");
     assert!(rcfg.max_attempts >= 1, "RecoveryConfig::max_attempts must be >= 1");
+    // A fault on a rank the run does not have never fires: a recovery test
+    // scripted with it would pass without recovering anything.
+    for fault in rcfg.faults.faults() {
+        let (Fault::Kill { rank, .. }
+        | Fault::DelayExchange { rank, .. }
+        | Fault::DropExchange { rank, .. }
+        | Fault::CorruptState { rank, .. }) = fault;
+        assert!(
+            *rank < cfg.n_ranks,
+            "RecoveryConfig::faults: {fault:?} names a rank outside the {} ranks of the run",
+            cfg.n_ranks
+        );
+    }
     if let Some(health) = &rcfg.health {
         // A checkpoint written between two checks could persist a corrupt
         // state, and the restore line would then name it.
@@ -469,6 +482,11 @@ fn supervise(
     recovery: Option<(&RecoveryConfig, &[CheckpointWriter])>,
     reg: &Registry,
 ) -> RecoveredRun {
+    // Refused here, on the caller's thread: inside a rank the panic would
+    // surface only as "rank panicked".
+    if let Some((u0, v0)) = cfg.initial {
+        check_seed(u0, v0, 3 * solver.mesh.n_nodes());
+    }
     let n_ranks = cfg.n_ranks;
     let setup = DistSetup::build(solver, n_ranks);
     // One epoch for every rank's registry (and every attempt): per-rank
@@ -708,6 +726,7 @@ fn restore_line(
 mod tests {
     use super::*;
     use crate::elastic::ElasticConfig;
+    use crate::rategroup::RateGroupPlan;
     use quake_mesh::hexmesh::ElemMaterial;
     use quake_octree::{BalanceMode, LinearOctree, MAX_LEVEL};
 
@@ -1391,16 +1410,6 @@ mod tests {
                 Box::new(|| drop(HealthHook::new(&solver, health(|h| h.cadence = 0)))),
             ),
             (
-                "HealthConfig::max_energy_growth",
-                Box::new(|| {
-                    drop(HealthHook::new(&solver, health(|h| h.max_energy_growth = f64::NAN)))
-                }),
-            ),
-            (
-                "HealthConfig::max_energy_growth",
-                Box::new(|| drop(HealthHook::new(&solver, health(|h| h.max_energy_growth = 0.5)))),
-            ),
-            (
                 "HealthConfig::ckpt_every",
                 Box::new(|| drop(HealthHook::new(&solver, health(|h| h.ckpt_every = Some(0))))),
             ),
@@ -1417,16 +1426,100 @@ mod tests {
             ("RecoveryConfig::max_attempts", Box::new(|| recover(2, rcfg(4, 0)))),
         ];
         for (field, case) in &cases {
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(case))
-                .expect_err(&format!("{field}: accepted"));
-            let msg = err
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| err.downcast_ref::<&str>().copied())
-                .unwrap_or_default();
+            let msg = refusal(field, case);
             assert!(msg.contains(field), "{field}: panicked with {msg:?}");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The panic message of a case that must be refused.
+    fn refusal(what: &str, case: &dyn Fn()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(case))
+            .expect_err(&format!("{what}: accepted"));
+        let msg = err.downcast_ref::<String>().map(String::as_str);
+        msg.or_else(|| err.downcast_ref::<&str>().copied()).unwrap_or_default().to_string()
+    }
+
+    /// A NaN or +-inf seed and a fault on a rank the run does not have are
+    /// refused, naming the field, the first bad index or the fault. The
+    /// distributed refusals come from the caller's thread (a panic inside a
+    /// rank would read "rank panicked"); a fault is refused before the
+    /// checkpoint directory exists.
+    #[test]
+    fn bad_seeds_and_unreachable_faults_are_refused_before_any_rank_starts() {
+        let (mesh, cfg) = recovery_setup();
+        let solver = ElasticSolver::new(&mesh, &cfg);
+        let plan = RateGroupPlan::build(&solver, 8);
+        let (u0, v0) = pulse(&mesh);
+        let with = |field: &[f64], i: usize, bad: f64| {
+            let mut f = field.to_vec();
+            f[i] = bad;
+            f
+        };
+        let (u_nan, v_inf) = (with(&u0, 5, f64::NAN), with(&v0, 7, f64::INFINITY));
+        let u_neg_inf = with(&u0, 3, f64::NEG_INFINITY);
+        let dir = std::env::temp_dir()
+            .join("quake-dist-recover-tests")
+            .join(format!("refused-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let recover = |dist: DistConfig<'_>, faults: FaultPlan| {
+            let rcfg = RecoveryConfig::new(dir.clone(), 4, 2).with_faults(faults);
+            let _ = run_distributed_recoverable(&solver, &dist, &rcfg, &Registry::disabled());
+        };
+        let fault = |f: quake_parcomm::Fault| {
+            move || recover(DistConfig::new(2, 4), FaultPlan::none().and(f))
+        };
+        use quake_parcomm::Fault::*;
+        let cases: Vec<(&str, Box<dyn Fn() + '_>)> = vec![
+            (
+                "initial u0[5] is NaN",
+                Box::new(|| drop(solver.initial_state(0, Some((&u_nan, &v0))))),
+            ),
+            (
+                "initial v0[7] is inf",
+                Box::new(|| drop(solver.initial_state(0, Some((&u0, &v_inf))))),
+            ),
+            (
+                "initial u0[3] is -inf",
+                Box::new(|| drop(plan.initial_state(&solver, 0, Some((&u_neg_inf, &v0))))),
+            ),
+            (
+                "initial u0 must hold",
+                Box::new(|| drop(solver.initial_state(0, Some((&u0[1..], &v0))))),
+            ),
+            (
+                "initial u0[5] is NaN",
+                Box::new(|| {
+                    drop(run_distributed(&solver, &DistConfig::new(2, 4).with_initial(&u_nan, &v0)))
+                }),
+            ),
+            (
+                "initial v0[7] is inf",
+                Box::new(|| {
+                    recover(DistConfig::new(2, 4).with_initial(&u0, &v_inf), FaultPlan::none())
+                }),
+            ),
+            ("RecoveryConfig::faults: Kill { rank: 2", Box::new(fault(Kill { rank: 2, step: 1 }))),
+            (
+                "RecoveryConfig::faults: DelayExchange { rank: 3",
+                Box::new(fault(DelayExchange { rank: 3, step: 1, millis: 1 })),
+            ),
+            (
+                "RecoveryConfig::faults: DropExchange { rank: 2",
+                Box::new(fault(DropExchange { rank: 2, step: 1 })),
+            ),
+            (
+                "RecoveryConfig::faults: CorruptState { rank: 9",
+                Box::new(fault(CorruptState { rank: 9, step: 1, index: 0 })),
+            ),
+        ];
+        for (what, case) in &cases {
+            let msg = refusal(what, case);
+            assert!(msg.contains(what), "{what}: panicked with {msg:?}");
+            let faulty = what.starts_with("RecoveryConfig");
+            assert!(!(faulty && dir.exists()), "{what}: a checkpoint directory was created");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// A watchdog every 4 steps under checkpoints every 6 would write the

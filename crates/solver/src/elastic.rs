@@ -808,8 +808,7 @@ impl<'m> ElasticSolver<'m> {
         let mut u_prev = vec![0.0; ndof];
         let mut u_now = vec![0.0; ndof];
         if let Some((u0, v0)) = initial {
-            assert_eq!(u0.len(), ndof);
-            assert_eq!(v0.len(), ndof);
+            check_seed(u0, v0, ndof);
             for nd in 0..n {
                 let dt = node_dt(nd);
                 for comp in 0..3 {
@@ -873,6 +872,18 @@ impl<'m> ElasticSolver<'m> {
             }
         }
         e_kin + e_str
+    }
+}
+
+/// Refuse a seed field that is not `ndof` values long or holds a NaN or
+/// +-inf, naming the field and the first bad index: leapfrog would carry
+/// the bad value into every step.
+pub(crate) fn check_seed(u0: &[f64], v0: &[f64], ndof: usize) {
+    for (name, field) in [("u0", u0), ("v0", v0)] {
+        assert_eq!(field.len(), ndof, "initial {name} must hold {ndof} values");
+        if let Some(i) = field.iter().position(|v| !v.is_finite()) {
+            panic!("initial {name}[{i}] is {}, not finite", field[i]);
+        }
     }
 }
 

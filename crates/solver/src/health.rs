@@ -30,26 +30,28 @@ use std::path::{Path, PathBuf};
 
 use crate::elastic::ElasticSolver;
 use crate::harness::{HookCtx, StepHook, StopReason};
-use quake_telemetry::{json, Registry};
+use quake_telemetry::json::Json;
+use quake_telemetry::Registry;
 
-/// Watchdog configuration. `Default` checks every step, allows a 10x energy
-/// excursion over the running peak, and dumps nowhere.
+/// The watchdog aborts when the sampled energy exceeds this many times the
+/// running peak (leapfrog conserves discrete energy to rounding in a
+/// source-free interior; damping and ABCs only remove energy, so sustained
+/// growth is unphysical). Values below a tiny absolute floor are ignored so
+/// a quiescent field cannot trip the ratio.
+const MAX_ENERGY_GROWTH: f64 = 10.0;
+
+/// Flight-recorder events in the tail of a violation dump.
+const DUMP_LAST_EVENTS: usize = 256;
+
+/// Watchdog configuration. `Default` checks every step and dumps nowhere.
 #[derive(Clone, Debug)]
 pub struct HealthConfig {
     /// Check when `state.step % cadence == 0` (post-step step index). A
     /// corruption is caught within one cadence window of appearing.
     pub cadence: u64,
-    /// Abort when the sampled energy exceeds `max_energy_growth` times the
-    /// running peak (leapfrog conserves discrete energy to rounding in a
-    /// source-free interior; damping and ABCs only remove energy, so
-    /// sustained growth is unphysical). Values ≤ tiny absolute floors are
-    /// ignored so a quiescent field cannot trip the ratio.
-    pub max_energy_growth: f64,
     /// Where to write the post-mortem NDJSON dump on violation (`None` =
     /// report in the [`StopReason::Health`] string only).
     pub dump_path: Option<PathBuf>,
-    /// Flight-recorder events to include in the dump tail.
-    pub dump_last_events: usize,
     /// Checkpoint cadence of the surrounding run, if it checkpoints — lets
     /// the dump name the last checkpoint line expected valid (see the module
     /// docs for the hook-order contract that makes that line trustworthy).
@@ -58,13 +60,7 @@ pub struct HealthConfig {
 
 impl Default for HealthConfig {
     fn default() -> HealthConfig {
-        HealthConfig {
-            cadence: 1,
-            max_energy_growth: 10.0,
-            dump_path: None,
-            dump_last_events: 256,
-            ckpt_every: None,
-        }
+        HealthConfig { cadence: 1, dump_path: None, ckpt_every: None }
     }
 }
 
@@ -86,18 +82,10 @@ impl HealthConfig {
         self
     }
 
-    /// Abort when energy exceeds `factor` × the running peak.
-    pub fn with_max_growth(mut self, factor: f64) -> HealthConfig {
-        self.max_energy_growth = factor;
-        self
-    }
-
     /// Refuse, naming the field, settings that defeat the watchdog (cadence
-    /// 0, a NaN or sub-1 growth factor) or crash its report (`ckpt_every` 0).
+    /// 0) or crash its report (`ckpt_every` 0).
     pub(crate) fn validate(&self) {
         assert!(self.cadence > 0, "HealthConfig::cadence must be > 0");
-        let growth = self.max_energy_growth;
-        assert!(growth >= 1.0, "HealthConfig::max_energy_growth must be >= 1, got {growth}");
         assert_ne!(self.ckpt_every, Some(0), "HealthConfig::ckpt_every must be > 0 when set");
     }
 }
@@ -184,7 +172,7 @@ impl<'s, 'm> HealthHook<'s, 'm> {
         };
         if let Some(path) = &self.cfg.dump_path {
             // Best effort: a failed dump must not mask the violation itself.
-            let _ = write_health_dump(path, ctx.reg, &report, self.cfg.dump_last_events);
+            let _ = write_health_dump(path, ctx.reg, &report, DUMP_LAST_EVENTS);
         }
         let msg = format!("step {step}: {reason}");
         self.report = Some(report);
@@ -216,11 +204,10 @@ impl StepHook for HealthHook<'_, '_> {
         // Absolute floor: a quiescent field's rounding noise must not trip
         // the relative growth check.
         const ENERGY_FLOOR: f64 = 1e-300;
-        if self.peak_energy > ENERGY_FLOOR && energy > self.cfg.max_energy_growth * self.peak_energy
-        {
+        if self.peak_energy > ENERGY_FLOOR && energy > MAX_ENERGY_GROWTH * self.peak_energy {
             let reason = format!(
-                "energy growth: E = {energy:.6e} exceeds {}x running peak {:.6e}",
-                self.cfg.max_energy_growth, self.peak_energy
+                "energy growth: E = {energy:.6e} exceeds {MAX_ENERGY_GROWTH}x running peak {:.6e}",
+                self.peak_energy
             );
             return Err(self.violation(ctx, reason, energy));
         }
@@ -237,37 +224,19 @@ pub fn write_health_dump(
     report: &HealthReport,
     last_events: usize,
 ) -> std::io::Result<()> {
-    let mut line = String::new();
-    line.push_str("{\"type\":\"health_violation\",\"rank\":");
-    line.push_str(&reg.rank().to_string());
-    line.push_str(",\"step\":");
-    line.push_str(&report.step.to_string());
-    line.push_str(",\"dt\":");
-    json::push_f64(&mut line, report.dt);
-    line.push_str(",\"reason\":");
-    json::push_str(&mut line, &report.reason);
-    line.push_str(",\"energy\":");
-    json::push_f64(&mut line, report.energy);
-    line.push_str(",\"peak_energy\":");
-    json::push_f64(&mut line, report.peak_energy);
-    line.push_str(",\"bad_dofs\":[");
-    for (i, (a, b)) in report.bad_dofs.iter().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        line.push_str(&format!("[{a},{b}]"));
-    }
-    line.push(']');
-    if let Some(ck) = report.last_valid_ckpt {
-        line.push_str(",\"last_valid_ckpt\":");
-        line.push_str(&ck.to_string());
-    }
-    line.push_str("}\n");
-
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(line.as_bytes())?;
-    file.write_all(reg.trace_buffer().ndjson_tail(last_events).as_bytes())?;
-    file.flush()
+    let bad_dofs = report.bad_dofs.iter().map(|&(a, b)| Json::arr([a, b]));
+    let mut header = vec![
+        ("type", "health_violation".into()),
+        ("rank", reg.rank().into()),
+        ("step", report.step.into()),
+        ("dt", report.dt.into()),
+        ("reason", report.reason.as_str().into()),
+        ("energy", report.energy.into()),
+        ("peak_energy", report.peak_energy.into()),
+        ("bad_dofs", Json::arr(bad_dofs)),
+    ];
+    header.extend(report.last_valid_ckpt.map(|ck| ("last_valid_ckpt", ck.into())));
+    write_dump(path, reg, Json::obj(header), last_events)
 }
 
 /// Write a generic post-mortem for a rank that failed for a non-numerics
@@ -281,17 +250,24 @@ pub fn dump_post_mortem(
     step: u64,
     last_events: usize,
 ) -> std::io::Result<()> {
-    let mut line = String::new();
-    line.push_str("{\"type\":\"post_mortem\",\"rank\":");
-    line.push_str(&reg.rank().to_string());
-    line.push_str(",\"step\":");
-    line.push_str(&step.to_string());
-    line.push_str(",\"reason\":");
-    json::push_str(&mut line, reason);
-    line.push_str("}\n");
+    let header = Json::obj([
+        ("type", "post_mortem".into()),
+        ("rank", reg.rank().into()),
+        ("step", step.into()),
+        ("reason", reason.into()),
+    ]);
+    write_dump(path, reg, header, last_events)
+}
 
+/// One NDJSON file: the header record, then the flight-recorder tail.
+fn write_dump(
+    path: &Path,
+    reg: &Registry,
+    header: Json,
+    last_events: usize,
+) -> std::io::Result<()> {
     let mut file = std::fs::File::create(path)?;
-    file.write_all(line.as_bytes())?;
+    writeln!(file, "{}", header.line())?;
     file.write_all(reg.trace_buffer().ndjson_tail(last_events).as_bytes())?;
     file.flush()
 }
@@ -413,7 +389,7 @@ mod tests {
             }
         }
         let mut amp = Amplifier;
-        let mut hook = HealthHook::new(&solver, HealthConfig::every(1).with_max_growth(4.0));
+        let mut hook = HealthHook::new(&solver, HealthConfig::every(1));
         let outcome = SolverHarness::new(&solver).run(
             &RunConfig::to_step(20),
             &mut state,
@@ -426,7 +402,7 @@ mod tests {
         };
         assert!(msg.contains("energy growth"), "{msg}");
         let report = hook.report().expect("report recorded");
-        assert!(report.energy > report.peak_energy * 4.0);
+        assert!(report.energy > report.peak_energy * MAX_ENERGY_GROWTH);
         assert!(report.bad_dofs.is_empty(), "field is finite, just unphysical");
     }
 

@@ -41,6 +41,14 @@
 //! the buffer across solves of one problem pays for the adjoint history
 //! once: after the first solve, an adjoint allocates only a few vectors of
 //! `n_nodes` values, however many steps it marches.
+//!
+//! Full storage is the only adjoint-memory path. Uniform-segment
+//! checkpointing (the paper's optional reference [21], Griewank) was
+//! measured on the inversion and removed: its gradient sums the
+//! per-step terms backward in time, so the Gauss-Newton iteration no
+//! longer reproduces the full-storage one, and every Hessian-vector
+//! product costs two more forward marches. EXPERIMENTS.md, "One
+//! adjoint-memory path", has the table.
 
 /// The spatially discretized scalar wave equation.
 pub trait ScalarWaveEq: Sync {
@@ -193,115 +201,6 @@ pub fn material_gradient(
     g
 }
 
-/// Checkpointed adjoint gradient (Griewank-style two-level checkpointing,
-/// the paper's "optional use of algorithmic checkpointing" [21]).
-///
-/// Instead of storing all `n+1` forward states (O(n) memory), the forward
-/// pass keeps one `(u_s, u_{s-1})` pair every `segment` steps; during the
-/// backward march each segment's states are recomputed from its checkpoint.
-/// Memory drops to `O(n/segment + segment)` states for one extra forward
-/// sweep of compute. The result is bitwise the full-storage gradient.
-pub fn material_gradient_checkpointed(
-    eq: &dyn ScalarWaveEq,
-    mu: &[f64],
-    forcing: &mut dyn FnMut(usize, &mut [f64]),
-    residuals: &[Vec<f64>],
-    segment: usize,
-) -> Vec<f64> {
-    let n = eq.n_nodes();
-    let steps = eq.n_steps();
-    let seg = segment.max(1);
-    let dt = eq.dt();
-    let dt2 = dt * dt;
-    let mass = eq.mass();
-    let cab = eq.abc_damping();
-    let lhs_inv: Vec<f64> = (0..n).map(|i| 1.0 / (mass[i] + 0.5 * dt * cab[i])).collect();
-
-    // One forward step of the recurrence.
-    let step_fwd = |k: usize,
-                    u_prev: &[f64],
-                    u_now: &[f64],
-                    f: &mut Vec<f64>,
-                    out: &mut Vec<f64>,
-                    forcing: &mut dyn FnMut(usize, &mut [f64])| {
-        f.iter_mut().for_each(|v| *v = 0.0);
-        forcing(k, f);
-        for i in 0..n {
-            out[i] =
-                2.0 * mass[i] * u_now[i] + (-mass[i] + 0.5 * dt * cab[i]) * u_prev[i] + dt2 * f[i];
-        }
-        eq.apply_k(mu, u_now, out, -dt2);
-        for i in 0..n {
-            out[i] *= lhs_inv[i];
-        }
-    };
-
-    // Forward sweep: store (u_s, u_{s-1}) at every segment boundary.
-    let mut checkpoints: Vec<(usize, Vec<f64>, Vec<f64>)> = vec![(0, vec![0.0; n], vec![0.0; n])];
-    {
-        let mut u_prev = vec![0.0; n];
-        let mut u_now = vec![0.0; n];
-        let mut u_next = vec![0.0; n];
-        let mut f = vec![0.0; n];
-        for k in 0..steps {
-            step_fwd(k, &u_prev, &u_now, &mut f, &mut u_next, forcing);
-            std::mem::swap(&mut u_prev, &mut u_now);
-            std::mem::swap(&mut u_now, &mut u_next);
-            let s = k + 1; // u_now = u_s
-            if s % seg == 0 && s < steps {
-                checkpoints.push((s, u_now.clone(), u_prev.clone()));
-            }
-        }
-    }
-
-    // Backward sweep, one segment at a time.
-    let mut g = vec![0.0; eq.n_elements()];
-    let mut l_pp = vec![0.0; n];
-    let mut l_p = vec![0.0; n];
-    let mut l_m = vec![0.0; n];
-    let mut hi = steps; // adjoint computed for m in (lo, hi]
-    for (s, cu, cup) in checkpoints.iter().rev() {
-        let lo = *s;
-        // Recompute u_lo .. u_hi from the checkpoint.
-        let mut states: Vec<Vec<f64>> = Vec::with_capacity(hi - lo + 1);
-        states.push(cu.clone());
-        {
-            let mut u_prev = cup.clone();
-            let mut u_now = cu.clone();
-            let mut u_next = vec![0.0; n];
-            let mut f = vec![0.0; n];
-            for k in lo..hi {
-                step_fwd(k, &u_prev, &u_now, &mut f, &mut u_next, forcing);
-                std::mem::swap(&mut u_prev, &mut u_now);
-                std::mem::swap(&mut u_now, &mut u_next);
-                states.push(u_now.clone());
-            }
-        }
-        // Adjoint march m = hi .. lo+1, accumulating the gradient with
-        // u_{m-1} = states[m-1-lo].
-        for m in (lo + 1..=hi).rev() {
-            for i in 0..n {
-                l_m[i] = 2.0 * mass[i] * l_p[i] + (-mass[i] + 0.5 * dt * cab[i]) * l_pp[i];
-            }
-            eq.apply_k(mu, &l_p, &mut l_m, -dt2);
-            for (res, &r) in residuals.iter().zip(eq.receivers()) {
-                l_m[r] -= dt * res[m - 1];
-            }
-            for i in 0..n {
-                l_m[i] *= lhs_inv[i];
-            }
-            eq.accumulate_dk(&l_m, &states[m - 1 - lo], &mut g);
-            std::mem::swap(&mut l_pp, &mut l_p);
-            std::mem::swap(&mut l_p, &mut l_m);
-        }
-        hi = lo;
-    }
-    for v in &mut g {
-        *v *= dt2;
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,30 +312,6 @@ mod tests {
         adjoint(&eq, &mu, &res, &mut lambda);
         let rhs = -lambda[1][src] * 1.7 * eq.dt() * eq.dt();
         assert!((lhs - rhs).abs() < 1e-12 * (1.0 + lhs.abs()), "{lhs} vs {rhs}");
-    }
-
-    #[test]
-    fn checkpointed_gradient_matches_full_storage() {
-        let eq = small_solver();
-        let ne = eq.n_elements();
-        let mu: Vec<f64> = (0..ne).map(|e| 2e9 * (1.0 + 0.15 * ((e % 6) as f64 / 6.0))).collect();
-        let src = eq.n_nodes() / 2 + 1;
-        let mut forcing = |k: usize, f: &mut [f64]| {
-            if k < 7 {
-                f[src] = 2e6 * (k as f64 + 1.0);
-            }
-        };
-        // Residuals: the traces themselves (misfit against zero data).
-        let run = forward(&eq, &mu, &mut forcing, true);
-        let mut lambda = Vec::new();
-        adjoint(&eq, &mu, &run.traces, &mut lambda);
-        let g_full = material_gradient(&eq, &run.states, &lambda);
-        for segment in [1usize, 3, 7, 16, 1000] {
-            let g_ck = material_gradient_checkpointed(&eq, &mu, &mut forcing, &run.traces, segment);
-            for (a, b) in g_ck.iter().zip(&g_full) {
-                assert!((a - b).abs() <= 1e-12 * (1.0 + b.abs()), "segment {segment}: {a} vs {b}");
-            }
-        }
     }
 
     #[test]

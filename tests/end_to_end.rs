@@ -219,3 +219,92 @@ fn p_wave_arrival_respects_causality() {
     assert!(arrival > 0.8 * 1.5, "energy arrived impossibly early: {arrival} s (P time 1.5 s)");
     assert!(arrival < 2.5, "P arrival far too late: {arrival} s");
 }
+
+/// The recovery path end to end: a rank killed mid-run, one restart from
+/// the last consistent checkpoint line, and final states bit-identical to
+/// the fail-stop run.
+#[test]
+fn killed_rank_recovers_bit_identically() {
+    use quake::mesh::hexmesh::ElemMaterial;
+    use quake::mesh::HexMesh;
+    use quake::octree::{BalanceMode, LinearOctree, MAX_LEVEL};
+    use quake::parcomm::FaultPlan;
+    use quake::solver::{run_distributed, run_distributed_recoverable, DistConfig, RecoveryConfig};
+    use quake::telemetry::Registry;
+
+    let half = 1u32 << (MAX_LEVEL - 1);
+    let mut tree = LinearOctree::build(|o| o.level < 2 || (o.level < 3 && o.x < half));
+    tree.balance(BalanceMode::Full);
+    let mesh = HexMesh::from_octree(&tree, 8.0, |_, _, _, _| ElemMaterial {
+        lambda: 2.0,
+        mu: 1.0,
+        rho: 1.0,
+    });
+    let mut cfg = ElasticConfig::new(1.0);
+    cfg.dt = Some(0.05);
+    let solver = ElasticSolver::new(&mesh, &cfg);
+    let mut u0 = vec![0.0; 3 * mesh.n_nodes()];
+    for (i, c) in mesh.coords.iter().enumerate() {
+        let r2 = (c[0] - 4.0).powi(2) + (c[1] - 4.0).powi(2) + (c[2] - 4.0).powi(2);
+        u0[3 * i + 1] = (-r2 / 2.0).exp();
+    }
+    mesh.interpolate_hanging(&mut u0, 3);
+    let v0 = vec![0.0; u0.len()];
+    let dist = DistConfig::new(2, 12).with_initial(&u0, &v0);
+    let reference = run_distributed(&solver, &dist);
+
+    let dir = std::env::temp_dir().join(format!("quake-e2e-recover-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let rcfg = RecoveryConfig::new(dir.clone(), 4, 3).with_faults(FaultPlan::kill(1, 7));
+    let run = run_distributed_recoverable(&solver, &dist, &rcfg, &Registry::disabled()).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(run.finished, "outcomes: {:?}", run.outcomes);
+    assert_eq!((run.attempts, run.recoveries, run.restored_step), (2, 1, 4));
+    assert_eq!(run.last.elements, reference.elements);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (rank, ((rp, rn), (fp, fnow))) in run.last.states.iter().zip(&reference.states).enumerate()
+    {
+        assert!(bits(rp) == bits(fp) && bits(rn) == bits(fnow), "rank {rank} differs");
+    }
+}
+
+/// The serving engine's cache end to end: a cold request is solved and
+/// stored, the same request again is served from the cache, counted as a
+/// hit, with bit-identical traces.
+#[test]
+fn repeated_request_is_a_bit_identical_cache_hit() {
+    use quake::model::{LaBasinModel, PointSource, SlipFunction};
+    use quake::serve::{EngineConfig, ScenarioRequest, ServeEngine};
+
+    let extent = 8_000.0;
+    let model = LaBasinModel::scaled(400.0, extent);
+    let mut meshing = MeshingParams::new(extent, 0.4);
+    meshing.min_level = 2;
+    meshing.max_level = 4;
+    let dir = std::env::temp_dir().join(format!("quake-e2e-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = EngineConfig::new(meshing, ElasticConfig::new(1.0)).with_cache(dir.clone(), 0);
+    let engine = ServeEngine::start(&model, cfg).unwrap();
+    let request = || {
+        let source = PointSource {
+            position: [4_000.0, 4_000.0, 2_000.0],
+            moment: [[0.0, 1e15, 0.0], [1e15, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            slip: SlipFunction::new(0.0, 0.2, 1.0),
+        };
+        ScenarioRequest::new(vec![source], vec![[2_000.0, 3_000.0, 0.0]]).with_steps(8)
+    };
+    let cold = engine.submit(request()).unwrap().wait().unwrap();
+    let hit = engine.submit(request()).unwrap().wait().unwrap();
+    let stats = engine.stats();
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!cold.cache_hit && hit.cache_hit);
+    assert_eq!((stats.served, stats.cache_hits, stats.cache_misses), (2, 1, 1));
+    assert_eq!(cold.key, hit.key);
+    assert_eq!(cold.result.executed_steps, 8);
+    let bits = |r: &quake::serve::ScenarioResponse| {
+        r.result.traces.iter().flat_map(|t| t.data.iter().map(|v| v.to_bits())).collect::<Vec<_>>()
+    };
+    assert!(bits(&cold).iter().any(|&b| f64::from_bits(b) != 0.0), "the cold trace is silent");
+    assert_eq!(bits(&cold), bits(&hit));
+}
