@@ -12,6 +12,7 @@
 
 use crate::grid::ShSolver;
 use quake_model::SlipFunction;
+use quake_solver::wave::ScalarWaveEq;
 
 /// Which source parameter field a derivative is taken against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,7 +52,7 @@ impl FaultSource {
         assert!(i_fault >= 1 && i_fault < grid.cfg.nx, "fault must be interior");
         assert!(k_top < k_bot && k_bot <= grid.cfg.nz);
         assert_eq!(params.len(), k_bot - k_top);
-        assert_eq!(mu0.len(), grid.n_elements_pub());
+        assert_eq!(mu0.len(), grid.n_elements());
         let mut seg_weights = Vec::with_capacity(k_bot - k_top);
         let mut centers_z = Vec::with_capacity(k_bot - k_top);
         for k in k_top..k_bot {
@@ -64,7 +65,7 @@ impl FaultSource {
                     let gx = if c & 1 == 0 { -1.0 } else { 1.0 };
                     // int_0^1 dN/dxi0 dxi1 = gx / 2; dipole split 1/2.
                     let weight = 0.5 * m * gx * 0.5;
-                    let node = grid.elem_node_pub(ei, c);
+                    let node = grid.elem_node(ei, c);
                     let _ = side;
                     match w.iter_mut().find(|(nd, _)| *nd == node) {
                         Some((_, acc)) => *acc += weight,
@@ -162,18 +163,6 @@ impl FaultSource {
                 f[nd] += wt * dg;
             }
         }
-    }
-}
-
-// Small visibility helpers so FaultSource can stay in its own module.
-impl ShSolver {
-    pub(crate) fn n_elements_pub(&self) -> usize {
-        use quake_solver::wave::ScalarWaveEq;
-        self.n_elements()
-    }
-
-    pub(crate) fn elem_node_pub(&self, e: usize, c: usize) -> usize {
-        self.elem_node(e, c)
     }
 }
 

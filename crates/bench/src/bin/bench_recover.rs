@@ -17,20 +17,28 @@
 //!    the whole (now inconsistent) newest restore line, restart from the
 //!    previous valid one, and still match the baseline bit-for-bit.
 //!
+//! Every recoverable run checks each rank's energy before it checkpoints and
+//! leaves one post-mortem per rank that did not finish an attempt; the kill
+//! leg must leave exactly one naming the scripted kill, for the killed rank's
+//! first attempt, and none for the retry.
+//!
 //! Prints a JSON summary to stdout, dumps the supervisor telemetry (restore
 //! spans, `recover_attempt` events, skip counters) to
-//! `target/BENCH_recover_trace.ndjson`, and exits nonzero if any of the
-//! three acceptance checks fails — CI runs this as the `recover` job.
+//! `target/BENCH_recover_trace.ndjson`, leaves the post-mortems in
+//! `target/bench_recover_ckpt/`, and exits nonzero if any acceptance check
+//! fails — CI runs this as the `recover` job.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use quake_bench::{half_refined_mesh, shear_pulse};
 use quake_mesh::hexmesh::HexMesh;
 use quake_parcomm::FaultPlan;
 use quake_solver::distributed::run_distributed;
 use quake_solver::{
-    run_distributed_recoverable, DistConfig, ElasticConfig, ElasticSolver, RecoveryConfig,
+    run_distributed_recoverable, DistConfig, ElasticConfig, ElasticSolver, RankOutcome,
+    RecoveryConfig,
 };
+use quake_telemetry::json::Json;
 use quake_telemetry::Registry;
 
 const RANKS: usize = 4;
@@ -70,6 +78,23 @@ fn bit_mismatches(
     bad
 }
 
+/// The post-mortems in `dir` as `(file name, header line)`, by name.
+fn post_mortems(dir: &Path) -> Vec<(String, String)> {
+    let mut dumps: Vec<(String, String)> = std::fs::read_dir(dir)
+        .expect("checkpoint dir")
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".postmortem.ndjson"))
+        .map(|name| {
+            let text = std::fs::read_to_string(dir.join(&name)).unwrap_or_default();
+            let header = text.lines().next().unwrap_or_default().to_string();
+            (name, header)
+        })
+        .collect();
+    dumps.sort();
+    dumps
+}
+
 fn main() {
     let mesh = half_refined_mesh(2);
     let mut cfg = ElasticConfig::new(1.0);
@@ -101,6 +126,20 @@ fn main() {
     let kill_ok = run.finished && run.recoveries <= 1 && run.restored_step > 0;
     let kill_mismatches =
         bit_mismatches(&mesh, &baseline.states, &run.last.states, &run.last.elements);
+    // One post-mortem per rank that did not finish the faulted attempt, none
+    // for the retry, and exactly one of them — the killed rank's — naming
+    // the kill.
+    let dumps = post_mortems(&ckpt_dir);
+    let stopped: Vec<String> = (run.outcomes[0].iter().enumerate())
+        .filter(|(_, o)| **o != RankOutcome::Finished)
+        .map(|(r, _)| format!("rank{r}.attempt0.postmortem.ndjson"))
+        .collect();
+    let named_kill: Vec<&str> = (dumps.iter())
+        .filter(|(_, header)| header.contains("\"reason\":\"killed by fault plan\""))
+        .map(|(name, _)| name.as_str())
+        .collect();
+    let killed_dump = format!("rank{KILL_RANK}.attempt0.postmortem.ndjson");
+    let dump_names: Vec<String> = dumps.iter().map(|(name, _)| name.clone()).collect();
 
     // Leg 2: flip one byte in the newest rank-0 checkpoint; a fresh
     // supervisor run must skip the corrupted restore line and still finish
@@ -110,7 +149,10 @@ fn main() {
             .expect("checkpoint dir")
             .filter_map(|e| e.ok())
             .map(|e| e.path())
-            .filter(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("rank0.")))
+            .filter(|p| {
+                let name = p.file_name().unwrap_or_default().to_string_lossy();
+                name.starts_with("rank0.") && name.ends_with(".qckpt")
+            })
             .collect();
         files.sort();
         files.pop().expect("no rank0 checkpoint written")
@@ -141,20 +183,34 @@ fn main() {
     let trace = format!("{}{}", reg.ndjson(), reg2.ndjson());
     std::fs::write("target/BENCH_recover_trace.ndjson", &trace).unwrap();
 
-    println!("{{");
-    println!("  \"ranks\": {RANKS}, \"steps\": {STEPS}, \"ckpt_every\": {CKPT_EVERY},");
-    println!("  \"kill\": {{ \"rank\": {KILL_RANK}, \"step\": {KILL_STEP},");
-    println!(
-        "    \"attempts\": {}, \"recoveries\": {}, \"restored_step\": {}, \"bit_mismatches\": {} }},",
-        run.attempts, run.recoveries, run.restored_step, kill_mismatches
-    );
-    println!("  \"corrupt\": {{ \"file\": {:?},", newest.file_name().unwrap());
-    println!(
-        "    \"restored_step\": {}, \"skipped_invalid\": {}, \"bit_mismatches\": {} }},",
-        rerun.restored_step, skipped, corrupt_mismatches
-    );
-    println!("  \"trace\": \"target/BENCH_recover_trace.ndjson\"");
-    println!("}}");
+    let summary = Json::obj([
+        ("ranks", RANKS.into()),
+        ("steps", STEPS.into()),
+        ("ckpt_every", CKPT_EVERY.into()),
+        (
+            "kill",
+            Json::obj([
+                ("rank", KILL_RANK.into()),
+                ("step", KILL_STEP.into()),
+                ("attempts", run.attempts.into()),
+                ("recoveries", run.recoveries.into()),
+                ("restored_step", run.restored_step.into()),
+                ("bit_mismatches", kill_mismatches.into()),
+                ("post_mortems", Json::arr(dump_names.clone())),
+            ]),
+        ),
+        (
+            "corrupt",
+            Json::obj([
+                ("file", newest.file_name().unwrap().to_string_lossy().into_owned().into()),
+                ("restored_step", rerun.restored_step.into()),
+                ("skipped_invalid", skipped.into()),
+                ("bit_mismatches", corrupt_mismatches.into()),
+            ]),
+        ),
+        ("trace", "target/BENCH_recover_trace.ndjson".into()),
+    ]);
+    print!("{}", summary.render());
 
     let mut failures = Vec::new();
     if !kill_ok {
@@ -165,6 +221,12 @@ fn main() {
     }
     if kill_mismatches != 0 {
         failures.push(format!("kill leg: {kill_mismatches} bit mismatches vs baseline"));
+    }
+    if dump_names != stopped || named_kill != [killed_dump.as_str()] {
+        failures.push(format!(
+            "kill leg: post-mortems {dump_names:?} (naming the kill: {named_kill:?}); expected \
+             one per stopped rank of attempt 0 {stopped:?}, only {killed_dump} naming the kill"
+        ));
     }
     if !corrupt_ok {
         failures

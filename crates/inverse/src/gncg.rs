@@ -451,7 +451,7 @@ impl GnProblem for MaterialProblem<'_> {
         let dmu = self.map.interpolate(v);
         // Incremental forward: A du_{k+1} = B du_k + C du_{k-1}
         //                      - dt^2 dK(dmu) u_k.
-        let inc = forward(eq, mu, &mut |k, f| eq.apply_dk(&dmu, &run.states[k], f, -1.0), false);
+        let inc = forward(eq, mu, &mut |k, f| eq.apply_k(&dmu, &run.states[k], f, -1.0), false);
         // Incremental adjoint from the incremental traces.
         adjoint(eq, mu, &inc.traces, &mut self.lambda);
         let he = material_gradient(eq, &run.states, &self.lambda);

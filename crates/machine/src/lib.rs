@@ -41,9 +41,6 @@ pub mod flops {
     /// lane of the blocked sweep costs whether or not an element fills it.
     pub const TEMPLATE_HEX_MATVEC: u64 = 24 * 24 * 2;
 
-    /// Flops of one scalar hex element force evaluation (8x8 dense).
-    pub const SCALAR_HEX_ELEMENT: u64 = 8 * 8 * 2 + 2 * 8 + 8;
-
     /// Per-node update flops of the central-difference step (3 components):
     /// the eq. (2.4) diagonal solve plus the two history combinations.
     pub const ELASTIC_NODE_UPDATE: u64 = 3 * 12;
@@ -57,9 +54,6 @@ pub mod flops {
     /// and diagonal solve (per node, 3 components). Fill + tail = the whole
     /// node update.
     pub const ELASTIC_NODE_TAIL: u64 = 3 * 7;
-
-    /// Per-node update flops for a scalar field.
-    pub const SCALAR_NODE_UPDATE: u64 = 12;
 
     /// Per-boundary-face flops of the Stacey terms (damping + tangential
     /// coupling, 12x12 face kernel).
@@ -79,23 +73,18 @@ pub mod flops {
 /// Bytes-moved model of the explicit elastic step — the denominator of
 /// arithmetic intensity.
 ///
-/// Two tiers are counted. The *canonical-matrix sweep* (both 24x24 matrices,
-/// 9216 bytes) is cache-resident across elements, so it prices register/L1
-/// traffic: it is the term the fused two-vector matvec halves for damped
-/// elements (one sweep serves both input vectors instead of one each). The
-/// *state traffic* (gather/scatter of nodal vectors, diagonal reads) streams
-/// from whatever level holds the mesh-sized arrays and dominates DRAM
-/// movement at scale.
+/// Two tiers are counted. The *template sweep* (one combined 24x24 matrix,
+/// 4608 bytes) is cache-resident across the elements of a class, so it
+/// prices register/L1 traffic. The *state traffic* (gather/scatter of nodal
+/// vectors, diagonal reads) streams from whatever level holds the
+/// mesh-sized arrays and dominates DRAM movement at scale.
 pub mod bytes {
     const F64: u64 = 8;
 
-    /// One sweep over both canonical 24x24 elastic matrices.
-    pub const CANONICAL_SWEEP: u64 = 2 * 24 * 24 * F64;
-
     /// One sweep over a single combined 24x24 stiffness template — half the
-    /// matrix traffic of [`CANONICAL_SWEEP`], and shared by every element of
-    /// the same `(h, lambda, mu)` class (a handful of templates on an octree
-    /// mesh, L1-resident across a class run).
+    /// matrix traffic of the paper's two canonical matrices, and shared by
+    /// every element of the same `(h, lambda, mu)` class (a handful of
+    /// templates on an octree mesh, L1-resident across a class run).
     pub const TEMPLATE_SWEEP: u64 = 24 * 24 * F64;
 
     /// Bytes moved by one element update of the production template kernel:
@@ -111,47 +100,13 @@ pub mod bytes {
             + F64 // per-element damping scale
     }
 
-    /// Bytes moved by one elastic element update. `damped` elements gather a
-    /// second input vector (the damping increment) and, without the fused
-    /// kernel, pay a second canonical sweep.
-    pub fn elastic_element(damped: bool, fused: bool) -> u64 {
-        let sweeps = if damped && !fused { 2 } else { 1 };
-        let vecs: u64 = if damped { 2 } else { 1 };
-        sweeps * CANONICAL_SWEEP   // canonical-matrix reads
-            + vecs * 24 * F64      // gather u (and w when damped)
-            + 2 * 24 * F64         // rhs read-modify-write
-            + 8 * 4                // node ids
-            + 6 * F64 // h, lambda, mu, rho, beta, dt-scale
-    }
-
-    /// Bytes moved per node by the fused fill + tail passes: the fill reads
-    /// `u_now, u_prev, f_ext, damp_diag` and writes `w, rhs`; the tail reads
-    /// `rhs, u_now, u_prev, mass_f, cdiag_f, lhs_inv` and rewrites `rhs` —
-    /// 13 f64 streams per dof, 3 dofs per node.
-    pub const ELASTIC_NODE_UPDATE: u64 = 3 * 13 * F64;
-
-    /// Total bytes of `n_steps` of the elastic step (ABC faces ignored: a
-    /// surface term, asymptotically negligible).
-    pub fn elastic_total(
-        n_damped: u64,
-        n_undamped: u64,
-        n_nodes: u64,
-        n_steps: u64,
-        fused: bool,
-    ) -> u64 {
-        n_steps
-            * (n_damped * elastic_element(true, fused)
-                + n_undamped * elastic_element(false, fused)
-                + n_nodes * ELASTIC_NODE_UPDATE)
-    }
-
     /// Bytes moved per node by the fused initial fill alone: reads `u_now,
     /// u_prev, f_ext, damp_diag`, writes `w, rhs` — 6 f64 streams per dof.
     pub const ELASTIC_NODE_FILL: u64 = 3 * 6 * F64;
 
     /// Bytes moved per node by the fused tail alone: reads `rhs, u_now,
     /// u_prev, mass_f, cdiag_f, lhs_inv`, rewrites `rhs` — 7 f64 streams per
-    /// dof. Fill + tail = [`ELASTIC_NODE_UPDATE`].
+    /// dof. Fill + tail = 13 f64 streams per dof, the whole node update.
     pub const ELASTIC_NODE_TAIL: u64 = 3 * 7 * F64;
 
     /// Bytes moved per Stacey boundary face: gather 4 nodes x 3 comps of
@@ -356,12 +311,6 @@ impl MachineModel {
         self.peak_flops_per_pe.min(intensity * self.mem_bandwidth_per_pe)
     }
 
-    /// The intensity at which the kernel transitions from memory-bound to
-    /// compute-bound (the roofline ridge point, flop/byte).
-    pub fn ridge_intensity(&self) -> f64 {
-        self.peak_flops_per_pe / self.mem_bandwidth_per_pe
-    }
-
     /// Fraction of the roofline-attainable rate a measured kernel achieved.
     pub fn roofline_efficiency(&self, measured_flops_per_sec: f64, intensity: f64) -> f64 {
         measured_flops_per_sec / self.roofline_rate(intensity)
@@ -442,7 +391,6 @@ mod tests {
     fn phase_costs_are_consistent_with_the_aggregate_models() {
         // Fill + tail constants partition the node update exactly.
         assert_eq!(flops::ELASTIC_NODE_FILL + flops::ELASTIC_NODE_TAIL, flops::ELASTIC_NODE_UPDATE);
-        assert_eq!(bytes::ELASTIC_NODE_FILL + bytes::ELASTIC_NODE_TAIL, bytes::ELASTIC_NODE_UPDATE);
         // On a mesh without hanging nodes or exchange, the per-phase flops
         // sum to the aggregate elastic_total for one step.
         let shape = phases::ElasticStepShape {
@@ -455,13 +403,14 @@ mod tests {
         let total: u64 = phases::elastic_step_phases(&shape).iter().map(|p| p.flops).sum();
         assert_eq!(total, flops::elastic_total(1000, 1331, 240, 1));
         // And the fill/elements/tail bytes match the template kernel plus
-        // the node-update streams (ABC faces ignored as a surface term).
+        // the fill and tail streams (ABC faces ignored as a surface term).
         let by_name = |costs: &[phases::PhaseCost], n: &str| {
             costs.iter().find(|p| p.name == n).unwrap().bytes
         };
         let costs = phases::elastic_step_phases(&shape);
         let core = by_name(&costs, "fill") + by_name(&costs, "elements") + by_name(&costs, "tail");
-        assert_eq!(core, 1000 * bytes::template_element() + 1331 * bytes::ELASTIC_NODE_UPDATE);
+        let node = bytes::ELASTIC_NODE_FILL + bytes::ELASTIC_NODE_TAIL;
+        assert_eq!(core, 1000 * bytes::template_element() + 1331 * node);
     }
 
     #[test]
@@ -474,18 +423,6 @@ mod tests {
             24 * 24 * 2,
             "template must save exactly one 24x24 mat-vec"
         );
-        // Matrix traffic halves too, and the template element moves strictly
-        // fewer bytes than even the fused two-matvec damped element.
-        assert_eq!(2 * bytes::TEMPLATE_SWEEP, bytes::CANONICAL_SWEEP);
-        assert!(bytes::template_element() < bytes::elastic_element(true, true));
-        // Same flops over fewer bytes: intensity goes up.
-        let i_fused = bytes::arithmetic_intensity(
-            flops::ELASTIC_HEX_ELEMENT,
-            bytes::elastic_element(true, true),
-        );
-        let i_tmpl =
-            bytes::arithmetic_intensity(flops::TEMPLATE_HEX_ELEMENT, bytes::template_element());
-        assert!(i_tmpl > 0.5 * i_fused, "{i_tmpl} vs {i_fused}");
     }
 
     #[test]
@@ -493,52 +430,29 @@ mod tests {
         let a = flops::elastic_total(100, 120, 10, 50);
         let b = flops::elastic_total(200, 240, 20, 50);
         assert_eq!(2 * a, b);
-        let (elastic, scalar) = (flops::ELASTIC_HEX_ELEMENT, flops::SCALAR_HEX_ELEMENT);
-        assert!(elastic > scalar);
-    }
-
-    #[test]
-    fn fused_kernel_halves_canonical_traffic_for_damped_elements() {
-        let two_pass = bytes::elastic_element(true, false);
-        let fused = bytes::elastic_element(true, true);
-        assert_eq!(two_pass - fused, bytes::CANONICAL_SWEEP);
-        // Undamped elements are unaffected by fusion.
-        assert_eq!(bytes::elastic_element(false, false), bytes::elastic_element(false, true));
-        // A whole damped step moves strictly fewer bytes fused.
-        let a = bytes::elastic_total(1000, 0, 1300, 50, false);
-        let b = bytes::elastic_total(1000, 0, 1300, 50, true);
-        assert!(b < a, "{b} !< {a}");
-    }
-
-    #[test]
-    fn fusion_raises_arithmetic_intensity() {
-        // Same flops, fewer bytes -> higher flop/byte for the damped element.
-        let f = 2 * flops::ELASTIC_HEX_ELEMENT;
-        let i_two = bytes::arithmetic_intensity(f, bytes::elastic_element(true, false));
-        let i_fused = bytes::arithmetic_intensity(f, bytes::elastic_element(true, true));
-        assert!(i_fused > 1.5 * i_two, "{i_fused} vs {i_two}");
     }
 
     #[test]
     fn roofline_has_memory_and_compute_regimes() {
         let m = MachineModel::default();
-        let ridge = m.ridge_intensity();
+        let ridge = m.peak_flops_per_pe / m.mem_bandwidth_per_pe;
         assert!(ridge > 0.0);
         // Below the ridge: bandwidth-limited and linear in intensity.
         assert!((m.roofline_rate(ridge / 2.0) - m.peak_flops_per_pe / 2.0).abs() < 1.0);
         // Above the ridge: flat at peak.
         assert!((m.roofline_rate(10.0 * ridge) - m.peak_flops_per_pe).abs() < 1.0);
-        // The elastic element kernel sits above the node update in intensity.
-        let i_elem = bytes::arithmetic_intensity(
-            flops::ELASTIC_HEX_ELEMENT,
-            bytes::elastic_element(false, true),
-        );
-        let i_node =
-            bytes::arithmetic_intensity(flops::ELASTIC_NODE_UPDATE, bytes::ELASTIC_NODE_UPDATE);
+        // The template element kernel sits above the node update in
+        // intensity.
+        let i_elem =
+            bytes::arithmetic_intensity(flops::TEMPLATE_HEX_ELEMENT, bytes::template_element());
+        let node_bytes = bytes::ELASTIC_NODE_FILL + bytes::ELASTIC_NODE_TAIL;
+        let i_node = bytes::arithmetic_intensity(flops::ELASTIC_NODE_UPDATE, node_bytes);
         assert!(i_elem > i_node, "{i_elem} !> {i_node}");
-        // The paper's sustained 0.5 Gflop/s is right at the DRAM roofline for
-        // the element kernel's intensity — efficiency ~ 1 (slightly above is
-        // possible because the canonical matrices actually run from cache).
+        // The element kernel is memory-bound on the modeled machine, and the
+        // paper's sustained 0.5 Gflop/s sits right at its DRAM roofline —
+        // efficiency ~ 1 (slightly above is possible because the template
+        // actually runs from cache).
+        assert!(i_elem < ridge, "{i_elem} !< {ridge}");
         let eff = m.roofline_efficiency(0.5e9, i_elem);
         assert!(eff > 0.8 && eff < 1.5, "{eff}");
     }

@@ -9,12 +9,16 @@
 //! (the rank skips one step's exchange entirely; with step-tagged exchanges
 //! its peers detect the skew as a
 //! [`CommError::Protocol`](crate::CommError::Protocol) mismatch instead of
-//! silently absorbing stale data).
+//! silently absorbing stale data), or *corrupt the state* (the rank writes
+//! a NaN into its solution, a silent numerical fault only a numerics
+//! watchdog can see).
 //!
-//! The plan itself is pure data — consumers (the distributed solver's
-//! recovery loop, the `bench_recover` binary) query it per `(rank, step)`
-//! and act. Injection is a *test-time* capability: an empty plan is the
-//! production configuration and costs three `Vec::is_empty` checks per step.
+//! The plan itself is pure data, built once per run. A per-rank step loop
+//! asks it one question — what happens to me at this step? — through one
+//! API, the rank's [`RankFaults`] view ([`FaultPlan::rank_view`]).
+//! Injection is a *test-time* capability: the empty plan is the production
+//! configuration, and the distributed supervisor installs no fault hook for
+//! it.
 
 /// One scripted fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,6 +37,28 @@ pub enum Fault {
     /// bug) that no comm-layer check can see. Detection is the job of a
     /// numerics watchdog (the solver's `HealthHook`).
     CorruptState { rank: usize, step: u64, index: usize },
+}
+
+impl Fault {
+    /// The rank the fault acts on.
+    pub fn rank(&self) -> usize {
+        match *self {
+            Fault::Kill { rank, .. }
+            | Fault::DelayExchange { rank, .. }
+            | Fault::DropExchange { rank, .. }
+            | Fault::CorruptState { rank, .. } => rank,
+        }
+    }
+
+    /// The step the fault is scripted for.
+    pub fn step(&self) -> u64 {
+        match *self {
+            Fault::Kill { step, .. }
+            | Fault::DelayExchange { step, .. }
+            | Fault::DropExchange { step, .. }
+            | Fault::CorruptState { step, .. } => step,
+        }
+    }
 }
 
 /// A scripted set of faults for one SPMD run.
@@ -72,57 +98,6 @@ impl FaultPlan {
         &self.faults
     }
 
-    /// Does `rank` die before executing `step`?
-    pub fn should_kill(&self, rank: usize, step: u64) -> bool {
-        self.faults
-            .iter()
-            .any(|f| matches!(f, Fault::Kill { rank: r, step: s } if *r == rank && *s == step))
-    }
-
-    /// Milliseconds of injected delay before the exchange of `step` on
-    /// `rank` (sums if several delays are scripted).
-    pub fn exchange_delay_ms(&self, rank: usize, step: u64) -> u64 {
-        self.faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::DelayExchange { rank: r, step: s, millis } if *r == rank && *s == step => {
-                    Some(*millis)
-                }
-                _ => None,
-            })
-            .sum()
-    }
-
-    /// Does `rank` drop the exchange of `step`?
-    pub fn drops_exchange(&self, rank: usize, step: u64) -> bool {
-        self.faults.iter().any(
-            |f| matches!(f, Fault::DropExchange { rank: r, step: s } if *r == rank && *s == step),
-        )
-    }
-
-    /// The state index `rank` corrupts before executing `step`, if any
-    /// (first scripted corruption wins).
-    pub fn corrupts_state(&self, rank: usize, step: u64) -> Option<usize> {
-        self.faults.iter().find_map(|f| match f {
-            Fault::CorruptState { rank: r, step: s, index } if *r == rank && *s == step => {
-                Some(*index)
-            }
-            _ => None,
-        })
-    }
-
-    /// The earliest scripted kill step of any rank, if one exists (used by
-    /// supervisors to sanity-check that checkpoints precede the fault).
-    pub fn first_kill_step(&self) -> Option<u64> {
-        self.faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::Kill { step, .. } => Some(*step),
-                _ => None,
-            })
-            .min()
-    }
-
     /// This plan as seen from one rank — the view a per-rank step loop (or
     /// fault-injection hook) queries by step alone, without threading the
     /// full plan plus a rank id through its signature.
@@ -139,24 +114,39 @@ pub struct RankFaults<'p> {
 }
 
 impl RankFaults<'_> {
-    /// Does this rank die before executing `step`?
-    pub fn kills(&self, step: u64) -> bool {
-        self.plan.should_kill(self.rank, step)
+    /// This rank's scripted faults at `step`.
+    fn at(&self, step: u64) -> impl Iterator<Item = &Fault> {
+        self.plan.faults.iter().filter(move |f| f.rank() == self.rank && f.step() == step)
     }
 
-    /// Injected delay (ms) before this rank's exchange of `step`.
+    /// Does this rank die before executing `step`?
+    pub fn kills(&self, step: u64) -> bool {
+        self.at(step).any(|f| matches!(f, Fault::Kill { .. }))
+    }
+
+    /// Injected delay (ms) before this rank's exchange of `step` (sums if
+    /// several delays are scripted).
     pub fn delay_ms(&self, step: u64) -> u64 {
-        self.plan.exchange_delay_ms(self.rank, step)
+        self.at(step)
+            .map(|f| match f {
+                Fault::DelayExchange { millis, .. } => *millis,
+                _ => 0,
+            })
+            .sum()
     }
 
     /// Does this rank drop the exchange of `step`?
     pub fn drops(&self, step: u64) -> bool {
-        self.plan.drops_exchange(self.rank, step)
+        self.at(step).any(|f| matches!(f, Fault::DropExchange { .. }))
     }
 
-    /// State index this rank corrupts before executing `step`, if any.
+    /// State index this rank corrupts before executing `step`, if any
+    /// (first scripted corruption wins).
     pub fn corrupts(&self, step: u64) -> Option<usize> {
-        self.plan.corrupts_state(self.rank, step)
+        self.at(step).find_map(|f| match f {
+            Fault::CorruptState { index, .. } => Some(*index),
+            _ => None,
+        })
     }
 }
 
@@ -165,25 +155,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plan_queries_match_scripted_faults() {
+    fn rank_views_answer_the_scripted_faults() {
         let plan = FaultPlan::kill(2, 10)
             .and(Fault::DelayExchange { rank: 1, step: 4, millis: 3 })
             .and(Fault::DelayExchange { rank: 1, step: 4, millis: 2 })
             .and(Fault::DropExchange { rank: 0, step: 7 })
-            .and(Fault::CorruptState { rank: 3, step: 8, index: 41 });
-        assert!(plan.should_kill(2, 10));
-        assert!(!plan.should_kill(2, 9));
-        assert!(!plan.should_kill(1, 10));
-        assert_eq!(plan.exchange_delay_ms(1, 4), 5);
-        assert_eq!(plan.exchange_delay_ms(1, 5), 0);
-        assert!(plan.drops_exchange(0, 7));
-        assert!(!plan.drops_exchange(0, 8));
-        assert_eq!(plan.corrupts_state(3, 8), Some(41));
-        assert_eq!(plan.corrupts_state(3, 9), None);
-        assert_eq!(plan.rank_view(3).corrupts(8), Some(41));
-        assert_eq!(plan.first_kill_step(), Some(10));
+            .and(Fault::CorruptState { rank: 3, step: 8, index: 41 })
+            .and(Fault::CorruptState { rank: 3, step: 8, index: 5 });
+        let (r0, r1, r2, r3) =
+            (plan.rank_view(0), plan.rank_view(1), plan.rank_view(2), plan.rank_view(3));
+        assert!(r2.kills(10));
+        assert!(!r2.kills(9));
+        assert!(!r1.kills(10));
+        assert_eq!(r1.delay_ms(4), 5);
+        assert_eq!(r1.delay_ms(5), 0);
+        assert_eq!(r0.delay_ms(4), 0);
+        assert!(r0.drops(7));
+        assert!(!r0.drops(8));
+        assert!(!r1.drops(7));
+        assert_eq!(r3.corrupts(8), Some(41), "first scripted corruption wins");
+        assert_eq!(r3.corrupts(9), None);
+        assert_eq!(r2.corrupts(8), None);
+        assert_eq!((plan.faults()[3].rank(), plan.faults()[3].step()), (0, 7));
         assert!(!plan.is_empty());
         assert!(FaultPlan::none().is_empty());
-        assert_eq!(FaultPlan::none().first_kill_step(), None);
     }
 }

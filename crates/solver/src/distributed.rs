@@ -10,8 +10,14 @@
 //! One rank driver (`run_rank`) runs under one attempt supervisor
 //! (`supervise`): [`run_distributed`] is its one-attempt case without
 //! checkpoints, [`run_distributed_recoverable`] gives it a [`RecoveryConfig`].
+//! A recoverable run is always watched and always explains itself: every
+//! rank checks its own share of the energy ([`HealthHook`]) on the
+//! checkpoint cadence before it persists a state, and every rank that does
+//! not finish an attempt leaves one NDJSON post-mortem
+//! (`rank{r}.attempt{a}.postmortem.ndjson`) beside its checkpoints.
 
-use std::path::PathBuf;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use crate::checkpoint::SolverState;
@@ -20,40 +26,37 @@ use crate::harness::{
     CheckpointHook, Exchange, FaultHook, HookCtx, RunConfig, RunOutcome, SolverHarness, StepHook,
     StopReason, TelemetryHook,
 };
-use crate::health::{dump_post_mortem, HealthConfig, HealthHook};
+use crate::health::HealthHook;
 use crate::layout::to_interleaved3;
 use quake_ckpt::{CheckpointPolicy, CheckpointReader, CheckpointWriter, CkptError, PeriodicSink};
 use quake_mesh::{partition_morton, ExchangePlan, HexMesh, RateGroups};
-use quake_parcomm::{run_spmd, CommError, Communicator, Fault, FaultPlan};
+use quake_parcomm::{run_spmd, CommError, Communicator, FaultPlan};
+use quake_telemetry::json::Json;
 use quake_telemetry::{try_reduce_across_ranks, Reduced, Registry, Snapshot, SpanId, TraceBuffer};
 
 /// What to run distributed: rank count, step count, optional initial
-/// `(u0, v0)` field, and whether each rank steps with an instrumented
-/// telemetry registry (optionally with a flight recorder attached). Both
-/// entry points honor every field.
+/// `(u0, v0)` field, and the per-rank flight-recorder capacity. Both entry
+/// points honor every field.
 #[derive(Clone, Copy, Debug)]
 pub struct DistConfig<'a> {
     pub n_ranks: usize,
     pub n_steps: usize,
     pub initial: Option<(&'a [f64], &'a [f64])>,
-    /// Per-rank phase telemetry: every rank steps with an instrumented
-    /// registry, a [`TelemetryHook`] records its analytic phase costs
-    /// (including the true interface exchange volume), a per-step imbalance
-    /// gauge is taken, and the run ends with a collective min/max/mean
-    /// reduction over the phase metrics all ranks share
-    /// ([`DistributedRun::snapshots`], [`DistributedRun::reduced`]).
-    pub telemetry: bool,
-    /// Flight-recorder capacity per rank (events). `Some` implies tracing:
-    /// every rank's registry shares one epoch and records span slices
-    /// (including the exchange's `wait`/`copy` split), and
-    /// [`DistributedRun::traces`] returns the per-rank buffers. Requires
-    /// [`DistConfig::telemetry`].
+    /// Per-rank telemetry with a flight recorder of this many events. When
+    /// set, every rank steps with an instrumented registry sharing one
+    /// epoch and records span slices (including the exchange's
+    /// `wait`/`copy` split, [`DistributedRun::traces`]), a [`TelemetryHook`]
+    /// records its analytic phase costs (including the true interface
+    /// exchange volume), a per-step imbalance gauge is taken, and the run
+    /// ends with a collective min/max/mean reduction over the phase metrics
+    /// all ranks share ([`DistributedRun::snapshots`],
+    /// [`DistributedRun::reduced`]).
     pub trace_capacity: Option<usize>,
 }
 
 impl<'a> DistConfig<'a> {
     pub fn new(n_ranks: usize, n_steps: usize) -> DistConfig<'a> {
-        DistConfig { n_ranks, n_steps, initial: None, telemetry: false, trace_capacity: None }
+        DistConfig { n_ranks, n_steps, initial: None, trace_capacity: None }
     }
 
     /// Seed every rank with the initial `(u0, v0)` field.
@@ -62,17 +65,10 @@ impl<'a> DistConfig<'a> {
         self
     }
 
-    /// Step with per-rank instrumented registries and reduce the common
-    /// phase metrics across ranks at the end of the run.
-    pub fn with_telemetry(mut self) -> DistConfig<'a> {
-        self.telemetry = true;
-        self
-    }
-
-    /// Attach a per-rank flight recorder of `capacity` events (implies
-    /// telemetry) and return the merged-timeline buffers with the run.
+    /// Step with per-rank telemetry and a flight recorder of `capacity`
+    /// events, and return the snapshots, the cross-rank reduction and the
+    /// merged-timeline buffers with the run.
     pub fn with_trace(mut self, capacity: usize) -> DistConfig<'a> {
-        self.telemetry = true;
         self.trace_capacity = Some(capacity);
         self
     }
@@ -178,11 +174,12 @@ pub struct DistributedRun {
     pub elements: Vec<Vec<u32>>,
     /// Interface exchange volume (node values per step) per rank.
     pub volumes: Vec<usize>,
-    /// Per-rank telemetry snapshots (empty unless telemetry was requested).
+    /// Per-rank telemetry snapshots (empty unless
+    /// [`DistConfig::with_trace`] was requested).
     pub snapshots: Vec<Snapshot>,
     /// Min/max/mean across ranks of every common metric — the per-phase load
-    /// imbalance view of the paper's scaling tables. Empty unless telemetry
-    /// was requested.
+    /// imbalance view of the paper's scaling tables. Empty unless
+    /// [`DistConfig::with_trace`] was requested.
     pub reduced: Vec<Reduced>,
     /// Per-rank flight-recorder buffers sharing one epoch (empty unless
     /// [`DistConfig::with_trace`] was requested). Merge with
@@ -302,7 +299,10 @@ pub struct RecoveryConfig {
     /// Directory holding the per-rank checkpoint files (`rank{r}.*.qckpt`).
     pub ckpt_dir: PathBuf,
     /// Checkpoint cadence in steps (all ranks checkpoint the same steps, so
-    /// a consistent restore line always exists).
+    /// a consistent restore line always exists). It is also the cadence of
+    /// every rank's [`HealthHook`], which runs just before the checkpoint
+    /// hook: each state a rank persists has passed the check, and the
+    /// restore line after a watchdog stop predates the corruption.
     pub every_steps: u64,
     /// Give up after this many attempts (≥ 1; each recovery is one retry).
     pub max_attempts: usize,
@@ -310,54 +310,18 @@ pub struct RecoveryConfig {
     /// [`FaultHook`] on the **first attempt only** (so a retry is clean).
     /// [`FaultPlan::none`] is the production configuration.
     pub faults: FaultPlan,
-    /// When set, any rank that does not finish an attempt (killed, comm
-    /// abort, checkpoint error, health abort) writes a post-mortem NDJSON
-    /// dump (`rank{r}.attempt{a}.postmortem.ndjson`) into this directory
-    /// before the supervisor decides whether to retry. The dump's timeline
-    /// tail comes from the rank's flight recorder: the one
-    /// [`DistConfig::with_trace`] attached, else a small one of its own.
-    pub dump_dir: Option<PathBuf>,
-    /// When set, every rank runs a numerics [`HealthHook`] with this
-    /// configuration, ordered **before** the checkpoint hook — so no state a
-    /// rank persists has failed the health check, and the restore line after
-    /// a watchdog abort predates the corruption. The watchdog cadence must
-    /// divide [`RecoveryConfig::every_steps`] (the run refuses one that
-    /// does not). Per-rank violation dumps
-    /// (`rank{r}.attempt{a}.health.ndjson`) land in
-    /// [`RecoveryConfig::dump_dir`] when that is set.
-    pub health: Option<HealthConfig>,
 }
 
 impl RecoveryConfig {
     /// Fault-free supervisor over `ckpt_dir` with a step cadence and retry
     /// budget.
     pub fn new(ckpt_dir: PathBuf, every_steps: u64, max_attempts: usize) -> RecoveryConfig {
-        RecoveryConfig {
-            ckpt_dir,
-            every_steps,
-            max_attempts,
-            faults: FaultPlan::none(),
-            dump_dir: None,
-            health: None,
-        }
+        RecoveryConfig { ckpt_dir, every_steps, max_attempts, faults: FaultPlan::none() }
     }
 
     /// Inject this fault plan on the first attempt.
     pub fn with_faults(mut self, faults: FaultPlan) -> RecoveryConfig {
         self.faults = faults;
-        self
-    }
-
-    /// Write per-rank post-mortem dumps of failed attempts into `dir`.
-    pub fn with_dump_dir(mut self, dir: PathBuf) -> RecoveryConfig {
-        self.dump_dir = Some(dir);
-        self
-    }
-
-    /// Run every rank under a numerics watchdog (see
-    /// [`RecoveryConfig::health`] for the ordering contract).
-    pub fn with_health(mut self, health: HealthConfig) -> RecoveryConfig {
-        self.health = Some(health);
         self
     }
 }
@@ -408,9 +372,10 @@ struct RankRun {
 ///
 /// Each rank is the rank of [`run_distributed`] with more hooks composed
 /// onto the same [`SolverHarness`] loop: a [`FaultHook`] injects the scripted
-/// kills/drops/delays, a [`CheckpointHook`] offers the state to a per-rank
-/// [`PeriodicSink`] every [`RecoveryConfig::every_steps`] steps, and the
-/// mid-step exchange is **step-tagged** (`CommExchange`). There is **no
+/// kills/drops/delays/corruptions, a [`HealthHook`] checks the energy of the
+/// rank's own elements and a [`CheckpointHook`] then offers the state to a
+/// per-rank [`PeriodicSink`], both every [`RecoveryConfig::every_steps`]
+/// steps, and the mid-step exchange is **step-tagged** (`CommExchange`). There is **no
 /// barrier in the step loop** — a dead rank must not be able to hang
 /// survivors — so failure propagates through the communication fabric
 /// itself: a rank that stops for any reason drops its channel endpoints,
@@ -423,6 +388,17 @@ struct RankRun {
 /// on the first attempt only, so a retry is clean; a rank that *dropped* an
 /// exchange is tainted and its [`CheckpointHook`] stops persisting, keeping
 /// corrupt state off disk.
+///
+/// Every rank that does not finish an attempt writes one post-mortem,
+/// `rank{r}.attempt{a}.postmortem.ndjson`, into
+/// [`RecoveryConfig::ckpt_dir`] before the supervisor decides whether to
+/// retry: a `post_mortem` header line (rank, attempt, step, reason, and for
+/// a watchdog stop the [`HealthReport`](crate::health::HealthReport)'s
+/// fields) followed by the tail of
+/// the rank's flight recorder — the one [`DistConfig::with_trace`]
+/// attached, else a small one of its own. The checkpoint reader only
+/// parses `<base>.<step>.qckpt` names, so the dumps never reach a restore
+/// line.
 ///
 /// The final states are bit-identical to an unfaulted run: restore is exact
 /// (raw `f64` bit patterns) and the element sweep order is deterministic.
@@ -443,32 +419,15 @@ pub fn run_distributed_recoverable(
     // A fault on a rank the run does not have never fires: a recovery test
     // scripted with it would pass without recovering anything.
     for fault in rcfg.faults.faults() {
-        let (Fault::Kill { rank, .. }
-        | Fault::DelayExchange { rank, .. }
-        | Fault::DropExchange { rank, .. }
-        | Fault::CorruptState { rank, .. }) = fault;
         assert!(
-            *rank < cfg.n_ranks,
+            fault.rank() < cfg.n_ranks,
             "RecoveryConfig::faults: {fault:?} names a rank outside the {} ranks of the run",
             cfg.n_ranks
-        );
-    }
-    if let Some(health) = &rcfg.health {
-        // A checkpoint written between two checks could persist a corrupt
-        // state, and the restore line would then name it.
-        health.validate();
-        let (cadence, every) = (health.cadence, rcfg.every_steps);
-        assert!(
-            every.is_multiple_of(cadence),
-            "HealthConfig::cadence ({cadence}) must divide RecoveryConfig::every_steps ({every})"
         );
     }
     let writers: Vec<CheckpointWriter> = (0..cfg.n_ranks)
         .map(|r| CheckpointWriter::new(&rcfg.ckpt_dir, &format!("rank{r}")))
         .collect::<Result<_, _>>()?;
-    if let Some(dir) = &rcfg.dump_dir {
-        std::fs::create_dir_all(dir)?;
-    }
     Ok(supervise(solver, cfg, Some((rcfg, &writers)), reg))
 }
 
@@ -557,13 +516,14 @@ fn supervise(
 
 /// One rank of one attempt: the canonical harness loop scoped to the rank's
 /// elements, with the step-tagged exchange and one hook list assembled from
-/// what is configured — [`FaultHook`] (first attempt only), [`TelemetryHook`]
-/// and `ImbalanceHook` ([`DistConfig::telemetry`]), [`HealthHook`], then
-/// [`CheckpointHook`]: `after_step` stops at the first erroring hook, so a
-/// state that fails the health check is never offered to the checkpoint
-/// sink. No barriers (see [`run_distributed_recoverable`]): a dead peer stops
-/// the loop with a comm error, whether the exchange or a hook's collective
-/// observed it.
+/// what the run is — [`FaultHook`] (a recoverable first attempt with faults),
+/// [`TelemetryHook`] and `ImbalanceHook` ([`DistConfig::trace_capacity`]),
+/// then for a recoverable run [`HealthHook`] and [`CheckpointHook`]:
+/// `after_step` stops at the first erroring hook, so a state that fails the
+/// health check is never offered to the checkpoint sink. A recoverable rank
+/// that does not finish writes its post-mortem. No barriers (see
+/// [`run_distributed_recoverable`]): a dead peer stops the loop with a comm
+/// error, whether the exchange or a hook's collective observed it.
 fn run_rank(
     solver: &ElasticSolver<'_>,
     setup: &DistSetup,
@@ -581,15 +541,14 @@ fn run_rank(
     let scope = &setup.scopes[rank];
     let n_steps = cfg.n_steps as u64;
     let rcfg = recovery.map(|(rcfg, _)| rcfg);
-    let dump_dir = rcfg.and_then(|r| r.dump_dir.as_deref());
-    let mut ws = if cfg.telemetry || dump_dir.is_some() {
-        let reg = Registry::with_epoch(rank, epoch);
-        if let Some(cap) = cfg.trace_capacity.or(dump_dir.map(|_| DUMP_TRACE_EVENTS)) {
+    let telemetry = cfg.trace_capacity.is_some();
+    let mut ws = match cfg.trace_capacity.or(rcfg.map(|_| DUMP_TRACE_EVENTS)) {
+        Some(cap) => {
+            let reg = Registry::with_epoch(rank, epoch);
             reg.enable_trace(cap);
+            solver.workspace_with(reg)
         }
-        solver.workspace_with(reg)
-    } else {
-        solver.workspace()
+        None => solver.workspace(),
     };
     let mut exchange = CommExchange {
         comm,
@@ -600,7 +559,7 @@ fn run_rank(
     let mut fault = rcfg
         .filter(|r| attempt == 0 && !r.faults.is_empty())
         .map(|r| FaultHook::new(r.faults.rank_view(rank)));
-    let mut telemetry = cfg.telemetry.then(|| {
+    let mut telemetry_hooks = telemetry.then(|| {
         // This rank's true interface traffic: 3 doubles per shared node,
         // each sent AND received.
         let mut shape = solver.phase_shape(scope);
@@ -608,16 +567,7 @@ fn run_rank(
         let mark = ws.reg.span_id("imbalance");
         (TelemetryHook::shaped(solver, shape), ImbalanceHook { comm, mark, prev_elements_ns: 0 })
     });
-    let mut health = rcfg.and_then(|r| {
-        let mut hc = r.health.clone()?;
-        // Unless the caller pinned one, dumps name restore lines in terms of
-        // this supervisor's own checkpoint cadence; the per-rank violation
-        // dump lands beside the generic post-mortems.
-        hc.ckpt_every = hc.ckpt_every.or(Some(r.every_steps));
-        hc.dump_path =
-            dump_dir.map(|d| d.join(format!("rank{rank}.attempt{attempt}.health.ndjson")));
-        Some(HealthHook::new(solver, hc))
-    });
+    let mut health = rcfg.map(|r| HealthHook::new(solver, &setup.per_rank[rank], r.every_steps));
     let mut sink = recovery.map(|(rcfg, writers)| {
         PeriodicSink::new(&writers[rank], &CheckpointPolicy::every_steps(rcfg.every_steps))
     });
@@ -627,7 +577,7 @@ fn run_rank(
     if let Some(h) = fault.as_mut() {
         hooks.push(h);
     }
-    if let Some((t, i)) = telemetry.as_mut() {
+    if let Some((t, i)) = telemetry_hooks.as_mut() {
         hooks.push(t);
         hooks.push(i);
     }
@@ -639,6 +589,7 @@ fn run_rank(
     }
     let run_cfg = RunConfig::to_step(n_steps).with_scope(scope);
     let harness = SolverHarness::new(solver);
+    let mut report = None;
     let mut outcome = match harness.run(&run_cfg, &mut state, &mut ws, &mut exchange, &mut hooks) {
         RunOutcome::Finished { .. } => RankOutcome::Finished,
         RunOutcome::Stopped { step, reason } => match reason {
@@ -647,8 +598,10 @@ fn run_rank(
             StopReason::Ckpt(e) => {
                 RankOutcome::Aborted { step, reason: format!("checkpoint write: {e}") }
             }
-            StopReason::Health(e) => {
-                RankOutcome::Aborted { step, reason: format!("health watchdog: {e}") }
+            StopReason::Health(r) => {
+                let reason = format!("health watchdog: step {}: {}", r.step, r.reason);
+                report = Some(r);
+                RankOutcome::Aborted { step, reason }
             }
         },
     };
@@ -657,7 +610,7 @@ fn run_rank(
     let reg = ws.into_registry();
     // Reduce the metrics across the ranks that finished (a peer lost
     // mid-reduction fails this rank's attempt like one lost mid-run).
-    let snapshot = cfg.telemetry.then(|| reg.snapshot());
+    let snapshot = telemetry.then(|| reg.snapshot());
     let mut reduced = Vec::new();
     if let (Some(snap), RankOutcome::Finished) = (&snapshot, &outcome) {
         match try_reduce_across_ranks(comm, snap) {
@@ -674,10 +627,26 @@ fn run_rank(
         RankOutcome::Killed { step } => Some((*step, "killed by fault plan")),
         RankOutcome::Aborted { step, reason } => Some((*step, reason.as_str())),
     };
-    if let (Some(dir), Some((step, reason))) = (dump_dir, failure) {
-        let path = dir.join(format!("rank{rank}.attempt{attempt}.postmortem.ndjson"));
+    if let (Some(rcfg), Some((step, reason))) = (rcfg, failure) {
+        let path = rcfg.ckpt_dir.join(format!("rank{rank}.attempt{attempt}.postmortem.ndjson"));
+        let mut header = vec![
+            ("type", "post_mortem".into()),
+            ("rank", rank.into()),
+            ("attempt", attempt.into()),
+            ("step", step.into()),
+            ("reason", reason.into()),
+        ];
+        if let Some(r) = &report {
+            header.extend([
+                ("dt", r.dt.into()),
+                ("energy", r.energy.into()),
+                ("peak_energy", r.peak_energy.into()),
+                ("bad_dofs", Json::arr(r.bad_dofs.iter().map(|&(a, b)| Json::arr([a, b])))),
+                ("last_valid_ckpt", r.last_valid_ckpt.into()),
+            ]);
+        }
         // Best effort: a failed dump must not mask the rank outcome.
-        let _ = dump_post_mortem(&path, &reg, reason, step, DUMP_TRACE_EVENTS);
+        let _ = write_post_mortem(&path, &Json::obj(header), &reg, DUMP_TRACE_EVENTS);
     }
     // Public boundary: hand the states back interleaved.
     let state = if outcome == RankOutcome::Finished {
@@ -689,6 +658,20 @@ fn run_rank(
     RankRun { outcome, state, snapshot, reduced, trace }
 }
 
+/// One NDJSON post-mortem: the header record, then the last `last_events`
+/// events of the rank's flight recorder.
+fn write_post_mortem(
+    path: &Path,
+    header: &Json,
+    reg: &Registry,
+    last_events: usize,
+) -> std::io::Result<()> {
+    let mut file = std::fs::File::create(path)?;
+    writeln!(file, "{}", header.line())?;
+    file.write_all(reg.trace_buffer().ndjson_tail(last_events).as_bytes())?;
+    file.flush()
+}
+
 /// The consistent restore line: the highest step at which **every** rank's
 /// checkpoint file fully decodes (magic, version, kind, CRC) and holds
 /// `ndof` dofs per field. Per-rank corruption just lowers the line for
@@ -696,7 +679,7 @@ fn run_rank(
 /// consistent step instead — and a line left by a run on another mesh is
 /// skipped the same way instead of reaching a rank.
 fn restore_line(
-    dir: &std::path::Path,
+    dir: &Path,
     n_ranks: usize,
     ndof: usize,
     reg: &Registry,
@@ -882,7 +865,7 @@ mod tests {
         let (ranks, steps) = (4usize, 6usize);
         let run = run_distributed(
             &solver,
-            &DistConfig::new(ranks, steps).with_initial(&u0, &v0).with_telemetry(),
+            &DistConfig::new(ranks, steps).with_initial(&u0, &v0).with_trace(4096),
         );
 
         assert_eq!(run.snapshots.len(), ranks);
@@ -926,7 +909,7 @@ mod tests {
         cfg.dt = Some(0.05);
         let solver = ElasticSolver::new(&mesh, &cfg);
         let (u0, v0) = pulse(&mesh);
-        let dist = DistConfig::new(2, 4).with_initial(&u0, &v0).with_telemetry();
+        let dist = DistConfig::new(2, 4).with_initial(&u0, &v0).with_trace(256);
         let setup = DistSetup::build(&solver, 2);
         let outcomes = run_spmd(2, |comm: &Communicator| {
             if comm.rank() == 1 {
@@ -1180,21 +1163,19 @@ mod tests {
             run_distributed(&solver, &DistConfig::new(ranks, steps).with_initial(&u0, &v0));
 
         let dir = tmpdir("nan-watchdog");
-        let dumps = dir.join("dumps");
-        // Checkpoint cadence 4, watchdog cadence 4 (health precedes ckpt in
-        // the hook list, so no persisted line can hold the corruption).
+        // Checkpoint and watchdog cadence 4 (health precedes ckpt in the
+        // hook list, so no persisted line can hold the corruption).
         // Rank 1 silently NaNs one velocity entry before executing step 8:
         // the step-8 line (written after step 7) is clean, detection comes
         // at the next cadence boundary (post-step index 12, while executing
         // step 11) — within one cadence window of the corruption.
-        let cfg_r = RecoveryConfig::new(dir.clone(), 4, 3)
-            .with_faults(FaultPlan::none().and(quake_parcomm::Fault::CorruptState {
+        let cfg_r = RecoveryConfig::new(dir.clone(), 4, 3).with_faults(
+            FaultPlan::none().and(quake_parcomm::Fault::CorruptState {
                 rank: 1,
                 step: 8,
                 index: 10,
-            }))
-            .with_dump_dir(dumps.clone())
-            .with_health(crate::health::HealthConfig::every(4));
+            }),
+        );
         let reg = Registry::new(0);
         let run = run_distributed_recoverable(
             &solver,
@@ -1212,7 +1193,7 @@ mod tests {
         // its own watchdog, or a dead-peer comm error), none hung.
         match &run.outcomes[0][1] {
             RankOutcome::Aborted { step, reason } => {
-                assert!(reason.contains("health watchdog"), "{reason}");
+                assert!(reason.contains("health watchdog: step 12"), "{reason}");
                 assert!(reason.contains("non-finite"), "{reason}");
                 assert_eq!(*step, 11, "caught at the first cadence boundary after step 8");
             }
@@ -1227,19 +1208,17 @@ mod tests {
         }
         assert!(run.outcomes[1].iter().all(|o| *o == RankOutcome::Finished));
 
-        // The watchdog's violation dump: diagnostic header + flight-recorder
-        // tail with the recent step slices.
-        let health_dump =
-            std::fs::read_to_string(dumps.join("rank1.attempt0.health.ndjson")).unwrap();
-        let lines: Vec<&str> = health_dump.lines().collect();
-        assert!(lines[0].contains("\"type\":\"health_violation\""));
-        assert!(lines[0].contains("\"step\":12"));
+        // The rank's post-mortem: a header carrying the watchdog's report,
+        // then the flight-recorder tail with the recent step slices.
+        let dump = std::fs::read_to_string(dir.join("rank1.attempt0.postmortem.ndjson")).unwrap();
+        let lines: Vec<&str> = dump.lines().collect();
+        assert!(lines[0].contains("\"type\":\"post_mortem\""));
+        assert!(lines[0].contains("\"step\":11"));
+        assert!(lines[0].contains("\"energy\":null"), "{}", lines[0]);
         assert!(lines[0].contains("\"last_valid_ckpt\":8"));
         assert!(lines[0].contains("\"bad_dofs\":[["));
         assert!(lines.len() > 1, "flight-recorder tail expected");
         assert!(lines[1..].iter().filter(|l| l.contains("\"name\":\"step\"")).count() >= 4);
-        // The generic post-mortem of the failed rank exists too.
-        assert!(dumps.join("rank1.attempt0.postmortem.ndjson").exists());
 
         // Resume from the last valid line is bit-identical to an unfaulted
         // run: no persisted checkpoint ever held the corruption.
@@ -1387,36 +1366,139 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Settings that would switch the watchdog off or crash it, and rank,
-    /// cadence or retry counts that cannot run, panic naming their field.
+    /// Parse one JSON value at the head of `s` and return the rest, or
+    /// `None` on a syntax error: enough of a reader to show a post-mortem
+    /// line is a well-formed record.
+    fn json_value(s: &str) -> Option<&str> {
+        let s = s.trim_start();
+        let close = match s.chars().next()? {
+            '{' => '}',
+            '[' => ']',
+            '"' => {
+                let mut escaped = false;
+                for (i, c) in s.char_indices().skip(1) {
+                    match c {
+                        _ if escaped => escaped = false,
+                        '\\' => escaped = true,
+                        '"' => return Some(&s[i + 1..]),
+                        _ => {}
+                    }
+                }
+                return None;
+            }
+            _ => {
+                let end = s.find(|c: char| !(c.is_ascii_alphanumeric() || "+-.".contains(c)));
+                let (token, rest) = s.split_at(end.unwrap_or(s.len()));
+                let number = token.parse::<f64>().is_ok();
+                return (number || ["true", "false", "null"].contains(&token)).then_some(rest);
+            }
+        };
+        let mut rest = s[1..].trim_start();
+        if let Some(r) = rest.strip_prefix(close) {
+            return Some(r);
+        }
+        loop {
+            if close == '}' {
+                let key = rest.trim_start();
+                rest = json_value(key.starts_with('"').then_some(key)?)?;
+                rest = rest.trim_start().strip_prefix(':')?;
+            }
+            rest = json_value(rest)?.trim_start();
+            match rest.strip_prefix(',') {
+                Some(r) => rest = r,
+                None => return rest.strip_prefix(close),
+            }
+        }
+    }
+
+    /// Every fault that stops ranks leaves one parseable post-mortem per
+    /// rank that did not finish attempt 0 — a header naming the rank, the
+    /// step and the reason, then the flight-recorder tail — and none for
+    /// the clean retry. The dumps sit beside the checkpoints, yet neither
+    /// the reader's step list nor the restore line changes when they go.
+    #[test]
+    fn every_stopped_rank_leaves_one_post_mortem_beside_an_unchanged_restore_line() {
+        use quake_parcomm::Fault::*;
+        let (mesh, cfg) = recovery_setup();
+        let solver = ElasticSolver::new(&mesh, &cfg);
+        let (u0, v0) = pulse(&mesh);
+        let dcfg = DistConfig::new(4, 12).with_initial(&u0, &v0);
+        let reference = run_distributed(&solver, &dcfg);
+        let ndof = 3 * mesh.n_nodes();
+        let cases = [
+            ("kill", Kill { rank: 2, step: 7 }, "killed by fault plan"),
+            ("drop", DropExchange { rank: 0, step: 6 }, ""),
+            ("corrupt", CorruptState { rank: 1, step: 8, index: 10 }, "health watchdog"),
+        ];
+        for (name, fault, faulted_reason) in cases {
+            let dir = tmpdir(&format!("post-mortem-{name}"));
+            let rcfg =
+                RecoveryConfig::new(dir.clone(), 4, 3).with_faults(FaultPlan::none().and(fault));
+            let run =
+                run_distributed_recoverable(&solver, &dcfg, &rcfg, &Registry::disabled()).unwrap();
+            assert!(run.finished && run.attempts == 2, "{name}: {:?}", run.outcomes);
+            assert_matches_unfaulted(&mesh, &run, &reference);
+
+            let mut dumps: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .filter(|f| f.ends_with(".postmortem.ndjson"))
+                .collect();
+            dumps.sort();
+            let mut expected = Vec::new();
+            for (rank, outcome) in run.outcomes[0].iter().enumerate() {
+                let (step, reason) = match outcome {
+                    RankOutcome::Finished => continue,
+                    RankOutcome::Killed { step } => (*step, "killed by fault plan"),
+                    RankOutcome::Aborted { step, reason } => (*step, reason.as_str()),
+                };
+                let file = format!("rank{rank}.attempt0.postmortem.ndjson");
+                let dump = std::fs::read_to_string(dir.join(&file)).unwrap();
+                let lines: Vec<&str> = dump.lines().collect();
+                assert!(lines.len() > 1, "{name} {file}: no flight-recorder tail");
+                for line in &lines {
+                    assert_eq!(json_value(line), Some(""), "{name} {file}: {line}");
+                }
+                let header = format!(
+                    "{{\"type\":\"post_mortem\",\"rank\":{rank},\"attempt\":0,\"step\":{step},\"reason\":{}",
+                    Json::from(reason).line()
+                );
+                assert!(lines[0].starts_with(&header), "{name} {file}: {}", lines[0]);
+                if rank == fault.rank() {
+                    assert!(reason.contains(faulted_reason), "{name} {file}: {reason}");
+                }
+                expected.push(file);
+            }
+            assert!(expected.iter().any(|f| f.starts_with(&format!("rank{}.", fault.rank()))));
+            assert_eq!(dumps, expected, "{name}: one dump per stopped rank, none for the retry");
+
+            let reg = Registry::disabled();
+            let line = |dir: &Path| restore_line(dir, 4, ndof, &reg).map(|(step, _)| step);
+            let (steps, restored) = (CheckpointReader::new(&dir, "rank0").steps(), line(&dir));
+            for f in &dumps {
+                std::fs::remove_file(dir.join(f)).unwrap();
+            }
+            assert_eq!(CheckpointReader::new(&dir, "rank0").steps(), steps, "{name}");
+            assert_eq!(line(&dir), restored, "{name}");
+            assert_eq!(restored, Some(12), "{name}: the finished retry's last line");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A watchdog cadence that would switch it off, and rank, cadence or
+    /// retry counts that cannot run, panic naming their field.
     #[test]
     fn invalid_settings_are_refused_naming_the_field() {
         let (mesh, cfg) = recovery_setup();
         let solver = ElasticSolver::new(&mesh, &cfg);
         let dir = tmpdir("invalid-settings");
-        let health = |edit: fn(&mut HealthConfig)| {
-            let mut hc = HealthConfig::default();
-            edit(&mut hc);
-            hc
-        };
         let recover = |ranks, rcfg: RecoveryConfig| {
             let dist = DistConfig::new(ranks, 4);
             let _ = run_distributed_recoverable(&solver, &dist, &rcfg, &Registry::disabled());
         };
         let rcfg = |every, attempts| RecoveryConfig::new(dir.clone(), every, attempts);
         let cases: Vec<(&str, Box<dyn Fn() + '_>)> = vec![
-            (
-                "HealthConfig::cadence",
-                Box::new(|| drop(HealthHook::new(&solver, health(|h| h.cadence = 0)))),
-            ),
-            (
-                "HealthConfig::ckpt_every",
-                Box::new(|| drop(HealthHook::new(&solver, health(|h| h.ckpt_every = Some(0))))),
-            ),
-            (
-                "HealthConfig::cadence",
-                Box::new(|| recover(2, rcfg(4, 1).with_health(health(|h| h.cadence = 0)))),
-            ),
+            ("HealthHook cadence", Box::new(|| drop(HealthHook::new(&solver, &[0], 0)))),
             (
                 "DistConfig::n_ranks",
                 Box::new(|| drop(run_distributed(&solver, &DistConfig::new(0, 4)))),
@@ -1520,25 +1602,5 @@ mod tests {
             assert!(!(faulty && dir.exists()), "{what}: a checkpoint directory was created");
             let _ = std::fs::remove_dir_all(&dir);
         }
-    }
-
-    /// A watchdog every 4 steps under checkpoints every 6 would write the
-    /// step-6 line unchecked, so a corruption at step 5 would reach disk and
-    /// become the restore line: refused before any rank starts.
-    #[test]
-    #[should_panic(
-        expected = "HealthConfig::cadence (4) must divide RecoveryConfig::every_steps (6)"
-    )]
-    fn watchdog_off_the_checkpoint_cadence_is_refused() {
-        let (mesh, cfg) = recovery_setup();
-        let solver = ElasticSolver::new(&mesh, &cfg);
-        let corrupt = quake_parcomm::Fault::CorruptState { rank: 1, step: 5, index: 10 };
-        // Refused before the checkpoint directory is created.
-        let dir = std::env::temp_dir().join("quake-dist-recover-tests").join("off-cadence");
-        let rcfg = RecoveryConfig::new(dir, 6, 3)
-            .with_faults(FaultPlan::none().and(corrupt))
-            .with_health(HealthConfig::every(4));
-        let dist = DistConfig::new(2, 12);
-        let _ = run_distributed_recoverable(&solver, &dist, &rcfg, &Registry::disabled());
     }
 }

@@ -835,12 +835,27 @@ impl<'m> ElasticSolver<'m> {
         self.energy_sum(u_prev, u_now, |_| self.dt)
     }
 
-    /// The one kinetic + strain sum behind every energy entry point, over
-    /// planar vectors. `node_dt(node)` is the node's staggered step
-    /// `v = (u_now - u_prev)/dt` is taken over — uniform under global dt,
-    /// the owner group's at a rate-group sync step.
+    /// The whole-mesh [`ElasticSolver::energy_over`]: every node, every
+    /// element, in mesh order.
     pub(crate) fn energy_sum(
         &self,
+        u_prev: &[f64],
+        u_now: &[f64],
+        node_dt: impl Fn(usize) -> f64,
+    ) -> f64 {
+        let (n_nodes, n_elements) = (self.mesh.n_nodes(), self.mesh.n_elements());
+        self.energy_over(0..n_nodes, 0..n_elements, u_prev, u_now, node_dt)
+    }
+
+    /// The one kinetic + strain sum behind every energy entry point, over
+    /// planar vectors: kinetic energy of `nodes`, strain energy of
+    /// `elements`, each summed in the order given. `node_dt(node)` is the
+    /// node's staggered step `v = (u_now - u_prev)/dt` is taken over —
+    /// uniform under global dt, the owner group's at a rate-group sync step.
+    pub(crate) fn energy_over(
+        &self,
+        nodes: impl Iterator<Item = usize>,
+        elements: impl Iterator<Item = usize>,
         u_prev: &[f64],
         u_now: &[f64],
         node_dt: impl Fn(usize) -> f64,
@@ -849,8 +864,8 @@ impl<'m> ElasticSolver<'m> {
         let dof = |nd: usize, comp: usize| comp * n + nd;
         let mats = elastic_hex_matrices();
         let mut e_kin = 0.0;
-        for (nd, &m) in self.mass.iter().enumerate() {
-            let dt = node_dt(nd);
+        for nd in nodes {
+            let (m, dt) = (self.mass[nd], node_dt(nd));
             for comp in 0..3 {
                 let d = dof(nd, comp);
                 let v = (u_now[d] - u_prev[d]) / dt;
@@ -858,7 +873,8 @@ impl<'m> ElasticSolver<'m> {
             }
         }
         let mut e_str = 0.0;
-        for e in &self.mesh.elements {
+        for ei in elements {
+            let e = &self.mesh.elements[ei];
             let mut x = [0.0; 24];
             for (c, &nd) in e.nodes.iter().enumerate() {
                 for comp in 0..3 {

@@ -45,9 +45,9 @@
 //!
 //! Hooks that touch disjoint state commute — the displacement history is
 //! bit-identical under any permutation (tested). The one ordering contract
-//! is [`crate::health::HealthHook`] before [`CheckpointHook`] (`after_step`
-//! stops at the first erroring hook, so no state that failed the health
-//! check is persisted).
+//! is [`crate::health::HealthHook`] before [`CheckpointHook`], on the
+//! checkpoint cadence (`after_step` stops at the first erroring hook, so no
+//! state that failed the health check is persisted).
 //!
 //! Hooks are zero-cost in the no-op case: an empty hook slice costs one
 //! empty-slice iteration per phase, and `bench_step --check-overhead` gates
@@ -55,6 +55,7 @@
 
 use crate::checkpoint::SolverState;
 use crate::elastic::{ElasticSolver, Fields, Pass, RunResult, StepScope, StepWorkspace};
+use crate::health::HealthReport;
 use crate::rategroup::RateGroupPlan;
 use crate::receivers::record_sample_planar;
 use crate::sources::AssembledSource;
@@ -114,9 +115,9 @@ pub enum StopReason {
     /// A checkpoint sink failed to persist the state.
     Ckpt(CkptError),
     /// The numerics health watchdog ([`crate::health::HealthHook`]) found a
-    /// violation (NaN/Inf in the fields, or unphysical energy growth) and
-    /// aborted the run after dumping its post-mortem.
-    Health(String),
+    /// violation (NaN/Inf in the fields, or unphysical energy growth); the
+    /// report says what, where, and which state last passed the check.
+    Health(HealthReport),
 }
 
 /// How a harness run ended.

@@ -5,33 +5,33 @@
 //! a silent numerical fault — a NaN written by a bit flip or a kernel bug, or
 //! an instability pumping energy into the field — because the corrupted state
 //! checkpoints and exchanges just fine. The [`HealthHook`] closes that gap:
-//! on a configurable step cadence it scans the solution for non-finite
-//! values and samples the discrete energy
-//! `E_k = 1/2 v^T M v + 1/2 u^T K u` (the invariant a source-free,
-//! boundary-less leapfrog run conserves to rounding), aborts the run on a
-//! violation, and — before aborting — writes an NDJSON post-mortem dump:
-//! one diagnostic header line (step, dt, energy history, offending dof
-//! ranges, last checkpoint line expected valid) followed by the tail of the
-//! registry's flight recorder ([`TraceBuffer::ndjson_tail`]).
+//! every `cadence` steps it scans the state for non-finite values and
+//! samples the discrete energy `E_k = 1/2 v^T M v + 1/2 u^T K u` of its
+//! elements and the nodes they touch (the invariant a source-free,
+//! boundary-less leapfrog run conserves to rounding). A NaN or Inf, or an
+//! energy that outgrows the running peak, stops the run with a
+//! [`StopReason::Health`] carrying a [`HealthReport`]: step, energies, the
+//! offending dof ranges and the newest state that passed the check.
 //!
-//! **Hook order matters**: place the `HealthHook` *before* any
-//! `CheckpointHook` in the harness hook list and give it a cadence that
-//! divides the checkpoint cadence (`run_distributed_recoverable` refuses
-//! one that does not). `after_step` processing stops at the first erroring
-//! hook, so every state a checkpoint sink persists has passed the health
-//! check — a detected corruption can never poison the newest restore line,
-//! and resume from the reported `last_valid_ckpt` is bit-identical to an
-//! unfaulted run up to that line.
+//! The energy covers only the elements the hook is given: a serial run
+//! passes every element in mesh order (the energy is then
+//! [`ElasticSolver::energy_planar`]'s to the bit), a distributed rank its
+//! own — the only values of its state that are the solution — so each
+//! rank's energy costs its share of the mesh, not the whole of it (the
+//! non-finite scan, one comparison per value, still reads the whole state
+//! the rank would persist).
 //!
-//! The watchdog is an opt-in hook: runs that do not install it pay nothing.
-
-use std::io::Write;
-use std::path::{Path, PathBuf};
+//! **Hook order matters**: the hook goes *before* any `CheckpointHook` and
+//! checks on the checkpoint cadence. `after_step` processing stops at the
+//! first erroring hook, so every state a checkpoint sink persists has passed
+//! the check — a detected corruption can never poison the newest restore
+//! line, and resume from [`HealthReport::last_valid_ckpt`] is bit-identical
+//! to an unfaulted run up to that line. `run_distributed_recoverable` runs
+//! one on every rank, in that order, at `every_steps`, and writes the report
+//! into the failed rank's post-mortem.
 
 use crate::elastic::ElasticSolver;
 use crate::harness::{HookCtx, StepHook, StopReason};
-use quake_telemetry::json::Json;
-use quake_telemetry::Registry;
 
 /// The watchdog aborts when the sampled energy exceeds this many times the
 /// running peak (leapfrog conserves discrete energy to rounding in a
@@ -40,57 +40,7 @@ use quake_telemetry::Registry;
 /// a quiescent field cannot trip the ratio.
 const MAX_ENERGY_GROWTH: f64 = 10.0;
 
-/// Flight-recorder events in the tail of a violation dump.
-const DUMP_LAST_EVENTS: usize = 256;
-
-/// Watchdog configuration. `Default` checks every step and dumps nowhere.
-#[derive(Clone, Debug)]
-pub struct HealthConfig {
-    /// Check when `state.step % cadence == 0` (post-step step index). A
-    /// corruption is caught within one cadence window of appearing.
-    pub cadence: u64,
-    /// Where to write the post-mortem NDJSON dump on violation (`None` =
-    /// report in the [`StopReason::Health`] string only).
-    pub dump_path: Option<PathBuf>,
-    /// Checkpoint cadence of the surrounding run, if it checkpoints — lets
-    /// the dump name the last checkpoint line expected valid (see the module
-    /// docs for the hook-order contract that makes that line trustworthy).
-    pub ckpt_every: Option<u64>,
-}
-
-impl Default for HealthConfig {
-    fn default() -> HealthConfig {
-        HealthConfig { cadence: 1, dump_path: None, ckpt_every: None }
-    }
-}
-
-impl HealthConfig {
-    /// Check every `cadence` steps.
-    pub fn every(cadence: u64) -> HealthConfig {
-        HealthConfig { cadence: cadence.max(1), ..HealthConfig::default() }
-    }
-
-    /// Write the post-mortem dump here on violation.
-    pub fn with_dump(mut self, path: PathBuf) -> HealthConfig {
-        self.dump_path = Some(path);
-        self
-    }
-
-    /// Name the surrounding run's checkpoint cadence in dumps.
-    pub fn with_ckpt_every(mut self, every: u64) -> HealthConfig {
-        self.ckpt_every = Some(every);
-        self
-    }
-
-    /// Refuse, naming the field, settings that defeat the watchdog (cadence
-    /// 0) or crash its report (`ckpt_every` 0).
-    pub(crate) fn validate(&self) {
-        assert!(self.cadence > 0, "HealthConfig::cadence must be > 0");
-        assert_ne!(self.ckpt_every, Some(0), "HealthConfig::ckpt_every must be > 0 when set");
-    }
-}
-
-/// What the watchdog found when it aborted a run.
+/// What the watchdog found when it stopped a run.
 #[derive(Clone, Debug)]
 pub struct HealthReport {
     /// Post-step step index at detection (`state.step`, the *next* step).
@@ -102,34 +52,43 @@ pub struct HealthReport {
     pub energy: f64,
     /// Running peak energy over all previous samples.
     pub peak_energy: f64,
-    /// Offending planar dof ranges `[start, end)` (capped; non-finite scans
-    /// only).
+    /// Offending planar dof ranges `[start, end)` (capped; indices into
+    /// `u_prev ++ u_now`, `u_now` entries starting at `u_prev.len()`).
     pub bad_dofs: Vec<(usize, usize)>,
-    /// Highest checkpoint line expected valid (multiples of
-    /// [`HealthConfig::ckpt_every`] strictly below `step`).
-    pub last_valid_ckpt: Option<u64>,
+    /// The newest step that passed the check (`step - cadence`; 0 is the
+    /// initial state). On the checkpoint cadence this is the newest
+    /// checkpoint line expected valid.
+    pub last_valid_ckpt: u64,
 }
 
 /// The watchdog hook. See the module docs for placement rules.
 pub struct HealthHook<'s, 'm> {
     solver: &'s ElasticSolver<'m>,
-    cfg: HealthConfig,
+    elements: &'s [u32],
+    /// The nodes `elements` touch, ascending.
+    nodes: Vec<u32>,
+    cadence: u64,
     peak_energy: f64,
-    /// Set when the hook aborted the run (for drivers that want the full
-    /// report, not just the [`StopReason::Health`] string).
-    report: Option<HealthReport>,
 }
 
 impl<'s, 'm> HealthHook<'s, 'm> {
-    /// Panics on a [`HealthConfig`] that would disable or crash the watchdog.
-    pub fn new(solver: &'s ElasticSolver<'m>, cfg: HealthConfig) -> HealthHook<'s, 'm> {
-        cfg.validate();
-        HealthHook { solver, cfg, peak_energy: 0.0, report: None }
-    }
-
-    /// The violation report, if this hook aborted the run.
-    pub fn report(&self) -> Option<&HealthReport> {
-        self.report.as_ref()
+    /// Check the energy of `elements` and the nodes they touch whenever the
+    /// post-step index is a multiple of `cadence` (> 0): a corruption is
+    /// caught within one cadence window of appearing.
+    pub fn new(
+        solver: &'s ElasticSolver<'m>,
+        elements: &'s [u32],
+        cadence: u64,
+    ) -> HealthHook<'s, 'm> {
+        assert!(cadence > 0, "HealthHook cadence must be > 0");
+        let mut touched = vec![false; solver.mesh.n_nodes()];
+        for &e in elements {
+            for &nd in &solver.mesh.elements[e as usize].nodes {
+                touched[nd as usize] = true;
+            }
+        }
+        let nodes = (0..touched.len() as u32).filter(|&nd| touched[nd as usize]).collect();
+        HealthHook { solver, elements, nodes, cadence, peak_energy: 0.0 }
     }
 
     /// Up to `cap` maximal contiguous ranges of non-finite entries across
@@ -155,121 +114,59 @@ impl<'s, 'm> HealthHook<'s, 'm> {
         }
         out
     }
-
-    fn violation(&mut self, ctx: &HookCtx<'_>, reason: String, energy: f64) -> StopReason {
-        let step = ctx.state.step;
-        let report = HealthReport {
-            step,
-            dt: ctx.info.dt,
-            reason: reason.clone(),
-            energy,
-            peak_energy: self.peak_energy,
-            bad_dofs: Self::bad_ranges(&ctx.state.u_prev, &ctx.state.u_now, 8),
-            last_valid_ckpt: self
-                .cfg
-                .ckpt_every
-                .map(|every| (step.saturating_sub(1) / every) * every),
-        };
-        if let Some(path) = &self.cfg.dump_path {
-            // Best effort: a failed dump must not mask the violation itself.
-            let _ = write_health_dump(path, ctx.reg, &report, DUMP_LAST_EVENTS);
-        }
-        let msg = format!("step {step}: {reason}");
-        self.report = Some(report);
-        StopReason::Health(msg)
-    }
 }
 
 impl StepHook for HealthHook<'_, '_> {
     fn after_step(&mut self, ctx: &mut HookCtx<'_>) -> Result<(), StopReason> {
-        if !ctx.state.step.is_multiple_of(self.cfg.cadence) {
+        let step = ctx.state.step;
+        if !step.is_multiple_of(self.cadence) {
             return Ok(());
         }
-        let bad_now = ctx.state.u_now.iter().any(|v| !v.is_finite());
-        let bad_prev = bad_now || ctx.state.u_prev.iter().any(|v| !v.is_finite());
-        if bad_prev {
-            let reason = "non-finite field values (NaN/Inf) in solution state".to_string();
-            return Err(self.violation(ctx, reason, f64::NAN));
-        }
-        // Staggered velocity over each node's own step: the owner group's
-        // under a rate-group plan, the global dt otherwise.
+        let (u_prev, u_now) = (&ctx.state.u_prev, &ctx.state.u_now);
+        // The whole state, not just the checked nodes: a NaN anywhere in it
+        // would be persisted with the next checkpoint.
+        let bad = u_now.iter().chain(u_prev.iter()).any(|v| !v.is_finite());
         let info = ctx.info;
-        let energy = self.solver.energy_sum(&ctx.state.u_prev, &ctx.state.u_now, |nd| {
-            info.node_dt.map_or(info.dt, |dts| dts[nd])
-        });
-        if !energy.is_finite() {
-            let reason = "non-finite discrete energy".to_string();
-            return Err(self.violation(ctx, reason, energy));
-        }
-        // Absolute floor: a quiescent field's rounding noise must not trip
-        // the relative growth check.
-        const ENERGY_FLOOR: f64 = 1e-300;
-        if self.peak_energy > ENERGY_FLOOR && energy > MAX_ENERGY_GROWTH * self.peak_energy {
-            let reason = format!(
-                "energy growth: E = {energy:.6e} exceeds {MAX_ENERGY_GROWTH}x running peak {:.6e}",
-                self.peak_energy
+        let (energy, reason) = if bad {
+            (f64::NAN, "non-finite field values (NaN/Inf) in solution state".to_string())
+        } else {
+            // Staggered velocity over each node's own step: the owner
+            // group's under a rate-group plan, the global dt otherwise.
+            let energy = self.solver.energy_over(
+                self.nodes.iter().map(|&nd| nd as usize),
+                self.elements.iter().map(|&e| e as usize),
+                u_prev,
+                u_now,
+                |nd| info.node_dt.map_or(info.dt, |dts| dts[nd]),
             );
-            return Err(self.violation(ctx, reason, energy));
-        }
-        self.peak_energy = self.peak_energy.max(energy);
-        Ok(())
+            // Absolute floor: a quiescent field's rounding noise must not
+            // trip the relative growth check.
+            const ENERGY_FLOOR: f64 = 1e-300;
+            if !energy.is_finite() {
+                (energy, "non-finite discrete energy".to_string())
+            } else if self.peak_energy > ENERGY_FLOOR
+                && energy > MAX_ENERGY_GROWTH * self.peak_energy
+            {
+                let peak = self.peak_energy;
+                let growth = format!(
+                    "energy growth: E = {energy:.6e} exceeds {MAX_ENERGY_GROWTH}x running peak {peak:.6e}"
+                );
+                (energy, growth)
+            } else {
+                self.peak_energy = self.peak_energy.max(energy);
+                return Ok(());
+            }
+        };
+        Err(StopReason::Health(HealthReport {
+            step,
+            dt: info.dt,
+            reason,
+            energy,
+            peak_energy: self.peak_energy,
+            bad_dofs: if bad { Self::bad_ranges(u_prev, u_now, 8) } else { Vec::new() },
+            last_valid_ckpt: step - self.cadence,
+        }))
     }
-}
-
-/// Write a health-violation post-mortem: one `health_violation` header line
-/// followed by the last `last_events` flight-recorder events (NDJSON).
-pub fn write_health_dump(
-    path: &Path,
-    reg: &Registry,
-    report: &HealthReport,
-    last_events: usize,
-) -> std::io::Result<()> {
-    let bad_dofs = report.bad_dofs.iter().map(|&(a, b)| Json::arr([a, b]));
-    let mut header = vec![
-        ("type", "health_violation".into()),
-        ("rank", reg.rank().into()),
-        ("step", report.step.into()),
-        ("dt", report.dt.into()),
-        ("reason", report.reason.as_str().into()),
-        ("energy", report.energy.into()),
-        ("peak_energy", report.peak_energy.into()),
-        ("bad_dofs", Json::arr(bad_dofs)),
-    ];
-    header.extend(report.last_valid_ckpt.map(|ck| ("last_valid_ckpt", ck.into())));
-    write_dump(path, reg, Json::obj(header), last_events)
-}
-
-/// Write a generic post-mortem for a rank that failed for a non-numerics
-/// reason (killed, comm abort, checkpoint error): one `post_mortem` header
-/// line followed by the flight-recorder tail. Used by the distributed
-/// recovery supervisor when a dump directory is configured.
-pub fn dump_post_mortem(
-    path: &Path,
-    reg: &Registry,
-    reason: &str,
-    step: u64,
-    last_events: usize,
-) -> std::io::Result<()> {
-    let header = Json::obj([
-        ("type", "post_mortem".into()),
-        ("rank", reg.rank().into()),
-        ("step", step.into()),
-        ("reason", reason.into()),
-    ]);
-    write_dump(path, reg, header, last_events)
-}
-
-/// One NDJSON file: the header record, then the flight-recorder tail.
-fn write_dump(
-    path: &Path,
-    reg: &Registry,
-    header: Json,
-    last_events: usize,
-) -> std::io::Result<()> {
-    let mut file = std::fs::File::create(path)?;
-    writeln!(file, "{}", header.line())?;
-    file.write_all(reg.trace_buffer().ndjson_tail(last_events).as_bytes())?;
-    file.flush()
 }
 
 #[cfg(test)]
@@ -297,6 +194,11 @@ mod tests {
         (mesh, cfg)
     }
 
+    /// Every element in mesh order: the serial watchdog's domain.
+    fn all_elements(mesh: &HexMesh) -> Vec<u32> {
+        (0..mesh.n_elements() as u32).collect()
+    }
+
     fn pulse(mesh: &HexMesh) -> (Vec<f64>, Vec<f64>) {
         let n = mesh.n_nodes();
         let mut u = vec![0.0; 3 * n];
@@ -317,7 +219,8 @@ mod tests {
         let (u0, v0) = pulse(&mesh);
         let mut state = solver.initial_state(0, Some((&u0, &v0)));
         let mut ws = solver.workspace();
-        let mut hook = HealthHook::new(&solver, HealthConfig::every(1));
+        let elements = all_elements(&mesh);
+        let mut hook = HealthHook::new(&solver, &elements, 1);
         let outcome = SolverHarness::new(&solver).run(
             &RunConfig::to_step(10),
             &mut state,
@@ -325,9 +228,20 @@ mod tests {
             &mut crate::harness::NoExchange,
             &mut [&mut hook],
         );
-        assert!(matches!(outcome, RunOutcome::Finished { executed: 10 }));
-        assert!(hook.report().is_none());
+        assert!(matches!(outcome, RunOutcome::Finished { executed: 10 }), "{outcome:?}");
         assert!(hook.peak_energy > 0.0);
+        // Given every element in mesh order, the watchdog samples exactly
+        // the solver's own energy, to the bit.
+        assert_eq!(hook.nodes.len(), mesh.n_nodes());
+        let sampled = solver.energy_over(
+            hook.nodes.iter().map(|&nd| nd as usize),
+            elements.iter().map(|&e| e as usize),
+            &state.u_prev,
+            &state.u_now,
+            |_| solver.dt,
+        );
+        let whole = solver.energy_planar(&state.u_prev, &state.u_now);
+        assert_eq!(sampled.to_bits(), whole.to_bits());
     }
 
     #[test]
@@ -350,7 +264,8 @@ mod tests {
             }
         }
         let mut corrupt = Corruptor;
-        let mut hook = HealthHook::new(&solver, HealthConfig::every(4));
+        let elements = all_elements(&mesh);
+        let mut hook = HealthHook::new(&solver, &elements, 4);
         let outcome = SolverHarness::new(&solver).run(
             &RunConfig::to_step(20),
             &mut state,
@@ -358,13 +273,14 @@ mod tests {
             &mut crate::harness::NoExchange,
             &mut [&mut corrupt, &mut hook],
         );
-        let RunOutcome::Stopped { step, reason: StopReason::Health(msg) } = outcome else {
+        let RunOutcome::Stopped { step, reason: StopReason::Health(report) } = outcome else {
             panic!("watchdog must stop the run, got {outcome:?}");
         };
         assert_eq!(step, 3, "stopped while executing the first checked step window");
-        assert!(msg.contains("non-finite"), "{msg}");
-        let report = hook.report().expect("report recorded");
+        assert!(report.reason.contains("non-finite"), "{}", report.reason);
         assert_eq!(report.step, 4, "detected at the first cadence boundary");
+        assert_eq!(report.last_valid_ckpt, 0, "no checked state before step 4");
+        assert!(report.energy.is_nan());
         assert!(!report.bad_dofs.is_empty());
     }
 
@@ -389,7 +305,8 @@ mod tests {
             }
         }
         let mut amp = Amplifier;
-        let mut hook = HealthHook::new(&solver, HealthConfig::every(1));
+        let elements = all_elements(&mesh);
+        let mut hook = HealthHook::new(&solver, &elements, 1);
         let outcome = SolverHarness::new(&solver).run(
             &RunConfig::to_step(20),
             &mut state,
@@ -397,59 +314,11 @@ mod tests {
             &mut crate::harness::NoExchange,
             &mut [&mut amp, &mut hook],
         );
-        let RunOutcome::Stopped { reason: StopReason::Health(msg), .. } = outcome else {
+        let RunOutcome::Stopped { reason: StopReason::Health(report), .. } = outcome else {
             panic!("watchdog must stop the run, got {outcome:?}");
         };
-        assert!(msg.contains("energy growth"), "{msg}");
-        let report = hook.report().expect("report recorded");
+        assert!(report.reason.contains("energy growth"), "{}", report.reason);
         assert!(report.energy > report.peak_energy * MAX_ENERGY_GROWTH);
         assert!(report.bad_dofs.is_empty(), "field is finite, just unphysical");
-    }
-
-    #[test]
-    fn violation_dump_contains_header_and_trace_tail() {
-        let (mesh, cfg) = setup();
-        let solver = ElasticSolver::new(&mesh, &cfg);
-        let (u0, v0) = pulse(&mesh);
-        let mut state = solver.initial_state(0, Some((&u0, &v0)));
-        let reg = Registry::new(0);
-        reg.enable_trace(512);
-        let mut ws = solver.workspace_with(reg);
-        let dir = std::env::temp_dir()
-            .join("quake-health-tests")
-            .join(format!("dump-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("violation.ndjson");
-        struct Corruptor;
-        impl StepHook for Corruptor {
-            fn before_step(&mut self, ctx: &mut HookCtx<'_>) -> Result<(), StopReason> {
-                if ctx.state.step == 2 {
-                    ctx.state.u_now[0] = f64::INFINITY;
-                }
-                Ok(())
-            }
-        }
-        let mut corrupt = Corruptor;
-        let hcfg = HealthConfig::every(1).with_dump(path.clone()).with_ckpt_every(2);
-        let mut hook = HealthHook::new(&solver, hcfg);
-        let outcome = SolverHarness::new(&solver).run(
-            &RunConfig::to_step(10),
-            &mut state,
-            &mut ws,
-            &mut crate::harness::NoExchange,
-            &mut [&mut corrupt, &mut hook],
-        );
-        assert!(matches!(outcome, RunOutcome::Stopped { reason: StopReason::Health(_), .. }));
-        let dump = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = dump.lines().collect();
-        assert!(lines.len() > 1, "header + trace tail expected:\n{dump}");
-        assert!(lines[0].contains("\"type\":\"health_violation\""));
-        assert!(lines[0].contains("\"step\":3"));
-        assert!(lines[0].contains("\"last_valid_ckpt\":2"));
-        assert!(lines[0].contains("\"bad_dofs\":[["));
-        // Tail lines are flight-recorder events from the instrumented steps.
-        assert!(lines[1..].iter().all(|l| l.contains("\"type\":\"trace\"")));
-        assert!(lines[1..].iter().any(|l| l.contains("\"name\":\"step\"")));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

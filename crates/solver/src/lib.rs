@@ -33,9 +33,9 @@
 //! - [`rategroup`]: the clustered local-time-stepping plan
 //!   ([`rategroup::RateGroupPlan`]) — one pass per octree level, each at its
 //!   own power-of-two multiple of the base dt,
-//! - [`health`]: the numerics watchdog hook — NaN/Inf scans and discrete
-//!   energy-growth bounds on a step cadence, with an NDJSON post-mortem dump
-//!   (diagnostic header + flight-recorder tail) on violation,
+//! - [`health`]: the numerics watchdog hook — non-finite and discrete
+//!   energy-growth checks of a set of elements on a step cadence, stopping
+//!   the run with a report on violation,
 //! - [`distributed`]: the rank-parallel elastic solver over `quake-parcomm`
 //!   (owner-computes + interface sum-exchange), bit-identical to the serial
 //!   solver,
@@ -79,7 +79,7 @@ pub use harness::{
     RunConfig, RunInfo, RunOutcome, SolverHarness, StepHook, StopReason, SyncReceiverHook,
     TelemetryHook,
 };
-pub use health::{HealthConfig, HealthHook, HealthReport};
+pub use health::{HealthHook, HealthReport};
 pub use rategroup::RateGroupPlan;
 pub use receivers::{lowpass_filtfilt, record_sample, record_sample_planar, Seismogram};
 pub use scalar3d::{Scalar3dConfig, Scalar3dSolver};

@@ -249,10 +249,6 @@ impl ScalarWaveEq for Scalar3dSolver {
             out[e] += self.cfg.h * acc;
         });
     }
-
-    fn apply_dk(&self, dmu: &[f64], x: &[f64], y: &mut [f64], scale: f64) {
-        self.apply_k(dmu, x, y, scale);
-    }
 }
 
 #[cfg(test)]
@@ -338,9 +334,6 @@ mod tests {
             let mut mu: Vec<f64> = lcg(seed, ne).iter().map(|r| 2e9 * (1.0 + r)).collect();
             mu[ne / 2] = 0.0;
             mu[ne - 1] = -0.0;
-            // Perturbations of either sign, one of them zero.
-            let mut dmu: Vec<f64> = lcg(seed + 1, ne).iter().map(|r| 1e8 * r).collect();
-            dmu[0] = 0.0;
             let x = lcg(seed + 2, nn);
             // A target that already holds values, a negative zero among them.
             let mut y0 = lcg(seed + 3, nn);
@@ -350,10 +343,6 @@ mod tests {
                 s.apply_k(&mu, &x, &mut got, scale);
                 reference_apply_k(&s, &mu, &x, &mut want, scale);
                 assert_eq!(bits(&got), bits(&want), "apply_k {nx}x{ny}x{nz}, scale {scale}");
-                let (mut got, mut want) = (y0.clone(), y0.clone());
-                s.apply_dk(&dmu, &x, &mut got, scale);
-                reference_apply_k(&s, &dmu, &x, &mut want, scale);
-                assert_eq!(bits(&got), bits(&want), "apply_dk {nx}x{ny}x{nz}, scale {scale}");
             }
             let v = lcg(seed + 4, nn);
             let out0 = lcg(seed + 5, ne);

@@ -62,12 +62,11 @@ pub trait ScalarWaveEq: Sync {
     fn mass(&self) -> &[f64];
     /// Frozen absorbing-boundary damping diagonal.
     fn abc_damping(&self) -> &[f64];
-    /// `y += scale * K(mu) x`.
+    /// `y += scale * K(mu) x`. K is linear in `mu`, so `apply_k(dmu, ..)` is
+    /// also the directional stiffness derivative `(dK/dmu . dmu) x`.
     fn apply_k(&self, mu: &[f64], x: &[f64], y: &mut [f64], scale: f64);
     /// `out[e] += u_e^T (dK/dmu_e) v_e` for every element.
     fn accumulate_dk(&self, u: &[f64], v: &[f64], out: &mut [f64]);
-    /// `y += scale * (dK/dmu . dmu) x` (directional stiffness derivative).
-    fn apply_dk(&self, dmu: &[f64], x: &[f64], y: &mut [f64], scale: f64);
 }
 
 /// Result of a forward march.

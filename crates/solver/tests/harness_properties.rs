@@ -12,9 +12,8 @@ use quake_solver::harness::{FaultHook, HookCtx, StopReason};
 use quake_solver::layout::{to_interleaved3, to_planar3};
 use quake_solver::reference::reference_step;
 use quake_solver::{
-    CheckpointHook, ElasticConfig, ElasticSolver, HealthConfig, HealthHook, NoExchange,
-    RateGroupPlan, ReceiverHook, RunConfig, RunOutcome, SolverHarness, SolverState, StepHook,
-    TelemetryHook,
+    CheckpointHook, ElasticConfig, ElasticSolver, HealthHook, NoExchange, RateGroupPlan,
+    ReceiverHook, RunConfig, RunOutcome, SolverHarness, SolverState, StepHook, TelemetryHook,
 };
 
 /// Small multiresolution mesh with hanging nodes — the production step shape.
@@ -190,38 +189,37 @@ fn corrupt_state_under_lts(fault_step: u64) {
     let faults =
         FaultPlan::none().and(Fault::CorruptState { rank: 0, step: fault_step, index: 10 });
     let mut state = plan.initial_state(&solver, 0, Some((&u0, &v0)));
-    let (outcome, report) = {
+    let elements: Vec<u32> = (0..mesh.n_elements() as u32).collect();
+    let outcome = {
         let mut sink = PeriodicSink::new(&writer, &policy);
         let mut fault = FaultHook::new(faults.rank_view(0));
-        // Health precedes the checkpoint hook, so the corrupt state at step
-        // 12 is never offered to the sink.
-        let mut health = HealthHook::new(&solver, HealthConfig::every(4).with_ckpt_every(4));
+        // Health precedes the checkpoint hook on its cadence, so the corrupt
+        // state at step 12 is never offered to the sink.
+        let mut health = HealthHook::new(&solver, &elements, 4);
         let mut ckpt = CheckpointHook::new(&mut sink);
-        let outcome = harness.run_grouped(
+        harness.run_grouped(
             &plan,
             &run_cfg,
             &mut state,
             &mut ws,
             &mut NoExchange,
             &mut [&mut fault, &mut health, &mut ckpt],
-        );
-        (outcome, health.report().cloned())
+        )
     };
-    let RunOutcome::Stopped { step, reason: StopReason::Health(msg) } = outcome else {
+    let RunOutcome::Stopped { step, reason: StopReason::Health(report) } = outcome else {
         panic!("watchdog must stop the run, got {outcome:?}");
     };
     assert_eq!(step, 8, "stopped in the macro cycle the corruption entered");
-    assert!(msg.contains("non-finite"), "{msg}");
-    let report = report.expect("report recorded");
+    assert!(report.reason.contains("non-finite"), "{}", report.reason);
     assert_eq!(report.step, 12, "detected at the next sync step");
-    assert_eq!(report.last_valid_ckpt, Some(8));
+    assert_eq!(report.last_valid_ckpt, 8);
     assert!(!report.bad_dofs.is_empty());
 
     let reader = CheckpointReader::new(&dir, "lts");
     assert_eq!(reader.steps(), vec![4, 8], "no line past the corruption was persisted");
     let (at, mut resumed): (u64, SolverState) =
         reader.latest_valid(&quake_telemetry::Registry::disabled()).unwrap();
-    assert_eq!(Some(at), report.last_valid_ckpt);
+    assert_eq!(at, report.last_valid_ckpt);
     let o = harness.run_grouped(&plan, &run_cfg, &mut resumed, &mut ws, &mut NoExchange, &mut []);
     assert!(matches!(o, RunOutcome::Finished { executed: 16 }));
     assert_bits_eq(&straight.u_prev, &resumed.u_prev, "resumed u_prev");
