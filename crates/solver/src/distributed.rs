@@ -11,10 +11,11 @@
 //! (`supervise`): [`run_distributed`] is its one-attempt case without
 //! checkpoints, [`run_distributed_recoverable`] gives it a [`RecoveryConfig`].
 //! A recoverable run is always watched and always explains itself: every
-//! rank checks its own share of the energy ([`HealthHook`]) on the
-//! checkpoint cadence before it persists a state, and every rank that does
-//! not finish an attempt leaves one NDJSON post-mortem
-//! (`rank{r}.attempt{a}.postmortem.ndjson`) beside its checkpoints.
+//! rank checks its own share of the energy against the seed's whole-mesh
+//! energy ([`HealthHook`]) on the checkpoint cadence before it persists a
+//! state, and every rank that does not finish an attempt leaves one NDJSON
+//! post-mortem (`rank{r}.attempt{a}.postmortem.ndjson`) beside its
+//! checkpoints.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -373,9 +374,10 @@ struct RankRun {
 /// Each rank is the rank of [`run_distributed`] with more hooks composed
 /// onto the same [`SolverHarness`] loop: a [`FaultHook`] injects the scripted
 /// kills/drops/delays/corruptions, a [`HealthHook`] checks the energy of the
-/// rank's own elements and a [`CheckpointHook`] then offers the state to a
-/// per-rank [`PeriodicSink`], both every [`RecoveryConfig::every_steps`]
-/// steps, and the mid-step exchange is **step-tagged** (`CommExchange`). There is **no
+/// rank's own elements against the seed's whole-mesh energy and a
+/// [`CheckpointHook`] then offers the state to a per-rank [`PeriodicSink`],
+/// both every [`RecoveryConfig::every_steps`] steps, and the mid-step
+/// exchange is **step-tagged** (`CommExchange`). There is **no
 /// barrier in the step loop** — a dead rank must not be able to hang
 /// survivors — so failure propagates through the communication fabric
 /// itself: a rank that stops for any reason drops its channel endpoints,
@@ -425,10 +427,30 @@ pub fn run_distributed_recoverable(
             cfg.n_ranks
         );
     }
+    // Every attempt, restored or not, continues the seed's run, so the
+    // seed's whole-mesh energy is every attempt's watchdog reference.
+    let seed_energy = cfg.initial.map_or(0.0, |seed| {
+        let seed = solver.initial_state(0, Some(seed));
+        solver.energy_planar(&seed.u_prev, &seed.u_now)
+    });
     let writers: Vec<CheckpointWriter> = (0..cfg.n_ranks)
         .map(|r| CheckpointWriter::new(&rcfg.ckpt_dir, &format!("rank{r}")))
         .collect::<Result<_, _>>()?;
-    Ok(supervise(solver, cfg, Some((rcfg, &writers)), reg))
+    let recovery = Recovery { rcfg, writers: &writers, seed_energy };
+    Ok(supervise(solver, cfg, Some(recovery), reg))
+}
+
+/// What a recoverable run adds to every attempt's ranks.
+#[derive(Clone, Copy)]
+struct Recovery<'r> {
+    rcfg: &'r RecoveryConfig,
+    /// One checkpoint writer per rank.
+    writers: &'r [CheckpointWriter],
+    /// The seed's whole-mesh energy, the reference of every rank's
+    /// [`HealthHook`]. The wave carries energy from one rank's part of the
+    /// mesh into another's, so a rank's own early peak bounds nothing, but
+    /// no share of a source-free run's energy outgrows the whole.
+    seed_energy: f64,
 }
 
 /// The attempt loop behind both entry points. Without `recovery` it is one
@@ -438,7 +460,7 @@ pub fn run_distributed_recoverable(
 fn supervise(
     solver: &ElasticSolver<'_>,
     cfg: &DistConfig<'_>,
-    recovery: Option<(&RecoveryConfig, &[CheckpointWriter])>,
+    recovery: Option<Recovery<'_>>,
     reg: &Registry,
 ) -> RecoveredRun {
     // Refused here, on the caller's thread: inside a rank the panic would
@@ -452,7 +474,7 @@ fn supervise(
     // timestamps land on a common timeline, so the merged trace shows true
     // cross-rank skew.
     let epoch = Instant::now();
-    let max_attempts = recovery.map_or(1, |(rcfg, _)| rcfg.max_attempts);
+    let max_attempts = recovery.map_or(1, |r| r.rcfg.max_attempts);
     let mut outcomes: Vec<Vec<RankOutcome>> = Vec::new();
     let mut attempt = 0;
     let (runs, restored_step, finished) = loop {
@@ -461,8 +483,7 @@ fn supervise(
         // serially here (the supervisor survives rank deaths by
         // construction) and each rank clones its own.
         let ndof = 3 * solver.mesh.n_nodes();
-        let restored =
-            recovery.and_then(|(rcfg, _)| restore_line(&rcfg.ckpt_dir, n_ranks, ndof, reg));
+        let restored = recovery.and_then(|r| restore_line(&r.rcfg.ckpt_dir, n_ranks, ndof, reg));
         let restored_step = restored.as_ref().map_or(0, |(step, _)| *step);
 
         let runs = run_spmd(n_ranks, |comm: &Communicator| {
@@ -531,7 +552,7 @@ fn run_rank(
     comm: &Communicator,
     mut state: SolverState,
     epoch: Instant,
-    recovery: Option<(&RecoveryConfig, &[CheckpointWriter])>,
+    recovery: Option<Recovery<'_>>,
     attempt: usize,
 ) -> RankRun {
     // Flight-recorder capacity of the post-mortem path: enough for the tail
@@ -540,7 +561,7 @@ fn run_rank(
     let rank = comm.rank();
     let scope = &setup.scopes[rank];
     let n_steps = cfg.n_steps as u64;
-    let rcfg = recovery.map(|(rcfg, _)| rcfg);
+    let rcfg = recovery.map(|r| r.rcfg);
     let telemetry = cfg.trace_capacity.is_some();
     let mut ws = match cfg.trace_capacity.or(rcfg.map(|_| DUMP_TRACE_EVENTS)) {
         Some(cap) => {
@@ -567,9 +588,10 @@ fn run_rank(
         let mark = ws.reg.span_id("imbalance");
         (TelemetryHook::shaped(solver, shape), ImbalanceHook { comm, mark, prev_elements_ns: 0 })
     });
-    let mut health = rcfg.map(|r| HealthHook::new(solver, &setup.per_rank[rank], r.every_steps));
-    let mut sink = recovery.map(|(rcfg, writers)| {
-        PeriodicSink::new(&writers[rank], &CheckpointPolicy::every_steps(rcfg.every_steps))
+    let mut health = recovery
+        .map(|r| HealthHook::new(solver, &setup.per_rank[rank], r.rcfg.every_steps, r.seed_energy));
+    let mut sink = recovery.map(|r| {
+        PeriodicSink::new(&r.writers[rank], &CheckpointPolicy::every_steps(r.rcfg.every_steps))
     });
     let mut ckpt = sink.as_mut().map(|s| CheckpointHook::new(s));
 
@@ -802,12 +824,17 @@ mod tests {
     }
 
     fn pulse(mesh: &HexMesh) -> (Vec<f64>, Vec<f64>) {
+        pulse_at(mesh, [4.0; 3], 1.0)
+    }
+
+    /// A Gaussian `u_y` pulse of width `sigma` centred at `centre`, at rest.
+    fn pulse_at(mesh: &HexMesh, centre: [f64; 3], sigma: f64) -> (Vec<f64>, Vec<f64>) {
         let n = mesh.n_nodes();
         let mut u = vec![0.0; 3 * n];
         let v = vec![0.0; 3 * n];
         for (i, c) in mesh.coords.iter().enumerate() {
-            let r2 = (c[0] - 4.0).powi(2) + (c[1] - 4.0).powi(2) + (c[2] - 4.0).powi(2);
-            u[3 * i + 1] = (-r2 / 2.0).exp();
+            let r2 = (0..3).map(|k| (c[k] - centre[k]).powi(2)).sum::<f64>();
+            u[3 * i + 1] = (-r2 / (2.0 * sigma * sigma)).exp();
         }
         let mut uu = u;
         mesh.interpolate_hanging(&mut uu, 3);
@@ -1366,55 +1393,52 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Parse one JSON value at the head of `s` and return the rest, or
-    /// `None` on a syntax error: enough of a reader to show a post-mortem
-    /// line is a well-formed record.
-    fn json_value(s: &str) -> Option<&str> {
-        let s = s.trim_start();
-        let close = match s.chars().next()? {
-            '{' => '}',
-            '[' => ']',
-            '"' => {
-                let mut escaped = false;
-                for (i, c) in s.char_indices().skip(1) {
-                    match c {
-                        _ if escaped => escaped = false,
-                        '\\' => escaped = true,
-                        '"' => return Some(&s[i + 1..]),
-                        _ => {}
-                    }
-                }
-                return None;
-            }
-            _ => {
-                let end = s.find(|c: char| !(c.is_ascii_alphanumeric() || "+-.".contains(c)));
-                let (token, rest) = s.split_at(end.unwrap_or(s.len()));
-                let number = token.parse::<f64>().is_ok();
-                return (number || ["true", "false", "null"].contains(&token)).then_some(rest);
-            }
+    /// Energy flows between the ranks' parts of the mesh: a rank whose part
+    /// starts almost at rest gains orders of magnitude when the wave
+    /// arrives. A pulse in one corner, run until it has crossed the mesh,
+    /// trips a growth check against the far rank's own running peak, yet the
+    /// recoverable run — which measures growth against the seed's
+    /// whole-mesh energy — finishes in one attempt, bit-identical to the
+    /// unwatched run.
+    #[test]
+    fn a_wave_crossing_into_a_quiet_rank_does_not_trip_the_watchdog() {
+        let (mesh, cfg) = recovery_setup();
+        let solver = ElasticSolver::new(&mesh, &cfg);
+        let (u0, v0) = pulse_at(&mesh, [1.2; 3], 0.48);
+        // P waves travel 2 per unit time: 200 steps of 0.05 cross the
+        // 8-wide mesh more than twice.
+        let (ranks, steps, every) = (2usize, 200usize, 4u64);
+        let setup = DistSetup::build(&solver, ranks);
+        let far = &setup.per_rank[ranks - 1];
+        let mut state = solver.initial_state(0, Some((&u0, &v0)));
+        let mut peak_only = HealthHook::new(&solver, far, every, 0.0);
+        let outcome = SolverHarness::new(&solver).run(
+            &RunConfig::to_step(steps as u64),
+            &mut state,
+            &mut solver.workspace(),
+            &mut crate::harness::NoExchange,
+            &mut [&mut peak_only],
+        );
+        let RunOutcome::Stopped { reason: StopReason::Health(report), .. } = outcome else {
+            panic!("the far rank's share must outgrow its own early peak, got {outcome:?}");
         };
-        let mut rest = s[1..].trim_start();
-        if let Some(r) = rest.strip_prefix(close) {
-            return Some(r);
-        }
-        loop {
-            if close == '}' {
-                let key = rest.trim_start();
-                rest = json_value(key.starts_with('"').then_some(key)?)?;
-                rest = rest.trim_start().strip_prefix(':')?;
-            }
-            rest = json_value(rest)?.trim_start();
-            match rest.strip_prefix(',') {
-                Some(r) => rest = r,
-                None => return rest.strip_prefix(close),
-            }
-        }
+        assert!(report.reason.contains("energy growth"), "{}", report.reason);
+
+        let dcfg = DistConfig::new(ranks, steps).with_initial(&u0, &v0);
+        let reference = run_distributed(&solver, &dcfg);
+        let dir = tmpdir("quiet-rank");
+        let rcfg = RecoveryConfig::new(dir.clone(), every, 3);
+        let run =
+            run_distributed_recoverable(&solver, &dcfg, &rcfg, &Registry::disabled()).unwrap();
+        assert!(run.finished && run.attempts == 1, "{:?}", run.outcomes);
+        assert_matches_unfaulted(&mesh, &run, &reference);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Every fault that stops ranks leaves one parseable post-mortem per
-    /// rank that did not finish attempt 0 — a header naming the rank, the
-    /// step and the reason, then the flight-recorder tail — and none for
-    /// the clean retry. The dumps sit beside the checkpoints, yet neither
+    /// Every fault that stops ranks leaves one post-mortem per rank that did
+    /// not finish attempt 0 — a header naming the rank, the step and the
+    /// reason, then the flight-recorder tail — and none for the clean
+    /// retry. The faulted rank's reason names its fault. The dumps sit beside the checkpoints, yet neither
     /// the reader's step list nor the restore line changes when they go.
     #[test]
     fn every_stopped_rank_leaves_one_post_mortem_beside_an_unchanged_restore_line() {
@@ -1427,7 +1451,7 @@ mod tests {
         let ndof = 3 * mesh.n_nodes();
         let cases = [
             ("kill", Kill { rank: 2, step: 7 }, "killed by fault plan"),
-            ("drop", DropExchange { rank: 0, step: 6 }, ""),
+            ("drop", DropExchange { rank: 0, step: 6 }, "protocol mismatch"),
             ("corrupt", CorruptState { rank: 1, step: 8, index: 10 }, "health watchdog"),
         ];
         for (name, fault, faulted_reason) in cases {
@@ -1456,8 +1480,8 @@ mod tests {
                 let dump = std::fs::read_to_string(dir.join(&file)).unwrap();
                 let lines: Vec<&str> = dump.lines().collect();
                 assert!(lines.len() > 1, "{name} {file}: no flight-recorder tail");
-                for line in &lines {
-                    assert_eq!(json_value(line), Some(""), "{name} {file}: {line}");
+                for line in &lines[1..] {
+                    assert!(line.starts_with("{\"type\":\"trace\""), "{name} {file}: {line}");
                 }
                 let header = format!(
                     "{{\"type\":\"post_mortem\",\"rank\":{rank},\"attempt\":0,\"step\":{step},\"reason\":{}",
@@ -1498,7 +1522,7 @@ mod tests {
         };
         let rcfg = |every, attempts| RecoveryConfig::new(dir.clone(), every, attempts);
         let cases: Vec<(&str, Box<dyn Fn() + '_>)> = vec![
-            ("HealthHook cadence", Box::new(|| drop(HealthHook::new(&solver, &[0], 0)))),
+            ("HealthHook cadence", Box::new(|| drop(HealthHook::new(&solver, &[0], 0, 0.0)))),
             (
                 "DistConfig::n_ranks",
                 Box::new(|| drop(run_distributed(&solver, &DistConfig::new(0, 4)))),

@@ -9,9 +9,10 @@
 //! samples the discrete energy `E_k = 1/2 v^T M v + 1/2 u^T K u` of its
 //! elements and the nodes they touch (the invariant a source-free,
 //! boundary-less leapfrog run conserves to rounding). A NaN or Inf, or an
-//! energy that outgrows the running peak, stops the run with a
-//! [`StopReason::Health`] carrying a [`HealthReport`]: step, energies, the
-//! offending dof ranges and the newest state that passed the check.
+//! energy that outgrows both the reference energy the hook is given and its
+//! own running peak, stops the run with a [`StopReason::Health`] carrying a
+//! [`HealthReport`]: step, energies, the offending dof ranges and the newest
+//! state that passed the check.
 //!
 //! The energy covers only the elements the hook is given: a serial run
 //! passes every element in mesh order (the energy is then
@@ -19,7 +20,12 @@
 //! own — the only values of its state that are the solution — so each
 //! rank's energy costs its share of the mesh, not the whole of it (the
 //! non-finite scan, one comparison per value, still reads the whole state
-//! the rank would persist).
+//! the rank would persist). A rank's share is not conserved: the wave
+//! carries energy from one rank's part of the mesh into another's, and a
+//! part that starts almost at rest gains orders of magnitude when it
+//! arrives. So a distributed rank measures growth against the seed's
+//! whole-mesh energy, which no share of a source-free run's energy
+//! outgrows; only a run that outgrows the whole trips the check.
 //!
 //! **Hook order matters**: the hook goes *before* any `CheckpointHook` and
 //! checks on the checkpoint cadence. `after_step` processing stops at the
@@ -34,7 +40,7 @@ use crate::elastic::ElasticSolver;
 use crate::harness::{HookCtx, StepHook, StopReason};
 
 /// The watchdog aborts when the sampled energy exceeds this many times the
-/// running peak (leapfrog conserves discrete energy to rounding in a
+/// reference energy and the running peak (leapfrog conserves discrete energy to rounding in a
 /// source-free interior; damping and ABCs only remove energy, so sustained
 /// growth is unphysical). Values below a tiny absolute floor are ignored so
 /// a quiescent field cannot trip the ratio.
@@ -50,7 +56,8 @@ pub struct HealthReport {
     pub reason: String,
     /// Energy at detection (NaN when the field itself is non-finite).
     pub energy: f64,
-    /// Running peak energy over all previous samples.
+    /// The growth bound's base: the larger of the hook's reference energy
+    /// and every previous sample.
     pub peak_energy: f64,
     /// Offending planar dof ranges `[start, end)` (capped; indices into
     /// `u_prev ++ u_now`, `u_now` entries starting at `u_prev.len()`).
@@ -74,11 +81,15 @@ pub struct HealthHook<'s, 'm> {
 impl<'s, 'm> HealthHook<'s, 'm> {
     /// Check the energy of `elements` and the nodes they touch whenever the
     /// post-step index is a multiple of `cadence` (> 0): a corruption is
-    /// caught within one cadence window of appearing.
+    /// caught within one cadence window of appearing. Growth is measured
+    /// against `reference_energy` until a sample exceeds it, then against
+    /// the running peak: a distributed rank passes the seed's whole-mesh
+    /// energy, 0 measures against the running peak alone.
     pub fn new(
         solver: &'s ElasticSolver<'m>,
         elements: &'s [u32],
         cadence: u64,
+        reference_energy: f64,
     ) -> HealthHook<'s, 'm> {
         assert!(cadence > 0, "HealthHook cadence must be > 0");
         let mut touched = vec![false; solver.mesh.n_nodes()];
@@ -88,7 +99,7 @@ impl<'s, 'm> HealthHook<'s, 'm> {
             }
         }
         let nodes = (0..touched.len() as u32).filter(|&nd| touched[nd as usize]).collect();
-        HealthHook { solver, elements, nodes, cadence, peak_energy: 0.0 }
+        HealthHook { solver, elements, nodes, cadence, peak_energy: reference_energy }
     }
 
     /// Up to `cap` maximal contiguous ranges of non-finite entries across
@@ -149,7 +160,7 @@ impl StepHook for HealthHook<'_, '_> {
             {
                 let peak = self.peak_energy;
                 let growth = format!(
-                    "energy growth: E = {energy:.6e} exceeds {MAX_ENERGY_GROWTH}x running peak {peak:.6e}"
+                    "energy growth: E = {energy:.6e} exceeds {MAX_ENERGY_GROWTH}x reference or running peak {peak:.6e}"
                 );
                 (energy, growth)
             } else {
@@ -220,7 +231,7 @@ mod tests {
         let mut state = solver.initial_state(0, Some((&u0, &v0)));
         let mut ws = solver.workspace();
         let elements = all_elements(&mesh);
-        let mut hook = HealthHook::new(&solver, &elements, 1);
+        let mut hook = HealthHook::new(&solver, &elements, 1, 0.0);
         let outcome = SolverHarness::new(&solver).run(
             &RunConfig::to_step(10),
             &mut state,
@@ -265,7 +276,7 @@ mod tests {
         }
         let mut corrupt = Corruptor;
         let elements = all_elements(&mesh);
-        let mut hook = HealthHook::new(&solver, &elements, 4);
+        let mut hook = HealthHook::new(&solver, &elements, 4, 0.0);
         let outcome = SolverHarness::new(&solver).run(
             &RunConfig::to_step(20),
             &mut state,
@@ -306,7 +317,9 @@ mod tests {
         }
         let mut amp = Amplifier;
         let elements = all_elements(&mesh);
-        let mut hook = HealthHook::new(&solver, &elements, 1);
+        // A blow-up outgrows the seed's energy too.
+        let seed_energy = solver.energy_planar(&state.u_prev, &state.u_now);
+        let mut hook = HealthHook::new(&solver, &elements, 1, seed_energy);
         let outcome = SolverHarness::new(&solver).run(
             &RunConfig::to_step(20),
             &mut state,

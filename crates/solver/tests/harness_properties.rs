@@ -195,7 +195,7 @@ fn corrupt_state_under_lts(fault_step: u64) {
         let mut fault = FaultHook::new(faults.rank_view(0));
         // Health precedes the checkpoint hook on its cadence, so the corrupt
         // state at step 12 is never offered to the sink.
-        let mut health = HealthHook::new(&solver, &elements, 4);
+        let mut health = HealthHook::new(&solver, &elements, 4, 0.0);
         let mut ckpt = CheckpointHook::new(&mut sink);
         harness.run_grouped(
             &plan,

@@ -136,8 +136,8 @@ pub struct TraceBuffer {
 
 impl TraceBuffer {
     /// NDJSON rendering (one `{"type":"trace",...}` line per event) of the
-    /// last `last_n` events — the post-mortem dump format used by the
-    /// solver's health watchdog.
+    /// last `last_n` events — the tail of a recoverable distributed run's
+    /// post-mortems.
     pub fn ndjson_tail(&self, last_n: usize) -> String {
         let skip = self.events.len().saturating_sub(last_n);
         let mut out = String::new();
