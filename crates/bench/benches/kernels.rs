@@ -14,7 +14,7 @@ use quake_fem::hex8::{elastic_hex_matrices, elastic_matvec};
 use quake_mesh::hexmesh::ElemMaterial;
 use quake_mesh::{mesh_from_model, partition_morton, partition_rcb, HexMesh, MeshingParams};
 use quake_model::{layer_over_halfspace, LaBasinModel, Material};
-use quake_octree::{balance_local, sample_point, BalanceMode, LinearOctree, MAX_LEVEL};
+use quake_octree::{sample_point, BalanceMode, LinearOctree, MAX_LEVEL};
 use quake_solver::tet::TetSolver;
 use quake_solver::{ElasticConfig, ElasticSolver};
 use std::hint::black_box;
@@ -101,15 +101,10 @@ fn bench_octree_balance() {
         t.balance(BalanceMode::Full);
         t.len()
     });
-    bench_function("octree_balance_local_8blocks", || {
-        let mut t = build();
-        balance_local(&mut t, BalanceMode::Full, 1);
-        t.len()
-    });
 }
 
 fn bench_mesh_build() {
-    // The balance rows above run on a ~300-leaf tree; these are the
+    // The balance row above runs on a ~300-leaf tree; these are the
     // benchmark's `layered_forward` and `basin_forward` meshes, where
     // meshing is what solver set-up costs.
     let extent = 20_000.0;

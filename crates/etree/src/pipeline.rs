@@ -32,7 +32,11 @@ use std::time::Instant;
 pub struct PipelineStats {
     pub constructed_octants: u64,
     pub after_balance_octants: u64,
+    /// Sibling families whose sample points cross a block boundary: the
+    /// boundary pass's queue.
     pub boundary_queue_len: u64,
+    /// Sample points probed by both balance passes.
+    pub balance_probes: u64,
     pub elements: u64,
     pub nodes: u64,
     pub hanging_nodes: u64,
@@ -174,44 +178,47 @@ impl EtreePipeline {
             if members.is_empty() {
                 continue;
             }
-            let before: Vec<u64> = members.keys().copied().collect();
-            let queue: VecDeque<Octant> = members.values().copied().collect();
+            let before: Vec<Octant> = members.values().copied().collect();
             let mut map = members;
-            ripple(&mut map, queue, BalanceMode::Full, Some(*block));
+            stats.balance_probes +=
+                ripple(&mut map, before.iter().copied(), BalanceMode::Full, Some(*block));
             // Apply the diff to the store.
-            for k in &before {
-                if !map.contains_key(k) {
-                    store.remove(&Octant::from_key(*k))?;
+            for o in &before {
+                if !map.contains_key(&o.key()) {
+                    store.remove(o)?;
                 }
             }
             for (k, o) in &map {
-                if before.binary_search(k).is_err() {
+                if before.binary_search_by_key(k, Octant::key).is_err() {
                     store.insert(*o, material(o))?;
                 }
             }
         }
 
-        // Boundary pass: only leaves whose constraint samples cross a block
+        // Boundary pass: only families whose sample points cross a block
         // boundary can still violate; ripple them against the whole store.
         let dirs = BalanceMode::Full.directions();
-        let block_size = 1u32 << (MAX_LEVEL - BLOCK_LEVEL);
-        let mut queue: VecDeque<Octant> = VecDeque::new();
-        let mut all: Vec<Octant> = Vec::new();
-        store.scan_all(&mut |o, _| all.push(o))?;
-        let floor = all.iter().map(|o| o.level).min().unwrap_or(0);
-        for o in all {
-            let crosses = dirs.iter().any(|&d| {
-                sample_point(&o, d).is_some_and(|p| {
-                    (p.0 / block_size, p.1 / block_size, p.2 / block_size)
-                        != (o.x / block_size, o.y / block_size, o.z / block_size)
+        let block_of = |x: u32, y: u32, z: u32| {
+            let s = 1u32 << (MAX_LEVEL - BLOCK_LEVEL);
+            (x / s, y / s, z / s)
+        };
+        let mut families: Vec<Octant> = Vec::new();
+        let mut floor = MAX_LEVEL;
+        store.scan_all(&mut |o, _| {
+            floor = floor.min(o.level);
+            families.extend(o.parent());
+        })?;
+        families.sort_unstable_by_key(Octant::key);
+        families.dedup();
+        families.retain(|f| {
+            f.level > floor
+                && dirs.iter().any(|&d| {
+                    sample_point(f, d)
+                        .is_some_and(|p| block_of(p.0, p.1, p.2) != block_of(f.x, f.y, f.z))
                 })
-            });
-            if crosses {
-                queue.push_back(o);
-            }
-        }
-        stats.boundary_queue_len = queue.len() as u64;
-        ripple_store(store, queue, floor, &mut material)?;
+        });
+        stats.boundary_queue_len = families.len() as u64;
+        stats.balance_probes += ripple_store(store, families.into(), floor, &mut material)?;
         stats.after_balance_octants = store.len();
         stats.balance_secs = t0.elapsed().as_secs_f64();
         Ok(())
@@ -296,39 +303,41 @@ fn write_element(
     w.write_all(&rec)
 }
 
-/// Ripple 2-to-1 enforcement running directly against a store. `floor` is
-/// the coarsest level in the store: splitting only raises levels, so a leaf
-/// within one level of it can never be the fine side of a violation (the
-/// rule of [`ripple`]).
+/// Ripple 2-to-1 enforcement running directly against a store, one probe
+/// per sample point of each queued sibling family (the family rule of
+/// [`ripple`]). `floor` is the coarsest level in the store: splitting only
+/// raises levels, so a family at that level or coarser never has a coarser
+/// toucher and is not queued. Returns the number of sample points probed.
 fn ripple_store<S: OctantStore>(
     store: &mut S,
     mut queue: VecDeque<Octant>,
     floor: u8,
     material: &mut impl FnMut(&Octant) -> MaterialRec,
-) -> io::Result<()> {
+) -> io::Result<u64> {
     let dirs = BalanceMode::Full.directions();
-    while let Some(o) = queue.pop_front() {
-        if o.level <= floor + 1 || store.get(&o)?.is_none() {
-            continue;
-        }
+    let mut probes = 0;
+    while let Some(f) = queue.pop_front() {
         for &d in &dirs {
-            let Some(p) = sample_point(&o, d) else { continue };
+            let Some(p) = sample_point(&f, d) else { continue };
+            probes += 1;
             loop {
                 let (n, _) = store.find_containing(p)?.ok_or_else(|| {
                     io::Error::new(io::ErrorKind::InvalidData, "octant store has a hole")
                 })?;
-                if n.level + 1 >= o.level {
+                if n.level >= f.level {
                     break;
                 }
                 store.remove(&n)?;
                 for c in n.children() {
                     store.insert(c, material(&c))?;
-                    queue.push_back(c);
+                }
+                if n.level > floor {
+                    queue.push_back(n);
                 }
             }
         }
     }
-    Ok(())
+    Ok(probes)
 }
 
 /// Largest key of any descendant of `o`.
@@ -341,6 +350,7 @@ fn max_descendant_key(o: &Octant) -> u64 {
 mod tests {
     use super::*;
     use crate::store::{DiskStore, MemStore};
+    use quake_octree::balance::violation_count;
     use quake_octree::morton::GRID;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -547,6 +557,41 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    #[test]
+    fn balance_on_store_matches_in_core_balance_on_random_trees() {
+        // The LCG trees, one that keeps level-1 leaves beside level-3 ones
+        // across the centre planes (the edge of the level-floor rule), and a
+        // centre refinement to level 6 whose violations cross all 8 blocks.
+        let below_centre = (1u32 << (MAX_LEVEL - 1)) - 1;
+        let half = below_centre + 1;
+        let floor_edge = move |o: &Octant| {
+            o.level < 3 && o.contains_point(below_centre, below_centre, below_centre)
+        };
+        let centre = move |o: &Octant| o.level < 6 && o.contains_point(half, half, half);
+        let rules = random_rules();
+        let extra: [&dyn Fn(&Octant) -> bool; 2] = [&floor_edge, &centre];
+        let mut unbalanced = 0;
+        for (case, refine) in
+            rules.iter().map(|r| r as &dyn Fn(&Octant) -> bool).chain(extra).enumerate()
+        {
+            let p = EtreePipeline;
+            let mut store = MemStore::new();
+            let mut stats = PipelineStats::default();
+            p.construct(&mut store, refine, mat, &mut stats).unwrap();
+            p.balance(&mut store, mat, &mut stats).unwrap();
+            let mut got: Vec<Octant> = Vec::new();
+            store.scan_all(&mut |o, _| got.push(o)).unwrap();
+
+            let mut reference = LinearOctree::build(refine);
+            unbalanced += (violation_count(&reference, BalanceMode::Full) > 0) as usize;
+            reference.balance(BalanceMode::Full);
+            assert_eq!(got, reference.leaves(), "tree {case}");
+            let got = LinearOctree::from_leaves(got);
+            assert_eq!(violation_count(&got, BalanceMode::Full), 0, "tree {case}");
+        }
+        assert!(unbalanced >= 10, "the trees must violate 2-to-1 before balance, got {unbalanced}");
     }
 
     #[test]

@@ -1,9 +1,12 @@
-//! The mesher against things outside itself: an identity pin computed at the
-//! commit before point location was keyed (PR 17), and the brute-force
-//! definition of a hanging node.
+//! The mesher against things outside itself: identity pins computed at the
+//! commit before point location was keyed (f463f2e) and before balance
+//! probed per sibling family (fb0bc7f), and the brute-force definition of a
+//! hanging node.
 
+use quake_etree::{DiskStore, EtreePipeline, MaterialRec, OctantStore, PipelineStats};
 use quake_mesh::{mesh_from_model, ElemMaterial, HexMesh, MeshingParams};
 use quake_model::{layer_over_halfspace, LaBasinModel, Material, MaterialModel};
+use quake_octree::adapt::AdaptParams;
 use quake_octree::{BalanceMode, LinearOctree, Octant, MAX_LEVEL};
 
 fn unit_material(_x: f64, _y: f64, _z: f64, _h: f64) -> ElemMaterial {
@@ -100,6 +103,110 @@ fn meshes_are_the_parents_meshes() {
         assert_eq!((mesh.n_elements(), mesh.n_hanging()), (elements, hanging), "{name}");
         assert_eq!(fingerprint(&mesh), want, "{name}: {:#018x}", fingerprint(&mesh));
     }
+}
+
+/// The `etree_mesh` benchmark workload's refinement rule: the LA basin
+/// scaled to 250 m/s over 40 km, fmax 0.06 Hz, levels 3 to 6.
+fn etree_mesh_rule() -> impl Fn(&Octant) -> bool {
+    let extent = 40_000.0;
+    let model = LaBasinModel::scaled(250.0, extent);
+    let params = AdaptParams {
+        domain_size: extent,
+        fmax: 0.06,
+        points_per_wavelength: 10.0,
+        max_level: 6,
+        min_level: 3,
+    };
+    move |o: &Octant| {
+        if o.level < params.min_level {
+            return true;
+        }
+        if o.level >= params.max_level {
+            return false;
+        }
+        let (c, s) = (o.corner_unit(), o.size_unit() * extent);
+        let lo = c.map(|v| v * extent);
+        s > params.target_h(model.min_vs_in_box(lo, lo.map(|v| v + s)))
+    }
+}
+
+/// The `fig2_1_etree` tree at its default scale: the LA basin scaled to
+/// 200 m/s over 40 km, fmax 0.2 Hz, levels 3 to 7, boxes taken about the
+/// octant centre as that binary takes them.
+fn fig2_1_rule() -> impl Fn(&Octant) -> bool {
+    let extent = 40_000.0;
+    let model = LaBasinModel::scaled(200.0, extent);
+    move |o: &Octant| {
+        if o.level < 3 {
+            return true;
+        }
+        if o.level >= 7 {
+            return false;
+        }
+        let (c, s) = (o.center_unit(), o.size_unit());
+        let lo = c.map(|v| (v - s / 2.0) * extent);
+        let hi = c.map(|v| (v + s / 2.0) * extent);
+        s * extent > model.min_vs_in_box(lo, hi) / (10.0 * 0.2)
+    }
+}
+
+/// FNV-1a over the leaf keys, in order.
+fn leaf_fingerprint(leaves: &[Octant]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for o in leaves {
+        for b in o.key().to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Constants printed by `leaf_fingerprint` at commit fb0bc7f, the parent of
+/// the change that made balance probe once per sibling family: the balanced
+/// trees the `etree_mesh` benchmark (its in-core reference) and Fig 2.1
+/// mesh.
+#[test]
+fn balanced_trees_are_the_parents_trees() {
+    let balanced = |rule: &dyn Fn(&Octant) -> bool| {
+        let mut tree = LinearOctree::build(rule);
+        tree.balance(BalanceMode::Full);
+        tree
+    };
+    let (etree_mesh, fig2_1) = (balanced(&etree_mesh_rule()), balanced(&fig2_1_rule()));
+    for (name, tree, leaves, want) in [
+        ("etree_mesh", &etree_mesh, 6_707, 0x9c85_9cb3_da24_f08c_u64),
+        ("fig2_1", &fig2_1, 56_603, 0xf147_9fab_ffe1_4bdb),
+    ] {
+        let got = leaf_fingerprint(tree.leaves());
+        assert_eq!(tree.len(), leaves, "{name}");
+        assert_eq!(got, want, "{name}: {got:#018x}");
+    }
+}
+
+/// The out-of-core pipeline balances the `etree_mesh` tree, whose
+/// refinement follows the basin rather than a centre point, to the in-core
+/// balance, on a disk store whose 64-page cache is smaller than the tree.
+#[test]
+fn disk_pipeline_balances_the_etree_mesh_tree_as_in_core() {
+    let rule = etree_mesh_rule();
+    let mut reference = LinearOctree::build(&rule);
+    reference.balance(BalanceMode::Full);
+
+    let dir = std::env::temp_dir()
+        .join("quake-mesh-tests")
+        .join(format!("etree-balance-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut store = DiskStore::create(&dir.join("octants.btree"), 64).unwrap();
+    let material = |_: &Octant| MaterialRec { vp: 2000.0, vs: 1000.0, rho: 2200.0 };
+    let (p, mut stats) = (EtreePipeline, PipelineStats::default());
+    p.construct(&mut store, &rule, material, &mut stats).unwrap();
+    p.balance(&mut store, material, &mut stats).unwrap();
+    let mut got = Vec::new();
+    store.scan_all(&mut |o, _| got.push(o)).unwrap();
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(stats.after_balance_octants > stats.constructed_octants, "balance must split");
+    assert_eq!(got, reference.leaves());
 }
 
 /// LCG-seeded adaptive trees: refinement to a random depth around one to

@@ -1,58 +1,11 @@
-//! Local balancing — the etree paper's block-wise 2-to-1 enforcement.
-//!
-//! Balancing a huge octree with a single global ripple pass touches octants
-//! all over the key space. The paper's *local balancing* instead
-//!
-//! 1. partitions the domain into equal-size blocks,
-//! 2. enforces the constraint *internally* within each block (touching only
-//!    that block's key range — this is where the 8-28x speedup on disk came
-//!    from), and then
-//! 3. runs a *boundary* pass to resolve interactions across block faces.
-//!
-//! Because the minimal balanced refinement of a leaf set is unique, the
-//! result is identical to global balancing; we assert exactly that in tests
-//! and measure the difference in the etree benchmarks.
+//! The per-leaf 2-to-1 violation count: the test oracle that
+//! [`LinearOctree::is_balanced`] and [`LinearOctree::balance`], which check
+//! the rule once per sibling family, are measured against.
 
-use crate::octant::Octant;
-use crate::tree::{ripple, sample_point, BalanceMode, LinearOctree};
-use std::collections::{BTreeMap, VecDeque};
+use crate::tree::{sample_point, BalanceMode, LinearOctree};
 
-/// Balance `tree` using block-wise local balancing with `8^block_level`
-/// blocks. Equivalent to `tree.balance(mode)`.
-pub fn balance_local(tree: &mut LinearOctree, mode: BalanceMode, block_level: u8) {
-    let mut map: BTreeMap<u64, Octant> = tree.leaves().iter().map(|o| (o.key(), *o)).collect();
-
-    // Step 1+2: internal balancing, one block at a time. Leaves coarser than
-    // the block level span several blocks; they cannot violate the constraint
-    // (a violator needs level >= 2) unless block_level is large, so they are
-    // simply skipped here and handled by the boundary pass.
-    let blocks = LinearOctree::uniform(block_level);
-    for block in blocks.leaves() {
-        let range = block.key()..=max_descendant_key(block);
-        let members: VecDeque<Octant> =
-            map.range(range).map(|(_, o)| *o).filter(|o| block.contains(o)).collect();
-        ripple(&mut map, members, mode, Some(*block));
-    }
-
-    // Step 3: boundary balancing. Only leaves whose constraint sample points
-    // cross a block boundary can still be in violation; a full ripple over
-    // the (already mostly balanced) set resolves them with little work.
-    let queue: VecDeque<Octant> = map.values().copied().collect();
-    ripple(&mut map, queue, mode, None);
-
-    *tree = LinearOctree::from_leaves(map.into_values().collect());
-}
-
-/// Largest key of any descendant of `o` (for key-range scans of a subtree).
-fn max_descendant_key(o: &Octant) -> u64 {
-    // The deepest, last descendant is the far corner cell at MAX_LEVEL.
-    let s = o.size();
-    let last = Octant::new(o.x + s - 1, o.y + s - 1, o.z + s - 1, crate::morton::MAX_LEVEL);
-    last.key()
-}
-
-/// Count, for reporting, how many leaves violate the constraint (used by the
-/// etree pipeline to show internal vs boundary work).
+/// Count how many leaves violate the constraint, asking each leaf's own
+/// sample points.
 pub fn violation_count(tree: &LinearOctree, mode: BalanceMode) -> usize {
     let dirs = mode.directions();
     tree.leaves()
@@ -66,59 +19,4 @@ pub fn violation_count(tree: &LinearOctree, mode: BalanceMode) -> usize {
                 })
         })
         .count()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::morton::MAX_LEVEL;
-
-    fn corner_seeded(depth: u8) -> LinearOctree {
-        LinearOctree::build(|o| o.level < depth && o.x == 0 && o.y == 0 && o.z == 0)
-    }
-
-    #[test]
-    fn local_matches_global() {
-        for block_level in 1..=2u8 {
-            let mut a = corner_seeded(6);
-            let mut b = a.clone();
-            a.balance(BalanceMode::Full);
-            balance_local(&mut b, BalanceMode::Full, block_level);
-            assert_eq!(a.leaves(), b.leaves(), "block_level={block_level}");
-        }
-    }
-
-    #[test]
-    fn local_balances_cross_block_violation() {
-        // Deep refinement right at the center corner: the violation spans
-        // all eight level-1 blocks.
-        let half = 1u32 << (MAX_LEVEL - 1);
-        let mut t = LinearOctree::build(|o| o.level < 6 && o.contains_point(half, half, half));
-        assert!(violation_count(&t, BalanceMode::Full) > 0);
-        balance_local(&mut t, BalanceMode::Full, 1);
-        assert!(t.is_balanced(BalanceMode::Full));
-        assert_eq!(violation_count(&t, BalanceMode::Full), 0);
-    }
-
-    #[test]
-    fn prop_local_equals_global() {
-        // Deterministic LCG-driven cases (randomized-property test without
-        // an external crate — the build is offline).
-        let mut state = 0xC001u64;
-        for _ in 0..10 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let r = state >> 11;
-            let (sx, sy, sz) = ((r as u32) % 8, ((r >> 8) as u32) % 8, ((r >> 16) as u32) % 8);
-            let depth = (3 + (r >> 24) % 3) as u8;
-            let block = (1 + (r >> 28) % 2) as u8;
-            let s = 1u32 << (MAX_LEVEL - 3);
-            let mut a = LinearOctree::build(|o| {
-                o.level < depth && o.contains_point(sx * s, sy * s, sz * s)
-            });
-            let mut b = a.clone();
-            a.balance(BalanceMode::FaceEdge);
-            balance_local(&mut b, BalanceMode::FaceEdge, block);
-            assert_eq!(a.leaves(), b.leaves());
-        }
-    }
 }

@@ -5,10 +5,11 @@
 //! Morton code of its lower corner with its level ([`morton`], [`octant`]).
 //! [`tree::LinearOctree`] stores the sorted leaf set and provides
 //! construction by recursive refinement ("auto-navigation" in etree
-//! terminology), point location, neighbor queries and 2-to-1 balancing;
-//! [`balance`] adds the paper's *local balancing* algorithm (block partition,
-//! internal balance, boundary balance); [`adapt`] builds wavelength-adaptive
-//! trees from a shear-velocity field (`h <= vs / (p * fmax)`).
+//! terminology), point location, neighbor queries and 2-to-1 balancing
+//! ([`tree::ripple`] is also the in-memory step of the etree's block-wise
+//! *local balancing*); [`balance`] holds the per-leaf violation count the
+//! balance is tested against; [`adapt`] builds wavelength-adaptive trees
+//! from a shear-velocity field (`h <= vs / (p * fmax)`).
 
 #![forbid(unsafe_code)]
 
@@ -19,7 +20,6 @@ pub mod octant;
 pub mod tree;
 
 pub use adapt::build_wavelength_adaptive;
-pub use balance::balance_local;
 pub use morton::{morton_decode, morton_encode, MAX_LEVEL};
 pub use octant::Octant;
 pub use tree::{level_histogram_of, node_runs, ripple, sample_point, BalanceMode, LinearOctree};

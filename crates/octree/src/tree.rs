@@ -129,31 +129,23 @@ impl LinearOctree {
     pub fn balance(&mut self, mode: BalanceMode) {
         let mut map: BTreeMap<u64, Octant> =
             self.keys.iter().copied().zip(self.leaves.iter().copied()).collect();
-        let queue: VecDeque<Octant> = self.leaves.iter().copied().collect();
-        ripple(&mut map, queue, mode, None);
+        ripple(&mut map, self.leaves.iter().copied(), mode, None);
         (self.keys, self.leaves) = map.into_iter().unzip();
     }
 
     /// True if every pair of touching leaves (per `mode`) differs by at most
-    /// one level.
+    /// one level: no leaf coarser than a sibling family covers one of the
+    /// family's sample points (the family rule of [`ripple`]).
     pub fn is_balanced(&self, mode: BalanceMode) -> bool {
         let dirs = mode.directions();
-        // A toucher must be coarser than `o.level - 1` to violate, and no
-        // leaf is coarser than the floor.
-        let floor = self.min_level();
-        for o in self.leaves.iter().filter(|o| o.level > floor + 1) {
-            for &d in &dirs {
-                if let Some(p) = sample_point(o, d) {
-                    let n = self
-                        .find_containing(p.0, p.1, p.2)
-                        .expect("complete octree must cover sample point");
-                    if n.level + 1 < o.level {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+        families(self.leaves.iter().copied(), self.min_level()).iter().all(|f| {
+            dirs.iter().filter_map(|&d| sample_point(f, d)).all(|p| {
+                let n = self
+                    .find_containing(p.0, p.1, p.2)
+                    .expect("complete octree must cover sample point");
+                n.level >= f.level
+            })
+        })
     }
 
     /// Check that the leaves are disjoint and tile the whole domain.
@@ -225,48 +217,61 @@ pub fn sample_point(o: &Octant, d: (i32, i32, i32)) -> Option<(u32, u32, u32)> {
     Some((px as u32, py as u32, pz as u32))
 }
 
-/// Core ripple-refinement loop shared by global balancing and the local
-/// (block-wise) balancing of the etree paper. When `within` is given,
-/// constraints whose sample point falls outside that octant are skipped
-/// (used for the internal-balance step of local balancing).
+/// The sibling families the 2-to-1 rule is checked on: the parents of
+/// `leaves`, sorted by key and deduplicated. Families at `floor` (the
+/// coarsest leaf level) or coarser are left out: nothing is coarser than
+/// them, so they cannot be the fine side of a violation.
+fn families(leaves: impl IntoIterator<Item = Octant>, floor: u8) -> Vec<Octant> {
+    let mut families: Vec<Octant> =
+        leaves.into_iter().filter(|o| o.level > floor + 1).filter_map(|o| o.parent()).collect();
+    families.sort_unstable_by_key(Octant::key);
+    families.dedup();
+    families
+}
+
+/// Core ripple-refinement loop shared by global balancing and the etree's
+/// block-wise local balancing. When `within` is given, constraints whose
+/// sample point falls outside that octant are skipped (the internal-balance
+/// step of local balancing). Returns the number of sample points probed.
+///
+/// The rule is checked once per sibling family, not once per leaf: a leaf
+/// violates 2-to-1 exactly when a leaf coarser than its parent covers one of
+/// the parent's sample points, so the parents of `leaves` are probed, and a
+/// split leaf is queued once, as the parent of its new family.
 pub fn ripple(
     map: &mut BTreeMap<u64, Octant>,
-    mut queue: VecDeque<Octant>,
+    leaves: impl IntoIterator<Item = Octant>,
     mode: BalanceMode,
     within: Option<Octant>,
-) {
+) -> u64 {
     let dirs = mode.directions();
     // Splitting only raises levels, so the coarsest level at entry stays a
-    // lower bound on every leaf `o` can touch.
+    // lower bound on every leaf a family can touch.
     let floor = map.values().map(|o| o.level).min().unwrap_or(0);
-    while let Some(o) = queue.pop_front() {
-        if o.level <= floor + 1 {
-            continue; // a violation needs a toucher coarser than level - 1
-        }
-        if !map.contains_key(&o.key()) {
-            continue; // split away since enqueued
-        }
+    let mut queue = VecDeque::from(families(leaves, floor));
+    let mut probes = 0;
+    while let Some(f) = queue.pop_front() {
         for &d in &dirs {
-            let Some(p) = sample_point(&o, d) else { continue };
-            if let Some(w) = &within {
-                if !w.contains_point(p.0, p.1, p.2) {
-                    continue;
-                }
+            let Some(p) = sample_point(&f, d) else { continue };
+            if within.is_some_and(|w| !w.contains_point(p.0, p.1, p.2)) {
+                continue;
             }
-            // Split the covering leaf until it is within one level of o.
+            probes += 1;
+            // Split the covering leaf until it is at the family's level.
             loop {
                 let n = *find_in_map(map, p).expect("complete octree must cover sample point");
-                if n.level + 1 >= o.level {
+                if n.level >= f.level {
                     break;
                 }
                 map.remove(&n.key());
-                for c in n.children() {
-                    map.insert(c.key(), c);
-                    queue.push_back(c);
+                map.extend(n.children().map(|c| (c.key(), c)));
+                if n.level > floor {
+                    queue.push_back(n);
                 }
             }
         }
     }
+    probes
 }
 
 fn find_in_map(map: &BTreeMap<u64, Octant>, p: (u32, u32, u32)) -> Option<&Octant> {
@@ -331,6 +336,19 @@ mod tests {
         assert!(t.len() > before);
         // The deep leaves must be untouched (balance only refines).
         assert_eq!(t.max_level(), deep);
+    }
+
+    #[test]
+    fn ripple_probes_each_family_once() {
+        // The centre-refined level-6 tree of the test above: 43 leaves, 239
+        // once balanced. Probing every queued leaf's 26 sample points, as the
+        // loop did before it probed per family, took 4 758 probes.
+        let half = 1u32 << (MAX_LEVEL - 1);
+        let t = LinearOctree::build(|o| o.level < 6 && o.contains_point(half, half, half));
+        let mut map: BTreeMap<u64, Octant> = t.leaves().iter().map(|o| (o.key(), *o)).collect();
+        let probes = ripple(&mut map, t.leaves().iter().copied(), BalanceMode::Full, None);
+        assert_eq!((t.len(), map.len()), (43, 239));
+        assert_eq!(probes, 650);
     }
 
     #[test]
