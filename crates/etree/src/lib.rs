@@ -13,9 +13,9 @@
 //!   backend and an in-memory backend (for tests and for differential
 //!   testing of the disk engine),
 //! - [`pipeline`]: the three etree steps — **construct** (auto-navigation
-//!   refinement writing leaves to the store), **balance** (block-local 2-to-1
-//!   enforcement followed by a boundary pass, after the paper's *local
-//!   balancing*), and **transform** (two scans of the store around one sort
+//!   refinement writing leaves to the store), **balance** (2-to-1 by
+//!   `quake-octree`'s ripple loop running against the store), and
+//!   **transform** (two scans of the store around one sort
 //!   of the leaves' corner keys, emitting the element and node databases
 //!   with hanging nodes classified by corner multiplicity).
 

@@ -4,9 +4,9 @@
 //! sit on top of this pager. Pages are 4 KiB; the cache holds a configurable
 //! number of pages and tracks hit/miss/read/write statistics so the etree
 //! benchmarks can report the I/O saved by locality (the whole point of
-//! Morton-ordered keys and local balancing). Callers borrow pages where they
-//! lie in the cache ([`Pager::page`], [`Pager::page_mut`]); nothing is copied
-//! out or swapped in.
+//! Morton-ordered keys, and of a balance that probes in Morton order).
+//! Callers borrow pages where they lie in the cache ([`Pager::page`],
+//! [`Pager::page_mut`]); nothing is copied out or swapped in.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};

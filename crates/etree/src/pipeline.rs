@@ -9,10 +9,12 @@
 //! - **construct**: auto-navigation — the traversal logic lives here, the
 //!   application only supplies "should this octant subdivide?" plus the
 //!   material sampler.
-//! - **balance**: the paper's *local balancing*: enforce 2-to-1 inside each
-//!   block of a regular block partition (pure intra-block key-range work,
-//!   cache-friendly on disk), then a boundary pass for the inter-block
-//!   constraints.
+//! - **balance**: 2-to-1 by the one ripple loop of `quake-octree`
+//!   ([`ripple`]), running against the store: one scan seeds it with every
+//!   leaf's sibling family, which it probes in Morton order. The paper's
+//!   *local balancing* (blocks balanced in memory, then their boundaries)
+//!   is not reproduced: on the page-cache sizes used here the block copies
+//!   cost more than they save (DESIGN.md).
 //! - **transform**: two streaming scans of the store around one sort of all
 //!   leaves' corner keys. The runs of equal keys give the node ids (rank
 //!   among the distinct keys) and the hanging flags (corner multiplicity,
@@ -21,8 +23,7 @@
 //!   database, resolving corner ids by binary search.
 
 use crate::store::{MaterialRec, OctantStore};
-use quake_octree::{node_runs, ripple, sample_point, BalanceMode, LinearOctree, Octant, MAX_LEVEL};
-use std::collections::{BTreeMap, VecDeque};
+use quake_octree::{node_runs, ripple, BalanceMode, LeafSet, Octant, MAX_LEVEL};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -32,10 +33,7 @@ use std::time::Instant;
 pub struct PipelineStats {
     pub constructed_octants: u64,
     pub after_balance_octants: u64,
-    /// Sibling families whose sample points cross a block boundary: the
-    /// boundary pass's queue.
-    pub boundary_queue_len: u64,
-    /// Sample points probed by both balance passes.
+    /// Sample points probed by the balance's ripple.
     pub balance_probes: u64,
     pub elements: u64,
     pub nodes: u64,
@@ -127,9 +125,6 @@ impl MeshDatabases {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EtreePipeline;
 
-/// `8^BLOCK_LEVEL` blocks in the local-balancing step.
-const BLOCK_LEVEL: u8 = 1;
-
 impl EtreePipeline {
     /// Construct step: auto-navigation refinement, leaves written to `store`.
     pub fn construct<S: OctantStore>(
@@ -153,72 +148,25 @@ impl EtreePipeline {
         Ok(())
     }
 
-    /// Balance step: local balancing (per-block internal pass + boundary
-    /// pass). New octants created by splitting get their material from
-    /// `material`.
+    /// Balance step: one scan of the store seeds [`ripple`] with every
+    /// leaf and the coarsest level, then the ripple runs against the store
+    /// in Morton order of the sibling families. New octants created by
+    /// splitting get their material from `material`.
     pub fn balance<S: OctantStore>(
         &self,
         store: &mut S,
-        mut material: impl FnMut(&Octant) -> MaterialRec,
+        material: impl FnMut(&Octant) -> MaterialRec,
         stats: &mut PipelineStats,
     ) -> io::Result<()> {
         let t0 = Instant::now();
-        let blocks = LinearOctree::uniform(BLOCK_LEVEL);
-
-        // Internal pass: per block, load its key range, ripple in memory
-        // (skipping constraints that cross the block boundary), write diffs.
-        for block in blocks.leaves() {
-            let lo = block.key();
-            let hi = max_descendant_key(block);
-            let mut members: BTreeMap<u64, Octant> = BTreeMap::new();
-            store.scan_range(lo, hi, &mut |o, _| {
-                members.insert(o.key(), o);
-            })?;
-            members.retain(|_, o| block.contains(o));
-            if members.is_empty() {
-                continue;
-            }
-            let before: Vec<Octant> = members.values().copied().collect();
-            let mut map = members;
-            stats.balance_probes +=
-                ripple(&mut map, before.iter().copied(), BalanceMode::Full, Some(*block));
-            // Apply the diff to the store.
-            for o in &before {
-                if !map.contains_key(&o.key()) {
-                    store.remove(o)?;
-                }
-            }
-            for (k, o) in &map {
-                if before.binary_search_by_key(k, Octant::key).is_err() {
-                    store.insert(*o, material(o))?;
-                }
-            }
-        }
-
-        // Boundary pass: only families whose sample points cross a block
-        // boundary can still violate; ripple them against the whole store.
-        let dirs = BalanceMode::Full.directions();
-        let block_of = |x: u32, y: u32, z: u32| {
-            let s = 1u32 << (MAX_LEVEL - BLOCK_LEVEL);
-            (x / s, y / s, z / s)
-        };
-        let mut families: Vec<Octant> = Vec::new();
+        let mut leaves: Vec<Octant> = Vec::with_capacity(store.len() as usize);
         let mut floor = MAX_LEVEL;
         store.scan_all(&mut |o, _| {
             floor = floor.min(o.level);
-            families.extend(o.parent());
+            leaves.push(o);
         })?;
-        families.sort_unstable_by_key(Octant::key);
-        families.dedup();
-        families.retain(|f| {
-            f.level > floor
-                && dirs.iter().any(|&d| {
-                    sample_point(f, d)
-                        .is_some_and(|p| block_of(p.0, p.1, p.2) != block_of(f.x, f.y, f.z))
-                })
-        });
-        stats.boundary_queue_len = families.len() as u64;
-        stats.balance_probes += ripple_store(store, families.into(), floor, &mut material)?;
+        let mut set = StoreLeaves { store: &mut *store, material };
+        stats.balance_probes = ripple(&mut set, leaves, floor, BalanceMode::Full)?;
         stats.after_balance_octants = store.len();
         stats.balance_secs = t0.elapsed().as_secs_f64();
         Ok(())
@@ -303,47 +251,31 @@ fn write_element(
     w.write_all(&rec)
 }
 
-/// Ripple 2-to-1 enforcement running directly against a store, one probe
-/// per sample point of each queued sibling family (the family rule of
-/// [`ripple`]). `floor` is the coarsest level in the store: splitting only
-/// raises levels, so a family at that level or coarser never has a coarser
-/// toucher and is not queued. Returns the number of sample points probed.
-fn ripple_store<S: OctantStore>(
-    store: &mut S,
-    mut queue: VecDeque<Octant>,
-    floor: u8,
-    material: &mut impl FnMut(&Octant) -> MaterialRec,
-) -> io::Result<u64> {
-    let dirs = BalanceMode::Full.directions();
-    let mut probes = 0;
-    while let Some(f) = queue.pop_front() {
-        for &d in &dirs {
-            let Some(p) = sample_point(&f, d) else { continue };
-            probes += 1;
-            loop {
-                let (n, _) = store.find_containing(p)?.ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "octant store has a hole")
-                })?;
-                if n.level >= f.level {
-                    break;
-                }
-                store.remove(&n)?;
-                for c in n.children() {
-                    store.insert(c, material(&c))?;
-                }
-                if n.level > floor {
-                    queue.push_back(n);
-                }
-            }
-        }
-    }
-    Ok(probes)
+/// The store as the leaf set [`ripple`] refines: the children of a split
+/// leaf get their material from `material`.
+struct StoreLeaves<'a, S, M> {
+    store: &'a mut S,
+    material: M,
 }
 
-/// Largest key of any descendant of `o`.
-fn max_descendant_key(o: &Octant) -> u64 {
-    let s = o.size();
-    Octant::new(o.x + s - 1, o.y + s - 1, o.z + s - 1, MAX_LEVEL).key()
+impl<S: OctantStore, M: FnMut(&Octant) -> MaterialRec> LeafSet for StoreLeaves<'_, S, M> {
+    type Error = io::Error;
+
+    fn leaf_at(&mut self, p: (u32, u32, u32)) -> io::Result<Octant> {
+        let (n, _) = self
+            .store
+            .find_containing(p)?
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "octant store has a hole"))?;
+        Ok(n)
+    }
+
+    fn split(&mut self, n: Octant) -> io::Result<()> {
+        self.store.remove(&n)?;
+        for c in n.children() {
+            self.store.insert(c, (self.material)(&c))?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -352,6 +284,7 @@ mod tests {
     use crate::store::{DiskStore, MemStore};
     use quake_octree::balance::violation_count;
     use quake_octree::morton::GRID;
+    use quake_octree::LinearOctree;
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("quake-etree-tests").join(format!(
@@ -477,7 +410,6 @@ mod tests {
         reference.balance(BalanceMode::Full);
         assert_eq!(got, reference.leaves());
         assert_eq!(stats.after_balance_octants, reference.len() as u64);
-        assert!(stats.boundary_queue_len > 0, "center refinement must cross blocks");
     }
 
     #[test]
@@ -620,7 +552,7 @@ mod tests {
     fn balance_reports_a_store_with_a_hole_instead_of_panicking() {
         // Level 2 everywhere, refined to level 4 at the centre of the domain
         // on the +x side; the leaf across x = half holds the sample point of
-        // the level-4 leaf's -x direction, which only the boundary pass asks.
+        // the level-4 leaf's -x direction.
         let half = 1u32 << (MAX_LEVEL - 1);
         let mut store = MemStore::new();
         let p = EtreePipeline;
@@ -698,8 +630,8 @@ mod tests {
 
     #[test]
     fn a_failing_store_makes_the_pipeline_return_err_at_every_call() {
-        // Centre refinement to level 4: balance splits across block
-        // boundaries, so every stage and both balance passes call the store.
+        // Centre refinement to level 4: balance splits, so every stage
+        // calls the store, reads and writes both.
         let half = 1u32 << (MAX_LEVEL - 1);
         let dir = tmpdir("failing");
         let run = |store: &mut FailingStore| {

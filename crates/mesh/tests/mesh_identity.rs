@@ -7,7 +7,8 @@ use quake_etree::{DiskStore, EtreePipeline, MaterialRec, OctantStore, PipelineSt
 use quake_mesh::{mesh_from_model, ElemMaterial, HexMesh, MeshingParams};
 use quake_model::{layer_over_halfspace, LaBasinModel, Material, MaterialModel};
 use quake_octree::adapt::AdaptParams;
-use quake_octree::{BalanceMode, LinearOctree, Octant, MAX_LEVEL};
+use quake_octree::{ripple, BalanceMode, LinearOctree, Octant, MAX_LEVEL};
+use std::collections::BTreeMap;
 
 fn unit_material(_x: f64, _y: f64, _z: f64, _h: f64) -> ElemMaterial {
     ElemMaterial { lambda: 1.0, mu: 1.0, rho: 1.0 }
@@ -207,6 +208,32 @@ fn disk_pipeline_balances_the_etree_mesh_tree_as_in_core() {
     std::fs::remove_dir_all(&dir).unwrap();
     assert!(stats.after_balance_octants > stats.constructed_octants, "balance must split");
     assert_eq!(got, reference.leaves());
+}
+
+/// One balance loop, two leaf sets: the pipeline's balance runs the in-core
+/// `ripple` against its store, so on a 64-page `DiskStore` it probes exactly
+/// the sample points the in-core ripple probes on the same tree.
+#[test]
+fn disk_pipeline_probes_as_the_in_core_ripple() {
+    let rule = etree_mesh_rule();
+    let tree = LinearOctree::build(&rule);
+    let mut map: BTreeMap<u64, Octant> = tree.leaves().iter().map(|o| (o.key(), *o)).collect();
+    let Ok(in_core) =
+        ripple(&mut map, tree.leaves().iter().copied(), tree.min_level(), BalanceMode::Full);
+
+    let dir = std::env::temp_dir()
+        .join("quake-mesh-tests")
+        .join(format!("etree-probes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut store = DiskStore::create(&dir.join("octants.btree"), 64).unwrap();
+    let material = |_: &Octant| MaterialRec { vp: 2000.0, vs: 1000.0, rho: 2200.0 };
+    let (p, mut stats) = (EtreePipeline, PipelineStats::default());
+    p.construct(&mut store, &rule, material, &mut stats).unwrap();
+    p.balance(&mut store, material, &mut stats).unwrap();
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(in_core, 13_651);
+    assert_eq!(stats.balance_probes, in_core);
 }
 
 /// LCG-seeded adaptive trees: refinement to a random depth around one to

@@ -54,23 +54,6 @@ pub fn morton_decode(m: u64) -> (u32, u32, u32) {
     (collapse3(m), collapse3(m >> 1), collapse3(m >> 2))
 }
 
-/// 2-D Morton code (used by the antiplane inversion grids and quadtree tests).
-#[inline]
-pub fn morton_encode_2d(x: u32, y: u32) -> u64 {
-    spread2(x) | (spread2(y) << 1)
-}
-
-#[inline]
-fn spread2(v: u32) -> u64 {
-    let mut x = v as u64;
-    x = (x | (x << 16)) & 0x0000ffff0000ffff;
-    x = (x | (x << 8)) & 0x00ff00ff00ff00ff;
-    x = (x | (x << 4)) & 0x0f0f0f0f0f0f0f0f;
-    x = (x | (x << 2)) & 0x3333333333333333;
-    x = (x | (x << 1)) & 0x5555555555555555;
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,22 +125,6 @@ mod tests {
             let x = (s as u32) % (GRID - 1);
             let (y, z) = (((s >> 16) as u32) % GRID, ((s >> 32) as u32) % GRID);
             assert!(morton_encode(x, y, z) < morton_encode(x + 1, y, z));
-        }
-    }
-
-    #[test]
-    fn prop_2d_roundtrip_order() {
-        for s in samples(0xA003, 600) {
-            let (x, y) = ((s as u32) % 65536, ((s >> 20) as u32) % 65536);
-            let m = morton_encode_2d(x, y);
-            // Decode by collapsing alternate bits.
-            let mut dx = 0u32;
-            let mut dy = 0u32;
-            for b in 0..32 {
-                dx |= (((m >> (2 * b)) & 1) as u32) << b;
-                dy |= (((m >> (2 * b + 1)) & 1) as u32) << b;
-            }
-            assert_eq!((dx, dy), (x, y));
         }
     }
 }

@@ -140,20 +140,6 @@ impl Octant {
         self.size() as f64 / GRID as f64
     }
 
-    /// Same-level neighbor displaced by `(dx, dy, dz)` octant-sizes; `None`
-    /// when it would leave the domain.
-    pub fn neighbor(&self, dx: i32, dy: i32, dz: i32) -> Option<Octant> {
-        let s = self.size() as i64;
-        let nx = self.x as i64 + dx as i64 * s;
-        let ny = self.y as i64 + dy as i64 * s;
-        let nz = self.z as i64 + dz as i64 * s;
-        let g = GRID as i64;
-        if nx < 0 || ny < 0 || nz < 0 || nx >= g || ny >= g || nz >= g {
-            return None;
-        }
-        Some(Octant::new(nx as u32, ny as u32, nz as u32, self.level))
-    }
-
     /// The 26 neighbor direction triples (faces, edges, corners).
     pub fn all_directions() -> impl Iterator<Item = (i32, i32, i32)> {
         (-1..=1).flat_map(move |dx| {
@@ -167,11 +153,6 @@ impl Octant {
                 })
             })
         })
-    }
-
-    /// The 6 face directions.
-    pub fn face_directions() -> [(i32, i32, i32); 6] {
-        [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)]
     }
 }
 
@@ -216,16 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_respects_domain_bounds() {
-        let o = Octant::new(0, 0, 0, 3);
-        assert!(o.neighbor(-1, 0, 0).is_none());
-        let n = o.neighbor(1, 0, 0).unwrap();
-        assert_eq!(n.x, o.size());
-        let far = Octant::new(GRID - (1 << (MAX_LEVEL - 3)), 0, 0, 3);
-        assert!(far.neighbor(1, 0, 0).is_none());
-    }
-
-    #[test]
     fn ancestor_and_contains() {
         let leaf = Octant::new(3 << 14, 5 << 14, 9 << 14, 5);
         let anc = leaf.ancestor_at(2);
@@ -237,7 +208,6 @@ mod tests {
     #[test]
     fn directions_counts() {
         assert_eq!(Octant::all_directions().count(), 26);
-        assert_eq!(Octant::face_directions().len(), 6);
     }
 
     /// Deterministic LCG sample stream (randomized-property tests without

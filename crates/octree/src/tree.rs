@@ -4,6 +4,7 @@
 use crate::morton::{morton_decode, morton_encode, GRID, LEVEL_BITS, MAX_LEVEL};
 use crate::octant::Octant;
 use std::collections::{BTreeMap, VecDeque};
+use std::convert::Infallible;
 
 /// Which neighbor relations the 2-to-1 constraint is enforced across.
 ///
@@ -129,7 +130,7 @@ impl LinearOctree {
     pub fn balance(&mut self, mode: BalanceMode) {
         let mut map: BTreeMap<u64, Octant> =
             self.keys.iter().copied().zip(self.leaves.iter().copied()).collect();
-        ripple(&mut map, self.leaves.iter().copied(), mode, None);
+        let Ok(_) = ripple(&mut map, self.leaves.iter().copied(), self.min_level(), mode);
         (self.keys, self.leaves) = map.into_iter().unzip();
     }
 
@@ -229,55 +230,74 @@ fn families(leaves: impl IntoIterator<Item = Octant>, floor: u8) -> Vec<Octant> 
     families
 }
 
-/// Core ripple-refinement loop shared by global balancing and the etree's
-/// block-wise local balancing. When `within` is given, constraints whose
-/// sample point falls outside that octant are skipped (the internal-balance
-/// step of local balancing). Returns the number of sample points probed.
+/// A complete leaf set that [`ripple`] refines: point location and a split.
+/// The in-core `BTreeMap` (keyed by [`Octant::key`]) cannot fail; the etree
+/// implements it over its octant store, whose calls return I/O errors.
+pub trait LeafSet {
+    type Error;
+    /// The leaf containing grid point `p`.
+    fn leaf_at(&mut self, p: (u32, u32, u32)) -> Result<Octant, Self::Error>;
+    /// Replace leaf `n` by its eight children.
+    fn split(&mut self, n: Octant) -> Result<(), Self::Error>;
+}
+
+impl LeafSet for BTreeMap<u64, Octant> {
+    type Error = Infallible;
+
+    fn leaf_at(&mut self, p: (u32, u32, u32)) -> Result<Octant, Infallible> {
+        let key = (morton_encode(p.0, p.1, p.2) << LEVEL_BITS) | MAX_LEVEL as u64;
+        let (_, &o) = self
+            .range(..=key)
+            .next_back()
+            .filter(|(_, o)| o.contains_point(p.0, p.1, p.2))
+            .expect("complete octree must cover sample point");
+        Ok(o)
+    }
+
+    fn split(&mut self, n: Octant) -> Result<(), Infallible> {
+        self.remove(&n.key());
+        self.extend(n.children().map(|c| (c.key(), c)));
+        Ok(())
+    }
+}
+
+/// The ripple-refinement loop: the one place a leaf is split to satisfy
+/// 2-to-1, for the in-core balance and the etree's balance on its store.
+/// `floor` is the coarsest leaf level: splitting only raises levels, so a
+/// family at `floor` or coarser never has a coarser toucher. Returns the
+/// number of sample points probed.
 ///
 /// The rule is checked once per sibling family, not once per leaf: a leaf
 /// violates 2-to-1 exactly when a leaf coarser than its parent covers one of
 /// the parent's sample points, so the parents of `leaves` are probed, and a
 /// split leaf is queued once, as the parent of its new family.
-pub fn ripple(
-    map: &mut BTreeMap<u64, Octant>,
+pub fn ripple<L: LeafSet>(
+    set: &mut L,
     leaves: impl IntoIterator<Item = Octant>,
+    floor: u8,
     mode: BalanceMode,
-    within: Option<Octant>,
-) -> u64 {
+) -> Result<u64, L::Error> {
     let dirs = mode.directions();
-    // Splitting only raises levels, so the coarsest level at entry stays a
-    // lower bound on every leaf a family can touch.
-    let floor = map.values().map(|o| o.level).min().unwrap_or(0);
     let mut queue = VecDeque::from(families(leaves, floor));
     let mut probes = 0;
     while let Some(f) = queue.pop_front() {
         for &d in &dirs {
             let Some(p) = sample_point(&f, d) else { continue };
-            if within.is_some_and(|w| !w.contains_point(p.0, p.1, p.2)) {
-                continue;
-            }
             probes += 1;
             // Split the covering leaf until it is at the family's level.
             loop {
-                let n = *find_in_map(map, p).expect("complete octree must cover sample point");
+                let n = set.leaf_at(p)?;
                 if n.level >= f.level {
                     break;
                 }
-                map.remove(&n.key());
-                map.extend(n.children().map(|c| (c.key(), c)));
+                set.split(n)?;
                 if n.level > floor {
                     queue.push_back(n);
                 }
             }
         }
     }
-    probes
-}
-
-fn find_in_map(map: &BTreeMap<u64, Octant>, p: (u32, u32, u32)) -> Option<&Octant> {
-    let key = (morton_encode(p.0, p.1, p.2) << LEVEL_BITS) | MAX_LEVEL as u64;
-    let (_, o) = map.range(..=key).next_back()?;
-    o.contains_point(p.0, p.1, p.2).then_some(o)
+    Ok(probes)
 }
 
 #[cfg(test)]
@@ -346,7 +366,8 @@ mod tests {
         let half = 1u32 << (MAX_LEVEL - 1);
         let t = LinearOctree::build(|o| o.level < 6 && o.contains_point(half, half, half));
         let mut map: BTreeMap<u64, Octant> = t.leaves().iter().map(|o| (o.key(), *o)).collect();
-        let probes = ripple(&mut map, t.leaves().iter().copied(), BalanceMode::Full, None);
+        let Ok(probes) =
+            ripple(&mut map, t.leaves().iter().copied(), t.min_level(), BalanceMode::Full);
         assert_eq!((t.len(), map.len()), (43, 239));
         assert_eq!(probes, 650);
     }

@@ -44,8 +44,8 @@ fn main() {
     println!("construct: {} octants in {:.2} s", stats.constructed_octants, stats.construct_secs);
     pipeline.balance(&mut store, material, &mut stats).unwrap();
     println!(
-        "balance:   {} octants in {:.2} s (boundary queue {} families)",
-        stats.after_balance_octants, stats.balance_secs, stats.boundary_queue_len
+        "balance:   {} octants in {:.2} s ({} probes)",
+        stats.after_balance_octants, stats.balance_secs, stats.balance_probes
     );
     let db = pipeline.transform(&mut store, &dir, &mut stats).unwrap();
     println!(
