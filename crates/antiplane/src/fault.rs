@@ -14,17 +14,6 @@ use crate::grid::ShSolver;
 use quake_model::SlipFunction;
 use quake_solver::wave::ScalarWaveEq;
 
-/// Which source parameter field a derivative is taken against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SourceParam {
-    /// Delay time `T(s)` — rupture arrival.
-    Delay,
-    /// Rise time `t0(s)`.
-    Rise,
-    /// Dislocation amplitude `u0(s)`.
-    Amplitude,
-}
-
 /// A discretized fault: one segment per element row along a vertical trace.
 #[derive(Clone, Debug)]
 pub struct FaultSource {
@@ -118,22 +107,6 @@ impl FaultSource {
             for &(nd, wt) in w {
                 f[nd] += wt * g;
             }
-        }
-    }
-
-    /// Accumulate the force derivative against one segment's parameter.
-    pub fn add_force_derivative(&self, which: SourceParam, seg: usize, t: f64, f: &mut [f64]) {
-        let p = &self.params[seg];
-        let dg = match which {
-            SourceParam::Delay => p.dg_d_delay(t),
-            SourceParam::Rise => p.dg_d_rise(t),
-            SourceParam::Amplitude => p.dg_d_amplitude(t),
-        };
-        if dg == 0.0 {
-            return;
-        }
-        for &(nd, wt) in &self.seg_weights[seg] {
-            f[nd] += wt * dg;
         }
     }
 
@@ -247,11 +220,15 @@ mod tests {
         let base = mk(0.0, 0.0, 0.0);
         let eps = 1e-6;
         let nn = s.n_nodes();
-        for (which, plus, minus) in [
-            (SourceParam::Delay, mk(eps, 0.0, 0.0), mk(-eps, 0.0, 0.0)),
-            (SourceParam::Rise, mk(0.0, eps, 0.0), mk(0.0, -eps, 0.0)),
-            (SourceParam::Amplitude, mk(0.0, 0.0, eps), mk(0.0, 0.0, -eps)),
+        let ns = base.n_segments();
+        for (which, field, plus, minus) in [
+            ("delay", 0, mk(eps, 0.0, 0.0), mk(-eps, 0.0, 0.0)),
+            ("rise", 1, mk(0.0, eps, 0.0), mk(0.0, -eps, 0.0)),
+            ("amplitude", 2, mk(0.0, 0.0, eps), mk(0.0, 0.0, -eps)),
         ] {
+            // A direction of ones on the perturbed field, zeros elsewhere.
+            let mut dir = [vec![0.0; ns], vec![0.0; ns], vec![0.0; ns]];
+            dir[field] = vec![1.0; ns];
             // Times chosen away from the slip ramp's kink points (where the
             // piecewise-quadratic g is not differentiable and FD disagrees
             // with the one-sided analytic value by construction).
@@ -261,58 +238,20 @@ mod tests {
                 let mut fm = vec![0.0; nn];
                 minus.add_force(t, &mut fm);
                 // FD perturbs ALL segments simultaneously: compare against
-                // the sum of per-segment analytic derivatives.
+                // the directional derivative along the ones vector.
                 let mut fd_all = vec![0.0; nn];
                 for (a, (p, m)) in fd_all.iter_mut().zip(fp.iter().zip(&fm)) {
                     *a = (p - m) / (2.0 * eps);
                 }
                 let mut analytic = vec![0.0; nn];
-                for seg in 0..base.n_segments() {
-                    base.add_force_derivative(which, seg, t, &mut analytic);
-                }
+                base.add_force_direction(&dir[0], &dir[1], &dir[2], t, &mut analytic);
                 for (i, (a, b)) in analytic.iter().zip(&fd_all).enumerate() {
                     assert!(
                         (a - b).abs() < 1e-4 * (1.0 + b.abs()),
-                        "{which:?} t={t} node {i}: {a} vs {b}"
+                        "{which} t={t} node {i}: {a} vs {b}"
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn direction_derivative_combines_segments() {
-        let s = solver();
-        let mu = uniform_mu(&s);
-        let fs = FaultSource::from_hypocenter(&s, &mu, 10, 4, 8, 6, 2800.0, 0.5, 1.0);
-        let ns = fs.n_segments();
-        let d_delay: Vec<f64> = (0..ns).map(|j| 0.1 * j as f64).collect();
-        let d_rise = vec![0.2; ns];
-        let d_amp: Vec<f64> = (0..ns).map(|j| 1.0 - 0.1 * j as f64).collect();
-        let t = 0.7;
-        let nn = s.n_nodes();
-        let mut combined = vec![0.0; nn];
-        fs.add_force_direction(&d_delay, &d_rise, &d_amp, t, &mut combined);
-        let mut manual = vec![0.0; nn];
-        for j in 0..ns {
-            let mut tmp = vec![0.0; nn];
-            fs.add_force_derivative(SourceParam::Delay, j, t, &mut tmp);
-            for (m, v) in manual.iter_mut().zip(&tmp) {
-                *m += d_delay[j] * v;
-            }
-            let mut tmp = vec![0.0; nn];
-            fs.add_force_derivative(SourceParam::Rise, j, t, &mut tmp);
-            for (m, v) in manual.iter_mut().zip(&tmp) {
-                *m += d_rise[j] * v;
-            }
-            let mut tmp = vec![0.0; nn];
-            fs.add_force_derivative(SourceParam::Amplitude, j, t, &mut tmp);
-            for (m, v) in manual.iter_mut().zip(&tmp) {
-                *m += d_amp[j] * v;
-            }
-        }
-        for (a, b) in combined.iter().zip(&manual) {
-            assert!((a - b).abs() < 1e-12 * (1.0 + b.abs()));
         }
     }
 

@@ -90,10 +90,6 @@ impl Encoder {
         self.put_u64(v.to_bits());
     }
 
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(v as u8);
-    }
-
     /// Length-prefixed byte string.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
@@ -111,15 +107,6 @@ impl Encoder {
         self.buf.reserve(v.len() * 8);
         for &x in v {
             self.buf.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-    }
-
-    /// Length-prefixed `u64` slice.
-    pub fn put_u64_slice(&mut self, v: &[u64]) {
-        self.put_u64(v.len() as u64);
-        self.buf.reserve(v.len() * 8);
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_le_bytes());
         }
     }
 }
@@ -184,10 +171,6 @@ impl<'a> Decoder<'a> {
         Ok(f64::from_bits(self.take_u64()?))
     }
 
-    pub fn take_bool(&mut self) -> Result<bool, CkptError> {
-        Ok(self.take_u8()? != 0)
-    }
-
     /// A count of items of at least `elem_size` encoded bytes each, which
     /// must fit in the remaining buffer. Every decoded count goes through
     /// here, so a corrupt (huge) count is an error before anything is
@@ -216,12 +199,6 @@ impl<'a> Decoder<'a> {
         let n = self.take_len(8)?;
         let raw = self.take(8 * n)?;
         Ok(raw.chunks_exact(8).map(|c| f64::from_bits(u64::from_le_bytes(arr8(c)))).collect())
-    }
-
-    pub fn take_u64_vec(&mut self) -> Result<Vec<u64>, CkptError> {
-        let n = self.take_len(8)?;
-        let raw = self.take(8 * n)?;
-        Ok(raw.chunks_exact(8).map(|c| u64::from_le_bytes(arr8(c))).collect())
     }
 
     /// Assert the payload was fully consumed (catches encode/decode drift).
@@ -307,11 +284,9 @@ mod tests {
         e.put_u64(u64::MAX - 1);
         e.put_f64(-0.0);
         e.put_f64(f64::from_bits(0x7FF0_0000_0000_0001)); // a signaling NaN pattern
-        e.put_bool(true);
         e.put_str("état");
         let xs = vec![1.0, -2.5e-308, f64::INFINITY, 1.25e9];
         e.put_f64_slice(&xs);
-        e.put_u64_slice(&[0, 1, u64::MAX]);
         let bytes = e.into_bytes();
 
         let mut d = Decoder::new(&bytes);
@@ -320,14 +295,12 @@ mod tests {
         assert_eq!(d.take_u64().unwrap(), u64::MAX - 1);
         assert_eq!(d.take_f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(d.take_f64().unwrap().to_bits(), 0x7FF0_0000_0000_0001);
-        assert!(d.take_bool().unwrap());
         assert_eq!(d.take_str().unwrap(), "état");
         let got = d.take_f64_vec().unwrap();
         assert_eq!(
             got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
-        assert_eq!(d.take_u64_vec().unwrap(), vec![0, 1, u64::MAX]);
         d.finish().unwrap();
     }
 

@@ -5,14 +5,14 @@
 //! periodic checkpointing plus restart from the last valid snapshot. This
 //! crate is that layer for the reproduction:
 //!
-//! - [`format`]: a versioned, CRC-32-checksummed, length-prefixed binary
+//! - [`format`](mod@format): a versioned, CRC-32-checksummed, length-prefixed binary
 //!   snapshot format. `f64` data is stored as raw bit patterns, so restored
 //!   states are **bit-identical** — resume equivalence is exact, not
-//!   approximate (the solver and inversion test suites assert byte-equal
-//!   outputs for straight-vs-resumed runs).
+//!   approximate (the solver test suites assert byte-equal outputs for
+//!   straight-vs-resumed runs).
 //! - [`Checkpointable`]: the encode/decode contract a state type implements
-//!   (the elastic solver's `SolverState`, the inversion's `GnCheckpoint`,
-//!   the distributed per-rank states).
+//!   (the elastic solver's `SolverState`, which the distributed runs also
+//!   persist per rank).
 //! - [`store`]: [`CheckpointWriter`] (atomic write-to-temp-then-rename with
 //!   fsync, optional retention pruning) and [`CheckpointReader`]
 //!   (latest-*valid* discovery: corrupted or truncated files are detected by

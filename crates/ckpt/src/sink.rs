@@ -4,9 +4,8 @@
 //! retention — it only needs somewhere to offer each completed step's state.
 //! [`StepSink`] is that surface: one `offer` call per completed step, and the
 //! sink decides whether anything hits disk. [`PeriodicSink`] is the standard
-//! implementation (a [`CheckpointWriter`](crate::CheckpointWriter) plus a
-//! [`CheckpointPolicy`](crate::CheckpointPolicy) cadence); tests substitute
-//! counting or always-failing sinks.
+//! implementation (a [`CheckpointWriter`] plus a [`CheckpointPolicy`]
+//! cadence); tests substitute counting or always-failing sinks.
 
 use crate::{CheckpointPolicy, CheckpointWriter, Checkpointable, CkptError};
 use quake_telemetry::Registry;

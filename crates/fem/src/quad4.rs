@@ -13,7 +13,6 @@ use crate::shape::{quad4_dn, quad4_n};
 use std::sync::OnceLock;
 
 static SCALAR: OnceLock<[[f64; 4]; 4]> = OnceLock::new();
-static FACE_MASS: OnceLock<[[f64; 4]; 4]> = OnceLock::new();
 static FACE_N_DN: OnceLock<[[[f64; 4]; 4]; 2]> = OnceLock::new();
 
 /// Canonical scalar quad stiffness `K_Q` (size-independent):
@@ -30,22 +29,6 @@ pub fn scalar_quad_stiffness() -> &'static [[f64; 4]; 4] {
             }
         }
         k
-    })
-}
-
-/// Consistent face/element mass on the unit square: `M = rho h^2 * M_F`.
-pub fn quad4_mass_unit() -> &'static [[f64; 4]; 4] {
-    FACE_MASS.get_or_init(|| {
-        let mut m = [[0.0; 4]; 4];
-        for q in gauss_2d(2) {
-            let n = quad4_n(q.xi);
-            for r in 0..4 {
-                for c in 0..4 {
-                    m[r][c] += q.w * n[r] * n[c];
-                }
-            }
-        }
-        m
     })
 }
 
@@ -70,12 +53,6 @@ pub fn quad4_n_dn_unit() -> &'static [[[f64; 4]; 4]; 2] {
         }
         f
     })
-}
-
-/// Lumped nodal mass of a square element of side `h`, density `rho`.
-#[inline]
-pub fn lumped_quad_mass(rho: f64, h: f64) -> f64 {
-    rho * h * h / 4.0
 }
 
 #[cfg(test)]
@@ -103,16 +80,6 @@ mod tests {
             let s: f64 = k[r].iter().sum();
             assert!(s.abs() < 1e-14);
         }
-    }
-
-    #[test]
-    fn face_mass_rows_sum_to_quarter() {
-        let m = quad4_mass_unit();
-        for r in 0..4 {
-            let s: f64 = m[r].iter().sum();
-            assert!((s - 0.25).abs() < 1e-14);
-        }
-        assert!((lumped_quad_mass(3.0, 2.0) - 3.0).abs() < 1e-14);
     }
 
     #[test]

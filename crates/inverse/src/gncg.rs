@@ -11,17 +11,15 @@
 //! propagation solution". The preconditioner is a Morales-Nocedal L-BFGS
 //! operator built from the *secant pairs `(p, Hp)` that CG itself produces*,
 //! reused across Gauss-Newton iterations. The loop also emits the `gn_iter`
-//! events and `gn/*` spans and writes [`GnCheckpoint`]s.
+//! events and `gn/*` spans.
 //!
 //! For the material problem `H = P^T G^T W G P + beta TV'' + barrier''` is
 //! symmetric positive definite with appropriate regularization, so CG
 //! applies; a logarithmic barrier keeps the moduli positive (Section 3.1).
 
-use crate::checkpoint::GnCheckpoint;
 use crate::matmap::MaterialMap;
 use crate::misfit::{misfit_value, residuals};
 use crate::regularization::TvReg;
-use quake_ckpt::{CheckpointWriter, CkptError};
 use quake_solver::wave::{adjoint, forward, material_gradient, ScalarWaveEq, WaveRun};
 use quake_telemetry::Registry;
 use std::collections::VecDeque;
@@ -106,13 +104,6 @@ impl Lbfgs {
             self.pairs.pop_front();
         }
         self.pairs.push_back((s, y, 1.0 / sy));
-    }
-
-    /// The stored secant pairs `(s, y)` in insertion order (for
-    /// checkpointing; `rho` is an invariant of the pair and is recomputed by
-    /// [`Lbfgs::push`] on rebuild).
-    pub fn pairs_cloned(&self) -> Vec<(Vec<f64>, Vec<f64>)> {
-        self.pairs.iter().map(|(s, y, _)| (s.clone(), y.clone())).collect()
     }
 
     /// `H^{-1} r` approximation by the two-loop recursion.
@@ -244,19 +235,16 @@ fn gn_event(reg: &Registry, it: usize, lin: &Linearization, g_norm: f64, step: [
     reg.event("gn_iter", &fields);
 }
 
-/// The Gauss-Newton-CG outer iteration from `start` (a fresh state or a
-/// [`GnCheckpoint`]) until convergence, `cfg.max_gn_iters`, or a failed line
-/// search. `on_step(it + 1, x)` sees the iterate after every line search,
-/// accepted or not; `ckpt = (writer, every)` persists the state after every
-/// `every` accepted iterations, carrying `start.jd0` along.
+/// The Gauss-Newton-CG outer iteration from `x0` until convergence,
+/// `cfg.max_gn_iters`, or a failed line search. `on_step(it + 1, x)` sees
+/// the iterate after every line search, accepted or not.
 pub(crate) fn gauss_newton<P: GnProblem>(
     p: &mut P,
     cfg: &GnConfig,
-    start: GnCheckpoint,
+    x0: Vec<f64>,
     reg: &Registry,
-    ckpt: Option<(&CheckpointWriter, u64)>,
     on_step: &mut dyn FnMut(usize, &[f64]),
-) -> Result<(Vec<f64>, GnStats), CkptError> {
+) -> (Vec<f64>, GnStats) {
     // Every comparison below is false on NaN: a bad setting would stop the
     // iteration at its first iterate, or never, without an error.
     let (m_min, w) = cfg.barrier.unwrap_or((0.0, 0.0));
@@ -268,16 +256,12 @@ pub(crate) fn gauss_newton<P: GnProblem>(
     let c1 = cfg.armijo_c1;
     assert!(c1 > 0.0 && c1 < 1.0, "GnConfig::armijo_c1 must lie in (0, 1), got {c1}");
     assert!(cfg.max_linesearch >= 1, "GnConfig::max_linesearch must be >= 1");
-    if let Some((_, every)) = ckpt {
-        assert!(every > 0, "checkpoint cadence must be positive");
-    }
-    let GnCheckpoint { next_iter, m: mut x, lbfgs_pairs, mut stats, mut g0_norm, jd0 } = start;
+    let mut x = x0;
+    let mut stats = GnStats::default();
+    let mut g0_norm = None;
     let mut precond = Lbfgs::new(cfg.lbfgs_memory);
-    for (s, y) in lbfgs_pairs {
-        precond.push(s, y);
-    }
 
-    for it in next_iter as usize..cfg.max_gn_iters {
+    for it in 0..cfg.max_gn_iters {
         let state = {
             let _s = reg.span("gn/forward");
             p.forward(&x)
@@ -344,21 +328,8 @@ pub(crate) fn gauss_newton<P: GnProblem>(
             // Stuck: can't descend along any available direction.
             break;
         }
-        if let Some((writer, every)) = ckpt {
-            if ((it + 1) as u64).is_multiple_of(every) {
-                let snap = GnCheckpoint {
-                    next_iter: (it + 1) as u64,
-                    m: x.clone(),
-                    lbfgs_pairs: precond.pairs_cloned(),
-                    stats: stats.clone(),
-                    g0_norm,
-                    jd0,
-                };
-                writer.write(snap.next_iter, &snap, reg)?;
-            }
-        }
     }
-    Ok((x, stats))
+    (x, stats)
 }
 
 // `barrier = (m_min, wn)`, the weight `wn` per parameter (a density
@@ -476,27 +447,17 @@ pub fn invert_material(
     m0: &[f64],
     cfg: &GnConfig,
 ) -> (Vec<f64>, GnStats) {
-    let reg = Registry::disabled();
-    // Without a checkpoint writer the resumable driver cannot fail.
-    invert_material_resumable(eq, forcing, data, map, tv, m0, cfg, &reg, None, None).unwrap()
+    invert_material_traced(eq, forcing, data, map, tv, m0, cfg, &Registry::disabled())
 }
 
-/// [`invert_material`] with telemetry and checkpoint/restart.
-///
-/// Telemetry: spans around the forward, adjoint, CG, and line-search stages
-/// of every Gauss-Newton iteration, plus one `gn_iter` NDJSON event per
-/// outer iteration carrying the convergence quantities of the paper's Fig
-/// 3.2/3.3 (misfit, objective, gradient norm, TV and barrier terms, CG
-/// iterations, accepted step). A disabled registry records nothing.
-///
-/// Checkpoint/restart: pass `resume` to
-/// continue from a [`GnCheckpoint`] (the inversion is then **bit-identical**
-/// to one that never stopped — the checkpoint carries the iterate, the
-/// L-BFGS pairs, the statistics, and the run-scaling scalars `jd0` and
-/// `g0_norm`), and `ckpt = (writer, every_iters)` to persist a checkpoint
-/// after every `every_iters` accepted outer iterations.
+/// [`invert_material`] with telemetry: spans around the forward, adjoint,
+/// CG, and line-search stages of every Gauss-Newton iteration, plus one
+/// `gn_iter` NDJSON event per outer iteration carrying the convergence
+/// quantities of the paper's Fig 3.2/3.3 (misfit, objective, gradient norm,
+/// TV and barrier terms, CG iterations, accepted step). A disabled registry
+/// records nothing.
 #[allow(clippy::too_many_arguments)]
-pub fn invert_material_resumable(
+pub fn invert_material_traced(
     eq: &dyn ScalarWaveEq,
     forcing: &(dyn Fn(usize, &mut [f64]) + Sync),
     data: &[Vec<f64>],
@@ -505,30 +466,19 @@ pub fn invert_material_resumable(
     m0: &[f64],
     cfg: &GnConfig,
     reg: &Registry,
-    resume: Option<GnCheckpoint>,
-    ckpt: Option<(&CheckpointWriter, u64)>,
-) -> Result<(Vec<f64>, GnStats), CkptError> {
+) -> (Vec<f64>, GnStats) {
     let (eps, beta) = (tv.eps, tv.beta);
     assert!(eps.is_finite() && eps > 0.0, "TvReg::eps must be finite and > 0, got {eps}");
     assert!(beta.is_finite() && beta >= 0.0, "TvReg::beta must be finite and >= 0, got {beta}");
-    let mut p = MaterialProblem { eq, forcing, data, map, tv, barrier: None, lambda: Vec::new() };
-    let start = match resume {
-        Some(c) => {
-            assert_eq!(c.m.len(), map.n_param(), "checkpoint is for a different grid");
-            c
-        }
-        None => {
-            assert_eq!(m0.len(), map.n_param());
-            // Scale the barrier relative to the initial data misfit so the
-            // setting is unit-free.
-            let run = forward(eq, &map.interpolate(m0), &mut |k, f| forcing(k, f), false);
-            let jd0 = misfit_value(&run.traces, data, eq.dt());
-            GnCheckpoint::start(m0.to_vec(), jd0)
-        }
-    };
+    assert_eq!(m0.len(), map.n_param());
+    // Scale the barrier relative to the initial data misfit so the setting
+    // is unit-free.
+    let run = forward(eq, &map.interpolate(m0), &mut |k, f| forcing(k, f), false);
+    let jd0 = misfit_value(&run.traces, data, eq.dt());
     let n = map.n_param().max(1) as f64;
-    p.barrier = cfg.barrier.map(|(m_min, w)| (m_min, w * start.jd0.max(1e-300) / n));
-    gauss_newton(&mut p, cfg, start, reg, ckpt, &mut |_, _| {})
+    let barrier = cfg.barrier.map(|(m_min, w)| (m_min, w * jd0.max(1e-300) / n));
+    let mut p = MaterialProblem { eq, forcing, data, map, tv, barrier, lambda: Vec::new() };
+    gauss_newton(&mut p, cfg, m0.to_vec(), reg, &mut |_, _| {})
 }
 
 #[cfg(test)]
@@ -769,8 +719,7 @@ pub(crate) mod tests {
 
         let reg = Registry::new(0);
         let (m_traced, stats) =
-            invert_material_resumable(&s, &forcing, &data, &map, &tv, &m0, &cfg, &reg, None, None)
-                .unwrap();
+            invert_material_traced(&s, &forcing, &data, &map, &tv, &m0, &cfg, &reg);
 
         // One gn_iter event per objective evaluation (including a converged
         // final pass, if any), each a parseable NDJSON line.
@@ -789,85 +738,6 @@ pub(crate) mod tests {
         // Tracing must not perturb the optimization.
         let (m_plain, _) = invert_material(&s, &forcing, &data, &map, &tv, &m0, &cfg);
         assert_eq!(m_traced, m_plain);
-    }
-
-    #[test]
-    fn checkpointed_inversion_resumes_bit_identically() {
-        use quake_ckpt::{CheckpointReader, CheckpointWriter};
-        let s = solver();
-        let dims = [4, 3, 1];
-        let map = MaterialMap::new(&centers(&s), [6000.0, 4000.0, 1.0], dims);
-        let base = 2200.0 * 2000.0f64.powi(2);
-        let mut m_true = vec![base; map.n_param()];
-        m_true[5] = base * 1.2;
-        m_true[6] = base * 0.85;
-        let forcing = forcing_fn(40);
-        let data = forward(&s, &map.interpolate(&m_true), &mut |k, f| forcing(k, f), false).traces;
-        let tv =
-            TvReg { dims, spacing: [2000.0, 2000.0, 1.0], eps: 0.01 * base / 2000.0, beta: 1e-26 };
-        let m0 = vec![base; map.n_param()];
-        // Barrier + preconditioner on, so the checkpoint must carry jd0,
-        // g0_norm, AND the L-BFGS pairs to reproduce the straight run.
-        let cfg = GnConfig {
-            max_gn_iters: 4,
-            grad_tol: 1e-12,
-            barrier: Some((0.1 * base, 1e-6)),
-            ..GnConfig::default()
-        };
-        let reg = Registry::disabled();
-
-        let (m_straight, st_straight) = invert_material(&s, &forcing, &data, &map, &tv, &m0, &cfg);
-
-        let dir = std::env::temp_dir()
-            .join("quake-inverse-tests")
-            .join(format!("gn-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let writer = CheckpointWriter::new(&dir, "gncg").unwrap();
-        // Leg 1: stop after 2 outer iterations, checkpointing every one.
-        let cfg_half = GnConfig { max_gn_iters: 2, ..cfg.clone() };
-        let (_, st_half) = invert_material_resumable(
-            &s,
-            &forcing,
-            &data,
-            &map,
-            &tv,
-            &m0,
-            &cfg_half,
-            &reg,
-            None,
-            Some((&writer, 1)),
-        )
-        .unwrap();
-        assert_eq!(st_half.gn_iters, 2);
-
-        // Leg 2: restore from disk and run the remaining iterations.
-        let reader = CheckpointReader::new(&dir, "gncg");
-        let (step, snap): (u64, GnCheckpoint) = reader.latest_valid(&reg).unwrap();
-        assert_eq!(step, 2);
-        assert!(!snap.lbfgs_pairs.is_empty(), "CG must have harvested secant pairs");
-        let (m_resumed, st_resumed) = invert_material_resumable(
-            &s,
-            &forcing,
-            &data,
-            &map,
-            &tv,
-            &m0,
-            &cfg,
-            &reg,
-            Some(snap),
-            None,
-        )
-        .unwrap();
-
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&m_straight), bits(&m_resumed), "iterates diverged across resume");
-        assert_eq!(st_straight.gn_iters, st_resumed.gn_iters);
-        assert_eq!(st_straight.cg_iters_per_gn, st_resumed.cg_iters_per_gn);
-        assert_eq!(bits(&st_straight.objective_history), bits(&st_resumed.objective_history));
-        assert_eq!(bits(&st_straight.misfit_history), bits(&st_resumed.misfit_history));
-        assert_eq!(bits(&st_straight.grad_norms), bits(&st_resumed.grad_norms));
-        assert_eq!(st_straight.converged, st_resumed.converged);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

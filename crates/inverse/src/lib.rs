@@ -18,7 +18,7 @@
 //!   problems run — matrix-free CG on the reduced Hessian (each product =
 //!   one incremental forward + one incremental adjoint solve),
 //!   Morales-Nocedal L-BFGS preconditioning from CG secant pairs, Armijo
-//!   line search, telemetry and checkpoints — and the material problem
+//!   line search and telemetry — and the material problem
 //!   (TV plus a log-barrier keeping the moduli positive),
 //! - [`multiscale`]: grid-continuation driver (Fig 3.2's 1x1 -> 257x257
 //!   cascade) and frequency continuation via progressive low-pass data,
@@ -28,7 +28,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod checkpoint;
 pub mod gncg;
 pub mod matmap;
 pub mod misfit;
@@ -36,8 +35,7 @@ pub mod multiscale;
 pub mod regularization;
 pub mod source;
 
-pub use checkpoint::GnCheckpoint;
-pub use gncg::{invert_material, invert_material_resumable, GnConfig, GnStats};
+pub use gncg::{invert_material, invert_material_traced, GnConfig, GnStats};
 pub use matmap::MaterialMap;
 pub use misfit::{add_noise, misfit_value, residuals};
 pub use multiscale::{invert_multiscale, LevelResult, MultiscaleConfig};

@@ -81,7 +81,7 @@ impl TvReg {
     }
 
     /// Frozen lagged-diffusivity coefficients, one per cell (in iteration
-    /// order of [`for_each_cell`]).
+    /// order of `for_each_cell`).
     pub fn diffusivity(&self, m: &[f64]) -> Vec<f64> {
         let mut c = Vec::new();
         for_each_cell(self.dims, self.spacing, |_, diffs| {

@@ -11,7 +11,6 @@
 //! `[T; t0; u0]` of `3 * n_segments` values, solved by the same
 //! Gauss-Newton loop as the material problem ([`crate::gncg`]).
 
-use crate::checkpoint::GnCheckpoint;
 use crate::gncg::{gauss_newton, GnConfig, GnProblem, GnStats, Linearization};
 use crate::misfit::{misfit_value, residuals};
 use crate::regularization::TikhonovReg;
@@ -230,12 +229,9 @@ pub fn invert_source(
         (it, d.to_vec(), r.to_vec(), a.to_vec())
     };
     let mut iterates = vec![snapshot(0, &x0)];
-    // The source problem has no barrier to scale (`jd0`) and no checkpoints.
-    let start = GnCheckpoint::start(x0, 0.0);
     let reg = Registry::disabled();
     let on_step = &mut |it: usize, x: &[f64]| iterates.push(snapshot(it, x));
-    let (x, stats) = gauss_newton(&mut p, &cfg.gn, start, &reg, None, on_step)
-        .expect("without a checkpoint writer the loop cannot fail");
+    let (x, stats) = gauss_newton(&mut p, &cfg.gn, x0, &reg, on_step);
     let (_, delays, rises, amplitudes) = snapshot(0, &x);
     SourceInversionResult { delays, rises, amplitudes, stats, iterates }
 }

@@ -160,7 +160,7 @@ pub mod phases {
         /// Interface values (f64 count) exchanged per step; zero for a
         /// serial run.
         pub exchange_doubles: u64,
-        /// Lanes the element matvec computes (`>= n_damped + n_undamped`:
+        /// The lanes the element matvec computes (`>= n_damped + n_undamped`:
         /// the sweep rounds every class run up to whole lane groups). Not a
         /// cost input — the phase flops count useful work — but the ratio
         /// elements / lanes is the share of executed matvec flops that is

@@ -41,12 +41,6 @@ impl Material {
     pub fn lambda(&self) -> f64 {
         self.rho * (self.vp * self.vp - 2.0 * self.vs * self.vs)
     }
-
-    /// Poisson's ratio.
-    pub fn poisson(&self) -> f64 {
-        let r = (self.vp / self.vs).powi(2);
-        (r - 2.0) / (2.0 * (r - 1.0))
-    }
 }
 
 /// A pointwise material model over the (cubic) computational domain.
@@ -171,8 +165,9 @@ mod tests {
         // vp = sqrt((lambda + 2 mu) / rho) must recover vp.
         let vp = ((m.lambda() + 2.0 * m.mu()) / m.rho).sqrt();
         assert!((vp - m.vp).abs() < 1e-9);
-        // Poisson for vp/vs = 2 is 1/3.
-        assert!((m.poisson() - 1.0 / 3.0).abs() < 1e-12);
+        // Poisson's ratio lambda / (2 (lambda + mu)) for vp/vs = 2 is 1/3.
+        let poisson = m.lambda() / (2.0 * (m.lambda() + m.mu()));
+        assert!((poisson - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -54,30 +54,10 @@ impl Section2d {
         self.rho * v * v
     }
 
-    /// Convert a modulus back to shear velocity (for reporting in the
-    /// paper's units).
-    pub fn mu_to_vs(&self, mu: f64) -> f64 {
-        (mu / self.rho).max(0.0).sqrt()
-    }
-
     /// A homogeneous initial guess (the multiscale inversion starts from the
     /// 1x1 grid, i.e. one constant): paper Fig 3.2, first frame.
     pub fn homogeneous_guess_vs(&self) -> f64 {
         2200.0
-    }
-
-    /// Sample the target vs on an `(nx+1) x (nz+1)` vertex grid (row-major,
-    /// x fastest), as the inversion grids do.
-    pub fn vs_grid(&self, nx: usize, nz: usize) -> Vec<f64> {
-        let mut g = Vec::with_capacity((nx + 1) * (nz + 1));
-        for k in 0..=nz {
-            let z = self.depth * k as f64 / nz as f64;
-            for i in 0..=nx {
-                let x = self.width * i as f64 / nx as f64;
-                g.push(self.vs(x, z));
-            }
-        }
-        g
     }
 }
 
@@ -88,7 +68,11 @@ mod tests {
     #[test]
     fn velocity_range_matches_paper_colorbar() {
         let s = Section2d::default();
-        let g = s.vs_grid(64, 64);
+        // The target on a 65 x 65 vertex grid, as the inversion grids sample it.
+        let g: Vec<f64> = (0..=64)
+            .flat_map(|k| (0..=64).map(move |i| (i, k)))
+            .map(|(i, k)| s.vs(s.width * i as f64 / 64.0, s.depth * k as f64 / 64.0))
+            .collect();
         let min = g.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = g.iter().cloned().fold(0.0, f64::max);
         assert!((900.0..1300.0).contains(&min), "min {min}");
@@ -117,6 +101,6 @@ mod tests {
     fn mu_roundtrip() {
         let s = Section2d::default();
         let v = s.vs(10_000.0, 5_000.0);
-        assert!((s.mu_to_vs(s.mu(10_000.0, 5_000.0)) - v).abs() < 1e-9);
+        assert!(((s.mu(10_000.0, 5_000.0) / s.rho).sqrt() - v).abs() < 1e-9);
     }
 }

@@ -154,18 +154,6 @@ impl PointSource {
         }
         self.slip.check()
     }
-
-    /// Moment tensor at time `t` (ramps from zero to `moment`).
-    pub fn moment_at(&self, t: f64) -> [[f64; 3]; 3] {
-        let s = self.slip.dg_d_amplitude(t); // normalized ramp in [0,1]
-        let mut m = self.moment;
-        for row in &mut m {
-            for v in row {
-                *v *= s;
-            }
-        }
-        m
-    }
 }
 
 /// An extended fault: a rectangular rupture discretized into point sources
@@ -202,13 +190,6 @@ impl ExtendedFault {
     /// Unit vector down dip.
     pub fn dip_dir(&self) -> [f64; 3] {
         [-self.strike.sin() * self.dip.cos(), self.strike.cos() * self.dip.cos(), self.dip.sin()]
-    }
-
-    /// Fault-plane normal (strike x dip).
-    pub fn normal(&self) -> [f64; 3] {
-        let s = self.strike_dir();
-        let d = self.dip_dir();
-        [s[1] * d[2] - s[2] * d[1], s[2] * d[0] - s[0] * d[2], s[0] * d[1] - s[1] * d[0]]
     }
 
     fn point_on_plane(&self, u: f64, v: f64) -> [f64; 3] {
@@ -368,7 +349,9 @@ mod tests {
     #[test]
     fn extended_fault_geometry_and_delays() {
         let f = ExtendedFault::northridge_like(80_000.0);
-        let n = f.normal();
+        // Fault-plane normal: strike x dip.
+        let (s, d) = (f.strike_dir(), f.dip_dir());
+        let n = [s[1] * d[2] - s[2] * d[1], s[2] * d[0] - s[0] * d[2], s[0] * d[1] - s[1] * d[0]];
         let srcs = f.discretize(6, 4);
         assert_eq!(srcs.len(), 24);
         let hypo = f.hypocenter();
@@ -401,9 +384,11 @@ mod tests {
             moment: DoubleCouple::moment_tensor(0.0, 1.0, 0.5, 1e18),
             slip: SlipFunction::new(1.0, 2.0, 1.0),
         };
-        let zero = ps.moment_at(0.5);
+        // The moment tensor at time t is `moment` times the normalized ramp.
+        let moment_at = |t: f64| ps.moment.map(|row| row.map(|v| v * ps.slip.dg_d_amplitude(t)));
+        let zero = moment_at(0.5);
         assert!(zero.iter().flatten().all(|&v| v == 0.0));
-        let full = ps.moment_at(10.0);
+        let full = moment_at(10.0);
         assert_eq!(full, ps.moment);
     }
 }

@@ -1,24 +1,24 @@
-//! The scenario-serving engine: a fixed worker pool over prebuilt
-//! mesh/solver variants, with priority lanes, content-addressed caching,
-//! and cost-based admission control.
+//! The scenario-serving engine: a fixed worker pool over one prebuilt
+//! mesh/solver variant, with a FIFO queue, content-addressed caching, and
+//! cost-based admission control.
 //!
 //! Lifecycle:
 //!
 //! ```text
-//! start:   model -> (per registered model_scale) mesh + solver data
-//!          (built once, shared by every worker) + fingerprint
+//! start:   model -> mesh + solver data (built once, shared by every
+//!          worker) + fingerprint
 //! submit:  validate -> content key -> admission (queue + cost budget)
-//!          -> enqueue (Interactive lane ahead of Batch) -> Ticket
+//!          -> enqueue (FIFO) -> Ticket
 //! worker:  pop under one lock (exactly once) -> cache get
 //!          -> miss: run_scenario on worker-owned ServeScratch -> cache put
 //!          -> reply on the ticket channel (exactly once)
-//! drain:   stop accepting; wait queues empty and in_flight == 0
+//! drain:   stop accepting; wait queue empty and in_flight == 0
 //! shutdown: drain + join workers + absorb their telemetry registries
 //! ```
 //!
 //! Exactly-once by construction: a job is popped under the queue mutex by
 //! one worker, and workers only exit when the engine stopped accepting
-//! *and* both lanes are empty — a drain can never strand a queued request,
+//! *and* the queue is empty — a drain can never strand a queued request,
 //! and no request is ever visible to two workers.
 //!
 //! Admission control is cost-based: every request carries a projected cost
@@ -33,11 +33,10 @@
 
 use crate::cache::{CachedResult, ResultCache};
 use crate::exec::{run_scenario, ServeScratch};
-use crate::products::{pgv_of, HazardMap};
-use crate::request::{Lane, RequestKey, ScenarioRequest};
+use crate::request::{RequestKey, ScenarioRequest};
 use quake_ckpt::{CkptError, Encoder};
 use quake_mesh::{mesh_from_model, HexMesh, MeshingParams};
-use quake_model::{Material, MaterialModel};
+use quake_model::MaterialModel;
 use quake_octree::LinearOctree;
 use quake_solver::{ElasticConfig, ElasticSolver, SolverData};
 use quake_telemetry::Registry;
@@ -48,56 +47,26 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// A material model with vp/vs uniformly scaled — the engine's registered
-/// perturbation family. Scaling both velocities by one factor preserves the
-/// vp/vs ratio (and so Poisson's ratio), keeping every sample physical.
-pub struct ScaledModel<'a, M: MaterialModel> {
-    inner: &'a M,
-    scale: f64,
-}
-
-impl<'a, M: MaterialModel> ScaledModel<'a, M> {
-    pub fn new(inner: &'a M, scale: f64) -> ScaledModel<'a, M> {
-        assert!(scale > 0.0 && scale.is_finite(), "model scale must be positive");
-        ScaledModel { inner, scale }
-    }
-}
-
-impl<M: MaterialModel> MaterialModel for ScaledModel<'_, M> {
-    fn sample(&self, x: f64, y: f64, z: f64) -> Material {
-        let m = self.inner.sample(x, y, z);
-        Material { vp: m.vp * self.scale, vs: m.vs * self.scale, rho: m.rho }
-    }
-
-    fn min_vs_in_box(&self, lo: [f64; 3], hi: [f64; 3]) -> f64 {
-        // Delegate to the inner model's (possibly specialized) probe; the
-        // uniform scale commutes with the min.
-        self.inner.min_vs_in_box(lo, hi) * self.scale
-    }
-}
-
-/// One prebuilt serving context: the meshed domain for one registered
-/// model scale, its solver data (templates, sweep schedule, diagonals —
-/// built once, every worker's solver attaches to this copy), plus the facts
-/// submit-side admission and keying need.
+/// The engine's prebuilt serving context: the meshed domain, its solver
+/// data (templates, sweep schedule, diagonals — built once, every worker's
+/// solver attaches to this copy), plus the facts submit-side admission and
+/// keying need.
 pub struct Variant {
-    pub scale: f64,
     pub tree: LinearOctree,
     pub mesh: HexMesh,
     solver: Arc<SolverData>,
-    /// Content-address context: hashes the scale, dt, step count, and mesh
-    /// shape, so keys from different variants (or regenerated meshes) can
-    /// share one cache directory without colliding by construction.
+    /// Content-address context: hashes dt, step count, and mesh shape, so
+    /// keys from different engines (or regenerated meshes) can share one
+    /// cache directory without colliding by construction.
     pub fingerprint: u64,
     pub dt: f64,
     pub n_steps: u64,
     pub n_elements: u64,
 }
 
-fn variant_fingerprint(scale: f64, dt: f64, n_steps: u64, mesh: &HexMesh) -> u64 {
+fn variant_fingerprint(dt: f64, n_steps: u64, mesh: &HexMesh) -> u64 {
     let mut enc = Encoder::new();
-    enc.put_str("quake.serve.variant.v1");
-    enc.put_u64(scale.to_bits());
+    enc.put_str("quake.serve.variant.v2");
     enc.put_u64(dt.to_bits());
     enc.put_u64(n_steps);
     enc.put_u64(mesh.n_nodes() as u64);
@@ -106,25 +75,21 @@ fn variant_fingerprint(scale: f64, dt: f64, n_steps: u64, mesh: &HexMesh) -> u64
     u64::from_le_bytes([k.0[0], k.0[1], k.0[2], k.0[3], k.0[4], k.0[5], k.0[6], k.0[7]])
 }
 
+/// Receiver count the per-worker scratch buffers are pre-warmed for.
+const MAX_RECEIVERS: usize = 16;
+
 /// Engine construction parameters.
 pub struct EngineConfig {
     pub meshing: MeshingParams,
     pub solve: ElasticConfig,
-    /// Registered material perturbations (vp/vs scale factors). A request's
-    /// `model_scale` must bit-match one of these. Always include `1.0` for
-    /// the baseline unless the engine intentionally serves only perturbed
-    /// models.
-    pub model_scales: Vec<f64>,
-    /// Worker threads (each owns one `ServeScratch` per variant; the
-    /// variant's solver data is shared).
+    /// Worker threads (each owns one `ServeScratch`; the variant's solver
+    /// data is shared).
     pub workers: usize,
-    /// Maximum queued (not yet started) requests across both lanes.
+    /// Maximum queued (not yet started) requests.
     pub queue_capacity: usize,
     /// Admission budget on outstanding projected cost in element updates
     /// (queued + in-flight); 0 = unlimited.
     pub cost_budget: u64,
-    /// Receiver count the per-worker scratch buffers are pre-warmed for.
-    pub max_receivers: usize,
     /// Result cache directory; `None` disables caching.
     pub cache_dir: Option<PathBuf>,
     /// Cache retention budget in bytes (0 = unlimited); see
@@ -137,11 +102,9 @@ impl EngineConfig {
         EngineConfig {
             meshing,
             solve,
-            model_scales: vec![1.0],
             workers: 2,
             queue_capacity: 1024,
             cost_budget: 0,
-            max_receivers: 16,
             cache_dir: None,
             cache_byte_budget: 0,
         }
@@ -158,9 +121,7 @@ impl EngineConfig {
 /// worker time is spent on a refused request.
 #[derive(Debug)]
 pub enum ServeError {
-    /// The request's `model_scale` bit-matches no registered variant.
-    UnknownModelScale(f64),
-    /// Both lanes together already hold `queue_capacity` waiting requests.
+    /// The queue already holds `queue_capacity` waiting requests.
     QueueFull,
     /// Admission control: the projected cost would push the outstanding
     /// total past the budget.
@@ -170,9 +131,6 @@ pub enum ServeError {
     /// The serving worker disappeared before replying (engine torn down
     /// while the ticket was still held).
     WorkerLost,
-    /// `hazard_map` requires every ensemble member to share one receiver
-    /// layout.
-    MismatchedEnsemble,
     /// The request cannot be served: a non-finite receiver coordinate, a
     /// non-finite moment or slip field, a rise time that is not positive,
     /// or a source outside the domain.
@@ -182,7 +140,6 @@ pub enum ServeError {
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServeError::UnknownModelScale(s) => write!(f, "unregistered model scale {s}"),
             ServeError::QueueFull => write!(f, "request queue is full"),
             ServeError::Overloaded { projected, outstanding, budget } => write!(
                 f,
@@ -191,9 +148,6 @@ impl std::fmt::Display for ServeError {
             ),
             ServeError::Stopped => write!(f, "engine is not accepting requests"),
             ServeError::WorkerLost => write!(f, "serving worker lost before replying"),
-            ServeError::MismatchedEnsemble => {
-                write!(f, "ensemble members must share one receiver layout")
-            }
             ServeError::InvalidRequest(why) => write!(f, "invalid request: {why}"),
         }
     }
@@ -238,38 +192,27 @@ impl Ticket {
 
 struct Job {
     request: ScenarioRequest,
-    variant: usize,
     key: RequestKey,
     cost: u64,
     tx: mpsc::Sender<ScenarioResponse>,
 }
 
 struct QueueState {
-    interactive: VecDeque<Job>,
-    batch: VecDeque<Job>,
+    jobs: VecDeque<Job>,
     accepting: bool,
     in_flight: usize,
     outstanding_cost: u64,
 }
 
 impl QueueState {
-    fn queued(&self) -> usize {
-        self.interactive.len() + self.batch.len()
-    }
-
-    fn pop(&mut self) -> Option<Job> {
-        self.interactive.pop_front().or_else(|| self.batch.pop_front())
-    }
-
     fn idle(&self) -> bool {
-        self.queued() == 0 && self.in_flight == 0
+        self.jobs.is_empty() && self.in_flight == 0
     }
 }
 
 struct Shared {
-    variants: Vec<Variant>,
+    variant: Variant,
     cache: Option<ResultCache>,
-    max_receivers: usize,
     queue_capacity: usize,
     cost_budget: u64,
     q: Mutex<QueueState>,
@@ -304,46 +247,31 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// Mesh every registered model scale, build each variant's solver data
-    /// once (it also fixes the variant's dt/step count), and start the
-    /// worker pool.
+    /// Mesh the model, build its solver data once (it also fixes the
+    /// variant's dt/step count), and start the worker pool.
     pub fn start(model: &impl MaterialModel, cfg: EngineConfig) -> Result<ServeEngine, CkptError> {
         assert!(cfg.workers >= 1, "an engine needs at least one worker");
-        assert!(!cfg.model_scales.is_empty(), "register at least one model scale");
         let reg = Registry::new(0);
-        let mut variants = Vec::with_capacity(cfg.model_scales.len());
-        for &scale in &cfg.model_scales {
+        let variant = {
             let _s = reg.span("serve/build_variant");
-            let scaled = ScaledModel::new(model, scale);
-            let (tree, mesh) = mesh_from_model(&cfg.meshing, &scaled);
+            let (tree, mesh) = mesh_from_model(&cfg.meshing, model);
             let solver = Arc::new(SolverData::build(&mesh, &cfg.solve));
             let (dt, n_steps) = (solver.dt, solver.n_steps as u64);
-            let fingerprint = variant_fingerprint(scale, dt, n_steps, &mesh);
+            let fingerprint = variant_fingerprint(dt, n_steps, &mesh);
             let n_elements = mesh.n_elements() as u64;
-            variants.push(Variant {
-                scale,
-                tree,
-                mesh,
-                solver,
-                fingerprint,
-                dt,
-                n_steps,
-                n_elements,
-            });
-        }
+            Variant { tree, mesh, solver, fingerprint, dt, n_steps, n_elements }
+        };
         let cache = match &cfg.cache_dir {
             Some(dir) => Some(ResultCache::open(dir, cfg.cache_byte_budget)?),
             None => None,
         };
         let shared = Arc::new(Shared {
-            variants,
+            variant,
             cache,
-            max_receivers: cfg.max_receivers,
             queue_capacity: cfg.queue_capacity,
             cost_budget: cfg.cost_budget,
             q: Mutex::new(QueueState {
-                interactive: VecDeque::new(),
-                batch: VecDeque::new(),
+                jobs: VecDeque::new(),
                 accepting: true,
                 in_flight: 0,
                 outstanding_cost: 0,
@@ -370,29 +298,18 @@ impl ServeEngine {
         Ok(engine)
     }
 
-    /// Registered variants, index-aligned with request routing.
+    /// The engine's one variant, as a one-element slice.
     pub fn variants(&self) -> &[Variant] {
-        &self.shared.variants
-    }
-
-    /// The variant a request with `model_scale` would route to.
-    pub fn variant_for(&self, model_scale: f64) -> Option<&Variant> {
-        self.shared.variants.iter().find(|v| v.scale.to_bits() == model_scale.to_bits())
+        std::slice::from_ref(&self.shared.variant)
     }
 
     /// Submit one scenario. Validation, content addressing, and admission
     /// happen synchronously on the caller's thread; on acceptance the
-    /// request is queued on its lane and a [`Ticket`] is returned.
+    /// request is queued and a [`Ticket`] is returned.
     pub fn submit(&self, request: ScenarioRequest) -> Result<Ticket, ServeError> {
         let queue_capacity = self.shared.queue_capacity;
         let cost_budget = self.shared.cost_budget;
-        let variant = self
-            .shared
-            .variants
-            .iter()
-            .position(|v| v.scale.to_bits() == request.model_scale.to_bits())
-            .ok_or(ServeError::UnknownModelScale(request.model_scale))?;
-        let v = &self.shared.variants[variant];
+        let v = &self.shared.variant;
         validate(&request, v)?;
         let until = request.n_steps.map_or(v.n_steps, |b| b.min(v.n_steps));
         let key = request.key(v.fingerprint, until);
@@ -403,7 +320,7 @@ impl ServeEngine {
             if !q.accepting {
                 return Err(ServeError::Stopped);
             }
-            if q.queued() >= queue_capacity {
+            if q.jobs.len() >= queue_capacity {
                 self.shared.rejected.fetch_add(1, Ordering::Relaxed);
                 self.reg.add("serve/rejected_queue_full", 1);
                 return Err(ServeError::QueueFull);
@@ -418,61 +335,14 @@ impl ServeEngine {
                 });
             }
             q.outstanding_cost += cost;
-            let lane = request.lane;
-            let job = Job { request, variant, key, cost, tx };
-            match lane {
-                Lane::Interactive => q.interactive.push_back(job),
-                Lane::Batch => q.batch.push_back(job),
-            }
+            q.jobs.push_back(Job { request, key, cost, tx });
         }
         self.shared.work_cv.notify_one();
         Ok(Ticket { key, cost, rx })
     }
 
-    /// Submit a whole ensemble; fails fast on the first rejected member
-    /// (already-accepted members still execute — their tickets are
-    /// returned in the error-free prefix).
-    pub fn submit_ensemble(
-        &self,
-        requests: Vec<ScenarioRequest>,
-    ) -> Result<Vec<Ticket>, (Vec<Ticket>, ServeError)> {
-        let mut tickets = Vec::with_capacity(requests.len());
-        for r in requests {
-            match self.submit(r) {
-                Ok(t) => tickets.push(t),
-                Err(e) => return Err((tickets, e)),
-            }
-        }
-        Ok(tickets)
-    }
-
-    /// Run an N-member ensemble and reduce it to a PGV hazard map. Every
-    /// member must share one receiver layout (that layout becomes the
-    /// map's station set).
-    pub fn hazard_map(
-        &self,
-        requests: Vec<ScenarioRequest>,
-    ) -> Result<(HazardMap, Vec<ScenarioResponse>), ServeError> {
-        let Some(first) = requests.first() else {
-            return Err(ServeError::MismatchedEnsemble);
-        };
-        let layout = first.receivers.clone();
-        if requests.iter().any(|r| r.receivers != layout) {
-            return Err(ServeError::MismatchedEnsemble);
-        }
-        let tickets = self.submit_ensemble(requests).map_err(|(_, e)| e)?;
-        let mut map = HazardMap::new(layout);
-        let mut responses = Vec::with_capacity(tickets.len());
-        for t in tickets {
-            let resp = t.wait()?;
-            map.absorb(&pgv_of(&resp.result.traces));
-            responses.push(resp);
-        }
-        Ok((map, responses))
-    }
-
-    /// Stop accepting and block until both lanes are empty and no request
-    /// is in flight. Every accepted request completes; every ticket
+    /// Stop accepting and block until the queue is empty and no request is
+    /// in flight. Every accepted request completes; every ticket
     /// resolves.
     pub fn drain(&self) {
         let mut q = lock(&self.shared.q);
@@ -491,7 +361,7 @@ impl ServeEngine {
             cache_hits: self.shared.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.shared.cache_misses.load(Ordering::Relaxed),
             rejected: self.shared.rejected.load(Ordering::Relaxed),
-            queued: q.queued(),
+            queued: q.jobs.len(),
             in_flight: q.in_flight,
             outstanding_cost: q.outstanding_cost,
         }
@@ -556,21 +426,17 @@ fn validate(request: &ScenarioRequest, variant: &Variant) -> Result<(), ServeErr
 
 fn worker_loop(shared: &Arc<Shared>, telemetry_rank: usize) -> Registry {
     let reg = Registry::new(telemetry_rank);
-    // Each worker owns one scratch per variant, reused for every request it
-    // ever serves; its solvers only attach to the variants' shared mesh and
+    // Each worker owns one scratch, reused for every request it ever
+    // serves; its solver only attaches to the variant's shared mesh and
     // solver data.
-    let solvers: Vec<ElasticSolver<'_>> = shared
-        .variants
-        .iter()
-        .map(|v| ElasticSolver::attach(&v.mesh, Arc::clone(&v.solver)))
-        .collect();
-    let mut scratches: Vec<ServeScratch> =
-        solvers.iter().map(|s| ServeScratch::for_solver(s, shared.max_receivers)).collect();
+    let v = &shared.variant;
+    let solver = ElasticSolver::attach(&v.mesh, Arc::clone(&v.solver));
+    let mut scratch = ServeScratch::for_solver(&solver, MAX_RECEIVERS);
     loop {
         let job = {
             let mut q = lock(&shared.q);
             loop {
-                if let Some(j) = q.pop() {
+                if let Some(j) = q.jobs.pop_front() {
                     q.in_flight += 1;
                     break Some(j);
                 }
@@ -582,7 +448,7 @@ fn worker_loop(shared: &Arc<Shared>, telemetry_rank: usize) -> Registry {
         };
         let Some(job) = job else { break };
         let cost = job.cost;
-        serve_one(shared, &solvers, &mut scratches, job, &reg);
+        serve_one(shared, &solver, &mut scratch, job, &reg);
         let mut q = lock(&shared.q);
         q.in_flight -= 1;
         q.outstanding_cost = q.outstanding_cost.saturating_sub(cost);
@@ -595,8 +461,8 @@ fn worker_loop(shared: &Arc<Shared>, telemetry_rank: usize) -> Registry {
 
 fn serve_one(
     shared: &Shared,
-    solvers: &[ElasticSolver<'_>],
-    scratches: &mut [ServeScratch],
+    solver: &ElasticSolver<'_>,
+    scratch: &mut ServeScratch,
     job: Job,
     reg: &Registry,
 ) {
@@ -610,15 +476,14 @@ fn serve_one(
             (true, r)
         }
         None => {
-            let v = &shared.variants[job.variant];
             let exec0 = Instant::now();
             let r = run_scenario(
-                &solvers[job.variant],
-                &v.tree,
+                solver,
+                &shared.variant.tree,
                 &job.request.sources,
                 &job.request.receivers,
                 job.request.n_steps,
-                &mut scratches[job.variant],
+                scratch,
             );
             let exec_secs = exec0.elapsed().as_secs_f64();
             if let Some(c) = &shared.cache {
@@ -660,21 +525,6 @@ fn wait<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scaled_model_preserves_physicality_and_scales_min_vs() {
-        let inner = quake_model::LaBasinModel::scaled(400.0, 8_000.0);
-        let scaled = ScaledModel::new(&inner, 1.07);
-        let a = inner.sample(1_000.0, 2_000.0, 500.0);
-        let b = scaled.sample(1_000.0, 2_000.0, 500.0);
-        assert!((b.vp - a.vp * 1.07).abs() < 1e-9);
-        assert!((b.vs - a.vs * 1.07).abs() < 1e-9);
-        assert_eq!(b.rho, a.rho);
-        b.validate();
-        let lo = [0.0, 0.0, 0.0];
-        let hi = [8_000.0, 8_000.0, 8_000.0];
-        assert!((scaled.min_vs_in_box(lo, hi) - inner.min_vs_in_box(lo, hi) * 1.07).abs() < 1e-9);
-    }
 
     #[test]
     fn invalid_requests_are_refused_at_submit_and_workers_survive() {
@@ -738,10 +588,9 @@ mod tests {
         p.min_level = 2;
         p.max_level = 4;
         let (_, mesh) = mesh_from_model(&p, &inner);
-        let f1 = variant_fingerprint(1.0, 0.05, 100, &mesh);
-        assert_ne!(f1, variant_fingerprint(1.1, 0.05, 100, &mesh));
-        assert_ne!(f1, variant_fingerprint(1.0, 0.051, 100, &mesh));
-        assert_ne!(f1, variant_fingerprint(1.0, 0.05, 101, &mesh));
-        assert_eq!(f1, variant_fingerprint(1.0, 0.05, 100, &mesh));
+        let f1 = variant_fingerprint(0.05, 100, &mesh);
+        assert_ne!(f1, variant_fingerprint(0.051, 100, &mesh));
+        assert_ne!(f1, variant_fingerprint(0.05, 101, &mesh));
+        assert_eq!(f1, variant_fingerprint(0.05, 100, &mesh));
     }
 }

@@ -15,9 +15,9 @@
 //!   of the *submission*, not of the scenario identity; see DESIGN.md),
 //! - the receiver list is hashed **in order** — receivers are output
 //!   channels, and a permuted layout is a genuinely different product,
-//! - the engine's variant fingerprint (mesh, material scale, dt, step
-//!   count) prefixes everything, so two engines over different basins can
-//!   share one cache directory.
+//! - the engine's variant fingerprint (mesh, dt, step count) prefixes
+//!   everything, so two engines over different basins can share one cache
+//!   directory.
 //!
 //! The key is 128 bits of FNV-1a (two independently seeded 64-bit streams
 //! over the same bytes). That is a content *address* for honest inputs,
@@ -30,15 +30,7 @@ use quake_model::PointSource;
 
 /// Version tag mixed into every canonical encoding; bump when the encoding
 /// changes so stale cache entries miss instead of decoding wrongly.
-pub const REQUEST_ENCODING: &str = "quake.serve.request.v1";
-
-/// Scheduling lane of a request. `Interactive` jobs are popped before any
-/// `Batch` job; within a lane the queue is FIFO.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Lane {
-    Interactive,
-    Batch,
-}
+pub const REQUEST_ENCODING: &str = "quake.serve.request.v2";
 
 /// One scenario to simulate against an engine's shared mesh.
 #[derive(Clone, Debug)]
@@ -52,23 +44,13 @@ pub struct ScenarioRequest {
     /// Step budget: run `min(n_steps, solver.n_steps)` steps;
     /// `None` = the variant's full configured duration.
     pub n_steps: Option<u64>,
-    /// Material perturbation: uniform vp/vs scale factor selecting one of
-    /// the engine's registered model variants (1.0 = baseline).
-    pub model_scale: f64,
-    /// Scheduling lane; not part of the content address.
-    pub lane: Lane,
 }
 
 impl ScenarioRequest {
-    /// A baseline-model batch request for `sources`/`receivers` over the
-    /// variant's full duration.
+    /// A request for `sources`/`receivers` over the variant's full
+    /// duration.
     pub fn new(sources: Vec<PointSource>, receivers: Vec<[f64; 3]>) -> ScenarioRequest {
-        ScenarioRequest { sources, receivers, n_steps: None, model_scale: 1.0, lane: Lane::Batch }
-    }
-
-    pub fn interactive(mut self) -> ScenarioRequest {
-        self.lane = Lane::Interactive;
-        self
+        ScenarioRequest { sources, receivers, n_steps: None }
     }
 
     pub fn with_steps(mut self, n_steps: u64) -> ScenarioRequest {
@@ -76,20 +58,14 @@ impl ScenarioRequest {
         self
     }
 
-    pub fn with_model_scale(mut self, scale: f64) -> ScenarioRequest {
-        self.model_scale = scale;
-        self
-    }
-
     /// The canonical byte encoding hashed into the content address.
-    /// `variant_fingerprint` pins the mesh/material/dt context; `until_step`
+    /// `variant_fingerprint` pins the mesh/dt context; `until_step`
     /// is the *effective* step count (budget clamped to the variant).
     pub fn canonical_bytes(&self, variant_fingerprint: u64, until_step: u64) -> Vec<u8> {
         let mut enc = Encoder::new();
         enc.put_str(REQUEST_ENCODING);
         enc.put_u64(variant_fingerprint);
         enc.put_u64(until_step);
-        enc.put_u64(self.model_scale.to_bits());
         enc.put_u64(self.receivers.len() as u64);
         for r in &self.receivers {
             for &c in r {
@@ -248,10 +224,6 @@ mod tests {
         r.receivers[1][0] = ulp_up(r.receivers[1][0]);
         assert_ne!(r.key(42, 100), k0, "receiver position ignored by the hash");
 
-        let mut r = base.clone();
-        r.model_scale = ulp_up(r.model_scale);
-        assert_ne!(r.key(42, 100), k0, "model scale ignored by the hash");
-
         // Context changes relocate the key too.
         assert_ne!(base.key(43, 100), k0, "variant fingerprint ignored");
         assert_ne!(base.key(42, 101), k0, "step budget ignored");
@@ -259,9 +231,6 @@ mod tests {
         let mut r = base.clone();
         r.receivers.reverse();
         assert_ne!(r.key(42, 100), k0, "receiver order must be part of the key");
-        // The lane is scheduling metadata, not identity.
-        let r = base.clone().interactive();
-        assert_eq!(r.key(42, 100), k0);
     }
 
     /// One ulp away from zero (sign-aware: for negative values,

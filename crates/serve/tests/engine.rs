@@ -1,9 +1,9 @@
-//! Engine semantics under load: lanes, admission control, hazard-map
-//! ensembles, and the drain/shutdown exactly-once guarantee.
+//! Engine semantics under load: admission control and the drain/shutdown
+//! exactly-once guarantee.
 
 use quake_mesh::MeshingParams;
 use quake_model::{ExtendedFault, LaBasinModel, PointSource};
-use quake_serve::{EngineConfig, HazardMap, Lane, ScenarioRequest, ServeEngine, ServeError};
+use quake_serve::{EngineConfig, ScenarioRequest, ServeEngine, ServeError};
 use quake_solver::ElasticConfig;
 use std::path::PathBuf;
 
@@ -85,66 +85,12 @@ fn drain_completes_every_accepted_request_exactly_once() {
 }
 
 #[test]
-fn interactive_lane_overtakes_batch_backlog() {
-    // One worker, a batch backlog, then an interactive arrival: with FIFO
-    // it would finish last; the lane must put it ahead of every queued
-    // batch job. The worker may already hold one batch job when the
-    // interactive request lands, so "ahead" means: at least one queued
-    // batch job finishes after it.
-    let mut cfg = small_config();
-    cfg.workers = 1;
-    let engine = ServeEngine::start(&model(), cfg).unwrap();
-    let mk = |i: usize, lane: Lane| {
-        let mut s = sources(2);
-        for src in &mut s {
-            src.slip.delay += i as f64 * 1e-3;
-        }
-        let r = ScenarioRequest::new(s, receivers()).with_steps(30);
-        match lane {
-            Lane::Interactive => r.interactive(),
-            Lane::Batch => r,
-        }
-    };
-    let batch: Vec<_> = (0..4).map(|i| engine.submit(mk(i, Lane::Batch)).unwrap()).collect();
-    let urgent = engine.submit(mk(99, Lane::Interactive)).unwrap();
-
-    let done = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-    std::thread::scope(|scope| {
-        let d = std::sync::Arc::clone(&done);
-        scope.spawn(move || {
-            urgent.wait().unwrap();
-            d.lock().unwrap().push("interactive");
-        });
-        for t in batch {
-            let d = std::sync::Arc::clone(&done);
-            scope.spawn(move || {
-                t.wait().unwrap();
-                d.lock().unwrap().push("batch");
-            });
-        }
-    });
-    let order = done.lock().unwrap().clone();
-    let pos = order.iter().position(|&s| s == "interactive").unwrap();
-    assert!(
-        pos < order.len() - 1,
-        "interactive request finished last — the priority lane did nothing: {order:?}"
-    );
-    engine.shutdown();
-}
-
-#[test]
 fn admission_rejects_on_queue_and_cost_limits() {
     let mut cfg = small_config();
     cfg.workers = 1;
     cfg.queue_capacity = 2;
     let engine = ServeEngine::start(&model(), cfg).unwrap();
     let v_elems = engine.variants()[0].n_elements;
-
-    // Unknown material perturbation is refused outright.
-    assert!(matches!(
-        engine.submit(ScenarioRequest::new(sources(2), receivers()).with_model_scale(1.3)),
-        Err(ServeError::UnknownModelScale(_))
-    ));
 
     // Fill: one in flight + two queued, then the queue cap bites.
     let mut held = Vec::new();
@@ -194,62 +140,34 @@ fn admission_rejects_on_queue_and_cost_limits() {
 }
 
 #[test]
-fn hazard_map_reduces_an_ensemble_and_perturbed_models_get_their_own_mesh() {
-    let mut cfg = small_config();
-    cfg.workers = 2;
-    cfg.model_scales = vec![1.0, 1.1];
-    let dir = tmpdir("hazard");
-    let engine = ServeEngine::start(&model(), cfg.with_cache(dir.clone(), 0)).unwrap();
-    assert_eq!(engine.variants().len(), 2);
-    let (b, p) = (&engine.variants()[0], &engine.variants()[1]);
-    assert_ne!(b.fingerprint, p.fingerprint);
-    // The perturbed material changes the CFL-limited step (same level
-    // bounds, faster velocities), so the variants are physically distinct.
-    assert_ne!(p.dt.to_bits(), b.dt.to_bits());
+fn a_cache_that_cannot_read_or_write_degrades_to_recomputes() {
+    // The cache directory is replaced by a regular file after start, so
+    // every entry read and every write fails (ENOTDIR). Each request must
+    // still be answered from a fresh solve, bit-identical to an uncached
+    // engine's, and counted as a miss.
+    let dir = tmpdir("failing-cache");
+    let engine = ServeEngine::start(&model(), small_config().with_cache(dir.clone(), 0)).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::write(&dir, b"not a directory").unwrap();
 
-    // Ensemble over rupture timing and material scale, one shared layout.
-    let members: Vec<ScenarioRequest> = (0..4)
-        .map(|i| {
-            let mut s = sources(2);
-            for src in &mut s {
-                src.slip.delay += i as f64 * 0.05;
-            }
-            let scale = if i % 2 == 0 { 1.0 } else { 1.1 };
-            ScenarioRequest::new(s, receivers()).with_steps(12).with_model_scale(scale)
-        })
-        .collect();
-    let (map, responses) = engine.hazard_map(members.clone()).unwrap();
-    assert_eq!(map.members, 4);
-    assert_eq!(map.receivers, receivers());
-    assert!(map.max_pgv() > 0.0, "an earthquake ensemble produced zero ground motion");
-    // The map is the elementwise max of the member PGVs.
-    for (j, &pgv) in map.pgv.iter().enumerate() {
-        let member_max = responses
-            .iter()
-            .map(|r| quake_serve::trace_pgv(&r.result.traces[j]))
-            .fold(0.0f64, f64::max);
-        assert_eq!(pgv, member_max);
+    let request = ScenarioRequest::new(sources(2), receivers()).with_steps(12);
+    let uncached = ServeEngine::start(&model(), small_config()).unwrap();
+    let reference = uncached.submit(request.clone()).unwrap().wait().unwrap();
+    uncached.shutdown();
+
+    let bits = |r: &quake_serve::ScenarioResponse| -> Vec<Vec<u64>> {
+        r.result.traces.iter().map(|t| t.data.iter().map(|v| v.to_bits()).collect()).collect()
+    };
+    for round in 1..=2u64 {
+        let resp = engine.submit(request.clone()).unwrap().wait().unwrap();
+        assert!(!resp.cache_hit, "round {round}: a failing cache served a hit");
+        assert_eq!(resp.key, reference.key);
+        assert_eq!(bits(&resp), bits(&reference), "round {round}: traces differ");
+        let stats = engine.stats();
+        assert_eq!((stats.cache_misses, stats.cache_hits), (round, 0));
     }
-
-    // Resubmitting the ensemble is pure cache replay with an identical map.
-    let (map2, responses2) = engine.hazard_map(members).unwrap();
-    assert!(responses2.iter().all(|r| r.cache_hit));
-    assert_eq!(map2.pgv, map.pgv);
-
-    // Mismatched layouts are refused.
-    let mut bad = vec![ScenarioRequest::new(sources(2), receivers())];
-    bad.push(ScenarioRequest::new(sources(2), vec![[0.0, 0.0, 0.0]]));
-    assert!(matches!(engine.hazard_map(bad), Err(ServeError::MismatchedEnsemble)));
-
-    engine.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn hazard_map_standalone_reduction_matches_engine_path() {
-    // HazardMap is usable without an engine (post-hoc reduction).
-    let mut map = HazardMap::new(vec![[0.0; 3]; 2]);
-    map.absorb(&[0.5, 2.0]);
-    map.absorb(&[1.5, 1.0]);
-    assert_eq!(map.pgv, vec![1.5, 2.0]);
+    let reg = engine.shutdown();
+    assert_eq!(reg.counter("serve/cache_miss"), Some(2));
+    assert_eq!(reg.counter("serve_cache/bytes_written"), None);
+    std::fs::remove_file(&dir).unwrap();
 }

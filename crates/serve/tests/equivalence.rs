@@ -29,7 +29,7 @@ fn served_traces_match_forward_run_bit_for_bit_cold_and_cached() {
     let engine = ServeEngine::start(&model, cfg).unwrap();
 
     // Sanity: the engine's variant meshed the same domain.
-    let v = engine.variant_for(1.0).expect("baseline variant");
+    let v = &engine.variants()[0];
     assert_eq!(v.mesh.n_nodes(), direct.mesh.n_nodes());
     assert_eq!(v.n_steps, direct.result.n_steps as u64);
     assert_eq!(v.dt.to_bits(), direct.result.dt.to_bits());

@@ -498,7 +498,7 @@ impl<'m> ElasticSolver<'m> {
             reg.set(&format!("step/{}/flops", p.name), p.flops * n_steps);
             reg.set(&format!("step/{}/bytes", p.name), p.bytes * n_steps);
         }
-        // Lanes the element matvec computed for those flops: lanes beyond
+        // The lanes the element matvec computed for those flops: lanes beyond
         // the element count are executed work no element uses.
         reg.set("step/elements/lanes", shape.n_lanes * n_steps);
     }

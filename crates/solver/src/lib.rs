@@ -39,8 +39,8 @@
 //! - [`distributed`]: the rank-parallel elastic solver over `quake-parcomm`
 //!   (owner-computes + interface sum-exchange), bit-identical to the serial
 //!   solver,
-//! - [`reference`]: the frozen pre-optimization elastic step — the
-//!   equivalence and `bench_step` baseline.
+//! - [`reference`](mod@reference): the frozen pre-optimization elastic
+//!   step — the equivalence and `bench_step` baseline.
 //!
 //! The elastic hot path is organized around preallocated
 //! [`elastic::StepScope`]/[`elastic::StepWorkspace`] state: a time loop's

@@ -45,10 +45,11 @@ use quake_mesh::HexMesh;
 /// (4.5 KiB) L1-resident.
 pub const BATCH: usize = 32;
 
-/// Lane-group width of the template matvec: a tile is computed in groups of
-/// `LG` elements, so a class run of length `L` costs `ceil(L / LG) * LG`
-/// lanes. Chosen by measurement from {2, 4, 8} on the default (SSE2) build —
-/// see EXPERIMENTS.md "Lane-packed element sweep".
+/// Width of one lane group of the template matvec: a tile is computed in
+/// groups of `LG` elements, so a class run of length `L` costs
+/// `ceil(L / LG) * LG` lanes. Chosen by measurement from {2, 4, 8} on the
+/// default (SSE2) build — see the lane-packed element sweep in
+/// EXPERIMENTS.md.
 const LG: usize = 4;
 
 /// Template rows one matvec block accumulates together: each loaded `X`
@@ -477,7 +478,7 @@ mod tests {
         assert_eq!(assert_class_major(&basin, &all).n_classes(), 670);
     }
 
-    /// Lane fill of a single class run of length `L` is exactly
+    /// The lane fill of a single class run of length `L` is exactly
     /// `L / (ceil(L / LG) * LG)`: at most `LG - 1` lanes are wasted however
     /// short the run, where computing whole tiles wasted up to `BATCH - 1`.
     #[test]

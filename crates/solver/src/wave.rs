@@ -43,7 +43,7 @@
 //! `n_nodes` values, however many steps it marches.
 //!
 //! Full storage is the only adjoint-memory path. Uniform-segment
-//! checkpointing (the paper's optional reference [21], Griewank) was
+//! checkpointing (the paper's optional reference \[21\], Griewank) was
 //! measured on the inversion and removed: its gradient sums the
 //! per-step terms backward in time, so the Gauss-Newton iteration no
 //! longer reproduces the full-storage one, and every Hessian-vector

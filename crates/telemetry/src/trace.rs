@@ -16,7 +16,7 @@
 //!   (nanoseconds from the registry epoch), resolved to strings only at
 //!   export time ([`crate::Registry::trace_buffer`]).
 //!
-//! Sizing: one [`RawEvent`] is 32 bytes, so the default capacity used by the
+//! Sizing: one `RawEvent` is 32 bytes, so the default capacity used by the
 //! distributed driver (65536) is 2 MiB per rank — roughly 4000 steps of the
 //! instrumented elastic loop (step + 7 phases + exchange wait/copy slices
 //! per step) before the ring wraps.
